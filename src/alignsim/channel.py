@@ -8,6 +8,7 @@ each direct link additionally passes through a full-rank transform
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,18 +43,18 @@ H_MAX_DEFAULT = 2.0
 MIN_VALUE_GAP = 1e-2
 
 
-def separated_uniform(rng, count, lo=H_MIN_DEFAULT, hi=H_MAX_DEFAULT,
-                      min_gap=MIN_VALUE_GAP, avoid=()):
-    """count uniform draws pairwise separated by at least min_gap.
+def separated_uniform(rng, count, min_gap=MIN_VALUE_GAP, avoid=()):
+    """count uniform draws on the default gain range, pairwise separated
+    by at least min_gap.
 
     Values in ``avoid`` (e.g. a fixed gain of 1 elsewhere on the diagonal)
     are kept at the same distance.
     """
-    if (hi - lo) <= min_gap * (count + len(avoid)):
+    if (H_MAX_DEFAULT - H_MIN_DEFAULT) <= min_gap * (count + len(avoid)):
         raise ValueError("range too small for that many separated values")
     vals = []
     while len(vals) < count:
-        v = float(rng.uniform(lo, hi))
+        v = float(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT))
         if all(abs(v - u) >= min_gap for u in vals) and \
                 all(abs(v - a) >= min_gap for a in avoid):
             vals.append(v)
@@ -205,6 +206,17 @@ def direct_transform_matrix(kind, distance, n, seed):
     return DirectTransform(kind, distance, mat)
 
 
+def _is_int_nest(nest, K):
+    """True when nest is a K x K nest of lists of integers."""
+    return (isinstance(nest, (list, tuple)) and len(nest) == K
+            and all(isinstance(row, (list, tuple)) and len(row) == K
+                    and all(isinstance(cell, (list, tuple))
+                            and all(isinstance(x, numbers.Integral)
+                                    for x in cell)
+                            for cell in row)
+                    for row in nest))
+
+
 @dataclass
 class NetworkConfig:
     """Everything needed to sample a network instance deterministically.
@@ -226,10 +238,10 @@ class NetworkConfig:
     def __post_init__(self):
         if self.unknown is None:
             self.unknown = [[[] for _ in range(self.K)] for _ in range(self.K)]
-        if len(self.patterns) != self.K or any(len(r) != self.K for r in self.patterns):
-            raise ValueError("patterns must be a K x K nest")
-        if len(self.unknown) != self.K or any(len(r) != self.K for r in self.unknown):
-            raise ValueError("unknown must be a K x K nest")
+        if not _is_int_nest(self.patterns, self.K):
+            raise ValueError("patterns must be a K x K nest of integer lists")
+        if not _is_int_nest(self.unknown, self.K):
+            raise ValueError("unknown must be a K x K nest of integer lists")
 
     def pattern(self, p, q):
         return ChangingPattern(self.n, tuple(self.patterns[p][q]))

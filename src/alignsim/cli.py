@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChangingPattern, NetworkConfig
+from .channel import ChangingPattern, NetworkConfig, sample_channel
 from .decomposition import build_power_basis, decompose, reconstruct
 from .fastfading import dof_cap_given_upsilon, min_upsilon_for_max_dof
 from .harness import Scenario, run_trials, summary_csv
@@ -92,8 +92,7 @@ def _run_sim(args, regime):
         base_seed = args.seed
     tol = RankTolerance(args.tolerance) if args.tolerance else RankTolerance()
     scenario = Scenario(regime=regime, config=config, params=params,
-                        trials=trials, base_seed=base_seed,
-                        threads=args.threads or 1, tol=tol)
+                        trials=trials, base_seed=base_seed, tol=tol)
     summary = run_trials(scenario)
     _emit(summary_csv(summary), args.out)
     dofs = [r.total_dof for r in summary.results]
@@ -119,7 +118,6 @@ def _cmd_decompose(args):
     if "values" in raw:
         h = np.asarray([float(v) for v in raw["values"]])
     else:
-        from .channel import sample_channel
         h = sample_channel(pattern, seed + 1).array()
     betas = decompose(h, fam)
     resid = float(np.max(np.abs(reconstruct(betas, fam) - h)))
@@ -137,7 +135,6 @@ def _build_parser():
     parser.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     parser.add_argument("--seed", type=int, help="override the base seed")
     parser.add_argument("--trials", type=int, help="override the trial count")
-    parser.add_argument("--threads", type=int, help="worker threads for trials")
     parser.add_argument("--tolerance", type=float,
                         help="relative singular-value threshold (default 1e-8)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 RESIDUAL_REL_TOL = 1e-9
-MAX_FLOAT_DEGREE = 12
+# redraws of a family whose anchor system is singular (a measure-zero event)
+_SINGULAR_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,9 @@ class BasisFamily:
         return self.members[0].n
 
 
-def build_power_basis(pattern: ChangingPattern, seed, warn_large=True):
+def build_power_basis(pattern: ChangingPattern, seed):
     """Members Q^1..Q^(s+1) for a generator Q matching ``pattern``."""
     s = len(pattern.change_points)
-    if warn_large and s > MAX_FLOAT_DEGREE:
-        import warnings
-        warnings.warn(
-            "power-basis degree %d exceeds the well-conditioned float range"
-            " (%d); prefer the exact path" % (s, MAX_FLOAT_DEGREE))
     gen = sample_channel(pattern, seed, distinct_blocks="all").array()
     members = tuple(DiagonalChannel(tuple(gen ** j)) for j in range(1, s + 2))
     anchors = (1,) + pattern.change_points
@@ -105,7 +101,7 @@ def _anchor_system(h, fam):
     return mat, rhs
 
 
-def decompose(h, fam: BasisFamily, residual_tol=RESIDUAL_REL_TOL):
+def decompose(h, fam: BasisFamily):
     """Coefficients beta with sum_j beta_j * member_j == h (within tolerance).
 
     Square anchor systems are solved in exact rational arithmetic (floats
@@ -130,7 +126,7 @@ def decompose(h, fam: BasisFamily, residual_tol=RESIDUAL_REL_TOL):
         betas, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     recon = reconstruct(betas, fam)
     scale = np.max(np.abs(h))
-    if np.max(np.abs(recon - h)) > residual_tol * scale:
+    if np.max(np.abs(recon - h)) > RESIDUAL_REL_TOL * scale:
         raise ValueError("channel is not representable by this family "
                          "(residual above tolerance)")
     return betas
@@ -163,10 +159,10 @@ def reconstruct(betas, fam: BasisFamily):
 
 
 def build_and_decompose(h, kind, pattern_or_unknown, n, seed,
-                        true_values=None, retries=5):
+                        true_values=None):
     """Build a family and solve, redrawing the randomness on singular systems."""
     last = None
-    for attempt in range(retries + 1):
+    for attempt in range(_SINGULAR_RETRIES + 1):
         fam = build_basis(kind, pattern_or_unknown, n, seed + 7919 * attempt,
                           true_values=true_values)
         try:

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 KUSER_SIZE_GUARD = 100_000
+_COMBO_CAP = 64     # member substitutions checked per verification loop
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,29 @@ def _surrogate(fams, p, q, member=0):
     return np.asarray(fams[(p, q)].members[member].values)
 
 
+def _hidden_slot_setup(instance, seed, fixed_slots):
+    """Hidden union, surrogate families and diagonal mixer (1 outside the
+    union) of a scheme needing 2L + fixed_slots slots; the slot count is
+    checked before any family is built."""
+    K, n = instance.K, instance.n
+    cross = [(p, q) for p in range(K) for q in range(K) if p != q]
+    omega = sorted(hidden_union([instance.unknown_set(p, q) for p, q in cross]))
+    expect_n = 2 * len(omega) + fixed_slots
+    if n != expect_n:
+        raise ValueError(
+            f"slot count must equal 2L + {fixed_slots} = {expect_n}")
+    fams = {}
+    for idx, (p, q) in enumerate(cross):
+        fams[(p, q)] = build_indexed_basis(
+            instance.channel(p, q).values, instance.unknown_set(p, q),
+            seed * 613 + idx + 1)
+    rng = np.random.default_rng(seed)
+    gam = np.ones(n)
+    for slot, v in zip(omega, separated_uniform(rng, len(omega), avoid=(1.0,))):
+        gam[slot - 1] = v
+    return omega, fams, gam
+
+
 def build_3user(instance: NetworkInstance, epsilon, seed):
     """Construct the three precoders from surrogate families only.
 
@@ -120,24 +144,11 @@ def build_3user(instance: NetworkInstance, epsilon, seed):
     if epsilon < 1:
         raise ValueError("epsilon must be >= 1")
     n = instance.n
-    cross = [(p, q) for p in range(3) for q in range(3) if p != q]
-    omega = sorted(hidden_union([instance.unknown_set(p, q) for p, q in cross]))
+    omega, fams, gam = _hidden_slot_setup(instance, seed, 2 * epsilon + 1)
     L = len(omega)
-    if n != 2 * L + 2 * epsilon + 1:
-        raise ValueError("slot count must equal 2L + 2*epsilon + 1")
-
-    rng = np.random.default_rng(seed)
-    fams = {}
-    for idx, (p, q) in enumerate(cross):
-        fams[(p, q)] = build_indexed_basis(
-            instance.channel(p, q).values, instance.unknown_set(p, q),
-            seed * 613 + idx + 1)
 
     t = (_surrogate(fams, 0, 1) * _surrogate(fams, 1, 2) * _surrogate(fams, 2, 0)
          / (_surrogate(fams, 1, 0) * _surrogate(fams, 2, 1) * _surrogate(fams, 0, 2)))
-    gam = np.ones(n)
-    for slot, v in zip(omega, separated_uniform(rng, len(omega), avoid=(1.0,))):
-        gam[slot - 1] = v
 
     def columns(i_lo, i_hi):
         return np.column_stack([(t ** i) * (gam ** j)
@@ -166,17 +177,18 @@ def build_3user(instance: NetworkInstance, epsilon, seed):
                              expected=expected)
 
 
-def _member_combos(fams, keys, rng, cap=64):
+def _member_combos(fams, keys, rng):
     sizes = [len(fams[k].members) for k in keys]
     total = int(np.prod(sizes))
-    if total <= cap:
+    if total <= _COMBO_CAP:
         return list(product(*(range(s) for s in sizes)))
-    picks = {tuple(int(rng.integers(0, s)) for s in sizes) for _ in range(cap)}
+    picks = {tuple(int(rng.integers(0, s)) for s in sizes)
+             for _ in range(_COMBO_CAP)}
     return sorted(picks)
 
 
 def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
-                 tol=DEFAULT_TOL, combo_cap=64):
+                 tol=DEFAULT_TOL):
     """Rank-based verification on true (hidden values included) channels.
 
     Returns a dict of named boolean checks plus measured numbers.  The
@@ -201,7 +213,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
     # interference from TX2 and TX3 collapses to one span at RX1, for every
     # surrogate-member substitution of the two incoming links
     ok = True
-    for m12, m13 in _member_combos(fams, [(0, 1), (0, 2)], rng, combo_cap):
+    for m12, m13 in _member_combos(fams, [(0, 1), (0, 2)], rng):
         left = _surrogate(fams, 0, 1, m12)[:, None] * v2
         right = _surrogate(fams, 0, 2, m13)[:, None] * v3
         ok &= is_subspace(left, right, tol) and is_subspace(right, left, tol)
@@ -212,7 +224,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
                             for j in range(1, L + 2)])
     keys = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
     ok = True
-    for combo in _member_combos(fams, keys, rng, combo_cap):
+    for combo in _member_combos(fams, keys, rng):
         num = (_surrogate(fams, 0, 1, combo[0]) * _surrogate(fams, 1, 2, combo[1])
                * _surrogate(fams, 2, 0, combo[2]))
         den = (_surrogate(fams, 1, 0, combo[3]) * _surrogate(fams, 2, 1, combo[4])
@@ -279,19 +291,9 @@ def build_kuser(instance: NetworkInstance, n_star, seed):
     N = (K - 1) * (K - 2) - 1
     if (n_star + 1) ** N > KUSER_SIZE_GUARD:
         raise ValueError("exponent grid too large for direct construction")
-    cross = [(p, q) for p in range(K) for q in range(K) if p != q]
-    omega = sorted(hidden_union([instance.unknown_set(p, q) for p, q in cross]))
+    omega, fams, gam = _hidden_slot_setup(instance, seed,
+                                          n_star ** N + (n_star + 1) ** N)
     L = len(omega)
-    expect_n = 2 * L + n_star ** N + (n_star + 1) ** N
-    if n != expect_n:
-        raise ValueError(f"slot count must equal {expect_n}")
-
-    rng = np.random.default_rng(seed)
-    fams = {}
-    for idx, (p, q) in enumerate(cross):
-        fams[(p, q)] = build_indexed_basis(
-            instance.channel(p, q).values, instance.unknown_set(p, q),
-            seed * 613 + idx + 1)
 
     def q1(p, q):
         return _surrogate(fams, p, q)
@@ -302,10 +304,6 @@ def build_kuser(instance: NetworkInstance, n_star, seed):
              if p != q and (p, q) != (1, 2)]
     assert len(pairs) == N
     transfer = {pq: q1(*pq) / q1(pq[0], 0) * relay[pq[1]] for pq in pairs}
-
-    gam = np.ones(n)
-    for slot, v in zip(omega, separated_uniform(rng, len(omega), avoid=(1.0,))):
-        gam[slot - 1] = v
 
     def grid_columns(lo, hi):
         cols = []

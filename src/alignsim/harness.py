@@ -4,23 +4,21 @@ One Scenario describes a regime (blind / shared / fastfading3 /
 fastfadingK), a network configuration, scheme parameters, and a trial
 count.  Trial i uses seed base_seed + i; trials are independent, results
 are aggregated in trial order, and two runs of the same scenario produce
-byte-identical reports regardless of worker count.
+byte-identical reports.
 """
 
 import csv
 import io
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .blind import (blind_total_dof, build_blind_scheme, generic_free_dims,
                     measured_free_dims)
 from .channel import NetworkConfig, sample_network, union_pattern
 from .fastfading import build_3user, build_kuser, verify_3user
-from .linalg import DEFAULT_TOL, balanced_rank, joint_rank, numeric_rank
+from .linalg import (DEFAULT_TOL, balanced_rank, is_subspace, joint_rank,
+                     numeric_rank)
 from .shared import construct_shared
 
 __all__ = [
@@ -44,7 +42,6 @@ class Scenario:
     params: dict = field(default_factory=dict)
     trials: int = 100
     base_seed: int = 0
-    threads: int = 1
     tol: object = DEFAULT_TOL
 
     def __post_init__(self):
@@ -75,8 +72,6 @@ def alignment_report(instance, precoders, tol=DEFAULT_TOL):
         used = joint_rank(arriving, tol) if arriving else 0
         idim = joint_rank(interf, tol) if interf else 0
         desired = used - idim
-        if used > n:
-            raise RuntimeError("rank exceeded slot count")
         per_rx.append((desired, idim, used))
     checks["imperfect_alignment"] = sum(r[1] for r in per_rx) < (K - 1) * n
     checks["no_pollution"] = all(
@@ -135,7 +130,6 @@ def _blind_trial(scenario, seed):
         for q in range(cfg.K):
             if p == q:
                 continue
-            from .linalg import is_subspace
             contain &= is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
                                    scheme.interference_basis, scenario.tol)
     checks["cross_containment"] = bool(contain)
@@ -202,23 +196,15 @@ _TRIAL_FNS = {"blind": _blind_trial, "shared": _shared_trial,
 def run_trials(scenario: Scenario) -> RunSummary:
     """Run every trial of a scenario and aggregate pass/fail and rank stats."""
     fn = _TRIAL_FNS[scenario.regime]
-
-    def one(i):
+    results = []
+    for i in range(scenario.trials):
         seed = scenario.base_seed + i
         try:
             checks, measured, total = fn(scenario, seed)
         except ValueError as exc:
             raise ValueError(f"trial seed {seed}: {exc}") from exc
-        return TrialResult(index=i, seed=seed, checks=checks,
-                           measured=measured, total_dof=total)
-
-    indices = range(scenario.trials)
-    if scenario.threads > 1:
-        with ThreadPoolExecutor(max_workers=scenario.threads) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(i) for i in indices]
-    results.sort(key=lambda r: r.index)
+        results.append(TrialResult(index=i, seed=seed, checks=checks,
+                                   measured=measured, total_dof=total))
 
     names = sorted({k for r in results for k in r.checks})
     pass_fraction = {

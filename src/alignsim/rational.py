@@ -1,7 +1,7 @@
 """Exact rational linear algebra.
 
 A deliberately small Gaussian-elimination kernel over ``fractions.Fraction``,
-used as a slow secondary oracle for matrices up to about 32x32: it anchors
+used as a slow secondary oracle for matrices up to 64x64: it anchors
 the floating-point tolerance policy in the test suite and provides the
 exact solve path for basis decompositions.
 """
@@ -30,27 +30,38 @@ def _check(rows):
     return m
 
 
+def _eliminate(m, ncols):
+    """Forward-eliminate m in place over its first ncols columns and
+    return the number of pivots found there.
+
+    Row updates touch only the columns at and right of the pivot: to its
+    left, the pivot row and every row below it are already zero.
+    """
+    nrows = len(m)
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        inv = top[col]
+        for r in range(rank + 1, nrows):
+            cur = m[r]
+            if cur[col] != 0:
+                factor = cur[col] / inv
+                cur[col:] = [a - factor * b
+                             for a, b in zip(cur[col:], top[col:])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
 def exact_rank(rows):
     """Rank over the rationals via fraction-free-enough Gaussian elimination."""
     m = _check(rows)
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        for r in range(row + 1, nrows):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
+    return _eliminate(m, len(m[0]))
 
 
 def exact_solve(rows, rhs):
@@ -60,20 +71,11 @@ def exact_solve(rows, rhs):
     n = len(a)
     if len(a[0]) != n or len(b) != n:
         raise ValueError("exact_solve expects a square system")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] -= factor * b[col]
+    m = [row + [v] for row, v in zip(a, b)]
+    if _eliminate(m, n) < n:
+        raise ZeroDivisionError("singular system")
     x = [Fraction(0)] * n
     for r in range(n - 1, -1, -1):
-        acc = b[r] - sum(a[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = acc / a[r][r]
+        acc = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
+        x[r] = acc / m[r][r]
     return x

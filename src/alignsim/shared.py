@@ -15,7 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import ChangingPattern, NetworkConfig, union_pattern
+from .channel import (ChangingPattern, NetworkConfig, constant_intervals,
+                      union_pattern)
 from .linalg import numeric_rank
 
 __all__ = [
@@ -161,7 +162,6 @@ def _feasible_runs(nonmember_patterns, n):
     if not nonmember_patterns:
         return [list(range(1, n + 1))]
     merged = union_pattern(nonmember_patterns)
-    from .channel import constant_intervals
     return constant_intervals(merged)
 
 

@@ -97,17 +97,25 @@ def test_sim_trials_and_seed_overrides(tmp_path, capsys):
     assert rows[0][1] == "7"            # seed column honors --seed
 
 
-def test_sim_threads_flag_deterministic(tmp_path, capsys):
-    cfg = shared_config_path(tmp_path)
-    _, out1, _ = run_cli(capsys, "--threads", "1", "shared-sim", cfg)
-    _, out4, _ = run_cli(capsys, "--threads", "4", "shared-sim", cfg)
-    assert out1 == out4
-
-
 def test_missing_config_is_input_error(capsys):
     code, _, err = run_cli(capsys, "shared-sim", "/nonexistent/cfg.json")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("raw", [
+    {"K": 2, "n": 4, "patterns": 5},
+    {"K": 2, "n": 4, "patterns": [[[2], 3], [[2], [2]]]},
+    {"K": 2, "n": 4, "patterns": [[[2], [3]], [[2], [2]]], "unknown": 7},
+    {"K": 2, "n": 4, "patterns": [[[2], [None]], [[2], [2]]]},
+])
+def test_malformed_config_is_input_error(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run_cli(capsys, "shared-sim", str(path))
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_bad_arguments_are_input_error(capsys):

@@ -100,12 +100,6 @@ def test_build_basis_dispatch():
         build_basis("fourier", (), 6, seed=0)
 
 
-def test_large_degree_warns():
-    pat = ChangingPattern(16, tuple(range(2, 15)))
-    with pytest.warns(UserWarning):
-        build_power_basis(pat, seed=0)
-
-
 def exact_channel(rng, pat):
     vals = []
     while len(vals) < len(pat.change_points) + 1:
