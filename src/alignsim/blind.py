@@ -52,8 +52,7 @@ def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
         raise ValueError("pattern slot count must equal 2*rho*(s+1)")
     gen = sample_channel(cross_union, seed, distinct_blocks="all").array()
     rng = np.random.default_rng(seed + 1)
-    gam_gap = min(0.01, 1.5 / (2 * n + 2))
-    gam = np.asarray(separated_uniform(rng, n, min_gap=gam_gap))
+    gam = np.asarray(separated_uniform(rng, n))
     cols = [(gen ** a) * (gam ** j)
             for a in range(1, s + 2) for j in range(1, rho + 1)]
     basis = np.column_stack(cols)

@@ -24,6 +24,7 @@ __all__ = [
     "DiagonalChannel",
     "DirectTransform",
     "NetworkConfig",
+    "config_field",
     "NetworkInstance",
     "constant_intervals",
     "mobility_rate",
@@ -43,20 +44,28 @@ H_MAX_DEFAULT = 2.0
 MIN_VALUE_GAP = 1e-2
 
 
-def separated_uniform(rng, count, min_gap=MIN_VALUE_GAP, avoid=()):
+def _value_gap(count, h_min=H_MIN_DEFAULT, h_max=H_MAX_DEFAULT):
+    """The separation kept between count values drawn on [h_min, h_max)."""
+    return min(MIN_VALUE_GAP, (h_max - h_min) / (2 * count + 2))
+
+
+def separated_uniform(rng, count, avoid=()):
     """count uniform draws on the default gain range, pairwise separated
-    by at least min_gap.
+    by a gap derived from how many values must fit.
 
     Values in ``avoid`` (e.g. a fixed gain of 1 elsewhere on the diagonal)
-    are kept at the same distance.
+    are kept at the same distance.  With m = count + len(avoid), the gap
+    is min(MIN_VALUE_GAP, (H_MAX_DEFAULT - H_MIN_DEFAULT) / (2 * m + 2)):
+    each kept value rules out less than twice the gap, so more than a
+    1 / (m + 1) share of the range stays open to every draw and the
+    rejection loop terminates for any count.
     """
-    if (H_MAX_DEFAULT - H_MIN_DEFAULT) <= min_gap * (count + len(avoid)):
-        raise ValueError("range too small for that many separated values")
+    gap = _value_gap(count + len(avoid))
     vals = []
     while len(vals) < count:
         v = float(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT))
-        if all(abs(v - u) >= min_gap for u in vals) and \
-                all(abs(v - a) >= min_gap for a in avoid):
+        if all(abs(v - u) >= gap for u in vals) and \
+                all(abs(v - a) >= gap for a in avoid):
             vals.append(v)
     return vals
 
@@ -152,7 +161,7 @@ def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
     """
     rng = _rng(seed)
     blocks = constant_intervals(p)
-    gap = min(MIN_VALUE_GAP, (h_max - h_min) / (2 * len(blocks) + 2))
+    gap = _value_gap(len(blocks), h_min, h_max)
     vals = []
     for _ in blocks:
         v = float(rng.uniform(h_min, h_max))
@@ -217,6 +226,27 @@ def _is_int_nest(nest, K):
                     for row in nest))
 
 
+_REQUIRED = object()
+
+
+def config_field(raw, key, convert, default=_REQUIRED):
+    """convert(raw[key]) for a config parsed from JSON, or convert(default)
+    when the key is absent and a default is given.
+
+    A top level that is not a JSON object, or a value convert rejects
+    (null where a number is due, a list, an infinite number), raises
+    ValueError rather than TypeError; a missing required key raises
+    KeyError.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
+    value = raw[key] if key in raw or default is _REQUIRED else default
+    try:
+        return convert(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"invalid {key}: {value!r}") from None
+
+
 @dataclass
 class NetworkConfig:
     """Everything needed to sample a network instance deterministically.
@@ -262,13 +292,13 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(K=int(d["K"]), n=int(d["n"]),
+        return cls(K=config_field(d, "K", int), n=config_field(d, "n", int),
                    patterns=d["patterns"], unknown=d.get("unknown"),
-                   h_min=float(d.get("h_min", H_MIN_DEFAULT)),
-                   h_max=float(d.get("h_max", H_MAX_DEFAULT)),
+                   h_min=config_field(d, "h_min", float, H_MIN_DEFAULT),
+                   h_max=config_field(d, "h_max", float, H_MAX_DEFAULT),
                    direct_kind=d.get("direct_kind", "identity"),
-                   memory_distance=int(d.get("memory_distance", 1)),
-                   seed=int(d.get("seed", 0)))
+                   memory_distance=config_field(d, "memory_distance", int, 1),
+                   seed=config_field(d, "seed", int, 0))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

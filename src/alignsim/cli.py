@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChangingPattern, NetworkConfig, sample_channel
+from .channel import (ChangingPattern, NetworkConfig, config_field,
+                      sample_channel)
 from .decomposition import build_power_basis, decompose, reconstruct
 from .fastfading import dof_cap_given_upsilon, min_upsilon_for_max_dof
 from .harness import Scenario, run_trials, summary_csv
@@ -78,9 +79,11 @@ def _load_sim_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     config = NetworkConfig.from_dict(raw)
-    params = {k: raw[k] for k in ("rho", "r", "epsilon", "n_star") if k in raw}
-    trials = int(raw.get("trials", 100))
-    base_seed = int(raw.get("base_seed", raw.get("seed", 0)))
+    params = {k: config_field(raw, k, int)
+              for k in ("rho", "r", "epsilon", "n_star") if k in raw}
+    trials = config_field(raw, "trials", int, 100)
+    base_seed = config_field(raw, "base_seed", int,
+                             config_field(raw, "seed", int, 0))
     return config, params, trials, base_seed
 
 
@@ -111,12 +114,15 @@ def _run_sim(args, regime):
 def _cmd_decompose(args):
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    n = int(raw["n"])
-    pattern = ChangingPattern(n, tuple(raw.get("pattern", ())))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    n = config_field(raw, "n", int)
+    pattern = ChangingPattern(n, config_field(
+        raw, "pattern", lambda pts: tuple(int(c) for c in pts), ()))
+    seed = (args.seed if args.seed is not None
+            else config_field(raw, "seed", int, 0))
     fam = build_power_basis(pattern, seed)
     if "values" in raw:
-        h = np.asarray([float(v) for v in raw["values"]])
+        h = np.asarray(config_field(
+            raw, "values", lambda vals: [float(v) for v in vals]))
     else:
         h = sample_channel(pattern, seed + 1).array()
     betas = decompose(h, fam)

@@ -11,6 +11,13 @@ Two family kinds:
   members that copy the true values outside U and carry fresh randomness
   inside U.  The true channel is a combination of the members; anchors are
   the slots of U plus one known slot (coefficients then sum to one there).
+
+``decompose`` and ``reconstruct`` are the one decomposition path.  Every
+square anchor system (all power families, and indexed families with a
+known slot) is solved in exact rational arithmetic, and reconstructing a
+channel the family represents gives back its float values bit for bit.
+Only the fully hidden indexed family, with more members than anchors,
+uses a float least-squares solve and a residual tolerance.
 """
 
 from dataclasses import dataclass
@@ -19,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import (ChangingPattern, DiagonalChannel, UnknownSet,
-                      constant_intervals, sample_channel, separated_uniform)
+                      sample_channel, separated_uniform)
 from .rational import exact_solve
 
 __all__ = [
@@ -30,10 +37,6 @@ __all__ = [
     "decompose",
     "reconstruct",
     "build_and_decompose",
-    "ExactPowerBasis",
-    "build_power_basis_exact",
-    "decompose_exact",
-    "reconstruct_exact",
     "RESIDUAL_REL_TOL",
 ]
 
@@ -69,9 +72,7 @@ def build_indexed_basis(true_values, unknown: UnknownSet, seed):
     hidden = sorted(unknown.indices)
     rng = np.random.default_rng(seed)
     count = len(hidden) + 1
-    gap = min(0.01, 1.5 / (2 * count + 2))
-    fresh = {slot: separated_uniform(rng, count, min_gap=gap)
-             for slot in hidden}
+    fresh = {slot: separated_uniform(rng, count) for slot in hidden}
     members = []
     for m in range(count):
         member = vals.copy()
@@ -102,17 +103,18 @@ def _anchor_system(h, fam):
 
 
 def decompose(h, fam: BasisFamily):
-    """Coefficients beta with sum_j beta_j * member_j == h (within tolerance).
+    """Coefficients beta with sum_j beta_j * member_j == h.
 
-    Square anchor systems are solved in exact rational arithmetic (floats
-    are exact binary rationals), because power families of a dozen members
-    are Vandermonde-like and far too ill-conditioned for a float solve;
-    the returned coefficients are then Fractions and reconstruct() keeps
-    the evaluation exact.  Non-square systems (the fully-hidden indexed
-    case) are well-conditioned and use a float least-squares solve.
+    Square anchor systems are solved exactly (floats are exact binary
+    rationals), because power families of a dozen members are
+    Vandermonde-like and far too ill-conditioned for a float solve.  The
+    coefficients are then Fractions, and reconstruct() evaluates them
+    exactly and rounds once, so a representable h comes back bit for bit.
+    The one non-square system, the fully hidden indexed case, is
+    well-conditioned and uses a float least-squares solve.
 
-    Raises numpy.linalg.LinAlgError when a float system is singular and
-    ValueError when the reconstruction residual exceeds the relative
+    Raises numpy.linalg.LinAlgError when the anchor system is singular
+    and ValueError when the reconstruction residual exceeds the relative
     tolerance, i.e. when h is not actually representable by the family.
     """
     h = np.asarray([float(v) for v in (h.values if isinstance(h, DiagonalChannel) else h)])
@@ -171,50 +173,3 @@ def build_and_decompose(h, kind, pattern_or_unknown, n, seed,
             last = exc
     raise RuntimeError("anchor system stayed singular after retries") from last
 
-
-# ---------------------------------------------------------------------------
-# exact rational path
-
-
-@dataclass(frozen=True)
-class ExactPowerBasis:
-    members: tuple            # of tuples of Fraction, length n each
-    anchor_indices: tuple
-
-
-def _exact_block_values(count, rng, lo=Fraction(1, 2), hi=Fraction(2)):
-    span = (hi - lo).numerator * 1000 // (hi - lo).denominator
-    vals = []
-    while len(vals) < count:
-        v = lo + Fraction(int(rng.integers(0, span + 1)), 1000)
-        if v not in vals:
-            vals.append(v)
-    return vals
-
-
-def build_power_basis_exact(pattern: ChangingPattern, seed):
-    """Rational-valued power family for the exact solve path."""
-    rng = np.random.default_rng(seed)
-    blocks = constant_intervals(pattern)
-    block_vals = _exact_block_values(len(blocks), rng)
-    gen = [Fraction(0)] * pattern.n
-    for v, block in zip(block_vals, blocks):
-        for slot in block:
-            gen[slot - 1] = v
-    s = len(pattern.change_points)
-    members = tuple(tuple(g ** j for g in gen) for j in range(1, s + 2))
-    anchors = (1,) + pattern.change_points
-    return ExactPowerBasis(members, anchors)
-
-
-def decompose_exact(h_fracs, fam: ExactPowerBasis):
-    """Exact coefficients; reconstruction equality is literal, not approximate."""
-    rows = [a - 1 for a in fam.anchor_indices]
-    mat = [[m[r] for m in fam.members] for r in rows]
-    rhs = [Fraction(h_fracs[r]) for r in rows]
-    return exact_solve(mat, rhs)
-
-
-def reconstruct_exact(betas, fam: ExactPowerBasis):
-    n = len(fam.members[0])
-    return [sum(b * m[i] for b, m in zip(betas, fam.members)) for i in range(n)]

@@ -1,7 +1,5 @@
 """Pattern-only precoding: containment, basis rank, free-dimension counts."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -86,18 +84,16 @@ def test_cross_interference_containment():
 def test_generic_count_equals_measured_unrestricted():
     done = 0
     t = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        while done < 100:
-            made = make_scheme_and_instance(t, restrict_direct=False)
-            t += 1
-            if made is None:
-                continue
-            scheme, cfg, inst = made
-            for k in range(cfg.K):
-                pred = generic_free_dims(scheme, cfg.pattern(k, k))
-                assert pred == measured_free_dims(scheme, inst, k)
-            done += 1
+    while done < 100:
+        made = make_scheme_and_instance(t, restrict_direct=False)
+        t += 1
+        if made is None:
+            continue
+        scheme, cfg, inst = made
+        for k in range(cfg.K):
+            pred = generic_free_dims(scheme, cfg.pattern(k, k))
+            assert pred == measured_free_dims(scheme, inst, k)
+        done += 1
 
 
 def test_block_count_formula_equals_measured_in_regime():

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsim.channel import (ChangingPattern, DiagonalChannel, NetworkConfig,
-                              UnknownSet, constant_intervals,
+                              UnknownSet, _value_gap, constant_intervals,
                               direct_transform_matrix, mobility_rate,
-                              sample_channel, sample_network, union_pattern)
+                              sample_channel, sample_network,
+                              separated_uniform, union_pattern)
 from alignsim.linalg import numeric_rank
 
 
@@ -72,6 +75,30 @@ def test_sample_channel_range_and_determinism():
     b = sample_channel(p, seed=3).array()
     assert np.array_equal(a, b)
     assert np.all((a >= 0.5) & (a <= 2.0))
+
+
+def assert_separated(vals, count, avoid):
+    vals = np.asarray(vals)
+    gap = _value_gap(count + len(avoid))
+    assert vals.size == count
+    assert np.all((vals >= 0.5) & (vals < 2.0))
+    assert np.all(np.diff(np.sort(vals)) >= gap)
+    for a in avoid:
+        assert np.all(np.abs(vals - a) >= gap)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(count=st.integers(0, 300), avoid=st.sampled_from([(), (1.0,)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_separated_uniform_keeps_the_derived_gap(count, avoid, seed):
+    vals = separated_uniform(np.random.default_rng(seed), count, avoid=avoid)
+    assert_separated(vals, count, avoid)
+
+
+def test_separated_uniform_returns_past_the_fixed_gap_jam():
+    # a fixed 0.01 gap jams near 0.75 * 1.5 / 0.01 = 112 values
+    vals = separated_uniform(np.random.default_rng(0), 120, avoid=(1.0,))
+    assert_separated(vals, 120, (1.0,))
 
 
 def test_diagonal_channel_matrix():

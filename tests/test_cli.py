@@ -103,16 +103,29 @@ def test_missing_config_is_input_error(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("raw", [
-    {"K": 2, "n": 4, "patterns": 5},
-    {"K": 2, "n": 4, "patterns": [[[2], 3], [[2], [2]]]},
-    {"K": 2, "n": 4, "patterns": [[[2], [3]], [[2], [2]]], "unknown": 7},
-    {"K": 2, "n": 4, "patterns": [[[2], [None]], [[2], [2]]]},
-])
-def test_malformed_config_is_input_error(tmp_path, capsys, raw):
+MALFORMED = [
+    ("shared-sim", {"K": 2, "n": 4, "patterns": 5}),
+    ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], 3], [[2], [2]]]}),
+    ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], [3]], [[2], [2]]],
+                    "unknown": 7}),
+    ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], [None]], [[2], [2]]]}),
+    ("shared-sim", {"K": None, "n": 4, "patterns": [[[2], [3]], [[2], [2]]]}),
+    ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], [3]], [[2], [2]]],
+                    "trials": None}),
+    ("shared-sim", [2, 4]),
+    ("decompose", {"n": None, "pattern": [2]}),
+    ("decompose", {"n": 4, "pattern": None}),
+    ("decompose", {"n": 3, "pattern": [[2]]}),
+    ("decompose", {"n": 4, "values": None}),
+]
+
+
+@pytest.mark.parametrize("command, raw", MALFORMED,
+                         ids=[f"raw{i}" for i in range(len(MALFORMED))])
+def test_malformed_config_is_input_error(tmp_path, capsys, command, raw):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
-    code, _, err = run_cli(capsys, "shared-sim", str(path))
+    code, _, err = run_cli(capsys, command, str(path))
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err

@@ -1,18 +1,17 @@
-"""Basis families: round trips, anchors, residual policy, exact path."""
+"""Basis families: round trips, anchors, residual policy, exact solves."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsim.channel import (ChangingPattern, UnknownSet, constant_intervals,
                               sample_channel)
 from alignsim.decomposition import (RESIDUAL_REL_TOL, build_and_decompose,
                                     build_basis, build_indexed_basis,
-                                    build_power_basis,
-                                    build_power_basis_exact, decompose,
-                                    decompose_exact, reconstruct,
-                                    reconstruct_exact)
+                                    build_power_basis, decompose, reconstruct)
 
 
 def random_pattern(rng, n, max_changes=None):
@@ -101,6 +100,7 @@ def test_build_basis_dispatch():
 
 
 def exact_channel(rng, pat):
+    """Float channel whose block values are draws k/1000 in [1/2, 2]."""
     vals = []
     while len(vals) < len(pat.change_points) + 1:
         v = Fraction(int(rng.integers(500, 2001)), 1000)
@@ -109,8 +109,8 @@ def exact_channel(rng, pat):
     h = [None] * pat.n
     for block, v in zip(constant_intervals(pat), vals):
         for slot in block:
-            h[slot - 1] = v
-    return h
+            h[slot - 1] = float(v)
+    return np.asarray(h)
 
 
 def test_exact_round_trip_is_literal_equality():
@@ -119,22 +119,40 @@ def test_exact_round_trip_is_literal_equality():
         n = int(rng.integers(3, 11))
         pat = random_pattern(rng, n, max_changes=6)
         h = exact_channel(rng, pat)
-        fam = build_power_basis_exact(pat, seed=t)
-        betas = decompose_exact(h, fam)
+        fam = build_power_basis(pat, seed=t)
+        betas = decompose(h, fam)
         assert all(isinstance(b, Fraction) for b in betas)
-        assert reconstruct_exact(betas, fam) == h
+        assert np.array_equal(reconstruct(betas, fam), h)
 
 
-def test_exact_and_float_paths_agree():
-    rng = np.random.default_rng(21)
-    pat = ChangingPattern(8, (3, 6))
-    h = exact_channel(rng, pat)
-    fam = build_power_basis_exact(pat, seed=0)
-    betas = decompose_exact(h, fam)
-    hf = np.asarray([float(v) for v in h])
-    float_fam = build_power_basis(pat, seed=0)
-    float_betas = decompose(hf, float_fam)
-    recon_exact = np.asarray([float(v) for v in reconstruct_exact(betas, fam)])
-    recon_float = reconstruct(float_betas, float_fam)
-    assert np.max(np.abs(recon_exact - hf)) == 0.0
-    assert np.max(np.abs(recon_float - hf)) <= RESIDUAL_REL_TOL * np.max(np.abs(hf))
+@st.composite
+def block_channels(draw, max_changes):
+    s = draw(st.integers(0, max_changes))
+    n = draw(st.integers(s + 1, 26))
+    pts = draw(st.permutations(range(2, n + 1)))[:s]
+    pat = ChangingPattern(n, tuple(pts))
+    return pat, sample_channel(pat, seed=draw(st.integers(0, 2**32 - 1))).array()
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(channel=block_channels(max_changes=20), seed=st.integers(0, 2**32 - 1))
+def test_power_family_reconstructs_bit_for_bit(channel, seed):
+    pat, h = channel
+    fam, betas = build_and_decompose(h, "power", pat.change_points, pat.n,
+                                     seed=seed)
+    assert all(isinstance(b, Fraction) for b in betas)
+    assert np.array_equal(reconstruct(betas, fam), h)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(channel=block_channels(max_changes=12), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_square_indexed_family_reconstructs_bit_for_bit(channel, data, seed):
+    pat, h = channel
+    known = data.draw(st.integers(1, pat.n))
+    hidden = data.draw(st.sets(st.integers(1, pat.n), max_size=20)) - {known}
+    fam, betas = build_and_decompose(h, "indexed", hidden, pat.n, seed=seed,
+                                     true_values=h)
+    assert len(fam.anchor_indices) == len(fam.members)
+    assert all(isinstance(b, Fraction) for b in betas)
+    assert np.array_equal(reconstruct(betas, fam), h)
