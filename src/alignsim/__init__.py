@@ -3,7 +3,7 @@
 Library layout:
 
 * ``linalg`` — numeric rank / subspace tests (single tolerance policy);
-* ``rational`` — exact Fraction-based rank and solve oracle;
+* ``rational`` — exact rank and solve by fraction-free integer elimination;
 * ``channel`` — changing patterns, block-fading diagonal channels, direct
   transforms, network configs and sampling;
 * ``decomposition`` — power / indexed diagonal basis families and solves;

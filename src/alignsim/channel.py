@@ -25,6 +25,7 @@ __all__ = [
     "DirectTransform",
     "NetworkConfig",
     "config_field",
+    "json_int",
     "NetworkInstance",
     "constant_intervals",
     "mobility_rate",
@@ -229,6 +230,19 @@ def _is_int_nest(nest, K):
 _REQUIRED = object()
 
 
+def json_int(value):
+    """value as an int when it is a JSON integer or an integral number.
+
+    Booleans, strings and fractional or non-finite numbers raise
+    TypeError, which config_field reports as an invalid field, where
+    int() would coerce them ("4" and 4.9 to 4, true to 1).
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def config_field(raw, key, convert, default=_REQUIRED):
     """convert(raw[key]) for a config parsed from JSON, or convert(default)
     when the key is absent and a default is given.
@@ -292,13 +306,15 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(K=config_field(d, "K", int), n=config_field(d, "n", int),
+        return cls(K=config_field(d, "K", json_int),
+                   n=config_field(d, "n", json_int),
                    patterns=d["patterns"], unknown=d.get("unknown"),
                    h_min=config_field(d, "h_min", float, H_MIN_DEFAULT),
                    h_max=config_field(d, "h_max", float, H_MAX_DEFAULT),
                    direct_kind=d.get("direct_kind", "identity"),
-                   memory_distance=config_field(d, "memory_distance", int, 1),
-                   seed=config_field(d, "seed", int, 0))
+                   memory_distance=config_field(d, "memory_distance",
+                                                json_int, 1),
+                   seed=config_field(d, "seed", json_int, 0))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

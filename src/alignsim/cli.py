@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import (ChangingPattern, NetworkConfig, config_field,
-                      sample_channel)
+                      json_int, sample_channel)
 from .decomposition import build_power_basis, decompose, reconstruct
 from .fastfading import dof_cap_given_upsilon, min_upsilon_for_max_dof
 from .harness import Scenario, run_trials, summary_csv
@@ -79,11 +79,11 @@ def _load_sim_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     config = NetworkConfig.from_dict(raw)
-    params = {k: config_field(raw, k, int)
+    params = {k: config_field(raw, k, json_int)
               for k in ("rho", "r", "epsilon", "n_star") if k in raw}
-    trials = config_field(raw, "trials", int, 100)
-    base_seed = config_field(raw, "base_seed", int,
-                             config_field(raw, "seed", int, 0))
+    trials = config_field(raw, "trials", json_int, 100)
+    base_seed = config_field(raw, "base_seed", json_int,
+                             config_field(raw, "seed", json_int, 0))
     return config, params, trials, base_seed
 
 
@@ -114,15 +114,18 @@ def _run_sim(args, regime):
 def _cmd_decompose(args):
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    n = config_field(raw, "n", int)
+    n = config_field(raw, "n", json_int)
     pattern = ChangingPattern(n, config_field(
-        raw, "pattern", lambda pts: tuple(int(c) for c in pts), ()))
+        raw, "pattern", lambda pts: tuple(json_int(c) for c in pts), ()))
     seed = (args.seed if args.seed is not None
-            else config_field(raw, "seed", int, 0))
+            else config_field(raw, "seed", json_int, 0))
     fam = build_power_basis(pattern, seed)
     if "values" in raw:
         h = np.asarray(config_field(
             raw, "values", lambda vals: [float(v) for v in vals]))
+        if h.size != n:
+            raise ValueError(f"values must have n = {n} entries, "
+                             f"got {h.size}")
     else:
         h = sample_channel(pattern, seed + 1).array()
     betas = decompose(h, fam)

@@ -22,6 +22,7 @@ uses a float least-squares solve and a residual tolerance.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -138,9 +139,11 @@ def reconstruct(betas, fam: BasisFamily):
     """Elementwise sum of beta_j * member_j.
 
     Fraction coefficients (the square-solve output of decompose) are
-    combined exactly and rounded once at the end; rows are cached by their
-    member-value tuple since a diagonal family has one distinct row per
-    constant block.
+    combined exactly in integers over one common denominator and rounded
+    once at the end by an int / int division, which Python rounds
+    correctly, as float(Fraction) does; columns are cached by their
+    member-value tuple since a diagonal family has one distinct column
+    per constant block.
     """
     betas = list(betas)
     if len(betas) != len(fam.members):
@@ -148,13 +151,17 @@ def reconstruct(betas, fam: BasisFamily):
     stack = np.array([m.values for m in fam.members])
     if any(isinstance(b, Fraction) for b in betas):
         fracs = [Fraction(b) for b in betas]
+        denom = lcm(*(b.denominator for b in fracs))
+        nums = [b.numerator * (denom // b.denominator) for b in fracs]
         cache = {}
         out = np.empty(stack.shape[1])
-        for i in range(stack.shape[1]):
-            key = tuple(stack[:, i])
+        for i, key in enumerate(map(tuple, stack.T.tolist())):
             if key not in cache:
-                cache[key] = float(sum(b * Fraction(v)
-                                       for b, v in zip(fracs, key)))
+                ratios = [v.as_integer_ratio() for v in key]
+                scale = lcm(*(d for _, d in ratios))
+                total = sum(b * a * (scale // d)
+                            for b, (a, d) in zip(nums, ratios))
+                cache[key] = total / (denom * scale)
             out[i] = cache[key]
         return out
     return np.asarray(betas, dtype=float) @ stack

@@ -167,6 +167,15 @@ def test_network_config_shape_validation():
         NetworkConfig(K=2, n=4, patterns=[[[]]])
 
 
+@pytest.mark.parametrize("key, value", [
+    ("K", 2.5), ("n", True), ("memory_distance", "2"), ("seed", 1.5)])
+def test_network_config_rejects_non_integer_fields(key, value):
+    raw = {"K": 2, "n": 4, "patterns": [[[2], [3]], [[], [2, 4]]]}
+    assert NetworkConfig.from_dict({**raw, "n": 4.0}).n == 4
+    with pytest.raises(ValueError, match=f"invalid {key}"):
+        NetworkConfig.from_dict({**raw, key: value})
+
+
 def test_sample_network_deterministic_and_link_independent():
     cfg = NetworkConfig(K=3, n=6, patterns=[[[2, 4]] * 3] * 3, seed=1)
     a = sample_network(cfg, seed=5)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -103,31 +104,44 @@ def test_missing_config_is_input_error(capsys):
     assert "error:" in err
 
 
+_PAIR = demo_network_config(*pair_demo_patterns()).to_dict()
+
+# (command, config, a word the error message must name: the field at
+# fault, or "object" for a top level that is not one)
 MALFORMED = [
-    ("shared-sim", {"K": 2, "n": 4, "patterns": 5}),
-    ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], 3], [[2], [2]]]}),
+    ("shared-sim", {"K": 2, "n": 4, "patterns": 5}, "patterns"),
+    ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], 3], [[2], [2]]]},
+     "patterns"),
     ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], [3]], [[2], [2]]],
-                    "unknown": 7}),
-    ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], [None]], [[2], [2]]]}),
-    ("shared-sim", {"K": None, "n": 4, "patterns": [[[2], [3]], [[2], [2]]]}),
+                    "unknown": 7}, "unknown"),
+    ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], [None]], [[2], [2]]]},
+     "patterns"),
+    ("shared-sim", {"K": None, "n": 4, "patterns": [[[2], [3]], [[2], [2]]]},
+     "K"),
     ("shared-sim", {"K": 2, "n": 4, "patterns": [[[2], [3]], [[2], [2]]],
-                    "trials": None}),
-    ("shared-sim", [2, 4]),
-    ("decompose", {"n": None, "pattern": [2]}),
-    ("decompose", {"n": 4, "pattern": None}),
-    ("decompose", {"n": 3, "pattern": [[2]]}),
-    ("decompose", {"n": 4, "values": None}),
+                    "trials": None}, "trials"),
+    ("shared-sim", [2, 4], "object"),
+    ("decompose", {"n": None, "pattern": [2]}, "n"),
+    ("decompose", {"n": 4, "pattern": None}, "pattern"),
+    ("decompose", {"n": 3, "pattern": [[2]]}, "pattern"),
+    ("decompose", {"n": 4, "values": None}, "values"),
+    ("decompose", {"n": 4.9, "pattern": [2]}, "n"),
+    ("decompose", {"n": True}, "n"),
+    ("decompose", {"n": "4", "pattern": [2]}, "n"),
+    ("shared-sim", {**_PAIR, "r": 2, "trials": 1.5}, "trials"),
+    ("decompose", {"n": 4, "values": [1, 2]}, "values"),
 ]
 
 
-@pytest.mark.parametrize("command, raw", MALFORMED,
+@pytest.mark.parametrize("command, raw, named", MALFORMED,
                          ids=[f"raw{i}" for i in range(len(MALFORMED))])
-def test_malformed_config_is_input_error(tmp_path, capsys, command, raw):
+def test_malformed_config_is_input_error(tmp_path, capsys, command, raw,
+                                         named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     code, _, err = run_cli(capsys, command, str(path))
     assert code == 1
-    assert "error:" in err
+    assert "error:" in err and re.search(rf"\b{named}\b", err)
     assert "Traceback" not in err
 
 

@@ -156,3 +156,21 @@ def test_square_indexed_family_reconstructs_bit_for_bit(channel, data, seed):
     assert len(fam.anchor_indices) == len(fam.members)
     assert all(isinstance(b, Fraction) for b in betas)
     assert np.array_equal(reconstruct(betas, fam), h)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(channel=block_channels(max_changes=20), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_reconstruct_rounds_the_exact_sum_once(channel, data, seed):
+    """Fraction coefficients, from decompose or arbitrary (with denominators
+    that are not powers of two), give float(exact sum) in every slot."""
+    pat, h = channel
+    fam = build_power_basis(pat, seed)
+    betas = data.draw(st.one_of(
+        st.just(decompose(h, fam)),
+        st.lists(st.fractions(-10**6, 10**6, max_denominator=10**9),
+                 min_size=len(fam.members), max_size=len(fam.members))))
+    expected = [float(sum(Fraction(b) * Fraction(m.values[i])
+                          for b, m in zip(betas, fam.members)))
+                for i in range(fam.n)]
+    assert reconstruct(betas, fam).tolist() == expected

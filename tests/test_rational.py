@@ -1,9 +1,11 @@
-"""Exact Fraction-based rank and solve oracle."""
+"""Exact rank and solve by fraction-free integer elimination."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsim.rational import exact_rank, exact_solve, to_fractions
 
@@ -64,3 +66,76 @@ def test_shape_validation():
         exact_solve([[1, 2, 3]], [1])
     with pytest.raises(ValueError):
         exact_rank([[1] * 65])
+
+
+# Every float is a binary (dyadic) rational; small integers, full 53-bit
+# floats and Fractions with mixed denominators all go through the integer
+# row scaling.
+SMALL_INTS = st.integers(-3, 3)
+DYADICS = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+EIGHTHS = st.integers(-64, 64).map(lambda k: k / 8)
+FRACTIONS = st.fractions(-4, 4, max_denominator=12)
+
+
+def fraction_residual(rows, x, rhs):
+    return [sum(Fraction(a) * xi for a, xi in zip(row, x)) - Fraction(v)
+            for row, v in zip(rows, rhs)]
+
+
+@st.composite
+def nonsingular_systems(draw):
+    """A diagonally dominant square system with its rows shuffled, so that
+    elimination meets zero leading entries and has to swap rows."""
+    n = draw(st.integers(1, 7))
+    entries = draw(st.sampled_from([SMALL_INTS, DYADICS, FRACTIONS]))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 2 * sum(abs(v) for j, v in enumerate(row) if j != i) + 1
+    rows = draw(st.permutations(rows))
+    return rows, draw(st.lists(entries, min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(system=nonsingular_systems())
+def test_exact_solve_satisfies_the_system_exactly(system):
+    rows, rhs = system
+    x = exact_solve(rows, rhs)
+    assert all(isinstance(v, Fraction) for v in x)
+    assert fraction_residual(rows, x, rhs) == [0] * len(rows)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_exact_solve_raises_on_singular_systems(data, n):
+    entries = data.draw(st.sampled_from([SMALL_INTS, EIGHTHS]))
+    rows = [data.draw(st.lists(entries, min_size=n, max_size=n))
+            for _ in range(n - 1)]
+    coeffs = data.draw(st.lists(SMALL_INTS, min_size=n - 1,
+                                max_size=n - 1))
+    # an exact integer combination of the other rows (zero when n == 1)
+    rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), 0)
+                 for j in range(n)])
+    rows = data.draw(st.permutations(rows))
+    rhs = data.draw(st.lists(entries, min_size=n, max_size=n))
+    with pytest.raises(ZeroDivisionError, match="singular system"):
+        exact_solve(rows, rhs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 7), cols=st.integers(1, 7),
+       inner=st.integers(0, 7))
+def test_exact_rank_matches_numpy_on_integer_matrices(data, rows, cols,
+                                                      inner):
+    """Wide, tall and rank-deficient products, some with zeroed columns:
+    columns dependent on earlier ones are skipped as pivot columns."""
+    inner = min(inner, rows, cols)
+    a = np.array(data.draw(st.lists(SMALL_INTS, min_size=rows * inner,
+                                    max_size=rows * inner)),
+                 dtype=int).reshape(rows, inner)
+    b = np.array(data.draw(st.lists(SMALL_INTS, min_size=inner * cols,
+                                    max_size=inner * cols)),
+                 dtype=int).reshape(inner, cols)
+    m = a @ b
+    zeroed = data.draw(st.sets(st.integers(0, cols - 1)), label="zeroed")
+    m[:, sorted(zeroed)] = 0
+    assert exact_rank(m.tolist()) == np.linalg.matrix_rank(m)
