@@ -217,11 +217,12 @@ def direct_transform_matrix(kind, distance, n, seed):
 
 
 def _is_int_nest(nest, K):
-    """True when nest is a K x K nest of lists of integers."""
+    """True when nest is a K x K nest of lists of integers (not booleans)."""
     return (isinstance(nest, (list, tuple)) and len(nest) == K
             and all(isinstance(row, (list, tuple)) and len(row) == K
                     and all(isinstance(cell, (list, tuple))
                             and all(isinstance(x, numbers.Integral)
+                                    and not isinstance(x, bool)
                                     for x in cell)
                             for cell in row)
                     for row in nest))

@@ -4,6 +4,17 @@ All rank decisions in the package go through this module so the
 floating-point tolerance policy lives in exactly one place: a singular
 value counts toward the rank when it exceeds ``relative_threshold``
 times the largest singular value.
+
+One private kernel makes every decision.  It takes a ``(batch, rows,
+cols)`` stack, scales each column to unit length along the row axis and
+takes the singular values of every matrix from one ``np.linalg.svd``
+call; LAPACK factors each matrix of a stack on its own, so a matrix gets
+the same singular values, bit for bit, alone or inside a stack.  Inputs
+are validated once, at the public functions.  ``is_subspace_each`` and
+``same_span_each`` test a whole stack of candidates with a few kernel
+calls: each joint matrix is concatenated from the raw ``[base,
+candidate]`` before it is normalized, exactly as ``is_subspace`` does,
+so the batched verdicts equal the one-at-a-time ones.
 """
 
 from dataclasses import dataclass
@@ -17,6 +28,8 @@ __all__ = [
     "balanced_rank",
     "joint_rank",
     "is_subspace",
+    "is_subspace_each",
+    "same_span_each",
     "normalize_columns",
 ]
 
@@ -44,25 +57,41 @@ def _as_matrix(m):
     return a
 
 
+def _as_stack(m):
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 3 or 0 in a.shape:
+        raise ValueError("expected a non-empty (batch, rows, cols) stack")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _normalized(a):
+    """Columns scaled to unit length along the row axis (zero columns
+    untouched), for a matrix or a stack of them."""
+    # np.linalg.norm's own formula, without its per-call overhead
+    norms = np.sqrt((a * a).sum(axis=-2, keepdims=True))
+    return a / np.where(norms > 0, norms, 1.0)
+
+
+def _ranks(stack, tol):
+    """Numeric rank of every matrix of a validated (batch, rows, cols) stack."""
+    s = np.linalg.svd(_normalized(stack), compute_uv=False)
+    return (s > tol.relative_threshold * s[:, :1]).sum(axis=-1)
+
+
 def normalize_columns(m):
     """Scale each column to unit Euclidean length (zero columns untouched).
 
     Rank is invariant to column scaling, but normalizing keeps singular
     values comparable when columns contain high powers of a diagonal.
     """
-    a = _as_matrix(m)
-    norms = np.linalg.norm(a, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    return a / safe
+    return _normalized(_as_matrix(m))
 
 
 def numeric_rank(m, tol=DEFAULT_TOL):
     """Count singular values above the relative threshold."""
-    a = normalize_columns(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.relative_threshold * s[0]))
+    return int(_ranks(_as_matrix(m)[None], tol)[0])
 
 
 def balanced_rank(m, tol=DEFAULT_TOL):
@@ -78,7 +107,7 @@ def balanced_rank(m, tol=DEFAULT_TOL):
     a = _as_matrix(m)
     norms = np.linalg.norm(a, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
-    return numeric_rank(a / safe[:, None], tol)
+    return int(_ranks((a / safe[:, None])[None], tol)[0])
 
 
 def joint_rank(ms, tol=DEFAULT_TOL):
@@ -90,13 +119,38 @@ def joint_rank(ms, tol=DEFAULT_TOL):
     rows = {m.shape[0] for m in mats}
     if len(rows) != 1:
         raise ValueError("matrices must share a row count")
-    return numeric_rank(np.hstack(mats), tol)
+    return int(_ranks(np.hstack(mats)[None], tol)[0])
+
+
+def _contained(cands, base, tol):
+    """Whether the span of each matrix of a validated stack lies inside the
+    span of the validated matrix ``base``."""
+    if cands.shape[1] != base.shape[0]:
+        raise ValueError("row counts differ")
+    bases = np.broadcast_to(base, (len(cands),) + base.shape)
+    joint = np.concatenate([bases, cands], axis=-1)
+    return _ranks(joint, tol) == _ranks(base[None], tol)[0]
 
 
 def is_subspace(a, b, tol=DEFAULT_TOL):
     """True iff the column span of ``a`` lies inside the column span of ``b``."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("row counts differ")
-    return joint_rank([b, a], tol) == numeric_rank(b, tol)
+    return bool(_contained(_as_matrix(a)[None], _as_matrix(b), tol)[0])
+
+
+def is_subspace_each(cands, base, tol=DEFAULT_TOL):
+    """``is_subspace(c, base)`` for every matrix ``c`` of a (batch, rows,
+    cols) stack, as a boolean array; the base's rank is computed once."""
+    return _contained(_as_stack(cands), _as_matrix(base), tol)
+
+
+def same_span_each(lefts, rights, tol=DEFAULT_TOL):
+    """Per index i, whether ``lefts[i]`` and ``rights[i]`` span the same
+    space (containment both ways), for two stacks of equal batch and rows."""
+    lefts, rights = _as_stack(lefts), _as_stack(rights)
+    if lefts.shape[:2] != rights.shape[:2]:
+        raise ValueError("stacks must share batch size and row count")
+    left_in = (_ranks(np.concatenate([rights, lefts], axis=-1), tol)
+               == _ranks(rights, tol))
+    right_in = (_ranks(np.concatenate([lefts, rights], axis=-1), tol)
+                == _ranks(lefts, tol))
+    return left_in & right_in

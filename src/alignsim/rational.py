@@ -13,14 +13,9 @@ suite.
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["exact_rank", "exact_solve", "to_fractions"]
+__all__ = ["exact_rank", "exact_solve"]
 
 _MAX_SIDE = 64
-
-
-def to_fractions(rows):
-    """Deep-copy a matrix-like nest of numbers into Fractions."""
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def _check(rows):

@@ -9,6 +9,7 @@ import pytest
 
 from alignsim.cli import main
 from alignsim.shared import demo_network_config, pair_demo_patterns
+from conftest import fastfading_config
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +106,15 @@ def test_missing_config_is_input_error(capsys):
 
 
 _PAIR = demo_network_config(*pair_demo_patterns()).to_dict()
+_FF3 = fastfading_config(3, 7, 1, 0).to_dict()
+
+
+def _with_true(nest, p, q):
+    """A copy of a K x K nest whose cell (p, q) also holds JSON true."""
+    out = [[list(cell) for cell in row] for row in nest]
+    out[p][q].append(True)
+    return out
+
 
 # (command, config, a word the error message must name: the field at
 # fault, or "object" for a top level that is not one)
@@ -130,6 +140,14 @@ MALFORMED = [
     ("decompose", {"n": "4", "pattern": [2]}, "n"),
     ("shared-sim", {**_PAIR, "r": 2, "trials": 1.5}, "trials"),
     ("decompose", {"n": 4, "values": [1, 2]}, "values"),
+    ("shared-sim", {**_PAIR, "r": 2,
+                    "unknown": _with_true(_PAIR["unknown"], 0, 1)}, "unknown"),
+    ("ff3-sim", {**_FF3, "epsilon": 2, "trials": 2,
+                 "unknown": [[[True] if cell else [] for cell in row]
+                             for row in _FF3["unknown"]]}, "unknown"),
+    ("shared-sim", {**_PAIR, "r": 2,
+                    "patterns": _with_true(_PAIR["patterns"], 0, 1)},
+     "patterns"),
 ]
 
 
@@ -155,7 +173,6 @@ def test_bad_arguments_are_input_error(capsys):
 def test_failed_verification_exit_code_2(tmp_path, capsys):
     # identity direct transforms defeat the desired/interference separation
     # in the fast-fading scheme, so verification fails on every draw
-    from conftest import fastfading_config
     cfg = fastfading_config(3, 7, 1, 0, direct_kind="identity")
     d = cfg.to_dict()
     d.update({"epsilon": 2, "trials": 3})
@@ -167,7 +184,6 @@ def test_failed_verification_exit_code_2(tmp_path, capsys):
 
 
 def test_ff3_sim_success(tmp_path, capsys):
-    from conftest import fastfading_config
     cfg = fastfading_config(3, 7, 1, 0)
     d = cfg.to_dict()
     d.update({"epsilon": 2, "trials": 3})

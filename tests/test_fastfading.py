@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alignsim.channel import UnknownSet, sample_network
+from alignsim.channel import NetworkConfig, UnknownSet, sample_network
 from alignsim.fastfading import (build_3user, build_kuser,
                                  dof_cap_given_upsilon, hidden_union,
                                  min_upsilon_for_max_dof, upsilon_fraction,
                                  verify_3user)
+from alignsim.harness import Scenario, run_trials
 from alignsim.linalg import balanced_rank, numeric_rank
 from conftest import fastfading_config
 
@@ -120,6 +121,36 @@ def test_3user_deterministic_per_seed():
     b = build_3user(inst, 2, seed=5)
     assert np.array_equal(a.tx_columns[0], b.tx_columns[0])
     assert np.array_equal(a.loop_transfer, b.loop_transfer)
+
+
+def _frontier_network(K, n, hidden, distance):
+    """The benchmark's fast-fading network: every link changes every slot,
+    slots 1..hidden are hidden on every cross link, and the direct links
+    pass through a banded memory transform."""
+    every = list(range(2, n + 1))
+    return {
+        "K": K, "n": n,
+        "patterns": [[list(every) for _ in range(K)] for _ in range(K)],
+        "unknown": [[[] if p == q else list(range(1, hidden + 1))
+                     for q in range(K)] for p in range(K)],
+        "direct_kind": "memory", "memory_distance": distance,
+    }
+
+
+@pytest.mark.parametrize("L,eps,loop_passes",
+                         [(5, 2, 56), (5, 3, 56), (6, 2, 44)])
+def test_3user_frontier_verdicts_are_pinned(L, eps, loop_passes):
+    # From L = 5 on, loop_closure meets the float verifier's frontier and
+    # fails on some trials.  These are the counts of the one-matrix-at-a-time
+    # rank tests; a batched rank kernel must flip no verdict.
+    n = 2 * (L + eps) + 1
+    cfg = NetworkConfig(**_frontier_network(3, n, L, L + 2))
+    summary = run_trials(Scenario("fastfading3", cfg, {"epsilon": eps},
+                                  trials=60, base_seed=1000 * L + eps))
+    passes = {name: sum(r.checks[name] for r in summary.results)
+              for name in summary.results[0].checks}
+    assert passes == {name: loop_passes if name == "loop_closure" else 60
+                      for name in passes}
 
 
 # ---------------------------------------------------------------------------

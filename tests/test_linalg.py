@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsim.linalg import (DEFAULT_TOL, RankTolerance, balanced_rank,
-                             is_subspace, joint_rank, normalize_columns,
-                             numeric_rank)
+                             is_subspace, is_subspace_each, joint_rank,
+                             normalize_columns, numeric_rank, same_span_each)
 from alignsim.rational import exact_rank
 
 
@@ -104,3 +106,104 @@ def test_is_subspace():
 def test_rank_rejects_nonfinite():
     with pytest.raises(ValueError):
         numeric_rank(np.array([[np.nan, 1.0]]))
+
+
+def _svd_2d(m):
+    """Singular values of a lone 2-D matrix, computed one matrix at a time:
+    columns scaled by their np.linalg.norm, then one factorization."""
+    norms = np.linalg.norm(m, axis=0)
+    return np.linalg.svd(m / np.where(norms > 0, norms, 1.0),
+                         compute_uv=False)
+
+
+def _factored(fn, *args):
+    """fn(*args) and the singular values of every matrix np.linalg.svd
+    factored meanwhile, one array per matrix."""
+    svd = np.linalg.svd
+    seen = []
+
+    def spy(a, *rest, **kwargs):
+        s = svd(a, *rest, **kwargs)
+        seen.extend(s.reshape(-1, s.shape[-1]))
+        return s
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", spy)
+        out = fn(*args)
+    return out, seen
+
+
+def _same_arrays(got, want):
+    """Equal as multisets of arrays, bit for bit."""
+    return sorted(a.tobytes() for a in got) == sorted(a.tobytes() for a in want)
+
+
+@st.composite
+def containment_cases(draw):
+    """A base, and a stack of candidates inside it, outside it, partly
+    inside, or zero; columns are power-scaled and some are zeroed."""
+    rows = draw(st.integers(1, 14))
+    base_cols = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["inside", "outside", "mixed",
+                                           "zero"]), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = draw(st.integers(0, min(rows, base_cols)))
+    base = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, base_cols))
+
+    def candidate(kind):
+        inside = base @ rng.normal(size=(base_cols, cols))
+        if kind == "inside":
+            return inside
+        if kind == "outside":
+            return rng.normal(size=(rows, cols))
+        if kind == "mixed":
+            return np.hstack([inside[:, 1:], rng.normal(size=(rows, 1))])
+        return np.zeros((rows, cols))
+
+    def scaled(m):
+        m = m * 10.0 ** rng.integers(-12, 13, size=m.shape[1])
+        return np.where(rng.random(m.shape[1]) < 0.15, 0.0, m)
+
+    return scaled(base), np.array([scaled(candidate(k)) for k in kinds])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(containment_cases())
+def test_stacked_containment_matches_one_at_a_time(case):
+    base, stack = case
+    flags, seen = _factored(is_subspace_each, stack, base)
+    assert flags.tolist() == [is_subspace(c, base) for c in stack]
+    # every matrix the stack factored gets the singular values it gets
+    # alone: the raw [base, c] is joined before normalizing
+    want = [_svd_2d(np.hstack([base, c])) for c in stack] + [_svd_2d(base)]
+    assert _same_arrays(seen, want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(containment_cases(), st.integers(0, 2**32 - 1))
+def test_stacked_span_equality_matches_one_at_a_time(case, seed):
+    base, lefts = case
+    rng = np.random.default_rng(seed)
+    cols = lefts.shape[2]
+    # half the rights span what their left spans, half a random space
+    rights = np.array([
+        left @ rng.normal(size=(cols, cols)) if rng.random() < 0.5
+        else rng.normal(size=left.shape) for left in lefts])
+    flags, seen = _factored(same_span_each, lefts, rights)
+    assert flags.tolist() == [is_subspace(a, b) and is_subspace(b, a)
+                              for a, b in zip(lefts, rights)]
+    want = [_svd_2d(m) for a, b in zip(lefts, rights)
+            for m in (np.hstack([b, a]), b, np.hstack([a, b]), a)]
+    assert _same_arrays(seen, want)
+
+
+def test_stacked_rank_validation():
+    with pytest.raises(ValueError):
+        is_subspace_each(np.eye(3), np.eye(3))          # not a stack
+    with pytest.raises(ValueError):
+        is_subspace_each(np.zeros((2, 4, 1)), np.eye(3))
+    with pytest.raises(ValueError):
+        same_span_each(np.zeros((2, 3, 1)), np.zeros((3, 3, 1)))
+    with pytest.raises(ValueError):
+        is_subspace_each(np.full((1, 3, 1), np.inf), np.eye(3))
