@@ -56,15 +56,14 @@ def main():
     print("(the coarse block formula warns when a direct block outlasts the")
     print(" column budget and can over-count short value-runs; the refined")
     print(" count always matches the measured rank):")
-    dims = []
+    dims = measured_free_dims(scheme, inst)
     for k in range(K):
         pat = ChangingPattern(n, direct[k])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             coarse = predicted_free_dims(scheme, pat)
         fine = generic_free_dims(scheme, pat)
-        measured = measured_free_dims(scheme, inst, k)
-        dims.append(measured)
+        measured = dims[k]
         print(f"  rx{k+1}: direct changes {direct[k]} -> "
               f"block formula {coarse}, refined {fine}, measured {measured}")
         assert fine == measured

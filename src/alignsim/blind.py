@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import (ChangingPattern, DiagonalChannel, constant_intervals,
                       sample_channel, separated_uniform)
-from .linalg import DEFAULT_TOL, joint_rank, numeric_rank
+from .linalg import DEFAULT_TOL, joint_rank_each, numeric_rank
 
 __all__ = [
     "BlindScheme",
@@ -58,8 +58,8 @@ def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
     basis = np.column_stack(cols)
     precoders = tuple(basis.copy() for _ in range(K))
     return BlindScheme(n=n, rho=rho, sigma_prime=s, union=cross_union,
-                       generator=DiagonalChannel(tuple(gen)),
-                       gamma=DiagonalChannel(tuple(gam)),
+                       generator=DiagonalChannel(gen),
+                       gamma=DiagonalChannel(gam),
                        precoders=precoders, interference_basis=basis)
 
 
@@ -109,14 +109,16 @@ def generic_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):
     return min(scheme.n // 2, total)
 
 
-def measured_free_dims(scheme: BlindScheme, instance, k, tol=DEFAULT_TOL):
-    """Interference-free dimensions measured by rank on a sampled network."""
+def measured_free_dims(scheme: BlindScheme, instance, tol=DEFAULT_TOL):
+    """Interference-free dimensions measured by rank on a sampled network,
+    per receiver: every [basis, desired] joint is ranked in one stack."""
     if instance.n != scheme.n:
         raise ValueError("instance slot count differs from scheme")
-    desired = instance.received_matrix(k, k, scheme.precoders[k])
+    desired = [instance.received_matrix(k, k, scheme.precoders[k])
+               for k in range(instance.K)]
     base = numeric_rank(scheme.interference_basis, tol)
-    total = joint_rank([scheme.interference_basis, desired], tol)
-    return min(scheme.n // 2, total - base)
+    totals = joint_rank_each(scheme.interference_basis, desired, tol)
+    return [min(scheme.n // 2, int(total) - base) for total in totals]
 
 
 def blind_total_dof(free_dims, n):

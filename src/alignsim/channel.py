@@ -5,6 +5,11 @@ indices c (2 <= c <= n) at which a channel's gain differs from slot c-1;
 slot 1 always opens the first constant block.  Cross channels are diagonal;
 each direct link additionally passes through a full-rank transform
 (identity, banded memory, or bounded-displacement permutation).
+
+Random values are drawn in batches that consume exactly the draws of
+one-at-a-time loops: on PCG64 a batched ``uniform`` or ``integers`` call
+gives the values and end state of as many scalar calls, and a rejection
+sampler asks each batch only for the values it still misses.
 """
 
 import json
@@ -13,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-
-from .linalg import numeric_rank
 
 __all__ = [
     "MIN_VALUE_GAP",
@@ -62,12 +65,20 @@ def separated_uniform(rng, count, avoid=()):
     rejection loop terminates for any count.
     """
     gap = _value_gap(count + len(avoid))
+    return _draw_accepted(
+        rng, count, H_MIN_DEFAULT, H_MAX_DEFAULT,
+        lambda v, vals: all(abs(v - u) >= gap for u in vals)
+        and all(abs(v - a) >= gap for a in avoid))
+
+
+def _draw_accepted(rng, count, low, high, accept):
+    """The first count uniform draws on [low, high) that accept(v, kept)
+    keeps, consuming exactly the draws of a one-at-a-time loop."""
     vals = []
     while len(vals) < count:
-        v = float(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT))
-        if all(abs(v - u) >= gap for u in vals) and \
-                all(abs(v - a) >= gap for a in avoid):
-            vals.append(v)
+        for v in rng.uniform(low, high, size=count - len(vals)).tolist():
+            if accept(v, vals):
+                vals.append(v)
     return vals
 
 
@@ -102,10 +113,10 @@ class DiagonalChannel:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals or not all(np.isfinite(vals)):
+        arr = np.asarray(self.values, dtype=float)
+        if arr.ndim != 1 or not arr.size or not np.isfinite(arr).all():
             raise ValueError("channel values must be finite and non-empty")
+        object.__setattr__(self, "values", tuple(arr.tolist()))
 
     @property
     def n(self):
@@ -138,6 +149,8 @@ def mobility_rate(p: ChangingPattern):
 def union_pattern(patterns):
     """Merge several patterns over the same n into one."""
     pats = list(patterns)
+    if not pats:
+        raise ValueError("need at least one pattern to merge")
     n = pats[0].n
     if any(p.n != n for p in pats):
         raise ValueError("patterns must share n")
@@ -160,22 +173,17 @@ def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
     distinct_blocks="all", every block value is globally distinct (needed
     for generator diagonals whose anchor solve must be nonsingular).
     """
-    rng = _rng(seed)
-    blocks = constant_intervals(p)
-    gap = _value_gap(len(blocks), h_min, h_max)
-    vals = []
-    for _ in blocks:
-        v = float(rng.uniform(h_min, h_max))
-        while (vals and abs(v - vals[-1]) < gap) or (
-                distinct_blocks == "all"
-                and any(abs(v - u) < gap for u in vals)):
-            v = float(rng.uniform(h_min, h_max))
-        vals.append(v)
-    out = np.empty(p.n)
-    for v, block in zip(vals, blocks):
-        for slot in block:
-            out[slot - 1] = v
-    return DiagonalChannel(tuple(out))
+    bounds = [1, *p.change_points, p.n + 1]
+    lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+    gap = _value_gap(len(lengths), h_min, h_max)
+    if distinct_blocks == "all":
+        def accept(v, vals):
+            return all(abs(v - u) >= gap for u in vals)
+    else:
+        def accept(v, vals):
+            return not vals or abs(v - vals[-1]) >= gap
+    vals = _draw_accepted(_rng(seed), len(lengths), h_min, h_max, accept)
+    return DiagonalChannel(np.asarray(vals).repeat(lengths))
 
 
 def _bounded_permutation(n, max_shift, rng):
@@ -200,19 +208,24 @@ def direct_transform_matrix(kind, distance, n, seed):
         mat = np.eye(n)
         distance = 0
     elif kind == "memory":
+        # the band (0 <= row - col <= distance), filled in row-major order
+        band = np.tri(n, dtype=bool) & ~np.tri(n, k=-distance - 1, dtype=bool)
         mat = np.zeros((n, n))
-        for row in range(n):
-            for col in range(max(0, row - distance), row + 1):
-                mat[row, col] = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT)
+        mat[band] = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
+                                size=np.count_nonzero(band))
     elif kind == "permutation":
         perm = _bounded_permutation(n, distance, rng)
         diag = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT, size=n)
         mat = np.zeros((n, n))
-        for row, col in enumerate(perm):
-            mat[row, col] = diag[col]
+        mat[np.arange(n), perm] = diag[perm]
     else:
         raise ValueError(f"unknown transform kind {kind!r}")
-    assert numeric_rank(mat) == n
+    # exactly nonsingular: triangular with a nonzero diagonal, or a scaled
+    # permutation (a float rank test fails large ill-conditioned bands)
+    if kind == "permutation":
+        assert all(np.all(np.count_nonzero(mat, axis=a) == 1) for a in (0, 1))
+    else:
+        assert np.all(np.diagonal(mat) != 0)
     return DirectTransform(kind, distance, mat)
 
 

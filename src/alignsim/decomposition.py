@@ -61,7 +61,7 @@ def build_power_basis(pattern: ChangingPattern, seed):
     """Members Q^1..Q^(s+1) for a generator Q matching ``pattern``."""
     s = len(pattern.change_points)
     gen = sample_channel(pattern, seed, distinct_blocks="all").array()
-    members = tuple(DiagonalChannel(tuple(gen ** j)) for j in range(1, s + 2))
+    members = tuple(DiagonalChannel(gen ** j) for j in range(1, s + 2))
     anchors = (1,) + pattern.change_points
     return BasisFamily("power", members, anchors)
 
@@ -79,7 +79,7 @@ def build_indexed_basis(true_values, unknown: UnknownSet, seed):
         member = vals.copy()
         for slot in hidden:
             member[slot - 1] = fresh[slot][m]
-        members.append(DiagonalChannel(tuple(member)))
+        members.append(DiagonalChannel(member))
     known = [i for i in range(1, n + 1) if i not in unknown.indices]
     anchors = tuple(hidden + known[:1])
     return BasisFamily("indexed", tuple(members), anchors)

@@ -179,13 +179,14 @@ def build_3user(instance: NetworkInstance, epsilon, seed):
 
 
 def _member_combos(fams, keys, rng):
+    """Member index per key for every substitution to check, one row each
+    in lexicographic order: all of them when there are at most
+    _COMBO_CAP, else the distinct rows among _COMBO_CAP random draws."""
     sizes = [len(fams[k].members) for k in keys]
-    total = int(np.prod(sizes))
-    if total <= _COMBO_CAP:
-        return list(product(*(range(s) for s in sizes)))
-    picks = {tuple(int(rng.integers(0, s)) for s in sizes)
-             for _ in range(_COMBO_CAP)}
-    return sorted(picks)
+    if np.prod(sizes) <= _COMBO_CAP:
+        return np.indices(sizes).reshape(len(sizes), -1).T
+    return np.unique(rng.integers(0, sizes, size=(_COMBO_CAP, len(sizes))),
+                     axis=0)
 
 
 def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
@@ -224,8 +225,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
                      for k, fam in fams.items()}
 
     def substituted(keys, combos):
-        return [member_values[k][picks]
-                for k, picks in zip(keys, np.array(combos).T)]
+        return [member_values[k][picks] for k, picks in zip(keys, combos.T)]
 
     # interference from TX2 and TX3 collapses to one span at RX1, for every
     # surrogate-member substitution of the two incoming links
@@ -239,7 +239,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
     base = np.column_stack([scheme.loop_transfer * g for g in gamma_powers])
     keys = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
     combos = _member_combos(fams, keys, rng)
-    jps = np.array([int(rng.integers(1, L + 2)) for _ in combos])
+    jps = rng.integers(1, L + 2, size=len(combos))
     g = substituted(keys, combos)
     vecs = ((g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5])
             * gamma_powers[jps - 1])

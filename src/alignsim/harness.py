@@ -17,8 +17,8 @@ from .blind import (blind_total_dof, build_blind_scheme, generic_free_dims,
                     measured_free_dims)
 from .channel import NetworkConfig, sample_network, union_pattern
 from .fastfading import build_3user, build_kuser, verify_3user
-from .linalg import (DEFAULT_TOL, balanced_rank, is_subspace, joint_rank,
-                     numeric_rank)
+from .linalg import (DEFAULT_TOL, balanced_rank, is_subspace_each,
+                     joint_rank, numeric_rank)
 from .shared import construct_shared
 
 __all__ = [
@@ -125,22 +125,15 @@ def _blind_trial(scenario, seed):
     width = scheme.interference_basis.shape[1]
     measured["basis_rank"] = numeric_rank(scheme.interference_basis, scenario.tol)
     checks["basis_full_rank"] = measured["basis_rank"] == width
-    contain = True
-    for p in range(cfg.K):
-        for q in range(cfg.K):
-            if p == q:
-                continue
-            contain &= is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
-                                   scheme.interference_basis, scenario.tol)
-    checks["cross_containment"] = bool(contain)
+    seen = [inst.received_matrix(p, q, scheme.precoders[q])
+            for p in range(cfg.K) for q in range(cfg.K) if p != q]
+    checks["cross_containment"] = bool(is_subspace_each(
+        seen, scheme.interference_basis, scenario.tol).all())
+    free = measured_free_dims(scheme, inst, scenario.tol)
     agree = True
-    free = []
-    for k in range(cfg.K):
-        pred = generic_free_dims(scheme, cfg.pattern(k, k))
-        meas = measured_free_dims(scheme, inst, k, scenario.tol)
+    for k, meas in enumerate(free):
         measured[f"free_dims_rx{k + 1}"] = meas
-        agree &= pred == meas
-        free.append(meas)
+        agree &= generic_free_dims(scheme, cfg.pattern(k, k)) == meas
     checks["predicted_equals_measured"] = bool(agree)
     return checks, measured, blind_total_dof(free, scheme.n)
 

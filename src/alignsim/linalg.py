@@ -10,11 +10,11 @@ cols)`` stack, scales each column to unit length along the row axis and
 takes the singular values of every matrix from one ``np.linalg.svd``
 call; LAPACK factors each matrix of a stack on its own, so a matrix gets
 the same singular values, bit for bit, alone or inside a stack.  Inputs
-are validated once, at the public functions.  ``is_subspace_each`` and
-``same_span_each`` test a whole stack of candidates with a few kernel
-calls: each joint matrix is concatenated from the raw ``[base,
-candidate]`` before it is normalized, exactly as ``is_subspace`` does,
-so the batched verdicts equal the one-at-a-time ones.
+are validated at the public functions.  ``joint_rank_each``,
+``is_subspace_each`` and ``same_span_each`` test a whole stack of
+candidates with a few kernel calls: each joint matrix is concatenated
+from the raw ``[base, candidate]`` before it is normalized, exactly as
+``joint_rank`` does, so the batched results equal the one-at-a-time ones.
 """
 
 from dataclasses import dataclass
@@ -27,6 +27,7 @@ __all__ = [
     "numeric_rank",
     "balanced_rank",
     "joint_rank",
+    "joint_rank_each",
     "is_subspace",
     "is_subspace_each",
     "same_span_each",
@@ -122,25 +123,25 @@ def joint_rank(ms, tol=DEFAULT_TOL):
     return int(_ranks(np.hstack(mats)[None], tol)[0])
 
 
-def _contained(cands, base, tol):
-    """Whether the span of each matrix of a validated stack lies inside the
-    span of the validated matrix ``base``."""
+def joint_rank_each(base, cands, tol=DEFAULT_TOL):
+    """``joint_rank([base, c])`` for every matrix ``c`` of a (batch, rows,
+    cols) stack, as an integer array."""
+    base, cands = _as_matrix(base), _as_stack(cands)
     if cands.shape[1] != base.shape[0]:
         raise ValueError("row counts differ")
     bases = np.broadcast_to(base, (len(cands),) + base.shape)
-    joint = np.concatenate([bases, cands], axis=-1)
-    return _ranks(joint, tol) == _ranks(base[None], tol)[0]
+    return _ranks(np.concatenate([bases, cands], axis=-1), tol)
 
 
 def is_subspace(a, b, tol=DEFAULT_TOL):
     """True iff the column span of ``a`` lies inside the column span of ``b``."""
-    return bool(_contained(_as_matrix(a)[None], _as_matrix(b), tol)[0])
+    return bool(is_subspace_each(_as_matrix(a)[None], b, tol)[0])
 
 
 def is_subspace_each(cands, base, tol=DEFAULT_TOL):
     """``is_subspace(c, base)`` for every matrix ``c`` of a (batch, rows,
     cols) stack, as a boolean array; the base's rank is computed once."""
-    return _contained(_as_stack(cands), _as_matrix(base), tol)
+    return joint_rank_each(base, cands, tol) == numeric_rank(base, tol)
 
 
 def same_span_each(lefts, rights, tol=DEFAULT_TOL):

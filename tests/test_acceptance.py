@@ -175,10 +175,8 @@ def test_criterion_6_free_dim_prediction():
     agree = 0
     instances = _blind_instances(0, 100, restrict_direct=True)
     for scheme, cfg, inst in instances:
-        agree += all(
-            predicted_free_dims(scheme, cfg.pattern(k, k))
-            == measured_free_dims(scheme, inst, k)
-            for k in range(cfg.K))
+        agree += [predicted_free_dims(scheme, cfg.pattern(k, k))
+                  for k in range(cfg.K)] == measured_free_dims(scheme, inst)
     ok = agree == 100
     report(6, ok, f"predicted == measured free dims on {agree}/100 "
                   f"instances (n <= 24, mixed patterns)")

@@ -6,8 +6,10 @@ import pytest
 from alignsim.blind import (blind_total_dof, build_blind_scheme,
                             generic_free_dims, measured_free_dims,
                             predicted_free_dims)
-from alignsim.channel import ChangingPattern, sample_network
-from alignsim.linalg import is_subspace, numeric_rank
+from alignsim.channel import ChangingPattern, sample_network, union_pattern
+from alignsim.harness import Scenario, run_trials
+from alignsim.linalg import (DEFAULT_TOL, RankTolerance, is_subspace,
+                             joint_rank, numeric_rank)
 from conftest import blind_config, random_cross_pattern, spaced_direct_pattern
 from fractions import Fraction
 
@@ -90,9 +92,10 @@ def test_generic_count_equals_measured_unrestricted():
         if made is None:
             continue
         scheme, cfg, inst = made
+        measured = measured_free_dims(scheme, inst)
         for k in range(cfg.K):
             pred = generic_free_dims(scheme, cfg.pattern(k, k))
-            assert pred == measured_free_dims(scheme, inst, k)
+            assert pred == measured[k]
         done += 1
 
 
@@ -105,10 +108,11 @@ def test_block_count_formula_equals_measured_in_regime():
         if made is None:
             continue
         scheme, cfg, inst = made
+        measured = measured_free_dims(scheme, inst)
         for k in range(cfg.K):
             coarse = predicted_free_dims(scheme, cfg.pattern(k, k))
             fine = generic_free_dims(scheme, cfg.pattern(k, k))
-            assert coarse == fine == measured_free_dims(scheme, inst, k)
+            assert coarse == fine == measured[k]
         done += 1
 
 
@@ -141,3 +145,35 @@ def test_total_dof_floor_and_sum():
     assert blind_total_dof([0, 0, 0], 4) == 1
     assert blind_total_dof([2, 2, 2], 4) == Fraction(3, 2)
     assert blind_total_dof([2, 0, 0], 4) == 1
+
+
+@pytest.mark.parametrize("sigma, rho", [(s, r) for s in range(4)
+                                        for r in (1, 2)])
+def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho):
+    n, K = 2 * rho * (sigma + 1), 3
+    cross = [(p, q) for p in range(K) for q in range(K) if p != q]
+    for t in range(50):
+        rng = np.random.default_rng([sigma, rho, t])
+        pts = random_cross_pattern(rng, n, sigma)
+        cfg = blind_config(rng, n, K, pts, lambda k: rng.choice(
+            range(2, n + 1), size=int(rng.integers(0, n)), replace=False),
+            seed=t)
+        cfg.direct_kind = str(rng.choice(["identity", "memory",
+                                          "permutation"]))
+        # a coarse threshold fails about half the trials' containment
+        tol = RankTolerance(1e-2) if t % 2 else DEFAULT_TOL
+        result = run_trials(Scenario("blind", cfg, {"rho": rho}, trials=1,
+                                     base_seed=t, tol=tol)).results[0]
+        # the trial's stacked verdicts, recomputed one link at a time
+        scheme = build_blind_scheme(
+            union_pattern([cfg.pattern(p, q) for p, q in cross]), rho, K, t)
+        inst = sample_network(cfg, t)
+        basis = scheme.interference_basis
+        assert result.checks["cross_containment"] == all(
+            is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
+                        basis, tol) for p, q in cross)
+        free = [min(n // 2, joint_rank([basis, inst.received_matrix(
+            k, k, scheme.precoders[k])], tol) - numeric_rank(basis, tol))
+            for k in range(K)]
+        assert free == measured_free_dims(scheme, inst, tol) == [
+            result.measured[f"free_dims_rx{k + 1}"] for k in range(K)]

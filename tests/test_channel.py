@@ -2,17 +2,21 @@
 
 import json
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.channel import (ChangingPattern, DiagonalChannel, NetworkConfig,
-                              UnknownSet, _value_gap, constant_intervals,
-                              direct_transform_matrix, mobility_rate,
-                              sample_channel, sample_network,
+from alignsim.channel import (H_MAX_DEFAULT, H_MIN_DEFAULT, ChangingPattern,
+                              DiagonalChannel, NetworkConfig, UnknownSet,
+                              _bounded_permutation, _value_gap,
+                              constant_intervals, direct_transform_matrix,
+                              mobility_rate, sample_channel, sample_network,
                               separated_uniform, union_pattern)
+from alignsim.fastfading import _COMBO_CAP, _member_combos
 from alignsim.linalg import numeric_rank
 
 
@@ -49,6 +53,8 @@ def test_union_pattern():
     assert union_pattern([a, b]).change_points == (2, 4, 5)
     with pytest.raises(ValueError):
         union_pattern([a, ChangingPattern(5, ())])
+    with pytest.raises(ValueError):
+        union_pattern([])
 
 
 def test_sample_channel_changes_exactly_at_declared_points():
@@ -106,6 +112,9 @@ def test_diagonal_channel_matrix():
     assert np.array_equal(d.matrix(), np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         DiagonalChannel((np.inf,))
+    with pytest.raises(ValueError):
+        DiagonalChannel(((1.0, 2.0),))
+    assert DiagonalChannel(np.array([1, 2])).values == (1.0, 2.0)
 
 
 def test_unknown_set_validation():
@@ -198,3 +207,120 @@ def test_received_matrix_applies_transform_only_on_direct_link():
     h01 = inst.channel(0, 1).array()[:, None]
     assert np.allclose(direct, h00 * (inst.transforms[0].matrix @ x))
     assert np.allclose(cross, h01 * x)
+
+
+# One-value-at-a-time references of the batched samplers: each must give
+# the same values and leave its generator in the same state.
+
+
+def scalar_sample_channel(p, seed, distinct_blocks):
+    rng = np.random.default_rng(seed)
+    blocks = constant_intervals(p)
+    gap = _value_gap(len(blocks))
+    vals = []
+    for _ in blocks:
+        v = float(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT))
+        while (vals and abs(v - vals[-1]) < gap) or (
+                distinct_blocks == "all"
+                and any(abs(v - u) < gap for u in vals)):
+            v = float(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT))
+        vals.append(v)
+    out = np.empty(p.n)
+    for v, block in zip(vals, blocks):
+        for slot in block:
+            out[slot - 1] = v
+    return tuple(out)
+
+
+def scalar_separated_uniform(rng, count, avoid):
+    gap = _value_gap(count + len(avoid))
+    vals = []
+    while len(vals) < count:
+        v = float(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT))
+        if all(abs(v - u) >= gap for u in vals) and \
+                all(abs(v - a) >= gap for a in avoid):
+            vals.append(v)
+    return vals
+
+
+def scalar_direct_transform(kind, distance, n, seed):
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((n, n))
+    if kind == "memory":
+        for row in range(n):
+            for col in range(max(0, row - distance), row + 1):
+                mat[row, col] = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT)
+    else:
+        perm = _bounded_permutation(n, distance, rng)
+        diag = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT, size=n)
+        for row, col in enumerate(perm):
+            mat[row, col] = diag[col]
+    return mat
+
+
+def scalar_member_combos(sizes, rng):
+    total = int(np.prod(sizes))
+    if total <= _COMBO_CAP:
+        return list(product(*(range(s) for s in sizes)))
+    picks = {tuple(int(rng.integers(0, s)) for s in sizes)
+             for _ in range(_COMBO_CAP)}
+    return sorted(picks)
+
+
+@st.composite
+def patterns(draw, max_n=40):
+    n = draw(st.integers(1, max_n))
+    pts = draw(st.sets(st.integers(2, n), max_size=n)) if n > 1 else set()
+    return ChangingPattern(n, tuple(pts))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(p=patterns(), seed=st.integers(0, 2**32 - 1),
+       distinct_blocks=st.sampled_from(["consecutive", "all"]))
+def test_batched_sample_channel_matches_scalar_loop(p, seed, distinct_blocks):
+    h = sample_channel(p, seed, distinct_blocks=distinct_blocks)
+    assert h.values == scalar_sample_channel(p, seed, distinct_blocks)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(count=st.integers(0, 150), avoid=st.sampled_from([(), (1.0,)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_separated_uniform_matches_scalar_loop(count, avoid, seed):
+    batched, scalar = (np.random.default_rng(seed) for _ in range(2))
+    vals = separated_uniform(batched, count, avoid=avoid)
+    assert vals == scalar_separated_uniform(scalar, count, avoid)
+    # the generator is shared with later draws: its next draw must agree
+    assert batched.uniform() == scalar.uniform()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["memory", "permutation"]),
+       n=st.integers(2, 60), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_batched_direct_transform_matches_scalar_loop(kind, n, data, seed):
+    distance = data.draw(st.integers(1, n - 1))
+    mat = direct_transform_matrix(kind, distance, n, seed).matrix
+    ref = scalar_direct_transform(kind, distance, n, seed)
+    assert mat.tobytes() == ref.tobytes()
+
+
+def test_large_memory_transform_needs_no_float_rank():
+    # at n = 101 the banded matrices are nonsingular but so ill-conditioned
+    # that a float rank test rejects some of them
+    for seed in range(20):
+        t = direct_transform_matrix("memory", 50, 101, seed)
+        assert np.all(np.diagonal(t.matrix) >= H_MIN_DEFAULT)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       L=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_batched_member_combos_and_exponents_match_scalar_draws(sizes, L,
+                                                                seed):
+    fams = {k: SimpleNamespace(members=range(s)) for k, s in enumerate(sizes)}
+    batched, scalar = (np.random.default_rng(seed) for _ in range(2))
+    combos = _member_combos(fams, list(fams), batched)
+    ref = scalar_member_combos(sizes, scalar)
+    assert [tuple(c) for c in combos.tolist()] == ref
+    jps = batched.integers(1, L + 2, size=len(combos))
+    assert jps.tolist() == [int(scalar.integers(1, L + 2)) for _ in ref]
+    assert batched.uniform() == scalar.uniform()

@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, flags, exit codes, CSV shape."""
 
+import contextlib
 import csv
 import io
 import json
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsim.cli import main
 from alignsim.shared import demo_network_config, pair_demo_patterns
@@ -148,6 +153,9 @@ MALFORMED = [
     ("shared-sim", {**_PAIR, "r": 2,
                     "patterns": _with_true(_PAIR["patterns"], 0, 1)},
      "patterns"),
+    # one user has no cross link, so there is no cross pattern to merge
+    ("blind-sim", {"K": 1, "n": 4, "patterns": [[[3]]], "trials": 1},
+     "pattern"),
 ]
 
 
@@ -192,6 +200,60 @@ def test_ff3_sim_success(tmp_path, capsys):
     code, _, err = run_cli(capsys, "ff3-sim", str(path))
     assert code == 0
     assert "total_dof=10/7" in err
+
+
+def test_ff3_sim_at_48_hidden_slots_ends_without_traceback(tmp_path, capsys):
+    # the n = 101 banded memory transforms are nonsingular, but seed 2
+    # draws one too ill-conditioned for a float rank test
+    d = fastfading_config(3, 101, 48, 2, memory_distance=50).to_dict()
+    d.update({"epsilon": 2, "trials": 1})
+    path = tmp_path / "ff3.json"
+    path.write_text(json.dumps(d))
+    code, _, err = run_cli(capsys, "ff3-sim", str(path))
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+SIM_COMMANDS = ("blind-sim", "shared-sim", "ff3-sim", "ffk-sim")
+
+
+@st.composite
+def sim_configs(draw):
+    """Small configs, well- or ill-formed: any K and n, nests of small
+    integers (slots out of range included) that are sometimes the wrong
+    size, and random scheme parameters and transform kinds."""
+    K, n = draw(st.integers(0, 4)), draw(st.integers(0, 12))
+    cell = st.lists(st.integers(-1, 14), max_size=5)
+
+    def nest():
+        side = draw(st.sampled_from((K, K, K, K + 1)))
+        return draw(st.lists(st.lists(cell, min_size=side, max_size=side),
+                             min_size=side, max_size=side))
+    raw = {"K": K, "n": n, "patterns": nest(), "trials": 1}
+    if draw(st.booleans()):
+        raw["unknown"] = nest()
+    for key in ("rho", "r", "epsilon", "n_star", "memory_distance"):
+        if draw(st.booleans()):
+            raw[key] = draw(st.integers(-1, 13))
+    if draw(st.booleans()):
+        raw["direct_kind"] = draw(st.sampled_from(
+            ("identity", "memory", "permutation", "wavelet")))
+    return draw(st.sampled_from(SIM_COMMANDS)), raw
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=sim_configs())
+def test_sim_commands_never_raise(case):
+    command, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([command, path])
+    assert code in (0, 1, 2), err.getvalue()
 
 
 def test_tolerance_flag_parses(tmp_path, capsys):

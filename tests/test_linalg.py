@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from alignsim.linalg import (DEFAULT_TOL, RankTolerance, balanced_rank,
                              is_subspace, is_subspace_each, joint_rank,
-                             normalize_columns, numeric_rank, same_span_each)
+                             joint_rank_each, normalize_columns, numeric_rank,
+                             same_span_each)
 from alignsim.rational import exact_rank
 
 
@@ -174,6 +175,8 @@ def test_stacked_containment_matches_one_at_a_time(case):
     base, stack = case
     flags, seen = _factored(is_subspace_each, stack, base)
     assert flags.tolist() == [is_subspace(c, base) for c in stack]
+    assert joint_rank_each(base, stack).tolist() == [
+        joint_rank([base, c]) for c in stack]
     # every matrix the stack factored gets the singular values it gets
     # alone: the raw [base, c] is joined before normalizing
     want = [_svd_2d(np.hstack([base, c])) for c in stack] + [_svd_2d(base)]
