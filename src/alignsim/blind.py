@@ -25,6 +25,7 @@ __all__ = [
     "build_blind_scheme",
     "predicted_free_dims",
     "generic_free_dims",
+    "measure_links",
     "measured_free_dims",
     "blind_total_dof",
 ]
@@ -109,16 +110,31 @@ def generic_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):
     return min(scheme.n // 2, total)
 
 
-def measured_free_dims(scheme: BlindScheme, instance, tol=DEFAULT_TOL):
-    """Interference-free dimensions measured by rank on a sampled network,
-    per receiver: every [basis, desired] joint is ranked in one stack."""
+def measure_links(scheme: BlindScheme, instance, tol=DEFAULT_TOL):
+    """(basis rank, cross containment, free dimensions per receiver),
+    measured by rank on a sampled network.
+
+    The basis is factored once, and the [basis, received] joint of every
+    link (p, q) is ranked in one stack: a cross link is contained in the
+    basis span when its joint rank equals the basis rank, and a direct
+    link's excess over it is its receiver's free dimensions.
+    """
     if instance.n != scheme.n:
         raise ValueError("instance slot count differs from scheme")
-    desired = [instance.received_matrix(k, k, scheme.precoders[k])
-               for k in range(instance.K)]
-    base = numeric_rank(scheme.interference_basis, tol)
-    totals = joint_rank_each(scheme.interference_basis, desired, tol)
-    return [min(scheme.n // 2, int(total) - base) for total in totals]
+    K, basis = instance.K, scheme.interference_basis
+    seen = [instance.received_matrix(p, q, scheme.precoders[q])
+            for p in range(K) for q in range(K)]
+    base = numeric_rank(basis, tol)
+    joint = joint_rank_each(basis, seen, tol).reshape(K, K)
+    contained = bool(all(joint[p, q] == base for p in range(K)
+                         for q in range(K) if p != q))
+    free = [min(scheme.n // 2, int(joint[k, k]) - base) for k in range(K)]
+    return base, contained, free
+
+
+def measured_free_dims(scheme: BlindScheme, instance, tol=DEFAULT_TOL):
+    """Interference-free dimensions measured by rank, per receiver."""
+    return measure_links(scheme, instance, tol)[2]
 
 
 def blind_total_dof(free_dims, n):

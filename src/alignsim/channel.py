@@ -10,10 +10,19 @@ Random values are drawn in batches that consume exactly the draws of
 one-at-a-time loops: on PCG64 a batched ``uniform`` or ``integers`` call
 gives the values and end state of as many scalar calls, and a rejection
 sampler asks each batch only for the values it still misses.
+
+Every per-trial object is built and validated once: a frozen
+``NetworkConfig`` builds its K x K pattern and hidden-slot tables at
+construction (so a bad change point fails when the config is loaded),
+and a ``DiagonalChannel`` carries its read-only float64 array beside the
+``values`` tuple, which ``array()`` and ``received_matrix`` return
+without converting again.
 """
 
 import json
+import math
 import numbers
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -64,16 +73,34 @@ def separated_uniform(rng, count, avoid=()):
     1 / (m + 1) share of the range stays open to every draw and the
     rejection loop terminates for any count.
     """
-    gap = _value_gap(count + len(avoid))
-    return _draw_accepted(
-        rng, count, H_MIN_DEFAULT, H_MAX_DEFAULT,
-        lambda v, vals: all(abs(v - u) >= gap for u in vals)
-        and all(abs(v - a) >= gap for a in avoid))
+    return _draw_accepted(rng, count, H_MIN_DEFAULT, H_MAX_DEFAULT,
+                          _apart(_value_gap(count + len(avoid)), avoid))
+
+
+def _apart(gap, taken=()):
+    """An accept test keeping each value at least gap from every value
+    accepted so far and from ``taken``.
+
+    Only the two sorted neighbours of a draw are compared: correctly
+    rounded subtraction is monotone, so no farther value is closer, and
+    the decisions equal those of comparing against every value.
+    """
+    taken = sorted(taken)
+
+    def accept(v, _kept):
+        i = bisect(taken, v)
+        if (i and v - taken[i - 1] < gap
+                or i < len(taken) and taken[i] - v < gap):
+            return False
+        taken.insert(i, v)
+        return True
+    return accept
 
 
 def _draw_accepted(rng, count, low, high, accept):
     """The first count uniform draws on [low, high) that accept(v, kept)
-    keeps, consuming exactly the draws of a one-at-a-time loop."""
+    keeps, consuming exactly the draws of a one-at-a-time loop; accept is
+    asked once per draw, in draw order."""
     vals = []
     while len(vals) < count:
         for v in rng.uniform(low, high, size=count - len(vals)).tolist():
@@ -111,22 +138,28 @@ class UnknownSet:
 @dataclass(frozen=True)
 class DiagonalChannel:
     values: tuple
+    # the validated values as a read-only float64 array
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or not arr.size or not np.isfinite(arr).all():
+        arr = np.array(self.values, dtype=float)
+        vals = arr.tolist()
+        if arr.ndim != 1 or not vals or not all(map(math.isfinite, vals)):
             raise ValueError("channel values must be finite and non-empty")
-        object.__setattr__(self, "values", tuple(arr.tolist()))
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "_array", arr)
 
     @property
     def n(self):
         return len(self.values)
 
     def matrix(self):
-        return np.diag(self.values)
+        return np.diag(self._array)
 
     def array(self):
-        return np.asarray(self.values)
+        """The values as a read-only float64 array."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -177,8 +210,7 @@ def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
     lengths = [b - a for a, b in zip(bounds, bounds[1:])]
     gap = _value_gap(len(lengths), h_min, h_max)
     if distinct_blocks == "all":
-        def accept(v, vals):
-            return all(abs(v - u) >= gap for u in vals)
+        accept = _apart(gap)
     else:
         def accept(v, vals):
             return not vals or abs(v - vals[-1]) >= gap
@@ -203,17 +235,18 @@ def direct_transform_matrix(kind, distance, n, seed):
     """Full-rank direct-link transform of the requested kind."""
     if kind != "identity" and not 1 <= distance < n:
         raise ValueError("distance must satisfy 1 <= distance < n")
-    rng = _rng(seed)
     if kind == "identity":
         mat = np.eye(n)
         distance = 0
     elif kind == "memory":
+        rng = _rng(seed)
         # the band (0 <= row - col <= distance), filled in row-major order
         band = np.tri(n, dtype=bool) & ~np.tri(n, k=-distance - 1, dtype=bool)
         mat = np.zeros((n, n))
         mat[band] = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
                                 size=np.count_nonzero(band))
     elif kind == "permutation":
+        rng = _rng(seed)
         perm = _bounded_permutation(n, distance, rng)
         diag = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT, size=n)
         mat = np.zeros((n, n))
@@ -239,6 +272,16 @@ def _is_int_nest(nest, K):
                                     for x in cell)
                             for cell in row)
                     for row in nest))
+
+
+def _cell_table(nest, build):
+    """The nest as a tuple of tuples of build(cell), one object per
+    distinct cell: most links of a config repeat a few cells."""
+    made = {}
+    for cell in (tuple(c) for row in nest for c in row):
+        if cell not in made:
+            made[cell] = build(cell)
+    return tuple(tuple(made[tuple(c)] for c in row) for row in nest)
 
 
 _REQUIRED = object()
@@ -275,13 +318,15 @@ def config_field(raw, key, convert, default=_REQUIRED):
         raise ValueError(f"invalid {key}: {value!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConfig:
     """Everything needed to sample a network instance deterministically.
 
     patterns[p][q] lists the change points of the link from transmitter q
     into receiver p; unknown[p][q] lists slots whose gain is hidden from
-    the scheme constructors.
+    the scheme constructors.  The config is frozen: its validated
+    ChangingPattern and UnknownSet tables are built once, at construction,
+    and every pattern() and unknown_set() call returns a stored object.
     """
     K: int
     n: int
@@ -292,20 +337,28 @@ class NetworkConfig:
     direct_kind: str = "identity"
     memory_distance: int = 1
     seed: int = 0
+    # K x K tables of ChangingPattern and UnknownSet, built from the nests
+    _pattern_table: tuple = field(init=False, repr=False, compare=False)
+    _unknown_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.unknown is None:
-            self.unknown = [[[] for _ in range(self.K)] for _ in range(self.K)]
+            object.__setattr__(self, "unknown", [[[] for _ in range(self.K)]
+                                                 for _ in range(self.K)])
         if not _is_int_nest(self.patterns, self.K):
             raise ValueError("patterns must be a K x K nest of integer lists")
         if not _is_int_nest(self.unknown, self.K):
             raise ValueError("unknown must be a K x K nest of integer lists")
+        object.__setattr__(self, "_pattern_table", _cell_table(
+            self.patterns, lambda c: ChangingPattern(self.n, c)))
+        object.__setattr__(self, "_unknown_table", _cell_table(
+            self.unknown, lambda c: UnknownSet(self.n, frozenset(c))))
 
     def pattern(self, p, q):
-        return ChangingPattern(self.n, tuple(self.patterns[p][q]))
+        return self._pattern_table[p][q]
 
     def unknown_set(self, p, q):
-        return UnknownSet(self.n, frozenset(self.unknown[p][q]))
+        return self._unknown_table[p][q]
 
     def to_dict(self):
         return {
@@ -372,26 +425,15 @@ def sample_network(config: NetworkConfig, seed=None) -> NetworkInstance:
     """Sample every link of the network, deterministically per (config, seed)."""
     base = config.seed if seed is None else seed
     K, n = config.K, config.n
-    channels = {}
-    patterns = []
-    unknown = []
-    for p in range(K):
-        prow, urow = [], []
-        for q in range(K):
-            pat = config.pattern(p, q)
-            if pat.n != n:
-                raise ValueError("pattern slot count differs from config n")
-            channels[(p, q)] = sample_channel(
-                pat, base * 1_000_003 + p * K + q + 1,
-                config.h_min, config.h_max)
-            prow.append(pat)
-            urow.append(config.unknown_set(p, q))
-        patterns.append(tuple(prow))
-        unknown.append(tuple(urow))
+    channels = {
+        (p, q): sample_channel(config.pattern(p, q),
+                               base * 1_000_003 + p * K + q + 1,
+                               config.h_min, config.h_max)
+        for p in range(K) for q in range(K)}
     transforms = tuple(
         direct_transform_matrix(config.direct_kind, config.memory_distance,
                                 n, base * 1_000_033 + 7 * p + 1)
         for p in range(K))
     return NetworkInstance(K=K, n=n, channels=channels, transforms=transforms,
-                           patterns=tuple(patterns), unknown=tuple(unknown),
-                           seed=base)
+                           patterns=config._pattern_table,
+                           unknown=config._unknown_table, seed=base)

@@ -68,21 +68,18 @@ def build_power_basis(pattern: ChangingPattern, seed):
 
 def build_indexed_basis(true_values, unknown: UnknownSet, seed):
     """|U|+1 members agreeing with the true channel on every known slot."""
-    vals = np.asarray([float(v) for v in true_values])
-    n = vals.size
+    vals = np.asarray(true_values, dtype=float)
     hidden = sorted(unknown.indices)
     rng = np.random.default_rng(seed)
     count = len(hidden) + 1
-    fresh = {slot: separated_uniform(rng, count) for slot in hidden}
-    members = []
-    for m in range(count):
-        member = vals.copy()
-        for slot in hidden:
-            member[slot - 1] = fresh[slot][m]
-        members.append(DiagonalChannel(member))
-    known = [i for i in range(1, n + 1) if i not in unknown.indices]
-    anchors = tuple(hidden + known[:1])
-    return BasisFamily("indexed", tuple(members), anchors)
+    # row m is member m: the true values, with fresh draws at hidden slots
+    table = np.empty((count, vals.size))
+    table[:] = vals
+    for slot in hidden:
+        table[:, slot - 1] = separated_uniform(rng, count)
+    members = tuple(DiagonalChannel(row) for row in table)
+    known = [i for i in range(1, vals.size + 1) if i not in unknown.indices]
+    return BasisFamily("indexed", members, tuple(hidden + known[:1]))
 
 
 def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):

@@ -16,7 +16,6 @@ from pairwise transfer maps.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -108,7 +107,7 @@ class FastFading3Scheme:
 
 
 def _surrogate(fams, p, q):
-    return np.asarray(fams[(p, q)].members[0].values)
+    return fams[(p, q)].members[0].array()
 
 
 def _hidden_slot_setup(instance, seed, fixed_slots):
@@ -125,7 +124,7 @@ def _hidden_slot_setup(instance, seed, fixed_slots):
     fams = {}
     for idx, (p, q) in enumerate(cross):
         fams[(p, q)] = build_indexed_basis(
-            instance.channel(p, q).values, instance.unknown_set(p, q),
+            instance.channel(p, q).array(), instance.unknown_set(p, q),
             seed * 613 + idx + 1)
     rng = np.random.default_rng(seed)
     gam = np.ones(n)
@@ -181,12 +180,17 @@ def build_3user(instance: NetworkInstance, epsilon, seed):
 def _member_combos(fams, keys, rng):
     """Member index per key for every substitution to check, one row each
     in lexicographic order: all of them when there are at most
-    _COMBO_CAP, else the distinct rows among _COMBO_CAP random draws."""
+    _COMBO_CAP, else the distinct rows among _COMBO_CAP random draws.
+
+    Rows are deduplicated as mixed-radix codes (first key most
+    significant), whose numeric order is the rows' lexicographic order.
+    """
     sizes = [len(fams[k].members) for k in keys]
     if np.prod(sizes) <= _COMBO_CAP:
         return np.indices(sizes).reshape(len(sizes), -1).T
-    return np.unique(rng.integers(0, sizes, size=(_COMBO_CAP, len(sizes))),
-                     axis=0)
+    draw = rng.integers(0, sizes, size=(_COMBO_CAP, len(sizes)))
+    radix = np.cumprod([1, *sizes[:0:-1]])[::-1]
+    return np.column_stack(np.unravel_index(np.unique(draw @ radix), sizes))
 
 
 def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
@@ -221,7 +225,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
 
     # one (members, n) array per cross link, so that a list of member
     # substitutions becomes one (combos, n) array per link
-    member_values = {k: np.array([m.values for m in fam.members])
+    member_values = {k: np.array([m.array() for m in fam.members])
                      for k, fam in fams.items()}
 
     def substituted(keys, combos):
@@ -287,6 +291,18 @@ class KUserScheme:
     expected: dict
 
 
+def _grid_columns(maps, gamma_powers, lo, hi):
+    """One column per exponent tuple a in [lo, hi]^N, in itertools.product
+    order, times each gamma power in turn: 1 * maps[0]**a_0 * ... *
+    maps[N-1]**a_(N-1) * gamma_powers[j], multiplied in that order."""
+    n = gamma_powers.shape[1]
+    rows = np.ones((1, n))
+    for t in maps:
+        powers = np.array([t ** a for a in range(lo, hi + 1)])
+        rows = (rows[:, None] * powers).reshape(-1, n)
+    return (rows[:, None] * gamma_powers).reshape(-1, n).T
+
+
 def build_kuser(instance: NetworkInstance, n_star, seed):
     """Pairwise-transfer column families for K >= 3 users.
 
@@ -315,20 +331,10 @@ def build_kuser(instance: NetworkInstance, n_star, seed):
     pairs = [(p, q) for p in range(1, K) for q in range(1, K)
              if p != q and (p, q) != (1, 2)]
     assert len(pairs) == N
-    transfer = {pq: q1(*pq) / q1(pq[0], 0) * relay[pq[1]] for pq in pairs}
-
-    def grid_columns(lo, hi):
-        cols = []
-        for alphas in product(range(lo, hi + 1), repeat=N):
-            vec = np.ones(n)
-            for pq, a in zip(pairs, alphas):
-                vec = vec * transfer[pq] ** a
-            for j in range(1, L + 2):
-                cols.append(vec * gam ** j)
-        return np.column_stack(cols)
-
-    seed_cols = grid_columns(1, n_star)
-    tx1_cols = grid_columns(0, n_star)
+    maps = [q1(*pq) / q1(pq[0], 0) * relay[pq[1]] for pq in pairs]
+    gamma_powers = np.array([gam ** j for j in range(1, L + 2)])
+    seed_cols = _grid_columns(maps, gamma_powers, 1, n_star)
+    tx1_cols = _grid_columns(maps, gamma_powers, 0, n_star)
     expected = {"dim_seed": L + n_star ** N,
                 "dim_tx1": L + (n_star + 1) ** N}
     return KUserScheme(K=K, n=n, L=L, n_star=n_star, N=N, omega=tuple(omega),

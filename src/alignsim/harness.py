@@ -13,12 +13,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .blind import (blind_total_dof, build_blind_scheme, generic_free_dims,
-                    measured_free_dims)
+                    measure_links)
 from .channel import NetworkConfig, sample_network, union_pattern
 from .fastfading import build_3user, build_kuser, verify_3user
-from .linalg import (DEFAULT_TOL, balanced_rank, is_subspace_each,
-                     joint_rank, numeric_rank)
+from .linalg import DEFAULT_TOL, balanced_rank, numeric_rank_each
 from .shared import construct_shared
 
 __all__ = [
@@ -60,19 +61,31 @@ class AlignmentReport:
 
 
 def alignment_report(instance, precoders, tol=DEFAULT_TOL):
-    """Desired/interference dimension accounting at every receiver."""
+    """Desired/interference dimension accounting at every receiver.
+
+    Each received matrix is built once; the joints (everything arriving,
+    interference only) of every receiver are ranked with one
+    ``numeric_rank_each`` stack per joint shape.
+    """
     K, n = instance.K, instance.n
-    per_rx = []
-    checks = {}
+    live = [q for q in range(K) if precoders[q].shape[1] > 0]
+    joints = []             # per receiver: arriving, then interference
     for p in range(K):
-        arriving = [instance.received_matrix(p, q, precoders[q])
-                    for q in range(K) if precoders[q].shape[1] > 0]
-        interf = [instance.received_matrix(p, q, precoders[q])
-                  for q in range(K) if q != p and precoders[q].shape[1] > 0]
-        used = joint_rank(arriving, tol) if arriving else 0
-        idim = joint_rank(interf, tol) if interf else 0
-        desired = used - idim
-        per_rx.append((desired, idim, used))
+        seen = [instance.received_matrix(p, q, precoders[q]) for q in live]
+        interf = [m for q, m in zip(live, seen) if q != p]
+        joints += [np.hstack(seen) if seen else None,
+                   np.hstack(interf) if interf else None]
+    ranks = [0] * len(joints)
+    by_shape = {}
+    for i, m in enumerate(joints):
+        if m is not None:
+            by_shape.setdefault(m.shape, []).append(i)
+    for idx in by_shape.values():
+        for i, r in zip(idx, numeric_rank_each([joints[i] for i in idx], tol)):
+            ranks[i] = int(r)
+    per_rx = [(used - idim, idim, used)
+              for used, idim in zip(ranks[::2], ranks[1::2])]
+    checks = {}
     checks["imperfect_alignment"] = sum(r[1] for r in per_rx) < (K - 1) * n
     checks["no_pollution"] = all(
         0 <= d <= precoders[p].shape[1] for p, (d, _, _) in enumerate(per_rx))
@@ -122,14 +135,10 @@ def _blind_trial(scenario, seed):
     scheme = build_blind_scheme(union, rho, cfg.K, seed)
     inst = sample_network(cfg, seed)
     checks, measured = {}, {}
-    width = scheme.interference_basis.shape[1]
-    measured["basis_rank"] = numeric_rank(scheme.interference_basis, scenario.tol)
-    checks["basis_full_rank"] = measured["basis_rank"] == width
-    seen = [inst.received_matrix(p, q, scheme.precoders[q])
-            for p in range(cfg.K) for q in range(cfg.K) if p != q]
-    checks["cross_containment"] = bool(is_subspace_each(
-        seen, scheme.interference_basis, scenario.tol).all())
-    free = measured_free_dims(scheme, inst, scenario.tol)
+    base, contained, free = measure_links(scheme, inst, scenario.tol)
+    measured["basis_rank"] = base
+    checks["basis_full_rank"] = base == scheme.interference_basis.shape[1]
+    checks["cross_containment"] = contained
     agree = True
     for k, meas in enumerate(free):
         measured[f"free_dims_rx{k + 1}"] = meas

@@ -10,11 +10,14 @@ cols)`` stack, scales each column to unit length along the row axis and
 takes the singular values of every matrix from one ``np.linalg.svd``
 call; LAPACK factors each matrix of a stack on its own, so a matrix gets
 the same singular values, bit for bit, alone or inside a stack.  Inputs
-are validated at the public functions.  ``joint_rank_each``,
-``is_subspace_each`` and ``same_span_each`` test a whole stack of
-candidates with a few kernel calls: each joint matrix is concatenated
-from the raw ``[base, candidate]`` before it is normalized, exactly as
-``joint_rank`` does, so the batched results equal the one-at-a-time ones.
+are validated at the public functions.  ``numeric_rank_each`` ranks a
+stack of same-shape matrices in one kernel call, so a caller with many
+small rank decisions (the joints of every receiver in a trial) groups
+them by shape.  ``joint_rank_each``, ``is_subspace_each`` and
+``same_span_each`` test a whole stack of candidates with a few kernel
+calls: each joint matrix is concatenated from the raw ``[base,
+candidate]`` before it is normalized, exactly as ``joint_rank`` does, so
+the batched results equal the one-at-a-time ones.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,7 @@ __all__ = [
     "RankTolerance",
     "DEFAULT_TOL",
     "numeric_rank",
+    "numeric_rank_each",
     "balanced_rank",
     "joint_rank",
     "joint_rank_each",
@@ -93,6 +97,12 @@ def normalize_columns(m):
 def numeric_rank(m, tol=DEFAULT_TOL):
     """Count singular values above the relative threshold."""
     return int(_ranks(_as_matrix(m)[None], tol)[0])
+
+
+def numeric_rank_each(ms, tol=DEFAULT_TOL):
+    """``numeric_rank(m)`` for every matrix ``m`` of a (batch, rows, cols)
+    stack, as an integer array, from one kernel call."""
+    return _ranks(_as_stack(ms), tol)
 
 
 def balanced_rank(m, tol=DEFAULT_TOL):

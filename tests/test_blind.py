@@ -1,5 +1,7 @@
 """Pattern-only precoding: containment, basis rank, free-dimension counts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,8 +160,8 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho):
         cfg = blind_config(rng, n, K, pts, lambda k: rng.choice(
             range(2, n + 1), size=int(rng.integers(0, n)), replace=False),
             seed=t)
-        cfg.direct_kind = str(rng.choice(["identity", "memory",
-                                          "permutation"]))
+        cfg = dataclasses.replace(cfg, direct_kind=str(rng.choice(
+            ["identity", "memory", "permutation"])))
         # a coarse threshold fails about half the trials' containment
         tol = RankTolerance(1e-2) if t % 2 else DEFAULT_TOL
         result = run_trials(Scenario("blind", cfg, {"rho": rho}, trials=1,

@@ -1,5 +1,6 @@
 """Changing patterns, channel sampling, transforms, and network configs."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import product
@@ -185,6 +186,82 @@ def test_network_config_rejects_non_integer_fields(key, value):
         NetworkConfig.from_dict({**raw, key: value})
 
 
+def test_network_config_builds_its_tables_once():
+    cfg = NetworkConfig(K=2, n=4, patterns=[[[2], [3]], [[], [4, 2]]],
+                        unknown=[[[], [1]], [[2], []]])
+    assert cfg.pattern(0, 1) is cfg.pattern(0, 1)
+    assert cfg.pattern(1, 1) == ChangingPattern(4, (2, 4))
+    assert cfg.unknown_set(0, 1) is cfg.unknown_set(0, 1)
+    assert cfg.unknown_set(1, 0) == UnknownSet(4, frozenset({2}))
+    inst = sample_network(cfg)
+    assert inst.pattern(1, 1) is cfg.pattern(1, 1)
+    assert inst.unknown_set(0, 1) is cfg.unknown_set(0, 1)
+    for field, value in (("direct_kind", "memory"), ("seed", 1),
+                         ("patterns", [[[], []], [[], []]])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+    # equal cells share one object
+    same = NetworkConfig(K=2, n=4, patterns=[[[3], [3]], [[3], [2]]])
+    assert same.pattern(0, 1) is same.pattern(1, 0) is same.pattern(0, 0)
+    assert same.unknown_set(0, 1) is same.unknown_set(1, 1)
+    # a replaced config builds its own tables
+    moved = dataclasses.replace(cfg, n=5)
+    assert moved.pattern(0, 1) == ChangingPattern(5, (3,))
+
+
+@pytest.mark.parametrize("patterns, unknown", [
+    ([[[5], []], [[], []]], None),                      # change point past n
+    ([[[], [1]], [[], []]], None),                      # change point at 1
+    ([[[], []], [[], []]], [[[], [0]], [[], []]]),      # hidden slot 0
+    ([[[], []], [[], []]], [[[], []], [[5], []]]),      # hidden slot past n
+])
+def test_network_config_rejects_out_of_range_slots_at_construction(patterns,
+                                                                   unknown):
+    with pytest.raises(ValueError, match="must lie in"):
+        NetworkConfig(K=2, n=4, patterns=patterns, unknown=unknown)
+
+
+@pytest.mark.parametrize("kind, per_receiver", [
+    ("identity", 0), ("memory", 1), ("permutation", 1)])
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
+                                                           per_receiver, K):
+    # one per link, plus one per receiver transform that draws anything:
+    # an identity transform draws nothing and seeds no generator
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        seeded.append(args)
+        return default_rng(*args, **kwargs)
+
+    cfg = NetworkConfig(K=K, n=6, patterns=[[[2, 4]] * K] * K,
+                        direct_kind=kind, memory_distance=2)
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    inst = sample_network(cfg, seed=3)
+    assert len(seeded) == K * K + per_receiver * K
+    if kind == "identity":
+        assert all(np.array_equal(t.matrix, np.eye(6))
+                   for t in inst.transforms)
+
+
+def test_channel_array_is_read_only_and_equals_values():
+    source = np.array([1.5, 0.75, 2.0])
+    h = DiagonalChannel(source)
+    arr = h.array()
+    assert arr is h.array()
+    assert arr.dtype == np.float64 and arr.tolist() == list(h.values)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 1.0
+    source[0] = 9.0                     # the channel holds its own copy
+    assert h.values[0] == arr[0] == 1.5
+    assert np.array_equal(h.matrix(), np.diag(h.values))
+    # equality and hashing see the values only
+    twin = DiagonalChannel(h.values)
+    assert twin == h and hash(twin) == hash(h)
+
+
 def test_sample_network_deterministic_and_link_independent():
     cfg = NetworkConfig(K=3, n=6, patterns=[[[2, 4]] * 3] * 3, seed=1)
     a = sample_network(cfg, seed=5)
@@ -324,3 +401,21 @@ def test_batched_member_combos_and_exponents_match_scalar_draws(sizes, L,
     jps = batched.integers(1, L + 2, size=len(combos))
     assert jps.tolist() == [int(scalar.integers(1, L + 2)) for _ in ref]
     assert batched.uniform() == scalar.uniform()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=7),
+       seed=st.integers(0, 2**32 - 1))
+def test_member_combos_dedupe_equals_unique_rows(sizes, seed):
+    # the mixed-radix dedupe gives np.unique(draw, axis=0) of the same draw
+    fams = {k: SimpleNamespace(members=range(s)) for k, s in enumerate(sizes)}
+    batched, ref = (np.random.default_rng(seed) for _ in range(2))
+    combos = _member_combos(fams, list(fams), batched)
+    if np.prod(sizes) <= _COMBO_CAP:
+        want = np.indices(sizes).reshape(len(sizes), -1).T
+    else:
+        want = np.unique(ref.integers(0, sizes, size=(_COMBO_CAP, len(sizes))),
+                         axis=0)
+    assert combos.shape == want.shape and combos.dtype == want.dtype
+    assert np.array_equal(combos, want)
+    assert batched.uniform() == ref.uniform()

@@ -171,6 +171,21 @@ def test_malformed_config_is_input_error(tmp_path, capsys, command, raw,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, cell", [("patterns", [9]), ("unknown", [0])])
+def test_out_of_range_slot_fails_when_the_config_loads(tmp_path, capsys,
+                                                       field, cell):
+    raw = {**_PAIR, "r": 2, "trials": 3}
+    raw[field] = [[list(c) for c in row] for row in raw[field]]
+    raw[field][1][2] = cell
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "shared-sim", str(path))
+    assert code == 1 and out == ""
+    # rejected while building the config's tables, before any trial runs
+    assert err.startswith("error:") and "must lie in" in err
+    assert "trial seed" not in err
+
+
 def test_bad_arguments_are_input_error(capsys):
     code, _, _ = run_cli(capsys, "bound")
     assert code == 1

@@ -8,10 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim.channel import (ChangingPattern, UnknownSet, constant_intervals,
-                              sample_channel)
+                              sample_channel, separated_uniform)
 from alignsim.decomposition import (RESIDUAL_REL_TOL, build_and_decompose,
                                     build_basis, build_indexed_basis,
                                     build_power_basis, decompose, reconstruct)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_indexed_basis_matches_member_loop(n, data, seed):
+    hidden = data.draw(st.sets(st.integers(1, n), max_size=n))
+    vals = np.random.default_rng(seed).uniform(0.5, 2.0, size=n)
+    fam = build_indexed_basis(vals, UnknownSet(n, frozenset(hidden)), seed)
+    # the member-at-a-time loop: same draws, one slot at a time
+    rng = np.random.default_rng(seed)
+    order = sorted(hidden)
+    fresh = {slot: separated_uniform(rng, len(order) + 1) for slot in order}
+    for m, member in enumerate(fam.members):
+        want = vals.copy()
+        for slot in order:
+            want[slot - 1] = fresh[slot][m]
+        assert member.values == tuple(want.tolist())
+    known = [i for i in range(1, n + 1) if i not in hidden]
+    assert fam.anchor_indices == tuple(order + known[:1])
 
 
 def random_pattern(rng, n, max_changes=None):

@@ -1,12 +1,13 @@
 """Half-CSI fast-fading schemes and the CSIT-fraction calculators."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from alignsim.channel import NetworkConfig, UnknownSet, sample_network
-from alignsim.fastfading import (build_3user, build_kuser,
+from alignsim.fastfading import (_grid_columns, build_3user, build_kuser,
                                  dof_cap_given_upsilon, hidden_union,
                                  min_upsilon_for_max_dof, upsilon_fraction,
                                  verify_3user)
@@ -175,6 +176,26 @@ def test_kuser_k3_matches_loop_construction_sizes():
     scheme = build_kuser(inst, n_star=n_star, seed=1)
     assert balanced_rank(scheme.seed_columns) == L + n_star
     assert balanced_rank(scheme.tx1_columns) == L + n_star + 1
+
+
+@pytest.mark.parametrize("N, lo, hi, L", [
+    (1, 0, 3, 0), (1, 1, 2, 3), (3, 0, 2, 1), (5, 1, 1, 2), (5, 0, 1, 2)])
+def test_grid_columns_match_product_loop(N, lo, hi, L):
+    rng = np.random.default_rng([N, lo, hi, L])
+    n = 9
+    maps = [rng.uniform(0.5, 2.0, size=n) for _ in range(N)]
+    gam = rng.uniform(0.5, 2.0, size=n)
+    # the one-column-at-a-time loop, bit for bit
+    cols = []
+    for alphas in product(range(lo, hi + 1), repeat=N):
+        vec = np.ones(n)
+        for t, a in zip(maps, alphas):
+            vec = vec * t ** a
+        for j in range(1, L + 2):
+            cols.append(vec * gam ** j)
+    got = _grid_columns(maps, np.array([gam ** j for j in range(1, L + 2)]),
+                        lo, hi)
+    assert got.tobytes() == np.column_stack(cols).tobytes()
 
 
 def test_kuser_guard_and_validation():

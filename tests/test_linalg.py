@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from alignsim.linalg import (DEFAULT_TOL, RankTolerance, balanced_rank,
                              is_subspace, is_subspace_each, joint_rank,
                              joint_rank_each, normalize_columns, numeric_rank,
-                             same_span_each)
+                             numeric_rank_each, same_span_each)
 from alignsim.rational import exact_rank
 
 
@@ -201,7 +201,21 @@ def test_stacked_span_equality_matches_one_at_a_time(case, seed):
     assert _same_arrays(seen, want)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(containment_cases())
+def test_stacked_numeric_rank_matches_one_at_a_time(case):
+    _, stack = case
+    ranks, seen = _factored(numeric_rank_each, stack)
+    assert ranks.tolist() == [numeric_rank(m) for m in stack]
+    assert len(seen) == len(stack)
+    assert _same_arrays(seen, [_svd_2d(m) for m in stack])
+
+
 def test_stacked_rank_validation():
+    with pytest.raises(ValueError):
+        numeric_rank_each(np.eye(3))                    # not a stack
+    with pytest.raises(ValueError):
+        numeric_rank_each(np.full((2, 3, 1), np.nan))
     with pytest.raises(ValueError):
         is_subspace_each(np.eye(3), np.eye(3))          # not a stack
     with pytest.raises(ValueError):
