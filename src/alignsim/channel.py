@@ -256,9 +256,10 @@ def direct_transform_matrix(kind, distance, n, seed):
     # exactly nonsingular: triangular with a nonzero diagonal, or a scaled
     # permutation (a float rank test fails large ill-conditioned bands)
     if kind == "permutation":
-        assert all(np.all(np.count_nonzero(mat, axis=a) == 1) for a in (0, 1))
-    else:
-        assert np.all(np.diagonal(mat) != 0)
+        if not all(np.all(np.count_nonzero(mat, axis=a) == 1) for a in (0, 1)):
+            raise ValueError("permutation transform is not a scaled permutation")
+    elif not np.all(np.diagonal(mat) != 0):
+        raise ValueError(f"{kind} transform has a zero on its diagonal")
     return DirectTransform(kind, distance, mat)
 
 
@@ -343,8 +344,8 @@ class NetworkConfig:
 
     def __post_init__(self):
         if self.unknown is None:
-            object.__setattr__(self, "unknown", [[[] for _ in range(self.K)]
-                                                 for _ in range(self.K)])
+            # nothing hidden: one shared immutable nest of empty cells
+            object.__setattr__(self, "unknown", (((),) * self.K,) * self.K)
         if not _is_int_nest(self.patterns, self.K):
             raise ValueError("patterns must be a K x K nest of integer lists")
         if not _is_int_nest(self.unknown, self.K):

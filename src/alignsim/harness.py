@@ -19,7 +19,7 @@ from .blind import (blind_total_dof, build_blind_scheme, generic_free_dims,
                     measure_links)
 from .channel import NetworkConfig, sample_network, union_pattern
 from .fastfading import build_3user, build_kuser, verify_3user
-from .linalg import DEFAULT_TOL, balanced_rank, numeric_rank_each
+from .linalg import DEFAULT_TOL, balanced_rank, numeric_rank_by_shape
 from .shared import construct_shared
 
 __all__ = [
@@ -65,7 +65,7 @@ def alignment_report(instance, precoders, tol=DEFAULT_TOL):
 
     Each received matrix is built once; the joints (everything arriving,
     interference only) of every receiver are ranked with one
-    ``numeric_rank_each`` stack per joint shape.
+    ``numeric_rank_by_shape`` call, one stack per joint shape.
     """
     K, n = instance.K, instance.n
     live = [q for q in range(K) if precoders[q].shape[1] > 0]
@@ -75,14 +75,9 @@ def alignment_report(instance, precoders, tol=DEFAULT_TOL):
         interf = [m for q, m in zip(live, seen) if q != p]
         joints += [np.hstack(seen) if seen else None,
                    np.hstack(interf) if interf else None]
-    ranks = [0] * len(joints)
-    by_shape = {}
-    for i, m in enumerate(joints):
-        if m is not None:
-            by_shape.setdefault(m.shape, []).append(i)
-    for idx in by_shape.values():
-        for i, r in zip(idx, numeric_rank_each([joints[i] for i in idx], tol)):
-            ranks[i] = int(r)
+    found = iter(numeric_rank_by_shape([m for m in joints if m is not None],
+                                       tol))
+    ranks = [0 if m is None else next(found) for m in joints]
     per_rx = [(used - idim, idim, used)
               for used, idim in zip(ranks[::2], ranks[1::2])]
     checks = {}

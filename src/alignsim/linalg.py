@@ -11,13 +11,15 @@ takes the singular values of every matrix from one ``np.linalg.svd``
 call; LAPACK factors each matrix of a stack on its own, so a matrix gets
 the same singular values, bit for bit, alone or inside a stack.  Inputs
 are validated at the public functions.  ``numeric_rank_each`` ranks a
-stack of same-shape matrices in one kernel call, so a caller with many
-small rank decisions (the joints of every receiver in a trial) groups
-them by shape.  ``joint_rank_each``, ``is_subspace_each`` and
-``same_span_each`` test a whole stack of candidates with a few kernel
-calls: each joint matrix is concatenated from the raw ``[base,
-candidate]`` before it is normalized, exactly as ``joint_rank`` does, so
-the batched results equal the one-at-a-time ones.
+stack of same-shape matrices in one kernel call, and
+``numeric_rank_by_shape`` ranks a list of matrices with one such stack
+per distinct shape, so a caller with many small rank decisions (the
+joints of every receiver in a trial) makes one call per shape.
+``joint_rank_each`` and ``is_subspace_each`` test a whole stack of
+candidates with one or two kernel calls: each joint matrix is
+concatenated from the raw ``[base, candidate]`` before it is normalized,
+exactly as ``joint_rank`` does, so the batched results equal the
+one-at-a-time ones.
 """
 
 from dataclasses import dataclass
@@ -29,12 +31,12 @@ __all__ = [
     "DEFAULT_TOL",
     "numeric_rank",
     "numeric_rank_each",
+    "numeric_rank_by_shape",
     "balanced_rank",
     "joint_rank",
     "joint_rank_each",
     "is_subspace",
     "is_subspace_each",
-    "same_span_each",
     "normalize_columns",
 ]
 
@@ -105,6 +107,19 @@ def numeric_rank_each(ms, tol=DEFAULT_TOL):
     return _ranks(_as_stack(ms), tol)
 
 
+def numeric_rank_by_shape(ms, tol=DEFAULT_TOL):
+    """``numeric_rank(m)`` for every matrix ``m`` of a list, as a list of
+    ints, from one ``numeric_rank_each`` stack per distinct shape."""
+    by_shape = {}
+    for i, m in enumerate(ms):
+        by_shape.setdefault(np.shape(m), []).append(i)
+    ranks = [0] * len(ms)
+    for idx in by_shape.values():
+        for i, r in zip(idx, numeric_rank_each([ms[i] for i in idx], tol)):
+            ranks[i] = int(r)
+    return ranks
+
+
 def balanced_rank(m, tol=DEFAULT_TOL):
     """Rank after normalizing nonzero rows, then columns.
 
@@ -152,16 +167,3 @@ def is_subspace_each(cands, base, tol=DEFAULT_TOL):
     """``is_subspace(c, base)`` for every matrix ``c`` of a (batch, rows,
     cols) stack, as a boolean array; the base's rank is computed once."""
     return joint_rank_each(base, cands, tol) == numeric_rank(base, tol)
-
-
-def same_span_each(lefts, rights, tol=DEFAULT_TOL):
-    """Per index i, whether ``lefts[i]`` and ``rights[i]`` span the same
-    space (containment both ways), for two stacks of equal batch and rows."""
-    lefts, rights = _as_stack(lefts), _as_stack(rights)
-    if lefts.shape[:2] != rights.shape[:2]:
-        raise ValueError("stacks must share batch size and row count")
-    left_in = (_ranks(np.concatenate([rights, lefts], axis=-1), tol)
-               == _ranks(rights, tol))
-    right_in = (_ranks(np.concatenate([lefts, rights], axis=-1), tol)
-                == _ranks(lefts, tol))
-    return left_in & right_in

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import (ChangingPattern, NetworkConfig, constant_intervals,
                       union_pattern)
-from .linalg import numeric_rank
+from .linalg import numeric_rank_by_shape
 
 __all__ = [
     "BoundResult",
@@ -99,7 +99,8 @@ def scheme_counts(K, r):
     n = math.comb(K - 1, r) + r * math.comb(K - 1, r - 1)
     desired = math.comb(K - 1, r - 1)
     total = Fraction(K * desired, n)
-    assert total == sharing_dof(K, r)
+    if total != sharing_dof(K, r):
+        raise ValueError(f"scheme DoF {total} differs from sharing_dof({K}, {r})")
     return n, desired, total
 
 
@@ -281,10 +282,13 @@ def construct_shared(K, r, patterns, n, seed=0):
     precoders = []
     for t in range(K):
         cols = [v.values for v in vectors if t in v.kept]
-        mat = np.column_stack(cols) if cols else np.zeros((n, 0))
-        if mat.shape[1]:
-            assert numeric_rank(mat) == mat.shape[1]
-        precoders.append(mat)
+        precoders.append(np.column_stack(cols) if cols else np.zeros((n, 0)))
+    live = [t for t in range(K) if precoders[t].shape[1]]
+    ranks = numeric_rank_by_shape([precoders[t] for t in live])
+    for t, rank in zip(live, ranks):
+        if rank != precoders[t].shape[1]:
+            raise ValueError(f"precoder of transmitter {t + 1} has rank {rank}, "
+                             f"not full column rank {precoders[t].shape[1]}")
 
     total = max(Fraction(sum(desired), n), Fraction(1))
     return SharedPatternScheme(K=K, r=r, n=n, vectors=vectors,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignsim import channel
 from alignsim.channel import (H_MAX_DEFAULT, H_MIN_DEFAULT, ChangingPattern,
                               DiagonalChannel, NetworkConfig, UnknownSet,
                               _bounded_permutation, _value_gap,
@@ -158,6 +159,16 @@ def test_direct_transform_validation():
         direct_transform_matrix("wavelet", 1, 5, 0)
 
 
+@pytest.mark.parametrize("kind, fault", [("memory", "zero on its diagonal"),
+                                         ("permutation", "scaled permutation")])
+def test_direct_transform_structure_check_raises(monkeypatch, kind, fault):
+    # all-zero gains break the structure that makes a transform nonsingular
+    monkeypatch.setattr(channel, "H_MIN_DEFAULT", 0.0)
+    monkeypatch.setattr(channel, "H_MAX_DEFAULT", 0.0)
+    with pytest.raises(ValueError, match=fault):
+        direct_transform_matrix(kind, 2, 6, 0)
+
+
 def test_network_config_json_round_trip(tmp_path):
     cfg = NetworkConfig(K=2, n=4, patterns=[[[2], [3]], [[], [2, 4]]],
                         unknown=[[[], [1]], [[2], []]],
@@ -204,6 +215,12 @@ def test_network_config_builds_its_tables_once():
     same = NetworkConfig(K=2, n=4, patterns=[[[3], [3]], [[3], [2]]])
     assert same.pattern(0, 1) is same.pattern(1, 0) is same.pattern(0, 0)
     assert same.unknown_set(0, 1) is same.unknown_set(1, 1)
+    # a missing unknown is one shared immutable nest of empty cells, and
+    # it serializes as before
+    other = NetworkConfig(K=2, n=4, patterns=[[[2], [2]], [[2], [2]]])
+    assert same.unknown[0] is same.unknown[1]
+    assert same.unknown[0][1] is other.unknown[1][0] == ()
+    assert same.to_dict()["unknown"] == [[[], []], [[], []]]
     # a replaced config builds its own tables
     moved = dataclasses.replace(cfg, n=5)
     assert moved.pattern(0, 1) == ChangingPattern(5, (3,))

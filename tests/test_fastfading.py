@@ -1,5 +1,6 @@
 """Half-CSI fast-fading schemes and the CSIT-fraction calculators."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -7,12 +8,14 @@ import numpy as np
 import pytest
 
 from alignsim.channel import NetworkConfig, UnknownSet, sample_network
-from alignsim.fastfading import (_grid_columns, build_3user, build_kuser,
-                                 dof_cap_given_upsilon, hidden_union,
+from alignsim.fastfading import (_grid_columns, _member_combos, build_3user,
+                                 build_kuser, dof_cap_given_upsilon,
+                                 hidden_union,
                                  min_upsilon_for_max_dof, upsilon_fraction,
                                  verify_3user)
 from alignsim.harness import Scenario, run_trials
-from alignsim.linalg import balanced_rank, numeric_rank
+from alignsim.linalg import (DEFAULT_TOL, balanced_rank, is_subspace,
+                             joint_rank, numeric_rank)
 from conftest import fastfading_config
 
 
@@ -152,6 +155,95 @@ def test_3user_frontier_verdicts_are_pinned(L, eps, loop_passes):
               for name in summary.results[0].checks}
     assert passes == {name: loop_passes if name == "loop_closure" else 60
                       for name in passes}
+
+
+def _verify_3user_one_at_a_time(scheme, instance, tol=DEFAULT_TOL):
+    """verify_3user's checks and measured numbers from one numeric_rank,
+    is_subspace or joint_rank call per decision, the draws taken in the
+    same order; also both joint ranks, [right, left] and [left, right], of
+    every rx1 substitution."""
+    L, eps = scheme.L, scheme.epsilon
+    v1, v2, v3 = scheme.tx_columns
+    fams = scheme.surrogates
+    rng = np.random.default_rng(instance.seed + 17)
+    checks, measured = {}, {}
+
+    def member(key, index):
+        return fams[key].members[index].array()
+
+    measured["rank_tx1"] = numeric_rank(scheme.seed_columns["tx1"], tol)
+    measured["rank_seed_b"] = numeric_rank(scheme.seed_columns["tx3"], tol)
+    measured["rank_seed_c"] = numeric_rank(scheme.seed_columns["tx2"], tol)
+    checks["rank_tx1"] = measured["rank_tx1"] == L + eps + 1
+    checks["rank_seeds"] = (measured["rank_seed_b"] == L + eps
+                            and measured["rank_seed_c"] == L + eps)
+
+    span, joint_orders = True, []
+    for i12, i13 in _member_combos(fams, [(0, 1), (0, 2)], rng):
+        left = member((0, 1), i12)[:, None] * v2
+        right = member((0, 2), i13)[:, None] * v3
+        span &= is_subspace(left, right, tol) and is_subspace(right, left, tol)
+        joint_orders.append((joint_rank([right, left], tol),
+                             joint_rank([left, right], tol)))
+    checks["rx1_span_equality"] = span
+
+    gamma_powers = np.array([scheme.gamma ** j for j in range(1, L + 2)])
+    base = np.column_stack([scheme.loop_transfer * g for g in gamma_powers])
+    keys = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
+    combos = _member_combos(fams, keys, rng)
+    jps = rng.integers(1, L + 2, size=len(combos))
+    loop = True
+    for row, jp in zip(combos, jps):
+        g = [member(k, i) for k, i in zip(keys, row)]
+        vec = (g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5]) * gamma_powers[jp - 1]
+        loop &= is_subspace(vec, base, tol)
+    checks["loop_closure"] = loop
+
+    checks["rx2_containment"] = is_subspace(
+        instance.received_matrix(1, 2, v3), instance.received_matrix(1, 0, v1), tol)
+    checks["rx3_containment"] = is_subspace(
+        instance.received_matrix(2, 1, v2), instance.received_matrix(2, 0, v1), tol)
+    measured["joint_rank"] = joint_rank(
+        [instance.received_matrix(0, 0, v1), instance.received_matrix(0, 1, v2)],
+        tol)
+    checks["rx1_separation"] = measured["joint_rank"] == 2 * (L + eps) + 1
+
+    gaps_ok = all(b - a < max(1, instance.transforms[0].distance)
+                  for a, b in zip(scheme.omega, scheme.omega[1:]))
+    measured["separation_guaranteed"] = bool(
+        instance.transforms[0].kind in ("memory", "permutation") and gaps_ok)
+    measured["stated_seed_rank_small_depth"] = scheme.expected[
+        "stated_seed_rank_small_depth"]
+    return checks, measured, joint_orders
+
+
+@pytest.mark.parametrize("L,eps", [(1, 2), (3, 3), (4, 3), (5, 2), (6, 2),
+                                   (8, 1)])
+def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
+    # the frontier classes from L = 5 on include failing loop_closure trials
+    n = 2 * (L + eps) + 1
+    verdicts = set()
+    for seed in range(1000 * L + eps, 1000 * L + eps + 8):
+        inst = sample_network(fastfading_config(3, n, L, seed), seed=seed)
+        scheme = build_3user(inst, eps, seed=seed)
+        v1, v2, v3 = scheme.tx_columns
+        # cut to its first column, v3 gives right spans that are a strict
+        # part of the left ones, which only a test of both sides rejects
+        short = dataclasses.replace(scheme, tx_columns=(v1, v2, v3[:, :1]))
+        for variant in (scheme, short):
+            out = verify_3user(variant, inst)
+            checks, measured, joint_orders = _verify_3user_one_at_a_time(
+                variant, inst)
+            assert out == {"checks": checks, "measured": measured}, seed
+            assert all(type(v) is bool for v in out["checks"].values())
+            assert all(type(v) in (int, bool)
+                       for v in out["measured"].values())
+            # one joint per substitution stands for both column orders
+            assert all(a == b for a, b in joint_orders), seed
+        assert not checks["rx1_span_equality"], seed
+        verdicts.add(verify_3user(scheme, inst)["checks"]["loop_closure"])
+    if L >= 6:
+        assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

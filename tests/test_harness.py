@@ -109,14 +109,24 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(case):
                                 for p, (d, _, _) in enumerate(want))}
 
 
+def ff3_scenario(trials=10):
+    L, eps = 3, 2
+    return Scenario(regime="fastfading3",
+                    config=fastfading_config(3, 2 * (L + eps) + 1, L, 0),
+                    params={"epsilon": eps}, trials=trials, base_seed=0)
+
+
 @pytest.mark.parametrize("make, svds", [
     # the basis once, then every [basis, received] joint in one stack
     (blind_scenario, 2),
-    # one rank per precoder in construct_shared, then one stack per joint
-    # shape: every arriving joint shares one, the interference joints of
-    # the pair demo's widths (3, 2, 2, 2) take two and the dense demo's one
-    (shared_scenario, 4 + 1 + 2),
-    (dense_scenario, 4 + 1 + 1)], ids=["blind", "pair", "dense"])
+    # one stack per precoder width in construct_shared, then one stack per
+    # joint shape: every arriving joint shares one, the pair demo's widths
+    # (3, 2, 2, 2) take two stacks each way and the dense demo's one
+    (shared_scenario, 2 + 1 + 2),
+    (dense_scenario, 1 + 1 + 1),
+    # three shapes of single ranks and joints, the rx1 span joints, then
+    # the loop-closure joints and their base
+    (ff3_scenario, 3 + 1 + 2)], ids=["blind", "pair", "dense", "ff3"])
 def test_trial_svd_calls(monkeypatch, make, svds):
     svd, calls = np.linalg.svd, []
 

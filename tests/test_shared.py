@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from alignsim import shared
 from alignsim.channel import sample_network
 from alignsim.harness import alignment_report
 from alignsim.shared import (best_sharing_degree, construct_shared, curve_f,
@@ -138,3 +139,13 @@ def test_precoders_have_independent_columns():
     from alignsim.linalg import numeric_rank
     for mat in scheme.precoders:
         assert numeric_rank(mat) == mat.shape[1]
+
+
+def test_rank_deficient_precoder_names_its_transmitter(monkeypatch):
+    def one_short_for_tx2(ms, tol=None):
+        return [m.shape[1] - (i == 1) for i, m in enumerate(ms)]
+
+    monkeypatch.setattr(shared, "numeric_rank_by_shape", one_short_for_tx2)
+    pats, n = pair_demo_patterns()
+    with pytest.raises(ValueError, match="precoder of transmitter 2 has rank"):
+        construct_shared(4, 2, pats, n, seed=0)
