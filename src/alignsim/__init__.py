@@ -16,9 +16,9 @@ Library layout:
 
 from .linalg import (DEFAULT_TOL, RankTolerance, balanced_rank, is_subspace,
                      joint_rank, numeric_rank)
-from .channel import (ChangingPattern, DiagonalChannel, NetworkConfig,
-                      UnknownSet, constant_intervals, mobility_rate,
-                      sample_channel, sample_network, union_pattern)
+from .channel import (ChangingPattern, NetworkConfig, UnknownSet,
+                      constant_intervals, mobility_rate, sample_channel,
+                      sample_network, union_pattern)
 from .decomposition import (build_indexed_basis, build_power_basis, decompose,
                             reconstruct)
 from .blind import (blind_total_dof, build_blind_scheme, generic_free_dims,

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import (ChangingPattern, DiagonalChannel, constant_intervals,
-                      sample_channel, separated_uniform)
+from .channel import (ChangingPattern, constant_intervals, sample_channel,
+                      separated_uniform)
 from .linalg import DEFAULT_TOL, joint_rank_each, numeric_rank
 
 __all__ = [
@@ -37,10 +37,8 @@ class BlindScheme:
     rho: int
     sigma_prime: int
     union: ChangingPattern
-    generator: DiagonalChannel
-    gamma: DiagonalChannel
-    precoders: tuple             # one n x (n/2) array per transmitter
-    interference_basis: np.ndarray
+    precoders: tuple             # the shared basis, once per transmitter
+    interference_basis: np.ndarray   # read-only n x (n/2)
 
 
 def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
@@ -51,17 +49,15 @@ def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
     n = 2 * rho * (s + 1)
     if cross_union.n != n:
         raise ValueError("pattern slot count must equal 2*rho*(s+1)")
-    gen = sample_channel(cross_union, seed, distinct_blocks="all").array()
+    gen = sample_channel(cross_union, seed, distinct_blocks="all")
     rng = np.random.default_rng(seed + 1)
     gam = np.asarray(separated_uniform(rng, n))
     cols = [(gen ** a) * (gam ** j)
             for a in range(1, s + 2) for j in range(1, rho + 1)]
     basis = np.column_stack(cols)
-    precoders = tuple(basis.copy() for _ in range(K))
+    basis.setflags(write=False)     # one basis for all K precoders
     return BlindScheme(n=n, rho=rho, sigma_prime=s, union=cross_union,
-                       generator=DiagonalChannel(gen),
-                       gamma=DiagonalChannel(gam),
-                       precoders=precoders, interference_basis=basis)
+                       precoders=(basis,) * K, interference_basis=basis)
 
 
 def predicted_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):

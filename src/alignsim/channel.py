@@ -13,10 +13,9 @@ sampler asks each batch only for the values it still misses.
 
 Every per-trial object is built and validated once: a frozen
 ``NetworkConfig`` builds its K x K pattern and hidden-slot tables at
-construction (so a bad change point fails when the config is loaded),
-and a ``DiagonalChannel`` carries its read-only float64 array beside the
-``values`` tuple, which ``array()`` and ``received_matrix`` return
-without converting again.
+construction (so a bad change point or gain range fails when the config
+is loaded).  A diagonal channel is its length-n vector of gains, a
+read-only float64 array that every consumer uses as it is.
 """
 
 import json
@@ -33,11 +32,11 @@ __all__ = [
     "separated_uniform",
     "ChangingPattern",
     "UnknownSet",
-    "DiagonalChannel",
     "DirectTransform",
     "NetworkConfig",
     "config_field",
     "json_int",
+    "json_float",
     "NetworkInstance",
     "constant_intervals",
     "mobility_rate",
@@ -136,33 +135,6 @@ class UnknownSet:
 
 
 @dataclass(frozen=True)
-class DiagonalChannel:
-    values: tuple
-    # the validated values as a read-only float64 array
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        vals = arr.tolist()
-        if arr.ndim != 1 or not vals or not all(map(math.isfinite, vals)):
-            raise ValueError("channel values must be finite and non-empty")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", tuple(vals))
-        object.__setattr__(self, "_array", arr)
-
-    @property
-    def n(self):
-        return len(self.values)
-
-    def matrix(self):
-        return np.diag(self._array)
-
-    def array(self):
-        """The values as a read-only float64 array."""
-        return self._array
-
-
-@dataclass(frozen=True)
 class DirectTransform:
     kind: str
     distance: int
@@ -199,7 +171,7 @@ def _rng(seed_or_rng):
 
 def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
                    h_max=H_MAX_DEFAULT, distinct_blocks="consecutive"):
-    """Draw one gain per constant block, broadcast across its slots.
+    """One read-only float64 gain per constant block, across its slots.
 
     Consecutive blocks are redrawn until distinct so that the realized
     value sequence changes at exactly the declared change points.  With
@@ -215,7 +187,9 @@ def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
         def accept(v, vals):
             return not vals or abs(v - vals[-1]) >= gap
     vals = _draw_accepted(_rng(seed), len(lengths), h_min, h_max, accept)
-    return DiagonalChannel(np.asarray(vals).repeat(lengths))
+    h = np.asarray(vals).repeat(lengths)
+    h.setflags(write=False)     # shared by every consumer, never copied
+    return h
 
 
 def _bounded_permutation(n, max_shift, rng):
@@ -301,6 +275,15 @@ def json_int(value):
     return int(value)
 
 
+def json_float(value):
+    """value as a float when it is a finite JSON number; booleans,
+    strings and non-finite numbers raise TypeError, as in json_int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise TypeError(f"not a finite number: {value!r}")
+    return float(value)
+
+
 def config_field(raw, key, convert, default=_REQUIRED):
     """convert(raw[key]) for a config parsed from JSON, or convert(default)
     when the key is absent and a default is given.
@@ -350,6 +333,9 @@ class NetworkConfig:
             raise ValueError("patterns must be a K x K nest of integer lists")
         if not _is_int_nest(self.unknown, self.K):
             raise ValueError("unknown must be a K x K nest of integer lists")
+        # gains are drawn on [h_min, h_max): a finite, non-empty width
+        if not 0 < self.h_max - self.h_min < math.inf:
+            raise ValueError("need finite h_min < h_max with a finite width")
         object.__setattr__(self, "_pattern_table", _cell_table(
             self.patterns, lambda c: ChangingPattern(self.n, c)))
         object.__setattr__(self, "_unknown_table", _cell_table(
@@ -377,8 +363,8 @@ class NetworkConfig:
         return cls(K=config_field(d, "K", json_int),
                    n=config_field(d, "n", json_int),
                    patterns=d["patterns"], unknown=d.get("unknown"),
-                   h_min=config_field(d, "h_min", float, H_MIN_DEFAULT),
-                   h_max=config_field(d, "h_max", float, H_MAX_DEFAULT),
+                   h_min=config_field(d, "h_min", json_float, H_MIN_DEFAULT),
+                   h_max=config_field(d, "h_max", json_float, H_MAX_DEFAULT),
                    direct_kind=d.get("direct_kind", "identity"),
                    memory_distance=config_field(d, "memory_distance",
                                                 json_int, 1),
@@ -398,7 +384,7 @@ class NetworkConfig:
 class NetworkInstance:
     K: int
     n: int
-    channels: dict          # (p, q) -> DiagonalChannel, all K*K links
+    channels: dict          # (p, q) -> read-only gain array, all K*K links
     transforms: tuple       # per-receiver DirectTransform for the direct link
     patterns: tuple         # (p, q) access via .pattern
     unknown: tuple
@@ -415,7 +401,7 @@ class NetworkInstance:
 
     def received_matrix(self, p, q, precoder):
         """What receiver p sees of transmitter q's precoder columns."""
-        h = self.channel(p, q).array()[:, None]
+        h = self.channel(p, q)[:, None]
         x = np.asarray(precoder, dtype=float)
         if p == q:
             x = self.transforms[p].matrix @ x

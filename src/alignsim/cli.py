@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import (ChangingPattern, NetworkConfig, config_field,
-                      json_int, sample_channel)
+                      json_float, json_int, sample_channel)
 from .decomposition import build_power_basis, decompose, reconstruct
 from .fastfading import dof_cap_given_upsilon, min_upsilon_for_max_dof
 from .harness import Scenario, run_trials, summary_csv
@@ -122,12 +122,12 @@ def _cmd_decompose(args):
     fam = build_power_basis(pattern, seed)
     if "values" in raw:
         h = np.asarray(config_field(
-            raw, "values", lambda vals: [float(v) for v in vals]))
+            raw, "values", lambda vals: [json_float(v) for v in vals]))
         if h.size != n:
             raise ValueError(f"values must have n = {n} entries, "
                              f"got {h.size}")
     else:
-        h = sample_channel(pattern, seed + 1).array()
+        h = sample_channel(pattern, seed + 1)
     betas = decompose(h, fam)
     resid = float(np.max(np.abs(reconstruct(betas, fam) - h)))
     rows = [(j + 1, _dec(b)) for j, b in enumerate(betas)]

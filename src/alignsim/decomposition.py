@@ -26,8 +26,8 @@ from math import lcm
 
 import numpy as np
 
-from .channel import (ChangingPattern, DiagonalChannel, UnknownSet,
-                      sample_channel, separated_uniform)
+from .channel import (ChangingPattern, UnknownSet, sample_channel,
+                      separated_uniform)
 from .rational import exact_solve
 
 __all__ = [
@@ -49,19 +49,20 @@ _SINGULAR_RETRIES = 5
 @dataclass(frozen=True)
 class BasisFamily:
     kind: str                 # "power" or "indexed"
-    members: tuple            # of DiagonalChannel
+    members: np.ndarray       # read-only (members, n), one member per row
     anchor_indices: tuple     # 1-based slots, one per coefficient (or |U| rows)
 
     @property
     def n(self):
-        return self.members[0].n
+        return self.members.shape[1]
 
 
 def build_power_basis(pattern: ChangingPattern, seed):
     """Members Q^1..Q^(s+1) for a generator Q matching ``pattern``."""
     s = len(pattern.change_points)
-    gen = sample_channel(pattern, seed, distinct_blocks="all").array()
-    members = tuple(DiagonalChannel(gen ** j) for j in range(1, s + 2))
+    gen = sample_channel(pattern, seed, distinct_blocks="all")
+    members = np.array([gen ** j for j in range(1, s + 2)])
+    members.setflags(write=False)
     anchors = (1,) + pattern.change_points
     return BasisFamily("power", members, anchors)
 
@@ -77,9 +78,9 @@ def build_indexed_basis(true_values, unknown: UnknownSet, seed):
     table[:] = vals
     for slot in hidden:
         table[:, slot - 1] = separated_uniform(rng, count)
-    members = tuple(DiagonalChannel(row) for row in table)
+    table.setflags(write=False)
     known = [i for i in range(1, vals.size + 1) if i not in unknown.indices]
-    return BasisFamily("indexed", members, tuple(hidden + known[:1]))
+    return BasisFamily("indexed", table, tuple(hidden + known[:1]))
 
 
 def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):
@@ -95,9 +96,7 @@ def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):
 
 def _anchor_system(h, fam):
     rows = [a - 1 for a in fam.anchor_indices]
-    mat = np.array([[m.values[r] for m in fam.members] for r in rows])
-    rhs = np.array([h[r] for r in rows])
-    return mat, rhs
+    return fam.members[:, rows].T, h[rows]
 
 
 def decompose(h, fam: BasisFamily):
@@ -115,7 +114,7 @@ def decompose(h, fam: BasisFamily):
     and ValueError when the reconstruction residual exceeds the relative
     tolerance, i.e. when h is not actually representable by the family.
     """
-    h = np.asarray([float(v) for v in (h.values if isinstance(h, DiagonalChannel) else h)])
+    h = np.asarray(h, dtype=float)
     mat, rhs = _anchor_system(h, fam)
     if mat.shape[0] == mat.shape[1]:
         try:
@@ -143,9 +142,9 @@ def reconstruct(betas, fam: BasisFamily):
     per constant block.
     """
     betas = list(betas)
-    if len(betas) != len(fam.members):
+    stack = fam.members
+    if len(betas) != len(stack):
         raise ValueError("coefficient count does not match family size")
-    stack = np.array([m.values for m in fam.members])
     if any(isinstance(b, Fraction) for b in betas):
         fracs = [Fraction(b) for b in betas]
         denom = lcm(*(b.denominator for b in fracs))

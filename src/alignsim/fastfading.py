@@ -109,7 +109,7 @@ class FastFading3Scheme:
 
 
 def _surrogate(fams, p, q):
-    return fams[(p, q)].members[0].array()
+    return fams[(p, q)].members[0]
 
 
 def _hidden_slot_setup(instance, seed, fixed_slots):
@@ -126,7 +126,7 @@ def _hidden_slot_setup(instance, seed, fixed_slots):
     fams = {}
     for idx, (p, q) in enumerate(cross):
         fams[(p, q)] = build_indexed_basis(
-            instance.channel(p, q).array(), instance.unknown_set(p, q),
+            instance.channel(p, q), instance.unknown_set(p, q),
             seed * 613 + idx + 1)
     rng = np.random.default_rng(seed)
     gam = np.ones(n)
@@ -163,11 +163,9 @@ def build_3user(instance: NetworkInstance, epsilon, seed):
     v1 = a
     v3 = (_surrogate(fams, 1, 0) / _surrogate(fams, 1, 2))[:, None] * b
     v2 = (_surrogate(fams, 2, 0) / _surrogate(fams, 2, 1))[:, None] * c
-    stated_seed_rank = L + (epsilon if epsilon > 1 else 0)
     expected = {
         "rank_tx1": L + epsilon + 1,
         "rank_seed": L + epsilon,
-        "stated_seed_rank_small_depth": stated_seed_rank,
         "joint_rank": 2 * (L + epsilon) + 1,
         "dof": (Fraction(L + epsilon + 1, n), Fraction(L + epsilon, n),
                 Fraction(L + epsilon, n)),
@@ -226,19 +224,15 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
     checks = {}
     measured = {}
 
-    # one (members, n) array per cross link, so that a list of member
-    # substitutions becomes one (combos, n) array per link
-    member_values = {k: np.array([m.array() for m in fam.members])
-                     for k, fam in fams.items()}
-
+    # a list of member substitutions is one (combos, n) array per link
     def substituted(keys, combos):
-        return [member_values[k][picks] for k, picks in zip(keys, combos.T)]
+        return [fams[k].members[picks] for k, picks in zip(keys, combos.T)]
 
     r10 = instance.received_matrix(1, 0, v1)
     r20 = instance.received_matrix(2, 0, v1)
     # the rx1 span sides of every member of links (0, 1) and (0, 2)
-    sides12 = member_values[(0, 1)][:, :, None] * v2
-    sides13 = member_values[(0, 2)][:, :, None] * v3
+    sides12 = fams[(0, 1)].members[:, :, None] * v2
+    sides13 = fams[(0, 2)].members[:, :, None] * v3
     (measured["rank_tx1"], rank_r10, rank_r20, measured["rank_seed_b"],
      measured["rank_seed_c"], joint_rx2, joint_rx3, measured["joint_rank"],
      *side_ranks) = numeric_rank_by_shape(
@@ -292,8 +286,6 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
                       for a, b in zip(scheme.omega, scheme.omega[1:]))
     measured["separation_guaranteed"] = bool(
         instance.transforms[0].kind in ("memory", "permutation") and gaps_ok)
-    measured["stated_seed_rank_small_depth"] = scheme.expected[
-        "stated_seed_rank_small_depth"]
     return {"checks": checks, "measured": measured}
 
 

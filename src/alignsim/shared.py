@@ -9,7 +9,7 @@ sharing_dof(K, r) = K*r / (r^2 - r + K) together with its integer optimizer.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -65,27 +65,22 @@ class BoundResult:
     K: int
     r_star: int
     dof: Fraction
-    per_r_curve: tuple = field(default=())
+    per_r_curve: tuple
 
 
-def dof_upper_bound(K, with_curve=True):
-    """Optimal sharing degree and its DoF; optionally the whole integer curve.
+def dof_upper_bound(K):
+    """Optimal sharing degree, its DoF and the integer curve around it.
 
     For very large K the full curve would be K fractions, so it is trimmed
     to a window around the optimizer; r_star and dof stay exact regardless.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     r_star = best_sharing_degree(K)
-    dof = sharing_dof(K, r_star)
-    curve = ()
-    if with_curve:
-        if K <= 10_000:
-            rs = range(1, K + 1)
-        else:
-            rs = range(max(1, r_star - 50), min(K, r_star + 50) + 1)
-        curve = tuple((r, sharing_dof(K, r)) for r in rs)
-    return BoundResult(K=K, r_star=r_star, dof=dof, per_r_curve=curve)
+    if K <= 10_000:
+        rs = range(1, K + 1)
+    else:
+        rs = range(max(1, r_star - 50), min(K, r_star + 50) + 1)
+    return BoundResult(K=K, r_star=r_star, dof=sharing_dof(K, r_star),
+                       per_r_curve=tuple((r, sharing_dof(K, r)) for r in rs))
 
 
 def scheme_counts(K, r):
@@ -121,8 +116,8 @@ def dof_table(k_min, k_max):
         raise ValueError("need 1 <= k_min <= k_max")
     rows = []
     for K in range(k_min, k_max + 1):
-        b = dof_upper_bound(K, with_curve=False)
-        rows.append((K, b.r_star, b.dof))
+        r_star = best_sharing_degree(K)
+        rows.append((K, r_star, sharing_dof(K, r_star)))
     return rows
 
 

@@ -102,7 +102,7 @@ def test_criterion_5_decomposition_round_trip():
         pts = tuple(sorted(rng.choice(range(2, n + 1), size=k,
                                       replace=False).tolist()))
         pat = ChangingPattern(n, pts)
-        h = sample_channel(pat, seed=t).array()
+        h = sample_channel(pat, seed=t)
         if t % 2 == 0:
             fam, betas = build_and_decompose(h, "power", pts, n, seed=t)
         else:

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim import channel
+from alignsim.blind import build_blind_scheme
 from alignsim.channel import (H_MAX_DEFAULT, H_MIN_DEFAULT, ChangingPattern,
-                              DiagonalChannel, NetworkConfig, UnknownSet,
-                              _bounded_permutation, _value_gap,
-                              constant_intervals, direct_transform_matrix,
-                              mobility_rate, sample_channel, sample_network,
+                              NetworkConfig, UnknownSet, _bounded_permutation,
+                              _value_gap, constant_intervals,
+                              direct_transform_matrix, mobility_rate,
+                              sample_channel, sample_network,
                               separated_uniform, union_pattern)
+from alignsim.decomposition import build_indexed_basis, build_power_basis
 from alignsim.fastfading import _COMBO_CAP, _member_combos
 from alignsim.linalg import numeric_rank
 
@@ -65,22 +67,22 @@ def test_sample_channel_changes_exactly_at_declared_points():
         n = int(rng.integers(2, 15))
         k = int(rng.integers(0, n - 1))
         pts = tuple(sorted(rng.choice(range(2, n + 1), size=k, replace=False)))
-        h = sample_channel(ChangingPattern(n, pts), seed=t).array()
+        h = sample_channel(ChangingPattern(n, pts), seed=t)
         realized = tuple(i + 1 for i in range(1, n) if h[i] != h[i - 1])
         assert realized == tuple(sorted(set(pts)))
 
 
 def test_sample_channel_globally_distinct_blocks():
     p = ChangingPattern(9, (3, 5, 7))
-    h = sample_channel(p, seed=5, distinct_blocks="all").array()
+    h = sample_channel(p, seed=5, distinct_blocks="all")
     block_vals = [h[b[0] - 1] for b in constant_intervals(p)]
     assert len(set(block_vals)) == len(block_vals)
 
 
 def test_sample_channel_range_and_determinism():
     p = ChangingPattern(10, (4,))
-    a = sample_channel(p, seed=3, h_min=0.5, h_max=2.0).array()
-    b = sample_channel(p, seed=3).array()
+    a = sample_channel(p, seed=3, h_min=0.5, h_max=2.0)
+    b = sample_channel(p, seed=3)
     assert np.array_equal(a, b)
     assert np.all((a >= 0.5) & (a <= 2.0))
 
@@ -107,16 +109,6 @@ def test_separated_uniform_returns_past_the_fixed_gap_jam():
     # a fixed 0.01 gap jams near 0.75 * 1.5 / 0.01 = 112 values
     vals = separated_uniform(np.random.default_rng(0), 120, avoid=(1.0,))
     assert_separated(vals, 120, (1.0,))
-
-
-def test_diagonal_channel_matrix():
-    d = DiagonalChannel((1.0, 2.0))
-    assert np.array_equal(d.matrix(), np.diag([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        DiagonalChannel((np.inf,))
-    with pytest.raises(ValueError):
-        DiagonalChannel(((1.0, 2.0),))
-    assert DiagonalChannel(np.array([1, 2])).values == (1.0, 2.0)
 
 
 def test_unknown_set_validation():
@@ -186,6 +178,17 @@ def test_network_config_json_round_trip(tmp_path):
 def test_network_config_shape_validation():
     with pytest.raises(ValueError):
         NetworkConfig(K=2, n=4, patterns=[[[]]])
+
+
+@pytest.mark.parametrize("h_min, h_max", [
+    (np.inf, 2.0), (0.5, np.inf), (np.nan, 2.0), (0.5, np.nan), (2.0, 2.0),
+    (2.0, 0.5), (-1e308, 1e308)])
+def test_network_config_rejects_a_bad_gain_range(h_min, h_max):
+    # gains are drawn on [h_min, h_max), which must be finite and non-empty
+    with pytest.raises(ValueError, match="h_min < h_max"):
+        NetworkConfig(K=1, n=2, patterns=[[[2]]], h_min=h_min, h_max=h_max)
+    assert NetworkConfig(K=1, n=2, patterns=[[[2]]], h_min=-1e307,
+                         h_max=1e307).h_max == 1e307
 
 
 @pytest.mark.parametrize("key, value", [
@@ -263,20 +266,27 @@ def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
 
 
 def test_channel_array_is_read_only_and_equals_values():
-    source = np.array([1.5, 0.75, 2.0])
-    h = DiagonalChannel(source)
-    arr = h.array()
-    assert arr is h.array()
-    assert arr.dtype == np.float64 and arr.tolist() == list(h.values)
-    assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        arr[0] = 1.0
-    source[0] = 9.0                     # the channel holds its own copy
-    assert h.values[0] == arr[0] == 1.5
-    assert np.array_equal(h.matrix(), np.diag(h.values))
-    # equality and hashing see the values only
-    twin = DiagonalChannel(h.values)
-    assert twin == h and hash(twin) == hash(h)
+    # gains and basis families are plain float64 arrays, shared without
+    # copies, so every one of them refuses writes
+    p = ChangingPattern(6, (3, 5))
+    h = sample_channel(p, seed=2)
+    assert h.dtype == np.float64 and h.shape == (6,)
+    assert tuple(h.tolist()) == scalar_sample_channel(p, 2, "consecutive")
+    power = build_power_basis(p, seed=2)
+    gen = sample_channel(p, seed=2, distinct_blocks="all")
+    assert power.members.shape == (3, 6) and power.n == 6
+    assert np.array_equal(power.members[2], gen ** 3)
+    indexed = build_indexed_basis(h, UnknownSet(6, frozenset({2})), seed=2)
+    assert indexed.members.shape == (2, 6)
+    scheme = build_blind_scheme(ChangingPattern(4, (3,)), 1, 3, seed=0)
+    basis = scheme.interference_basis
+    assert all(v is basis for v in scheme.precoders)
+    inst = sample_network(NetworkConfig(K=2, n=6, patterns=[[[3]] * 2] * 2))
+    for arr in (h, power.members, indexed.members, basis,
+                inst.channel(0, 1)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_sample_network_deterministic_and_link_independent():
@@ -285,8 +295,8 @@ def test_sample_network_deterministic_and_link_independent():
     b = sample_network(cfg, seed=5)
     for p in range(3):
         for q in range(3):
-            assert a.channel(p, q) == b.channel(p, q)
-    vals = {a.channel(p, q).values for p in range(3) for q in range(3)}
+            assert np.array_equal(a.channel(p, q), b.channel(p, q))
+    vals = {tuple(a.channel(p, q)) for p in range(3) for q in range(3)}
     assert len(vals) == 9  # links draw independent gains
 
 
@@ -297,8 +307,8 @@ def test_received_matrix_applies_transform_only_on_direct_link():
     x = np.eye(5)
     direct = inst.received_matrix(0, 0, x)
     cross = inst.received_matrix(0, 1, x)
-    h00 = inst.channel(0, 0).array()[:, None]
-    h01 = inst.channel(0, 1).array()[:, None]
+    h00 = inst.channel(0, 0)[:, None]
+    h01 = inst.channel(0, 1)[:, None]
     assert np.allclose(direct, h00 * (inst.transforms[0].matrix @ x))
     assert np.allclose(cross, h01 * x)
 
@@ -373,7 +383,7 @@ def patterns(draw, max_n=40):
        distinct_blocks=st.sampled_from(["consecutive", "all"]))
 def test_batched_sample_channel_matches_scalar_loop(p, seed, distinct_blocks):
     h = sample_channel(p, seed, distinct_blocks=distinct_blocks)
-    assert h.values == scalar_sample_channel(p, seed, distinct_blocks)
+    assert tuple(h.tolist()) == scalar_sample_channel(p, seed, distinct_blocks)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

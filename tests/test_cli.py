@@ -112,6 +112,10 @@ def test_missing_config_is_input_error(capsys):
 
 _PAIR = demo_network_config(*pair_demo_patterns()).to_dict()
 _FF3 = fastfading_config(3, 7, 1, 0).to_dict()
+# a valid blind scenario: cross links change at slots 3 and 5
+_BLIND = {"K": 3, "n": 6, "rho": 1, "trials": 1,
+          "patterns": [[[2, 4], [3, 5], [3, 5]], [[3, 5], [], [3, 5]],
+                       [[3, 5], [3, 5], [2, 3, 5]]]}
 
 
 def _with_true(nest, p, q):
@@ -156,6 +160,13 @@ MALFORMED = [
     # one user has no cross link, so there is no cross pattern to merge
     ("blind-sim", {"K": 1, "n": 4, "patterns": [[[3]]], "trials": 1},
      "pattern"),
+    # gains from outside the program must be finite, and the range they
+    # are drawn from must have a finite, positive width
+    ("decompose", {"n": 4, "pattern": [3],
+                   "values": [1.0, 1.0, float("inf"), 2.0]}, "values"),
+    ("blind-sim", {**_BLIND, "h_min": float("inf")}, "h_min"),
+    ("blind-sim", {**_BLIND, "h_min": -1e308, "h_max": 1e308}, "h_min"),
+    ("blind-sim", {**_BLIND, "h_max": True}, "h_max"),
 ]
 
 
@@ -253,6 +264,11 @@ def sim_configs(draw):
     if draw(st.booleans()):
         raw["direct_kind"] = draw(st.sampled_from(
             ("identity", "memory", "permutation", "wavelet")))
+    for key in ("h_min", "h_max"):
+        if draw(st.booleans()):
+            raw[key] = draw(st.sampled_from(
+                (float("inf"), -float("inf"), float("nan"), 1e308, -1e308,
+                 0.25, 0.5, 1.0, 2.0, 3.0)))
     return draw(st.sampled_from(SIM_COMMANDS)), raw
 
 

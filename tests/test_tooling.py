@@ -1,5 +1,6 @@
-"""Source-level guarantees: no ``assert`` in the library, and the same
-command output with and without ``python -O``."""
+"""Source-level guarantees: no ``assert`` in the library, the same
+command output with and without ``python -O``, and a suite that reports
+every test when a property test fails."""
 
 import ast
 import json
@@ -13,7 +14,8 @@ import pytest
 from alignsim.shared import demo_network_config, pair_demo_patterns
 from conftest import fastfading_config
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_library_has_no_assert_statements():
@@ -57,3 +59,30 @@ def test_sim_output_is_the_same_under_optimize(tmp_path, command):
     plain, optimized = [(r.returncode, r.stdout, r.stderr) for r in runs]
     assert plain[0] == 0 and plain[1], plain[2]
     assert optimized == plain
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_does_not_abort_the_run(tmp_path):
+    # hypothesis's failure report touches a deprecated name, which the
+    # project's warnings-as-errors setting must not turn into an
+    # INTERNALERROR that skips the rest of the run
+    (tmp_path / "test_example.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_example.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout, run.stdout
