@@ -19,7 +19,8 @@ import warnings
 
 from alignsim import (ChangingPattern, NetworkConfig, blind_total_dof,
                       build_blind_scheme, generic_free_dims, is_subspace,
-                      measured_free_dims, predicted_free_dims, sample_network)
+                      predicted_free_dims, sample_network)
+from alignsim.blind import measure_links
 
 
 def main():
@@ -37,7 +38,7 @@ def main():
     nest = [[list(union.change_points) for _ in range(K)] for _ in range(K)]
     for k in range(K):
         nest[k][k] = list(direct[k])
-    cfg = NetworkConfig(K=K, n=n, patterns=nest, direct_kind="identity", seed=0)
+    cfg = NetworkConfig(K=K, n=n, patterns=nest, direct_kind="identity")
     inst = sample_network(cfg, seed=1)
 
     print()
@@ -56,7 +57,7 @@ def main():
     print("(the coarse block formula warns when a direct block outlasts the")
     print(" column budget and can over-count short value-runs; the refined")
     print(" count always matches the measured rank):")
-    dims = measured_free_dims(scheme, inst)
+    dims = measure_links(scheme, inst)[2]
     for k in range(K):
         pat = ChangingPattern(n, direct[k])
         with warnings.catch_warnings():

@@ -18,7 +18,7 @@ from alignsim import (NetworkConfig, build_3user, build_kuser, sample_network,
 from alignsim.linalg import balanced_rank
 
 
-def per_slot_config(K, n, hidden_count, seed):
+def per_slot_config(K, n, hidden_count):
     """Every link changes per slot; first hidden_count slots hidden on
     every cross link."""
     allpts = list(range(2, n + 1))
@@ -26,15 +26,14 @@ def per_slot_config(K, n, hidden_count, seed):
     unknown = [[([] if p == q else list(range(1, hidden_count + 1)))
                 for q in range(K)] for p in range(K)]
     return NetworkConfig(K=K, n=n, patterns=patterns, unknown=unknown,
-                         direct_kind="memory",
-                         memory_distance=hidden_count + 2, seed=seed)
+                         direct_kind="memory", memory_distance=hidden_count + 2)
 
 
 def main():
     print("=== 3 users, 2 hidden slots, depth epsilon = 2 ===")
     L, eps = 2, 2
     n = 2 * L + 2 * eps + 1
-    cfg = per_slot_config(3, n, L, seed=0)
+    cfg = per_slot_config(3, n, L)
     inst = sample_network(cfg, seed=0)
     cross_unknowns = [inst.unknown_set(p, q)
                       for p in range(3) for q in range(3) if p != q]
@@ -61,7 +60,7 @@ def main():
     L, n_star = 2, 1
     N = 5
     n = 2 * L + n_star ** N + (n_star + 1) ** N
-    cfg = per_slot_config(4, n, L, seed=0)
+    cfg = per_slot_config(4, n, L)
     inst = sample_network(cfg, seed=0)
     scheme = build_kuser(inst, n_star=n_star, seed=0)
     # grid columns multiply up to 5 surrogate ratios, so row magnitudes

@@ -40,7 +40,7 @@ def show_family(name, patterns, n, expect_dof):
           f"total DoF {scheme.total_dof}")
     assert scheme.total_dof == expect_dof
 
-    cfg = demo_network_config(patterns, n, seed=0)
+    cfg = demo_network_config(patterns, n)
     inst = sample_network(cfg, seed=3)
     report = alignment_report(inst, scheme.precoders)
     print(f"  rank-verified on one sampled network: "

@@ -17,12 +17,12 @@ Library layout:
 from .linalg import (DEFAULT_TOL, RankTolerance, balanced_rank, is_subspace,
                      joint_rank, numeric_rank)
 from .channel import (ChangingPattern, NetworkConfig, UnknownSet,
-                      constant_intervals, mobility_rate, sample_channel,
-                      sample_network, union_pattern)
+                      constant_intervals, sample_channel, sample_network,
+                      union_pattern)
 from .decomposition import (build_indexed_basis, build_power_basis, decompose,
                             reconstruct)
 from .blind import (blind_total_dof, build_blind_scheme, generic_free_dims,
-                    measured_free_dims, predicted_free_dims)
+                    predicted_free_dims)
 from .shared import (best_sharing_degree, construct_shared, curve_f,
                      dense_demo_patterns, dof_table, dof_upper_bound,
                      pair_demo_patterns, scheme_counts, sharing_dof)

@@ -26,7 +26,6 @@ __all__ = [
     "predicted_free_dims",
     "generic_free_dims",
     "measure_links",
-    "measured_free_dims",
     "blind_total_dof",
 ]
 
@@ -35,7 +34,6 @@ __all__ = [
 class BlindScheme:
     n: int
     rho: int
-    sigma_prime: int
     union: ChangingPattern
     precoders: tuple             # the shared basis, once per transmitter
     interference_basis: np.ndarray   # read-only n x (n/2)
@@ -56,7 +54,7 @@ def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
             for a in range(1, s + 2) for j in range(1, rho + 1)]
     basis = np.column_stack(cols)
     basis.setflags(write=False)     # one basis for all K precoders
-    return BlindScheme(n=n, rho=rho, sigma_prime=s, union=cross_union,
+    return BlindScheme(n=n, rho=rho, union=cross_union,
                        precoders=(basis,) * K, interference_basis=basis)
 
 
@@ -126,11 +124,6 @@ def measure_links(scheme: BlindScheme, instance, tol=DEFAULT_TOL):
                          for q in range(K) if p != q))
     free = [min(scheme.n // 2, int(joint[k, k]) - base) for k in range(K)]
     return base, contained, free
-
-
-def measured_free_dims(scheme: BlindScheme, instance, tol=DEFAULT_TOL):
-    """Interference-free dimensions measured by rank, per receiver."""
-    return measure_links(scheme, instance, tol)[2]
 
 
 def blind_total_dof(free_dims, n):

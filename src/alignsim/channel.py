@@ -18,12 +18,11 @@ is loaded).  A diagonal channel is its length-n vector of gains, a
 read-only float64 array that every consumer uses as it is.
 """
 
-import json
 import math
 import numbers
+import sys
 from bisect import bisect
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "json_float",
     "NetworkInstance",
     "constant_intervals",
-    "mobility_rate",
     "union_pattern",
     "sample_channel",
     "direct_transform_matrix",
@@ -147,10 +145,6 @@ def constant_intervals(p: ChangingPattern):
     return [list(range(bounds[i], bounds[i + 1])) for i in range(len(bounds) - 1)]
 
 
-def mobility_rate(p: ChangingPattern):
-    return Fraction(len(p.change_points), p.n)
-
-
 def union_pattern(patterns):
     """Merge several patterns over the same n into one."""
     pats = list(patterns)
@@ -161,12 +155,6 @@ def union_pattern(patterns):
         raise ValueError("patterns must share n")
     pts = sorted(set().union(*(set(p.change_points) for p in pats)))
     return ChangingPattern(n, tuple(pts))
-
-
-def _rng(seed_or_rng):
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
@@ -186,7 +174,8 @@ def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
     else:
         def accept(v, vals):
             return not vals or abs(v - vals[-1]) >= gap
-    vals = _draw_accepted(_rng(seed), len(lengths), h_min, h_max, accept)
+    vals = _draw_accepted(np.random.default_rng(seed), len(lengths),
+                          h_min, h_max, accept)
     h = np.asarray(vals).repeat(lengths)
     h.setflags(write=False)     # shared by every consumer, never copied
     return h
@@ -213,14 +202,14 @@ def direct_transform_matrix(kind, distance, n, seed):
         mat = np.eye(n)
         distance = 0
     elif kind == "memory":
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         # the band (0 <= row - col <= distance), filled in row-major order
         band = np.tri(n, dtype=bool) & ~np.tri(n, k=-distance - 1, dtype=bool)
         mat = np.zeros((n, n))
         mat[band] = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
                                 size=np.count_nonzero(band))
     elif kind == "permutation":
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         perm = _bounded_permutation(n, distance, rng)
         diag = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT, size=n)
         mat = np.zeros((n, n))
@@ -304,7 +293,8 @@ def config_field(raw, key, convert, default=_REQUIRED):
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Everything needed to sample a network instance deterministically.
+    """Everything but the seed needed to sample a network instance;
+    sample_network(config, seed) draws one deterministically.
 
     patterns[p][q] lists the change points of the link from transmitter q
     into receiver p; unknown[p][q] lists slots whose gain is hidden from
@@ -320,7 +310,6 @@ class NetworkConfig:
     h_max: float = H_MAX_DEFAULT
     direct_kind: str = "identity"
     memory_distance: int = 1
-    seed: int = 0
     # K x K tables of ChangingPattern and UnknownSet, built from the nests
     _pattern_table: tuple = field(init=False, repr=False, compare=False)
     _unknown_table: tuple = field(init=False, repr=False, compare=False)
@@ -333,9 +322,11 @@ class NetworkConfig:
             raise ValueError("patterns must be a K x K nest of integer lists")
         if not _is_int_nest(self.unknown, self.K):
             raise ValueError("unknown must be a K x K nest of integer lists")
-        # gains are drawn on [h_min, h_max): a finite, non-empty width
-        if not 0 < self.h_max - self.h_min < math.inf:
-            raise ValueError("need finite h_min < h_max with a finite width")
+        # gains are drawn on [h_min, h_max): a finite width that is not
+        # subnormal, as only gains too near underflow for a rank test give
+        if not sys.float_info.min <= self.h_max - self.h_min < math.inf:
+            raise ValueError("need finite h_min < h_max with a finite, "
+                             "normal width")
         object.__setattr__(self, "_pattern_table", _cell_table(
             self.patterns, lambda c: ChangingPattern(self.n, c)))
         object.__setattr__(self, "_unknown_table", _cell_table(
@@ -355,7 +346,6 @@ class NetworkConfig:
             "unknown": [[sorted(c) for c in row] for row in self.unknown],
             "direct_kind": self.direct_kind,
             "memory_distance": self.memory_distance,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -367,17 +357,7 @@ class NetworkConfig:
                    h_max=config_field(d, "h_max", json_float, H_MAX_DEFAULT),
                    direct_kind=d.get("direct_kind", "identity"),
                    memory_distance=config_field(d, "memory_distance",
-                                                json_int, 1),
-                   seed=config_field(d, "seed", json_int, 0))
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+                                                json_int, 1))
 
 
 @dataclass(frozen=True)
@@ -386,15 +366,11 @@ class NetworkInstance:
     n: int
     channels: dict          # (p, q) -> read-only gain array, all K*K links
     transforms: tuple       # per-receiver DirectTransform for the direct link
-    patterns: tuple         # (p, q) access via .pattern
-    unknown: tuple
+    unknown: tuple          # the config's UnknownSet table
     seed: int
 
     def channel(self, p, q):
         return self.channels[(p, q)]
-
-    def pattern(self, p, q):
-        return self.patterns[p][q]
 
     def unknown_set(self, p, q):
         return self.unknown[p][q]
@@ -408,19 +384,17 @@ class NetworkInstance:
         return h * x
 
 
-def sample_network(config: NetworkConfig, seed=None) -> NetworkInstance:
+def sample_network(config: NetworkConfig, seed) -> NetworkInstance:
     """Sample every link of the network, deterministically per (config, seed)."""
-    base = config.seed if seed is None else seed
     K, n = config.K, config.n
     channels = {
         (p, q): sample_channel(config.pattern(p, q),
-                               base * 1_000_003 + p * K + q + 1,
+                               seed * 1_000_003 + p * K + q + 1,
                                config.h_min, config.h_max)
         for p in range(K) for q in range(K)}
     transforms = tuple(
         direct_transform_matrix(config.direct_kind, config.memory_distance,
-                                n, base * 1_000_033 + 7 * p + 1)
+                                n, seed * 1_000_033 + 7 * p + 1)
         for p in range(K))
     return NetworkInstance(K=K, n=n, channels=channels, transforms=transforms,
-                           patterns=config._pattern_table,
-                           unknown=config._unknown_table, seed=base)
+                           unknown=config._unknown_table, seed=seed)

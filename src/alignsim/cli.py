@@ -2,9 +2,11 @@
 
 Subcommands: bound, curve, blind-sim, shared-sim, ff3-sim, ffk-sim,
 upsilon-cap, decompose.  Exit codes: 0 success, 1 input error, 2 when a
-verification check failed (the failing seed is printed).  All output is
-UTF-8 CSV with dot decimal separators; rationals are printed both as
-exact fractions and as 12-significant-digit decimals.
+verification check failed (the failing seed is printed).  A simulation
+config's ``base_seed``, or else its ``seed``, is the base seed, and
+``--seed`` overrides both.  All output is UTF-8 CSV with dot decimal
+separators; rationals are printed both as exact fractions and as
+12-significant-digit decimals.
 """
 
 import argparse
@@ -130,10 +132,18 @@ def _cmd_decompose(args):
         h = sample_channel(pattern, seed + 1)
     betas = decompose(h, fam)
     resid = float(np.max(np.abs(reconstruct(betas, fam) - h)))
-    rows = [(j + 1, _dec(b)) for j, b in enumerate(betas)]
+    try:
+        rows = [(j + 1, _dec(b)) for j, b in enumerate(betas)]
+    except OverflowError:
+        raise ValueError("values give coefficients beyond the float "
+                         "range") from None
     rows.append(("residual", _dec(resid)))
     _emit(_csv_rows(["power", "beta"], rows), args.out)
     return 0
+
+
+_REGIME_BY_CMD = {"blind-sim": "blind", "shared-sim": "shared",
+                  "ff3-sim": "fastfading3", "ffk-sim": "fastfadingK"}
 
 
 def _build_parser():
@@ -158,7 +168,7 @@ def _build_parser():
     p.add_argument("x_max", type=float)
     p.add_argument("steps", type=int)
 
-    for name in ("blind-sim", "shared-sim", "ff3-sim", "ffk-sim"):
+    for name in _REGIME_BY_CMD:
         p = sub.add_parser(name, help=f"run {name.split('-')[0]} verification trials")
         p.add_argument("config", help="JSON scenario/network config")
 
@@ -169,10 +179,6 @@ def _build_parser():
     p = sub.add_parser("decompose", help="power-basis decomposition of a channel")
     p.add_argument("config", help="JSON with n, pattern, optional values")
     return parser
-
-
-_REGIME_BY_CMD = {"blind-sim": "blind", "shared-sim": "shared",
-                  "ff3-sim": "fastfading3", "ffk-sim": "fastfadingK"}
 
 
 def main(argv=None):

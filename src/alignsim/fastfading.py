@@ -105,7 +105,7 @@ class FastFading3Scheme:
     surrogates: dict            # (p, q) -> indexed BasisFamily
     tx_columns: tuple           # precoder matrix per transmitter (V1, V2, V3)
     seed_columns: dict          # "tx1"/"tx2"/"tx3" raw column sets pre-transform
-    expected: dict              # expected numeric ranks and totals
+    expected: dict              # {"dof": per-user DoF fractions}
 
 
 def _surrogate(fams, p, q):
@@ -163,13 +163,8 @@ def build_3user(instance: NetworkInstance, epsilon, seed):
     v1 = a
     v3 = (_surrogate(fams, 1, 0) / _surrogate(fams, 1, 2))[:, None] * b
     v2 = (_surrogate(fams, 2, 0) / _surrogate(fams, 2, 1))[:, None] * c
-    expected = {
-        "rank_tx1": L + epsilon + 1,
-        "rank_seed": L + epsilon,
-        "joint_rank": 2 * (L + epsilon) + 1,
-        "dof": (Fraction(L + epsilon + 1, n), Fraction(L + epsilon, n),
-                Fraction(L + epsilon, n)),
-    }
+    expected = {"dof": (Fraction(L + epsilon + 1, n), Fraction(L + epsilon, n),
+                        Fraction(L + epsilon, n))}
     return FastFading3Scheme(n=n, L=L, epsilon=epsilon, omega=tuple(omega),
                              loop_transfer=t, gamma=gam, surrogates=fams,
                              tx_columns=(v1, v2, v3),

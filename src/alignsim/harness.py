@@ -30,10 +30,7 @@ __all__ = [
     "alignment_report",
     "run_trials",
     "summary_csv",
-    "write_csv",
 ]
-
-REGIMES = ("blind", "shared", "fastfading3", "fastfadingK")
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,7 @@ class Scenario:
     tol: object = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
+        if self.regime not in _TRIAL_FNS:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -250,8 +247,3 @@ def summary_csv(summary: RunSummary) -> str:
     for name, (lo, hi, mode) in summary.rank_stats.items():
         w.writerow(["rank_stats", name, _fmt(lo), _fmt(hi), _fmt(mode)])
     return buf.getvalue()
-
-
-def write_csv(summary: RunSummary, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(summary_csv(summary))

@@ -37,7 +37,6 @@ __all__ = [
     "joint_rank_each",
     "is_subspace",
     "is_subspace_each",
-    "normalize_columns",
 ]
 
 
@@ -85,15 +84,6 @@ def _ranks(stack, tol):
     """Numeric rank of every matrix of a validated (batch, rows, cols) stack."""
     s = np.linalg.svd(_normalized(stack), compute_uv=False)
     return (s > tol.relative_threshold * s[:, :1]).sum(axis=-1)
-
-
-def normalize_columns(m):
-    """Scale each column to unit Euclidean length (zero columns untouched).
-
-    Rank is invariant to column scaling, but normalizing keeps singular
-    values comparable when columns contain high powers of a diagonal.
-    """
-    return _normalized(_as_matrix(m))
 
 
 def numeric_rank(m, tol=DEFAULT_TOL):

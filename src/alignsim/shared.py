@@ -318,9 +318,8 @@ def dense_demo_patterns():
     return [ChangingPattern(n, p) for p in pts], n
 
 
-def demo_network_config(patterns, n, seed=0):
+def demo_network_config(patterns, n):
     """Same-destination network config: every link into rx p uses pattern p."""
     K = len(patterns)
     nest = [[list(patterns[p].change_points) for _ in range(K)] for p in range(K)]
-    return NetworkConfig(K=K, n=n, patterns=nest, direct_kind="identity",
-                         seed=seed)
+    return NetworkConfig(K=K, n=n, patterns=nest, direct_kind="identity")

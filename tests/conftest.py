@@ -6,7 +6,7 @@ import pytest
 from alignsim.channel import ChangingPattern, NetworkConfig
 
 
-def fastfading_config(K, n, hidden_count, seed, direct_kind="memory",
+def fastfading_config(K, n, hidden_count, direct_kind="memory",
                       memory_distance=None):
     """Per-slot-changing network with the first hidden_count slots hidden
     on every cross link."""
@@ -16,8 +16,7 @@ def fastfading_config(K, n, hidden_count, seed, direct_kind="memory",
                 for q in range(K)] for p in range(K)]
     return NetworkConfig(K=K, n=n, patterns=patterns, unknown=unknown,
                          direct_kind=direct_kind,
-                         memory_distance=memory_distance or (hidden_count + 2),
-                         seed=seed)
+                         memory_distance=memory_distance or (hidden_count + 2))
 
 
 def random_cross_pattern(rng, n, sigma):
@@ -48,11 +47,10 @@ def spaced_direct_pattern(rng, n, rho, union_pts, max_count):
     return tuple(sorted(pts))
 
 
-def blind_config(rng, n, K, cross_pts, direct_sampler, seed):
+def blind_config(rng, n, K, cross_pts, direct_sampler):
     """All cross links share cross_pts; direct links get per-receiver
     patterns from direct_sampler(k)."""
     nest = [[list(cross_pts) for _ in range(K)] for _ in range(K)]
     for k in range(K):
         nest[k][k] = sorted(direct_sampler(k))
-    return NetworkConfig(K=K, n=n, patterns=nest, direct_kind="identity",
-                         seed=seed)
+    return NetworkConfig(K=K, n=n, patterns=nest, direct_kind="identity")

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alignsim.blind import (build_blind_scheme, measured_free_dims,
+from alignsim.blind import (build_blind_scheme, measure_links,
                             predicted_free_dims)
 from alignsim.channel import (ChangingPattern, constant_intervals,
                               sample_channel, sample_network)
@@ -62,7 +62,7 @@ def test_criterion_2_large_k_asymptote():
 def test_criterion_3_pair_sharing_reproduction():
     start = time.perf_counter()
     pats, n = pair_demo_patterns()
-    cfg = demo_network_config(pats, n, seed=0)
+    cfg = demo_network_config(pats, n)
     scenario = Scenario(regime="shared", config=cfg, params={"r": 2},
                         trials=200, base_seed=0)
     summary = run_trials(scenario)
@@ -78,7 +78,7 @@ def test_criterion_3_pair_sharing_reproduction():
 
 def test_criterion_4_dense_sharing_reproduction():
     pats, n = dense_demo_patterns()
-    cfg = demo_network_config(pats, n, seed=0)
+    cfg = demo_network_config(pats, n)
     scenario = Scenario(regime="shared", config=cfg, params={"r": 2},
                         trials=200, base_seed=0)
     summary = run_trials(scenario)
@@ -165,7 +165,7 @@ def _blind_instances(base, count, restrict_direct):
             size = int(rng.integers(0, n))
             return tuple(rng.choice(range(2, n + 1), size=size, replace=False))
 
-        cfg = blind_config(rng, n, K, pts, sampler, seed=t)
+        cfg = blind_config(rng, n, K, pts, sampler)
         inst = sample_network(cfg, seed=50_000 + t)
         made.append((scheme, cfg, inst))
     return made
@@ -176,7 +176,7 @@ def test_criterion_6_free_dim_prediction():
     instances = _blind_instances(0, 100, restrict_direct=True)
     for scheme, cfg, inst in instances:
         agree += [predicted_free_dims(scheme, cfg.pattern(k, k))
-                  for k in range(cfg.K)] == measured_free_dims(scheme, inst)
+                  for k in range(cfg.K)] == measure_links(scheme, inst)[2]
     ok = agree == 100
     report(6, ok, f"predicted == measured free dims on {agree}/100 "
                   f"instances (n <= 24, mixed patterns)")
@@ -203,8 +203,7 @@ def test_criterion_7_blind_alignment_containment():
                     rng, n, K, pts,
                     lambda k: tuple(rng.choice(
                         range(2, n + 1),
-                        size=int(rng.integers(0, n)), replace=False)),
-                    seed=t)
+                        size=int(rng.integers(0, n)), replace=False)))
                 inst = sample_network(cfg, seed=60_000 + t)
                 contained = all(
                     is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
@@ -225,7 +224,7 @@ def test_criterion_8_fastfading_3user():
         n = 2 * (L + eps) + 1
         passed = 0
         for t in range(200):
-            inst = sample_network(fastfading_config(3, n, L, t), seed=t)
+            inst = sample_network(fastfading_config(3, n, L), seed=t)
             scheme = build_3user(inst, eps, seed=t)
             out = verify_3user(scheme, inst)
             ranks_ok = (out["measured"]["rank_tx1"] == L + eps + 1
@@ -238,7 +237,7 @@ def test_criterion_8_fastfading_3user():
     neg_fail = 0
     for t in range(100):
         inst = sample_network(
-            fastfading_config(3, 7, 1, t, direct_kind="identity"), seed=t)
+            fastfading_config(3, 7, 1, direct_kind="identity"), seed=t)
         scheme = build_3user(inst, 2, seed=t)
         neg_fail += not verify_3user(scheme, inst)["checks"]["rx1_separation"]
     neg_ok = neg_fail > 95
@@ -250,7 +249,7 @@ def test_criterion_8_fastfading_3user():
 def test_criterion_9_kuser_dimensions():
     start = time.perf_counter()
     n = 2 * 2 + 1 ** 5 + 2 ** 5      # L=2, n*=1, N=5 -> 37
-    inst = sample_network(fastfading_config(4, n, 2, 0, memory_distance=4),
+    inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
     scheme = build_kuser(inst, n_star=1, seed=0)
     dim_seed = balanced_rank(scheme.seed_columns)

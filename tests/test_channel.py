@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
@@ -16,9 +15,9 @@ from alignsim.blind import build_blind_scheme
 from alignsim.channel import (H_MAX_DEFAULT, H_MIN_DEFAULT, ChangingPattern,
                               NetworkConfig, UnknownSet, _bounded_permutation,
                               _value_gap, constant_intervals,
-                              direct_transform_matrix, mobility_rate,
-                              sample_channel, sample_network,
-                              separated_uniform, union_pattern)
+                              direct_transform_matrix, sample_channel,
+                              sample_network, separated_uniform,
+                              union_pattern)
 from alignsim.decomposition import build_indexed_basis, build_power_basis
 from alignsim.fastfading import _COMBO_CAP, _member_combos
 from alignsim.linalg import numeric_rank
@@ -44,11 +43,6 @@ def test_constant_intervals_partition():
 
 def test_constant_intervals_no_changes():
     assert constant_intervals(ChangingPattern(4, ())) == [[1, 2, 3, 4]]
-
-
-def test_mobility_rate():
-    assert mobility_rate(ChangingPattern(8, (3, 5))) == Fraction(2, 8)
-    assert mobility_rate(ChangingPattern(5, ())) == 0
 
 
 def test_union_pattern():
@@ -161,18 +155,14 @@ def test_direct_transform_structure_check_raises(monkeypatch, kind, fault):
         direct_transform_matrix(kind, 2, 6, 0)
 
 
-def test_network_config_json_round_trip(tmp_path):
+def test_network_config_json_round_trip():
     cfg = NetworkConfig(K=2, n=4, patterns=[[[2], [3]], [[], [2, 4]]],
                         unknown=[[[], [1]], [[2], []]],
-                        direct_kind="memory", memory_distance=2, seed=9)
-    path = tmp_path / "cfg.json"
-    cfg.save(path)
-    loaded = NetworkConfig.load(path)
-    assert loaded == cfg
-    raw = json.loads(path.read_text())
-    for key in ("K", "n", "h_min", "h_max", "patterns", "unknown",
-                "direct_kind", "memory_distance", "seed"):
-        assert key in raw
+                        direct_kind="memory", memory_distance=2)
+    raw = json.loads(json.dumps(cfg.to_dict()))
+    assert NetworkConfig.from_dict(raw) == cfg
+    assert sorted(raw) == sorted(("K", "n", "h_min", "h_max", "patterns",
+                                  "unknown", "direct_kind", "memory_distance"))
 
 
 def test_network_config_shape_validation():
@@ -182,9 +172,10 @@ def test_network_config_shape_validation():
 
 @pytest.mark.parametrize("h_min, h_max", [
     (np.inf, 2.0), (0.5, np.inf), (np.nan, 2.0), (0.5, np.nan), (2.0, 2.0),
-    (2.0, 0.5), (-1e308, 1e308)])
+    (2.0, 0.5), (-1e308, 1e308), (1e-320, 2e-320)])
 def test_network_config_rejects_a_bad_gain_range(h_min, h_max):
-    # gains are drawn on [h_min, h_max), which must be finite and non-empty
+    # gains are drawn on [h_min, h_max), which must be finite and no
+    # narrower than the smallest normal float
     with pytest.raises(ValueError, match="h_min < h_max"):
         NetworkConfig(K=1, n=2, patterns=[[[2]]], h_min=h_min, h_max=h_max)
     assert NetworkConfig(K=1, n=2, patterns=[[[2]]], h_min=-1e307,
@@ -192,7 +183,7 @@ def test_network_config_rejects_a_bad_gain_range(h_min, h_max):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("K", 2.5), ("n", True), ("memory_distance", "2"), ("seed", 1.5)])
+    ("K", 2.5), ("n", True), ("memory_distance", "2")])
 def test_network_config_rejects_non_integer_fields(key, value):
     raw = {"K": 2, "n": 4, "patterns": [[[2], [3]], [[], [2, 4]]]}
     assert NetworkConfig.from_dict({**raw, "n": 4.0}).n == 4
@@ -207,10 +198,9 @@ def test_network_config_builds_its_tables_once():
     assert cfg.pattern(1, 1) == ChangingPattern(4, (2, 4))
     assert cfg.unknown_set(0, 1) is cfg.unknown_set(0, 1)
     assert cfg.unknown_set(1, 0) == UnknownSet(4, frozenset({2}))
-    inst = sample_network(cfg)
-    assert inst.pattern(1, 1) is cfg.pattern(1, 1)
+    inst = sample_network(cfg, 0)
     assert inst.unknown_set(0, 1) is cfg.unknown_set(0, 1)
-    for field, value in (("direct_kind", "memory"), ("seed", 1),
+    for field, value in (("direct_kind", "memory"), ("h_min", 1.0),
                          ("patterns", [[[], []], [[], []]])):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, field, value)
@@ -281,7 +271,8 @@ def test_channel_array_is_read_only_and_equals_values():
     scheme = build_blind_scheme(ChangingPattern(4, (3,)), 1, 3, seed=0)
     basis = scheme.interference_basis
     assert all(v is basis for v in scheme.precoders)
-    inst = sample_network(NetworkConfig(K=2, n=6, patterns=[[[3]] * 2] * 2))
+    inst = sample_network(
+        NetworkConfig(K=2, n=6, patterns=[[[3]] * 2] * 2), 0)
     for arr in (h, power.members, indexed.members, basis,
                 inst.channel(0, 1)):
         assert not arr.flags.writeable
@@ -290,7 +281,7 @@ def test_channel_array_is_read_only_and_equals_values():
 
 
 def test_sample_network_deterministic_and_link_independent():
-    cfg = NetworkConfig(K=3, n=6, patterns=[[[2, 4]] * 3] * 3, seed=1)
+    cfg = NetworkConfig(K=3, n=6, patterns=[[[2, 4]] * 3] * 3)
     a = sample_network(cfg, seed=5)
     b = sample_network(cfg, seed=5)
     for p in range(3):
@@ -302,7 +293,7 @@ def test_sample_network_deterministic_and_link_independent():
 
 def test_received_matrix_applies_transform_only_on_direct_link():
     cfg = NetworkConfig(K=2, n=5, patterns=[[[3], [3]], [[3], [3]]],
-                        direct_kind="memory", memory_distance=2, seed=2)
+                        direct_kind="memory", memory_distance=2)
     inst = sample_network(cfg, seed=0)
     x = np.eye(5)
     direct = inst.received_matrix(0, 0, x)

@@ -27,11 +27,10 @@ def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
-def shared_config_path(tmp_path, trials=4, seed=0):
+def shared_config_path(tmp_path, trials=4, **extra):
     pats, n = pair_demo_patterns()
-    cfg = demo_network_config(pats, n, seed=seed)
-    d = cfg.to_dict()
-    d.update({"r": 2, "trials": trials})
+    d = demo_network_config(pats, n).to_dict()
+    d.update({"r": 2, "trials": trials, **extra})
     path = tmp_path / "shared.json"
     path.write_text(json.dumps(d))
     return str(path)
@@ -104,6 +103,18 @@ def test_sim_trials_and_seed_overrides(tmp_path, capsys):
     assert rows[0][1] == "7"            # seed column honors --seed
 
 
+def test_config_seed_is_the_base_seed_unless_base_seed_is_given(tmp_path,
+                                                                capsys):
+    def seed_column(**extra):
+        code, out, _ = run_cli(capsys, "shared-sim", shared_config_path(
+            tmp_path, trials=3, **extra))
+        assert code == 0
+        return [r[1] for r in parse_csv(out) if r and r[0].isdigit()]
+    assert seed_column() == ["0", "1", "2"]
+    assert seed_column(seed=7) == ["7", "8", "9"]
+    assert seed_column(seed=7, base_seed=9) == ["9", "10", "11"]
+
+
 def test_missing_config_is_input_error(capsys):
     code, _, err = run_cli(capsys, "shared-sim", "/nonexistent/cfg.json")
     assert code == 1
@@ -111,7 +122,7 @@ def test_missing_config_is_input_error(capsys):
 
 
 _PAIR = demo_network_config(*pair_demo_patterns()).to_dict()
-_FF3 = fastfading_config(3, 7, 1, 0).to_dict()
+_FF3 = fastfading_config(3, 7, 1).to_dict()
 # a valid blind scenario: cross links change at slots 3 and 5
 _BLIND = {"K": 3, "n": 6, "rho": 1, "trials": 1,
           "patterns": [[[2, 4], [3, 5], [3, 5]], [[3, 5], [], [3, 5]],
@@ -167,6 +178,13 @@ MALFORMED = [
     ("blind-sim", {**_BLIND, "h_min": float("inf")}, "h_min"),
     ("blind-sim", {**_BLIND, "h_min": -1e308, "h_max": 1e308}, "h_min"),
     ("blind-sim", {**_BLIND, "h_max": True}, "h_max"),
+    # exact coefficients of huge finite gains lie beyond the float range
+    ("decompose", {"n": 4, "pattern": [3],
+                   "values": [1e308, 1e308, -1e308, -1e308]}, "values"),
+    # a subnormal gain range keeps too few bits for a rank test
+    ("blind-sim", {**_BLIND, "h_min": 1e-320, "h_max": 2e-320}, "h_min"),
+    # the CLI reads a config's seed as the base seed
+    ("shared-sim", {**_PAIR, "r": 2, "seed": 1.5}, "seed"),
 ]
 
 
@@ -207,7 +225,7 @@ def test_bad_arguments_are_input_error(capsys):
 def test_failed_verification_exit_code_2(tmp_path, capsys):
     # identity direct transforms defeat the desired/interference separation
     # in the fast-fading scheme, so verification fails on every draw
-    cfg = fastfading_config(3, 7, 1, 0, direct_kind="identity")
+    cfg = fastfading_config(3, 7, 1, direct_kind="identity")
     d = cfg.to_dict()
     d.update({"epsilon": 2, "trials": 3})
     path = tmp_path / "bad.json"
@@ -218,7 +236,7 @@ def test_failed_verification_exit_code_2(tmp_path, capsys):
 
 
 def test_ff3_sim_success(tmp_path, capsys):
-    cfg = fastfading_config(3, 7, 1, 0)
+    cfg = fastfading_config(3, 7, 1)
     d = cfg.to_dict()
     d.update({"epsilon": 2, "trials": 3})
     path = tmp_path / "ff3.json"
@@ -231,8 +249,8 @@ def test_ff3_sim_success(tmp_path, capsys):
 def test_ff3_sim_at_48_hidden_slots_ends_without_traceback(tmp_path, capsys):
     # the n = 101 banded memory transforms are nonsingular, but seed 2
     # draws one too ill-conditioned for a float rank test
-    d = fastfading_config(3, 101, 48, 2, memory_distance=50).to_dict()
-    d.update({"epsilon": 2, "trials": 1})
+    d = fastfading_config(3, 101, 48, memory_distance=50).to_dict()
+    d.update({"epsilon": 2, "trials": 1, "seed": 2})
     path = tmp_path / "ff3.json"
     path.write_text(json.dumps(d))
     code, _, err = run_cli(capsys, "ff3-sim", str(path))
@@ -268,7 +286,7 @@ def sim_configs(draw):
         if draw(st.booleans()):
             raw[key] = draw(st.sampled_from(
                 (float("inf"), -float("inf"), float("nan"), 1e308, -1e308,
-                 0.25, 0.5, 1.0, 2.0, 3.0)))
+                 1e-320, 2e-320, 0.25, 0.5, 1.0, 2.0, 3.0)))
     return draw(st.sampled_from(SIM_COMMANDS)), raw
 
 

@@ -67,7 +67,7 @@ def test_min_upsilon():
 def test_3user_ranks_and_containments(L, eps):
     n = 2 * (L + eps) + 1
     for t in range(25):
-        inst = sample_network(fastfading_config(3, n, L, t), seed=t)
+        inst = sample_network(fastfading_config(3, n, L), seed=t)
         scheme = build_3user(inst, eps, seed=t)
         out = verify_3user(scheme, inst)
         assert out["checks"]["rank_tx1"], (L, eps, t)
@@ -85,7 +85,7 @@ def test_3user_ranks_and_containments(L, eps):
 def test_3user_small_depth_seed_rank_is_L_plus_eps():
     L, eps = 2, 1
     n = 2 * (L + eps) + 1
-    inst = sample_network(fastfading_config(3, n, L, 0), seed=0)
+    inst = sample_network(fastfading_config(3, n, L), seed=0)
     scheme = build_3user(inst, eps, seed=0)
     out = verify_3user(scheme, inst)
     # at depth 1 the seed sets still have rank L + eps, not L
@@ -100,7 +100,7 @@ def test_3user_identity_transform_negative_control():
     failures = 0
     for t in range(25):
         inst = sample_network(
-            fastfading_config(3, n, L, t, direct_kind="identity"), seed=t)
+            fastfading_config(3, n, L, direct_kind="identity"), seed=t)
         scheme = build_3user(inst, eps, seed=t)
         out = verify_3user(scheme, inst)
         failures += not out["checks"]["rx1_separation"]
@@ -109,18 +109,18 @@ def test_3user_identity_transform_negative_control():
 
 
 def test_3user_validates_inputs():
-    inst = sample_network(fastfading_config(3, 7, 1, 0), seed=0)
+    inst = sample_network(fastfading_config(3, 7, 1), seed=0)
     with pytest.raises(ValueError):
         build_3user(inst, 0, seed=0)
     with pytest.raises(ValueError):
         build_3user(inst, 3, seed=0)   # n != 2L + 2*eps + 1
-    inst4 = sample_network(fastfading_config(4, 7, 1, 0), seed=0)
+    inst4 = sample_network(fastfading_config(4, 7, 1), seed=0)
     with pytest.raises(ValueError):
         build_3user(inst4, 2, seed=0)
 
 
 def test_3user_deterministic_per_seed():
-    inst = sample_network(fastfading_config(3, 7, 1, 3), seed=3)
+    inst = sample_network(fastfading_config(3, 7, 1), seed=3)
     a = build_3user(inst, 2, seed=5)
     b = build_3user(inst, 2, seed=5)
     assert np.array_equal(a.tx_columns[0], b.tx_columns[0])
@@ -222,7 +222,7 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
     n = 2 * (L + eps) + 1
     verdicts = set()
     for seed in range(1000 * L + eps, 1000 * L + eps + 8):
-        inst = sample_network(fastfading_config(3, n, L, seed), seed=seed)
+        inst = sample_network(fastfading_config(3, n, L), seed=seed)
         scheme = build_3user(inst, eps, seed=seed)
         v1, v2, v3 = scheme.tx_columns
         # cut to its first column, v3 gives right spans that are a strict
@@ -250,7 +250,7 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
 
 def test_kuser_dims_k4():
     n = 2 * 2 + 1 + 2 ** 5            # L=2, n*=1, N=5 -> 37
-    inst = sample_network(fastfading_config(4, n, 2, 0, memory_distance=4),
+    inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
     scheme = build_kuser(inst, n_star=1, seed=0)
     assert scheme.N == 5
@@ -262,7 +262,7 @@ def test_kuser_k3_matches_loop_construction_sizes():
     # K=3 -> N=1; n = 2L + n* + (n*+1)
     L, n_star = 1, 2
     n = 2 * L + n_star + n_star + 1
-    inst = sample_network(fastfading_config(3, n, L, 1), seed=1)
+    inst = sample_network(fastfading_config(3, n, L), seed=1)
     scheme = build_kuser(inst, n_star=n_star, seed=1)
     assert balanced_rank(scheme.seed_columns) == L + n_star
     assert balanced_rank(scheme.tx1_columns) == L + n_star + 1
@@ -289,9 +289,9 @@ def test_grid_columns_match_product_loop(N, lo, hi, L):
 
 
 def test_kuser_guard_and_validation():
-    inst = sample_network(fastfading_config(3, 7, 1, 0), seed=0)
+    inst = sample_network(fastfading_config(3, 7, 1), seed=0)
     with pytest.raises(ValueError):
         build_kuser(inst, n_star=0, seed=0)
-    inst5 = sample_network(fastfading_config(5, 7, 1, 0), seed=0)
+    inst5 = sample_network(fastfading_config(5, 7, 1), seed=0)
     with pytest.raises(ValueError):
         build_kuser(inst5, n_star=2, seed=0)   # 3^11 exceeds the size guard

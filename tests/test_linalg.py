@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.linalg import (DEFAULT_TOL, RankTolerance, balanced_rank,
-                             is_subspace, is_subspace_each, joint_rank,
-                             joint_rank_each, normalize_columns, numeric_rank,
+from alignsim.linalg import (DEFAULT_TOL, RankTolerance, _normalized,
+                             balanced_rank, is_subspace, is_subspace_each,
+                             joint_rank, joint_rank_each, numeric_rank,
                              numeric_rank_by_shape, numeric_rank_each)
 from alignsim.rational import exact_rank
 
@@ -22,17 +22,17 @@ def test_tolerance_validation(bad):
         RankTolerance(bad)
 
 
-def test_normalize_columns_unit_norms():
+def test_normalized_unit_norms():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(6, 4)) * 100
-    norms = np.linalg.norm(normalize_columns(a), axis=0)
+    norms = np.linalg.norm(_normalized(a), axis=0)
     assert np.allclose(norms, 1.0)
 
 
-def test_normalize_columns_keeps_zero_columns():
+def test_normalized_keeps_zero_columns():
     a = np.zeros((3, 2))
     a[:, 0] = [1.0, 2.0, 2.0]
-    out = normalize_columns(a)
+    out = _normalized(a)
     assert np.all(out[:, 1] == 0.0)
 
 

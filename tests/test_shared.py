@@ -105,7 +105,7 @@ def test_dense_demo_expected_shape():
 @pytest.mark.parametrize("factory", [pair_demo_patterns, dense_demo_patterns])
 def test_demo_schemes_measure_as_constructed(factory):
     pats, n = factory()
-    cfg = demo_network_config(pats, n, seed=0)
+    cfg = demo_network_config(pats, n)
     scheme = None
     for seed in range(25):
         scheme = construct_shared(4, 2, pats, n, seed)
