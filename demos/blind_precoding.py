@@ -19,8 +19,7 @@ import warnings
 
 from alignsim import (ChangingPattern, NetworkConfig, blind_total_dof,
                       build_blind_scheme, generic_free_dims, is_subspace,
-                      predicted_free_dims, sample_network)
-from alignsim.blind import measure_links
+                      predicted_free_dims, sample_network, verify_blind)
 
 
 def main():
@@ -57,7 +56,9 @@ def main():
     print("(the coarse block formula warns when a direct block outlasts the")
     print(" column budget and can over-count short value-runs; the refined")
     print(" count always matches the measured rank):")
-    dims = measure_links(scheme, inst)[2]
+    _, measured = verify_blind(scheme, inst,
+                               [cfg.pattern(k, k) for k in range(K)])
+    dims = [measured[f"free_dims_rx{k + 1}"] for k in range(K)]
     for k in range(K):
         pat = ChangingPattern(n, direct[k])
         with warnings.catch_warnings():

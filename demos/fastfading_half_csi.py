@@ -14,8 +14,7 @@ Run:  python demos/fastfading_half_csi.py
 """
 
 from alignsim import (NetworkConfig, build_3user, build_kuser, sample_network,
-                      upsilon_fraction, verify_3user)
-from alignsim.linalg import balanced_rank
+                      upsilon_fraction, verify_3user, verify_kuser)
 
 
 def per_slot_config(K, n, hidden_count):
@@ -42,11 +41,10 @@ def main():
           f"{upsilon_fraction(cross_unknowns, n)}")
 
     scheme = build_3user(inst, epsilon=eps, seed=0)
-    result = verify_3user(scheme, inst)
+    checks, m = verify_3user(scheme, inst)
     print("  checks on the true channels (hidden values included):")
-    for name, ok in result["checks"].items():
+    for name, ok in checks.items():
         print(f"    {name}: {ok}")
-    m = result["measured"]
     print(f"  measured ranks: tx1 {m['rank_tx1']} (= L+eps+1), "
           f"seeds {m['rank_seed_b']}/{m['rank_seed_c']} (= L+eps), "
           f"desired+interference at rx1 {m['joint_rank']} (= 2(L+eps)+1 = n)")
@@ -64,9 +62,9 @@ def main():
     inst = sample_network(cfg, seed=0)
     scheme = build_kuser(inst, n_star=n_star, seed=0)
     # grid columns multiply up to 5 surrogate ratios, so row magnitudes
-    # spread widely; balanced_rank measures rank after row equalization
-    dim_seed = balanced_rank(scheme.seed_columns)
-    dim_tx1 = balanced_rank(scheme.tx1_columns)
+    # spread widely; the verifier measures rank after row equalization
+    m = verify_kuser(scheme)[1]
+    dim_seed, dim_tx1 = m["dim_seed"], m["dim_tx1"]
     print(f"  {n} slots; seed set spans {dim_seed} dims "
           f"(expected {scheme.expected['dim_seed']}), first transmitter "
           f"spans {dim_tx1} dims (expected {scheme.expected['dim_tx1']})")

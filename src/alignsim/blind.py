@@ -18,14 +18,14 @@ import numpy as np
 
 from .channel import (ChangingPattern, constant_intervals, sample_channel,
                       separated_uniform)
-from .linalg import DEFAULT_TOL, joint_rank_each, numeric_rank
+from .linalg import DEFAULT_TOL, numeric_rank_by_shape
 
 __all__ = [
     "BlindScheme",
     "build_blind_scheme",
     "predicted_free_dims",
     "generic_free_dims",
-    "measure_links",
+    "verify_blind",
     "blind_total_dof",
 ]
 
@@ -104,26 +104,36 @@ def generic_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):
     return min(scheme.n // 2, total)
 
 
-def measure_links(scheme: BlindScheme, instance, tol=DEFAULT_TOL):
-    """(basis rank, cross containment, free dimensions per receiver),
-    measured by rank on a sampled network.
+def verify_blind(scheme: BlindScheme, instance, direct_patterns,
+                 tol=DEFAULT_TOL):
+    """Rank checks of a blind scheme on a sampled network, as
+    ``(checks, measured)``; ``direct_patterns[k]`` is the pattern of the
+    direct link into receiver k.
 
-    The basis is factored once, and the [basis, received] joint of every
-    link (p, q) is ranked in one stack: a cross link is contained in the
-    basis span when its joint rank equals the basis rank, and a direct
-    link's excess over it is its receiver's free dimensions.
+    One ``numeric_rank_by_shape`` call ranks the basis and the raw
+    ``[basis, received]`` joint of every link (p, q): a cross link is
+    contained in the basis span when its joint rank equals the basis
+    rank, and a direct link's excess over it is its receiver's free
+    dimensions, which must equal the generic count of its pattern.
     """
     if instance.n != scheme.n:
         raise ValueError("instance slot count differs from scheme")
     K, basis = instance.K, scheme.interference_basis
-    seen = [instance.received_matrix(p, q, scheme.precoders[q])
-            for p in range(K) for q in range(K)]
-    base = numeric_rank(basis, tol)
-    joint = joint_rank_each(basis, seen, tol).reshape(K, K)
-    contained = bool(all(joint[p, q] == base for p in range(K)
-                         for q in range(K) if p != q))
-    free = [min(scheme.n // 2, int(joint[k, k]) - base) for k in range(K)]
-    return base, contained, free
+    base, *joint = numeric_rank_by_shape(
+        [basis] + [np.hstack([basis, instance.received_matrix(
+            p, q, scheme.precoders[q])]) for p in range(K) for q in range(K)],
+        tol)
+    free = [min(scheme.n // 2, joint[k * K + k] - base) for k in range(K)]
+    checks = {
+        "basis_full_rank": base == basis.shape[1],
+        "cross_containment": all(joint[p * K + q] == base for p in range(K)
+                                 for q in range(K) if p != q),
+        "predicted_equals_measured": all(
+            generic_free_dims(scheme, pattern) == f
+            for pattern, f in zip(direct_patterns, free, strict=True))}
+    measured = {"basis_rank": base}
+    measured.update((f"free_dims_rx{k + 1}", f) for k, f in enumerate(free))
+    return checks, measured
 
 
 def blind_total_dof(free_dims, n):

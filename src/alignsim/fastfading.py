@@ -11,7 +11,8 @@ columns only inside the span.
 
 Also implemented: the exact CSIT-fraction metric, the closed-form sum-DoF
 caps as a function of that fraction, and the K-user generalization built
-from pairwise transfer maps.
+from pairwise transfer maps.  ``verify_3user`` and ``verify_kuser`` check
+the two constructions by rank and return ``(checks, measured)``.
 """
 
 from dataclasses import dataclass
@@ -23,8 +24,8 @@ from .channel import NetworkInstance, UnknownSet, separated_uniform
 from .decomposition import build_indexed_basis
 # is_subspace is bound here, unused, because perfbench's tracing test
 # checks that the tracer rebinds alignsim.fastfading.is_subspace
-from .linalg import (DEFAULT_TOL, is_subspace, is_subspace_each,
-                     numeric_rank_by_shape, numeric_rank_each)
+from .linalg import (DEFAULT_TOL, balanced_rank, is_subspace,
+                     numeric_rank_by_shape)
 
 __all__ = [
     "FastFading3Scheme",
@@ -32,6 +33,7 @@ __all__ = [
     "build_3user",
     "verify_3user",
     "build_kuser",
+    "verify_kuser",
     "upsilon_fraction",
     "dof_cap_given_upsilon",
     "min_upsilon_for_max_dof",
@@ -190,70 +192,40 @@ def _member_combos(fams, keys, rng):
 
 def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
                  tol=DEFAULT_TOL):
-    """Rank-based verification on true (hidden values included) channels.
+    """Rank-based verification on true (hidden values included) channels,
+    as ``(checks, measured)``.
 
-    Returns a dict of named boolean checks plus measured numbers.  The
-    desired/interference separation check needs a non-diagonal direct
+    The desired/interference separation check needs a non-diagonal direct
     transform whose bandwidth exceeds the hidden-slot gaps; with other
     transforms the result is reported but flagged as not guaranteed.
 
-    Every rank is taken from a stack of same-shape matrices, six kernel
-    calls in all.  One ``numeric_rank_by_shape`` call ranks the seed
-    column sets, the received matrices R10 and R20 of the containments,
-    the three joints ``[R10, H12 v3]``, ``[R20, H21 v2]`` and ``[H00 v1,
-    H01 v2]``, and every distinct side of ``rx1_span_equality``: a side
-    depends on one surrogate member only, so each member's side is ranked
-    once and read back per substitution.  Each of the up to 64
-    substitutions then factors one joint ``[right, left]``, whose rank
-    equals that of ``[left, right]``, as column order does not change a
-    rank; the two sides span the same space when both ranks equal the
-    joint's.  ``loop_closure`` tests its substitutions with
-    ``is_subspace_each`` against one base.  The verdicts equal those of
-    one ``is_subspace`` call per containment, and the seeded draws come in
-    the same order: the combos first, then one gamma exponent per combo.
+    One ``numeric_rank_by_shape`` call ranks every matrix, one stack per
+    distinct shape.  A containment holds when the rank of the raw ``[base,
+    candidate]`` joint equals the base's.  ``rx1_span_equality`` ranks each
+    side once per surrogate member and one ``[right, left]`` joint per
+    substitution: column order does not change a rank, so the two sides
+    span one space when both their ranks equal the joint's.  The seeded
+    draws come in a fixed order: the rx1 substitutions, the loop-map
+    substitutions, then one gamma exponent per loop substitution.
     """
-    n, L, eps = scheme.n, scheme.L, scheme.epsilon
+    L, eps = scheme.L, scheme.epsilon
     v1, v2, v3 = scheme.tx_columns
     fams = scheme.surrogates
     rng = np.random.default_rng(instance.seed + 17)
-    checks = {}
-    measured = {}
 
     # a list of member substitutions is one (combos, n) array per link
     def substituted(keys, combos):
         return [fams[k].members[picks] for k, picks in zip(keys, combos.T)]
 
-    r10 = instance.received_matrix(1, 0, v1)
-    r20 = instance.received_matrix(2, 0, v1)
-    # the rx1 span sides of every member of links (0, 1) and (0, 2)
-    sides12 = fams[(0, 1)].members[:, :, None] * v2
-    sides13 = fams[(0, 2)].members[:, :, None] * v3
-    (measured["rank_tx1"], rank_r10, rank_r20, measured["rank_seed_b"],
-     measured["rank_seed_c"], joint_rx2, joint_rx3, measured["joint_rank"],
-     *side_ranks) = numeric_rank_by_shape(
-        [scheme.seed_columns["tx1"], r10, r20, scheme.seed_columns["tx3"],
-         scheme.seed_columns["tx2"],
-         np.hstack([r10, instance.received_matrix(1, 2, v3)]),
-         np.hstack([r20, instance.received_matrix(2, 1, v2)]),
-         np.hstack([instance.received_matrix(0, 0, v1),
-                    instance.received_matrix(0, 1, v2)]),
-         *sides12, *sides13], tol)
-    checks["rank_tx1"] = measured["rank_tx1"] == L + eps + 1
-    checks["rank_seeds"] = (measured["rank_seed_b"] == L + eps
-                            and measured["rank_seed_c"] == L + eps)
-
     # interference from TX2 and TX3 collapses to one span at RX1, for every
     # surrogate-member substitution of the two incoming links
+    sides12 = fams[(0, 1)].members[:, :, None] * v2
+    sides13 = fams[(0, 2)].members[:, :, None] * v3
     keys = [(0, 1), (0, 2)]
-    combos = _member_combos(fams, keys, rng)
-    g12, g13 = substituted(keys, combos)
-    joint = numeric_rank_each(
-        np.concatenate([g13[:, :, None] * v3, g12[:, :, None] * v2], axis=-1),
-        tol)
-    side_ranks = np.array(side_ranks)
-    checks["rx1_span_equality"] = bool(np.all(
-        (joint == side_ranks[combos[:, 0]])
-        & (joint == side_ranks[len(sides12) + combos[:, 1]])))
+    span_combos = _member_combos(fams, keys, rng)
+    g12, g13 = substituted(keys, span_combos)
+    span_joints = np.concatenate(
+        [g13[:, :, None] * v3, g12[:, :, None] * v2], axis=-1)
 
     # loop-map substitutions stay inside the base span
     gamma_powers = np.array([scheme.gamma ** j for j in range(1, L + 2)])
@@ -264,24 +236,46 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
     g = substituted(keys, combos)
     vecs = ((g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5])
             * gamma_powers[jps - 1])
-    checks["loop_closure"] = bool(np.all(is_subspace_each(
-        vecs[:, :, None], base, tol)))
+    loop_joints = np.concatenate(
+        [np.broadcast_to(base, (len(vecs),) + base.shape), vecs[:, :, None]],
+        axis=-1)
 
-    # true-channel containments at RX2 and RX3
-    checks["rx2_containment"] = joint_rx2 == rank_r10
-    checks["rx3_containment"] = joint_rx3 == rank_r20
+    r10 = instance.received_matrix(1, 0, v1)
+    r20 = instance.received_matrix(2, 0, v1)
+    ranks = numeric_rank_by_shape(
+        [scheme.seed_columns["tx1"], r10, r20, scheme.seed_columns["tx3"],
+         scheme.seed_columns["tx2"],
+         np.hstack([r10, instance.received_matrix(1, 2, v3)]),
+         np.hstack([r20, instance.received_matrix(2, 1, v2)]),
+         np.hstack([instance.received_matrix(0, 0, v1),
+                    instance.received_matrix(0, 1, v2)]),
+         base, *sides12, *sides13, *span_joints, *loop_joints], tol)
+    (rank_tx1, rank_r10, rank_r20, rank_seed_b, rank_seed_c, joint_rx2,
+     joint_rx3, joint_rx1, rank_base) = ranks[:9]
+    side12, side13, span, loop = np.split(np.array(ranks[9:]), np.cumsum(
+        [len(sides12), len(sides13), len(span_joints)]))
 
-    # desired + interference fills all n dimensions at RX1
-    checks["rx1_separation"] = measured["joint_rank"] == 2 * (L + eps) + 1
-
-    if len(scheme.omega) <= 1:
-        gaps_ok = True
-    else:
-        gaps_ok = all(b - a < max(1, instance.transforms[0].distance)
-                      for a, b in zip(scheme.omega, scheme.omega[1:]))
-    measured["separation_guaranteed"] = bool(
-        instance.transforms[0].kind in ("memory", "permutation") and gaps_ok)
-    return {"checks": checks, "measured": measured}
+    checks = {
+        "rank_tx1": rank_tx1 == L + eps + 1,
+        "rank_seeds": rank_seed_b == L + eps and rank_seed_c == L + eps,
+        "rx1_span_equality": bool(np.all(
+            (span == side12[span_combos[:, 0]])
+            & (span == side13[span_combos[:, 1]]))),
+        "loop_closure": bool(np.all(loop == rank_base)),
+        # true-channel containments at RX2 and RX3
+        "rx2_containment": joint_rx2 == rank_r10,
+        "rx3_containment": joint_rx3 == rank_r20,
+        # desired + interference fills all n dimensions at RX1
+        "rx1_separation": joint_rx1 == 2 * (L + eps) + 1}
+    gaps_ok = all(b - a < max(1, instance.transforms[0].distance)
+                  for a, b in zip(scheme.omega, scheme.omega[1:]))
+    measured = {
+        "rank_tx1": rank_tx1, "rank_seed_b": rank_seed_b,
+        "rank_seed_c": rank_seed_c, "joint_rank": joint_rx1,
+        "separation_guaranteed": bool(
+            instance.transforms[0].kind in ("memory", "permutation")
+            and gaps_ok)}
+    return checks, measured
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +345,19 @@ def build_kuser(instance: NetworkInstance, n_star, seed):
     return KUserScheme(K=K, n=n, L=L, n_star=n_star, N=N, omega=tuple(omega),
                        tx1_columns=tx1_cols, seed_columns=seed_cols,
                        expected=expected)
+
+
+def verify_kuser(scheme: KUserScheme, tol=DEFAULT_TOL):
+    """Dimensions of transmitter 1's seed and column families against the
+    formula, as ``(checks, measured)``; no channel is read.
+
+    The columns are products of many transfer-map ratios, so row
+    magnitudes vary by orders of magnitude; ``balanced_rank`` equalizes
+    the rows first to keep the threshold fair.
+    """
+    measured = {"dim_seed": balanced_rank(scheme.seed_columns, tol),
+                "dim_tx1": balanced_rank(scheme.tx1_columns, tol)}
+    checks = {"dims_match_formula": (
+        measured["dim_seed"] == scheme.expected["dim_seed"]
+        and measured["dim_tx1"] == scheme.expected["dim_tx1"])}
+    return checks, measured

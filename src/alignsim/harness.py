@@ -4,7 +4,8 @@ One Scenario describes a regime (blind / shared / fastfading3 /
 fastfadingK), a network configuration, scheme parameters, and a trial
 count.  Trial i uses seed base_seed + i; trials are independent, results
 are aggregated in trial order, and two runs of the same scenario produce
-byte-identical reports.
+byte-identical reports.  A trial builds its regime's scheme, takes the
+checks and measured numbers from its verifier and derives the total DoF.
 """
 
 import csv
@@ -13,21 +14,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .blind import (blind_total_dof, build_blind_scheme, generic_free_dims,
-                    measure_links)
+from .blind import blind_total_dof, build_blind_scheme, verify_blind
 from .channel import NetworkConfig, sample_network, union_pattern
-from .fastfading import build_3user, build_kuser, verify_3user
-from .linalg import DEFAULT_TOL, balanced_rank, numeric_rank_by_shape
-from .shared import construct_shared
+from .fastfading import build_3user, build_kuser, verify_3user, verify_kuser
+from .linalg import DEFAULT_TOL
+from .shared import construct_shared, verify_shared
 
 __all__ = [
     "Scenario",
-    "AlignmentReport",
     "TrialResult",
     "RunSummary",
-    "alignment_report",
     "run_trials",
     "summary_csv",
 ]
@@ -47,44 +43,6 @@ class Scenario:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-
-
-@dataclass
-class AlignmentReport:
-    per_receiver: list        # (desired_dim, interference_dim, used_dim)
-    dof_vector: list          # Fractions desired/n
-    total_dof: Fraction
-    checks: dict
-
-
-def alignment_report(instance, precoders, tol=DEFAULT_TOL):
-    """Desired/interference dimension accounting at every receiver.
-
-    Each received matrix is built once; the joints (everything arriving,
-    interference only) of every receiver are ranked with one
-    ``numeric_rank_by_shape`` call, one stack per joint shape.
-    """
-    K, n = instance.K, instance.n
-    live = [q for q in range(K) if precoders[q].shape[1] > 0]
-    joints = []             # per receiver: arriving, then interference
-    for p in range(K):
-        seen = [instance.received_matrix(p, q, precoders[q]) for q in live]
-        interf = [m for q, m in zip(live, seen) if q != p]
-        joints += [np.hstack(seen) if seen else None,
-                   np.hstack(interf) if interf else None]
-    found = iter(numeric_rank_by_shape([m for m in joints if m is not None],
-                                       tol))
-    ranks = [0 if m is None else next(found) for m in joints]
-    per_rx = [(used - idim, idim, used)
-              for used, idim in zip(ranks[::2], ranks[1::2])]
-    checks = {}
-    checks["imperfect_alignment"] = sum(r[1] for r in per_rx) < (K - 1) * n
-    checks["no_pollution"] = all(
-        0 <= d <= precoders[p].shape[1] for p, (d, _, _) in enumerate(per_rx))
-    dof_vec = [Fraction(d, n) for d, _, _ in per_rx]
-    total = max(sum(dof_vec), Fraction(1))
-    return AlignmentReport(per_receiver=per_rx, dof_vector=dof_vec,
-                           total_dof=total, checks=checks)
 
 
 @dataclass
@@ -122,20 +80,12 @@ def _blind_trial(scenario, seed):
     cfg = scenario.config
     cross = [cfg.pattern(p, q) for p in range(cfg.K) for q in range(cfg.K)
              if p != q]
-    union = union_pattern(cross)
     rho = int(scenario.params.get("rho", 1))
-    scheme = build_blind_scheme(union, rho, cfg.K, seed)
-    inst = sample_network(cfg, seed)
-    checks, measured = {}, {}
-    base, contained, free = measure_links(scheme, inst, scenario.tol)
-    measured["basis_rank"] = base
-    checks["basis_full_rank"] = base == scheme.interference_basis.shape[1]
-    checks["cross_containment"] = contained
-    agree = True
-    for k, meas in enumerate(free):
-        measured[f"free_dims_rx{k + 1}"] = meas
-        agree &= generic_free_dims(scheme, cfg.pattern(k, k)) == meas
-    checks["predicted_equals_measured"] = bool(agree)
+    scheme = build_blind_scheme(union_pattern(cross), rho, cfg.K, seed)
+    checks, measured = verify_blind(
+        scheme, sample_network(cfg, seed),
+        [cfg.pattern(k, k) for k in range(cfg.K)], scenario.tol)
+    free = [measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
     return checks, measured, blind_total_dof(free, scheme.n)
 
 
@@ -144,42 +94,26 @@ def _shared_trial(scenario, seed):
     pats = _receiver_patterns(cfg)
     r = int(scenario.params.get("r", 2))
     scheme = construct_shared(cfg.K, r, pats, cfg.n, seed)
-    inst = sample_network(cfg, seed)
-    report = alignment_report(inst, scheme.precoders, scenario.tol)
-    checks, measured = dict(report.checks), {}
-    ok = True
-    for p, (d, _, used) in enumerate(report.per_receiver):
-        measured[f"desired_rx{p + 1}"] = d
-        measured[f"used_rx{p + 1}"] = used
-        ok &= d == scheme.expected_desired[p] and used == scheme.expected_used[p]
-    checks["dims_match_construction"] = bool(ok)
-    return checks, measured, report.total_dof
+    checks, measured = verify_shared(scheme, sample_network(cfg, seed),
+                                     scenario.tol)
+    desired = sum(measured[f"desired_rx{p + 1}"] for p in range(cfg.K))
+    return checks, measured, max(Fraction(desired, cfg.n), Fraction(1))
 
 
 def _ff3_trial(scenario, seed):
-    cfg = scenario.config
     eps = int(scenario.params.get("epsilon", 1))
-    inst = sample_network(cfg, seed)
+    inst = sample_network(scenario.config, seed)
     scheme = build_3user(inst, eps, seed)
-    out = verify_3user(scheme, inst, scenario.tol)
-    total = sum(scheme.expected["dof"]) if out["checks"].get("rx1_separation") \
+    checks, measured = verify_3user(scheme, inst, scenario.tol)
+    total = sum(scheme.expected["dof"]) if checks["rx1_separation"] \
         else Fraction(1)
-    return dict(out["checks"]), dict(out["measured"]), total
+    return checks, measured, total
 
 
 def _ffk_trial(scenario, seed):
-    cfg = scenario.config
     n_star = int(scenario.params.get("n_star", 1))
-    inst = sample_network(cfg, seed)
-    scheme = build_kuser(inst, n_star, seed)
-    checks, measured = {}, {}
-    # columns are products of many transfer-map ratios, so row magnitudes
-    # vary by orders of magnitude; balanced_rank keeps the threshold fair
-    measured["dim_seed"] = balanced_rank(scheme.seed_columns, scenario.tol)
-    measured["dim_tx1"] = balanced_rank(scheme.tx1_columns, scenario.tol)
-    checks["dims_match_formula"] = (
-        measured["dim_seed"] == scheme.expected["dim_seed"]
-        and measured["dim_tx1"] == scheme.expected["dim_tx1"])
+    scheme = build_kuser(sample_network(scenario.config, seed), n_star, seed)
+    checks, measured = verify_kuser(scheme, scenario.tol)
     return checks, measured, Fraction(scheme.expected["dim_tx1"], scheme.n)
 
 

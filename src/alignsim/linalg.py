@@ -10,16 +10,11 @@ cols)`` stack, scales each column to unit length along the row axis and
 takes the singular values of every matrix from one ``np.linalg.svd``
 call; LAPACK factors each matrix of a stack on its own, so a matrix gets
 the same singular values, bit for bit, alone or inside a stack.  Inputs
-are validated at the public functions.  ``numeric_rank_each`` ranks a
-stack of same-shape matrices in one kernel call, and
-``numeric_rank_by_shape`` ranks a list of matrices with one such stack
-per distinct shape, so a caller with many small rank decisions (the
-joints of every receiver in a trial) makes one call per shape.
-``joint_rank_each`` and ``is_subspace_each`` test a whole stack of
-candidates with one or two kernel calls: each joint matrix is
-concatenated from the raw ``[base, candidate]`` before it is normalized,
-exactly as ``joint_rank`` does, so the batched results equal the
-one-at-a-time ones.
+are validated at the public functions.  The regime verifiers list every
+matrix they rank, joints concatenated from the raw ``[base, candidate]``
+before they are normalized, and ``numeric_rank_by_shape`` ranks the
+list with one kernel call per distinct shape.  ``numeric_rank``,
+``joint_rank`` and ``is_subspace`` make one decision each.
 """
 
 from dataclasses import dataclass
@@ -30,13 +25,10 @@ __all__ = [
     "RankTolerance",
     "DEFAULT_TOL",
     "numeric_rank",
-    "numeric_rank_each",
     "numeric_rank_by_shape",
     "balanced_rank",
     "joint_rank",
-    "joint_rank_each",
     "is_subspace",
-    "is_subspace_each",
 ]
 
 
@@ -52,31 +44,46 @@ class RankTolerance:
 DEFAULT_TOL = RankTolerance()
 
 
-def _as_matrix(m):
-    a = np.asarray(m, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError("expected a non-empty 2-D matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
 def _as_stack(m):
+    """A non-empty, finite (batch, rows, cols) float stack."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 3 or 0 in a.shape:
-        raise ValueError("expected a non-empty (batch, rows, cols) stack")
+        raise ValueError("expected non-empty 2-D matrices")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def _normalized(a):
-    """Columns scaled to unit length along the row axis (zero columns
-    untouched), for a matrix or a stack of them."""
-    # np.linalg.norm's own formula, without its per-call overhead
-    norms = np.sqrt((a * a).sum(axis=-2, keepdims=True))
+def _as_matrix(m):
+    """A matrix, or a vector as one column, validated as a stack of one."""
+    a = np.asarray(m, dtype=float)
+    return _as_stack(a[None, :, None] if a.ndim == 1 else a[None])[0]
+
+
+# a norm below this may have lost bits to squares that underflow
+_TINY_NORM = 2.0 ** -480
+
+
+def _normalized(a, axis=-2):
+    """Vectors along ``axis`` (columns by default) scaled to unit length,
+    zero vectors untouched, for a matrix or a stack of them.
+
+    A vector whose plain norm overflows or underflows is first scaled by
+    the power of two that brings its largest entry into [0.5, 1).  Such a
+    scale is exact, so a vector with a representable norm would get the
+    same bits either way.
+    """
+    # np.linalg.norm's own formula, without its per-call overhead; squares
+    # that overflow are rescaled below
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+    # entries below about 1e-162 square to zero, so a zero norm qualifies
+    # too; a true zero vector has exponent 0 and keeps its entries
+    if norms.min() < _TINY_NORM or norms.max() == np.inf:
+        out_of_range = (norms == np.inf) | (norms < _TINY_NORM)
+        _, exp = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
+        a = np.ldexp(a, np.where(out_of_range, -exp, 0))
+        norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
     return a / np.where(norms > 0, norms, 1.0)
 
 
@@ -91,22 +98,16 @@ def numeric_rank(m, tol=DEFAULT_TOL):
     return int(_ranks(_as_matrix(m)[None], tol)[0])
 
 
-def numeric_rank_each(ms, tol=DEFAULT_TOL):
-    """``numeric_rank(m)`` for every matrix ``m`` of a (batch, rows, cols)
-    stack, as an integer array, from one kernel call."""
-    return _ranks(_as_stack(ms), tol)
-
-
 def numeric_rank_by_shape(ms, tol=DEFAULT_TOL):
-    """``numeric_rank(m)`` for every matrix ``m`` of a list, as a list of
-    ints, from one ``numeric_rank_each`` stack per distinct shape."""
-    by_shape = {}
+    """``numeric_rank(m)`` for every 2-D array ``m`` of a list, as a list
+    of ints, from one kernel call per distinct shape."""
+    by_shape, ranks = {}, [0] * len(ms)
     for i, m in enumerate(ms):
-        by_shape.setdefault(np.shape(m), []).append(i)
-    ranks = [0] * len(ms)
+        by_shape.setdefault(m.shape, []).append(i)
     for idx in by_shape.values():
-        for i, r in zip(idx, numeric_rank_each([ms[i] for i in idx], tol)):
-            ranks[i] = int(r)
+        stack = _as_stack([ms[i] for i in idx])
+        for i, r in zip(idx, _ranks(stack, tol).tolist()):
+            ranks[i] = r
     return ranks
 
 
@@ -120,40 +121,17 @@ def balanced_rank(m, tol=DEFAULT_TOL):
     rest and a true dimension would otherwise fall below the threshold.
     Only use this when every row is known to be signal, never noise.
     """
-    a = _as_matrix(m)
-    norms = np.linalg.norm(a, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    return int(_ranks((a / safe[:, None])[None], tol)[0])
+    return int(_ranks(_normalized(_as_matrix(m), axis=-1)[None], tol)[0])
 
 
 def joint_rank(ms, tol=DEFAULT_TOL):
     """Rank of the column-wise concatenation of a list of matrices."""
-    ms = list(ms)
-    if not ms:
-        raise ValueError("joint_rank needs at least one matrix")
     mats = [_as_matrix(m) for m in ms]
-    rows = {m.shape[0] for m in mats}
-    if len(rows) != 1:
-        raise ValueError("matrices must share a row count")
-    return int(_ranks(np.hstack(mats)[None], tol)[0])
-
-
-def joint_rank_each(base, cands, tol=DEFAULT_TOL):
-    """``joint_rank([base, c])`` for every matrix ``c`` of a (batch, rows,
-    cols) stack, as an integer array."""
-    base, cands = _as_matrix(base), _as_stack(cands)
-    if cands.shape[1] != base.shape[0]:
-        raise ValueError("row counts differ")
-    bases = np.broadcast_to(base, (len(cands),) + base.shape)
-    return _ranks(np.concatenate([bases, cands], axis=-1), tol)
+    if len({m.shape[0] for m in mats}) != 1:
+        raise ValueError("joint_rank needs matrices that share a row count")
+    return numeric_rank(np.hstack(mats), tol)
 
 
 def is_subspace(a, b, tol=DEFAULT_TOL):
     """True iff the column span of ``a`` lies inside the column span of ``b``."""
-    return bool(is_subspace_each(_as_matrix(a)[None], b, tol)[0])
-
-
-def is_subspace_each(cands, base, tol=DEFAULT_TOL):
-    """``is_subspace(c, base)`` for every matrix ``c`` of a (batch, rows,
-    cols) stack, as a boolean array; the base's rank is computed once."""
-    return joint_rank_each(base, cands, tol) == numeric_rank(base, tol)
+    return joint_rank([b, a], tol) == numeric_rank(b, tol)

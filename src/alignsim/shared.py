@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import (ChangingPattern, NetworkConfig, constant_intervals,
                       union_pattern)
-from .linalg import numeric_rank_by_shape
+from .linalg import DEFAULT_TOL, numeric_rank_by_shape
 
 __all__ = [
     "BoundResult",
@@ -30,6 +30,7 @@ __all__ = [
     "curve_f",
     "dof_table",
     "construct_shared",
+    "verify_shared",
     "pair_demo_patterns",
     "dense_demo_patterns",
     "demo_network_config",
@@ -290,6 +291,38 @@ def construct_shared(K, r, patterns, n, seed=0):
                                dropped=sorted(dropped), precoders=precoders,
                                expected_desired=tuple(desired),
                                expected_used=tuple(used), total_dof=total)
+
+
+def verify_shared(scheme: SharedPatternScheme, instance, tol=DEFAULT_TOL):
+    """Desired and interference dimensions at every receiver, measured by
+    rank on a sampled network, as ``(checks, measured)``.
+
+    Each received matrix is built once; the joints of every receiver
+    (everything arriving, interference only) are ranked with one
+    ``numeric_rank_by_shape`` call, one stack per joint shape, and a joint
+    without columns has rank 0.  A receiver's desired dimensions are the
+    excess of the first over the second.
+    """
+    K, n, precoders = instance.K, instance.n, scheme.precoders
+    joints = []             # per receiver: arriving, then interference
+    for p in range(K):
+        seen = [instance.received_matrix(p, q, precoders[q]) for q in range(K)]
+        joints += [np.hstack(seen), np.hstack(seen[:p] + seen[p + 1:])]
+    found = iter(numeric_rank_by_shape([m for m in joints if m.size], tol))
+    ranks = [next(found) if m.size else 0 for m in joints]
+    used, interference = ranks[::2], ranks[1::2]
+    desired = [u - i for u, i in zip(used, interference)]
+    checks = {
+        "imperfect_alignment": sum(interference) < (K - 1) * n,
+        "no_pollution": all(0 <= d <= precoders[p].shape[1]
+                            for p, d in enumerate(desired)),
+        "dims_match_construction": (tuple(desired) == scheme.expected_desired
+                                    and tuple(used) == scheme.expected_used)}
+    measured = {}
+    for p in range(K):
+        measured[f"desired_rx{p + 1}"] = desired[p]
+        measured[f"used_rx{p + 1}"] = used[p]
+    return checks, measured
 
 
 # ---------------------------------------------------------------------------

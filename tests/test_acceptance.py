@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alignsim.blind import (build_blind_scheme, measure_links,
-                            predicted_free_dims)
+from alignsim.blind import (build_blind_scheme, predicted_free_dims,
+                            verify_blind)
 from alignsim.channel import (ChangingPattern, constant_intervals,
                               sample_channel, sample_network)
 from alignsim.decomposition import (RESIDUAL_REL_TOL, build_and_decompose,
@@ -175,8 +175,10 @@ def test_criterion_6_free_dim_prediction():
     agree = 0
     instances = _blind_instances(0, 100, restrict_direct=True)
     for scheme, cfg, inst in instances:
-        agree += [predicted_free_dims(scheme, cfg.pattern(k, k))
-                  for k in range(cfg.K)] == measure_links(scheme, inst)[2]
+        direct = [cfg.pattern(k, k) for k in range(cfg.K)]
+        measured = verify_blind(scheme, inst, direct)[1]
+        agree += [predicted_free_dims(scheme, p) for p in direct] == [
+            measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
     ok = agree == 100
     report(6, ok, f"predicted == measured free dims on {agree}/100 "
                   f"instances (n <= 24, mixed patterns)")
@@ -226,12 +228,12 @@ def test_criterion_8_fastfading_3user():
         for t in range(200):
             inst = sample_network(fastfading_config(3, n, L), seed=t)
             scheme = build_3user(inst, eps, seed=t)
-            out = verify_3user(scheme, inst)
-            ranks_ok = (out["measured"]["rank_tx1"] == L + eps + 1
-                        and out["measured"]["rank_seed_b"] == L + eps
-                        and out["measured"]["rank_seed_c"] == L + eps)
-            joint_ok = out["measured"]["joint_rank"] == 2 * (L + eps) + 1
-            passed += ranks_ok and joint_ok and all(out["checks"].values())
+            checks, measured = verify_3user(scheme, inst)
+            ranks_ok = (measured["rank_tx1"] == L + eps + 1
+                        and measured["rank_seed_b"] == L + eps
+                        and measured["rank_seed_c"] == L + eps)
+            joint_ok = measured["joint_rank"] == 2 * (L + eps) + 1
+            passed += ranks_ok and joint_ok and all(checks.values())
         details.append(f"(L={L},eps={eps}): {passed}/200")
         all_good &= passed == 200
     neg_fail = 0
@@ -239,7 +241,7 @@ def test_criterion_8_fastfading_3user():
         inst = sample_network(
             fastfading_config(3, 7, 1, direct_kind="identity"), seed=t)
         scheme = build_3user(inst, 2, seed=t)
-        neg_fail += not verify_3user(scheme, inst)["checks"]["rx1_separation"]
+        neg_fail += not verify_3user(scheme, inst)[0]["rx1_separation"]
     neg_ok = neg_fail > 95
     ok = all_good and neg_ok
     report(8, ok, "; ".join(details)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from alignsim.blind import (blind_total_dof, build_blind_scheme,
-                            generic_free_dims, measure_links,
-                            predicted_free_dims)
+                            generic_free_dims, predicted_free_dims,
+                            verify_blind)
 from alignsim.channel import ChangingPattern, sample_network, union_pattern
 from alignsim.harness import Scenario, run_trials
 from alignsim.linalg import (DEFAULT_TOL, RankTolerance, is_subspace,
@@ -85,6 +85,12 @@ def test_cross_interference_containment():
         done += 1
 
 
+def measured_free_dims(scheme, cfg, inst):
+    measured = verify_blind(
+        scheme, inst, [cfg.pattern(k, k) for k in range(cfg.K)])[1]
+    return [measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
+
+
 def test_generic_count_equals_measured_unrestricted():
     done = 0
     t = 0
@@ -94,7 +100,7 @@ def test_generic_count_equals_measured_unrestricted():
         if made is None:
             continue
         scheme, cfg, inst = made
-        measured = measure_links(scheme, inst)[2]
+        measured = measured_free_dims(scheme, cfg, inst)
         for k in range(cfg.K):
             pred = generic_free_dims(scheme, cfg.pattern(k, k))
             assert pred == measured[k]
@@ -110,7 +116,7 @@ def test_block_count_formula_equals_measured_in_regime():
         if made is None:
             continue
         scheme, cfg, inst = made
-        measured = measure_links(scheme, inst)[2]
+        measured = measured_free_dims(scheme, cfg, inst)
         for k in range(cfg.K):
             coarse = predicted_free_dims(scheme, cfg.pattern(k, k))
             fine = generic_free_dims(scheme, cfg.pattern(k, k))
@@ -170,11 +176,18 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho):
             union_pattern([cfg.pattern(p, q) for p, q in cross]), rho, K, t)
         inst = sample_network(cfg, t)
         basis = scheme.interference_basis
-        assert result.checks["cross_containment"] == all(
-            is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
-                        basis, tol) for p, q in cross)
+        direct = [cfg.pattern(k, k) for k in range(K)]
+        base = numeric_rank(basis, tol)
         free = [min(n // 2, joint_rank([basis, inst.received_matrix(
-            k, k, scheme.precoders[k])], tol) - numeric_rank(basis, tol))
-            for k in range(K)]
-        assert free == measure_links(scheme, inst, tol)[2] == [
-            result.measured[f"free_dims_rx{k + 1}"] for k in range(K)]
+            k, k, scheme.precoders[k])], tol) - base) for k in range(K)]
+        want = ({"basis_full_rank": base == basis.shape[1],
+                 "cross_containment": all(
+                     is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
+                                 basis, tol) for p, q in cross),
+                 "predicted_equals_measured": all(
+                     generic_free_dims(scheme, d) == f
+                     for d, f in zip(direct, free))},
+                {"basis_rank": base, **{f"free_dims_rx{k + 1}": f
+                                        for k, f in enumerate(free)}})
+        assert verify_blind(scheme, inst, direct, tol) == want
+        assert (result.checks, result.measured) == want

@@ -225,25 +225,54 @@ def test_bad_arguments_are_input_error(capsys):
 def test_failed_verification_exit_code_2(tmp_path, capsys):
     # identity direct transforms defeat the desired/interference separation
     # in the fast-fading scheme, so verification fails on every draw
-    cfg = fastfading_config(3, 7, 1, direct_kind="identity")
-    d = cfg.to_dict()
+    d = fastfading_config(3, 7, 1, direct_kind="identity").to_dict()
     d.update({"epsilon": 2, "trials": 3})
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(d))
-    code, _, err = run_cli(capsys, "ff3-sim", str(path))
-    assert code == 2
-    assert "first failing seed:" in err
+    # the union block before slot 2 is shorter than rho = 2, so the blind
+    # basis loses rank on every draw; such a config is valid input
+    short = [[[2] for _ in range(3)] for _ in range(3)]
+    blind = {"K": 3, "n": 8, "rho": 2, "trials": 3, "patterns": short}
+    for command, raw, failing in (("ff3-sim", d, "rx1_separation"),
+                                  ("blind-sim", blind, "basis_full_rank")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert "first failing seed:" in err
+        assert [f"pass_fraction,{failing},0.0"] == [
+            line for line in out.splitlines()
+            if line.startswith(f"pass_fraction,{failing},")]
 
 
 def test_ff3_sim_success(tmp_path, capsys):
-    cfg = fastfading_config(3, 7, 1)
-    d = cfg.to_dict()
-    d.update({"epsilon": 2, "trials": 3})
-    path = tmp_path / "ff3.json"
-    path.write_text(json.dumps(d))
-    code, _, err = run_cli(capsys, "ff3-sim", str(path))
-    assert code == 0
-    assert "total_dof=10/7" in err
+    d = fastfading_config(3, 7, 1).to_dict()
+    # a cross link with one change point, and hidden slots that are not a
+    # prefix of the frame: the construction needs neither, and every
+    # check confirms it
+    one_change = fastfading_config(3, 9, 2).to_dict()
+    one_change["patterns"][0][1] = [4]
+    hidden_later = fastfading_config(3, 9, 2).to_dict()
+    hidden_later["unknown"] = [[[] if p == q else [5, 6] for q in range(3)]
+                               for p in range(3)]
+    for raw, dof in ((d, "10/7"), (one_change, "13/9"),
+                     (hidden_later, "13/9")):
+        raw.update({"epsilon": 2, "trials": 3})
+        path = tmp_path / "ff3.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "ff3-sim", str(path))
+        assert code == 0, err
+        assert f"total_dof={dof}" in err
+
+
+@pytest.mark.parametrize("h_min, h_max", [(1e160, 2e160), (1e-300, 2e-300)])
+def test_blind_sim_passes_at_huge_and_tiny_gains(tmp_path, capsys, h_min,
+                                                 h_max):
+    # squared entries overflow or underflow; the rank kernel rescales them
+    path = tmp_path / "blind.json"
+    path.write_text(json.dumps({**_BLIND, "trials": 3, "h_min": h_min,
+                                "h_max": h_max}))
+    code, _, err = run_cli(capsys, "blind-sim", str(path))
+    assert code == 0, err
+    assert "pass=3" in err
 
 
 def test_ff3_sim_at_48_hidden_slots_ends_without_traceback(tmp_path, capsys):
@@ -286,7 +315,8 @@ def sim_configs(draw):
         if draw(st.booleans()):
             raw[key] = draw(st.sampled_from(
                 (float("inf"), -float("inf"), float("nan"), 1e308, -1e308,
-                 1e-320, 2e-320, 0.25, 0.5, 1.0, 2.0, 3.0)))
+                 1e-320, 2e-320, 1e160, 2e160, 1e-300, 2e-300, 0.25, 0.5,
+                 1.0, 2.0, 3.0)))
     return draw(st.sampled_from(SIM_COMMANDS)), raw
 
 

@@ -12,7 +12,7 @@ from alignsim.fastfading import (_grid_columns, _member_combos, build_3user,
                                  build_kuser, dof_cap_given_upsilon,
                                  hidden_union,
                                  min_upsilon_for_max_dof, upsilon_fraction,
-                                 verify_3user)
+                                 verify_3user, verify_kuser)
 from alignsim.harness import Scenario, run_trials
 from alignsim.linalg import (DEFAULT_TOL, balanced_rank, is_subspace,
                              joint_rank, numeric_rank)
@@ -69,17 +69,17 @@ def test_3user_ranks_and_containments(L, eps):
     for t in range(25):
         inst = sample_network(fastfading_config(3, n, L), seed=t)
         scheme = build_3user(inst, eps, seed=t)
-        out = verify_3user(scheme, inst)
-        assert out["checks"]["rank_tx1"], (L, eps, t)
-        assert out["checks"]["rank_seeds"], (L, eps, t)
-        assert out["checks"]["rx1_span_equality"], (L, eps, t)
-        assert out["checks"]["loop_closure"], (L, eps, t)
-        assert out["checks"]["rx2_containment"], (L, eps, t)
-        assert out["checks"]["rx3_containment"], (L, eps, t)
-        assert out["checks"]["rx1_separation"], (L, eps, t)
-        assert out["measured"]["rank_tx1"] == L + eps + 1
-        assert out["measured"]["joint_rank"] == 2 * (L + eps) + 1
-        assert out["measured"]["separation_guaranteed"]
+        checks, measured = verify_3user(scheme, inst)
+        assert checks["rank_tx1"], (L, eps, t)
+        assert checks["rank_seeds"], (L, eps, t)
+        assert checks["rx1_span_equality"], (L, eps, t)
+        assert checks["loop_closure"], (L, eps, t)
+        assert checks["rx2_containment"], (L, eps, t)
+        assert checks["rx3_containment"], (L, eps, t)
+        assert checks["rx1_separation"], (L, eps, t)
+        assert measured["rank_tx1"] == L + eps + 1
+        assert measured["joint_rank"] == 2 * (L + eps) + 1
+        assert measured["separation_guaranteed"]
 
 
 def test_3user_small_depth_seed_rank_is_L_plus_eps():
@@ -87,11 +87,11 @@ def test_3user_small_depth_seed_rank_is_L_plus_eps():
     n = 2 * (L + eps) + 1
     inst = sample_network(fastfading_config(3, n, L), seed=0)
     scheme = build_3user(inst, eps, seed=0)
-    out = verify_3user(scheme, inst)
+    checks, measured = verify_3user(scheme, inst)
     # at depth 1 the seed sets still have rank L + eps, not L
-    assert out["checks"]["rank_seeds"]
-    assert out["measured"]["rank_seed_b"] == L + eps
-    assert "stated_seed_rank_small_depth" not in out["measured"]
+    assert checks["rank_seeds"]
+    assert measured["rank_seed_b"] == L + eps
+    assert "stated_seed_rank_small_depth" not in measured
 
 
 def test_3user_identity_transform_negative_control():
@@ -102,9 +102,9 @@ def test_3user_identity_transform_negative_control():
         inst = sample_network(
             fastfading_config(3, n, L, direct_kind="identity"), seed=t)
         scheme = build_3user(inst, eps, seed=t)
-        out = verify_3user(scheme, inst)
-        failures += not out["checks"]["rx1_separation"]
-        assert not out["measured"]["separation_guaranteed"]
+        checks, measured = verify_3user(scheme, inst)
+        failures += not checks["rx1_separation"]
+        assert not measured["separation_guaranteed"]
     assert failures > 0.95 * 25
 
 
@@ -232,14 +232,14 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
             out = verify_3user(variant, inst)
             checks, measured, joint_orders = _verify_3user_one_at_a_time(
                 variant, inst)
-            assert out == {"checks": checks, "measured": measured}, seed
-            assert all(type(v) is bool for v in out["checks"].values())
-            assert all(type(v) in (int, bool)
-                       for v in out["measured"].values())
+            assert out == (checks, measured), seed
+            assert list(out[0]) == list(checks)     # the demo's print order
+            assert all(type(v) is bool for v in out[0].values())
+            assert all(type(v) in (int, bool) for v in out[1].values())
             # one joint per substitution stands for both column orders
             assert all(a == b for a, b in joint_orders), seed
         assert not checks["rx1_span_equality"], seed
-        verdicts.add(verify_3user(scheme, inst)["checks"]["loop_closure"])
+        verdicts.add(verify_3user(scheme, inst)[0]["loop_closure"])
     if L >= 6:
         assert verdicts == {True, False}
 
@@ -256,6 +256,8 @@ def test_kuser_dims_k4():
     assert scheme.N == 5
     assert balanced_rank(scheme.seed_columns) == scheme.expected["dim_seed"] == 3
     assert balanced_rank(scheme.tx1_columns) == scheme.expected["dim_tx1"] == 34
+    assert verify_kuser(scheme) == ({"dims_match_formula": True},
+                                    {"dim_seed": 3, "dim_tx1": 34})
 
 
 def test_kuser_k3_matches_loop_construction_sizes():

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from alignsim.channel import ChangingPattern, NetworkConfig, sample_network
-from alignsim.harness import (Scenario, alignment_report, run_trials,
-                              summary_csv)
+from alignsim.harness import Scenario, run_trials, summary_csv
 from alignsim.linalg import DEFAULT_TOL, RankTolerance, joint_rank
 from alignsim.shared import (construct_shared, demo_network_config,
-                             dense_demo_patterns, pair_demo_patterns)
+                             dense_demo_patterns, pair_demo_patterns,
+                             verify_shared)
 from conftest import fastfading_config
 
 
@@ -49,17 +49,19 @@ def test_scenario_validation():
         Scenario(regime="shared", config=cfg, trials=0)
 
 
-def test_alignment_report_accounting():
+def test_verify_shared_accounting():
     pats, n = pair_demo_patterns()
     cfg = demo_network_config(pats, n)
     inst = sample_network(cfg, seed=4)
     scheme = construct_shared(4, 2, pats, n, seed=4)
-    report = alignment_report(inst, scheme.precoders)
-    assert tuple(d for d, _, _ in report.per_receiver) == (3, 2, 2, 2)
-    assert report.total_dof == Fraction(9, 8)
-    assert report.checks["imperfect_alignment"]
-    assert report.checks["no_pollution"]
-    assert report.dof_vector[0] == Fraction(3, 8)
+    checks, measured = verify_shared(scheme, inst)
+    assert [measured[f"desired_rx{p}"] for p in (1, 2, 3, 4)] == [3, 2, 2, 2]
+    assert checks == {"imperfect_alignment": True, "no_pollution": True,
+                      "dims_match_construction": True}
+    result = run_trials(Scenario("shared", cfg, {"r": 2}, trials=1,
+                                 base_seed=4)).results[0]
+    assert (result.checks, result.measured) == (checks, measured)
+    assert result.total_dof == Fraction(9, 8)
 
 
 def shared_cases():
@@ -90,9 +92,10 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(case):
             memory_distance=int(rng.integers(1, n)))
         # a coarse threshold merges dimensions on some receivers
         tol = RankTolerance(1e-2) if t % 2 else DEFAULT_TOL
-        precoders = construct_shared(K, r, pats, n, seed=t).precoders
+        scheme = construct_shared(K, r, pats, n, seed=t)
+        precoders = scheme.precoders
         inst = sample_network(cfg, t)
-        report = alignment_report(inst, precoders, tol)
+        checks, measured = verify_shared(scheme, inst, tol)
         # the stacked accounting, recomputed one joint at a time
         want = []
         for p in range(K):
@@ -102,11 +105,16 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(case):
             used = joint_rank(list(seen.values()), tol) if seen else 0
             idim = joint_rank(interf, tol) if interf else 0
             want.append((used - idim, idim, used))
-        assert report.per_receiver == want
-        assert report.checks == {
+        assert measured == {
+            f"{name}_rx{p + 1}": v for p, (d, _, used) in enumerate(want)
+            for name, v in (("desired", d), ("used", used))}
+        assert checks == {
             "imperfect_alignment": sum(i for _, i, _ in want) < (K - 1) * n,
             "no_pollution": all(0 <= d <= precoders[p].shape[1]
-                                for p, (d, _, _) in enumerate(want))}
+                                for p, (d, _, _) in enumerate(want)),
+            "dims_match_construction": (
+                tuple(d for d, _, _ in want) == scheme.expected_desired
+                and tuple(u for _, _, u in want) == scheme.expected_used)}
 
 
 def ff3_scenario(trials=10):
@@ -124,8 +132,8 @@ def ff3_scenario(trials=10):
     # (3, 2, 2, 2) take two stacks each way and the dense demo's one
     (shared_scenario, 2 + 1 + 2),
     (dense_scenario, 1 + 1 + 1),
-    # three shapes of single ranks and joints, the rx1 span joints, then
-    # the loop-closure joints and their base
+    # one call over six shapes: three of single ranks and joints, the rx1
+    # span joints, the loop-closure joints and their base
     (ff3_scenario, 3 + 1 + 2)], ids=["blind", "pair", "dense", "ff3"])
 def test_trial_svd_calls(monkeypatch, make, svds):
     svd, calls = np.linalg.svd, []

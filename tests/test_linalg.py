@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim.linalg import (DEFAULT_TOL, RankTolerance, _normalized,
-                             balanced_rank, is_subspace, is_subspace_each,
-                             joint_rank, joint_rank_each, numeric_rank,
-                             numeric_rank_by_shape, numeric_rank_each)
+                             balanced_rank, is_subspace, joint_rank,
+                             numeric_rank, numeric_rank_by_shape)
 from alignsim.rational import exact_rank
 
 
@@ -34,6 +33,41 @@ def test_normalized_keeps_zero_columns():
     a[:, 0] = [1.0, 2.0, 2.0]
     out = _normalized(a)
     assert np.all(out[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e160, 2e160), (1e-300, 2e-300),
+                                    (1e-170, 2e-170)])
+def test_normalized_rescales_large_and_tiny_columns(lo, hi):
+    # squares of these entries overflow or underflow; an exact power-of-two
+    # scale gives the bits of the same matrix brought near 1
+    rng = np.random.default_rng(5)
+    a = rng.uniform(lo, hi, size=(2, 7, 4)) * rng.choice([-1.0, 1.0],
+                                                         size=(2, 7, 4))
+    a[0, :, 1] = 0.0
+    _, exp = np.frexp(np.abs(a).max(axis=-2, keepdims=True))
+    want = _normalized(np.ldexp(a, -exp))
+    assert _normalized(a).tobytes() == want.tobytes()
+    assert np.allclose(np.linalg.norm(want, axis=-2)[:, [0, 2, 3]], 1.0)
+    # row normalization too, and the ranks are the ones near 1
+    m = a[1][:, :3] * [1.0, 1.0, 0.5]
+    assert _normalized(m, axis=-1).tobytes() == _normalized(
+        np.ldexp(m, -np.frexp(np.abs(m).max(axis=-1, keepdims=True))[1]),
+        axis=-1).tobytes()
+    near_one = a[1] / np.abs(a[1]).max()
+    assert numeric_rank(a[1]) == numeric_rank(near_one) == 4
+    assert balanced_rank(m) == 3
+    assert numeric_rank_by_shape([a[0], a[1]]) == [3, 4]
+
+
+def test_normalized_keeps_the_bits_of_representable_norms():
+    # the rescale runs only for out-of-range norms, and where it would not
+    # be needed it changes nothing
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        a = rng.normal(size=(9, 5)) * 10.0 ** rng.uniform(-8, 8, size=5)
+        _, exp = np.frexp(np.abs(a).max(axis=0))
+        assert _normalized(a).tobytes() == _normalized(
+            np.ldexp(a, -exp)).tobytes()
 
 
 def test_rank_simple_cases():
@@ -173,10 +207,11 @@ def containment_cases(draw):
 @given(containment_cases())
 def test_stacked_containment_matches_one_at_a_time(case):
     base, stack = case
-    flags, seen = _factored(is_subspace_each, stack, base)
-    assert flags.tolist() == [is_subspace(c, base) for c in stack]
-    assert joint_rank_each(base, stack).tolist() == [
-        joint_rank([base, c]) for c in stack]
+    joints = [np.hstack([base, c]) for c in stack]
+    ranks, seen = _factored(numeric_rank_by_shape, [base, *joints])
+    assert [r == ranks[0] for r in ranks[1:]] == [
+        is_subspace(c, base) for c in stack]
+    assert ranks[1:] == [joint_rank([base, c]) for c in stack]
     # every matrix the stack factored gets the singular values it gets
     # alone: the raw [base, c] is joined before normalizing
     want = [_svd_2d(np.hstack([base, c])) for c in stack] + [_svd_2d(base)]
@@ -187,8 +222,8 @@ def test_stacked_containment_matches_one_at_a_time(case):
 @given(containment_cases())
 def test_stacked_numeric_rank_matches_one_at_a_time(case):
     base, stack = case
-    ranks, seen = _factored(numeric_rank_each, stack)
-    assert ranks.tolist() == [numeric_rank(m) for m in stack]
+    ranks, seen = _factored(numeric_rank_by_shape, list(stack))
+    assert ranks == [numeric_rank(m) for m in stack]
     assert len(seen) == len(stack)
     assert _same_arrays(seen, [_svd_2d(m) for m in stack])
     # a list of mixed shapes, ranked one stack per shape
@@ -199,13 +234,10 @@ def test_stacked_numeric_rank_matches_one_at_a_time(case):
 
 
 def test_stacked_rank_validation():
-    with pytest.raises(ValueError):
-        numeric_rank_each(np.eye(3))                    # not a stack
-    with pytest.raises(ValueError):
-        numeric_rank_each(np.full((2, 3, 1), np.nan))
-    with pytest.raises(ValueError):
-        is_subspace_each(np.eye(3), np.eye(3))          # not a stack
-    with pytest.raises(ValueError):
-        is_subspace_each(np.zeros((2, 4, 1)), np.eye(3))
-    with pytest.raises(ValueError):
-        is_subspace_each(np.full((1, 3, 1), np.inf), np.eye(3))
+    for ms in ([np.ones(3)],                            # not a matrix
+               [np.ones((2, 3, 1))],                    # not a matrix
+               [np.zeros((3, 0))],                      # no columns
+               [np.eye(3), np.full((3, 3), np.nan)],
+               [np.eye(3), np.full((3, 1), np.inf)]):
+        with pytest.raises(ValueError):
+            numeric_rank_by_shape(ms)

@@ -8,11 +8,11 @@ import pytest
 
 from alignsim import shared
 from alignsim.channel import sample_network
-from alignsim.harness import alignment_report
+from alignsim.harness import Scenario, run_trials
 from alignsim.shared import (best_sharing_degree, construct_shared, curve_f,
                              dense_demo_patterns, demo_network_config,
                              dof_table, dof_upper_bound, pair_demo_patterns,
-                             scheme_counts, sharing_dof)
+                             scheme_counts, sharing_dof, verify_shared)
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +110,13 @@ def test_demo_schemes_measure_as_constructed(factory):
     for seed in range(25):
         scheme = construct_shared(4, 2, pats, n, seed)
         inst = sample_network(cfg, seed=seed)
-        report = alignment_report(inst, scheme.precoders)
-        desired = tuple(d for d, _, _ in report.per_receiver)
-        used = tuple(u for _, _, u in report.per_receiver)
+        measured = verify_shared(scheme, inst)[1]
+        desired = tuple(measured[f"desired_rx{p}"] for p in (1, 2, 3, 4))
+        used = tuple(measured[f"used_rx{p}"] for p in (1, 2, 3, 4))
         assert desired == scheme.expected_desired
         assert used == scheme.expected_used
-        assert report.total_dof == scheme.total_dof
+    summary = run_trials(Scenario("shared", cfg, {"r": 2}, trials=25))
+    assert all(r.total_dof == scheme.total_dof for r in summary.results)
 
 
 def test_constant_patterns_collapse_to_time_sharing():

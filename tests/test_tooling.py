@@ -1,6 +1,7 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
-library, the same command output with and without ``python -O``, and a
-suite that reports every test when a property test fails."""
+library, one rank entry for the regimes, the same command output with and
+without ``python -O``, and a suite that reports every test when a
+property test fails."""
 
 import ast
 import json
@@ -54,6 +55,31 @@ def test_library_has_no_unused_imports():
                     if (name not in used
                             and (path.name, name) not in KEPT_IMPORTS):
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+# every rank decision of a regime goes through numeric_rank_by_shape, or
+# balanced_rank for the K-user families
+RANK_ENTRY = {"DEFAULT_TOL", "numeric_rank_by_shape", "balanced_rank"}
+
+
+def test_regimes_rank_through_one_entry():
+    found = []
+    for name in ("blind.py", "shared.py", "fastfading.py", "harness.py"):
+        tree = ast.parse((SRC / "alignsim" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{name}:{node.lineno} {alias.name}"
+                          for alias in node.names if "linalg" in alias.name]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                found += [
+                    f"{name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if (module.endswith("linalg") and alias.name not in
+                        RANK_ENTRY and (name, alias.name) not in KEPT_IMPORTS)
+                    or (not module.endswith("linalg")
+                        and alias.name == "linalg")]
     assert found == []
 
 
