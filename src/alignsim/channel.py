@@ -13,9 +13,11 @@ sampler asks each batch only for the values it still misses.
 
 Every per-trial object is built and validated once: a frozen
 ``NetworkConfig`` builds its K x K pattern and hidden-slot tables at
-construction (so a bad change point or gain range fails when the config
-is loaded).  A diagonal channel is its length-n vector of gains, a
-read-only float64 array that every consumer uses as it is.
+construction (so a bad change point, gain range or direct transform
+fails when the config is loaded).  A diagonal channel is its length-n
+vector of gains, a read-only float64 array that every consumer uses as
+it is.  ``sample_network`` draws every link's gains, and each direct
+transform when it is first read, from that transform's own seed.
 """
 
 import math
@@ -194,10 +196,17 @@ def _bounded_permutation(n, max_shift, rng):
     return perm
 
 
+def _check_transform(kind, distance, n):
+    if kind not in ("identity", "memory", "permutation"):
+        raise ValueError(f"unknown direct_kind {kind!r}")
+    if kind != "identity" and not 1 <= distance < n:
+        raise ValueError("need 1 <= memory_distance < n for a "
+                         f"{kind} transform")
+
+
 def direct_transform_matrix(kind, distance, n, seed):
     """Full-rank direct-link transform of the requested kind."""
-    if kind != "identity" and not 1 <= distance < n:
-        raise ValueError("distance must satisfy 1 <= distance < n")
+    _check_transform(kind, distance, n)
     if kind == "identity":
         mat = np.eye(n)
         distance = 0
@@ -208,14 +217,12 @@ def direct_transform_matrix(kind, distance, n, seed):
         mat = np.zeros((n, n))
         mat[band] = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
                                 size=np.count_nonzero(band))
-    elif kind == "permutation":
+    else:
         rng = np.random.default_rng(seed)
         perm = _bounded_permutation(n, distance, rng)
         diag = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT, size=n)
         mat = np.zeros((n, n))
         mat[np.arange(n), perm] = diag[perm]
-    else:
-        raise ValueError(f"unknown transform kind {kind!r}")
     # exactly nonsingular: triangular with a nonzero diagonal, or a scaled
     # permutation (a float rank test fails large ill-conditioned bands)
     if kind == "permutation":
@@ -327,6 +334,8 @@ class NetworkConfig:
         if not sys.float_info.min <= self.h_max - self.h_min < math.inf:
             raise ValueError("need finite h_min < h_max with a finite, "
                              "normal width")
+        # checked here as well: a scheme may never draw a direct transform
+        _check_transform(self.direct_kind, self.memory_distance, self.n)
         object.__setattr__(self, "_pattern_table", _cell_table(
             self.patterns, lambda c: ChangingPattern(self.n, c)))
         object.__setattr__(self, "_unknown_table", _cell_table(
@@ -360,12 +369,29 @@ class NetworkConfig:
                                                 json_int, 1))
 
 
+class _Transforms(dict):
+    """Receiver p's DirectTransform, drawn from its own seed when ``[p]``
+    is first read, then kept; a hit is a plain dict lookup."""
+
+    def __init__(self, config, seed):
+        self.config, self.seed = config, seed
+
+    def __missing__(self, p):
+        c = self.config
+        if p not in range(c.K):
+            raise KeyError(p)
+        t = self[p] = direct_transform_matrix(
+            c.direct_kind, c.memory_distance, c.n,
+            self.seed * 1_000_033 + 7 * p + 1)
+        return t
+
+
 @dataclass(frozen=True)
 class NetworkInstance:
     K: int
     n: int
     channels: dict          # (p, q) -> read-only gain array, all K*K links
-    transforms: tuple       # per-receiver DirectTransform for the direct link
+    transforms: dict        # receiver -> DirectTransform, drawn on first read
     unknown: tuple          # the config's UnknownSet table
     seed: int
 
@@ -385,16 +411,14 @@ class NetworkInstance:
 
 
 def sample_network(config: NetworkConfig, seed) -> NetworkInstance:
-    """Sample every link of the network, deterministically per (config, seed)."""
-    K, n = config.K, config.n
+    """Sample every link of the network, deterministically per (config,
+    seed); each receiver's direct transform is drawn when first read."""
+    K = config.K
     channels = {
         (p, q): sample_channel(config.pattern(p, q),
                                seed * 1_000_003 + p * K + q + 1,
                                config.h_min, config.h_max)
         for p in range(K) for q in range(K)}
-    transforms = tuple(
-        direct_transform_matrix(config.direct_kind, config.memory_distance,
-                                n, seed * 1_000_033 + 7 * p + 1)
-        for p in range(K))
-    return NetworkInstance(K=K, n=n, channels=channels, transforms=transforms,
+    return NetworkInstance(K=K, n=config.n, channels=channels,
+                           transforms=_Transforms(config, seed),
                            unknown=config._unknown_table, seed=seed)

@@ -125,11 +125,15 @@ def _hidden_slot_setup(instance, seed, fixed_slots):
     if n != expect_n:
         raise ValueError(
             f"slot count must equal 2L + {fixed_slots} = {expect_n}")
-    fams = {}
-    for idx, (p, q) in enumerate(cross):
-        fams[(p, q)] = build_indexed_basis(
-            instance.channel(p, q), instance.unknown_set(p, q),
-            seed * 613 + idx + 1)
+    gains = [instance.channel(p, q) for p, q in cross]
+    # products of three gains beyond 2^256 or below 2^-257 may overflow or
+    # underflow, so such gains are scaled by a power of two ratios cancel
+    _, exp = np.frexp(np.abs(gains).max())
+    if abs(exp) > 256:
+        gains = [np.ldexp(h, -exp) for h in gains]
+    fams = {pq: build_indexed_basis(h, instance.unknown_set(*pq),
+                                    seed * 613 + idx + 1)
+            for idx, (pq, h) in enumerate(zip(cross, gains))}
     rng = np.random.default_rng(seed)
     gam = np.ones(n)
     for slot, v in zip(omega, separated_uniform(rng, len(omega), avoid=(1.0,))):
@@ -154,14 +158,12 @@ def build_3user(instance: NetworkInstance, epsilon, seed):
     t = (_surrogate(fams, 0, 1) * _surrogate(fams, 1, 2) * _surrogate(fams, 2, 0)
          / (_surrogate(fams, 1, 0) * _surrogate(fams, 2, 1) * _surrogate(fams, 0, 2)))
 
-    def columns(i_lo, i_hi):
-        return np.column_stack([(t ** i) * (gam ** j)
-                                for i in range(i_lo, i_hi + 1)
-                                for j in range(1, L + 2)])
-
-    a = columns(0, epsilon)
-    b = columns(1, epsilon)
-    c = columns(0, epsilon - 1)
+    # columns t^i * gamma^j, i-major; b and c are those with i >= 1 and
+    # with i < epsilon
+    a = np.column_stack([(t ** i) * (gam ** j) for i in range(epsilon + 1)
+                         for j in range(1, L + 2)])
+    b = a[:, L + 1:]
+    c = a[:, :epsilon * (L + 1)]
     v1 = a
     v3 = (_surrogate(fams, 1, 0) / _surrogate(fams, 1, 2))[:, None] * b
     v2 = (_surrogate(fams, 2, 0) / _surrogate(fams, 2, 1))[:, None] * c
@@ -200,13 +202,14 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
     transforms the result is reported but flagged as not guaranteed.
 
     One ``numeric_rank_by_shape`` call ranks every matrix, one stack per
-    distinct shape.  A containment holds when the rank of the raw ``[base,
-    candidate]`` joint equals the base's.  ``rx1_span_equality`` ranks each
-    side once per surrogate member and one ``[right, left]`` joint per
-    substitution: column order does not change a rank, so the two sides
-    span one space when both their ranks equal the joint's.  The seeded
-    draws come in a fixed order: the rx1 substitutions, the loop-map
-    substitutions, then one gamma exponent per loop substitution.
+    distinct shape; the span sides and joints and the loop joints go in
+    as the stacks they are built as.  A containment holds when the rank of
+    the raw ``[base, candidate]`` joint equals the base's.
+    ``rx1_span_equality`` ranks each side once per surrogate member and
+    one ``[right, left]`` joint per substitution: column order does not
+    change a rank, so the two sides span one space when both their ranks
+    equal the joint's.  The seeded draws come in a fixed order: the rx1
+    substitutions, the loop-map substitutions, then their gamma exponents.
     """
     L, eps = scheme.L, scheme.epsilon
     v1, v2, v3 = scheme.tx_columns
@@ -242,18 +245,16 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
 
     r10 = instance.received_matrix(1, 0, v1)
     r20 = instance.received_matrix(2, 0, v1)
-    ranks = numeric_rank_by_shape(
+    (rank_tx1, rank_r10, rank_r20, rank_seed_b, rank_seed_c, joint_rx2,
+     joint_rx3, joint_rx1, rank_base, side12, side13, span,
+     loop) = numeric_rank_by_shape(
         [scheme.seed_columns["tx1"], r10, r20, scheme.seed_columns["tx3"],
          scheme.seed_columns["tx2"],
          np.hstack([r10, instance.received_matrix(1, 2, v3)]),
          np.hstack([r20, instance.received_matrix(2, 1, v2)]),
          np.hstack([instance.received_matrix(0, 0, v1),
                     instance.received_matrix(0, 1, v2)]),
-         base, *sides12, *sides13, *span_joints, *loop_joints], tol)
-    (rank_tx1, rank_r10, rank_r20, rank_seed_b, rank_seed_c, joint_rx2,
-     joint_rx3, joint_rx1, rank_base) = ranks[:9]
-    side12, side13, span, loop = np.split(np.array(ranks[9:]), np.cumsum(
-        [len(sides12), len(sides13), len(span_joints)]))
+         base, sides12, sides13, span_joints, loop_joints], tol)
 
     checks = {
         "rank_tx1": rank_tx1 == L + eps + 1,

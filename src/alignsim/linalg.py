@@ -9,11 +9,12 @@ One private kernel makes every decision.  It takes a ``(batch, rows,
 cols)`` stack, scales each column to unit length along the row axis and
 takes the singular values of every matrix from one ``np.linalg.svd``
 call; LAPACK factors each matrix of a stack on its own, so a matrix gets
-the same singular values, bit for bit, alone or inside a stack.  Inputs
-are validated at the public functions.  The regime verifiers list every
-matrix they rank, joints concatenated from the raw ``[base, candidate]``
-before they are normalized, and ``numeric_rank_by_shape`` ranks the
-list with one kernel call per distinct shape.  ``numeric_rank``,
+the same singular values, bit for bit, alone or inside a stack.  Shapes
+are validated at the public functions, finiteness by the kernel's norm
+range test.  The regime verifiers list every matrix they rank, as 2-D
+matrices or 3-D stacks, joints concatenated from the raw ``[base,
+candidate]`` before they are normalized, and ``numeric_rank_by_shape``
+ranks the list with one kernel call per matrix shape.  ``numeric_rank``,
 ``joint_rank`` and ``is_subspace`` make one decision each.
 """
 
@@ -44,20 +45,14 @@ class RankTolerance:
 DEFAULT_TOL = RankTolerance()
 
 
-def _as_stack(m):
-    """A non-empty, finite (batch, rows, cols) float stack."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 3 or 0 in a.shape:
-        raise ValueError("expected non-empty 2-D matrices")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
 def _as_matrix(m):
-    """A matrix, or a vector as one column, validated as a stack of one."""
+    """A non-empty float matrix, or a vector as one column."""
     a = np.asarray(m, dtype=float)
-    return _as_stack(a[None, :, None] if a.ndim == 1 else a[None])[0]
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError("expected non-empty 2-D matrices")
+    return a
 
 
 # a norm below this may have lost bits to squares that underflow
@@ -71,7 +66,8 @@ def _normalized(a, axis=-2):
     A vector whose plain norm overflows or underflows is first scaled by
     the power of two that brings its largest entry into [0.5, 1).  Such a
     scale is exact, so a vector with a representable norm would get the
-    same bits either way.
+    same bits either way.  Only then are the entries checked: a nan or
+    inf entry gives a nan or inf norm and raises ValueError.
     """
     # np.linalg.norm's own formula, without its per-call overhead; squares
     # that overflow are rescaled below
@@ -79,7 +75,9 @@ def _normalized(a, axis=-2):
         norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
     # entries below about 1e-162 square to zero, so a zero norm qualifies
     # too; a true zero vector has exponent 0 and keeps its entries
-    if norms.min() < _TINY_NORM or norms.max() == np.inf:
+    if not (norms.min() >= _TINY_NORM and norms.max() < np.inf):
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
         out_of_range = (norms == np.inf) | (norms < _TINY_NORM)
         _, exp = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
         a = np.ldexp(a, np.where(out_of_range, -exp, 0))
@@ -88,7 +86,7 @@ def _normalized(a, axis=-2):
 
 
 def _ranks(stack, tol):
-    """Numeric rank of every matrix of a validated (batch, rows, cols) stack."""
+    """Numeric rank of every matrix of a non-empty (batch, rows, cols) stack."""
     s = np.linalg.svd(_normalized(stack), compute_uv=False)
     return (s > tol.relative_threshold * s[:, :1]).sum(axis=-1)
 
@@ -99,15 +97,22 @@ def numeric_rank(m, tol=DEFAULT_TOL):
 
 
 def numeric_rank_by_shape(ms, tol=DEFAULT_TOL):
-    """``numeric_rank(m)`` for every 2-D array ``m`` of a list, as a list
-    of ints, from one kernel call per distinct shape."""
-    by_shape, ranks = {}, [0] * len(ms)
+    """``numeric_rank`` of every array of a list, an int for a 2-D matrix
+    and an int array for a 3-D stack, from one kernel call per distinct
+    ``(rows, cols)`` on that shape's matrices in list order."""
+    by_shape, ranks = {}, [None] * len(ms)
     for i, m in enumerate(ms):
-        by_shape.setdefault(m.shape, []).append(i)
+        if m.ndim not in (2, 3) or 0 in m.shape:
+            raise ValueError("expected non-empty 2-D matrices or 3-D stacks")
+        by_shape.setdefault(m.shape[-2:], []).append(i)
     for idx in by_shape.values():
-        stack = _as_stack([ms[i] for i in idx])
-        for i, r in zip(idx, _ranks(stack, tol).tolist()):
-            ranks[i] = r
+        parts = [ms[i] if ms[i].ndim == 3 else ms[i][None] for i in idx]
+        r = _ranks(np.concatenate(parts, dtype=float), tol)
+        start = 0
+        for i, part in zip(idx, parts):
+            ranks[i] = (r[start:start + len(part)] if ms[i].ndim == 3
+                        else int(r[start]))
+            start += len(part)
     return ranks
 
 

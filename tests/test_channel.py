@@ -236,8 +236,9 @@ def test_network_config_rejects_out_of_range_slots_at_construction(patterns,
 @pytest.mark.parametrize("K", [2, 3, 4])
 def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
                                                            per_receiver, K):
-    # one per link, plus one per receiver transform that draws anything:
-    # an identity transform draws nothing and seeds no generator
+    # one generator per link at sampling; a receiver's transform seeds its
+    # own the first time it is read (an identity transform draws nothing
+    # and seeds none), and a second read seeds nothing
     seeded = []
     default_rng = np.random.default_rng
 
@@ -249,10 +250,21 @@ def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
                         direct_kind=kind, memory_distance=2)
     monkeypatch.setattr(np.random, "default_rng", spy)
     inst = sample_network(cfg, seed=3)
-    assert len(seeded) == K * K + per_receiver * K
-    if kind == "identity":
-        assert all(np.array_equal(t.matrix, np.eye(6))
-                   for t in inst.transforms)
+    assert len(seeded) == K * K
+    for p in reversed(range(K)):
+        before = len(seeded)
+        first = inst.transforms[p]
+        assert len(seeded) == before + per_receiver
+        assert inst.transforms[p] is first
+        assert len(seeded) == before + per_receiver
+        # in any read order, the transform the eager draw gave
+        want = direct_transform_matrix(kind, 2, 6, 3 * 1_000_033 + 7 * p + 1)
+        assert (first.kind, first.distance) == (want.kind, want.distance)
+        assert first.matrix.tobytes() == want.matrix.tobytes()
+        if kind == "identity":
+            assert np.array_equal(first.matrix, np.eye(6))
+    with pytest.raises(KeyError):
+        inst.transforms[K]
 
 
 def test_channel_array_is_read_only_and_equals_values():

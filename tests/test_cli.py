@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,8 @@ def test_missing_config_is_input_error(capsys):
 
 _PAIR = demo_network_config(*pair_demo_patterns()).to_dict()
 _FF3 = fastfading_config(3, 7, 1).to_dict()
+_FFK = {**fastfading_config(4, 37, 2, memory_distance=4).to_dict(),
+        "n_star": 1, "trials": 1}
 # a valid blind scenario: cross links change at slots 3 and 5
 _BLIND = {"K": 3, "n": 6, "rho": 1, "trials": 1,
           "patterns": [[[2, 4], [3, 5], [3, 5]], [[3, 5], [], [3, 5]],
@@ -185,6 +188,10 @@ MALFORMED = [
     ("blind-sim", {**_BLIND, "h_min": 1e-320, "h_max": 2e-320}, "h_min"),
     # the CLI reads a config's seed as the base seed
     ("shared-sim", {**_PAIR, "r": 2, "seed": 1.5}, "seed"),
+    # the K-user scheme draws no direct transform, so the config is
+    # where a bad one is caught
+    ("ffk-sim", {**_FFK, "direct_kind": "wavelet"}, "direct_kind"),
+    ("ffk-sim", {**_FFK, "memory_distance": _FFK["n"]}, "memory_distance"),
 ]
 
 
@@ -273,6 +280,25 @@ def test_blind_sim_passes_at_huge_and_tiny_gains(tmp_path, capsys, h_min,
     code, _, err = run_cli(capsys, "blind-sim", str(path))
     assert code == 0, err
     assert "pass=3" in err
+
+
+@pytest.mark.parametrize("h_min, h_max", [(1e160, 2e160), (1e-300, 2e-300)])
+@pytest.mark.parametrize("command, raw", [
+    ("ff3-sim", {**_FF3, "epsilon": 2}), ("ffk-sim", _FFK)],
+    ids=["ff3", "ffk"])
+def test_fastfading_sims_pass_at_huge_and_tiny_gains(tmp_path, capsys,
+                                                     command, raw, h_min,
+                                                     h_max):
+    # products of three gains overflow or underflow unless the surrogate
+    # gains are first scaled by a power of two
+    path = tmp_path / "ff.json"
+    path.write_text(json.dumps({**raw, "trials": 2, "h_min": h_min,
+                                "h_max": h_max}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(capsys, command, str(path))
+    assert code == 0, err
+    assert "pass=2" in err
 
 
 def test_ff3_sim_at_48_hidden_slots_ends_without_traceback(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Monte Carlo driver: determinism, aggregation, regimes, CSV output."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,38 @@ def test_trial_svd_calls(monkeypatch, make, svds):
     assert len(calls) == 3 * svds
 
 
+def ffk_scenario(trials=3):
+    return Scenario(regime="fastfadingK",
+                    config=fastfading_config(4, 2 * 2 + 1 + 2 ** 5, 2,
+                                             memory_distance=4),
+                    params={"n_star": 1}, trials=trials, base_seed=0)
+
+
+@pytest.mark.parametrize("make, generators", [
+    # one per link and two for the basis (its generator diagonal and its
+    # mixer); an identity transform seeds none
+    (blind_scenario, 9 + 2),
+    # one per link and one for the precoders
+    (shared_scenario, 16 + 1), (dense_scenario, 16 + 1),
+    # links, the one direct transform verify_3user reads (receiver 0's),
+    # six surrogate families, the mixer and the verifier's substitutions
+    (ff3_scenario, 9 + 1 + 6 + 1 + 1),
+    # links, twelve surrogate families and the mixer: no direct transform
+    (ffk_scenario, 16 + 12 + 1)],
+    ids=["blind", "pair", "dense", "ff3", "ffk"])
+def test_trial_generator_counts(monkeypatch, make, generators):
+    default_rng, seeded = np.random.default_rng, []
+
+    def spy(*args, **kwargs):
+        seeded.append(1)
+        return default_rng(*args, **kwargs)
+
+    scenario = make(trials=3)
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    assert run_trials(scenario).all_passed
+    assert len(seeded) == 3 * generators
+
+
 def test_run_trials_seed_offsets():
     summary = run_trials(shared_scenario(trials=5, base_seed=100))
     assert [r.seed for r in summary.results] == [100, 101, 102, 103, 104]
@@ -191,6 +224,35 @@ def test_fastfadingK_regime():
     summary = run_trials(scenario)
     assert summary.all_passed
     assert all(r.total_dof == Fraction(34, 37) for r in summary.results)
+
+
+# SHA-256 of summary_csv for three trials of each scenario below, at two
+# base seeds: a change meant to keep every verdict and CSV byte must keep
+# these
+GOLDEN_CSV_SHA256 = {
+    ("blind", 0): "ab22e8783fc0335b3f27171ed975c845508552e2f566514a42978588eca91f58",
+    ("blind", 1000): "834bfab2bd0a8943b0de0d376db0e807a17dcfa39f2e2a7b46a24b20818e5d24",
+    ("pair", 0): "3adbd002777a7e4b6e99714c6b4ae5cf6547b4bafee615e7ffcc3cc51b701cb1",
+    ("pair", 1000): "55af842d27485f466737c0695b2d4de3c1e2c40762a333e58967b246b1a293fc",
+    ("dense", 0): "c7feeb6443f04601a837ccce915548bbc2433ed88eeaed138f2a39c8e6aac72c",
+    ("dense", 1000): "fd81ff7ea7a033f63889981a196f7fabf3bbddb03190442bf22e0a8ebf36f71a",
+    ("ff3", 0): "d24aba0427243838d7c309c2e839d9d92c086ca1caa8f5dbd24166dfd00bba27",
+    ("ff3", 1000): "31c58c33a61291c53766e64200f52d7690122d5573f07fe0d76efaff99517757",
+    ("ffk", 0): "dae10735b901fd103ea302f2d31c3ab5e0df0804c9c237231373f85a175b3a2c",
+    ("ffk", 1000): "d4d8c4f146cf8803a2d83a7f4846781988496f1acf683f3c07ba11f872049485",
+}
+SCENARIOS = {"blind": blind_scenario, "pair": shared_scenario,
+             "dense": dense_scenario, "ff3": ff3_scenario, "ffk": ffk_scenario}
+
+
+@pytest.mark.parametrize("name, base_seed", list(GOLDEN_CSV_SHA256),
+                         ids=[f"{n}-{s}" for n, s in GOLDEN_CSV_SHA256])
+def test_summary_csv_golden_bytes(name, base_seed):
+    scenario = dataclasses.replace(SCENARIOS[name](trials=3),
+                                   base_seed=base_seed)
+    text = summary_csv(run_trials(scenario))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        GOLDEN_CSV_SHA256[(name, base_seed)]
 
 
 def test_summary_csv_layout():

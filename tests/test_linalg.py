@@ -231,13 +231,31 @@ def test_stacked_numeric_rank_matches_one_at_a_time(case):
     ranks, seen = _factored(numeric_rank_by_shape, mixed)
     assert ranks == [numeric_rank(m) for m in mixed]
     assert _same_arrays(seen, [_svd_2d(m) for m in mixed])
+    # 3-D stacks among 2-D matrices: an int array per stack, ranked with
+    # the matrices of its shape
+    mixed = [stack, base.T, stack[:1], base, stack[::-1]]
+    ranks, seen = _factored(numeric_rank_by_shape, mixed)
+    singles = [m for item in mixed
+               for m in (item if item.ndim == 3 else [item])]
+    flat = [r for item in ranks for r in np.atleast_1d(item).tolist()]
+    assert flat == [numeric_rank(m) for m in singles]
+    assert [np.ndim(r) for r in ranks] == [1, 0, 1, 0, 1]
+    assert all(type(r) is int for r in ranks[1::2])
+    assert _same_arrays(seen, [_svd_2d(m) for m in singles])
 
 
 def test_stacked_rank_validation():
-    for ms in ([np.ones(3)],                            # not a matrix
-               [np.ones((2, 3, 1))],                    # not a matrix
-               [np.zeros((3, 0))],                      # no columns
-               [np.eye(3), np.full((3, 3), np.nan)],
-               [np.eye(3), np.full((3, 1), np.inf)]):
-        with pytest.raises(ValueError):
+    nan_inside, inf_inside = np.ones((2, 3, 3)), np.ones((4, 3, 2))
+    nan_inside[1, 2, 0] = np.nan
+    inf_inside[3, 0, 1] = -np.inf
+    for ms, message in (
+            ([np.ones(3)], "non-empty"),                    # not a matrix
+            ([np.ones((2, 3, 1, 1))], "non-empty"),         # not a stack
+            ([np.zeros((3, 0))], "non-empty"),              # no columns
+            ([np.eye(3), np.zeros((0, 3, 3))], "non-empty"),  # empty batch
+            ([np.eye(3), np.full((3, 3), np.nan)], "finite"),
+            ([np.eye(3), np.full((3, 1), np.inf)], "finite"),
+            ([np.eye(3), nan_inside], "finite"),            # nan in a stack
+            ([inf_inside, np.ones((3, 2))], "finite")):     # inf in a stack
+        with pytest.raises(ValueError, match=message):
             numeric_rank_by_shape(ms)
