@@ -56,8 +56,8 @@ def main():
     print("(the coarse block formula warns when a direct block outlasts the")
     print(" column budget and can over-count short value-runs; the refined")
     print(" count always matches the measured rank):")
-    _, measured = verify_blind(scheme, inst,
-                               [cfg.pattern(k, k) for k in range(K)])
+    _, measured = verify_blind(scheme, inst, [
+        generic_free_dims(scheme, cfg.pattern(k, k)) for k in range(K)])
     dims = [measured[f"free_dims_rx{k + 1}"] for k in range(K)]
     for k in range(K):
         pat = ChangingPattern(n, direct[k])

@@ -10,7 +10,7 @@ Library layout:
 * ``blind`` — pattern-only precoding and free-dimension counting;
 * ``shared`` — same-destination-pattern sharing schemes and DoF bounds;
 * ``fastfading`` — half-CSI surrogate-family schemes and CSIT-fraction caps;
-* ``harness`` — seeded Monte Carlo verification;
+* ``harness`` — per-regime plans built once, seeded Monte Carlo verification;
 * ``cli`` — the ``alignsim`` command.
 """
 

@@ -21,13 +21,24 @@ from .channel import (ChangingPattern, constant_intervals, sample_channel,
 from .linalg import DEFAULT_TOL, numeric_rank_by_shape
 
 __all__ = [
+    "BlindPlan",
     "BlindScheme",
+    "plan_blind",
+    "draw_blind",
     "build_blind_scheme",
     "predicted_free_dims",
     "generic_free_dims",
     "verify_blind",
     "blind_total_dof",
 ]
+
+
+@dataclass(frozen=True)
+class BlindPlan:
+    """The seed-free part of a blind scheme: its checked layout."""
+    n: int
+    rho: int
+    union: ChangingPattern
 
 
 @dataclass(frozen=True)
@@ -39,23 +50,36 @@ class BlindScheme:
     interference_basis: np.ndarray   # read-only n x (n/2)
 
 
-def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
-    """Construct the shared column set for K transmitters."""
+def plan_blind(cross_union: ChangingPattern, rho):
+    """Check that the union pattern has n = 2*rho*(s+1) slots."""
     if rho < 1:
         raise ValueError("rho must be >= 1")
     s = len(cross_union.change_points)
     n = 2 * rho * (s + 1)
     if cross_union.n != n:
-        raise ValueError("pattern slot count must equal 2*rho*(s+1)")
-    gen = sample_channel(cross_union, seed, distinct_blocks="all")
+        raise ValueError(f"n = {cross_union.n} must equal 2*rho*(s+1) = {n}, "
+                         f"where s = {s} is the number of cross change "
+                         "points")
+    return BlindPlan(n=n, rho=rho, union=cross_union)
+
+
+def draw_blind(plan: BlindPlan, K, seed):
+    """The shared column set for K transmitters, drawn from seed."""
+    n, rho, s = plan.n, plan.rho, len(plan.union.change_points)
+    gen = sample_channel(plan.union, seed, distinct_blocks="all")
     rng = np.random.default_rng(seed + 1)
     gam = np.asarray(separated_uniform(rng, n))
     cols = [(gen ** a) * (gam ** j)
             for a in range(1, s + 2) for j in range(1, rho + 1)]
     basis = np.column_stack(cols)
     basis.setflags(write=False)     # one basis for all K precoders
-    return BlindScheme(n=n, rho=rho, union=cross_union,
+    return BlindScheme(n=n, rho=rho, union=plan.union,
                        precoders=(basis,) * K, interference_basis=basis)
+
+
+def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
+    """Construct the shared column set for K transmitters."""
+    return draw_blind(plan_blind(cross_union, rho), K, seed)
 
 
 def predicted_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):
@@ -79,8 +103,9 @@ def predicted_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):
     return min(scheme.n // 2, scheme.rho * hits)
 
 
-def generic_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):
-    """Exact generic free-dimension count, valid for arbitrarily short runs.
+def generic_free_dims(scheme, direct_pattern: ChangingPattern):
+    """Exact generic free-dimension count, valid for arbitrarily short runs;
+    ``scheme`` is a BlindScheme or its BlindPlan.
 
     Within a union block b the shared columns span the first rho mixing
     powers restricted to b, and the direct channel multiplies them by a
@@ -104,17 +129,18 @@ def generic_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):
     return min(scheme.n // 2, total)
 
 
-def verify_blind(scheme: BlindScheme, instance, direct_patterns,
+def verify_blind(scheme: BlindScheme, instance, expected_free,
                  tol=DEFAULT_TOL):
     """Rank checks of a blind scheme on a sampled network, as
-    ``(checks, measured)``; ``direct_patterns[k]`` is the pattern of the
-    direct link into receiver k.
+    ``(checks, measured)``; ``expected_free[k]`` is the generic
+    free-dimension count of the direct link into receiver k
+    (``generic_free_dims`` of its pattern).
 
     One ``numeric_rank_by_shape`` call ranks the basis and the raw
     ``[basis, received]`` joint of every link (p, q): a cross link is
     contained in the basis span when its joint rank equals the basis
     rank, and a direct link's excess over it is its receiver's free
-    dimensions, which must equal the generic count of its pattern.
+    dimensions, which must equal the expected count.
     """
     if instance.n != scheme.n:
         raise ValueError("instance slot count differs from scheme")
@@ -129,8 +155,7 @@ def verify_blind(scheme: BlindScheme, instance, direct_patterns,
         "cross_containment": all(joint[p * K + q] == base for p in range(K)
                                  for q in range(K) if p != q),
         "predicted_equals_measured": all(
-            generic_free_dims(scheme, pattern) == f
-            for pattern, f in zip(direct_patterns, free, strict=True))}
+            want == f for want, f in zip(expected_free, free, strict=True))}
     measured = {"basis_rank": base}
     measured.update((f"free_dims_rx{k + 1}", f) for k, f in enumerate(free))
     return checks, measured

@@ -11,13 +11,16 @@ one-at-a-time loops: on PCG64 a batched ``uniform`` or ``integers`` call
 gives the values and end state of as many scalar calls, and a rejection
 sampler asks each batch only for the values it still misses.
 
-Every per-trial object is built and validated once: a frozen
-``NetworkConfig`` builds its K x K pattern and hidden-slot tables at
-construction (so a bad change point, gain range or direct transform
-fails when the config is loaded).  A diagonal channel is its length-n
-vector of gains, a read-only float64 array that every consumer uses as
-it is.  ``sample_network`` draws every link's gains, and each direct
-transform when it is first read, from that transform's own seed.
+Everything that does not depend on the seed is built and validated
+once: a frozen ``NetworkConfig`` builds its K x K pattern and hidden-slot
+tables at construction (so a bad change point, gain range or direct
+transform fails when the config is loaded), each pattern carries its
+block lengths and each hidden-slot set its sorted slots and anchors, and
+an identity config keeps its one read-only identity transform.  A
+diagonal channel is its length-n vector of gains, a read-only float64
+array that every consumer uses as it is.  ``sample_network`` draws every
+link's gains, and each non-identity direct transform when it is first
+read, from that transform's own seed.
 """
 
 import math
@@ -112,6 +115,8 @@ def _draw_accepted(rng, count, low, high, accept):
 class ChangingPattern:
     n: int
     change_points: tuple
+    # slots in each constant block, in slot order
+    lengths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(sorted(set(int(c) for c in self.change_points)))
@@ -120,18 +125,30 @@ class ChangingPattern:
             raise ValueError("n must be >= 1")
         if any(c < 2 or c > self.n for c in pts):
             raise ValueError("change points must lie in [2, n]")
+        bounds = (1, *pts, self.n + 1)
+        object.__setattr__(self, "lengths", tuple(
+            b - a for a, b in zip(bounds, bounds[1:])))
 
 
 @dataclass(frozen=True)
 class UnknownSet:
     n: int
     indices: frozenset
+    # the hidden slots in order, and the anchor slots of an indexed basis
+    # family: the hidden slots, then the first known slot if there is one
+    hidden: tuple = field(init=False, repr=False, compare=False)
+    anchors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = frozenset(int(i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
         if any(i < 1 or i > self.n for i in idx):
             raise ValueError("unknown indices must lie in [1, n]")
+        hidden = tuple(sorted(idx))
+        known = next((i for i in range(1, self.n + 1) if i not in idx), None)
+        object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "anchors",
+                           hidden if known is None else hidden + (known,))
 
 
 @dataclass(frozen=True)
@@ -168,8 +185,7 @@ def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
     distinct_blocks="all", every block value is globally distinct (needed
     for generator diagonals whose anchor solve must be nonsingular).
     """
-    bounds = [1, *p.change_points, p.n + 1]
-    lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+    lengths = p.lengths
     gap = _value_gap(len(lengths), h_min, h_max)
     if distinct_blocks == "all":
         accept = _apart(gap)
@@ -205,10 +221,17 @@ def _check_transform(kind, distance, n):
 
 
 def direct_transform_matrix(kind, distance, n, seed):
-    """Full-rank direct-link transform of the requested kind."""
+    """Full-rank direct-link transform of the requested kind, with a
+    read-only matrix."""
     _check_transform(kind, distance, n)
     if kind == "identity":
-        mat = np.eye(n)
+        # entry (i, j) reads line[n - i + j], the one unit iff i == j: an
+        # exact identity in O(n) memory, so a config with a huge n costs
+        # no n x n allocation when it loads
+        line = np.zeros(2 * n + 1)
+        line[n] = 1.0
+        mat = np.lib.stride_tricks.as_strided(
+            line[n:], (n, n), (-line.itemsize, line.itemsize))
         distance = 0
     elif kind == "memory":
         rng = np.random.default_rng(seed)
@@ -230,6 +253,7 @@ def direct_transform_matrix(kind, distance, n, seed):
             raise ValueError("permutation transform is not a scaled permutation")
     elif not np.all(np.diagonal(mat) != 0):
         raise ValueError(f"{kind} transform has a zero on its diagonal")
+    mat.setflags(write=False)
     return DirectTransform(kind, distance, mat)
 
 
@@ -238,7 +262,9 @@ def _is_int_nest(nest, K):
     return (isinstance(nest, (list, tuple)) and len(nest) == K
             and all(isinstance(row, (list, tuple)) and len(row) == K
                     and all(isinstance(cell, (list, tuple))
-                            and all(isinstance(x, numbers.Integral)
+                            # an exact int skips the slower ABC check
+                            and all(type(x) is int
+                                    or isinstance(x, numbers.Integral)
                                     and not isinstance(x, bool)
                                     for x in cell)
                             for cell in row)
@@ -308,6 +334,8 @@ class NetworkConfig:
     the scheme constructors.  The config is frozen: its validated
     ChangingPattern and UnknownSet tables are built once, at construction,
     and every pattern() and unknown_set() call returns a stored object.
+    An identity config also builds its one identity DirectTransform
+    there, which every sampled instance shares.
     """
     K: int
     n: int
@@ -320,6 +348,8 @@ class NetworkConfig:
     # K x K tables of ChangingPattern and UnknownSet, built from the nests
     _pattern_table: tuple = field(init=False, repr=False, compare=False)
     _unknown_table: tuple = field(init=False, repr=False, compare=False)
+    # the shared identity transform, or None for a drawn kind
+    _identity: DirectTransform = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.unknown is None:
@@ -340,6 +370,9 @@ class NetworkConfig:
             self.patterns, lambda c: ChangingPattern(self.n, c)))
         object.__setattr__(self, "_unknown_table", _cell_table(
             self.unknown, lambda c: UnknownSet(self.n, frozenset(c))))
+        object.__setattr__(self, "_identity", direct_transform_matrix(
+            "identity", 0, self.n, None)
+            if self.direct_kind == "identity" else None)
 
     def pattern(self, p, q):
         return self._pattern_table[p][q]
@@ -371,7 +404,8 @@ class NetworkConfig:
 
 class _Transforms(dict):
     """Receiver p's DirectTransform, drawn from its own seed when ``[p]``
-    is first read, then kept; a hit is a plain dict lookup."""
+    is first read, then kept; a hit is a plain dict lookup.  An identity
+    config's transform is its stored one, drawn from nothing."""
 
     def __init__(self, config, seed):
         self.config, self.seed = config, seed
@@ -380,7 +414,7 @@ class _Transforms(dict):
         c = self.config
         if p not in range(c.K):
             raise KeyError(p)
-        t = self[p] = direct_transform_matrix(
+        t = self[p] = c._identity or direct_transform_matrix(
             c.direct_kind, c.memory_distance, c.n,
             self.seed * 1_000_033 + 7 * p + 1)
         return t
@@ -402,11 +436,17 @@ class NetworkInstance:
         return self.unknown[p][q]
 
     def received_matrix(self, p, q, precoder):
-        """What receiver p sees of transmitter q's precoder columns."""
+        """What receiver p sees of transmitter q's precoder columns.
+
+        An identity transform is not multiplied: on finite columns
+        without -0.0, ``I @ x`` is ``x`` bit for bit.
+        """
         h = self.channel(p, q)[:, None]
         x = np.asarray(precoder, dtype=float)
         if p == q:
-            x = self.transforms[p].matrix @ x
+            t = self.transforms[p]
+            if t.kind != "identity":
+                x = t.matrix @ x
         return h * x
 
 

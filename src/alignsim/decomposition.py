@@ -70,17 +70,15 @@ def build_power_basis(pattern: ChangingPattern, seed):
 def build_indexed_basis(true_values, unknown: UnknownSet, seed):
     """|U|+1 members agreeing with the true channel on every known slot."""
     vals = np.asarray(true_values, dtype=float)
-    hidden = sorted(unknown.indices)
     rng = np.random.default_rng(seed)
-    count = len(hidden) + 1
+    count = len(unknown.hidden) + 1
     # row m is member m: the true values, with fresh draws at hidden slots
     table = np.empty((count, vals.size))
     table[:] = vals
-    for slot in hidden:
+    for slot in unknown.hidden:
         table[:, slot - 1] = separated_uniform(rng, count)
     table.setflags(write=False)
-    known = [i for i in range(1, vals.size + 1) if i not in unknown.indices]
-    return BasisFamily("indexed", table, tuple(hidden + known[:1]))
+    return BasisFamily("indexed", table, unknown.anchors)
 
 
 def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):

@@ -13,6 +13,10 @@ Also implemented: the exact CSIT-fraction metric, the closed-form sum-DoF
 caps as a function of that fraction, and the K-user generalization built
 from pairwise transfer maps.  ``verify_3user`` and ``verify_kuser`` check
 the two constructions by rank and return ``(checks, measured)``.
+
+Each construction is a seed-free plan (``plan_3user``, ``plan_kuser``: the
+parameter and slot-count checks and the sorted hidden union) and a
+seeded draw of the scheme from it (``draw_3user``, ``draw_kuser``).
 """
 
 from dataclasses import dataclass
@@ -30,8 +34,12 @@ from .linalg import (DEFAULT_TOL, balanced_rank, is_subspace,
 __all__ = [
     "FastFading3Scheme",
     "KUserScheme",
+    "plan_3user",
+    "draw_3user",
     "build_3user",
     "verify_3user",
+    "plan_kuser",
+    "draw_kuser",
     "build_kuser",
     "verify_kuser",
     "upsilon_fraction",
@@ -114,17 +122,26 @@ def _surrogate(fams, p, q):
     return fams[(p, q)].members[0]
 
 
-def _hidden_slot_setup(instance, seed, fixed_slots):
-    """Hidden union, surrogate families and diagonal mixer (1 outside the
-    union) of a scheme needing 2L + fixed_slots slots; the slot count is
-    checked before any family is built."""
-    K, n = instance.K, instance.n
-    cross = [(p, q) for p in range(K) for q in range(K) if p != q]
-    omega = sorted(hidden_union([instance.unknown_set(p, q) for p, q in cross]))
+def _hidden_omega(network, fixed_slots):
+    """The sorted hidden union of a config's or instance's cross links,
+    after checking that it has 2L + fixed_slots slots."""
+    K, n = network.K, network.n
+    omega = tuple(sorted(hidden_union(
+        [network.unknown_set(p, q) for p in range(K) for q in range(K)
+         if p != q])))
     expect_n = 2 * len(omega) + fixed_slots
     if n != expect_n:
-        raise ValueError(
-            f"slot count must equal 2L + {fixed_slots} = {expect_n}")
+        raise ValueError(f"n = {n} must equal 2L + {fixed_slots} = "
+                         f"{expect_n}, where L = {len(omega)} is the number "
+                         "of hidden slots")
+    return omega
+
+
+def _hidden_slot_setup(instance, omega, seed):
+    """Surrogate families and the diagonal mixer (1 outside the hidden
+    union omega) of a scheme."""
+    K, n = instance.K, instance.n
+    cross = [(p, q) for p in range(K) for q in range(K) if p != q]
     gains = [instance.channel(p, q) for p, q in cross]
     # products of three gains beyond 2^256 or below 2^-257 may overflow or
     # underflow, so such gains are scaled by a power of two ratios cancel
@@ -138,22 +155,33 @@ def _hidden_slot_setup(instance, seed, fixed_slots):
     gam = np.ones(n)
     for slot, v in zip(omega, separated_uniform(rng, len(omega), avoid=(1.0,))):
         gam[slot - 1] = v
-    return omega, fams, gam
+    return fams, gam
+
+
+def plan_3user(network, epsilon):
+    """The sorted hidden union of a 3-user config or instance, after the
+    user-count, epsilon and slot-count (n = 2L + 2 epsilon + 1) checks."""
+    if network.K != 3:
+        raise ValueError("this constructor is for 3 users")
+    if epsilon < 1:
+        raise ValueError("epsilon must be >= 1")
+    return _hidden_omega(network, 2 * epsilon + 1)
 
 
 def build_3user(instance: NetworkInstance, epsilon, seed):
-    """Construct the three precoders from surrogate families only.
+    """Construct the three precoders from surrogate families only."""
+    return draw_3user(instance, epsilon, plan_3user(instance, epsilon), seed)
+
+
+def draw_3user(instance: NetworkInstance, epsilon, omega, seed):
+    """The three precoders of a planned 3-user scheme, from surrogate
+    families only.
 
     The builder reads true gains solely on known slots (the indexed basis
     copies those and redraws hidden ones), so hidden values never leak in.
     """
-    if instance.K != 3:
-        raise ValueError("this constructor is for 3 users")
-    if epsilon < 1:
-        raise ValueError("epsilon must be >= 1")
-    n = instance.n
-    omega, fams, gam = _hidden_slot_setup(instance, seed, 2 * epsilon + 1)
-    L = len(omega)
+    n, L = instance.n, len(omega)
+    fams, gam = _hidden_slot_setup(instance, omega, seed)
 
     t = (_surrogate(fams, 0, 1) * _surrogate(fams, 1, 2) * _surrogate(fams, 2, 0)
          / (_surrogate(fams, 1, 0) * _surrogate(fams, 2, 1) * _surrogate(fams, 0, 2)))
@@ -169,7 +197,7 @@ def build_3user(instance: NetworkInstance, epsilon, seed):
     v2 = (_surrogate(fams, 2, 0) / _surrogate(fams, 2, 1))[:, None] * c
     expected = {"dof": (Fraction(L + epsilon + 1, n), Fraction(L + epsilon, n),
                         Fraction(L + epsilon, n))}
-    return FastFading3Scheme(n=n, L=L, epsilon=epsilon, omega=tuple(omega),
+    return FastFading3Scheme(n=n, L=L, epsilon=epsilon, omega=omega,
                              loop_transfer=t, gamma=gam, surrogates=fams,
                              tx_columns=(v1, v2, v3),
                              seed_columns={"tx1": a, "tx3": b, "tx2": c},
@@ -230,9 +258,10 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
     span_joints = np.concatenate(
         [g13[:, :, None] * v3, g12[:, :, None] * v2], axis=-1)
 
-    # loop-map substitutions stay inside the base span
-    gamma_powers = np.array([scheme.gamma ** j for j in range(1, L + 2)])
-    base = np.column_stack([scheme.loop_transfer * g for g in gamma_powers])
+    # loop-map substitutions stay inside the base span; tx1's first two
+    # column blocks are t^0 gamma^j and t^1 gamma^j, j = 1..L+1
+    gamma_powers = scheme.seed_columns["tx1"][:, :L + 1].T
+    base = scheme.seed_columns["tx1"][:, L + 1:2 * (L + 1)]
     keys = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
     combos = _member_combos(fams, keys, rng)
     jps = rng.integers(1, L + 2, size=len(combos))
@@ -308,15 +337,10 @@ def _grid_columns(maps, gamma_powers, lo, hi):
     return (rows[:, None] * gamma_powers).reshape(-1, n).T
 
 
-def build_kuser(instance: NetworkInstance, n_star, seed):
-    """Pairwise-transfer column families for K >= 3 users.
-
-    Exponent grids over the N = (K-1)(K-2)-1 pairwise transfer maps give
-    the seed set (exponents 1..n_star) and the first transmitter's set
-    (exponents 0..n_star); expected ranks are L + n_star^N and
-    L + (n_star+1)^N over n = 2L + n_star^N + (n_star+1)^N slots.
-    """
-    K, n = instance.K, instance.n
+def plan_kuser(network, n_star):
+    """The sorted hidden union of a K-user config or instance, after the
+    user-count, n_star, grid-size and slot-count checks."""
+    K = network.K
     if K < 3:
         raise ValueError("need K >= 3")
     if n_star < 1:
@@ -324,9 +348,25 @@ def build_kuser(instance: NetworkInstance, n_star, seed):
     N = (K - 1) * (K - 2) - 1
     if (n_star + 1) ** N > KUSER_SIZE_GUARD:
         raise ValueError("exponent grid too large for direct construction")
-    omega, fams, gam = _hidden_slot_setup(instance, seed,
-                                          n_star ** N + (n_star + 1) ** N)
-    L = len(omega)
+    return _hidden_omega(network, n_star ** N + (n_star + 1) ** N)
+
+
+def build_kuser(instance: NetworkInstance, n_star, seed):
+    """Pairwise-transfer column families for K >= 3 users."""
+    return draw_kuser(instance, n_star, plan_kuser(instance, n_star), seed)
+
+
+def draw_kuser(instance: NetworkInstance, n_star, omega, seed):
+    """Pairwise-transfer column families of a planned K-user scheme.
+
+    Exponent grids over the N = (K-1)(K-2)-1 pairwise transfer maps give
+    the seed set (exponents 1..n_star) and the first transmitter's set
+    (exponents 0..n_star); expected ranks are L + n_star^N and
+    L + (n_star+1)^N over n = 2L + n_star^N + (n_star+1)^N slots.
+    """
+    K, n, L = instance.K, instance.n, len(omega)
+    N = (K - 1) * (K - 2) - 1
+    fams, gam = _hidden_slot_setup(instance, omega, seed)
 
     def q1(p, q):
         return _surrogate(fams, p, q)
@@ -335,15 +375,13 @@ def build_kuser(instance: NetworkInstance, n_star, seed):
              for q in range(1, K)}
     pairs = [(p, q) for p in range(1, K) for q in range(1, K)
              if p != q and (p, q) != (1, 2)]
-    if len(pairs) != N:
-        raise ValueError(f"expected {N} transfer-map pairs, got {len(pairs)}")
     maps = [q1(*pq) / q1(pq[0], 0) * relay[pq[1]] for pq in pairs]
     gamma_powers = np.array([gam ** j for j in range(1, L + 2)])
     seed_cols = _grid_columns(maps, gamma_powers, 1, n_star)
     tx1_cols = _grid_columns(maps, gamma_powers, 0, n_star)
     expected = {"dim_seed": L + n_star ** N,
                 "dim_tx1": L + (n_star + 1) ** N}
-    return KUserScheme(K=K, n=n, L=L, n_star=n_star, N=N, omega=tuple(omega),
+    return KUserScheme(K=K, n=n, L=L, n_star=n_star, N=N, omega=omega,
                        tx1_columns=tx1_cols, seed_columns=seed_cols,
                        expected=expected)
 

@@ -4,8 +4,16 @@ One Scenario describes a regime (blind / shared / fastfading3 /
 fastfadingK), a network configuration, scheme parameters, and a trial
 count.  Trial i uses seed base_seed + i; trials are independent, results
 are aggregated in trial order, and two runs of the same scenario produce
-byte-identical reports.  A trial builds its regime's scheme, takes the
-checks and measured numbers from its verifier and derives the total DoF.
+byte-identical reports.
+
+The pipeline is plan at load -> sample -> draw -> verify.  A Scenario
+builds its regime's seed-free plan once, when it is constructed, so a
+config or parameter the regime cannot use fails there: the blind union
+pattern, layout checks and expected free dimensions, the shared window
+and carrier construction, or the fast-fading hidden union and slot-count
+checks.  A trial then samples the network, draws the seeded part of the
+scheme from the plan, takes the checks and measured numbers from its
+verifier and derives the total DoF.
 """
 
 import csv
@@ -14,11 +22,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blind import blind_total_dof, build_blind_scheme, verify_blind
+from .blind import (blind_total_dof, draw_blind, generic_free_dims,
+                    plan_blind, verify_blind)
 from .channel import NetworkConfig, sample_network, union_pattern
-from .fastfading import build_3user, build_kuser, verify_3user, verify_kuser
+from .fastfading import (draw_3user, draw_kuser, plan_3user, plan_kuser,
+                         verify_3user, verify_kuser)
 from .linalg import DEFAULT_TOL
-from .shared import construct_shared, verify_shared
+from .shared import draw_shared, plan_shared, verify_shared
 
 __all__ = [
     "Scenario",
@@ -37,12 +47,16 @@ class Scenario:
     trials: int = 100
     base_seed: int = 0
     tol: object = DEFAULT_TOL
+    # the regime's seed-free plan, shared by every trial
+    plan: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.regime not in _TRIAL_FNS:
+        if self.regime not in _REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "plan", _REGIMES[self.regime][0](
+            self.config, self.params))
 
 
 @dataclass
@@ -72,58 +86,82 @@ def _receiver_patterns(config):
     for p in range(config.K):
         for q in range(1, config.K):
             if config.pattern(p, q) != pats[p]:
-                raise ValueError("shared regime needs one pattern per receiver")
+                raise ValueError("the shared regime needs the same patterns "
+                                 "on every link into a receiver")
     return pats
+
+
+def _blind_plan(cfg, params):
+    cross = [cfg.pattern(p, q) for p in range(cfg.K) for q in range(cfg.K)
+             if p != q]
+    union = union_pattern(cross)
+    plan = plan_blind(union, int(params.get("rho", 1)))
+    return plan, [generic_free_dims(plan, cfg.pattern(k, k))
+                  for k in range(cfg.K)]
 
 
 def _blind_trial(scenario, seed):
     cfg = scenario.config
-    cross = [cfg.pattern(p, q) for p in range(cfg.K) for q in range(cfg.K)
-             if p != q]
-    rho = int(scenario.params.get("rho", 1))
-    scheme = build_blind_scheme(union_pattern(cross), rho, cfg.K, seed)
-    checks, measured = verify_blind(
-        scheme, sample_network(cfg, seed),
-        [cfg.pattern(k, k) for k in range(cfg.K)], scenario.tol)
+    plan, expected_free = scenario.plan
+    scheme = draw_blind(plan, cfg.K, seed)
+    checks, measured = verify_blind(scheme, sample_network(cfg, seed),
+                                    expected_free, scenario.tol)
     free = [measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
     return checks, measured, blind_total_dof(free, scheme.n)
 
 
+def _shared_plan(cfg, params):
+    pats = _receiver_patterns(cfg)
+    return plan_shared(cfg.K, int(params.get("r", 2)), pats, cfg.n)
+
+
 def _shared_trial(scenario, seed):
     cfg = scenario.config
-    pats = _receiver_patterns(cfg)
-    r = int(scenario.params.get("r", 2))
-    scheme = construct_shared(cfg.K, r, pats, cfg.n, seed)
+    scheme = draw_shared(scenario.plan, seed)
     checks, measured = verify_shared(scheme, sample_network(cfg, seed),
                                      scenario.tol)
     desired = sum(measured[f"desired_rx{p + 1}"] for p in range(cfg.K))
     return checks, measured, max(Fraction(desired, cfg.n), Fraction(1))
 
 
+def _ff3_plan(cfg, params):
+    eps = int(params.get("epsilon", 1))
+    return eps, plan_3user(cfg, eps)
+
+
 def _ff3_trial(scenario, seed):
-    eps = int(scenario.params.get("epsilon", 1))
+    eps, omega = scenario.plan
     inst = sample_network(scenario.config, seed)
-    scheme = build_3user(inst, eps, seed)
+    scheme = draw_3user(inst, eps, omega, seed)
     checks, measured = verify_3user(scheme, inst, scenario.tol)
     total = sum(scheme.expected["dof"]) if checks["rx1_separation"] \
         else Fraction(1)
     return checks, measured, total
 
 
+def _ffk_plan(cfg, params):
+    n_star = int(params.get("n_star", 1))
+    return n_star, plan_kuser(cfg, n_star)
+
+
 def _ffk_trial(scenario, seed):
-    n_star = int(scenario.params.get("n_star", 1))
-    scheme = build_kuser(sample_network(scenario.config, seed), n_star, seed)
+    n_star, omega = scenario.plan
+    scheme = draw_kuser(sample_network(scenario.config, seed), n_star,
+                        omega, seed)
     checks, measured = verify_kuser(scheme, scenario.tol)
     return checks, measured, Fraction(scheme.expected["dim_tx1"], scheme.n)
 
 
-_TRIAL_FNS = {"blind": _blind_trial, "shared": _shared_trial,
-              "fastfading3": _ff3_trial, "fastfadingK": _ffk_trial}
+# regime -> (plan from config and params, trial from scenario and seed)
+_REGIMES = {"blind": (_blind_plan, _blind_trial),
+            "shared": (_shared_plan, _shared_trial),
+            "fastfading3": (_ff3_plan, _ff3_trial),
+            "fastfadingK": (_ffk_plan, _ffk_trial)}
 
 
 def run_trials(scenario: Scenario) -> RunSummary:
     """Run every trial of a scenario and aggregate pass/fail and rank stats."""
-    fn = _TRIAL_FNS[scenario.regime]
+    fn = _REGIMES[scenario.regime][1]
     results = []
     for i in range(scenario.trials):
         seed = scenario.base_seed + i

@@ -6,6 +6,12 @@ dimension at each non-sharing receiver, provided its support sits inside a
 slot window where all those receivers are constant.  This module builds
 such schemes greedily and evaluates the closed-form total-DoF curve
 sharing_dof(K, r) = K*r / (r^2 - r + K) together with its integer optimizer.
+
+A construction is a seed-free plan (``plan_shared``: windows, capacity
+drops, carrier repair, expected dimensions and the fill count) and a
+seeded draw of its random fill columns (``draw_shared``);
+``construct_shared`` is the one composed of the two, and one plan serves
+any number of draws.
 """
 
 import math
@@ -22,6 +28,7 @@ from .linalg import DEFAULT_TOL, numeric_rank_by_shape
 __all__ = [
     "BoundResult",
     "SharedVector",
+    "SharedPlan",
     "SharedPatternScheme",
     "best_sharing_degree",
     "sharing_dof",
@@ -29,6 +36,8 @@ __all__ = [
     "scheme_counts",
     "curve_f",
     "dof_table",
+    "plan_shared",
+    "draw_shared",
     "construct_shared",
     "verify_shared",
     "pair_demo_patterns",
@@ -126,14 +135,30 @@ def dof_table(k_min, k_max):
 # scheme construction
 
 
-@dataclass
+@dataclass(frozen=True)
 class SharedVector:
     vid: int
     subset: tuple          # transmitters that originally share the vector
     kept: tuple            # transmitters still carrying it after repair
     support: tuple         # 1-based slots allowed to be nonzero
-    values: np.ndarray     # length-n column
+    values: np.ndarray     # read-only length-n column
     is_fill: bool = False
+
+
+@dataclass(frozen=True)
+class SharedPlan:
+    """Everything of an r-sharing scheme but its random fill columns."""
+    K: int
+    r: int
+    n: int
+    vectors: tuple                 # kept window vectors
+    dropped: tuple                 # vector ids dropped, sorted
+    window_columns: tuple          # per transmitter, its read-only n x d
+                                   # block of window vectors
+    fill_count: int                # fill columns, dealt round-robin
+    expected_desired: tuple        # per-receiver desired dims
+    expected_used: tuple           # per-receiver occupied dims
+    total_dof: Fraction
 
 
 @dataclass
@@ -191,15 +216,22 @@ def _window_values(rank_in_group, window, n):
     return col
 
 
-def construct_shared(K, r, patterns, n, seed=0):
-    """Greedy r-sharing construction over given per-receiver patterns.
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def plan_shared(K, r, patterns, n):
+    """The seed-free part of the greedy r-sharing construction over given
+    per-receiver patterns.
 
     patterns[p] is the changing pattern shared by every channel into
     receiver p.  One candidate vector per r-subset of transmitters; a
     vector survives only if it has a size-r support window constant at all
     non-member receivers; over-full windows and collapsing member copies
-    are repaired by dropping vectors/members; leftover dimensions are
-    filled with full-support random columns.
+    are repaired by dropping vectors/members; the leftover dimensions are
+    counted for the full-support random fill columns that ``draw_shared``
+    adds.
     """
     if not 1 <= r <= K - 1:
         raise ValueError("r must lie in [1, K-1]")
@@ -207,49 +239,45 @@ def construct_shared(K, r, patterns, n, seed=0):
                 for p in patterns]
     if len(patterns) != K or any(p.n != n for p in patterns):
         raise ValueError("need one n-slot pattern per receiver")
-    rng = np.random.default_rng(seed)
 
-    vectors = []
+    # capacity: an identical support window of size w carries at most w
+    # vectors, with orthogonal in-window profiles
+    placed = []              # (vid, subset, window, values)
     dropped = []
+    in_window = {}
     for vid, subset in enumerate(combinations(range(K), r)):
         window = _pick_window(subset, patterns, n, r)
         if window is None:
             dropped.append(vid)
             continue
-        vectors.append(SharedVector(vid, subset, subset, window, None))
-
-    # capacity: an identical support window of size w carries at most w vectors
-    by_window = {}
-    kept = []
-    for v in vectors:
-        group = by_window.setdefault(v.support, [])
-        if len(group) >= len(v.support):
-            dropped.append(v.vid)
+        rank = in_window.get(window, 0)
+        if rank >= len(window):
+            dropped.append(vid)
             continue
-        v.values = _window_values(len(group), v.support, n)
-        group.append(v)
-        kept.append(v)
-    vectors = kept
+        in_window[window] = rank + 1
+        placed.append((vid, subset, window,
+                       _read_only(_window_values(rank, window, n))))
 
     # repair collapsing desired copies: while some member receiver sees fewer
     # value-runs in the support than the vector has carriers, remove the
     # carrier with the widest precoder (ties: lowest transmitter index)
-    width = [sum(1 for v in vectors if t in v.kept) for t in range(K)]
-    for v in vectors:
-        while v.kept:
-            need = len(v.kept)
-            if all(_runs_in_window(patterns[p], v.support) >= need for p in v.kept):
-                break
-            victim = max(v.kept, key=lambda t: (width[t], -t))
-            v.kept = tuple(t for t in v.kept if t != victim)
+    width = [sum(1 for _, subset, _, _ in placed if t in subset)
+             for t in range(K)]
+    vectors = []
+    for vid, subset, window, values in placed:
+        kept = subset
+        while kept and not all(_runs_in_window(patterns[p], window) >= len(kept)
+                               for p in kept):
+            victim = max(kept, key=lambda t: (width[t], -t))
+            kept = tuple(t for t in kept if t != victim)
             width[victim] -= 1
+        if kept:
+            vectors.append(SharedVector(vid, subset, kept, window, values))
 
     # expected occupied/desired dimensions per receiver
     used = [0] * K
     desired = [0] * K
     for v in vectors:
-        if not v.kept:
-            continue
         live = len(v.kept)
         for p in range(K):
             if p not in v.subset:
@@ -262,35 +290,57 @@ def construct_shared(K, r, patterns, n, seed=0):
 
     # random fill: spend leftover dimensions on unshared full-support columns,
     # handed out round-robin so no transmitter hoards the leftover space
-    fills = []
-    next_vid = math.comb(K, r)
-    t = 0
-    while all(u + 1 <= n for u in used):
-        col = rng.uniform(-1.0, 1.0, size=n)
-        fills.append(SharedVector(next_vid, (t,), (t,), tuple(range(1, n + 1)),
-                                  col, is_fill=True))
-        next_vid += 1
-        used = [u + 1 for u in used]
-        desired[t] += 1
-        t = (t + 1) % K
-    vectors = [v for v in vectors if v.kept] + fills
+    fills = max(0, n - max(used))
+    for i in range(fills):
+        desired[i % K] += 1
+    used = [u + fills for u in used]
 
-    precoders = []
+    columns = []
     for t in range(K):
         cols = [v.values for v in vectors if t in v.kept]
-        precoders.append(np.column_stack(cols) if cols else np.zeros((n, 0)))
+        columns.append(_read_only(np.column_stack(cols) if cols
+                                  else np.zeros((n, 0))))
+    return SharedPlan(K=K, r=r, n=n, vectors=tuple(vectors),
+                      dropped=tuple(sorted(dropped)),
+                      window_columns=tuple(columns), fill_count=fills,
+                      expected_desired=tuple(desired),
+                      expected_used=tuple(used),
+                      total_dof=max(Fraction(sum(desired), n), Fraction(1)))
+
+
+def draw_shared(plan: SharedPlan, seed):
+    """The scheme of a plan with its fill columns drawn from seed.
+
+    Fill i goes to transmitter i mod K, after its window vectors; every
+    precoder must have full column rank.
+    """
+    K, n, count = plan.K, plan.n, plan.fill_count
+    rng = np.random.default_rng(seed)
+    fill = _read_only(rng.uniform(-1.0, 1.0, size=(count, n)))
+    full = tuple(range(1, n + 1))
+    first = math.comb(K, plan.r)
+    vectors = list(plan.vectors) + [
+        SharedVector(first + i, (i % K,), (i % K,), full, fill[i], is_fill=True)
+        for i in range(count)]
+    precoders = [np.hstack([plan.window_columns[t], fill[t::K].T])
+                 for t in range(K)]
     live = [t for t in range(K) if precoders[t].shape[1]]
     ranks = numeric_rank_by_shape([precoders[t] for t in live])
     for t, rank in zip(live, ranks):
         if rank != precoders[t].shape[1]:
             raise ValueError(f"precoder of transmitter {t + 1} has rank {rank}, "
                              f"not full column rank {precoders[t].shape[1]}")
+    return SharedPatternScheme(K=K, r=plan.r, n=n, vectors=vectors,
+                               dropped=list(plan.dropped), precoders=precoders,
+                               expected_desired=plan.expected_desired,
+                               expected_used=plan.expected_used,
+                               total_dof=plan.total_dof)
 
-    total = max(Fraction(sum(desired), n), Fraction(1))
-    return SharedPatternScheme(K=K, r=r, n=n, vectors=vectors,
-                               dropped=sorted(dropped), precoders=precoders,
-                               expected_desired=tuple(desired),
-                               expected_used=tuple(used), total_dof=total)
+
+def construct_shared(K, r, patterns, n, seed=0):
+    """Greedy r-sharing construction over given per-receiver patterns: the
+    plan of ``plan_shared`` with the fill columns ``draw_shared`` draws."""
+    return draw_shared(plan_shared(K, r, patterns, n), seed)
 
 
 def verify_shared(scheme: SharedPatternScheme, instance, tol=DEFAULT_TOL):

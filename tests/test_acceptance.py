@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alignsim.blind import (build_blind_scheme, predicted_free_dims,
-                            verify_blind)
+from alignsim.blind import (build_blind_scheme, generic_free_dims,
+                            predicted_free_dims, verify_blind)
 from alignsim.channel import (ChangingPattern, constant_intervals,
                               sample_channel, sample_network)
 from alignsim.decomposition import (RESIDUAL_REL_TOL, build_and_decompose,
@@ -176,7 +176,8 @@ def test_criterion_6_free_dim_prediction():
     instances = _blind_instances(0, 100, restrict_direct=True)
     for scheme, cfg, inst in instances:
         direct = [cfg.pattern(k, k) for k in range(cfg.K)]
-        measured = verify_blind(scheme, inst, direct)[1]
+        measured = verify_blind(
+            scheme, inst, [generic_free_dims(scheme, p) for p in direct])[1]
         agree += [predicted_free_dims(scheme, p) for p in direct] == [
             measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
     ok = agree == 100

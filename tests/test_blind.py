@@ -87,7 +87,8 @@ def test_cross_interference_containment():
 
 def measured_free_dims(scheme, cfg, inst):
     measured = verify_blind(
-        scheme, inst, [cfg.pattern(k, k) for k in range(cfg.K)])[1]
+        scheme, inst, [generic_free_dims(scheme, cfg.pattern(k, k))
+                       for k in range(cfg.K)])[1]
     return [measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
 
 
@@ -189,5 +190,6 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho):
                      for d, f in zip(direct, free))},
                 {"basis_rank": base, **{f"free_dims_rx{k + 1}": f
                                         for k, f in enumerate(free)}})
-        assert verify_blind(scheme, inst, direct, tol) == want
+        assert verify_blind(scheme, inst, [generic_free_dims(scheme, d)
+                                           for d in direct], tol) == want
         assert (result.checks, result.measured) == want

@@ -267,6 +267,32 @@ def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
         inst.transforms[K]
 
 
+def test_identity_transform_is_one_read_only_object_per_config(monkeypatch):
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        seeded.append(args)
+        return default_rng(*args, **kwargs)
+
+    cfg = NetworkConfig(K=3, n=6, patterns=[[[2, 4]] * 3] * 3)
+    other = NetworkConfig(K=3, n=6, patterns=[[[2, 4]] * 3] * 3)
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    insts = [sample_network(cfg, seed) for seed in range(4)]
+    before = len(seeded)
+    found = {id(inst.transforms[p]) for inst in insts for p in range(3)}
+    assert len(seeded) == before      # reading it seeds nothing
+    assert len(found) == 1
+    t = insts[0].transforms[0]
+    assert (t.kind, t.distance) == ("identity", 0)
+    assert t.matrix.tobytes() == np.eye(6).tobytes()
+    assert not t.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        t.matrix[0, 1] = 1.0
+    # configs do not share it
+    assert sample_network(other, 0).transforms[0] is not t
+
+
 def test_channel_array_is_read_only_and_equals_values():
     # gains and basis families are plain float64 arrays, shared without
     # copies, so every one of them refuses writes

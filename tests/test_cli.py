@@ -222,6 +222,43 @@ def test_out_of_range_slot_fails_when_the_config_loads(tmp_path, capsys,
     assert "trial seed" not in err
 
 
+def _pair_with_cell(p, q, cell):
+    nest = [[list(c) for c in row] for row in _PAIR["patterns"]]
+    nest[p][q] = cell
+    return {**_PAIR, "r": 2, "trials": 3, "patterns": nest}
+
+
+# (command, config, the field the error message must name): each is a
+# config the regime cannot use, caught while its plan is built
+REGIME_ERRORS = [
+    ("blind-sim", {**_BLIND, "rho": 0}, "rho"),
+    # two cross change points at rho = 2 need n = 12, not 6
+    ("blind-sim", {**_BLIND, "rho": 2}, "n"),
+    # the identity transform built at load is O(n) memory, not n x n
+    ("blind-sim", {**_BLIND, "n": 200_000}, "n"),
+    ("shared-sim", {**_PAIR, "r": 4, "trials": 3}, "r"),
+    ("shared-sim", {**_PAIR, "r": 0, "trials": 3}, "r"),
+    # one link into receiver 2 changes where the others do not
+    ("shared-sim", _pair_with_cell(1, 2, [2]), "patterns"),
+    # one hidden slot at epsilon = 1 needs n = 5, not 7
+    ("ff3-sim", {**_FF3, "epsilon": 1, "trials": 3}, "n"),
+    ("ffk-sim", {**_FFK, "n_star": 0, "trials": 3}, "n_star"),
+]
+
+
+@pytest.mark.parametrize("command, raw, named", REGIME_ERRORS,
+                         ids=[f"{c}-{n}" for c, _, n in REGIME_ERRORS])
+def test_regime_errors_fail_when_the_scenario_is_built(tmp_path, capsys,
+                                                       command, raw, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and re.search(rf"\b{named}\b", err), err
+    # rejected by the scenario's plan, before any trial runs
+    assert "trial seed" not in err
+
+
 def test_bad_arguments_are_input_error(capsys):
     code, _, _ = run_cli(capsys, "bound")
     assert code == 1

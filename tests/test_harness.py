@@ -2,11 +2,14 @@
 
 import dataclasses
 import hashlib
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from alignsim import blind, channel, fastfading, harness, shared
 from alignsim.channel import ChangingPattern, NetworkConfig, sample_network
 from alignsim.harness import Scenario, run_trials, summary_csv
 from alignsim.linalg import DEFAULT_TOL, RankTolerance, joint_rank
@@ -181,6 +184,88 @@ def test_trial_generator_counts(monkeypatch, make, generators):
     assert len(seeded) == 3 * generators
 
 
+# seed-free work that a scenario's plan does once, when it is built
+PLAN_ONLY = {"union_pattern": channel.union_pattern,
+             "generic_free_dims": blind.generic_free_dims,
+             "_pick_window": shared._pick_window,
+             "_receiver_patterns": harness._receiver_patterns,
+             "hidden_union": fastfading.hidden_union,
+             "direct_transform_matrix": channel.direct_transform_matrix}
+
+
+def spy_everywhere(monkeypatch, fns):
+    """Count the calls to each function under every name an alignsim
+    module binds it to."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "alignsim" or name.startswith("alignsim.")]
+    for label, fn in fns.items():
+        def spy(*args, _fn=fn, _label=label, **kwargs):
+            counts[_label] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            for attribute, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attribute, spy)
+    return counts
+
+
+@pytest.mark.parametrize("make, at_load, in_trials", [
+    # identity configs build their one transform with the config
+    (blind_scenario, {"union_pattern", "generic_free_dims",
+                      "direct_transform_matrix"}, {}),
+    (shared_scenario, {"_receiver_patterns", "_pick_window", "union_pattern",
+                       "direct_transform_matrix"}, {}),
+    (dense_scenario, {"_receiver_patterns", "_pick_window", "union_pattern",
+                      "direct_transform_matrix"}, {}),
+    # receiver 0's banded memory transform is seeded, so each trial draws it
+    (ff3_scenario, {"hidden_union"}, {"direct_transform_matrix": 5}),
+    (ffk_scenario, {"hidden_union"}, {})],
+    ids=["blind", "pair", "dense", "ff3", "ffk"])
+def test_seed_free_work_stays_out_of_the_trials(monkeypatch, make, at_load,
+                                                in_trials):
+    counts = spy_everywhere(monkeypatch, PLAN_ONLY)
+    scenario = make(trials=5)
+    assert set(counts) == at_load
+    counts.clear()
+    assert run_trials(scenario).all_passed
+    assert counts == in_trials
+
+
+@pytest.mark.parametrize("name", ["blind", "pair", "dense", "ff3", "ffk"])
+def test_trials_of_one_scenario_equal_one_trial_scenarios(name):
+    # one plan serves every trial: the rows of a 5-trial run are those of
+    # five 1-trial scenarios at the same seeds
+    scenario = dataclasses.replace(SCENARIOS[name](trials=5), base_seed=40)
+    header, *rows = summary_csv(run_trials(scenario)).splitlines()[:6]
+    for i, row in enumerate(rows):
+        one = dataclasses.replace(scenario, trials=1, base_seed=40 + i)
+        one_header, one_row = summary_csv(run_trials(one)).splitlines()[:2]
+        assert one_header == header
+        assert row == f"{i}," + one_row.split(",", 1)[1]
+
+
+@pytest.mark.parametrize("make", [blind_scenario, shared_scenario,
+                                  dense_scenario], ids=["blind", "pair",
+                                                        "dense"])
+def test_identity_received_matrix_is_the_product_bit_for_bit(make):
+    scenario = make(trials=1)
+    cfg = scenario.config
+    for seed in range(5):
+        if scenario.regime == "blind":
+            precoders = blind.draw_blind(scenario.plan[0], cfg.K,
+                                         seed).precoders
+        else:
+            precoders = shared.draw_shared(scenario.plan, seed).precoders
+        inst = sample_network(cfg, seed)
+        for p in range(cfg.K):
+            x = precoders[p]
+            want = inst.channel(p, p)[:, None] * (np.eye(cfg.n) @ x)
+            got = inst.received_matrix(p, p, x)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_run_trials_seed_offsets():
     summary = run_trials(shared_scenario(trials=5, base_seed=100))
     assert [r.seed for r in summary.results] == [100, 101, 102, 103, 104]
@@ -273,6 +358,6 @@ def test_summary_csv_layout():
 def test_mismatched_shared_patterns_rejected():
     nest = [[[2], [3]], [[2], [2]]]
     cfg = NetworkConfig(K=2, n=4, patterns=nest)
-    scenario = Scenario(regime="shared", config=cfg, trials=1)
-    with pytest.raises(ValueError):
-        run_trials(scenario)
+    # the plan is built with the scenario, so that is where it fails
+    with pytest.raises(ValueError, match="patterns"):
+        Scenario(regime="shared", config=cfg, trials=1)

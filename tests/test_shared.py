@@ -1,5 +1,6 @@
 """Sharing-based schemes: closed-form bounds and the greedy construction."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from alignsim.channel import sample_network
 from alignsim.harness import Scenario, run_trials
 from alignsim.shared import (best_sharing_degree, construct_shared, curve_f,
                              dense_demo_patterns, demo_network_config,
-                             dof_table, dof_upper_bound, pair_demo_patterns,
-                             scheme_counts, sharing_dof, verify_shared)
+                             dof_table, dof_upper_bound, draw_shared,
+                             pair_demo_patterns, plan_shared, scheme_counts,
+                             sharing_dof, verify_shared)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,45 @@ def test_demo_schemes_measure_as_constructed(factory):
         assert used == scheme.expected_used
     summary = run_trials(Scenario("shared", cfg, {"r": 2}, trials=25))
     assert all(r.total_dof == scheme.total_dof for r in summary.results)
+
+
+def _same_vector(a, b):
+    return (dataclasses.astuple(a)[:4] + (a.is_fill,)
+            == dataclasses.astuple(b)[:4] + (b.is_fill,)
+            and a.values.tobytes() == b.values.tobytes())
+
+
+@pytest.mark.parametrize("factory", [pair_demo_patterns, dense_demo_patterns])
+def test_construct_shared_is_one_plan_drawn_per_seed(factory):
+    pats, n = factory()
+    plan = plan_shared(4, 2, pats, n)
+    for seed in range(10):
+        want = construct_shared(4, 2, pats, n, seed)
+        got = draw_shared(plan, seed)
+        for f in dataclasses.fields(want):
+            a, b = getattr(want, f.name), getattr(got, f.name)
+            if f.name == "vectors":
+                assert len(a) == len(b)
+                assert all(_same_vector(u, v) for u, v in zip(a, b))
+            elif f.name == "precoders":
+                assert [(m.shape, m.tobytes()) for m in a] == \
+                    [(m.shape, m.tobytes()) for m in b]
+            else:
+                assert a == b, f.name
+        # fill i goes to transmitter i mod K, its values the generator's
+        # next n draws
+        rng = np.random.default_rng(seed)
+        fills = [v for v in got.vectors if v.is_fill]
+        assert len(fills) == plan.fill_count
+        for i, v in enumerate(fills):
+            assert v.kept == v.subset == (i % 4,)
+            assert v.values.tobytes() == rng.uniform(-1.0, 1.0,
+                                                     size=n).tobytes()
+    # every draw shares the plan, which nothing can change
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.vectors[0].kept = ()
+    for arr in [v.values for v in plan.vectors] + list(plan.window_columns):
+        assert not arr.flags.writeable
 
 
 def test_constant_patterns_collapse_to_time_sharing():
