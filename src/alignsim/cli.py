@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import (ChangingPattern, NetworkConfig, config_field,
                       json_float, json_int, sample_channel)
-from .decomposition import build_power_basis, decompose, reconstruct
+from .decomposition import _decompose, build_power_basis
 from .fastfading import dof_cap_given_upsilon, min_upsilon_for_max_dof
 from .harness import Scenario, run_trials, summary_csv
 from .linalg import RankTolerance
@@ -130,8 +130,8 @@ def _cmd_decompose(args):
                              f"got {h.size}")
     else:
         h = sample_channel(pattern, seed + 1)
-    betas = decompose(h, fam)
-    resid = float(np.max(np.abs(reconstruct(betas, fam) - h)))
+    betas, recon = _decompose(h, fam)
+    resid = float(np.max(np.abs(recon - h)))
     try:
         rows = [(j + 1, _dec(b)) for j, b in enumerate(betas)]
     except OverflowError:

@@ -92,11 +92,6 @@ def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def _anchor_system(h, fam):
-    rows = [a - 1 for a in fam.anchor_indices]
-    return fam.members[:, rows].T, h[rows]
-
-
 def decompose(h, fam: BasisFamily):
     """Coefficients beta with sum_j beta_j * member_j == h.
 
@@ -108,25 +103,82 @@ def decompose(h, fam: BasisFamily):
     The one non-square system, the fully hidden indexed case, is
     well-conditioned and uses a float least-squares solve.
 
-    Raises numpy.linalg.LinAlgError when the anchor system is singular
-    and ValueError when the reconstruction residual exceeds the relative
+    The residual check evaluates exactly only the columns the solve does
+    not already fix.  The exact solution meets every anchor's equation,
+    so a slot whose member column equals an anchor's column rounds to h
+    at that anchor: that covers every slot of a power family.  What is
+    left of a square indexed family are its known non-anchor slots, whose
+    columns are all equal and take one product each.
+
+    Raises ValueError unless h is 1-D with fam.n entries,
+    numpy.linalg.LinAlgError when the anchor system is singular, and
+    ValueError when the reconstruction residual exceeds the relative
     tolerance, i.e. when h is not actually representable by the family.
     """
+    return _decompose(h, fam)[0]
+
+
+def _decompose(h, fam):
+    """decompose's coefficients and the reconstruction it checked."""
     h = np.asarray(h, dtype=float)
-    mat, rhs = _anchor_system(h, fam)
+    if h.shape != (fam.n,):
+        raise ValueError(f"h must be 1-D with n = {fam.n} entries, "
+                         f"got shape {h.shape}")
+    rows = [a - 1 for a in fam.anchor_indices]
+    mat, rhs = fam.members[:, rows].T, h[rows]
     if mat.shape[0] == mat.shape[1]:
+        cols, vals = mat.tolist(), rhs.tolist()
         try:
-            betas = exact_solve(mat.tolist(), rhs.tolist())
+            betas = exact_solve(cols, vals)
         except ZeroDivisionError as exc:
             raise np.linalg.LinAlgError("singular anchor system") from exc
+        # h at each anchor, with -0.0 as the +0.0 an exact zero rounds to
+        fixed = {tuple(col): v + 0.0 for col, v in zip(cols, vals)}
+        recon = _exact_columns(betas, fam.members, fixed)
     else:
         betas, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    recon = reconstruct(betas, fam)
+        recon = reconstruct(betas, fam)
     scale = np.max(np.abs(h))
     if np.max(np.abs(recon - h)) > RESIDUAL_REL_TOL * scale:
         raise ValueError("channel is not representable by this family "
                          "(residual above tolerance)")
-    return betas
+    return betas, recon
+
+
+def _exact_columns(betas, stack, known):
+    """Per column i, sum_j betas[j] * stack[j, i] for Fraction betas,
+    rounded once.
+
+    The coefficients are put over one common denominator and each sum is
+    taken exactly in integers and rounded by one int / int division,
+    which Python rounds correctly, as float(Fraction) does.  Columns are
+    keyed by their value tuple, since a diagonal family has one distinct
+    column per constant block: ``known`` maps the columns whose value
+    the caller has already fixed and collects the ones evaluated here,
+    and the common denominator is formed only once a column is left.  A
+    column whose entries all equal v sums to v times the numerators' sum.
+    """
+    out = np.empty(stack.shape[1])
+    nums = None
+    for i, key in enumerate(map(tuple, stack.T.tolist())):
+        value = known.get(key)
+        if value is None:
+            if nums is None:
+                denom = lcm(*(b.denominator for b in betas))
+                nums = [b.numerator * (denom // b.denominator) for b in betas]
+                num_sum = sum(nums)
+            if key.count(key[0]) == len(key):
+                a, d = key[0].as_integer_ratio()
+                value = num_sum * a / (denom * d)
+            else:
+                ratios = [v.as_integer_ratio() for v in key]
+                scale = lcm(*(d for _, d in ratios))
+                total = sum(b * a * (scale // d)
+                            for b, (a, d) in zip(nums, ratios))
+                value = total / (denom * scale)
+            known[key] = value
+        out[i] = value
+    return out
 
 
 def reconstruct(betas, fam: BasisFamily):
@@ -134,30 +186,15 @@ def reconstruct(betas, fam: BasisFamily):
 
     Fraction coefficients (the square-solve output of decompose) are
     combined exactly in integers over one common denominator and rounded
-    once at the end by an int / int division, which Python rounds
-    correctly, as float(Fraction) does; columns are cached by their
-    member-value tuple since a diagonal family has one distinct column
-    per constant block.
+    once per slot (see _exact_columns); a slot whose member values are
+    all equal takes one product instead of a sum.
     """
     betas = list(betas)
     stack = fam.members
     if len(betas) != len(stack):
         raise ValueError("coefficient count does not match family size")
     if any(isinstance(b, Fraction) for b in betas):
-        fracs = [Fraction(b) for b in betas]
-        denom = lcm(*(b.denominator for b in fracs))
-        nums = [b.numerator * (denom // b.denominator) for b in fracs]
-        cache = {}
-        out = np.empty(stack.shape[1])
-        for i, key in enumerate(map(tuple, stack.T.tolist())):
-            if key not in cache:
-                ratios = [v.as_integer_ratio() for v in key]
-                scale = lcm(*(d for _, d in ratios))
-                total = sum(b * a * (scale // d)
-                            for b, (a, d) in zip(nums, ratios))
-                cache[key] = total / (denom * scale)
-            out[i] = cache[key]
-        return out
+        return _exact_columns([Fraction(b) for b in betas], stack, {})
     return np.asarray(betas, dtype=float) @ stack
 
 

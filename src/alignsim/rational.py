@@ -30,18 +30,19 @@ def _check(rows):
     return m
 
 
-def _ratio(x):
-    """(numerator, denominator) of a rational number, exactly."""
-    if not isinstance(x, (int, float, Fraction)):
-        x = Fraction(x)
-    return x.as_integer_ratio()
-
-
 def _integer_rows(m):
-    """Each row times the lcm of its entries' denominators."""
+    """Each row times the lcm of its entries' denominators.
+
+    Entries are read by their own ``as_integer_ratio`` (int, float,
+    Fraction, Decimal); a row holding a type without it goes through
+    Fraction.
+    """
     out = []
     for row in m:
-        ratios = [_ratio(x) for x in row]
+        try:
+            ratios = [x.as_integer_ratio() for x in row]
+        except AttributeError:
+            ratios = [Fraction(x).as_integer_ratio() for x in row]
         scale = lcm(*(d for _, d in ratios))
         out.append([a * (scale // d) for a, d in ratios])
     return out

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from alignsim.channel import (ChangingPattern, UnknownSet, constant_intervals,
                               sample_channel, separated_uniform)
-from alignsim.decomposition import (RESIDUAL_REL_TOL, build_and_decompose,
-                                    build_basis, build_indexed_basis,
-                                    build_power_basis, decompose, reconstruct)
+from alignsim.decomposition import (RESIDUAL_REL_TOL, _decompose,
+                                    build_and_decompose, build_basis,
+                                    build_indexed_basis, build_power_basis,
+                                    decompose, reconstruct)
+from alignsim.rational import exact_solve
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -97,6 +99,14 @@ def test_decompose_rejects_unrepresentable_channel():
     bad = sample_channel(ChangingPattern(8, (2, 3, 4, 5, 6)), seed=1)
     with pytest.raises(ValueError):
         decompose(bad, fam)
+
+
+@pytest.mark.parametrize("shape", [(5,), (6, 1), (7,)],
+                         ids=["short", "column", "long"])
+def test_decompose_validates_h_shape(shape):
+    fam = build_power_basis(ChangingPattern(6, (3,)), seed=0)
+    with pytest.raises(ValueError, match="n = 6"):
+        decompose(np.ones(shape), fam)
 
 
 def test_reconstruct_validates_count():
@@ -192,3 +202,85 @@ def test_reconstruct_rounds_the_exact_sum_once(channel, data, seed):
                           for b, m in zip(betas, fam.members)))
                 for i in range(fam.n)]
     assert reconstruct(betas, fam).tolist() == expected
+
+
+# block values for the residual-check property: signed zeros, and floats
+# whose exact coefficients stay far inside the float range
+LEVELS = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def zero_signed_channels(draw, max_changes):
+    """A block channel over LEVELS; every zero slot draws its own sign."""
+    s = draw(st.integers(0, max_changes))
+    n = draw(st.integers(s + 2, 26))
+    pts = draw(st.permutations(range(2, n + 1)))[:s]
+    pat = ChangingPattern(n, tuple(pts))
+    levels = draw(st.lists(LEVELS, min_size=s + 1, max_size=s + 1))
+    h = np.empty(n)
+    for block, v in zip(constant_intervals(pat), levels):
+        for slot in block:
+            h[slot - 1] = -v if v == 0 and draw(st.booleans()) else v
+    return pat, h
+
+
+def residual_check_matches_reconstruct(h, fam):
+    """Whether decompose rejects h, after checking that its verdict and
+    its reconstruction's bits are those of the public reconstruct on the
+    exact anchor solution."""
+    rows = [a - 1 for a in fam.anchor_indices]
+    betas = exact_solve(fam.members[:, rows].T.tolist(), h[rows].tolist())
+    recon = reconstruct(betas, fam)
+    if np.max(np.abs(recon - h)) > RESIDUAL_REL_TOL * np.max(np.abs(h)):
+        with pytest.raises(ValueError, match="not representable"):
+            _decompose(h, fam)
+        return True
+    got, got_recon = _decompose(h, fam)
+    assert got == betas
+    assert got_recon.tobytes() == recon.tobytes()
+    return False
+
+
+def off_slot(h, k):
+    """h with slot k (0-based) moved well outside the residual tolerance."""
+    bad = h.copy()
+    bad[k] += 1.0 + abs(bad[k])
+    return bad
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(channel=zero_signed_channels(max_changes=20), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_power_residual_check_matches_reconstruct(channel, data, seed):
+    pat, h = channel
+    fam, _ = build_and_decompose(h, "power", pat.change_points, pat.n,
+                                 seed=seed)
+    assert not residual_check_matches_reconstruct(h, fam)
+    others = [i for i in range(pat.n) if i + 1 not in fam.anchor_indices]
+    k = data.draw(st.sampled_from(others))
+    assert residual_check_matches_reconstruct(off_slot(h, k), fam)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(channel=zero_signed_channels(max_changes=12), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_square_indexed_residual_check_matches_reconstruct(channel, data,
+                                                           seed):
+    pat, h = channel
+    known = data.draw(st.lists(st.integers(1, pat.n), min_size=2,
+                               max_size=pat.n, unique=True))
+    hidden = frozenset(range(1, pat.n + 1)) - set(known)
+    # the known anchor's row of the anchor system is its true value in
+    # every member, so a zero there makes every draw singular
+    if h[min(known) - 1] == 0:
+        h[min(known) - 1] = 1.0
+    fam, _ = build_and_decompose(h, "indexed", hidden, pat.n, seed=seed,
+                                 true_values=h)
+    assert len(fam.anchor_indices) == len(fam.members)
+    assert not residual_check_matches_reconstruct(h, fam)
+    # a known slot off the anchors: every member copies its true value,
+    # so an h that differs there is not a combination of the members
+    k = data.draw(st.sampled_from(
+        [i - 1 for i in known if i not in fam.anchor_indices]))
+    assert residual_check_matches_reconstruct(off_slot(h, k), fam)

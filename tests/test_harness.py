@@ -11,6 +11,7 @@ import pytest
 
 from alignsim import blind, channel, fastfading, harness, shared
 from alignsim.channel import ChangingPattern, NetworkConfig, sample_network
+from alignsim.decomposition import build_and_decompose, reconstruct
 from alignsim.harness import Scenario, run_trials, summary_csv
 from alignsim.linalg import DEFAULT_TOL, RankTolerance, joint_rank
 from alignsim.shared import (construct_shared, demo_network_config,
@@ -338,6 +339,51 @@ def test_summary_csv_golden_bytes(name, base_seed):
     text = summary_csv(run_trials(scenario))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         GOLDEN_CSV_SHA256[(name, base_seed)]
+
+
+def decomposition_digest(kind, s, seeds):
+    """SHA-256 over the coefficients (numerator/denominator) and the
+    reconstruct bits of build_and_decompose on size-s channels of n = 2s
+    slots: s change points (power) or s hidden slots (indexed)."""
+    digest = hashlib.sha256()
+    n = 2 * s
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        if kind == "power":
+            support = sorted(rng.choice(np.arange(2, n + 1), size=s,
+                                        replace=False).tolist())
+            h = np.repeat(rng.uniform(0.5, 2.0, size=s + 1),
+                          np.diff([1, *support, n + 1]))
+            fam, betas = build_and_decompose(h, kind, support, n, seed)
+        else:
+            support = rng.choice(np.arange(1, n + 1), size=s,
+                                 replace=False).tolist()
+            h = rng.uniform(0.5, 2.0, size=n)
+            fam, betas = build_and_decompose(h, kind, support, n, seed,
+                                             true_values=h)
+        for b in betas:
+            digest.update(f"{b.numerator}/{b.denominator};".encode())
+        digest.update(reconstruct(betas, fam).tobytes())
+    return digest.hexdigest()
+
+
+# decomposition_digest over seeds 0-3: a change meant to keep every
+# coefficient and reconstructed bit must keep these
+GOLDEN_DECOMPOSITION_SHA256 = {
+    ("power", 6): "1b8119c06f7924f07d2c36f2244dc7d2bb5ce3aae2df9a7f28bd0ce2aa0ca6ad",
+    ("power", 12): "4c90e3d3ad219f4486005d2f8c5e1b9021c53aafc5de4c1a6b8f715a79ff26b2",
+    ("power", 20): "1d4c0ebf1a75f327d6b6b412ed7663d0ced94e20343c2368a32b2428740dd70c",
+    ("indexed", 6): "b0ba223e74e7041edc73f1c49078c22bd335618034f22ffa16a597af130b9aa5",
+    ("indexed", 12): "539b225a361f46e695278aad91c03cd7bb45355f26fd8ec138a7d70e18212205",
+    ("indexed", 20): "40c1ab9216b161b34a3a7bbabfc20f235167e4cbb73a4aff887f3c0bf200bbdf",
+}
+
+
+@pytest.mark.parametrize("kind, s", list(GOLDEN_DECOMPOSITION_SHA256),
+                         ids=[f"{k}-{s}" for k, s in GOLDEN_DECOMPOSITION_SHA256])
+def test_decomposition_golden_bits(kind, s):
+    assert decomposition_digest(kind, s, range(4)) == \
+        GOLDEN_DECOMPOSITION_SHA256[(kind, s)]
 
 
 def test_summary_csv_layout():
