@@ -15,12 +15,13 @@ Everything that does not depend on the seed is built and validated
 once: a frozen ``NetworkConfig`` builds its K x K pattern and hidden-slot
 tables at construction (so a bad change point, gain range or direct
 transform fails when the config is loaded), each pattern carries its
-block lengths and each hidden-slot set its sorted slots and anchors, and
-an identity config keeps its one read-only identity transform.  A
-diagonal channel is its length-n vector of gains, a read-only float64
-array that every consumer uses as it is.  ``sample_network`` draws every
-link's gains, and each non-identity direct transform when it is first
-read, from that transform's own seed.
+block lengths and each hidden-slot set its sorted slots, and an identity
+config keeps its one read-only identity transform.  A diagonal channel is
+its length-n vector of gains, a read-only float64 array that every
+consumer uses as it is.  ``sample_network`` draws nothing itself: each
+link's gains and each non-identity direct transform are drawn on first
+read, from that link's or transform's own seed, so a trial seeds
+generators only for the links and transforms its scheme reads.
 """
 
 import math
@@ -75,38 +76,26 @@ def separated_uniform(rng, count, avoid=()):
     1 / (m + 1) share of the range stays open to every draw and the
     rejection loop terminates for any count.
     """
-    return _draw_accepted(rng, count, H_MIN_DEFAULT, H_MAX_DEFAULT,
-                          _apart(_value_gap(count + len(avoid)), avoid))
+    return _separated(rng, count, H_MIN_DEFAULT, H_MAX_DEFAULT,
+                      _value_gap(count + len(avoid)), avoid)
 
 
-def _apart(gap, taken=()):
-    """An accept test keeping each value at least gap from every value
-    accepted so far and from ``taken``.
+def _separated(rng, count, low, high, gap, taken=()):
+    """The first count uniform draws on [low, high) that lie at least gap
+    from every value kept before them and from ``taken``, consuming
+    exactly the draws of a one-at-a-time loop.
 
     Only the two sorted neighbours of a draw are compared: correctly
     rounded subtraction is monotone, so no farther value is closer, and
     the decisions equal those of comparing against every value.
     """
-    taken = sorted(taken)
-
-    def accept(v, _kept):
-        i = bisect(taken, v)
-        if (i and v - taken[i - 1] < gap
-                or i < len(taken) and taken[i] - v < gap):
-            return False
-        taken.insert(i, v)
-        return True
-    return accept
-
-
-def _draw_accepted(rng, count, low, high, accept):
-    """The first count uniform draws on [low, high) that accept(v, kept)
-    keeps, consuming exactly the draws of a one-at-a-time loop; accept is
-    asked once per draw, in draw order."""
-    vals = []
+    vals, taken = [], sorted(taken)
     while len(vals) < count:
         for v in rng.uniform(low, high, size=count - len(vals)).tolist():
-            if accept(v, vals):
+            i = bisect(taken, v)
+            if ((not i or v - taken[i - 1] >= gap)
+                    and (i == len(taken) or taken[i] - v >= gap)):
+                taken.insert(i, v)
                 vals.append(v)
     return vals
 
@@ -134,21 +123,15 @@ class ChangingPattern:
 class UnknownSet:
     n: int
     indices: frozenset
-    # the hidden slots in order, and the anchor slots of an indexed basis
-    # family: the hidden slots, then the first known slot if there is one
+    # the hidden slots in order
     hidden: tuple = field(init=False, repr=False, compare=False)
-    anchors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = frozenset(int(i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
         if any(i < 1 or i > self.n for i in idx):
             raise ValueError("unknown indices must lie in [1, n]")
-        hidden = tuple(sorted(idx))
-        known = next((i for i in range(1, self.n + 1) if i not in idx), None)
-        object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "anchors",
-                           hidden if known is None else hidden + (known,))
+        object.__setattr__(self, "hidden", tuple(sorted(idx)))
 
 
 @dataclass(frozen=True)
@@ -186,14 +169,21 @@ def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
     for generator diagonals whose anchor solve must be nonsingular).
     """
     lengths = p.lengths
-    gap = _value_gap(len(lengths), h_min, h_max)
+    count = len(lengths)
+    gap = _value_gap(count, h_min, h_max)
+    rng = np.random.default_rng(seed)
     if distinct_blocks == "all":
-        accept = _apart(gap)
+        vals = _separated(rng, count, h_min, h_max, gap)
     else:
-        def accept(v, vals):
-            return not vals or abs(v - vals[-1]) >= gap
-    vals = _draw_accepted(np.random.default_rng(seed), len(lengths),
-                          h_min, h_max, accept)
+        # the batched loop of _separated, comparing each draw with the
+        # last kept value only (none is kept yet at -inf)
+        vals, last = [], -math.inf
+        while len(vals) < count:
+            for v in rng.uniform(h_min, h_max,
+                                 size=count - len(vals)).tolist():
+                if abs(v - last) >= gap:
+                    vals.append(v)
+                    last = v
     h = np.asarray(vals).repeat(lengths)
     h.setflags(write=False)     # shared by every consumer, never copied
     return h
@@ -402,29 +392,47 @@ class NetworkConfig:
                                                 json_int, 1))
 
 
-class _Transforms(dict):
-    """Receiver p's DirectTransform, drawn from its own seed when ``[p]``
-    is first read, then kept; a hit is a plain dict lookup.  An identity
-    config's transform is its stored one, drawn from nothing."""
+class _DrawnOnRead(dict):
+    """key -> draw(config, seed, key), drawn the first time ``[key]`` is
+    read and then kept; a hit is a plain dict lookup.  draw raises
+    KeyError for a key outside the network."""
 
-    def __init__(self, config, seed):
-        self.config, self.seed = config, seed
+    def __init__(self, draw, config, seed):
+        self.draw, self.config, self.seed = draw, config, seed
 
-    def __missing__(self, p):
-        c = self.config
-        if p not in range(c.K):
-            raise KeyError(p)
-        t = self[p] = c._identity or direct_transform_matrix(
-            c.direct_kind, c.memory_distance, c.n,
-            self.seed * 1_000_033 + 7 * p + 1)
-        return t
+    def __missing__(self, key):
+        value = self[key] = self.draw(self.config, self.seed, key)
+        return value
 
 
-@dataclass(frozen=True)
+def _draw_link(config, seed, key):
+    """The gains of link (p, q), from that link's own seed."""
+    p, q = key
+    K = config.K
+    if not (0 <= p < K and 0 <= q < K):
+        raise KeyError(key)
+    return sample_channel(config._pattern_table[p][q],
+                          seed * 1_000_003 + p * K + q + 1,
+                          config.h_min, config.h_max)
+
+
+def _draw_transform(config, seed, p):
+    """Receiver p's DirectTransform, from its own seed; an identity
+    config's is its stored one, drawn from nothing."""
+    if p not in range(config.K):
+        raise KeyError(p)
+    return config._identity or direct_transform_matrix(
+        config.direct_kind, config.memory_distance, config.n,
+        seed * 1_000_033 + 7 * p + 1)
+
+
+# compared by identity: a field-wise == would compare only the links and
+# transforms each side has drawn so far
+@dataclass(frozen=True, eq=False)
 class NetworkInstance:
     K: int
     n: int
-    channels: dict          # (p, q) -> read-only gain array, all K*K links
+    channels: dict          # (p, q) -> read-only gains, drawn on first read
     transforms: dict        # receiver -> DirectTransform, drawn on first read
     unknown: tuple          # the config's UnknownSet table
     seed: int
@@ -451,14 +459,11 @@ class NetworkInstance:
 
 
 def sample_network(config: NetworkConfig, seed) -> NetworkInstance:
-    """Sample every link of the network, deterministically per (config,
-    seed); each receiver's direct transform is drawn when first read."""
-    K = config.K
-    channels = {
-        (p, q): sample_channel(config.pattern(p, q),
-                               seed * 1_000_003 + p * K + q + 1,
-                               config.h_min, config.h_max)
-        for p in range(K) for q in range(K)}
-    return NetworkInstance(K=K, n=config.n, channels=channels,
-                           transforms=_Transforms(config, seed),
+    """The network of (config, seed); each link's gains and each
+    receiver's direct transform are drawn, deterministically from their
+    own seeds, when first read."""
+    return NetworkInstance(K=config.K, n=config.n,
+                           channels=_DrawnOnRead(_draw_link, config, seed),
+                           transforms=_DrawnOnRead(_draw_transform, config,
+                                                   seed),
                            unknown=config._unknown_table, seed=seed)

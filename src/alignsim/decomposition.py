@@ -10,14 +10,16 @@ Two family kinds:
 * ``indexed``: given a channel with a set U of hidden slots, build |U|+1
   members that copy the true values outside U and carry fresh randomness
   inside U.  The true channel is a combination of the members; anchors are
-  the slots of U plus one known slot (coefficients then sum to one there).
+  the slots of U plus the first known slot with a nonzero value, if there
+  is one (coefficients then sum to one there).
 
 ``decompose`` and ``reconstruct`` are the one decomposition path.  Every
 square anchor system (all power families, and indexed families with a
-known slot) is solved in exact rational arithmetic, and reconstructing a
-channel the family represents gives back its float values bit for bit.
-Only the fully hidden indexed family, with more members than anchors,
-uses a float least-squares solve and a residual tolerance.
+nonzero known slot) is solved in exact rational arithmetic, and
+reconstructing a channel the family represents gives back its float
+values bit for bit.  Only an indexed family anchored on its hidden slots
+alone, with more members than anchors, uses a float least-squares solve
+and a residual tolerance.
 """
 
 from dataclasses import dataclass
@@ -68,17 +70,30 @@ def build_power_basis(pattern: ChangingPattern, seed):
 
 
 def build_indexed_basis(true_values, unknown: UnknownSet, seed):
-    """|U|+1 members agreeing with the true channel on every known slot."""
+    """|U|+1 members agreeing with the true channel on every known slot.
+
+    The anchors are the hidden slots, then the first known slot whose
+    true value is nonzero: at a zero, every member is zero and the anchor
+    system would be singular for every draw.  With no such slot (every
+    known value is zero, or none is known) the family anchors on its
+    hidden slots alone, and decompose solves it by least squares.
+    """
     vals = np.asarray(true_values, dtype=float)
     rng = np.random.default_rng(seed)
-    count = len(unknown.hidden) + 1
+    hidden = unknown.hidden
+    count = len(hidden) + 1
     # row m is member m: the true values, with fresh draws at hidden slots
     table = np.empty((count, vals.size))
     table[:] = vals
-    for slot in unknown.hidden:
+    for slot in hidden:
         table[:, slot - 1] = separated_uniform(rng, count)
     table.setflags(write=False)
-    return BasisFamily("indexed", table, unknown.anchors)
+    anchors = hidden
+    for slot in range(1, vals.size + 1):
+        if slot not in unknown.indices and vals[slot - 1] != 0:
+            anchors = hidden + (slot,)
+            break
+    return BasisFamily("indexed", table, anchors)
 
 
 def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):
@@ -100,7 +115,8 @@ def decompose(h, fam: BasisFamily):
     Vandermonde-like and far too ill-conditioned for a float solve.  The
     coefficients are then Fractions, and reconstruct() evaluates them
     exactly and rounds once, so a representable h comes back bit for bit.
-    The one non-square system, the fully hidden indexed case, is
+    The one non-square system, an indexed family anchored on its hidden
+    slots alone (none known, or every known value zero), is
     well-conditioned and uses a float least-squares solve.
 
     The residual check evaluates exactly only the columns the solve does
@@ -110,7 +126,7 @@ def decompose(h, fam: BasisFamily):
     left of a square indexed family are its known non-anchor slots, whose
     columns are all equal and take one product each.
 
-    Raises ValueError unless h is 1-D with fam.n entries,
+    Raises ValueError unless h is 1-D with fam.n finite entries,
     numpy.linalg.LinAlgError when the anchor system is singular, and
     ValueError when the reconstruction residual exceeds the relative
     tolerance, i.e. when h is not actually representable by the family.
@@ -124,6 +140,9 @@ def _decompose(h, fam):
     if h.shape != (fam.n,):
         raise ValueError(f"h must be 1-D with n = {fam.n} entries, "
                          f"got shape {h.shape}")
+    # the residual test passes inf against inf and nan against anything
+    if not np.isfinite(h).all():
+        raise ValueError("h must be finite")
     rows = [a - 1 for a in fam.anchor_indices]
     mat, rhs = fam.members[:, rows].T, h[rows]
     if mat.shape[0] == mat.shape[1]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from itertools import product
 from types import SimpleNamespace
 
@@ -236,9 +237,21 @@ def test_network_config_rejects_out_of_range_slots_at_construction(patterns,
 @pytest.mark.parametrize("K", [2, 3, 4])
 def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
                                                            per_receiver, K):
-    # one generator per link at sampling; a receiver's transform seeds its
-    # own the first time it is read (an identity transform draws nothing
-    # and seeds none), and a second read seeds nothing
+    # sampling seeds no generator; a link, or a receiver's transform, seeds
+    # its own the first time it is read (an identity transform draws
+    # nothing and seeds none), and a second read seeds nothing
+    cfg = NetworkConfig(K=K, n=6, patterns=[
+        [[[2, 4], [3]][(p + q) % 2] for q in range(K)] for p in range(K)],
+        direct_kind=kind, memory_distance=2)
+    links = [(p, q) for p in range(K) for q in range(K)]
+    # in any read order, what the eager draw gave at the same seeds
+    want = {("link", pq): sample_channel(
+        cfg.pattern(*pq), 3 * 1_000_003 + pq[0] * K + pq[1] + 1)
+        for pq in links}
+    want.update({("transform", p): direct_transform_matrix(
+        kind, 2, 6, 3 * 1_000_033 + 7 * p + 1) for p in range(K)})
+    order = list(want)
+    random.Random(K).shuffle(order)
     seeded = []
     default_rng = np.random.default_rng
 
@@ -246,25 +259,35 @@ def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
         seeded.append(args)
         return default_rng(*args, **kwargs)
 
-    cfg = NetworkConfig(K=K, n=6, patterns=[[[2, 4]] * K] * K,
-                        direct_kind=kind, memory_distance=2)
     monkeypatch.setattr(np.random, "default_rng", spy)
     inst = sample_network(cfg, seed=3)
-    assert len(seeded) == K * K
-    for p in reversed(range(K)):
+    assert seeded == []
+    for source, key in order:
+        read = inst.channels if source == "link" else inst.transforms
+        cost = 1 if source == "link" else per_receiver
         before = len(seeded)
-        first = inst.transforms[p]
-        assert len(seeded) == before + per_receiver
-        assert inst.transforms[p] is first
-        assert len(seeded) == before + per_receiver
-        # in any read order, the transform the eager draw gave
-        want = direct_transform_matrix(kind, 2, 6, 3 * 1_000_033 + 7 * p + 1)
-        assert (first.kind, first.distance) == (want.kind, want.distance)
-        assert first.matrix.tobytes() == want.matrix.tobytes()
-        if kind == "identity":
-            assert np.array_equal(first.matrix, np.eye(6))
+        first = read[key]
+        assert len(seeded) == before + cost
+        assert read[key] is first
+        assert len(seeded) == before + cost
+        expected = want[source, key]
+        if source == "link":
+            assert first.tobytes() == expected.tobytes()
+            assert inst.channel(*key) is first
+        else:
+            assert (first.kind, first.distance) == (expected.kind,
+                                                    expected.distance)
+            assert first.matrix.tobytes() == expected.matrix.tobytes()
+            if kind == "identity":
+                assert np.array_equal(first.matrix, np.eye(6))
+    assert len(seeded) == K * K + K * per_receiver
+    for key in [(K, 0), (0, K), (-1, 0), (0, -1)]:
+        with pytest.raises(KeyError):
+            inst.channels[key]
     with pytest.raises(KeyError):
         inst.transforms[K]
+    with pytest.raises(KeyError):
+        inst.transforms[-1]
 
 
 def test_identity_transform_is_one_read_only_object_per_config(monkeypatch):
@@ -327,6 +350,10 @@ def test_sample_network_deterministic_and_link_independent():
             assert np.array_equal(a.channel(p, q), b.channel(p, q))
     vals = {tuple(a.channel(p, q)) for p in range(3) for q in range(3)}
     assert len(vals) == 9  # links draw independent gains
+    # instances compare by identity, not by the links drawn so far
+    other = dataclasses.replace(cfg, h_min=1.0, h_max=3.0)
+    assert sample_network(other, 5) != sample_network(cfg, 5)
+    assert a == a and a != b
 
 
 def test_received_matrix_applies_transform_only_on_direct_link():
@@ -346,17 +373,18 @@ def test_received_matrix_applies_transform_only_on_direct_link():
 # the same values and leave its generator in the same state.
 
 
-def scalar_sample_channel(p, seed, distinct_blocks):
+def scalar_sample_channel(p, seed, distinct_blocks, h_min=H_MIN_DEFAULT,
+                          h_max=H_MAX_DEFAULT):
     rng = np.random.default_rng(seed)
     blocks = constant_intervals(p)
-    gap = _value_gap(len(blocks))
+    gap = _value_gap(len(blocks), h_min, h_max)
     vals = []
     for _ in blocks:
-        v = float(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT))
+        v = float(rng.uniform(h_min, h_max))
         while (vals and abs(v - vals[-1]) < gap) or (
                 distinct_blocks == "all"
                 and any(abs(v - u) < gap for u in vals)):
-            v = float(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT))
+            v = float(rng.uniform(h_min, h_max))
         vals.append(v)
     out = np.empty(p.n)
     for v, block in zip(vals, blocks):
@@ -407,12 +435,25 @@ def patterns(draw, max_n=40):
     return ChangingPattern(n, tuple(pts))
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+# Gain ranges for the sampler's stream test: the default one, narrow ones
+# (the gap shrinks to width / (2 * blocks + 2), so a draw is rejected with
+# probability near 1 / (blocks + 1), and few-block patterns redraw often)
+# and extreme magnitudes.
+GAIN_RANGES = [(H_MIN_DEFAULT, H_MAX_DEFAULT), (1.0, 1.0 + 1e-6),
+               (7.0, 7.0 + 2.0 ** -40), (1e160, 2e160), (1e-300, 2e-300)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(p=patterns(), seed=st.integers(0, 2**32 - 1),
-       distinct_blocks=st.sampled_from(["consecutive", "all"]))
-def test_batched_sample_channel_matches_scalar_loop(p, seed, distinct_blocks):
-    h = sample_channel(p, seed, distinct_blocks=distinct_blocks)
-    assert tuple(h.tolist()) == scalar_sample_channel(p, seed, distinct_blocks)
+       distinct_blocks=st.sampled_from(["consecutive", "all"]),
+       gains=st.sampled_from(GAIN_RANGES))
+def test_batched_sample_channel_matches_scalar_loop(p, seed, distinct_blocks,
+                                                    gains):
+    # each value equals the one-draw-at-a-time loop over numpy's stream, so
+    # a numpy whose uniform stream changes fails here
+    h = sample_channel(p, seed, *gains, distinct_blocks=distinct_blocks)
+    assert tuple(h.tolist()) == scalar_sample_channel(p, seed,
+                                                      distinct_blocks, *gains)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -109,6 +109,18 @@ def test_decompose_validates_h_shape(shape):
         decompose(np.ones(shape), fam)
 
 
+@pytest.mark.parametrize("h", [[1.0, np.inf, 1.0], [1.0, np.nan, 1.0],
+                               [np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0]],
+                         ids=["inf", "nan", "inf-anchor", "nan-anchor"])
+def test_decompose_rejects_non_finite_h(h):
+    # off the anchors the residual test passes inf and nan; at an anchor
+    # the exact solve cannot read them
+    fam = build_power_basis(ChangingPattern(3, ()), seed=0)
+    assert fam.anchor_indices == (1,)
+    with pytest.raises(ValueError, match="finite"):
+        decompose(np.array(h), fam)
+
+
 def test_reconstruct_validates_count():
     fam = build_power_basis(ChangingPattern(4, (2,)), seed=0)
     with pytest.raises(ValueError):
@@ -184,6 +196,35 @@ def test_square_indexed_family_reconstructs_bit_for_bit(channel, data, seed):
     assert len(fam.anchor_indices) == len(fam.members)
     assert all(isinstance(b, Fraction) for b in betas)
     assert np.array_equal(reconstruct(betas, fam), h)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(channel=block_channels(max_changes=12), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_indexed_family_solves_channels_with_zero_known_slots(channel, data,
+                                                             seed):
+    """A zero at a known slot is never an anchor (it would make the anchor
+    system singular for every draw): the family anchors on the first
+    nonzero known slot, or on its hidden slots alone when there is none."""
+    pat, h = channel
+    hidden = data.draw(st.sets(st.integers(1, pat.n), max_size=12))
+    known = [i for i in range(1, pat.n + 1) if i not in hidden]
+    zeros = data.draw(st.one_of(st.just(set(known)),
+                                st.sets(st.sampled_from(known))
+                                if known else st.just(set())))
+    h = h.copy()
+    h[[i - 1 for i in zeros]] = 0.0
+    fam, betas = build_and_decompose(h, "indexed", hidden, pat.n, seed=seed,
+                                     true_values=h)
+    nonzero = [i for i in known if i not in zeros]
+    assert fam.anchor_indices == tuple(sorted(hidden)) + tuple(nonzero[:1])
+    if nonzero:
+        assert all(isinstance(b, Fraction) for b in betas)
+        assert np.array_equal(reconstruct(betas, fam), h)
+    else:
+        # h may be all zero, where the relative residual is 0 / 0
+        assert (np.max(np.abs(reconstruct(betas, fam) - h))
+                <= RESIDUAL_REL_TOL * np.max(np.abs(h)))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

@@ -166,11 +166,13 @@ def ffk_scenario(trials=3):
     (blind_scenario, 9 + 2),
     # one per link and one for the precoders
     (shared_scenario, 16 + 1), (dense_scenario, 16 + 1),
-    # links, the one direct transform verify_3user reads (receiver 0's),
-    # six surrogate families, the mixer and the verifier's substitutions
-    (ff3_scenario, 9 + 1 + 6 + 1 + 1),
-    # links, twelve surrogate families and the mixer: no direct transform
-    (ffk_scenario, 16 + 12 + 1)],
+    # the seven links it reads (not (1,1) or (2,2)), the one direct
+    # transform verify_3user reads (receiver 0's), six surrogate
+    # families, the mixer and the verifier's substitutions
+    (ff3_scenario, 7 + 1 + 6 + 1 + 1),
+    # the twelve cross links, their twelve surrogate families and the
+    # mixer: no direct link and no direct transform
+    (ffk_scenario, 12 + 12 + 1)],
     ids=["blind", "pair", "dense", "ff3", "ffk"])
 def test_trial_generator_counts(monkeypatch, make, generators):
     default_rng, seeded = np.random.default_rng, []
@@ -183,6 +185,32 @@ def test_trial_generator_counts(monkeypatch, make, generators):
     monkeypatch.setattr(np.random, "default_rng", spy)
     assert run_trials(scenario).all_passed
     assert len(seeded) == 3 * generators
+
+
+def all_links(K):
+    return {(p, q) for p in range(K) for q in range(K)}
+
+
+@pytest.mark.parametrize("make, links", [
+    (blind_scenario, all_links(3)),
+    (shared_scenario, all_links(4)), (dense_scenario, all_links(4)),
+    # the 3-user verifier never reads links (1,1) and (2,2)
+    (ff3_scenario, all_links(3) - {(1, 1), (2, 2)}),
+    # the K-user scheme reads only cross-link surrogates
+    (ffk_scenario, all_links(4) - {(p, p) for p in range(4)})],
+    ids=["blind", "pair", "dense", "ff3", "ffk"])
+def test_trials_sample_only_the_links_they_read(monkeypatch, make, links):
+    instances = []
+
+    def spy(config, seed):
+        instances.append(sample_network(config, seed))
+        return instances[-1]
+
+    scenario = make(trials=3)
+    monkeypatch.setattr(harness, "sample_network", spy)
+    assert run_trials(scenario).all_passed
+    assert len(instances) == 3
+    assert all(set(inst.channels) == links for inst in instances)
 
 
 # seed-free work that a scenario's plan does once, when it is built
