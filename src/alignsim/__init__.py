@@ -2,7 +2,7 @@
 
 Library layout:
 
-* ``linalg`` — numeric rank / subspace tests (single tolerance policy);
+* ``linalg`` — numeric rank / subspace tests (one fixed rank threshold);
 * ``rational`` — exact rank and solve by fraction-free integer elimination;
 * ``channel`` — changing patterns, block-fading diagonal channels, direct
   transforms, network configs and sampling;
@@ -14,8 +14,7 @@ Library layout:
 * ``cli`` — the ``alignsim`` command.
 """
 
-from .linalg import (DEFAULT_TOL, RankTolerance, balanced_rank, is_subspace,
-                     joint_rank, numeric_rank)
+from .linalg import balanced_rank, is_subspace, joint_rank, numeric_rank
 from .channel import (ChangingPattern, NetworkConfig, UnknownSet,
                       constant_intervals, sample_channel, sample_network,
                       union_pattern)

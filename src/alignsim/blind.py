@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import (ChangingPattern, constant_intervals, sample_channel,
                       separated_uniform)
-from .linalg import DEFAULT_TOL, numeric_rank_by_shape
+from .linalg import numeric_rank_by_shape
 
 __all__ = [
     "BlindPlan",
@@ -129,8 +129,7 @@ def generic_free_dims(scheme, direct_pattern: ChangingPattern):
     return min(scheme.n // 2, total)
 
 
-def verify_blind(scheme: BlindScheme, instance, expected_free,
-                 tol=DEFAULT_TOL):
+def verify_blind(scheme: BlindScheme, instance, expected_free):
     """Rank checks of a blind scheme on a sampled network, as
     ``(checks, measured)``; ``expected_free[k]`` is the generic
     free-dimension count of the direct link into receiver k
@@ -147,8 +146,7 @@ def verify_blind(scheme: BlindScheme, instance, expected_free,
     K, basis = instance.K, scheme.interference_basis
     base, *joint = numeric_rank_by_shape(
         [basis] + [np.hstack([basis, instance.received_matrix(
-            p, q, scheme.precoders[q])]) for p in range(K) for q in range(K)],
-        tol)
+            p, q, scheme.precoders[q])]) for p in range(K) for q in range(K)])
     free = [min(scheme.n // 2, joint[k * K + k] - base) for k in range(K)]
     checks = {
         "basis_full_rank": base == basis.shape[1],

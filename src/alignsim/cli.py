@@ -23,7 +23,6 @@ from .channel import (ChangingPattern, NetworkConfig, config_field,
 from .decomposition import _decompose, build_power_basis
 from .fastfading import dof_cap_given_upsilon, min_upsilon_for_max_dof
 from .harness import Scenario, run_trials, summary_csv
-from .linalg import RankTolerance
 from .shared import curve_f, dof_table
 
 __all__ = ["main"]
@@ -60,6 +59,7 @@ def _cmd_bound(args):
     return 0
 
 
+@np.errstate(invalid="ignore", over="ignore")  # curve_f rejects inf and nan
 def _cmd_curve(args):
     xs = np.linspace(args.x_min, args.x_max, args.steps)
     rows = [(_dec(x), _dec(v)) for x, v in curve_f(args.K, xs)]
@@ -68,6 +68,8 @@ def _cmd_curve(args):
 
 
 def _cmd_upsilon_cap(args):
+    if not 0 <= args.upsilon <= 1:
+        raise ValueError("upsilon must lie in [0, 1]")
     cap = dof_cap_given_upsilon(args.K, Fraction(args.upsilon).limit_denominator(10**9))
     need = min_upsilon_for_max_dof(args.K)
     text = _csv_rows(["K", "upsilon", "cap_fraction", "cap_decimal",
@@ -95,9 +97,8 @@ def _run_sim(args, regime):
         trials = args.trials
     if args.seed is not None:
         base_seed = args.seed
-    tol = RankTolerance(args.tolerance) if args.tolerance else RankTolerance()
     scenario = Scenario(regime=regime, config=config, params=params,
-                        trials=trials, base_seed=base_seed, tol=tol)
+                        trials=trials, base_seed=base_seed)
     summary = run_trials(scenario)
     _emit(summary_csv(summary), args.out)
     dofs = [r.total_dof for r in summary.results]
@@ -154,8 +155,6 @@ def _build_parser():
     parser.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     parser.add_argument("--seed", type=int, help="override the base seed")
     parser.add_argument("--trials", type=int, help="override the trial count")
-    parser.add_argument("--tolerance", type=float,
-                        help="relative singular-value threshold (default 1e-8)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="DoF bound table over a range of user counts")

@@ -28,8 +28,7 @@ from .channel import NetworkInstance, UnknownSet, separated_uniform
 from .decomposition import build_indexed_basis
 # is_subspace is bound here, unused, because perfbench's tracing test
 # checks that the tracer rebinds alignsim.fastfading.is_subspace
-from .linalg import (DEFAULT_TOL, balanced_rank, is_subspace,
-                     numeric_rank_by_shape)
+from .linalg import balanced_rank, is_subspace, numeric_rank_by_shape
 
 __all__ = [
     "FastFading3Scheme",
@@ -220,8 +219,7 @@ def _member_combos(fams, keys, rng):
     return np.column_stack(np.unravel_index(np.unique(draw @ radix), sizes))
 
 
-def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
-                 tol=DEFAULT_TOL):
+def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     """Rank-based verification on true (hidden values included) channels,
     as ``(checks, measured)``.
 
@@ -283,7 +281,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance,
          np.hstack([r20, instance.received_matrix(2, 1, v2)]),
          np.hstack([instance.received_matrix(0, 0, v1),
                     instance.received_matrix(0, 1, v2)]),
-         base, sides12, sides13, span_joints, loop_joints], tol)
+         base, sides12, sides13, span_joints, loop_joints])
 
     checks = {
         "rank_tx1": rank_tx1 == L + eps + 1,
@@ -386,7 +384,7 @@ def draw_kuser(instance: NetworkInstance, n_star, omega, seed):
                        expected=expected)
 
 
-def verify_kuser(scheme: KUserScheme, tol=DEFAULT_TOL):
+def verify_kuser(scheme: KUserScheme):
     """Dimensions of transmitter 1's seed and column families against the
     formula, as ``(checks, measured)``; no channel is read.
 
@@ -394,8 +392,8 @@ def verify_kuser(scheme: KUserScheme, tol=DEFAULT_TOL):
     magnitudes vary by orders of magnitude; ``balanced_rank`` equalizes
     the rows first to keep the threshold fair.
     """
-    measured = {"dim_seed": balanced_rank(scheme.seed_columns, tol),
-                "dim_tx1": balanced_rank(scheme.tx1_columns, tol)}
+    measured = {"dim_seed": balanced_rank(scheme.seed_columns),
+                "dim_tx1": balanced_rank(scheme.tx1_columns)}
     checks = {"dims_match_formula": (
         measured["dim_seed"] == scheme.expected["dim_seed"]
         and measured["dim_tx1"] == scheme.expected["dim_tx1"])}

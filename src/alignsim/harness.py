@@ -27,7 +27,6 @@ from .blind import (blind_total_dof, draw_blind, generic_free_dims,
 from .channel import NetworkConfig, sample_network, union_pattern
 from .fastfading import (draw_3user, draw_kuser, plan_3user, plan_kuser,
                          verify_3user, verify_kuser)
-from .linalg import DEFAULT_TOL
 from .shared import draw_shared, plan_shared, verify_shared
 
 __all__ = [
@@ -46,7 +45,6 @@ class Scenario:
     params: dict = field(default_factory=dict)
     trials: int = 100
     base_seed: int = 0
-    tol: object = DEFAULT_TOL
     # the regime's seed-free plan, shared by every trial
     plan: object = field(init=False, repr=False, compare=False)
 
@@ -105,7 +103,7 @@ def _blind_trial(scenario, seed):
     plan, expected_free = scenario.plan
     scheme = draw_blind(plan, cfg.K, seed)
     checks, measured = verify_blind(scheme, sample_network(cfg, seed),
-                                    expected_free, scenario.tol)
+                                    expected_free)
     free = [measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
     return checks, measured, blind_total_dof(free, scheme.n)
 
@@ -118,8 +116,7 @@ def _shared_plan(cfg, params):
 def _shared_trial(scenario, seed):
     cfg = scenario.config
     scheme = draw_shared(scenario.plan, seed)
-    checks, measured = verify_shared(scheme, sample_network(cfg, seed),
-                                     scenario.tol)
+    checks, measured = verify_shared(scheme, sample_network(cfg, seed))
     desired = sum(measured[f"desired_rx{p + 1}"] for p in range(cfg.K))
     return checks, measured, max(Fraction(desired, cfg.n), Fraction(1))
 
@@ -133,7 +130,7 @@ def _ff3_trial(scenario, seed):
     eps, omega = scenario.plan
     inst = sample_network(scenario.config, seed)
     scheme = draw_3user(inst, eps, omega, seed)
-    checks, measured = verify_3user(scheme, inst, scenario.tol)
+    checks, measured = verify_3user(scheme, inst)
     total = sum(scheme.expected["dof"]) if checks["rx1_separation"] \
         else Fraction(1)
     return checks, measured, total
@@ -148,7 +145,7 @@ def _ffk_trial(scenario, seed):
     n_star, omega = scenario.plan
     scheme = draw_kuser(sample_network(scenario.config, seed), n_star,
                         omega, seed)
-    checks, measured = verify_kuser(scheme, scenario.tol)
+    checks, measured = verify_kuser(scheme)
     return checks, measured, Fraction(scheme.expected["dim_tx1"], scheme.n)
 
 

@@ -1,8 +1,8 @@
 """Numeric rank and subspace tests.
 
 All rank decisions in the package go through this module so the
-floating-point tolerance policy lives in exactly one place: a singular
-value counts toward the rank when it exceeds ``relative_threshold``
+floating-point rank policy lives in exactly one place: a singular value
+counts toward the rank when it exceeds the fixed ``RELATIVE_THRESHOLD``
 times the largest singular value.
 
 One private kernel makes every decision.  It takes a ``(batch, rows,
@@ -18,13 +18,9 @@ ranks the list with one kernel call per matrix shape.  ``numeric_rank``,
 ``joint_rank`` and ``is_subspace`` make one decision each.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "RankTolerance",
-    "DEFAULT_TOL",
     "numeric_rank",
     "numeric_rank_by_shape",
     "balanced_rank",
@@ -33,16 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RankTolerance:
-    relative_threshold: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.relative_threshold < 1.0:
-            raise ValueError("relative_threshold must lie in (0, 1)")
-
-
-DEFAULT_TOL = RankTolerance()
+RELATIVE_THRESHOLD = 1e-8
 
 
 def _as_matrix(m):
@@ -85,18 +72,18 @@ def _normalized(a, axis=-2):
     return a / np.where(norms > 0, norms, 1.0)
 
 
-def _ranks(stack, tol):
+def _ranks(stack):
     """Numeric rank of every matrix of a non-empty (batch, rows, cols) stack."""
     s = np.linalg.svd(_normalized(stack), compute_uv=False)
-    return (s > tol.relative_threshold * s[:, :1]).sum(axis=-1)
+    return (s > RELATIVE_THRESHOLD * s[:, :1]).sum(axis=-1)
 
 
-def numeric_rank(m, tol=DEFAULT_TOL):
+def numeric_rank(m):
     """Count singular values above the relative threshold."""
-    return int(_ranks(_as_matrix(m)[None], tol)[0])
+    return int(_ranks(_as_matrix(m)[None])[0])
 
 
-def numeric_rank_by_shape(ms, tol=DEFAULT_TOL):
+def numeric_rank_by_shape(ms):
     """``numeric_rank`` of every array of a list, an int for a 2-D matrix
     and an int array for a 3-D stack, from one kernel call per distinct
     ``(rows, cols)`` on that shape's matrices in list order."""
@@ -107,7 +94,7 @@ def numeric_rank_by_shape(ms, tol=DEFAULT_TOL):
         by_shape.setdefault(m.shape[-2:], []).append(i)
     for idx in by_shape.values():
         parts = [ms[i] if ms[i].ndim == 3 else ms[i][None] for i in idx]
-        r = _ranks(np.concatenate(parts, dtype=float), tol)
+        r = _ranks(np.concatenate(parts, dtype=float))
         start = 0
         for i, part in zip(idx, parts):
             ranks[i] = (r[start:start + len(part)] if ms[i].ndim == 3
@@ -116,7 +103,7 @@ def numeric_rank_by_shape(ms, tol=DEFAULT_TOL):
     return ranks
 
 
-def balanced_rank(m, tol=DEFAULT_TOL):
+def balanced_rank(m):
     """Rank after normalizing nonzero rows, then columns.
 
     Row scaling by a positive diagonal preserves rank exactly, and it keeps
@@ -126,17 +113,17 @@ def balanced_rank(m, tol=DEFAULT_TOL):
     rest and a true dimension would otherwise fall below the threshold.
     Only use this when every row is known to be signal, never noise.
     """
-    return int(_ranks(_normalized(_as_matrix(m), axis=-1)[None], tol)[0])
+    return int(_ranks(_normalized(_as_matrix(m), axis=-1)[None])[0])
 
 
-def joint_rank(ms, tol=DEFAULT_TOL):
+def joint_rank(ms):
     """Rank of the column-wise concatenation of a list of matrices."""
     mats = [_as_matrix(m) for m in ms]
     if len({m.shape[0] for m in mats}) != 1:
         raise ValueError("joint_rank needs matrices that share a row count")
-    return numeric_rank(np.hstack(mats), tol)
+    return numeric_rank(np.hstack(mats))
 
 
-def is_subspace(a, b, tol=DEFAULT_TOL):
+def is_subspace(a, b):
     """True iff the column span of ``a`` lies inside the column span of ``b``."""
-    return joint_rank([b, a], tol) == numeric_rank(b, tol)
+    return joint_rank([b, a]) == numeric_rank(b)

@@ -6,7 +6,7 @@ integers once, which keeps both the rank and the solution, and every
 later update divides exactly, so no gcd is taken until the solution's
 Fractions are formed.  Floats are binary rationals, so float input is
 handled exactly.  This is the exact solve of basis decompositions and
-the oracle that anchors the floating-point tolerance policy in the test
+the oracle that anchors the floating-point rank threshold in the test
 suite.
 """
 

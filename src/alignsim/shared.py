@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import (ChangingPattern, NetworkConfig, constant_intervals,
                       union_pattern)
-from .linalg import DEFAULT_TOL, numeric_rank_by_shape
+from .linalg import numeric_rank_by_shape
 
 __all__ = [
     "BoundResult",
@@ -110,14 +110,13 @@ def scheme_counts(K, r):
 
 
 def curve_f(K, xs):
-    """The real-valued relaxation K*x/(x^2-x+K) at the given points."""
-    out = []
-    for x in xs:
-        x = float(x)
-        if x <= 0:
-            raise ValueError("curve points must be positive")
-        out.append((x, K * x / (x * x - x + K)))
-    return out
+    """The real-valued relaxation K*x/(x^2-x+K) at the given points, past
+    1e150 (where x*x nears overflow) evaluated as K/(x-1+K/x)."""
+    xs = [float(x) for x in xs]
+    if K < 1 or not all(0 < x < math.inf for x in xs):
+        raise ValueError("need K >= 1 and positive, finite curve points")
+    return [(x, K * x / (x * x - x + K) if x < 1e150
+             else K / (x - 1 + K / x)) for x in xs]
 
 
 def dof_table(k_min, k_max):
@@ -343,7 +342,7 @@ def construct_shared(K, r, patterns, n, seed=0):
     return draw_shared(plan_shared(K, r, patterns, n), seed)
 
 
-def verify_shared(scheme: SharedPatternScheme, instance, tol=DEFAULT_TOL):
+def verify_shared(scheme: SharedPatternScheme, instance):
     """Desired and interference dimensions at every receiver, measured by
     rank on a sampled network, as ``(checks, measured)``.
 
@@ -358,7 +357,7 @@ def verify_shared(scheme: SharedPatternScheme, instance, tol=DEFAULT_TOL):
     for p in range(K):
         seen = [instance.received_matrix(p, q, precoders[q]) for q in range(K)]
         joints += [np.hstack(seen), np.hstack(seen[:p] + seen[p + 1:])]
-    found = iter(numeric_rank_by_shape([m for m in joints if m.size], tol))
+    found = iter(numeric_rank_by_shape([m for m in joints if m.size]))
     ranks = [next(found) if m.size else 0 for m in joints]
     used, interference = ranks[::2], ranks[1::2]
     desired = [u - i for u, i in zip(used, interference)]

@@ -9,9 +9,9 @@ from alignsim.blind import (blind_total_dof, build_blind_scheme,
                             generic_free_dims, predicted_free_dims,
                             verify_blind)
 from alignsim.channel import ChangingPattern, sample_network, union_pattern
+from alignsim import linalg
 from alignsim.harness import Scenario, run_trials
-from alignsim.linalg import (DEFAULT_TOL, RankTolerance, is_subspace,
-                             joint_rank, numeric_rank)
+from alignsim.linalg import is_subspace, joint_rank, numeric_rank
 from conftest import blind_config, random_cross_pattern, spaced_direct_pattern
 from fractions import Fraction
 
@@ -158,8 +158,10 @@ def test_total_dof_floor_and_sum():
 
 @pytest.mark.parametrize("sigma, rho", [(s, r) for s in range(4)
                                         for r in (1, 2)])
-def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho):
+def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
+                                                      monkeypatch):
     n, K = 2 * rho * (sigma + 1), 3
+    default = linalg.RELATIVE_THRESHOLD
     cross = [(p, q) for p in range(K) for q in range(K) if p != q]
     for t in range(50):
         rng = np.random.default_rng([sigma, rho, t])
@@ -169,27 +171,28 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho):
         cfg = dataclasses.replace(cfg, direct_kind=str(rng.choice(
             ["identity", "memory", "permutation"])))
         # a coarse threshold fails about half the trials' containment
-        tol = RankTolerance(1e-2) if t % 2 else DEFAULT_TOL
+        monkeypatch.setattr(linalg, "RELATIVE_THRESHOLD",
+                            1e-2 if t % 2 else default)
         result = run_trials(Scenario("blind", cfg, {"rho": rho}, trials=1,
-                                     base_seed=t, tol=tol)).results[0]
+                                     base_seed=t)).results[0]
         # the trial's stacked verdicts, recomputed one link at a time
         scheme = build_blind_scheme(
             union_pattern([cfg.pattern(p, q) for p, q in cross]), rho, K, t)
         inst = sample_network(cfg, t)
         basis = scheme.interference_basis
         direct = [cfg.pattern(k, k) for k in range(K)]
-        base = numeric_rank(basis, tol)
+        base = numeric_rank(basis)
         free = [min(n // 2, joint_rank([basis, inst.received_matrix(
-            k, k, scheme.precoders[k])], tol) - base) for k in range(K)]
+            k, k, scheme.precoders[k])]) - base) for k in range(K)]
         want = ({"basis_full_rank": base == basis.shape[1],
                  "cross_containment": all(
                      is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
-                                 basis, tol) for p, q in cross),
+                                 basis) for p, q in cross),
                  "predicted_equals_measured": all(
                      generic_free_dims(scheme, d) == f
                      for d, f in zip(direct, free))},
                 {"basis_rank": base, **{f"free_dims_rx{k + 1}": f
                                         for k, f in enumerate(free)}})
         assert verify_blind(scheme, inst, [generic_free_dims(scheme, d)
-                                           for d in direct], tol) == want
+                                           for d in direct]) == want
         assert (result.checks, result.measured) == want

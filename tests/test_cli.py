@@ -398,10 +398,53 @@ def test_sim_commands_never_raise(case):
     assert code in (0, 1, 2), err.getvalue()
 
 
-def test_tolerance_flag_parses(tmp_path, capsys):
+@st.composite
+def closed_form_argv(draw):
+    """Arguments of bound, curve and upsilon-cap: user counts and bounds in
+    [-2, 30], step counts in [0, 20], and floats that are small integers
+    (where the curve's denominator can vanish) or anything, inf and nan
+    included."""
+    k, x = st.integers(-2, 30), st.integers(-2, 30).map(float) | st.floats()
+    command = draw(st.sampled_from(("bound", "curve", "upsilon-cap")))
+    args = {"bound": lambda: [draw(k), draw(k)],
+            "curve": lambda: [draw(k), draw(x), draw(x),
+                              draw(st.integers(0, 20))],
+            "upsilon-cap": lambda: [draw(k), draw(x)]}[command]()
+    # after "--", negative numbers such as -1e-05 parse as positionals
+    return [command, "--", *map(str, args)]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(argv=closed_form_argv())
+def test_closed_form_commands_never_raise(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        assert not re.search("nan|inf", out.getvalue()), out.getvalue()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["curve", "0", "1", "2", "3"], "K"),
+    (["curve", "-2", "1", "2", "3"], "K"),
+    (["curve", "4", "1", "inf", "3"], "finite"),
+    (["curve", "4", "nan", "2", "3"], "finite"),
+    (["upsilon-cap", "3", "inf"], "upsilon"),
+    (["upsilon-cap", "3", "nan"], "upsilon"),
+])
+def test_closed_form_input_errors(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and named in err, err
+
+
+def test_tolerance_flag_is_a_usage_error(tmp_path, capsys):
+    # the rank threshold is fixed, so the flag no longer exists
     cfg = shared_config_path(tmp_path, trials=2)
-    code, _, _ = run_cli(capsys, "--tolerance", "1e-8", "shared-sim", cfg)
-    assert code == 0
+    code, out, err = run_cli(capsys, "--tolerance", "1e-8", "shared-sim", cfg)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: alignsim") and "Traceback" not in err
 
 
 def test_rational_output_has_both_forms(capsys):

@@ -14,8 +14,8 @@ from alignsim.fastfading import (_grid_columns, _member_combos, build_3user,
                                  min_upsilon_for_max_dof, upsilon_fraction,
                                  verify_3user, verify_kuser)
 from alignsim.harness import Scenario, run_trials
-from alignsim.linalg import (DEFAULT_TOL, balanced_rank, is_subspace,
-                             joint_rank, numeric_rank)
+from alignsim.linalg import (balanced_rank, is_subspace, joint_rank,
+                             numeric_rank)
 from conftest import fastfading_config
 
 
@@ -157,7 +157,7 @@ def test_3user_frontier_verdicts_are_pinned(L, eps, loop_passes):
                       for name in passes}
 
 
-def _verify_3user_one_at_a_time(scheme, instance, tol=DEFAULT_TOL):
+def _verify_3user_one_at_a_time(scheme, instance):
     """verify_3user's checks and measured numbers from one numeric_rank,
     is_subspace or joint_rank call per decision, the draws taken in the
     same order; also both joint ranks, [right, left] and [left, right], of
@@ -171,9 +171,9 @@ def _verify_3user_one_at_a_time(scheme, instance, tol=DEFAULT_TOL):
     def member(key, index):
         return fams[key].members[index]
 
-    measured["rank_tx1"] = numeric_rank(scheme.seed_columns["tx1"], tol)
-    measured["rank_seed_b"] = numeric_rank(scheme.seed_columns["tx3"], tol)
-    measured["rank_seed_c"] = numeric_rank(scheme.seed_columns["tx2"], tol)
+    measured["rank_tx1"] = numeric_rank(scheme.seed_columns["tx1"])
+    measured["rank_seed_b"] = numeric_rank(scheme.seed_columns["tx3"])
+    measured["rank_seed_c"] = numeric_rank(scheme.seed_columns["tx2"])
     checks["rank_tx1"] = measured["rank_tx1"] == L + eps + 1
     checks["rank_seeds"] = (measured["rank_seed_b"] == L + eps
                             and measured["rank_seed_c"] == L + eps)
@@ -182,9 +182,9 @@ def _verify_3user_one_at_a_time(scheme, instance, tol=DEFAULT_TOL):
     for i12, i13 in _member_combos(fams, [(0, 1), (0, 2)], rng):
         left = member((0, 1), i12)[:, None] * v2
         right = member((0, 2), i13)[:, None] * v3
-        span &= is_subspace(left, right, tol) and is_subspace(right, left, tol)
-        joint_orders.append((joint_rank([right, left], tol),
-                             joint_rank([left, right], tol)))
+        span &= is_subspace(left, right) and is_subspace(right, left)
+        joint_orders.append((joint_rank([right, left]),
+                             joint_rank([left, right])))
     checks["rx1_span_equality"] = span
 
     gamma_powers = np.array([scheme.gamma ** j for j in range(1, L + 2)])
@@ -196,16 +196,15 @@ def _verify_3user_one_at_a_time(scheme, instance, tol=DEFAULT_TOL):
     for row, jp in zip(combos, jps):
         g = [member(k, i) for k, i in zip(keys, row)]
         vec = (g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5]) * gamma_powers[jp - 1]
-        loop &= is_subspace(vec, base, tol)
+        loop &= is_subspace(vec, base)
     checks["loop_closure"] = loop
 
     checks["rx2_containment"] = is_subspace(
-        instance.received_matrix(1, 2, v3), instance.received_matrix(1, 0, v1), tol)
+        instance.received_matrix(1, 2, v3), instance.received_matrix(1, 0, v1))
     checks["rx3_containment"] = is_subspace(
-        instance.received_matrix(2, 1, v2), instance.received_matrix(2, 0, v1), tol)
+        instance.received_matrix(2, 1, v2), instance.received_matrix(2, 0, v1))
     measured["joint_rank"] = joint_rank(
-        [instance.received_matrix(0, 0, v1), instance.received_matrix(0, 1, v2)],
-        tol)
+        [instance.received_matrix(0, 0, v1), instance.received_matrix(0, 1, v2)])
     checks["rx1_separation"] = measured["joint_rank"] == 2 * (L + eps) + 1
 
     gaps_ok = all(b - a < max(1, instance.transforms[0].distance)

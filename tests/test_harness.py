@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alignsim import blind, channel, fastfading, harness, shared
+from alignsim import blind, channel, fastfading, harness, linalg, shared
 from alignsim.channel import ChangingPattern, NetworkConfig, sample_network
 from alignsim.decomposition import build_and_decompose, reconstruct
 from alignsim.harness import Scenario, run_trials, summary_csv
-from alignsim.linalg import DEFAULT_TOL, RankTolerance, joint_rank
+from alignsim.linalg import joint_rank
 from alignsim.shared import (construct_shared, demo_network_config,
                              dense_demo_patterns, pair_demo_patterns,
                              verify_shared)
@@ -85,9 +85,11 @@ def shared_cases():
 
 @pytest.mark.parametrize("case", list(shared_cases()),
                          ids=lambda c: f"K{len(c[0])}n{c[1]}r{c[2]}")
-def test_stacked_alignment_report_matches_one_receiver_at_a_time(case):
+def test_stacked_alignment_report_matches_one_receiver_at_a_time(
+        case, monkeypatch):
     pats, n, r = case
     K = len(pats)
+    default = linalg.RELATIVE_THRESHOLD
     for t in range(10):
         rng = np.random.default_rng([K, n, t])
         cfg = dataclasses.replace(
@@ -96,19 +98,20 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(case):
                                         "permutation"])),
             memory_distance=int(rng.integers(1, n)))
         # a coarse threshold merges dimensions on some receivers
-        tol = RankTolerance(1e-2) if t % 2 else DEFAULT_TOL
+        monkeypatch.setattr(linalg, "RELATIVE_THRESHOLD",
+                            1e-2 if t % 2 else default)
         scheme = construct_shared(K, r, pats, n, seed=t)
         precoders = scheme.precoders
         inst = sample_network(cfg, t)
-        checks, measured = verify_shared(scheme, inst, tol)
+        checks, measured = verify_shared(scheme, inst)
         # the stacked accounting, recomputed one joint at a time
         want = []
         for p in range(K):
             seen = {q: inst.received_matrix(p, q, precoders[q])
                     for q in range(K) if precoders[q].shape[1] > 0}
             interf = [m for q, m in seen.items() if q != p]
-            used = joint_rank(list(seen.values()), tol) if seen else 0
-            idim = joint_rank(interf, tol) if interf else 0
+            used = joint_rank(list(seen.values())) if seen else 0
+            idim = joint_rank(interf) if interf else 0
             want.append((used - idim, idim, used))
         assert measured == {
             f"{name}_rx{p + 1}": v for p, (d, _, used) in enumerate(want)

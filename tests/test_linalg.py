@@ -5,20 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.linalg import (DEFAULT_TOL, RankTolerance, _normalized,
-                             balanced_rank, is_subspace, joint_rank,
-                             numeric_rank, numeric_rank_by_shape)
+from alignsim import linalg
+from alignsim.linalg import (_normalized, balanced_rank, is_subspace,
+                             joint_rank, numeric_rank, numeric_rank_by_shape)
 from alignsim.rational import exact_rank
 
 
 def test_default_tolerance():
-    assert DEFAULT_TOL.relative_threshold == 1e-8
+    assert linalg.RELATIVE_THRESHOLD == 1e-8
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, -1e-8, 2.0])
-def test_tolerance_validation(bad):
-    with pytest.raises(ValueError):
-        RankTolerance(bad)
+def _ratio_matrix(ratio):
+    # equal column norms, so the kernel's column scaling keeps the
+    # singular values' ratio: sigma_2 / sigma_1 = ratio
+    return np.array([[1.0, 1.0], [-ratio, ratio]])
+
+
+def test_rank_threshold_boundary():
+    # 2e-8 sits above the fixed 1e-8 threshold and 5e-9 below it
+    above, below = _ratio_matrix(2e-8), _ratio_matrix(5e-9)
+    assert (numeric_rank(above), numeric_rank(below)) == (2, 1)
+    two, one, stack = numeric_rank_by_shape(
+        [above, below, np.stack([above, below])])
+    assert (two, one, stack.tolist()) == (2, 1, [2, 1])
+    assert joint_rank([above[:, :1], above[:, 1:]]) == 2
+    assert joint_rank([below[:, :1], below[:, 1:]]) == 1
 
 
 def test_normalized_unit_norms():
@@ -93,10 +104,11 @@ def test_rank_matches_exact_oracle_on_random_integer_matrices():
         assert numeric_rank(m) == exact_rank(m.astype(int).tolist())
 
 
-def test_rank_near_dependence_respects_threshold():
+def test_rank_near_dependence_respects_threshold(monkeypatch):
     base = np.array([[1.0, 1.0], [0.0, 1e-12], [0.0, 0.0]])
     assert numeric_rank(base) == 1
-    assert numeric_rank(base, RankTolerance(1e-15)) == 2
+    monkeypatch.setattr(linalg, "RELATIVE_THRESHOLD", 1e-15)
+    assert numeric_rank(base) == 2
 
 
 def test_balanced_rank_recovers_dimensions_on_tiny_rows():

@@ -62,8 +62,10 @@ def test_curve_f_matches_rational_at_integers():
     for K in (3, 8, 50):
         for x, v in curve_f(K, range(1, K + 1)):
             assert abs(v - float(sharing_dof(K, int(x)))) < 1e-12
-    with pytest.raises(ValueError):
-        curve_f(4, [0.0])
+    for K, xs in ((4, [0.0]), (4, [float("inf")]), (4, [float("nan")]),
+                  (0, [1.0]), (-2, [2.0]), (0, [])):
+        with pytest.raises(ValueError):
+            curve_f(K, xs)
 
 
 def test_dof_table_shape():
@@ -184,7 +186,7 @@ def test_precoders_have_independent_columns():
 
 
 def test_rank_deficient_precoder_names_its_transmitter(monkeypatch):
-    def one_short_for_tx2(ms, tol=None):
+    def one_short_for_tx2(ms):
         return [m.shape[1] - (i == 1) for i, m in enumerate(ms)]
 
     monkeypatch.setattr(shared, "numeric_rank_by_shape", one_short_for_tx2)

@@ -1,7 +1,7 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
-library, one rank entry for the regimes, the same command output with and
-without ``python -O``, and a suite that reports every test when a
-property test fails."""
+library, one rank entry for the regimes and no rank-tolerance parameter,
+the same command output with and without ``python -O``, and a suite that
+reports every test when a property test fails."""
 
 import ast
 import json
@@ -60,7 +60,7 @@ def test_library_has_no_unused_imports():
 
 # every rank decision of a regime goes through numeric_rank_by_shape, or
 # balanced_rank for the K-user families
-RANK_ENTRY = {"DEFAULT_TOL", "numeric_rank_by_shape", "balanced_rank"}
+RANK_ENTRY = {"numeric_rank_by_shape", "balanced_rank"}
 
 
 def test_regimes_rank_through_one_entry():
@@ -80,6 +80,19 @@ def test_regimes_rank_through_one_entry():
                         RANK_ENTRY and (name, alias.name) not in KEPT_IMPORTS)
                     or (not module.endswith("linalg")
                         and alias.name == "linalg")]
+    assert found == []
+
+
+def test_no_function_takes_a_rank_tolerance():
+    # the rank threshold is the fixed linalg.RELATIVE_THRESHOLD; no
+    # signature may thread a per-call tolerance back in
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted((SRC / "alignsim").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+             for arg in ast.walk(node.args)
+             if isinstance(arg, ast.arg) and arg.arg == "tol"]
     assert found == []
 
 
