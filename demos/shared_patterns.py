@@ -28,17 +28,19 @@ def show_family(name, patterns, n, expect_dof):
         print(f"  rx{p+1} pattern changes at {pat.change_points}")
 
     scheme = construct_shared(len(patterns), 2, patterns, n, seed=0)
+    plan = scheme.plan
     print("  shared vectors (pair -> support window):")
-    for v in scheme.vectors:
-        tag = "fill" if v.is_fill else "pair"
+    for v in plan.vectors:
         subset = tuple(t + 1 for t in v.subset)
         kept = tuple(t + 1 for t in v.kept)
         note = "" if kept == subset else f" (kept tx{kept} after repair)"
-        window = (v.support[0], v.support[-1])
-        print(f"    {tag} tx{subset}: slots {window[0]}..{window[1]}{note}")
-    print(f"  desired dims per receiver: {scheme.expected_desired}, "
-          f"total DoF {scheme.total_dof}")
-    assert scheme.total_dof == expect_dof
+        print(f"    pair tx{subset}: slots {v.support[0]}..{v.support[-1]}"
+              f"{note}")
+    for i in range(len(scheme.fill)):
+        print(f"    fill tx{(i % plan.K + 1,)}: slots 1..{n}")
+    print(f"  desired dims per receiver: {plan.expected_desired}, "
+          f"total DoF {plan.total_dof}")
+    assert plan.total_dof == expect_dof
 
     cfg = demo_network_config(patterns, n)
     inst = sample_network(cfg, seed=3)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -143,6 +144,8 @@ def _cmd_decompose(args):
     return 0
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
 _REGIME_BY_CMD = {"blind-sim": "blind", "shared-sim": "shared",
                   "ff3-sim": "fastfading3", "ffk-sim": "fastfadingK"}
 
@@ -177,6 +180,10 @@ def _build_parser():
 
     p = sub.add_parser("decompose", help="power-basis decomposition of a channel")
     p.add_argument("config", help="JSON with n, pattern, optional values")
+    # argparse reads only -1 and -1.5 forms as negative numbers, and
+    # anything else starting with "-", such as -1e-05, as an option
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -50,7 +50,6 @@ _SINGULAR_RETRIES = 5
 
 @dataclass(frozen=True)
 class BasisFamily:
-    kind: str                 # "power" or "indexed"
     members: np.ndarray       # read-only (members, n), one member per row
     anchor_indices: tuple     # 1-based slots, one per coefficient (or |U| rows)
 
@@ -66,7 +65,7 @@ def build_power_basis(pattern: ChangingPattern, seed):
     members = np.array([gen ** j for j in range(1, s + 2)])
     members.setflags(write=False)
     anchors = (1,) + pattern.change_points
-    return BasisFamily("power", members, anchors)
+    return BasisFamily(members, anchors)
 
 
 def build_indexed_basis(true_values, unknown: UnknownSet, seed):
@@ -93,7 +92,7 @@ def build_indexed_basis(true_values, unknown: UnknownSet, seed):
         if slot not in unknown.indices and vals[slot - 1] != 0:
             anchors = hidden + (slot,)
             break
-    return BasisFamily("indexed", table, anchors)
+    return BasisFamily(table, anchors)
 
 
 def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):

@@ -113,7 +113,6 @@ class FastFading3Scheme:
     gamma: np.ndarray           # diagonal mixer, 1 outside omega
     surrogates: dict            # (p, q) -> indexed BasisFamily
     tx_columns: tuple           # precoder matrix per transmitter (V1, V2, V3)
-    seed_columns: dict          # "tx1"/"tx2"/"tx3" raw column sets pre-transform
     expected: dict              # {"dof": per-user DoF fractions}
 
 
@@ -185,22 +184,19 @@ def draw_3user(instance: NetworkInstance, epsilon, omega, seed):
     t = (_surrogate(fams, 0, 1) * _surrogate(fams, 1, 2) * _surrogate(fams, 2, 0)
          / (_surrogate(fams, 1, 0) * _surrogate(fams, 2, 1) * _surrogate(fams, 0, 2)))
 
-    # columns t^i * gamma^j, i-major; b and c are those with i >= 1 and
-    # with i < epsilon
-    a = np.column_stack([(t ** i) * (gam ** j) for i in range(epsilon + 1)
-                         for j in range(1, L + 2)])
-    b = a[:, L + 1:]
-    c = a[:, :epsilon * (L + 1)]
-    v1 = a
-    v3 = (_surrogate(fams, 1, 0) / _surrogate(fams, 1, 2))[:, None] * b
-    v2 = (_surrogate(fams, 2, 0) / _surrogate(fams, 2, 1))[:, None] * c
+    # columns t^i * gamma^j, i-major; tx3's and tx2's seeds are those with
+    # i >= 1 and with i < epsilon
+    v1 = np.column_stack([(t ** i) * (gam ** j) for i in range(epsilon + 1)
+                          for j in range(1, L + 2)])
+    v3 = ((_surrogate(fams, 1, 0) / _surrogate(fams, 1, 2))[:, None]
+          * v1[:, L + 1:])
+    v2 = ((_surrogate(fams, 2, 0) / _surrogate(fams, 2, 1))[:, None]
+          * v1[:, :epsilon * (L + 1)])
     expected = {"dof": (Fraction(L + epsilon + 1, n), Fraction(L + epsilon, n),
                         Fraction(L + epsilon, n))}
     return FastFading3Scheme(n=n, L=L, epsilon=epsilon, omega=omega,
                              loop_transfer=t, gamma=gam, surrogates=fams,
-                             tx_columns=(v1, v2, v3),
-                             seed_columns={"tx1": a, "tx3": b, "tx2": c},
-                             expected=expected)
+                             tx_columns=(v1, v2, v3), expected=expected)
 
 
 def _member_combos(fams, keys, rng):
@@ -258,8 +254,8 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
 
     # loop-map substitutions stay inside the base span; tx1's first two
     # column blocks are t^0 gamma^j and t^1 gamma^j, j = 1..L+1
-    gamma_powers = scheme.seed_columns["tx1"][:, :L + 1].T
-    base = scheme.seed_columns["tx1"][:, L + 1:2 * (L + 1)]
+    gamma_powers = v1[:, :L + 1].T
+    base = v1[:, L + 1:2 * (L + 1)]
     keys = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
     combos = _member_combos(fams, keys, rng)
     jps = rng.integers(1, L + 2, size=len(combos))
@@ -275,8 +271,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     (rank_tx1, rank_r10, rank_r20, rank_seed_b, rank_seed_c, joint_rx2,
      joint_rx3, joint_rx1, rank_base, side12, side13, span,
      loop) = numeric_rank_by_shape(
-        [scheme.seed_columns["tx1"], r10, r20, scheme.seed_columns["tx3"],
-         scheme.seed_columns["tx2"],
+        [v1, r10, r20, v1[:, L + 1:], v1[:, :eps * (L + 1)],
          np.hstack([r10, instance.received_matrix(1, 2, v3)]),
          np.hstack([r20, instance.received_matrix(2, 1, v2)]),
          np.hstack([instance.received_matrix(0, 0, v1),
@@ -312,12 +307,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
 
 @dataclass(frozen=True)
 class KUserScheme:
-    K: int
     n: int
-    L: int
-    n_star: int
-    N: int
-    omega: tuple
     tx1_columns: np.ndarray
     seed_columns: np.ndarray
     expected: dict
@@ -379,8 +369,7 @@ def draw_kuser(instance: NetworkInstance, n_star, omega, seed):
     tx1_cols = _grid_columns(maps, gamma_powers, 0, n_star)
     expected = {"dim_seed": L + n_star ** N,
                 "dim_tx1": L + (n_star + 1) ** N}
-    return KUserScheme(K=K, n=n, L=L, n_star=n_star, N=N, omega=omega,
-                       tx1_columns=tx1_cols, seed_columns=seed_cols,
+    return KUserScheme(n=n, tx1_columns=tx1_cols, seed_columns=seed_cols,
                        expected=expected)
 
 

@@ -11,9 +11,10 @@ builds its regime's seed-free plan once, when it is constructed, so a
 config or parameter the regime cannot use fails there: the blind union
 pattern, layout checks and expected free dimensions, the shared window
 and carrier construction, or the fast-fading hidden union and slot-count
-checks.  A trial then samples the network, draws the seeded part of the
-scheme from the plan, takes the checks and measured numbers from its
-verifier and derives the total DoF.
+checks.  ``run_trials`` samples each trial's network once and hands the
+instance to the regime's trial, which draws the seeded part of the scheme
+from the plan, takes the checks and measured numbers from its verifier
+and derives the total DoF.
 """
 
 import csv
@@ -53,6 +54,8 @@ class Scenario:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         object.__setattr__(self, "plan", _REGIMES[self.regime][0](
             self.config, self.params))
 
@@ -98,13 +101,11 @@ def _blind_plan(cfg, params):
                   for k in range(cfg.K)]
 
 
-def _blind_trial(scenario, seed):
-    cfg = scenario.config
-    plan, expected_free = scenario.plan
-    scheme = draw_blind(plan, cfg.K, seed)
-    checks, measured = verify_blind(scheme, sample_network(cfg, seed),
-                                    expected_free)
-    free = [measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
+def _blind_trial(plan, instance, seed):
+    blind, expected_free = plan
+    scheme = draw_blind(blind, instance.K, seed)
+    checks, measured = verify_blind(scheme, instance, expected_free)
+    free = [measured[f"free_dims_rx{k + 1}"] for k in range(instance.K)]
     return checks, measured, blind_total_dof(free, scheme.n)
 
 
@@ -113,12 +114,10 @@ def _shared_plan(cfg, params):
     return plan_shared(cfg.K, int(params.get("r", 2)), pats, cfg.n)
 
 
-def _shared_trial(scenario, seed):
-    cfg = scenario.config
-    scheme = draw_shared(scenario.plan, seed)
-    checks, measured = verify_shared(scheme, sample_network(cfg, seed))
-    desired = sum(measured[f"desired_rx{p + 1}"] for p in range(cfg.K))
-    return checks, measured, max(Fraction(desired, cfg.n), Fraction(1))
+def _shared_trial(plan, instance, seed):
+    checks, measured = verify_shared(draw_shared(plan, seed), instance)
+    desired = sum(measured[f"desired_rx{p + 1}"] for p in range(instance.K))
+    return checks, measured, max(Fraction(desired, instance.n), Fraction(1))
 
 
 def _ff3_plan(cfg, params):
@@ -126,11 +125,10 @@ def _ff3_plan(cfg, params):
     return eps, plan_3user(cfg, eps)
 
 
-def _ff3_trial(scenario, seed):
-    eps, omega = scenario.plan
-    inst = sample_network(scenario.config, seed)
-    scheme = draw_3user(inst, eps, omega, seed)
-    checks, measured = verify_3user(scheme, inst)
+def _ff3_trial(plan, instance, seed):
+    eps, omega = plan
+    scheme = draw_3user(instance, eps, omega, seed)
+    checks, measured = verify_3user(scheme, instance)
     total = sum(scheme.expected["dof"]) if checks["rx1_separation"] \
         else Fraction(1)
     return checks, measured, total
@@ -141,15 +139,15 @@ def _ffk_plan(cfg, params):
     return n_star, plan_kuser(cfg, n_star)
 
 
-def _ffk_trial(scenario, seed):
-    n_star, omega = scenario.plan
-    scheme = draw_kuser(sample_network(scenario.config, seed), n_star,
-                        omega, seed)
+def _ffk_trial(plan, instance, seed):
+    n_star, omega = plan
+    scheme = draw_kuser(instance, n_star, omega, seed)
     checks, measured = verify_kuser(scheme)
     return checks, measured, Fraction(scheme.expected["dim_tx1"], scheme.n)
 
 
-# regime -> (plan from config and params, trial from scenario and seed)
+# regime -> (plan from config and params, trial from plan, sampled
+# instance and seed)
 _REGIMES = {"blind": (_blind_plan, _blind_trial),
             "shared": (_shared_plan, _shared_trial),
             "fastfading3": (_ff3_plan, _ff3_trial),
@@ -163,7 +161,8 @@ def run_trials(scenario: Scenario) -> RunSummary:
     for i in range(scenario.trials):
         seed = scenario.base_seed + i
         try:
-            checks, measured, total = fn(scenario, seed)
+            checks, measured, total = fn(
+                scenario.plan, sample_network(scenario.config, seed), seed)
         except ValueError as exc:
             raise ValueError(f"trial seed {seed}: {exc}") from exc
         results.append(TrialResult(index=i, seed=seed, checks=checks,

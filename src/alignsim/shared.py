@@ -141,7 +141,6 @@ class SharedVector:
     kept: tuple            # transmitters still carrying it after repair
     support: tuple         # 1-based slots allowed to be nonzero
     values: np.ndarray     # read-only length-n column
-    is_fill: bool = False
 
 
 @dataclass(frozen=True)
@@ -160,17 +159,13 @@ class SharedPlan:
     total_dof: Fraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class SharedPatternScheme:
-    K: int
-    r: int
-    n: int
-    vectors: list                  # kept SharedVector entries (incl. fills)
-    dropped: list                  # vector ids dropped during construction
-    precoders: list                # per-transmitter n x d arrays
-    expected_desired: tuple        # per-receiver desired dims
-    expected_used: tuple           # per-receiver occupied dims
-    total_dof: Fraction
+    """A plan with its fill columns drawn."""
+    plan: SharedPlan
+    fill: np.ndarray               # read-only (fill_count, n); row i is a
+                                   # full-support column of tx i mod K
+    precoders: tuple               # per-transmitter n x d arrays
 
 
 def _runs_in_window(pattern: ChangingPattern, window):
@@ -313,27 +308,18 @@ def draw_shared(plan: SharedPlan, seed):
     Fill i goes to transmitter i mod K, after its window vectors; every
     precoder must have full column rank.
     """
-    K, n, count = plan.K, plan.n, plan.fill_count
+    K = plan.K
     rng = np.random.default_rng(seed)
-    fill = _read_only(rng.uniform(-1.0, 1.0, size=(count, n)))
-    full = tuple(range(1, n + 1))
-    first = math.comb(K, plan.r)
-    vectors = list(plan.vectors) + [
-        SharedVector(first + i, (i % K,), (i % K,), full, fill[i], is_fill=True)
-        for i in range(count)]
-    precoders = [np.hstack([plan.window_columns[t], fill[t::K].T])
-                 for t in range(K)]
+    fill = _read_only(rng.uniform(-1.0, 1.0, size=(plan.fill_count, plan.n)))
+    precoders = tuple(np.hstack([plan.window_columns[t], fill[t::K].T])
+                      for t in range(K))
     live = [t for t in range(K) if precoders[t].shape[1]]
     ranks = numeric_rank_by_shape([precoders[t] for t in live])
     for t, rank in zip(live, ranks):
         if rank != precoders[t].shape[1]:
             raise ValueError(f"precoder of transmitter {t + 1} has rank {rank}, "
                              f"not full column rank {precoders[t].shape[1]}")
-    return SharedPatternScheme(K=K, r=plan.r, n=n, vectors=vectors,
-                               dropped=list(plan.dropped), precoders=precoders,
-                               expected_desired=plan.expected_desired,
-                               expected_used=plan.expected_used,
-                               total_dof=plan.total_dof)
+    return SharedPatternScheme(plan, fill, precoders)
 
 
 def construct_shared(K, r, patterns, n, seed=0):
@@ -365,8 +351,9 @@ def verify_shared(scheme: SharedPatternScheme, instance):
         "imperfect_alignment": sum(interference) < (K - 1) * n,
         "no_pollution": all(0 <= d <= precoders[p].shape[1]
                             for p, d in enumerate(desired)),
-        "dims_match_construction": (tuple(desired) == scheme.expected_desired
-                                    and tuple(used) == scheme.expected_used)}
+        "dims_match_construction": (
+            tuple(desired) == scheme.plan.expected_desired
+            and tuple(used) == scheme.plan.expected_used)}
     measured = {}
     for p in range(K):
         measured[f"desired_rx{p + 1}"] = desired[p]

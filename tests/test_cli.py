@@ -192,6 +192,7 @@ MALFORMED = [
     # where a bad one is caught
     ("ffk-sim", {**_FFK, "direct_kind": "wavelet"}, "direct_kind"),
     ("ffk-sim", {**_FFK, "memory_distance": _FFK["n"]}, "memory_distance"),
+    ("shared-sim", {**_PAIR, "r": 2, "base_seed": -5}, "base_seed"),
 ]
 
 
@@ -437,6 +438,22 @@ def test_closed_form_input_errors(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and named in err, err
+
+
+CURVE_POINTS = "need K >= 1 and positive, finite curve points"
+
+
+@pytest.mark.parametrize("number", ["-1e-05", "-2E3", "-.5e1"])
+@pytest.mark.parametrize("argv, message", [
+    (["curve", "4", "{}", "2", "3"], CURVE_POINTS),
+    (["curve", "4", "1", "{}", "3"], CURVE_POINTS),
+    (["upsilon-cap", "3", "{}"], "upsilon must lie in [0, 1]"),
+])
+def test_negative_exponent_forms_reach_the_command(capsys, argv, message,
+                                                   number):
+    # read as an option, the number would end in argparse's usage line
+    code, out, err = run_cli(capsys, *(a.format(number) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_tolerance_flag_is_a_usage_error(tmp_path, capsys):

@@ -171,9 +171,11 @@ def _verify_3user_one_at_a_time(scheme, instance):
     def member(key, index):
         return fams[key].members[index]
 
-    measured["rank_tx1"] = numeric_rank(scheme.seed_columns["tx1"])
-    measured["rank_seed_b"] = numeric_rank(scheme.seed_columns["tx3"])
-    measured["rank_seed_c"] = numeric_rank(scheme.seed_columns["tx2"])
+    # tx3's and tx2's seeds are the tx1 columns t^i gamma^j with i >= 1
+    # and with i < eps
+    measured["rank_tx1"] = numeric_rank(v1)
+    measured["rank_seed_b"] = numeric_rank(v1[:, L + 1:])
+    measured["rank_seed_c"] = numeric_rank(v1[:, :eps * (L + 1)])
     checks["rank_tx1"] = measured["rank_tx1"] == L + eps + 1
     checks["rank_seeds"] = (measured["rank_seed_b"] == L + eps
                             and measured["rank_seed_c"] == L + eps)
@@ -252,7 +254,8 @@ def test_kuser_dims_k4():
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
     scheme = build_kuser(inst, n_star=1, seed=0)
-    assert scheme.N == 5
+    N = (4 - 1) * (4 - 2) - 1
+    assert N == 5 and scheme.n == 2 * 2 + 1 ** N + 2 ** N
     assert balanced_rank(scheme.seed_columns) == scheme.expected["dim_seed"] == 3
     assert balanced_rank(scheme.tx1_columns) == scheme.expected["dim_tx1"] == 34
     assert verify_kuser(scheme) == ({"dims_match_formula": True},

@@ -52,6 +52,9 @@ def test_scenario_validation():
         Scenario(regime="quantum", config=cfg)
     with pytest.raises(ValueError):
         Scenario(regime="shared", config=cfg, trials=0)
+    # numpy rejects a negative trial seed, so the scenario does first
+    with pytest.raises(ValueError, match="base_seed"):
+        Scenario(regime="shared", config=cfg, base_seed=-5)
 
 
 def test_verify_shared_accounting():
@@ -121,8 +124,9 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(
             "no_pollution": all(0 <= d <= precoders[p].shape[1]
                                 for p, (d, _, _) in enumerate(want)),
             "dims_match_construction": (
-                tuple(d for d, _, _ in want) == scheme.expected_desired
-                and tuple(u for _, _, u in want) == scheme.expected_used)}
+                tuple(d for d, _, _ in want) == scheme.plan.expected_desired
+                and tuple(u for _, _, u in want)
+                == scheme.plan.expected_used)}
 
 
 def ff3_scenario(trials=10):

@@ -82,11 +82,11 @@ def test_dof_table_shape():
 
 def test_pair_demo_expected_shape():
     pats, n = pair_demo_patterns()
-    scheme = construct_shared(4, 2, pats, n, seed=0)
-    assert scheme.expected_desired == (3, 2, 2, 2)
-    assert scheme.total_dof == Fraction(9, 8)
+    plan = construct_shared(4, 2, pats, n, seed=0).plan
+    assert plan.expected_desired == (3, 2, 2, 2)
+    assert plan.total_dof == Fraction(9, 8)
     # known window picks for this family
-    supports = {v.vid: v.support for v in scheme.vectors if not v.is_fill}
+    supports = {v.vid: v.support for v in plan.vectors}
     assert supports[0] == (3, 4)        # pair (tx1, tx2)
     assert (1, 2) in supports.values()
     assert (7, 8) in supports.values()
@@ -95,15 +95,19 @@ def test_pair_demo_expected_shape():
 def test_dense_demo_expected_shape():
     pats, n = dense_demo_patterns()
     scheme = construct_shared(4, 2, pats, n, seed=0)
-    assert scheme.expected_desired == (3, 3, 3, 3)
-    assert scheme.expected_used == (10, 10, 10, 10)
-    assert scheme.total_dof == Fraction(12, 10)
-    kept = {v.subset: v.support for v in scheme.vectors if not v.is_fill}
+    plan = scheme.plan
+    assert plan.expected_desired == (3, 3, 3, 3)
+    assert plan.expected_used == (10, 10, 10, 10)
+    assert plan.total_dof == Fraction(12, 10)
+    kept = {v.subset: v.support for v in plan.vectors}
     assert kept == {(0, 1): (1, 2), (0, 2): (5, 6),
                     (1, 3): (7, 8), (2, 3): (3, 4)}
-    assert scheme.dropped == [2, 3]     # pairs (0,3) and (1,2) have no window
-    fills = [v for v in scheme.vectors if v.is_fill]
-    assert sorted(v.kept[0] for v in fills) == [0, 1, 2, 3]
+    assert plan.dropped == (2, 3)       # pairs (0,3) and (1,2) have no window
+    # one fill row per transmitter, after its two window vectors
+    assert scheme.fill.shape == (4, n)
+    assert [m.shape for m in scheme.precoders] == [(n, 3)] * 4
+    for t, m in enumerate(scheme.precoders):
+        assert m[:, 2].tobytes() == scheme.fill[t].tobytes()
 
 
 @pytest.mark.parametrize("factory", [pair_demo_patterns, dense_demo_patterns])
@@ -117,16 +121,19 @@ def test_demo_schemes_measure_as_constructed(factory):
         measured = verify_shared(scheme, inst)[1]
         desired = tuple(measured[f"desired_rx{p}"] for p in (1, 2, 3, 4))
         used = tuple(measured[f"used_rx{p}"] for p in (1, 2, 3, 4))
-        assert desired == scheme.expected_desired
-        assert used == scheme.expected_used
+        assert desired == scheme.plan.expected_desired
+        assert used == scheme.plan.expected_used
     summary = run_trials(Scenario("shared", cfg, {"r": 2}, trials=25))
-    assert all(r.total_dof == scheme.total_dof for r in summary.results)
+    assert all(r.total_dof == scheme.plan.total_dof for r in summary.results)
 
 
 def _same_vector(a, b):
-    return (dataclasses.astuple(a)[:4] + (a.is_fill,)
-            == dataclasses.astuple(b)[:4] + (b.is_fill,)
+    return (dataclasses.astuple(a)[:4] == dataclasses.astuple(b)[:4]
             and a.values.tobytes() == b.values.tobytes())
+
+
+def _array_bytes(arrays):
+    return [(m.shape, m.tobytes()) for m in arrays]
 
 
 @pytest.mark.parametrize("factory", [pair_demo_patterns, dense_demo_patterns])
@@ -136,25 +143,28 @@ def test_construct_shared_is_one_plan_drawn_per_seed(factory):
     for seed in range(10):
         want = construct_shared(4, 2, pats, n, seed)
         got = draw_shared(plan, seed)
-        for f in dataclasses.fields(want):
-            a, b = getattr(want, f.name), getattr(got, f.name)
+        assert got.plan is plan
+        for f in dataclasses.fields(plan):
+            a, b = getattr(want.plan, f.name), getattr(plan, f.name)
             if f.name == "vectors":
                 assert len(a) == len(b)
                 assert all(_same_vector(u, v) for u, v in zip(a, b))
-            elif f.name == "precoders":
-                assert [(m.shape, m.tobytes()) for m in a] == \
-                    [(m.shape, m.tobytes()) for m in b]
+            elif f.name == "window_columns":
+                assert _array_bytes(a) == _array_bytes(b)
             else:
                 assert a == b, f.name
-        # fill i goes to transmitter i mod K, its values the generator's
-        # next n draws
+        assert (_array_bytes([want.fill, *want.precoders])
+                == _array_bytes([got.fill, *got.precoders]))
+        # fill row i goes to transmitter i mod K, after its window
+        # vectors, its values the generator's next n draws
         rng = np.random.default_rng(seed)
-        fills = [v for v in got.vectors if v.is_fill]
-        assert len(fills) == plan.fill_count
-        for i, v in enumerate(fills):
-            assert v.kept == v.subset == (i % 4,)
-            assert v.values.tobytes() == rng.uniform(-1.0, 1.0,
-                                                     size=n).tobytes()
+        assert got.fill.shape == (plan.fill_count, n)
+        for i, row in enumerate(got.fill):
+            t, width = i % 4, plan.window_columns[i % 4].shape[1]
+            assert row.tobytes() == rng.uniform(-1.0, 1.0, size=n).tobytes()
+            assert got.precoders[t][:, width + i // 4].tobytes() == \
+                row.tobytes()
+        assert not got.fill.flags.writeable
     # every draw shares the plan, which nothing can change
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.vectors[0].kept = ()
@@ -165,8 +175,7 @@ def test_construct_shared_is_one_plan_drawn_per_seed(factory):
 def test_constant_patterns_collapse_to_time_sharing():
     from alignsim.channel import ChangingPattern
     pats = [ChangingPattern(8, ()) for _ in range(4)]
-    scheme = construct_shared(4, 2, pats, 8, seed=0)
-    assert scheme.total_dof == 1
+    assert construct_shared(4, 2, pats, 8, seed=0).plan.total_dof == 1
 
 
 def test_construct_validates_inputs():

@@ -1,7 +1,8 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
-library, one rank entry for the regimes and no rank-tolerance parameter,
-the same command output with and without ``python -O``, and a suite that
-reports every test when a property test fails."""
+library, one rank entry for the regimes, one network-sampling site and no
+rank-tolerance parameter, the same command output with and without
+``python -O``, and a suite that reports every test when a property test
+fails."""
 
 import ast
 import json
@@ -81,6 +82,22 @@ def test_regimes_rank_through_one_entry():
                     or (not module.endswith("linalg")
                         and alias.name == "linalg")]
     assert found == []
+
+
+def test_one_site_samples_the_network():
+    # run_trials samples each trial's network and hands it to the regime
+    found = []
+    for path in sorted((SRC / "alignsim").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the walk is breadth first, so an inner function's name wins
+        scope = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func)}
+        found += [f"{path.name}:{scope.get(id(node), '<module>')}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "sample_network" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None))]
+    assert found == ["harness.py:run_trials"]
 
 
 def test_no_function_takes_a_rank_tolerance():
