@@ -123,6 +123,8 @@ def _cmd_decompose(args):
         raw, "pattern", lambda pts: tuple(json_int(c) for c in pts), ()))
     seed = (args.seed if args.seed is not None
             else config_field(raw, "seed", json_int, 0))
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     fam = build_power_basis(pattern, seed)
     if "values" in raw:
         h = np.asarray(config_field(
@@ -144,7 +146,8 @@ def _cmd_decompose(args):
     return 0
 
 
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+_NEGATIVE_NUMBER = re.compile(
+    r"(?i)^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$")
 
 _REGIME_BY_CMD = {"blind-sim": "blind", "shared-sim": "shared",
                   "ff3-sim": "fastfading3", "ffk-sim": "fastfadingK"}
@@ -181,7 +184,7 @@ def _build_parser():
     p = sub.add_parser("decompose", help="power-basis decomposition of a channel")
     p.add_argument("config", help="JSON with n, pattern, optional values")
     # argparse reads only -1 and -1.5 forms as negative numbers, and
-    # anything else starting with "-", such as -1e-05, as an option
+    # anything else starting with "-", such as -1e-05 or -inf, as an option
     for p in sub.choices.values():
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser

@@ -145,13 +145,13 @@ def _decompose(h, fam):
     rows = [a - 1 for a in fam.anchor_indices]
     mat, rhs = fam.members[:, rows].T, h[rows]
     if mat.shape[0] == mat.shape[1]:
-        cols, vals = mat.tolist(), rhs.tolist()
         try:
-            betas = exact_solve(cols, vals)
+            betas = exact_solve(mat, rhs)
         except ZeroDivisionError as exc:
             raise np.linalg.LinAlgError("singular anchor system") from exc
         # h at each anchor, with -0.0 as the +0.0 an exact zero rounds to
-        fixed = {tuple(col): v + 0.0 for col, v in zip(cols, vals)}
+        fixed = {tuple(col): v + 0.0
+                 for col, v in zip(mat.tolist(), rhs.tolist())}
         recon = _exact_columns(betas, fam.members, fixed)
     else:
         betas, *_ = np.linalg.lstsq(mat, rhs, rcond=None)

@@ -5,7 +5,10 @@ fraction-free (Bareiss) integer elimination: each row is scaled to
 integers once, which keeps both the rank and the solution, and every
 later update divides exactly, so no gcd is taken until the solution's
 Fractions are formed.  Floats are binary rationals, so float input is
-handled exactly.  This is the exact solve of basis decompositions and
+handled exactly, and a float64 array system is scaled in one np.frexp
+pass.  A row (c, ..., c | t), c != 0, fixes the unknowns' sum at t/c, so
+the solve eliminates over one unknown fewer.  This is the exact solve of
+basis decompositions (every square indexed family holds such a row) and
 the oracle that anchors the floating-point rank threshold in the test
 suite.
 """
@@ -13,14 +16,16 @@ suite.
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 __all__ = ["exact_rank", "exact_solve"]
 
 _MAX_SIDE = 64
 
 
 def _check(rows):
-    m = [list(row) for row in rows]
-    if not m or not m[0]:
+    m = rows if getattr(rows, "ndim", 0) == 2 else list(map(list, rows))
+    if not len(m) or not len(m[0]):
         raise ValueError("empty matrix")
     ncols = len(m[0])
     if any(len(r) != ncols for r in m):
@@ -46,6 +51,21 @@ def _integer_rows(m):
         scale = lcm(*(d for _, d in ratios))
         out.append([a * (scale // d) for a, d in ratios])
     return out
+
+
+def _float_rows(a):
+    """_integer_rows of a float64 array: an entry M * 2**k, M odd or 0,
+    has denominator 2**max(0, -k), so it scales to M << (k - min(0, K))
+    with K the least k in its row."""
+    if not np.isfinite(a).all():
+        raise ValueError("exact path needs finite entries")
+    mant, exp = np.frexp(a)
+    mant = (mant * 2.0**53).astype(np.int64)
+    zeros = np.bitwise_count((mant & -mant) - 1)  # trailing 0 bits; 1 at 0
+    k = np.where(mant == 0, 0, exp - 53 + zeros)
+    shift = k - np.minimum(k.min(axis=1, keepdims=True), 0)
+    return [list(map(int.__lshift__, row, s))
+            for row, s in zip((mant >> zeros).tolist(), shift.tolist())]
 
 
 def _eliminate(m, ncols):
@@ -88,13 +108,27 @@ def exact_rank(rows):
 
 
 def exact_solve(rows, rhs):
-    """Solve a square rational system exactly; raises on singular input."""
+    """Solve a square rational system exactly; raises on singular input.
+
+    Given a row (c, ..., c | t), t/c = u/v, x_last is u/v minus the
+    others' sum, and each other row becomes
+    ((a_ij - a_i,last) * v | b_i * v - a_i,last * u) over one unknown fewer.
+    """
     a = _check(rows)
-    b = list(rhs)
+    b = rhs if isinstance(rhs, np.ndarray) else list(rhs)
     n = len(a)
-    if len(a[0]) != n or len(b) != n:
+    if len(a[0]) != n or np.shape(b) != (n,):
         raise ValueError("exact_solve expects a square system")
-    m = _integer_rows([row + [v] for row, v in zip(a, b)])
+    if getattr(a, "dtype", None) == getattr(b, "dtype", None) == np.float64:
+        m = _float_rows(np.column_stack((a, b)))
+    else:
+        m = _integer_rows([list(row) + [v] for row, v in zip(a, b)])
+    const = next((r for r in m if r[0] and r[:n].count(r[0]) == n), None)
+    if const and n > 1:
+        m.remove(const)
+        (u, v), n = Fraction(const[n], const[0]).as_integer_ratio(), n - 1
+        m = [[(e - row[n]) * v for e in row[:n]] + [row[-1] * v - row[n] * u]
+             for row in m]
     if _eliminate(m, n) < n:
         raise ZeroDivisionError("singular system")
     # The last pivot d is the determinant of the eliminated integer
@@ -106,4 +140,7 @@ def exact_solve(rows, rhs):
         row = m[r]
         acc = d * row[n] - sum(row[c] * y[c] for c in range(r + 1, n))
         y[r] = acc // row[r]
-    return [Fraction(v, d) for v in y]
+    x = [Fraction(w, d) for w in y]
+    if len(x) < len(a):
+        x.append(Fraction(u * d - v * sum(y), v * d))
+    return x

@@ -193,6 +193,8 @@ MALFORMED = [
     ("ffk-sim", {**_FFK, "direct_kind": "wavelet"}, "direct_kind"),
     ("ffk-sim", {**_FFK, "memory_distance": _FFK["n"]}, "memory_distance"),
     ("shared-sim", {**_PAIR, "r": 2, "base_seed": -5}, "base_seed"),
+    # caught before the family is built, not inside numpy's generator
+    ("decompose", {"n": 4, "pattern": [2], "seed": -5}, "seed"),
 ]
 
 
@@ -443,7 +445,9 @@ def test_closed_form_input_errors(capsys, argv, named):
 CURVE_POINTS = "need K >= 1 and positive, finite curve points"
 
 
-@pytest.mark.parametrize("number", ["-1e-05", "-2E3", "-.5e1"])
+# exponent forms, and the non-finite forms float() reads in any case
+@pytest.mark.parametrize("number", ["-1e-05", "-2E3", "-.5e1", "-inf",
+                                    "-Infinity", "-nan", "-NaN"])
 @pytest.mark.parametrize("argv, message", [
     (["curve", "4", "{}", "2", "3"], CURVE_POINTS),
     (["curve", "4", "1", "{}", "3"], CURVE_POINTS),
@@ -454,6 +458,13 @@ def test_negative_exponent_forms_reach_the_command(capsys, argv, message,
     # read as an option, the number would end in argparse's usage line
     code, out, err = run_cli(capsys, *(a.format(number) for a in argv))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_decompose_rejects_a_negative_seed_flag(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 4, "pattern": [2]}))
+    code, out, err = run_cli(capsys, "--seed", "-5", "decompose", str(path))
+    assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
 
 
 def test_tolerance_flag_is_a_usage_error(tmp_path, capsys):

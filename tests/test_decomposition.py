@@ -13,6 +13,7 @@ from alignsim.decomposition import (RESIDUAL_REL_TOL, _decompose,
                                     build_and_decompose, build_basis,
                                     build_indexed_basis, build_power_basis,
                                     decompose, reconstruct)
+from alignsim import rational
 from alignsim.rational import exact_solve
 
 
@@ -202,6 +203,33 @@ def test_square_indexed_family_reconstructs_bit_for_bit(channel, data, seed):
     assert len(fam.anchor_indices) == len(fam.members)
     assert all(isinstance(b, Fraction) for b in betas)
     assert np.array_equal(reconstruct(betas, fam), h)
+
+
+@pytest.mark.parametrize("kind, support, columns", [
+    ("indexed", (2, 5, 6), 3),
+    ("indexed", tuple(range(1, 21)), 20),
+    ("power", (3, 5), 3),
+    ("power", tuple(range(2, 22)), 21),
+])
+def test_anchor_solve_eliminates_over_the_unknowns_it_must(
+        monkeypatch, kind, support, columns):
+    """A square indexed family's known anchor is a constant row, so its
+    solve substitutes one coefficient out and eliminates over |U|
+    columns; a power family's anchor rows are not, and it keeps s+1."""
+    seen = []
+    eliminate = rational._eliminate
+
+    def spy(m, ncols):
+        seen.append(ncols)
+        return eliminate(m, ncols)
+
+    monkeypatch.setattr(rational, "_eliminate", spy)
+    n = 24
+    h = sample_channel(ChangingPattern(n, ()), seed=3)
+    fam, betas = build_and_decompose(h, kind, support, n, seed=5,
+                                     true_values=h)
+    assert seen == [columns]
+    assert len(betas) == len(fam.members) == len(support) + 1
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

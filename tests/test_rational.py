@@ -1,5 +1,6 @@
 """Exact rank and solve by fraction-free integer elimination."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.rational import exact_rank, exact_solve
+from alignsim.rational import (_float_rows, _integer_rows, exact_rank,
+                               exact_solve)
 
 
 def test_exact_rank_basics():
@@ -131,3 +133,97 @@ def test_exact_rank_matches_numpy_on_integer_matrices(data, rows, cols,
     zeroed = data.draw(st.sets(st.integers(0, cols - 1)), label="zeroed")
     m[:, sorted(zeroed)] = 0
     assert exact_rank(m.tolist()) == np.linalg.matrix_rank(m)
+
+
+def _with_constant_row(data, reduced, last, entries):
+    """A square system holding (c, ..., c | t) at a drawn position, whose
+    other rows are `reduced` lifted by a drawn last column:
+    a_ij = r_ij + last_i, so det = +-c * det(reduced).  Half the draws
+    take an integral t/c, half a fractional one."""
+    n = len(reduced) + 1
+    c = data.draw(entries.filter(lambda v: v != 0), label="c")
+    ratio = data.draw(st.one_of(
+        SMALL_INTS, FRACTIONS.filter(lambda f: f.denominator > 1)),
+        label="t/c")
+    rows = [[Fraction(v) + l for v in row] + [l]
+            for row, l in zip(reduced, last)]
+    k = data.draw(st.integers(0, n - 1), label="constant row")
+    rows.insert(k, [c] * n)
+    rhs = data.draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    rhs.insert(k, Fraction(c) * ratio)
+    return rows, rhs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_solve_with_a_constant_row_satisfies_the_system(data):
+    reduced, _ = data.draw(nonsingular_systems(), label="reduced")
+    entries = data.draw(st.sampled_from([SMALL_INTS, DYADICS, FRACTIONS]))
+    last = data.draw(st.lists(entries, min_size=len(reduced),
+                              max_size=len(reduced)))
+    rows, rhs = _with_constant_row(data, reduced, last, entries)
+    x = exact_solve(rows, rhs)
+    assert all(isinstance(v, Fraction) for v in x)
+    assert fraction_residual(rows, x, rhs) == [0] * len(rows)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_exact_solve_with_a_constant_row_raises_on_singular_systems(data,
+                                                                    n):
+    entries = data.draw(st.sampled_from([SMALL_INTS, EIGHTHS]))
+    reduced = [data.draw(st.lists(entries, min_size=n, max_size=n))
+               for _ in range(n - 1)]
+    coeffs = data.draw(st.lists(SMALL_INTS, min_size=n - 1,
+                                max_size=n - 1))
+    # dependent reduced rows (a zero row when n == 1, which makes the
+    # lifted row a second constant row)
+    reduced.append([sum((c * row[j] for c, row in zip(coeffs, reduced)), 0)
+                    for j in range(n)])
+    last = data.draw(st.lists(entries, min_size=n, max_size=n))
+    rows, rhs = _with_constant_row(data, reduced, last, entries)
+    with pytest.raises(ZeroDivisionError, match="singular system"):
+        exact_solve(rows, rhs)
+
+
+# floats across the whole exponent range: signed zeros, subnormals, and
+# 53-bit mantissas scaled by 2**-1000 to 2**1000
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.0]),
+    st.integers(-2**52, 2**52).map(lambda k: k * 5e-324),
+    st.builds(math.ldexp, st.floats(-1, 1, allow_nan=False),
+              st.integers(-1000, 1000)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_float_array_rows_match_the_entry_path(data, n):
+    rows = np.array(data.draw(st.lists(FLOATS, min_size=n * n,
+                                       max_size=n * n)),
+                    dtype=np.float64).reshape(n, n)
+    rhs = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)),
+                   dtype=np.float64)
+    system = np.column_stack((rows, rhs))
+    assert _float_rows(system) == _integer_rows(system.tolist())
+    try:
+        want = exact_solve(rows.tolist(), rhs.tolist())
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="singular system"):
+            exact_solve(rows, rhs)
+    else:
+        assert exact_solve(rows, rhs) == want
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    (np.eye(2), np.array([1.0, np.inf])),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
+    (np.array([[1.0, -np.inf], [0.0, 1.0]]), np.ones(2)),
+    (np.eye(65), np.ones(65)),
+    (np.ones((2, 3)), np.ones(2)),
+    (np.eye(2), np.ones(3)),
+    (np.eye(2), np.ones((2, 1))),
+    (np.empty((0, 0)), np.empty(0)),
+])
+def test_float_array_system_validation(rows, rhs):
+    with pytest.raises(ValueError):
+        exact_solve(rows, rhs)
