@@ -135,21 +135,28 @@ def verify_blind(scheme: BlindScheme, instance, expected_free):
     free-dimension count of the direct link into receiver k
     (``generic_free_dims`` of its pattern).
 
-    One ``numeric_rank_by_shape`` call ranks the basis and the raw
-    ``[basis, received]`` joint of every link (p, q): a cross link is
-    contained in the basis span when its joint rank equals the basis
-    rank, and a direct link's excess over it is its receiver's free
-    dimensions, which must equal the expected count.
+    The raw ``[basis, received]`` joint of link (p, q) is row p*K + q of one
+    C-ordered stack, written in place by one broadcast product of the gains
+    (``mixed_direct`` rewrites non-identity direct links), and ranked with
+    the basis by one ``numeric_rank_by_shape`` call.  A cross link is
+    contained in the basis span when its joint rank equals the basis rank;
+    a direct link's excess is its receiver's expected free dimensions.
     """
     if instance.n != scheme.n:
         raise ValueError("instance slot count differs from scheme")
     K, basis = instance.K, scheme.interference_basis
-    base, *joint = numeric_rank_by_shape(
-        [basis] + [np.hstack([basis, instance.received_matrix(
-            p, q, scheme.precoders[q])]) for p in range(K) for q in range(K)])
-    free = [min(scheme.n // 2, joint[k * K + k] - base) for k in range(K)]
+    w = basis.shape[1]
+    joints = np.empty((K * K, scheme.n, 2 * w))
+    joints[:, :, :w] = basis
+    np.multiply(instance.gains()[:, :, None], basis, out=joints[:, :, w:])
+    for k in range(K):
+        mixed = instance.mixed_direct(k, basis)
+        if mixed is not None:
+            joints[k * K + k, :, w:] = mixed
+    base, joint = numeric_rank_by_shape([basis, joints])
+    free = [min(w, int(joint[k * K + k]) - base) for k in range(K)]
     checks = {
-        "basis_full_rank": base == basis.shape[1],
+        "basis_full_rank": base == w,
         "cross_containment": all(joint[p * K + q] == base for p in range(K)
                                  for q in range(K) if p != q),
         "predicted_equals_measured": all(

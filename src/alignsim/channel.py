@@ -443,19 +443,24 @@ class NetworkInstance:
     def unknown_set(self, p, q):
         return self.unknown[p][q]
 
-    def received_matrix(self, p, q, precoder):
-        """What receiver p sees of transmitter q's precoder columns.
+    def gains(self):
+        """Every link's gains, drawn now, as one C-ordered (K*K, n) array
+        whose row p*K + q is link (p, q)."""
+        return np.array([self.channels[divmod(i, self.K)]
+                         for i in range(self.K * self.K)])
 
-        An identity transform is not multiplied: on finite columns
-        without -0.0, ``I @ x`` is ``x`` bit for bit.
-        """
-        h = self.channel(p, q)[:, None]
+    def mixed_direct(self, p, x):
+        """Receiver p's direct link on float columns x, ``h * (T @ x)``, or
+        None for an identity T: on finite x without -0.0, ``h * x`` is it."""
+        t = self.transforms[p]
+        if t.kind != "identity":
+            return self.channels[(p, p)][:, None] * (t.matrix @ x)
+
+    def received_matrix(self, p, q, precoder):
+        """What receiver p sees of transmitter q's precoder columns."""
         x = np.asarray(precoder, dtype=float)
-        if p == q:
-            t = self.transforms[p]
-            if t.kind != "identity":
-                x = t.matrix @ x
-        return h * x
+        mixed = self.mixed_direct(p, x) if p == q else None
+        return self.channel(p, q)[:, None] * x if mixed is None else mixed
 
 
 def sample_network(config: NetworkConfig, seed) -> NetworkInstance:

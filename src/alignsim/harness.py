@@ -19,7 +19,6 @@ and derives the total DoF.
 
 import csv
 import io
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -155,30 +154,34 @@ _REGIMES = {"blind": (_blind_plan, _blind_trial),
 
 
 def run_trials(scenario: Scenario) -> RunSummary:
-    """Run every trial of a scenario and aggregate pass/fail and rank stats."""
+    """Run every trial of a scenario and aggregate pass/fail and rank stats
+    in one pass; a trial's error reaches the caller as a ValueError naming
+    its seed.  A missing check fails, and a mode is ``Counter.most_common``'s.
+    """
     fn = _REGIMES[scenario.regime][1]
-    results = []
+    results, passes, stats = [], {}, {}
     for i in range(scenario.trials):
         seed = scenario.base_seed + i
         try:
             checks, measured, total = fn(
                 scenario.plan, sample_network(scenario.config, seed), seed)
-        except ValueError as exc:
-            raise ValueError(f"trial seed {seed}: {exc}") from exc
+        except Exception as exc:
+            kind = "" if isinstance(exc, ValueError) else \
+                f"{type(exc).__name__}: "
+            raise ValueError(f"trial seed {seed}: {kind}{exc}") from exc
         results.append(TrialResult(index=i, seed=seed, checks=checks,
                                    measured=measured, total_dof=total))
-
-    names = sorted({k for r in results for k in r.checks})
-    pass_fraction = {
-        name: sum(1 for r in results if r.checks.get(name)) / len(results)
-        for name in names}
-    rank_stats = {}
-    for name in sorted({k for r in results for k in r.measured}):
-        vals = [r.measured[name] for r in results if name in r.measured]
-        nums = [v for v in vals if isinstance(v, (int, float)) and not isinstance(v, bool)]
-        if nums:
-            mode = Counter(nums).most_common(1)[0][0]
-            rank_stats[name] = (min(nums), max(nums), mode)
+        for name, ok in checks.items():
+            passes[name] = passes.get(name, 0) + bool(ok)
+        for name, v in measured.items():
+            if isinstance(v, (int, float)) and not isinstance(v, bool):
+                lo, hi, counts = stats.get(name) or (v, v, {})
+                counts[v] = counts.get(v, 0) + 1
+                stats[name] = (min(lo, v), max(hi, v), counts)
+    pass_fraction = {name: passes[name] / len(results)
+                     for name in sorted(passes)}
+    rank_stats = {name: (lo, hi, max(counts, key=counts.get))
+                  for name, (lo, hi, counts) in sorted(stats.items())}
     return RunSummary(regime=scenario.regime, trials=scenario.trials,
                       results=results, pass_fraction=pass_fraction,
                       rank_stats=rank_stats)

@@ -12,7 +12,7 @@ call; LAPACK factors each matrix of a stack on its own, so a matrix gets
 the same singular values, bit for bit, alone or inside a stack.  Shapes
 are validated at the public functions, finiteness by the kernel's norm
 range test.  The regime verifiers list every matrix they rank, as 2-D
-matrices or 3-D stacks, joints concatenated from the raw ``[base,
+matrices or C-ordered 3-D stacks, joints built from the raw ``[base,
 candidate]`` before they are normalized, and ``numeric_rank_by_shape``
 ranks the list with one kernel call per matrix shape.  ``numeric_rank``,
 ``joint_rank`` and ``is_subspace`` make one decision each.
@@ -86,7 +86,9 @@ def numeric_rank(m):
 def numeric_rank_by_shape(ms):
     """``numeric_rank`` of every array of a list, an int for a 2-D matrix
     and an int array for a 3-D stack, from one kernel call per distinct
-    ``(rows, cols)`` on that shape's matrices in list order."""
+    ``(rows, cols)`` on that shape's matrices in list order.  A lone
+    C-contiguous float64 array is ranked as it is; the kernel sums columns
+    in memory order, so a stack built in place must be C-ordered."""
     by_shape, ranks = {}, [None] * len(ms)
     for i, m in enumerate(ms):
         if m.ndim not in (2, 3) or 0 in m.shape:
@@ -94,7 +96,9 @@ def numeric_rank_by_shape(ms):
         by_shape.setdefault(m.shape[-2:], []).append(i)
     for idx in by_shape.values():
         parts = [ms[i] if ms[i].ndim == 3 else ms[i][None] for i in idx]
-        r = _ranks(np.concatenate(parts, dtype=float))
+        a = parts[0]
+        lone = len(parts) == 1 and a.dtype == float and a.flags.c_contiguous
+        r = _ranks(a if lone else np.concatenate(parts, dtype=float))
         start = 0
         for i, part in zip(idx, parts):
             ranks[i] = (r[start:start + len(part)] if ms[i].ndim == 3

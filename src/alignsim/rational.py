@@ -24,7 +24,10 @@ _MAX_SIDE = 64
 
 
 def _check(rows):
-    m = rows if getattr(rows, "ndim", 0) == 2 else list(map(list, rows))
+    try:
+        m = rows if getattr(rows, "ndim", 0) == 2 else list(map(list, rows))
+    except TypeError:       # a row that is a number: a vector, not a matrix
+        raise ValueError("expected a 2-D matrix") from None
     if not len(m) or not len(m[0]):
         raise ValueError("empty matrix")
     ncols = len(m[0])

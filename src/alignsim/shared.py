@@ -332,17 +332,24 @@ def verify_shared(scheme: SharedPatternScheme, instance):
     """Desired and interference dimensions at every receiver, measured by
     rank on a sampled network, as ``(checks, measured)``.
 
-    Each received matrix is built once; the joints of every receiver
-    (everything arriving, interference only) are ranked with one
-    ``numeric_rank_by_shape`` call, one stack per joint shape, and a joint
-    without columns has rank 0.  A receiver's desired dimensions are the
-    excess of the first over the second.
+    All that reaches receiver p is row p of one C-ordered stack, written in
+    place by one broadcast product of the gains (``mixed_direct`` rewrites
+    non-identity direct links); its interference joint drops p's columns
+    with ``compress``, which keeps C order.  One ``numeric_rank_by_shape``
+    call ranks both joints of every receiver, a joint without columns has
+    rank 0, and the desired dimensions are the excess of the first.
     """
     K, n, precoders = instance.K, instance.n, scheme.precoders
-    joints = []             # per receiver: arriving, then interference
+    owner = np.repeat(np.arange(K), [x.shape[1] for x in precoders])
+    arriving = np.empty((K, n, owner.size))
+    np.multiply(instance.gains().reshape(K, K, n)[:, owner].transpose(0, 2, 1),
+                np.hstack(precoders), out=arriving)
     for p in range(K):
-        seen = [instance.received_matrix(p, q, precoders[q]) for q in range(K)]
-        joints += [np.hstack(seen), np.hstack(seen[:p] + seen[p + 1:])]
+        mixed = instance.mixed_direct(p, precoders[p])
+        if mixed is not None:
+            arriving[p][:, owner == p] = mixed
+    joints = [m for p in range(K)      # per receiver: arriving, interference
+              for m in (arriving[p], arriving[p].compress(owner != p, axis=1))]
     found = iter(numeric_rank_by_shape([m for m in joints if m.size]))
     ranks = [next(found) if m.size else 0 for m in joints]
     used, interference = ranks[::2], ranks[1::2]

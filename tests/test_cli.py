@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignsim import harness
 from alignsim.cli import main
 from alignsim.shared import demo_network_config, pair_demo_patterns
 from conftest import fastfading_config
@@ -288,6 +289,20 @@ def test_failed_verification_exit_code_2(tmp_path, capsys):
         assert [f"pass_fraction,{failing},0.0"] == [
             line for line in out.splitlines()
             if line.startswith(f"pass_fraction,{failing},")]
+
+
+def test_error_inside_a_trial_is_input_error(tmp_path, capsys, monkeypatch):
+    plan, _ = harness._REGIMES["blind"]
+
+    def trial(plan, instance, seed):
+        raise ZeroDivisionError("no free slot")
+
+    monkeypatch.setitem(harness._REGIMES, "blind", (plan, trial))
+    path = tmp_path / "blind.json"
+    path.write_text(json.dumps({**_BLIND, "base_seed": 7}))
+    code, out, err = run_cli(capsys, "blind-sim", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: trial seed 7: ZeroDivisionError: no free slot\n"
 
 
 def test_ff3_sim_success(tmp_path, capsys):

@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsim import blind, channel, fastfading, harness, linalg, shared
 from alignsim.channel import ChangingPattern, NetworkConfig, sample_network
 from alignsim.decomposition import build_and_decompose, reconstruct
-from alignsim.harness import Scenario, run_trials, summary_csv
+from alignsim.harness import RunSummary, Scenario, run_trials, summary_csv
 from alignsim.linalg import joint_rank
 from alignsim.shared import (construct_shared, demo_network_config,
                              dense_demo_patterns, pair_demo_patterns,
@@ -376,6 +378,62 @@ def test_summary_csv_golden_bytes(name, base_seed):
         GOLDEN_CSV_SHA256[(name, base_seed)]
 
 
+def with_direct(make, kind):
+    """make's scenario with direct transforms of the given kind."""
+    def build(trials=3):
+        scenario = make(trials=trials)
+        cfg = dataclasses.replace(scenario.config, direct_kind=kind,
+                                  memory_distance=2)
+        return dataclasses.replace(scenario, config=cfg)
+    return build
+
+
+# SHA-256 over the dtype, shape and bytes of every array handed to
+# np.linalg.svd in call order, for three trials of each scenario at two
+# base seeds: a change to how the verifiers build their stacks must keep
+# every SVD input bit (the column normalization sums in memory order, so
+# a stack laid out in another order may round differently)
+GOLDEN_SVD_INPUT_SHA256 = {
+    ("blind", 0): "63a877d53b5fd97212ac5b8b7b133d0483b8699bf776a733f9e5888dac77d74a",
+    ("blind", 1000): "ca8d3a327f1f677d2ad8b1023a38060d0ca5228ea105cb875e2d5f01a9d98a65",
+    ("pair", 0): "cdb51f1a24951523e3b25b4c30a680293869a9e925b7e0dcd085723d115dfe37",
+    ("pair", 1000): "67b0a5405987dc6d2ce73882c2856998c95db9c7addc071a03dc5c3db78513fc",
+    ("dense", 0): "7519fdc47e990ef2546d285f88dc4876c10da7193b4cbdc0ae44785cf26f36d2",
+    ("dense", 1000): "66f6a361f7dd10589c82672a21783581b98f51fc73b1404da6f2b666fcf5b7fd",
+    ("ff3", 0): "055b3f90be3b20633fc59fa36aecfca3a02bc816189d15ecd67d6e8444053299",
+    ("ff3", 1000): "54ffab5b31173396ea43d7cee7bdfbdb1c99f2c6e62b02b8a22911879c321d5e",
+    ("ffk", 0): "3a042f6e234571af6942ed9c2b939740a084c288f63f6165b8da0d40ae0fde63",
+    ("ffk", 1000): "98ac2a2d21c1db8393392858366497942d4717661b060202afeb3b349be6b8e8",
+    ("blind-memory", 0): "ccdacffedb8096f7d81c1d9379eeec4f63d6ad83a5d25481e448527723562623",
+    ("blind-memory", 1000): "9b3581bfb07bf0dd475a6d8ed62a4cc93175a919381c1899256cd28db78a49e1",
+    ("blind-permutation", 0): "5c5f7a7a6b0e1433c32a444c4bd45798ef4eee3065a129f5df305593fb046ede",
+    ("blind-permutation", 1000): "8794195bde25dd176ddaa6831f6c62e55b9ee0496a8cf8a0d93c4f8213e35c9c",
+    ("pair-memory", 0): "cde72704b64236b82de5588a3d71a69b96aae9662f3deb25b8e8510aa766fb07",
+    ("pair-memory", 1000): "08cc41864701abe09db320a2f167ca70426e946f6728e2aaee6dff935f77086b",
+}
+SVD_SCENARIOS = {**SCENARIOS,
+                 "blind-memory": with_direct(blind_scenario, "memory"),
+                 "blind-permutation": with_direct(blind_scenario,
+                                                  "permutation"),
+                 "pair-memory": with_direct(shared_scenario, "memory")}
+
+
+@pytest.mark.parametrize("name, base_seed", list(GOLDEN_SVD_INPUT_SHA256),
+                         ids=[f"{n}-{s}" for n, s in GOLDEN_SVD_INPUT_SHA256])
+def test_svd_inputs_golden_bytes(monkeypatch, name, base_seed):
+    svd, digest = np.linalg.svd, hashlib.sha256()
+
+    def spy(a, *args, **kwargs):
+        digest.update(f"{a.dtype.str}{a.shape};".encode() + a.tobytes())
+        return svd(a, *args, **kwargs)
+
+    scenario = dataclasses.replace(SVD_SCENARIOS[name](trials=3),
+                                   base_seed=base_seed)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    run_trials(scenario)
+    assert digest.hexdigest() == GOLDEN_SVD_INPUT_SHA256[(name, base_seed)]
+
+
 def decomposition_digest(kind, s, seeds):
     """SHA-256 over the coefficients (numerator/denominator) and the
     reconstruct bits of build_and_decompose on size-s channels of n = 2s
@@ -419,6 +477,78 @@ GOLDEN_DECOMPOSITION_SHA256 = {
 def test_decomposition_golden_bits(kind, s):
     assert decomposition_digest(kind, s, range(4)) == \
         GOLDEN_DECOMPOSITION_SHA256[(kind, s)]
+
+
+@pytest.mark.parametrize("exc, message", [
+    (ValueError("precoder of transmitter 2 has rank 1"),
+     "trial seed 3: precoder of transmitter 2 has rank 1"),
+    (ZeroDivisionError("singular system"),
+     "trial seed 3: ZeroDivisionError: singular system")])
+def test_trial_errors_name_the_seed(monkeypatch, exc, message):
+    plan, blind_trial = harness._REGIMES["blind"]
+
+    def trial(plan, instance, seed):
+        if seed == 3:
+            raise exc
+        return blind_trial(plan, instance, seed)
+
+    monkeypatch.setitem(harness._REGIMES, "blind", (plan, trial))
+    scenario = dataclasses.replace(blind_scenario(trials=3), base_seed=1)
+    with pytest.raises(ValueError) as info:
+        run_trials(scenario)
+    assert str(info.value) == message and info.value.__cause__ is exc
+
+
+def reference_aggregates(results):
+    """pass_fraction and rank_stats as collected one name at a time, with
+    Counter picking each mode."""
+    checks = sorted({k for r in results for k in r.checks})
+    pass_fraction = {
+        name: sum(1 for r in results if r.checks.get(name)) / len(results)
+        for name in checks}
+    rank_stats = {}
+    for name in sorted({k for r in results for k in r.measured}):
+        nums = [r.measured[name] for r in results if name in r.measured
+                and isinstance(r.measured[name], (int, float))
+                and not isinstance(r.measured[name], bool)]
+        if nums:
+            mode = Counter(nums).most_common(1)[0][0]
+            rank_stats[name] = (min(nums), max(nums), mode)
+    return pass_fraction, rank_stats
+
+
+# few distinct values, so that modes tie and ints meet equal floats
+MEASURED = st.one_of(st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.0]),
+                     st.booleans(), st.just("n/a"))
+TRIAL_OUTCOMES = st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(["alpha", "beta", "gamma"]),
+                    st.booleans()),
+    st.dictionaries(st.sampled_from(["rank", "dims", "flag", "note"]),
+                    MEASURED)), min_size=1, max_size=8)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TRIAL_OUTCOMES)
+def test_one_pass_summary_matches_counter_reference(outcomes):
+    saved = harness._REGIMES["blind"]
+
+    def trial(plan, instance, seed):
+        checks, measured = outcomes[seed]
+        return checks, measured, Fraction(1)
+
+    # hypothesis runs every example inside one call, so the patch is
+    # undone by hand rather than by a function-scoped fixture
+    harness._REGIMES["blind"] = (saved[0], trial)
+    try:
+        summary = run_trials(blind_scenario(trials=len(outcomes)))
+    finally:
+        harness._REGIMES["blind"] = saved
+    pass_fraction, rank_stats = reference_aggregates(summary.results)
+    assert summary.pass_fraction == pass_fraction
+    assert summary.rank_stats == rank_stats
+    reference = RunSummary(summary.regime, summary.trials, summary.results,
+                           pass_fraction, rank_stats)
+    assert summary_csv(summary) == summary_csv(reference)
 
 
 def test_summary_csv_layout():

@@ -60,6 +60,11 @@ def test_shape_validation():
         exact_solve([[1, 2, 3]], [1])
     with pytest.raises(ValueError):
         exact_rank([[1] * 65])
+    # a vector is not a matrix, as an array or as a list
+    with pytest.raises(ValueError, match="2-D"):
+        exact_rank(np.ones(3))
+    with pytest.raises(ValueError, match="2-D"):
+        exact_rank([1.0, 2.0])
 
 
 # Every float is a binary (dyadic) rational; small integers, full 53-bit
@@ -223,6 +228,7 @@ def test_float_array_rows_match_the_entry_path(data, n):
     (np.eye(2), np.ones(3)),
     (np.eye(2), np.ones((2, 1))),
     (np.empty((0, 0)), np.empty(0)),
+    (np.ones(2), np.ones(2)),
 ])
 def test_float_array_system_validation(rows, rhs):
     with pytest.raises(ValueError):
