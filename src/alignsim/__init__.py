@@ -2,7 +2,8 @@
 
 Library layout:
 
-* ``linalg`` — numeric rank / subspace tests (one fixed rank threshold);
+* ``linalg`` — the one numeric rank entry, ``numeric_rank_by_shape``, and
+  ``is_subspace`` (one fixed rank threshold);
 * ``rational`` — exact rank and solve by fraction-free integer elimination;
 * ``channel`` — changing patterns, block-fading diagonal channels, direct
   transforms, network configs and sampling;
@@ -14,7 +15,7 @@ Library layout:
 * ``cli`` — the ``alignsim`` command.
 """
 
-from .linalg import balanced_rank, is_subspace, joint_rank, numeric_rank
+from .linalg import is_subspace, numeric_rank_by_shape
 from .channel import (ChangingPattern, NetworkConfig, UnknownSet,
                       constant_intervals, sample_channel, sample_network,
                       union_pattern)

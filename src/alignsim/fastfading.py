@@ -28,7 +28,7 @@ from .channel import NetworkInstance, UnknownSet, separated_uniform
 from .decomposition import build_indexed_basis
 # is_subspace is bound here, unused, because perfbench's tracing test
 # checks that the tracer rebinds alignsim.fastfading.is_subspace
-from .linalg import balanced_rank, is_subspace, numeric_rank_by_shape
+from .linalg import is_subspace, numeric_rank_by_shape
 
 __all__ = [
     "FastFading3Scheme",
@@ -378,11 +378,13 @@ def verify_kuser(scheme: KUserScheme):
     formula, as ``(checks, measured)``; no channel is read.
 
     The columns are products of many transfer-map ratios, so row
-    magnitudes vary by orders of magnitude; ``balanced_rank`` equalizes
-    the rows first to keep the threshold fair.
+    magnitudes vary by orders of magnitude; both families are ranked in
+    one ``numeric_rank_by_shape`` call with ``balance_rows``, which
+    equalizes the rows first to keep the threshold fair.
     """
-    measured = {"dim_seed": balanced_rank(scheme.seed_columns),
-                "dim_tx1": balanced_rank(scheme.tx1_columns)}
+    dim_seed, dim_tx1 = numeric_rank_by_shape(
+        [scheme.seed_columns, scheme.tx1_columns], balance_rows=True)
+    measured = {"dim_seed": dim_seed, "dim_tx1": dim_tx1}
     checks = {"dims_match_formula": (
         measured["dim_seed"] == scheme.expected["dim_seed"]
         and measured["dim_tx1"] == scheme.expected["dim_tx1"])}

@@ -10,36 +10,21 @@ cols)`` stack, scales each column to unit length along the row axis and
 takes the singular values of every matrix from one ``np.linalg.svd``
 call; LAPACK factors each matrix of a stack on its own, so a matrix gets
 the same singular values, bit for bit, alone or inside a stack.  Shapes
-are validated at the public functions, finiteness by the kernel's norm
+are validated at ``numeric_rank_by_shape``, finiteness by the kernel's norm
 range test.  The regime verifiers list every matrix they rank, as 2-D
 matrices or C-ordered 3-D stacks, joints built from the raw ``[base,
 candidate]`` before they are normalized, and ``numeric_rank_by_shape``
-ranks the list with one kernel call per matrix shape.  ``numeric_rank``,
-``joint_rank`` and ``is_subspace`` make one decision each.
+ranks the list with one kernel call per matrix shape; with
+``balance_rows`` it first scales every nonzero row to unit length.
+``is_subspace`` is one such call on a base and its joint.
 """
 
 import numpy as np
 
-__all__ = [
-    "numeric_rank",
-    "numeric_rank_by_shape",
-    "balanced_rank",
-    "joint_rank",
-    "is_subspace",
-]
+__all__ = ["numeric_rank_by_shape", "is_subspace"]
 
 
 RELATIVE_THRESHOLD = 1e-8
-
-
-def _as_matrix(m):
-    """A non-empty float matrix, or a vector as one column."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2 or 0 in a.shape:
-        raise ValueError("expected non-empty 2-D matrices")
-    return a
 
 
 # a norm below this may have lost bits to squares that underflow
@@ -78,17 +63,18 @@ def _ranks(stack):
     return (s > RELATIVE_THRESHOLD * s[:, :1]).sum(axis=-1)
 
 
-def numeric_rank(m):
-    """Count singular values above the relative threshold."""
-    return int(_ranks(_as_matrix(m)[None])[0])
-
-
-def numeric_rank_by_shape(ms):
-    """``numeric_rank`` of every array of a list, an int for a 2-D matrix
-    and an int array for a 3-D stack, from one kernel call per distinct
+def numeric_rank_by_shape(ms, balance_rows=False):
+    """Numeric rank of every array of a list, an int for a 2-D matrix and
+    an int array for a 3-D stack, from one kernel call per distinct
     ``(rows, cols)`` on that shape's matrices in list order.  A lone
     C-contiguous float64 array is ranked as it is; the kernel sums columns
-    in memory order, so a stack built in place must be C-ordered."""
+    in memory order, so a stack built in place must be C-ordered.
+
+    ``balance_rows`` first scales every nonzero row to unit length.  That
+    keeps the rank exactly and lifts a true dimension that lives only in
+    tiny rows (columns that are products of many diagonal ratios) above
+    the threshold; use it only when every row is signal, never noise.
+    """
     by_shape, ranks = {}, [None] * len(ms)
     for i, m in enumerate(ms):
         if m.ndim not in (2, 3) or 0 in m.shape:
@@ -98,7 +84,8 @@ def numeric_rank_by_shape(ms):
         parts = [ms[i] if ms[i].ndim == 3 else ms[i][None] for i in idx]
         a = parts[0]
         lone = len(parts) == 1 and a.dtype == float and a.flags.c_contiguous
-        r = _ranks(a if lone else np.concatenate(parts, dtype=float))
+        a = a if lone else np.concatenate(parts, dtype=float)
+        r = _ranks(_normalized(a, axis=-1) if balance_rows else a)
         start = 0
         for i, part in zip(idx, parts):
             ranks[i] = (r[start:start + len(part)] if ms[i].ndim == 3
@@ -107,27 +94,7 @@ def numeric_rank_by_shape(ms):
     return ranks
 
 
-def balanced_rank(m):
-    """Rank after normalizing nonzero rows, then columns.
-
-    Row scaling by a positive diagonal preserves rank exactly, and it keeps
-    the threshold meaningful for matrices whose rows live on wildly
-    different scales — e.g. columns that are products of many diagonal
-    ratios, where a few rows can be orders of magnitude smaller than the
-    rest and a true dimension would otherwise fall below the threshold.
-    Only use this when every row is known to be signal, never noise.
-    """
-    return int(_ranks(_normalized(_as_matrix(m), axis=-1)[None])[0])
-
-
-def joint_rank(ms):
-    """Rank of the column-wise concatenation of a list of matrices."""
-    mats = [_as_matrix(m) for m in ms]
-    if len({m.shape[0] for m in mats}) != 1:
-        raise ValueError("joint_rank needs matrices that share a row count")
-    return numeric_rank(np.hstack(mats))
-
-
 def is_subspace(a, b):
-    """True iff the column span of ``a`` lies inside the column span of ``b``."""
-    return joint_rank([b, a]) == numeric_rank(b)
+    """True iff the column span of matrix ``a`` lies inside that of ``b``."""
+    base, joint = numeric_rank_by_shape([b, np.hstack([b, a])])
+    return joint == base

@@ -28,6 +28,8 @@ def _check(rows):
         m = rows if getattr(rows, "ndim", 0) == 2 else list(map(list, rows))
     except TypeError:       # a row that is a number: a vector, not a matrix
         raise ValueError("expected a 2-D matrix") from None
+    if m is not rows and any(np.ndim(x) for row in m for x in row):
+        raise ValueError("expected a 2-D matrix")   # an entry that is a row
     if not len(m) or not len(m[0]):
         raise ValueError("empty matrix")
     ncols = len(m[0])

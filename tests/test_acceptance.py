@@ -25,7 +25,7 @@ from alignsim.fastfading import (build_3user, build_kuser,
                                  dof_cap_given_upsilon,
                                  min_upsilon_for_max_dof, verify_3user)
 from alignsim.harness import Scenario, run_trials
-from alignsim.linalg import balanced_rank, is_subspace, numeric_rank
+from alignsim.linalg import is_subspace, numeric_rank_by_shape
 from alignsim.shared import (demo_network_config, dense_demo_patterns,
                              dof_upper_bound, dof_table, pair_demo_patterns,
                              scheme_counts)
@@ -255,8 +255,8 @@ def test_criterion_9_kuser_dimensions():
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
     scheme = build_kuser(inst, n_star=1, seed=0)
-    dim_seed = balanced_rank(scheme.seed_columns)
-    dim_tx1 = balanced_rank(scheme.tx1_columns)
+    dim_seed, dim_tx1 = numeric_rank_by_shape(
+        [scheme.seed_columns, scheme.tx1_columns], balance_rows=True)
     elapsed = time.perf_counter() - start
     ok = (scheme.n == 37 and dim_seed == 3 == scheme.expected["dim_seed"]
           and dim_tx1 == 34 == scheme.expected["dim_tx1"]

@@ -11,7 +11,7 @@ from alignsim.blind import (blind_total_dof, build_blind_scheme,
 from alignsim.channel import ChangingPattern, sample_network, union_pattern
 from alignsim import linalg
 from alignsim.harness import Scenario, run_trials
-from alignsim.linalg import is_subspace, joint_rank, numeric_rank
+from alignsim.linalg import is_subspace, numeric_rank_by_shape
 from conftest import blind_config, random_cross_pattern, spaced_direct_pattern
 from fractions import Fraction
 
@@ -51,7 +51,7 @@ def test_scheme_dimensions_and_rank():
         scheme = build_blind_scheme(ChangingPattern(n, pts), rho, 3, seed=0)
         assert scheme.n == n
         assert scheme.interference_basis.shape == (n, n // 2)
-        assert numeric_rank(scheme.interference_basis) == n // 2
+        assert numeric_rank_by_shape([scheme.interference_basis]) == [n // 2]
         for v in scheme.precoders:
             assert v.shape == (n, n // 2)
 
@@ -181,9 +181,10 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
         inst = sample_network(cfg, t)
         basis = scheme.interference_basis
         direct = [cfg.pattern(k, k) for k in range(K)]
-        base = numeric_rank(basis)
-        free = [min(n // 2, joint_rank([basis, inst.received_matrix(
-            k, k, scheme.precoders[k])]) - base) for k in range(K)]
+        base, *joints = numeric_rank_by_shape(
+            [basis] + [np.hstack([basis, inst.received_matrix(
+                k, k, scheme.precoders[k])]) for k in range(K)])
+        free = [min(n // 2, j - base) for j in joints]
         want = ({"basis_full_rank": base == basis.shape[1],
                  "cross_containment": all(
                      is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),

@@ -14,8 +14,7 @@ from alignsim.fastfading import (_grid_columns, _member_combos, build_3user,
                                  min_upsilon_for_max_dof, upsilon_fraction,
                                  verify_3user, verify_kuser)
 from alignsim.harness import Scenario, run_trials
-from alignsim.linalg import (balanced_rank, is_subspace, joint_rank,
-                             numeric_rank)
+from alignsim.linalg import is_subspace, numeric_rank_by_shape
 from conftest import fastfading_config
 
 
@@ -158,10 +157,10 @@ def test_3user_frontier_verdicts_are_pinned(L, eps, loop_passes):
 
 
 def _verify_3user_one_at_a_time(scheme, instance):
-    """verify_3user's checks and measured numbers from one numeric_rank,
-    is_subspace or joint_rank call per decision, the draws taken in the
-    same order; also both joint ranks, [right, left] and [left, right], of
-    every rx1 substitution."""
+    """verify_3user's checks and measured numbers from one rank or
+    is_subspace call per decision, the draws taken in the same order; also
+    both joint ranks, [right, left] and [left, right], of every rx1
+    substitution."""
     L, eps = scheme.L, scheme.epsilon
     v1, v2, v3 = scheme.tx_columns
     fams = scheme.surrogates
@@ -173,9 +172,9 @@ def _verify_3user_one_at_a_time(scheme, instance):
 
     # tx3's and tx2's seeds are the tx1 columns t^i gamma^j with i >= 1
     # and with i < eps
-    measured["rank_tx1"] = numeric_rank(v1)
-    measured["rank_seed_b"] = numeric_rank(v1[:, L + 1:])
-    measured["rank_seed_c"] = numeric_rank(v1[:, :eps * (L + 1)])
+    measured["rank_tx1"] = numeric_rank_by_shape([v1])[0]
+    measured["rank_seed_b"] = numeric_rank_by_shape([v1[:, L + 1:]])[0]
+    measured["rank_seed_c"] = numeric_rank_by_shape([v1[:, :eps * (L + 1)]])[0]
     checks["rank_tx1"] = measured["rank_tx1"] == L + eps + 1
     checks["rank_seeds"] = (measured["rank_seed_b"] == L + eps
                             and measured["rank_seed_c"] == L + eps)
@@ -185,8 +184,8 @@ def _verify_3user_one_at_a_time(scheme, instance):
         left = member((0, 1), i12)[:, None] * v2
         right = member((0, 2), i13)[:, None] * v3
         span &= is_subspace(left, right) and is_subspace(right, left)
-        joint_orders.append((joint_rank([right, left]),
-                             joint_rank([left, right])))
+        joint_orders.append(tuple(numeric_rank_by_shape(
+            [np.hstack([right, left]), np.hstack([left, right])])))
     checks["rx1_span_equality"] = span
 
     gamma_powers = np.array([scheme.gamma ** j for j in range(1, L + 2)])
@@ -198,15 +197,16 @@ def _verify_3user_one_at_a_time(scheme, instance):
     for row, jp in zip(combos, jps):
         g = [member(k, i) for k, i in zip(keys, row)]
         vec = (g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5]) * gamma_powers[jp - 1]
-        loop &= is_subspace(vec, base)
+        loop &= is_subspace(vec[:, None], base)
     checks["loop_closure"] = loop
 
     checks["rx2_containment"] = is_subspace(
         instance.received_matrix(1, 2, v3), instance.received_matrix(1, 0, v1))
     checks["rx3_containment"] = is_subspace(
         instance.received_matrix(2, 1, v2), instance.received_matrix(2, 0, v1))
-    measured["joint_rank"] = joint_rank(
-        [instance.received_matrix(0, 0, v1), instance.received_matrix(0, 1, v2)])
+    measured["joint_rank"] = numeric_rank_by_shape([np.hstack(
+        [instance.received_matrix(0, 0, v1),
+         instance.received_matrix(0, 1, v2)])])[0]
     checks["rx1_separation"] = measured["joint_rank"] == 2 * (L + eps) + 1
 
     gaps_ok = all(b - a < max(1, instance.transforms[0].distance)
@@ -256,8 +256,9 @@ def test_kuser_dims_k4():
     scheme = build_kuser(inst, n_star=1, seed=0)
     N = (4 - 1) * (4 - 2) - 1
     assert N == 5 and scheme.n == 2 * 2 + 1 ** N + 2 ** N
-    assert balanced_rank(scheme.seed_columns) == scheme.expected["dim_seed"] == 3
-    assert balanced_rank(scheme.tx1_columns) == scheme.expected["dim_tx1"] == 34
+    assert numeric_rank_by_shape(
+        [scheme.seed_columns, scheme.tx1_columns], balance_rows=True) == [
+            scheme.expected["dim_seed"], scheme.expected["dim_tx1"]] == [3, 34]
     assert verify_kuser(scheme) == ({"dims_match_formula": True},
                                     {"dim_seed": 3, "dim_tx1": 34})
 
@@ -268,8 +269,9 @@ def test_kuser_k3_matches_loop_construction_sizes():
     n = 2 * L + n_star + n_star + 1
     inst = sample_network(fastfading_config(3, n, L), seed=1)
     scheme = build_kuser(inst, n_star=n_star, seed=1)
-    assert balanced_rank(scheme.seed_columns) == L + n_star
-    assert balanced_rank(scheme.tx1_columns) == L + n_star + 1
+    assert numeric_rank_by_shape([scheme.seed_columns, scheme.tx1_columns],
+                                 balance_rows=True) == [L + n_star,
+                                                        L + n_star + 1]
 
 
 @pytest.mark.parametrize("N, lo, hi, L", [

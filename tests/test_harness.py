@@ -15,7 +15,7 @@ from alignsim import blind, channel, fastfading, harness, linalg, shared
 from alignsim.channel import ChangingPattern, NetworkConfig, sample_network
 from alignsim.decomposition import build_and_decompose, reconstruct
 from alignsim.harness import RunSummary, Scenario, run_trials, summary_csv
-from alignsim.linalg import joint_rank
+from alignsim.linalg import numeric_rank_by_shape
 from alignsim.shared import (construct_shared, demo_network_config,
                              dense_demo_patterns, pair_demo_patterns,
                              verify_shared)
@@ -115,8 +115,8 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(
             seen = {q: inst.received_matrix(p, q, precoders[q])
                     for q in range(K) if precoders[q].shape[1] > 0}
             interf = [m for q, m in seen.items() if q != p]
-            used = joint_rank(list(seen.values())) if seen else 0
-            idim = joint_rank(interf) if interf else 0
+            used, idim = [numeric_rank_by_shape([np.hstack(ms)])[0] if ms
+                          else 0 for ms in (list(seen.values()), interf)]
             want.append((used - idim, idim, used))
         assert measured == {
             f"{name}_rx{p + 1}": v for p, (d, _, used) in enumerate(want)
@@ -138,6 +138,13 @@ def ff3_scenario(trials=10):
                     params={"epsilon": eps}, trials=trials, base_seed=0)
 
 
+def ffk_scenario(trials=3):
+    return Scenario(regime="fastfadingK",
+                    config=fastfading_config(4, 2 * 2 + 1 + 2 ** 5, 2,
+                                             memory_distance=4),
+                    params={"n_star": 1}, trials=trials, base_seed=0)
+
+
 @pytest.mark.parametrize("make, svds", [
     # the basis once, then every [basis, received] joint in one stack
     (blind_scenario, 2),
@@ -148,7 +155,10 @@ def ff3_scenario(trials=10):
     (dense_scenario, 1 + 1 + 1),
     # one call over six shapes: three of single ranks and joints, the rx1
     # span joints, the loop-closure joints and their base
-    (ff3_scenario, 3 + 1 + 2)], ids=["blind", "pair", "dense", "ff3"])
+    (ff3_scenario, 3 + 1 + 2),
+    # one balanced call over the seed and tx1 families, which differ in
+    # shape
+    (ffk_scenario, 2)], ids=["blind", "pair", "dense", "ff3", "ffk"])
 def test_trial_svd_calls(monkeypatch, make, svds):
     svd, calls = np.linalg.svd, []
 
@@ -160,13 +170,6 @@ def test_trial_svd_calls(monkeypatch, make, svds):
     monkeypatch.setattr(np.linalg, "svd", spy)
     assert run_trials(scenario).all_passed
     assert len(calls) == 3 * svds
-
-
-def ffk_scenario(trials=3):
-    return Scenario(regime="fastfadingK",
-                    config=fastfading_config(4, 2 * 2 + 1 + 2 ** 5, 2,
-                                             memory_distance=4),
-                    params={"n_star": 1}, trials=trials, base_seed=0)
 
 
 @pytest.mark.parametrize("make, generators", [

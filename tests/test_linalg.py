@@ -1,13 +1,14 @@
 """Numeric rank policy, cross-checked against the exact rational oracle."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim import linalg
-from alignsim.linalg import (_normalized, balanced_rank, is_subspace,
-                             joint_rank, numeric_rank, numeric_rank_by_shape)
+from alignsim.linalg import _normalized, is_subspace, numeric_rank_by_shape
 from alignsim.rational import exact_rank
 
 
@@ -24,12 +25,9 @@ def _ratio_matrix(ratio):
 def test_rank_threshold_boundary():
     # 2e-8 sits above the fixed 1e-8 threshold and 5e-9 below it
     above, below = _ratio_matrix(2e-8), _ratio_matrix(5e-9)
-    assert (numeric_rank(above), numeric_rank(below)) == (2, 1)
     two, one, stack = numeric_rank_by_shape(
         [above, below, np.stack([above, below])])
     assert (two, one, stack.tolist()) == (2, 1, [2, 1])
-    assert joint_rank([above[:, :1], above[:, 1:]]) == 2
-    assert joint_rank([below[:, :1], below[:, 1:]]) == 1
 
 
 def test_normalized_unit_norms():
@@ -65,8 +63,8 @@ def test_normalized_rescales_large_and_tiny_columns(lo, hi):
         np.ldexp(m, -np.frexp(np.abs(m).max(axis=-1, keepdims=True))[1]),
         axis=-1).tobytes()
     near_one = a[1] / np.abs(a[1]).max()
-    assert numeric_rank(a[1]) == numeric_rank(near_one) == 4
-    assert balanced_rank(m) == 3
+    assert numeric_rank_by_shape([a[1], near_one]) == [4, 4]
+    assert numeric_rank_by_shape([m], balance_rows=True) == [3]
     assert numeric_rank_by_shape([a[0], a[1]]) == [3, 4]
 
 
@@ -82,11 +80,12 @@ def test_normalized_keeps_the_bits_of_representable_norms():
 
 
 def test_rank_simple_cases():
-    assert numeric_rank(np.eye(5)) == 5
-    assert numeric_rank(np.zeros((4, 3))) == 0
-    assert numeric_rank(np.ones((4, 3))) == 1
-    one_dim = np.array([1.0, 2.0, 3.0])
-    assert numeric_rank(one_dim) == 1
+    assert numeric_rank_by_shape(
+        [np.eye(5), np.zeros((4, 3)), np.ones((4, 3)),
+         np.array([[1.0], [2.0], [3.0]])]) == [5, 0, 1, 1]
+    # integer input is ranked as float, in one stack with its shape
+    assert numeric_rank_by_shape([np.eye(3, dtype=int), np.ones((3, 3))]) == [
+        3, 1]
 
 
 def test_rank_matches_exact_oracle_on_random_integer_matrices():
@@ -101,42 +100,31 @@ def test_rank_matches_exact_oracle_on_random_integer_matrices():
             a = rng.integers(-5, 6, size=(rows, inner))
             b = rng.integers(-5, 6, size=(inner, cols))
             m = (a @ b).astype(float)
-        assert numeric_rank(m) == exact_rank(m.astype(int).tolist())
+        assert numeric_rank_by_shape([m]) == [
+            exact_rank(m.astype(int).tolist())]
 
 
 def test_rank_near_dependence_respects_threshold(monkeypatch):
     base = np.array([[1.0, 1.0], [0.0, 1e-12], [0.0, 0.0]])
-    assert numeric_rank(base) == 1
+    assert numeric_rank_by_shape([base]) == [1]
     monkeypatch.setattr(linalg, "RELATIVE_THRESHOLD", 1e-15)
-    assert numeric_rank(base) == 2
+    assert numeric_rank_by_shape([base]) == [2]
 
 
-def test_balanced_rank_recovers_dimensions_on_tiny_rows():
+def test_balance_rows_recovers_dimensions_on_tiny_rows():
     # two independent columns whose difference lives only in a row that is
     # ~1e-10 of the others: plain rank collapses it, balanced rank does not
     m = np.array([[1.0, 1.0], [2.0, 2.0], [1e-10, 2e-10]])
-    assert numeric_rank(m) == 1
-    assert balanced_rank(m) == 2
+    assert numeric_rank_by_shape([m]) == [1]
+    assert numeric_rank_by_shape([m], balance_rows=True) == [2]
     # rank never exceeds the true value: dependent columns stay dependent
     dep = np.column_stack([m[:, 0], 3.0 * m[:, 0]])
-    assert balanced_rank(dep) == 1
     # zero rows are left alone
     z = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    assert balanced_rank(z) == 2
-
-
-def test_joint_rank_concatenates():
-    a = np.eye(4)[:, :2]
-    b = np.eye(4)[:, 2:]
-    assert joint_rank([a, b]) == 4
-    assert joint_rank([a, a]) == 2
-
-
-def test_joint_rank_validates_rows():
-    with pytest.raises(ValueError):
-        joint_rank([np.eye(3), np.eye(4)])
-    with pytest.raises(ValueError):
-        joint_rank([])
+    assert numeric_rank_by_shape([dep, z], balance_rows=True) == [1, 2]
+    # each matrix of a stack is balanced on its own
+    assert numeric_rank_by_shape([np.stack([m, dep, z])],
+                                 balance_rows=True)[0].tolist() == [2, 1, 2]
 
 
 def test_is_subspace():
@@ -146,13 +134,15 @@ def test_is_subspace():
     outside = rng.normal(size=(6, 1))
     assert is_subspace(inside, b)
     assert not is_subspace(outside, b)
+    a, c = np.eye(4)[:, :2], np.eye(4)[:, 2:]
+    assert is_subspace(a, a) and not is_subspace(a, c)
     with pytest.raises(ValueError):
         is_subspace(np.eye(3), np.eye(4))
 
 
 def test_rank_rejects_nonfinite():
     with pytest.raises(ValueError):
-        numeric_rank(np.array([[np.nan, 1.0]]))
+        numeric_rank_by_shape([np.array([[np.nan, 1.0]])])
 
 
 def _svd_2d(m):
@@ -223,37 +213,43 @@ def test_stacked_containment_matches_one_at_a_time(case):
     ranks, seen = _factored(numeric_rank_by_shape, [base, *joints])
     assert [r == ranks[0] for r in ranks[1:]] == [
         is_subspace(c, base) for c in stack]
-    assert ranks[1:] == [joint_rank([base, c]) for c in stack]
+    assert ranks[1:] == [numeric_rank_by_shape([j])[0] for j in joints]
     # every matrix the stack factored gets the singular values it gets
     # alone: the raw [base, c] is joined before normalizing
     want = [_svd_2d(np.hstack([base, c])) for c in stack] + [_svd_2d(base)]
     assert _same_arrays(seen, want)
 
 
+@pytest.mark.parametrize("balance_rows", [False, True])
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(containment_cases())
-def test_stacked_numeric_rank_matches_one_at_a_time(case):
+def test_stacked_numeric_rank_matches_one_at_a_time(balance_rows, case):
     base, stack = case
-    ranks, seen = _factored(numeric_rank_by_shape, list(stack))
-    assert ranks == [numeric_rank(m) for m in stack]
+    rank = functools.partial(numeric_rank_by_shape, balance_rows=balance_rows)
+
+    def svd_2d(m):
+        return _svd_2d(_normalized(m, axis=-1) if balance_rows else m)
+
+    ranks, seen = _factored(rank, list(stack))
+    assert ranks == [rank([m])[0] for m in stack]
     assert len(seen) == len(stack)
-    assert _same_arrays(seen, [_svd_2d(m) for m in stack])
+    assert _same_arrays(seen, [svd_2d(m) for m in stack])
     # a list of mixed shapes, ranked one stack per shape
     mixed = [base.T, *stack, base]
-    ranks, seen = _factored(numeric_rank_by_shape, mixed)
-    assert ranks == [numeric_rank(m) for m in mixed]
-    assert _same_arrays(seen, [_svd_2d(m) for m in mixed])
+    ranks, seen = _factored(rank, mixed)
+    assert ranks == [rank([m])[0] for m in mixed]
+    assert _same_arrays(seen, [svd_2d(m) for m in mixed])
     # 3-D stacks among 2-D matrices: an int array per stack, ranked with
     # the matrices of its shape
     mixed = [stack, base.T, stack[:1], base, stack[::-1]]
-    ranks, seen = _factored(numeric_rank_by_shape, mixed)
+    ranks, seen = _factored(rank, mixed)
     singles = [m for item in mixed
                for m in (item if item.ndim == 3 else [item])]
     flat = [r for item in ranks for r in np.atleast_1d(item).tolist()]
-    assert flat == [numeric_rank(m) for m in singles]
+    assert flat == [rank([m])[0] for m in singles]
     assert [np.ndim(r) for r in ranks] == [1, 0, 1, 0, 1]
     assert all(type(r) is int for r in ranks[1::2])
-    assert _same_arrays(seen, [_svd_2d(m) for m in singles])
+    assert _same_arrays(seen, [svd_2d(m) for m in singles])
 
 
 def test_stacked_rank_validation():

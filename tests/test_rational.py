@@ -65,6 +65,11 @@ def test_shape_validation():
         exact_rank(np.ones(3))
     with pytest.raises(ValueError, match="2-D"):
         exact_rank([1.0, 2.0])
+    # nor is a stack of matrices, as an array or as nested lists
+    with pytest.raises(ValueError, match="2-D"):
+        exact_rank(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="2-D"):
+        exact_rank([[[1.0]]])
 
 
 # Every float is a binary (dyadic) rational; small integers, full 53-bit

@@ -1,5 +1,5 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
-library, one rank entry for the regimes, one network-sampling site and no
+library, one rank entry for every module, one network-sampling site and no
 rank-tolerance parameter, the same command output with and without
 ``python -O``, and a suite that reports every test when a property test
 fails."""
@@ -59,15 +59,17 @@ def test_library_has_no_unused_imports():
     assert found == []
 
 
-# every rank decision of a regime goes through numeric_rank_by_shape, or
-# balanced_rank for the K-user families
-RANK_ENTRY = {"numeric_rank_by_shape", "balanced_rank"}
+# every rank decision of the library goes through numeric_rank_by_shape
+RANK_ENTRY = {"numeric_rank_by_shape"}
 
 
 def test_regimes_rank_through_one_entry():
     found = []
-    for name in ("blind.py", "shared.py", "fastfading.py", "harness.py"):
-        tree = ast.parse((SRC / "alignsim" / name).read_text(encoding="utf-8"))
+    for path in sorted((SRC / "alignsim").rglob("*.py")):
+        name = path.name
+        if name in ("linalg.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 found += [f"{name}:{node.lineno} {alias.name}"
