@@ -17,8 +17,8 @@ Run:  python demos/blind_precoding.py
 
 import warnings
 
-from alignsim import (ChangingPattern, NetworkConfig, blind_total_dof,
-                      build_blind_scheme, generic_free_dims, is_subspace,
+from alignsim import (ChangingPattern, NetworkConfig, draw_blind,
+                      generic_free_dims, is_subspace, plan_blind,
                       predicted_free_dims, sample_network, verify_blind)
 
 
@@ -26,7 +26,7 @@ def main():
     # one cross-union change point at slot 4 and 7; rho = 2 repetitions
     n, rho, K = 12, 2, 3
     union = ChangingPattern(n, (4, 7))
-    scheme = build_blind_scheme(union, rho, K, seed=0)
+    scheme = draw_blind(plan_blind(union, rho), K, seed=0)
     print(f"{K} users, {n} slots, union change points {union.change_points}")
     print(f"interference basis: {scheme.interference_basis.shape[1]} columns "
           f"(= n/2) spanning the common crosstalk subspace")
@@ -56,7 +56,7 @@ def main():
     print("(the coarse block formula warns when a direct block outlasts the")
     print(" column budget and can over-count short value-runs; the refined")
     print(" count always matches the measured rank):")
-    _, measured = verify_blind(scheme, inst, [
+    _, measured, total = verify_blind(scheme, inst, [
         generic_free_dims(scheme, cfg.pattern(k, k)) for k in range(K)])
     dims = [measured[f"free_dims_rx{k + 1}"] for k in range(K)]
     for k in range(K):
@@ -70,7 +70,6 @@ def main():
               f"block formula {coarse}, refined {fine}, measured {measured}")
         assert fine == measured
 
-    total = blind_total_dof(dims, n)
     print()
     print(f"total DoF = max(1, sum of free dims / n) = {total} "
           f"= {float(total):.4f}")

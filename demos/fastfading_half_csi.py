@@ -13,8 +13,9 @@ matter what the hidden values turn out to be.
 Run:  python demos/fastfading_half_csi.py
 """
 
-from alignsim import (NetworkConfig, build_3user, build_kuser, sample_network,
-                      upsilon_fraction, verify_3user, verify_kuser)
+from alignsim import (NetworkConfig, draw_3user, draw_kuser, plan_3user,
+                      plan_kuser, sample_network, upsilon_fraction,
+                      verify_3user, verify_kuser)
 
 
 def per_slot_config(K, n, hidden_count):
@@ -40,8 +41,8 @@ def main():
           f"perfect-CSIT fraction upsilon = "
           f"{upsilon_fraction(cross_unknowns, n)}")
 
-    scheme = build_3user(inst, epsilon=eps, seed=0)
-    checks, m = verify_3user(scheme, inst)
+    scheme = draw_3user(inst, eps, plan_3user(cfg, eps), seed=0)
+    checks, m, total = verify_3user(scheme, inst)
     print("  checks on the true channels (hidden values included):")
     for name, ok in checks.items():
         print(f"    {name}: {ok}")
@@ -49,8 +50,7 @@ def main():
           f"seeds {m['rank_seed_b']}/{m['rank_seed_c']} (= L+eps), "
           f"desired+interference at rx1 {m['joint_rank']} (= 2(L+eps)+1 = n)")
     dof = scheme.expected["dof"]
-    print(f"  per-user DoF {dof[0]}, {dof[1]}, {dof[2]} -> total "
-          f"{sum(dof)}")
+    print(f"  per-user DoF {dof[0]}, {dof[1]}, {dof[2]} -> total {total}")
 
     print()
     print("=== 4 users: pairwise transfer-map grid ===")
@@ -60,7 +60,7 @@ def main():
     n = 2 * L + n_star ** N + (n_star + 1) ** N
     cfg = per_slot_config(4, n, L)
     inst = sample_network(cfg, seed=0)
-    scheme = build_kuser(inst, n_star=n_star, seed=0)
+    scheme = draw_kuser(inst, n_star, plan_kuser(cfg, n_star), seed=0)
     # grid columns multiply up to 5 surrogate ratios, so row magnitudes
     # spread widely; the verifier measures rank after row equalization
     m = verify_kuser(scheme)[1]

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from alignsim import (Scenario, run_trials, sample_network, scheme_counts,
                       verify_shared)
-from alignsim.shared import (construct_shared, demo_network_config,
-                             dense_demo_patterns, pair_demo_patterns)
+from alignsim.shared import (demo_network_config, dense_demo_patterns,
+                             draw_shared, pair_demo_patterns, plan_shared)
 
 
 def show_family(name, patterns, n, expect_dof):
@@ -27,8 +27,8 @@ def show_family(name, patterns, n, expect_dof):
     for p, pat in enumerate(patterns):
         print(f"  rx{p+1} pattern changes at {pat.change_points}")
 
-    scheme = construct_shared(len(patterns), 2, patterns, n, seed=0)
-    plan = scheme.plan
+    plan = plan_shared(len(patterns), 2, patterns, n)
+    scheme = draw_shared(plan, seed=0)
     print("  shared vectors (pair -> support window):")
     for v in plan.vectors:
         subset = tuple(t + 1 for t in v.subset)
@@ -44,7 +44,7 @@ def show_family(name, patterns, n, expect_dof):
 
     cfg = demo_network_config(patterns, n)
     inst = sample_network(cfg, seed=3)
-    checks, measured = verify_shared(scheme, inst)
+    checks, measured, _ = verify_shared(scheme, inst)
     per_receiver = []
     for p in range(1, len(patterns) + 1):
         desired, used = measured[f"desired_rx{p}"], measured[f"used_rx{p}"]

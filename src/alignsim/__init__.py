@@ -21,15 +21,16 @@ from .channel import (ChangingPattern, NetworkConfig, UnknownSet,
                       union_pattern)
 from .decomposition import (build_indexed_basis, build_power_basis, decompose,
                             reconstruct)
-from .blind import (blind_total_dof, build_blind_scheme, generic_free_dims,
-                    predicted_free_dims, verify_blind)
-from .shared import (best_sharing_degree, construct_shared, curve_f,
-                     dense_demo_patterns, dof_table, dof_upper_bound,
-                     pair_demo_patterns, scheme_counts, sharing_dof,
-                     verify_shared)
-from .fastfading import (build_3user, build_kuser, dof_cap_given_upsilon,
-                         min_upsilon_for_max_dof, upsilon_fraction,
-                         verify_3user, verify_kuser)
+from .blind import (blind_total_dof, build_blind_scheme, draw_blind,
+                    generic_free_dims, plan_blind, predicted_free_dims,
+                    verify_blind)
+from .shared import (best_sharing_degree, curve_f, dense_demo_patterns,
+                     dof_table, dof_upper_bound, draw_shared,
+                     pair_demo_patterns, plan_shared, scheme_counts,
+                     sharing_dof, verify_shared)
+from .fastfading import (dof_cap_given_upsilon, draw_3user, draw_kuser,
+                         min_upsilon_for_max_dof, plan_3user, plan_kuser,
+                         upsilon_fraction, verify_3user, verify_kuser)
 from .harness import Scenario, run_trials
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import (ChangingPattern, constant_intervals, sample_channel,
-                      separated_uniform)
+from .channel import ChangingPattern, constant_intervals, separated_uniform
+from .decomposition import build_power_basis
 from .linalg import numeric_rank_by_shape
 
 __all__ = [
@@ -64,21 +64,20 @@ def plan_blind(cross_union: ChangingPattern, rho):
 
 
 def draw_blind(plan: BlindPlan, K, seed):
-    """The shared column set for K transmitters, drawn from seed."""
-    n, rho, s = plan.n, plan.rho, len(plan.union.change_points)
-    gen = sample_channel(plan.union, seed, distinct_blocks="all")
+    """The shared column set for K transmitters, drawn from seed: the
+    generator powers Q^1..Q^(s+1) are the union's power family."""
+    powers = build_power_basis(plan.union, seed).members
     rng = np.random.default_rng(seed + 1)
-    gam = np.asarray(separated_uniform(rng, n))
-    cols = [(gen ** a) * (gam ** j)
-            for a in range(1, s + 2) for j in range(1, rho + 1)]
+    gam = np.asarray(separated_uniform(rng, plan.n))
+    cols = [q * (gam ** j) for q in powers for j in range(1, plan.rho + 1)]
     basis = np.column_stack(cols)
     basis.setflags(write=False)     # one basis for all K precoders
-    return BlindScheme(n=n, rho=rho, union=plan.union,
+    return BlindScheme(n=plan.n, rho=plan.rho, union=plan.union,
                        precoders=(basis,) * K, interference_basis=basis)
 
 
 def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
-    """Construct the shared column set for K transmitters."""
+    """``draw_blind`` of ``plan_blind``; perfbench's tests import it."""
     return draw_blind(plan_blind(cross_union, rho), K, seed)
 
 
@@ -131,9 +130,10 @@ def generic_free_dims(scheme, direct_pattern: ChangingPattern):
 
 def verify_blind(scheme: BlindScheme, instance, expected_free):
     """Rank checks of a blind scheme on a sampled network, as
-    ``(checks, measured)``; ``expected_free[k]`` is the generic
+    ``(checks, measured, total_dof)``; ``expected_free[k]`` is the generic
     free-dimension count of the direct link into receiver k
-    (``generic_free_dims`` of its pattern).
+    (``generic_free_dims`` of its pattern), and the total is
+    ``blind_total_dof`` of the measured free dimensions.
 
     The raw ``[basis, received]`` joint of link (p, q) is row p*K + q of one
     C-ordered stack, written in place by one broadcast product of the gains
@@ -163,7 +163,7 @@ def verify_blind(scheme: BlindScheme, instance, expected_free):
             want == f for want, f in zip(expected_free, free, strict=True))}
     measured = {"basis_rank": base}
     measured.update((f"free_dims_rx{k + 1}", f) for k, f in enumerate(free))
-    return checks, measured
+    return checks, measured, blind_total_dof(free, scheme.n)
 
 
 def blind_total_dof(free_dims, n):

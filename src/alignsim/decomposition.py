@@ -150,9 +150,8 @@ def _decompose(h, fam):
         except ZeroDivisionError as exc:
             raise np.linalg.LinAlgError("singular anchor system") from exc
         # h at each anchor, with -0.0 as the +0.0 an exact zero rounds to
-        fixed = {tuple(col): v + 0.0
-                 for col, v in zip(mat.tolist(), rhs.tolist())}
-        recon = _exact_columns(betas, fam.members, fixed)
+        recon = _exact_columns(betas, fam.members,
+                               dict(zip(rows, (rhs + 0.0).tolist())))
     else:
         betas, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         recon = reconstruct(betas, fam)
@@ -163,7 +162,7 @@ def _decompose(h, fam):
     return betas, recon
 
 
-def _exact_columns(betas, stack, known):
+def _exact_columns(betas, stack, fixed):
     """Per column i, sum_j betas[j] * stack[j, i] for Fraction betas,
     rounded once.
 
@@ -171,14 +170,17 @@ def _exact_columns(betas, stack, known):
     taken exactly in integers and rounded by one int / int division,
     which Python rounds correctly, as float(Fraction) does.  Columns are
     keyed by their value tuple, since a diagonal family has one distinct
-    column per constant block: ``known`` maps the columns whose value
-    the caller has already fixed and collects the ones evaluated here,
-    and the common denominator is formed only once a column is left.  A
-    column whose entries all equal v sums to v times the numerators' sum.
+    column per constant block: ``fixed`` maps the index of each column
+    whose value the caller has fixed to that value, which every equal
+    column takes, and the common denominator is formed only once a column
+    is left.  A column whose entries all equal v sums to v times the
+    numerators' sum.
     """
-    out = np.empty(stack.shape[1])
+    keys = list(map(tuple, stack.T.tolist()))
+    known = {keys[i]: v for i, v in fixed.items()}
+    out = np.empty(len(keys))
     nums = None
-    for i, key in enumerate(map(tuple, stack.T.tolist())):
+    for i, key in enumerate(keys):
         value = known.get(key)
         if value is None:
             if nums is None:

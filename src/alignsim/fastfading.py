@@ -12,7 +12,7 @@ columns only inside the span.
 Also implemented: the exact CSIT-fraction metric, the closed-form sum-DoF
 caps as a function of that fraction, and the K-user generalization built
 from pairwise transfer maps.  ``verify_3user`` and ``verify_kuser`` check
-the two constructions by rank and return ``(checks, measured)``.
+the two constructions by rank and return ``(checks, measured, total_dof)``.
 
 Each construction is a seed-free plan (``plan_3user``, ``plan_kuser``: the
 parameter and slot-count checks and the sorted hidden union) and a
@@ -35,11 +35,9 @@ __all__ = [
     "KUserScheme",
     "plan_3user",
     "draw_3user",
-    "build_3user",
     "verify_3user",
     "plan_kuser",
     "draw_kuser",
-    "build_kuser",
     "verify_kuser",
     "upsilon_fraction",
     "dof_cap_given_upsilon",
@@ -166,11 +164,6 @@ def plan_3user(network, epsilon):
     return _hidden_omega(network, 2 * epsilon + 1)
 
 
-def build_3user(instance: NetworkInstance, epsilon, seed):
-    """Construct the three precoders from surrogate families only."""
-    return draw_3user(instance, epsilon, plan_3user(instance, epsilon), seed)
-
-
 def draw_3user(instance: NetworkInstance, epsilon, omega, seed):
     """The three precoders of a planned 3-user scheme, from surrogate
     families only.
@@ -217,7 +210,8 @@ def _member_combos(fams, keys, rng):
 
 def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     """Rank-based verification on true (hidden values included) channels,
-    as ``(checks, measured)``.
+    as ``(checks, measured, total_dof)``: the total is the expected
+    per-user DoF summed when ``rx1_separation`` holds, else 1.
 
     The desired/interference separation check needs a non-diagonal direct
     transform whose bandwidth exceeds the hidden-slot gaps; with other
@@ -298,7 +292,8 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
         "separation_guaranteed": bool(
             instance.transforms[0].kind in ("memory", "permutation")
             and gaps_ok)}
-    return checks, measured
+    return checks, measured, (sum(scheme.expected["dof"])
+                              if checks["rx1_separation"] else Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +334,6 @@ def plan_kuser(network, n_star):
     return _hidden_omega(network, n_star ** N + (n_star + 1) ** N)
 
 
-def build_kuser(instance: NetworkInstance, n_star, seed):
-    """Pairwise-transfer column families for K >= 3 users."""
-    return draw_kuser(instance, n_star, plan_kuser(instance, n_star), seed)
-
-
 def draw_kuser(instance: NetworkInstance, n_star, omega, seed):
     """Pairwise-transfer column families of a planned K-user scheme.
 
@@ -375,7 +365,8 @@ def draw_kuser(instance: NetworkInstance, n_star, omega, seed):
 
 def verify_kuser(scheme: KUserScheme):
     """Dimensions of transmitter 1's seed and column families against the
-    formula, as ``(checks, measured)``; no channel is read.
+    formula, as ``(checks, measured, total_dof)``; no channel is read.  The
+    total is transmitter 1's formula dimension over n, whatever the checks.
 
     The columns are products of many transfer-map ratios, so row
     magnitudes vary by orders of magnitude; both families are ranked in
@@ -388,4 +379,4 @@ def verify_kuser(scheme: KUserScheme):
     checks = {"dims_match_formula": (
         measured["dim_seed"] == scheme.expected["dim_seed"]
         and measured["dim_tx1"] == scheme.expected["dim_tx1"])}
-    return checks, measured
+    return checks, measured, Fraction(scheme.expected["dim_tx1"], scheme.n)

@@ -13,8 +13,8 @@ pattern, layout checks and expected free dimensions, the shared window
 and carrier construction, or the fast-fading hidden union and slot-count
 checks.  ``run_trials`` samples each trial's network once and hands the
 instance to the regime's trial, which draws the seeded part of the scheme
-from the plan, takes the checks and measured numbers from its verifier
-and derives the total DoF.
+from the plan and returns its verifier's ``(checks, measured,
+total_dof)`` as they are.
 """
 
 import csv
@@ -22,8 +22,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blind import (blind_total_dof, draw_blind, generic_free_dims,
-                    plan_blind, verify_blind)
+from .blind import draw_blind, generic_free_dims, plan_blind, verify_blind
 from .channel import NetworkConfig, sample_network, union_pattern
 from .fastfading import (draw_3user, draw_kuser, plan_3user, plan_kuser,
                          verify_3user, verify_kuser)
@@ -101,11 +100,8 @@ def _blind_plan(cfg, params):
 
 
 def _blind_trial(plan, instance, seed):
-    blind, expected_free = plan
-    scheme = draw_blind(blind, instance.K, seed)
-    checks, measured = verify_blind(scheme, instance, expected_free)
-    free = [measured[f"free_dims_rx{k + 1}"] for k in range(instance.K)]
-    return checks, measured, blind_total_dof(free, scheme.n)
+    return verify_blind(draw_blind(plan[0], instance.K, seed), instance,
+                        plan[1])
 
 
 def _shared_plan(cfg, params):
@@ -114,9 +110,7 @@ def _shared_plan(cfg, params):
 
 
 def _shared_trial(plan, instance, seed):
-    checks, measured = verify_shared(draw_shared(plan, seed), instance)
-    desired = sum(measured[f"desired_rx{p + 1}"] for p in range(instance.K))
-    return checks, measured, max(Fraction(desired, instance.n), Fraction(1))
+    return verify_shared(draw_shared(plan, seed), instance)
 
 
 def _ff3_plan(cfg, params):
@@ -125,12 +119,7 @@ def _ff3_plan(cfg, params):
 
 
 def _ff3_trial(plan, instance, seed):
-    eps, omega = plan
-    scheme = draw_3user(instance, eps, omega, seed)
-    checks, measured = verify_3user(scheme, instance)
-    total = sum(scheme.expected["dof"]) if checks["rx1_separation"] \
-        else Fraction(1)
-    return checks, measured, total
+    return verify_3user(draw_3user(instance, *plan, seed), instance)
 
 
 def _ffk_plan(cfg, params):
@@ -139,10 +128,7 @@ def _ffk_plan(cfg, params):
 
 
 def _ffk_trial(plan, instance, seed):
-    n_star, omega = plan
-    scheme = draw_kuser(instance, n_star, omega, seed)
-    checks, measured = verify_kuser(scheme)
-    return checks, measured, Fraction(scheme.expected["dim_tx1"], scheme.n)
+    return verify_kuser(draw_kuser(instance, *plan, seed))
 
 
 # regime -> (plan from config and params, trial from plan, sampled

@@ -9,8 +9,7 @@ sharing_dof(K, r) = K*r / (r^2 - r + K) together with its integer optimizer.
 
 A construction is a seed-free plan (``plan_shared``: windows, capacity
 drops, carrier repair, expected dimensions and the fill count) and a
-seeded draw of its random fill columns (``draw_shared``);
-``construct_shared`` is the one composed of the two, and one plan serves
+seeded draw of its random fill columns (``draw_shared``); one plan serves
 any number of draws.
 """
 
@@ -38,7 +37,6 @@ __all__ = [
     "dof_table",
     "plan_shared",
     "draw_shared",
-    "construct_shared",
     "verify_shared",
     "pair_demo_patterns",
     "dense_demo_patterns",
@@ -322,15 +320,11 @@ def draw_shared(plan: SharedPlan, seed):
     return SharedPatternScheme(plan, fill, precoders)
 
 
-def construct_shared(K, r, patterns, n, seed=0):
-    """Greedy r-sharing construction over given per-receiver patterns: the
-    plan of ``plan_shared`` with the fill columns ``draw_shared`` draws."""
-    return draw_shared(plan_shared(K, r, patterns, n), seed)
-
-
 def verify_shared(scheme: SharedPatternScheme, instance):
     """Desired and interference dimensions at every receiver, measured by
-    rank on a sampled network, as ``(checks, measured)``.
+    rank on a sampled network, as ``(checks, measured, total_dof)``; the
+    total is the desired dimensions' share of the n slots, floored at the
+    time-sharing baseline 1.
 
     All that reaches receiver p is row p of one C-ordered stack, written in
     place by one broadcast product of the gains (``mixed_direct`` rewrites
@@ -365,7 +359,7 @@ def verify_shared(scheme: SharedPatternScheme, instance):
     for p in range(K):
         measured[f"desired_rx{p + 1}"] = desired[p]
         measured[f"used_rx{p + 1}"] = used[p]
-    return checks, measured
+    return checks, measured, max(Fraction(sum(desired), n), Fraction(1))
 
 
 # ---------------------------------------------------------------------------

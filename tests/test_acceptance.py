@@ -15,15 +15,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alignsim.blind import (build_blind_scheme, generic_free_dims,
+from alignsim.blind import (draw_blind, generic_free_dims, plan_blind,
                             predicted_free_dims, verify_blind)
 from alignsim.channel import (ChangingPattern, constant_intervals,
                               sample_channel, sample_network)
 from alignsim.decomposition import (RESIDUAL_REL_TOL, build_and_decompose,
                                     build_power_basis, decompose, reconstruct)
-from alignsim.fastfading import (build_3user, build_kuser,
-                                 dof_cap_given_upsilon,
-                                 min_upsilon_for_max_dof, verify_3user)
+from alignsim.fastfading import (dof_cap_given_upsilon, draw_3user,
+                                 draw_kuser, min_upsilon_for_max_dof,
+                                 plan_3user, plan_kuser, verify_3user)
 from alignsim.harness import Scenario, run_trials
 from alignsim.linalg import is_subspace, numeric_rank_by_shape
 from alignsim.shared import (demo_network_config, dense_demo_patterns,
@@ -156,7 +156,7 @@ def _blind_instances(base, count, restrict_direct):
         if pts is None or len(pts) != sigma:
             continue
         union = ChangingPattern(n, pts)
-        scheme = build_blind_scheme(union, rho, K, seed=t)
+        scheme = draw_blind(plan_blind(union, rho), K, seed=t)
 
         def sampler(k):
             if restrict_direct:
@@ -201,7 +201,7 @@ def test_criterion_7_blind_alignment_containment():
                     continue
                 K = int(rng.integers(2, 5))
                 union = ChangingPattern(n, pts)
-                scheme = build_blind_scheme(union, rho, K, seed=t)
+                scheme = draw_blind(plan_blind(union, rho), K, seed=t)
                 cfg = blind_config(
                     rng, n, K, pts,
                     lambda k: tuple(rng.choice(
@@ -225,11 +225,13 @@ def test_criterion_8_fastfading_3user():
     details = []
     for L, eps in ((1, 2), (2, 2), (3, 3)):
         n = 2 * (L + eps) + 1
+        cfg = fastfading_config(3, n, L)
+        omega = plan_3user(cfg, eps)
         passed = 0
         for t in range(200):
-            inst = sample_network(fastfading_config(3, n, L), seed=t)
-            scheme = build_3user(inst, eps, seed=t)
-            checks, measured = verify_3user(scheme, inst)
+            inst = sample_network(cfg, seed=t)
+            scheme = draw_3user(inst, eps, omega, seed=t)
+            checks, measured, _ = verify_3user(scheme, inst)
             ranks_ok = (measured["rank_tx1"] == L + eps + 1
                         and measured["rank_seed_b"] == L + eps
                         and measured["rank_seed_c"] == L + eps)
@@ -238,10 +240,11 @@ def test_criterion_8_fastfading_3user():
         details.append(f"(L={L},eps={eps}): {passed}/200")
         all_good &= passed == 200
     neg_fail = 0
+    cfg = fastfading_config(3, 7, 1, direct_kind="identity")
+    omega = plan_3user(cfg, 2)
     for t in range(100):
-        inst = sample_network(
-            fastfading_config(3, 7, 1, direct_kind="identity"), seed=t)
-        scheme = build_3user(inst, 2, seed=t)
+        inst = sample_network(cfg, seed=t)
+        scheme = draw_3user(inst, 2, omega, seed=t)
         neg_fail += not verify_3user(scheme, inst)[0]["rx1_separation"]
     neg_ok = neg_fail > 95
     ok = all_good and neg_ok
@@ -254,7 +257,7 @@ def test_criterion_9_kuser_dimensions():
     n = 2 * 2 + 1 ** 5 + 2 ** 5      # L=2, n*=1, N=5 -> 37
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
-    scheme = build_kuser(inst, n_star=1, seed=0)
+    scheme = draw_kuser(inst, 1, plan_kuser(inst, 1), seed=0)
     dim_seed, dim_tx1 = numeric_rank_by_shape(
         [scheme.seed_columns, scheme.tx1_columns], balance_rows=True)
     elapsed = time.perf_counter() - start

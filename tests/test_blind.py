@@ -5,9 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from alignsim.blind import (blind_total_dof, build_blind_scheme,
-                            generic_free_dims, predicted_free_dims,
-                            verify_blind)
+from alignsim.blind import (blind_total_dof, draw_blind, generic_free_dims,
+                            plan_blind, predicted_free_dims, verify_blind)
 from alignsim.channel import ChangingPattern, sample_network, union_pattern
 from alignsim import linalg
 from alignsim.harness import Scenario, run_trials
@@ -28,7 +27,7 @@ def make_scheme_and_instance(t, restrict_direct):
     if pts is None or len(pts) != sigma:
         return None
     union = ChangingPattern(n, pts)
-    scheme = build_blind_scheme(union, rho, K, seed=t)
+    scheme = draw_blind(plan_blind(union, rho), K, seed=t)
 
     def sampler(k):
         if restrict_direct:
@@ -48,7 +47,8 @@ def test_scheme_dimensions_and_rank():
         # evenly spaced change points keep every union block >= rho slots,
         # which the full-rank identity needs
         pts = tuple(1 + (i + 1) * n // (sigma + 1) for i in range(sigma))
-        scheme = build_blind_scheme(ChangingPattern(n, pts), rho, 3, seed=0)
+        scheme = draw_blind(plan_blind(ChangingPattern(n, pts), rho), 3,
+                            seed=0)
         assert scheme.n == n
         assert scheme.interference_basis.shape == (n, n // 2)
         assert numeric_rank_by_shape([scheme.interference_basis]) == [n // 2]
@@ -57,15 +57,15 @@ def test_scheme_dimensions_and_rank():
 
 
 def test_minimal_scheme_single_column():
-    scheme = build_blind_scheme(ChangingPattern(2, ()), 1, 3, seed=0)
+    scheme = draw_blind(plan_blind(ChangingPattern(2, ()), 1), 3, seed=0)
     assert scheme.interference_basis.shape == (2, 1)
 
 
 def test_build_validates_slot_count():
     with pytest.raises(ValueError):
-        build_blind_scheme(ChangingPattern(5, (2,)), 1, 3, seed=0)
+        plan_blind(ChangingPattern(5, (2,)), 1)
     with pytest.raises(ValueError):
-        build_blind_scheme(ChangingPattern(4, ()), 0, 3, seed=0)
+        plan_blind(ChangingPattern(4, ()), 0)
 
 
 def test_cross_interference_containment():
@@ -128,7 +128,7 @@ def test_block_count_formula_equals_measured_in_regime():
 def test_direct_equal_to_cross_union_frees_nothing():
     pts = (3, 5)
     n = 2 * 1 * 3
-    scheme = build_blind_scheme(ChangingPattern(n, pts), 1, 3, seed=1)
+    scheme = draw_blind(plan_blind(ChangingPattern(n, pts), 1), 3, seed=1)
     assert predicted_free_dims(scheme, ChangingPattern(n, pts)) == 0
     assert generic_free_dims(scheme, ChangingPattern(n, pts)) == 0
 
@@ -136,7 +136,7 @@ def test_direct_equal_to_cross_union_frees_nothing():
 def test_coinciding_change_points_are_not_private():
     pts = (4,)
     n = 8
-    scheme = build_blind_scheme(ChangingPattern(n, pts), 2, 3, seed=1)
+    scheme = draw_blind(plan_blind(ChangingPattern(n, pts), 2), 3, seed=1)
     # direct changes only where the cross union changes: nothing is freed
     assert predicted_free_dims(scheme, ChangingPattern(n, (4,))) == 0
     # one extra private point in the second block frees rho dims
@@ -145,7 +145,7 @@ def test_coinciding_change_points_are_not_private():
 
 def test_prediction_warns_when_budget_below_longest_block():
     # n=2, one column: budget 1 is below the constant direct channel's block
-    scheme = build_blind_scheme(ChangingPattern(2, ()), 1, 2, seed=0)
+    scheme = draw_blind(plan_blind(ChangingPattern(2, ()), 1), 2, seed=0)
     with pytest.warns(UserWarning):
         predicted_free_dims(scheme, ChangingPattern(2, ()))
 
@@ -176,8 +176,8 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
         result = run_trials(Scenario("blind", cfg, {"rho": rho}, trials=1,
                                      base_seed=t)).results[0]
         # the trial's stacked verdicts, recomputed one link at a time
-        scheme = build_blind_scheme(
-            union_pattern([cfg.pattern(p, q) for p, q in cross]), rho, K, t)
+        scheme = draw_blind(plan_blind(
+            union_pattern([cfg.pattern(p, q) for p, q in cross]), rho), K, t)
         inst = sample_network(cfg, t)
         basis = scheme.interference_basis
         direct = [cfg.pattern(k, k) for k in range(K)]
@@ -193,7 +193,8 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
                      generic_free_dims(scheme, d) == f
                      for d, f in zip(direct, free))},
                 {"basis_rank": base, **{f"free_dims_rx{k + 1}": f
-                                        for k, f in enumerate(free)}})
+                                        for k, f in enumerate(free)}},
+                blind_total_dof(free, n))
         assert verify_blind(scheme, inst, [generic_free_dims(scheme, d)
                                            for d in direct]) == want
-        assert (result.checks, result.measured) == want
+        assert (result.checks, result.measured, result.total_dof) == want

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim import channel
-from alignsim.blind import build_blind_scheme
+from alignsim.blind import draw_blind, plan_blind
 from alignsim.channel import (H_MAX_DEFAULT, H_MIN_DEFAULT, ChangingPattern,
                               NetworkConfig, UnknownSet, _bounded_permutation,
                               _value_gap, constant_intervals,
@@ -329,7 +329,7 @@ def test_channel_array_is_read_only_and_equals_values():
     assert np.array_equal(power.members[2], gen ** 3)
     indexed = build_indexed_basis(h, UnknownSet(6, frozenset({2})), seed=2)
     assert indexed.members.shape == (2, 6)
-    scheme = build_blind_scheme(ChangingPattern(4, (3,)), 1, 3, seed=0)
+    scheme = draw_blind(plan_blind(ChangingPattern(4, (3,)), 1), 3, seed=0)
     basis = scheme.interference_basis
     assert all(v is basis for v in scheme.precoders)
     inst = sample_network(

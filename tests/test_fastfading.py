@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from alignsim.channel import NetworkConfig, UnknownSet, sample_network
-from alignsim.fastfading import (_grid_columns, _member_combos, build_3user,
-                                 build_kuser, dof_cap_given_upsilon,
-                                 hidden_union,
-                                 min_upsilon_for_max_dof, upsilon_fraction,
-                                 verify_3user, verify_kuser)
+from alignsim.fastfading import (_grid_columns, _member_combos,
+                                 dof_cap_given_upsilon, draw_3user,
+                                 draw_kuser, hidden_union,
+                                 min_upsilon_for_max_dof, plan_3user,
+                                 plan_kuser, upsilon_fraction, verify_3user,
+                                 verify_kuser)
 from alignsim.harness import Scenario, run_trials
 from alignsim.linalg import is_subspace, numeric_rank_by_shape
 from conftest import fastfading_config
@@ -65,10 +66,12 @@ def test_min_upsilon():
 @pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3)])
 def test_3user_ranks_and_containments(L, eps):
     n = 2 * (L + eps) + 1
+    cfg = fastfading_config(3, n, L)
+    omega = plan_3user(cfg, eps)
     for t in range(25):
-        inst = sample_network(fastfading_config(3, n, L), seed=t)
-        scheme = build_3user(inst, eps, seed=t)
-        checks, measured = verify_3user(scheme, inst)
+        inst = sample_network(cfg, seed=t)
+        scheme = draw_3user(inst, eps, omega, seed=t)
+        checks, measured, total = verify_3user(scheme, inst)
         assert checks["rank_tx1"], (L, eps, t)
         assert checks["rank_seeds"], (L, eps, t)
         assert checks["rx1_span_equality"], (L, eps, t)
@@ -79,14 +82,16 @@ def test_3user_ranks_and_containments(L, eps):
         assert measured["rank_tx1"] == L + eps + 1
         assert measured["joint_rank"] == 2 * (L + eps) + 1
         assert measured["separation_guaranteed"]
+        # user 1 carries L + eps + 1 dimensions, users 2 and 3 L + eps each
+        assert total == Fraction(3 * (L + eps) + 1, n)
 
 
 def test_3user_small_depth_seed_rank_is_L_plus_eps():
     L, eps = 2, 1
     n = 2 * (L + eps) + 1
     inst = sample_network(fastfading_config(3, n, L), seed=0)
-    scheme = build_3user(inst, eps, seed=0)
-    checks, measured = verify_3user(scheme, inst)
+    scheme = draw_3user(inst, eps, plan_3user(inst, eps), seed=0)
+    checks, measured, _ = verify_3user(scheme, inst)
     # at depth 1 the seed sets still have rank L + eps, not L
     assert checks["rank_seeds"]
     assert measured["rank_seed_b"] == L + eps
@@ -97,31 +102,35 @@ def test_3user_identity_transform_negative_control():
     L, eps = 1, 2
     n = 2 * (L + eps) + 1
     failures = 0
+    cfg = fastfading_config(3, n, L, direct_kind="identity")
+    omega = plan_3user(cfg, eps)
     for t in range(25):
-        inst = sample_network(
-            fastfading_config(3, n, L, direct_kind="identity"), seed=t)
-        scheme = build_3user(inst, eps, seed=t)
-        checks, measured = verify_3user(scheme, inst)
+        inst = sample_network(cfg, seed=t)
+        scheme = draw_3user(inst, eps, omega, seed=t)
+        checks, measured, total = verify_3user(scheme, inst)
         failures += not checks["rx1_separation"]
         assert not measured["separation_guaranteed"]
+        # no trial here separates, so each falls back to time sharing
+        assert total == Fraction(1)
     assert failures > 0.95 * 25
 
 
 def test_3user_validates_inputs():
     inst = sample_network(fastfading_config(3, 7, 1), seed=0)
     with pytest.raises(ValueError):
-        build_3user(inst, 0, seed=0)
+        plan_3user(inst, 0)
     with pytest.raises(ValueError):
-        build_3user(inst, 3, seed=0)   # n != 2L + 2*eps + 1
+        plan_3user(inst, 3)   # n != 2L + 2*eps + 1
     inst4 = sample_network(fastfading_config(4, 7, 1), seed=0)
     with pytest.raises(ValueError):
-        build_3user(inst4, 2, seed=0)
+        plan_3user(inst4, 2)
 
 
 def test_3user_deterministic_per_seed():
     inst = sample_network(fastfading_config(3, 7, 1), seed=3)
-    a = build_3user(inst, 2, seed=5)
-    b = build_3user(inst, 2, seed=5)
+    omega = plan_3user(inst, 2)
+    a = draw_3user(inst, 2, omega, seed=5)
+    b = draw_3user(inst, 2, omega, seed=5)
     assert np.array_equal(a.tx_columns[0], b.tx_columns[0])
     assert np.array_equal(a.loop_transfer, b.loop_transfer)
 
@@ -222,9 +231,11 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
     # the frontier classes from L = 5 on include failing loop_closure trials
     n = 2 * (L + eps) + 1
     verdicts = set()
+    cfg = fastfading_config(3, n, L)
+    omega = plan_3user(cfg, eps)
     for seed in range(1000 * L + eps, 1000 * L + eps + 8):
-        inst = sample_network(fastfading_config(3, n, L), seed=seed)
-        scheme = build_3user(inst, eps, seed=seed)
+        inst = sample_network(cfg, seed=seed)
+        scheme = draw_3user(inst, eps, omega, seed=seed)
         v1, v2, v3 = scheme.tx_columns
         # cut to its first column, v3 gives right spans that are a strict
         # part of the left ones, which only a test of both sides rejects
@@ -233,7 +244,8 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
             out = verify_3user(variant, inst)
             checks, measured, joint_orders = _verify_3user_one_at_a_time(
                 variant, inst)
-            assert out == (checks, measured), seed
+            assert out == (checks, measured, sum(variant.expected["dof"])
+                           if checks["rx1_separation"] else 1), seed
             assert list(out[0]) == list(checks)     # the demo's print order
             assert all(type(v) is bool for v in out[0].values())
             assert all(type(v) in (int, bool) for v in out[1].values())
@@ -253,14 +265,15 @@ def test_kuser_dims_k4():
     n = 2 * 2 + 1 + 2 ** 5            # L=2, n*=1, N=5 -> 37
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
-    scheme = build_kuser(inst, n_star=1, seed=0)
+    scheme = draw_kuser(inst, 1, plan_kuser(inst, 1), seed=0)
     N = (4 - 1) * (4 - 2) - 1
     assert N == 5 and scheme.n == 2 * 2 + 1 ** N + 2 ** N
     assert numeric_rank_by_shape(
         [scheme.seed_columns, scheme.tx1_columns], balance_rows=True) == [
             scheme.expected["dim_seed"], scheme.expected["dim_tx1"]] == [3, 34]
     assert verify_kuser(scheme) == ({"dims_match_formula": True},
-                                    {"dim_seed": 3, "dim_tx1": 34})
+                                    {"dim_seed": 3, "dim_tx1": 34},
+                                    Fraction(34, 37))
 
 
 def test_kuser_k3_matches_loop_construction_sizes():
@@ -268,7 +281,7 @@ def test_kuser_k3_matches_loop_construction_sizes():
     L, n_star = 1, 2
     n = 2 * L + n_star + n_star + 1
     inst = sample_network(fastfading_config(3, n, L), seed=1)
-    scheme = build_kuser(inst, n_star=n_star, seed=1)
+    scheme = draw_kuser(inst, n_star, plan_kuser(inst, n_star), seed=1)
     assert numeric_rank_by_shape([scheme.seed_columns, scheme.tx1_columns],
                                  balance_rows=True) == [L + n_star,
                                                         L + n_star + 1]
@@ -297,7 +310,7 @@ def test_grid_columns_match_product_loop(N, lo, hi, L):
 def test_kuser_guard_and_validation():
     inst = sample_network(fastfading_config(3, 7, 1), seed=0)
     with pytest.raises(ValueError):
-        build_kuser(inst, n_star=0, seed=0)
+        plan_kuser(inst, 0)
     inst5 = sample_network(fastfading_config(5, 7, 1), seed=0)
     with pytest.raises(ValueError):
-        build_kuser(inst5, n_star=2, seed=0)   # 3^11 exceeds the size guard
+        plan_kuser(inst5, 2)   # 3^11 exceeds the size guard

@@ -16,8 +16,8 @@ from alignsim.channel import ChangingPattern, NetworkConfig, sample_network
 from alignsim.decomposition import build_and_decompose, reconstruct
 from alignsim.harness import RunSummary, Scenario, run_trials, summary_csv
 from alignsim.linalg import numeric_rank_by_shape
-from alignsim.shared import (construct_shared, demo_network_config,
-                             dense_demo_patterns, pair_demo_patterns,
+from alignsim.shared import (demo_network_config, dense_demo_patterns,
+                             draw_shared, pair_demo_patterns, plan_shared,
                              verify_shared)
 from conftest import fastfading_config
 
@@ -63,15 +63,16 @@ def test_verify_shared_accounting():
     pats, n = pair_demo_patterns()
     cfg = demo_network_config(pats, n)
     inst = sample_network(cfg, seed=4)
-    scheme = construct_shared(4, 2, pats, n, seed=4)
-    checks, measured = verify_shared(scheme, inst)
+    scheme = draw_shared(plan_shared(4, 2, pats, n), 4)
+    checks, measured, total = verify_shared(scheme, inst)
     assert [measured[f"desired_rx{p}"] for p in (1, 2, 3, 4)] == [3, 2, 2, 2]
     assert checks == {"imperfect_alignment": True, "no_pollution": True,
                       "dims_match_construction": True}
+    assert total == Fraction(9, 8)
     result = run_trials(Scenario("shared", cfg, {"r": 2}, trials=1,
                                  base_seed=4)).results[0]
-    assert (result.checks, result.measured) == (checks, measured)
-    assert result.total_dof == Fraction(9, 8)
+    assert (result.checks, result.measured, result.total_dof) == \
+        (checks, measured, total)
 
 
 def shared_cases():
@@ -105,10 +106,10 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(
         # a coarse threshold merges dimensions on some receivers
         monkeypatch.setattr(linalg, "RELATIVE_THRESHOLD",
                             1e-2 if t % 2 else default)
-        scheme = construct_shared(K, r, pats, n, seed=t)
+        scheme = draw_shared(plan_shared(K, r, pats, n), t)
         precoders = scheme.precoders
         inst = sample_network(cfg, t)
-        checks, measured = verify_shared(scheme, inst)
+        checks, measured, total = verify_shared(scheme, inst)
         # the stacked accounting, recomputed one joint at a time
         want = []
         for p in range(K):
@@ -129,6 +130,7 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(
                 tuple(d for d, _, _ in want) == scheme.plan.expected_desired
                 and tuple(u for _, _, u in want)
                 == scheme.plan.expected_used)}
+        assert total == max(Fraction(sum(d for d, _, _ in want), n), 1)
 
 
 def ff3_scenario(trials=10):
@@ -148,7 +150,7 @@ def ffk_scenario(trials=3):
 @pytest.mark.parametrize("make, svds", [
     # the basis once, then every [basis, received] joint in one stack
     (blind_scenario, 2),
-    # one stack per precoder width in construct_shared, then one stack per
+    # one stack per precoder width in draw_shared, then one stack per
     # joint shape: every arriving joint shares one, the pair demo's widths
     # (3, 2, 2, 2) take two stacks each way and the dense demo's one
     (shared_scenario, 2 + 1 + 2),
@@ -284,6 +286,54 @@ def test_trials_of_one_scenario_equal_one_trial_scenarios(name):
         one_header, one_row = summary_csv(run_trials(one)).splitlines()[:2]
         assert one_header == header
         assert row == f"{i}," + one_row.split(",", 1)[1]
+
+
+def blind_verdict(cfg, params):
+    K = cfg.K
+    plan = blind.plan_blind(channel.union_pattern(
+        [cfg.pattern(p, q) for p in range(K) for q in range(K) if p != q]),
+        params["rho"])
+    free = [blind.generic_free_dims(plan, cfg.pattern(k, k))
+            for k in range(K)]
+    return lambda inst, seed: blind.verify_blind(
+        blind.draw_blind(plan, K, seed), inst, free)
+
+
+def shared_verdict(cfg, params):
+    plan = plan_shared(cfg.K, params["r"],
+                       [cfg.pattern(p, 0) for p in range(cfg.K)], cfg.n)
+    return lambda inst, seed: verify_shared(draw_shared(plan, seed), inst)
+
+
+def ff3_verdict(cfg, params):
+    omega = fastfading.plan_3user(cfg, params["epsilon"])
+    return lambda inst, seed: fastfading.verify_3user(
+        fastfading.draw_3user(inst, params["epsilon"], omega, seed), inst)
+
+
+def ffk_verdict(cfg, params):
+    omega = fastfading.plan_kuser(cfg, params["n_star"])
+    return lambda inst, seed: fastfading.verify_kuser(
+        fastfading.draw_kuser(inst, params["n_star"], omega, seed))
+
+
+@pytest.mark.parametrize("name, verdict", [
+    ("blind", blind_verdict), ("pair", shared_verdict),
+    ("dense", shared_verdict), ("ff3", ff3_verdict), ("ffk", ffk_verdict)],
+    ids=["blind", "pair", "dense", "ff3", "ffk"])
+@pytest.mark.parametrize("base_seed", [0, 1000])
+def test_trial_total_is_the_verifiers_third_value(name, verdict, base_seed):
+    # run_trials reports each verifier's (checks, measured, total_dof) as
+    # it is; the plan and draw are rebuilt here from the regime modules
+    scenario = dataclasses.replace(SCENARIOS[name](trials=3),
+                                   base_seed=base_seed)
+    verify = verdict(scenario.config, scenario.params)
+    for r in run_trials(scenario).results:
+        checks, measured, total = verify(
+            sample_network(scenario.config, r.seed), r.seed)
+        assert isinstance(total, Fraction)
+        assert (r.checks, r.measured, r.total_dof) == \
+            (checks, measured, total)
 
 
 @pytest.mark.parametrize("make", [blind_scenario, shared_scenario,

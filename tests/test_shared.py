@@ -10,7 +10,7 @@ import pytest
 from alignsim import shared
 from alignsim.channel import sample_network
 from alignsim.harness import Scenario, run_trials
-from alignsim.shared import (best_sharing_degree, construct_shared, curve_f,
+from alignsim.shared import (best_sharing_degree, curve_f,
                              dense_demo_patterns, demo_network_config,
                              dof_table, dof_upper_bound, draw_shared,
                              pair_demo_patterns, plan_shared, scheme_counts,
@@ -82,7 +82,7 @@ def test_dof_table_shape():
 
 def test_pair_demo_expected_shape():
     pats, n = pair_demo_patterns()
-    plan = construct_shared(4, 2, pats, n, seed=0).plan
+    plan = plan_shared(4, 2, pats, n)
     assert plan.expected_desired == (3, 2, 2, 2)
     assert plan.total_dof == Fraction(9, 8)
     # known window picks for this family
@@ -94,8 +94,8 @@ def test_pair_demo_expected_shape():
 
 def test_dense_demo_expected_shape():
     pats, n = dense_demo_patterns()
-    scheme = construct_shared(4, 2, pats, n, seed=0)
-    plan = scheme.plan
+    plan = plan_shared(4, 2, pats, n)
+    scheme = draw_shared(plan, 0)
     assert plan.expected_desired == (3, 3, 3, 3)
     assert plan.expected_used == (10, 10, 10, 10)
     assert plan.total_dof == Fraction(12, 10)
@@ -114,17 +114,17 @@ def test_dense_demo_expected_shape():
 def test_demo_schemes_measure_as_constructed(factory):
     pats, n = factory()
     cfg = demo_network_config(pats, n)
-    scheme = None
+    plan = plan_shared(4, 2, pats, n)
     for seed in range(25):
-        scheme = construct_shared(4, 2, pats, n, seed)
+        scheme = draw_shared(plan, seed)
         inst = sample_network(cfg, seed=seed)
         measured = verify_shared(scheme, inst)[1]
         desired = tuple(measured[f"desired_rx{p}"] for p in (1, 2, 3, 4))
         used = tuple(measured[f"used_rx{p}"] for p in (1, 2, 3, 4))
-        assert desired == scheme.plan.expected_desired
-        assert used == scheme.plan.expected_used
+        assert desired == plan.expected_desired
+        assert used == plan.expected_used
     summary = run_trials(Scenario("shared", cfg, {"r": 2}, trials=25))
-    assert all(r.total_dof == scheme.plan.total_dof for r in summary.results)
+    assert all(r.total_dof == plan.total_dof for r in summary.results)
 
 
 def _same_vector(a, b):
@@ -137,11 +137,11 @@ def _array_bytes(arrays):
 
 
 @pytest.mark.parametrize("factory", [pair_demo_patterns, dense_demo_patterns])
-def test_construct_shared_is_one_plan_drawn_per_seed(factory):
+def test_one_plan_drawn_per_seed_equals_a_fresh_plan_per_seed(factory):
     pats, n = factory()
     plan = plan_shared(4, 2, pats, n)
     for seed in range(10):
-        want = construct_shared(4, 2, pats, n, seed)
+        want = draw_shared(plan_shared(4, 2, pats, n), seed)
         got = draw_shared(plan, seed)
         assert got.plan is plan
         for f in dataclasses.fields(plan):
@@ -175,20 +175,20 @@ def test_construct_shared_is_one_plan_drawn_per_seed(factory):
 def test_constant_patterns_collapse_to_time_sharing():
     from alignsim.channel import ChangingPattern
     pats = [ChangingPattern(8, ()) for _ in range(4)]
-    assert construct_shared(4, 2, pats, 8, seed=0).plan.total_dof == 1
+    assert plan_shared(4, 2, pats, 8).total_dof == 1
 
 
 def test_construct_validates_inputs():
     pats, n = pair_demo_patterns()
     with pytest.raises(ValueError):
-        construct_shared(4, 0, pats, n)
+        plan_shared(4, 0, pats, n)
     with pytest.raises(ValueError):
-        construct_shared(3, 2, pats, n)       # wrong pattern count
+        plan_shared(3, 2, pats, n)       # wrong pattern count
 
 
 def test_precoders_have_independent_columns():
     pats, n = dense_demo_patterns()
-    scheme = construct_shared(4, 2, pats, n, seed=1)
+    scheme = draw_shared(plan_shared(4, 2, pats, n), 1)
     from alignsim.linalg import numeric_rank_by_shape
     assert numeric_rank_by_shape(scheme.precoders) == [
         mat.shape[1] for mat in scheme.precoders]
@@ -201,4 +201,4 @@ def test_rank_deficient_precoder_names_its_transmitter(monkeypatch):
     monkeypatch.setattr(shared, "numeric_rank_by_shape", one_short_for_tx2)
     pats, n = pair_demo_patterns()
     with pytest.raises(ValueError, match="precoder of transmitter 2 has rank"):
-        construct_shared(4, 2, pats, n, seed=0)
+        draw_shared(plan_shared(4, 2, pats, n), 0)

@@ -102,6 +102,18 @@ def test_one_site_samples_the_network():
     assert found == ["harness.py:run_trials"]
 
 
+def test_harness_reads_no_verdict_by_key():
+    # each verifier returns its trial's total DoF, so the harness reads no
+    # check, measured number or expected value back to derive it
+    tree = ast.parse((SRC / "alignsim" / "harness.py").read_text(
+        encoding="utf-8"))
+    found = [f"harness.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript)
+             and (getattr(node.value, "id", None) in ("checks", "measured")
+                  or getattr(node.value, "attr", None) == "expected")]
+    assert found == []
+
+
 def test_no_function_takes_a_rank_tolerance():
     # the rank threshold is the fixed linalg.RELATIVE_THRESHOLD; no
     # signature may thread a per-call tolerance back in
