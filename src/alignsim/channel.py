@@ -13,8 +13,8 @@ sampler asks each batch only for the values it still misses.
 
 Everything that does not depend on the seed is built and validated
 once: a frozen ``NetworkConfig`` builds its K x K pattern and hidden-slot
-tables at construction (so a bad change point, gain range or direct
-transform fails when the config is loaded), each pattern carries its
+tables at construction (so a bad change point or direct transform
+fails when the config is loaded), each pattern carries its
 block lengths and each hidden-slot set its sorted slots, and an identity
 config keeps its one read-only identity transform.  A diagonal channel is
 its length-n vector of gains, a read-only float64 array that every
@@ -26,7 +26,6 @@ generators only for the links and transforms its scheme reads.
 
 import math
 import numbers
-import sys
 from bisect import bisect
 from dataclasses import dataclass, field
 
@@ -60,38 +59,26 @@ H_MAX_DEFAULT = 2.0
 MIN_VALUE_GAP = 1e-2
 
 
-def _value_gap(count, h_min=H_MIN_DEFAULT, h_max=H_MAX_DEFAULT):
-    """The separation kept between count values drawn on [h_min, h_max)."""
-    return min(MIN_VALUE_GAP, (h_max - h_min) / (2 * count + 2))
+def _value_gap(count):
+    """MIN_VALUE_GAP, shrunk to width / (2 * count + 2) for count values."""
+    return min(MIN_VALUE_GAP,
+               (H_MAX_DEFAULT - H_MIN_DEFAULT) / (2 * count + 2))
 
 
 def separated_uniform(rng, count, avoid=()):
-    """count uniform draws on the default gain range, pairwise separated
-    by a gap derived from how many values must fit.
-
-    Values in ``avoid`` (e.g. a fixed gain of 1 elsewhere on the diagonal)
-    are kept at the same distance.  With m = count + len(avoid), the gap
-    is min(MIN_VALUE_GAP, (H_MAX_DEFAULT - H_MIN_DEFAULT) / (2 * m + 2)):
-    each kept value rules out less than twice the gap, so more than a
-    1 / (m + 1) share of the range stays open to every draw and the
-    rejection loop terminates for any count.
+    """The first count uniform draws on [H_MIN_DEFAULT, H_MAX_DEFAULT)
+    that lie _value_gap(count + len(avoid)) or more from every value kept
+    before them and from ``avoid`` (e.g. a fixed gain of 1), consuming
+    exactly the draws of a one-at-a-time loop.  With m values to place, a
+    kept one rules out less than twice the gap, so over a 1 / (m + 1)
+    share of the range stays open and the loop terminates.  Only a draw's
+    two sorted neighbours are compared, as rounded subtraction is monotone.
     """
-    return _separated(rng, count, H_MIN_DEFAULT, H_MAX_DEFAULT,
-                      _value_gap(count + len(avoid)), avoid)
-
-
-def _separated(rng, count, low, high, gap, taken=()):
-    """The first count uniform draws on [low, high) that lie at least gap
-    from every value kept before them and from ``taken``, consuming
-    exactly the draws of a one-at-a-time loop.
-
-    Only the two sorted neighbours of a draw are compared: correctly
-    rounded subtraction is monotone, so no farther value is closer, and
-    the decisions equal those of comparing against every value.
-    """
-    vals, taken = [], sorted(taken)
+    gap = _value_gap(count + len(avoid))
+    vals, taken = [], sorted(avoid)
     while len(vals) < count:
-        for v in rng.uniform(low, high, size=count - len(vals)).tolist():
+        for v in rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
+                             size=count - len(vals)).tolist():
             i = bisect(taken, v)
             if ((not i or v - taken[i - 1] >= gap)
                     and (i == len(taken) or taken[i] - v >= gap)):
@@ -159,31 +146,25 @@ def union_pattern(patterns):
     return ChangingPattern(n, tuple(pts))
 
 
-def sample_channel(p: ChangingPattern, seed, h_min=H_MIN_DEFAULT,
-                   h_max=H_MAX_DEFAULT, distinct_blocks="consecutive"):
+def sample_channel(p: ChangingPattern, seed):
     """One read-only float64 gain per constant block, across its slots.
 
-    Consecutive blocks are redrawn until distinct so that the realized
-    value sequence changes at exactly the declared change points.  With
-    distinct_blocks="all", every block value is globally distinct (needed
-    for generator diagonals whose anchor solve must be nonsingular).
+    Each block is redrawn until it lies _value_gap from the block before
+    it, so the realized values change exactly at the declared points.
     """
     lengths = p.lengths
     count = len(lengths)
-    gap = _value_gap(count, h_min, h_max)
+    gap = _value_gap(count)
     rng = np.random.default_rng(seed)
-    if distinct_blocks == "all":
-        vals = _separated(rng, count, h_min, h_max, gap)
-    else:
-        # the batched loop of _separated, comparing each draw with the
-        # last kept value only (none is kept yet at -inf)
-        vals, last = [], -math.inf
-        while len(vals) < count:
-            for v in rng.uniform(h_min, h_max,
-                                 size=count - len(vals)).tolist():
-                if abs(v - last) >= gap:
-                    vals.append(v)
-                    last = v
+    # the batched loop of separated_uniform, comparing each draw with the
+    # last kept value only (none is kept yet at -inf)
+    vals, last = [], -math.inf
+    while len(vals) < count:
+        for v in rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
+                             size=count - len(vals)).tolist():
+            if abs(v - last) >= gap:
+                vals.append(v)
+                last = v
     h = np.asarray(vals).repeat(lengths)
     h.setflags(write=False)     # shared by every consumer, never copied
     return h
@@ -331,8 +312,6 @@ class NetworkConfig:
     n: int
     patterns: list
     unknown: list = None
-    h_min: float = H_MIN_DEFAULT
-    h_max: float = H_MAX_DEFAULT
     direct_kind: str = "identity"
     memory_distance: int = 1
     # K x K tables of ChangingPattern and UnknownSet, built from the nests
@@ -349,11 +328,6 @@ class NetworkConfig:
             raise ValueError("patterns must be a K x K nest of integer lists")
         if not _is_int_nest(self.unknown, self.K):
             raise ValueError("unknown must be a K x K nest of integer lists")
-        # gains are drawn on [h_min, h_max): a finite width that is not
-        # subnormal, as only gains too near underflow for a rank test give
-        if not sys.float_info.min <= self.h_max - self.h_min < math.inf:
-            raise ValueError("need finite h_min < h_max with a finite, "
-                             "normal width")
         # checked here as well: a scheme may never draw a direct transform
         _check_transform(self.direct_kind, self.memory_distance, self.n)
         object.__setattr__(self, "_pattern_table", _cell_table(
@@ -373,7 +347,6 @@ class NetworkConfig:
     def to_dict(self):
         return {
             "K": self.K, "n": self.n,
-            "h_min": self.h_min, "h_max": self.h_max,
             "patterns": [[list(c) for c in row] for row in self.patterns],
             "unknown": [[sorted(c) for c in row] for row in self.unknown],
             "direct_kind": self.direct_kind,
@@ -385,8 +358,6 @@ class NetworkConfig:
         return cls(K=config_field(d, "K", json_int),
                    n=config_field(d, "n", json_int),
                    patterns=d["patterns"], unknown=d.get("unknown"),
-                   h_min=config_field(d, "h_min", json_float, H_MIN_DEFAULT),
-                   h_max=config_field(d, "h_max", json_float, H_MAX_DEFAULT),
                    direct_kind=d.get("direct_kind", "identity"),
                    memory_distance=config_field(d, "memory_distance",
                                                 json_int, 1))
@@ -412,8 +383,7 @@ def _draw_link(config, seed, key):
     if not (0 <= p < K and 0 <= q < K):
         raise KeyError(key)
     return sample_channel(config._pattern_table[p][q],
-                          seed * 1_000_003 + p * K + q + 1,
-                          config.h_min, config.h_max)
+                          seed * 1_000_003 + p * K + q + 1)
 
 
 def _draw_transform(config, seed, p):

@@ -3,10 +3,10 @@
 Subcommands: bound, curve, blind-sim, shared-sim, ff3-sim, ffk-sim,
 upsilon-cap, decompose.  Exit codes: 0 success, 1 input error, 2 when a
 verification check failed (the failing seed is printed).  A simulation
-config's ``base_seed``, or else its ``seed``, is the base seed, and
-``--seed`` overrides both.  All output is UTF-8 CSV with dot decimal
-separators; rationals are printed both as exact fractions and as
-12-significant-digit decimals.
+config's ``base_seed`` is the base seed, and ``--seed`` overrides it; a
+retired key (``h_min``, ``h_max``, ``seed``) is an input error.  All
+output is UTF-8 CSV with dot decimal separators; rationals are printed
+both as exact fractions and as 12-significant-digit decimals.
 """
 
 import argparse
@@ -27,6 +27,12 @@ from .harness import Scenario, run_trials, summary_csv
 from .shared import curve_f, dof_table
 
 __all__ = ["main"]
+
+# the most rows a bound or curve table prints: 1e9 would take an hour
+MAX_ROWS = 10**6
+# keys a sim config no longer takes, rejected so none changes meaning
+_RETIRED_KEYS = {"h_min": "the gain range is fixed",
+                 "h_max": "the gain range is fixed", "seed": "use base_seed"}
 
 
 def _dec(x):
@@ -55,6 +61,8 @@ def _csv_rows(header, rows):
 
 
 def _cmd_bound(args):
+    if args.k_max - args.k_min >= MAX_ROWS:
+        raise ValueError(f"k_max - k_min must be below {MAX_ROWS}")
     rows = [(K, r, _frac(d), _dec(d)) for K, r, d in dof_table(args.k_min, args.k_max)]
     _emit(_csv_rows(["K", "r_star", "dof_fraction", "dof_decimal"], rows), args.out)
     return 0
@@ -62,6 +70,8 @@ def _cmd_bound(args):
 
 @np.errstate(invalid="ignore", over="ignore")  # curve_f rejects inf and nan
 def _cmd_curve(args):
+    if args.steps > MAX_ROWS:
+        raise ValueError(f"steps must be at most {MAX_ROWS}")
     xs = np.linspace(args.x_min, args.x_max, args.steps)
     rows = [(_dec(x), _dec(v)) for x, v in curve_f(args.K, xs)]
     _emit(_csv_rows(["x", "f"], rows), args.out)
@@ -84,11 +94,13 @@ def _load_sim_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     config = NetworkConfig.from_dict(raw)
+    for key, why in _RETIRED_KEYS.items():
+        if key in raw:
+            raise ValueError(f"{key} is a retired config key: {why}")
     params = {k: config_field(raw, k, json_int)
               for k in ("rho", "r", "epsilon", "n_star") if k in raw}
     trials = config_field(raw, "trials", json_int, 100)
-    base_seed = config_field(raw, "base_seed", json_int,
-                             config_field(raw, "seed", json_int, 0))
+    base_seed = config_field(raw, "base_seed", json_int, 0)
     return config, params, trials, base_seed
 
 
@@ -206,7 +218,8 @@ def main(argv=None):
         if args.command == "decompose":
             return _cmd_decompose(args)
         return _run_sim(args, _REGIME_BY_CMD[args.command])
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

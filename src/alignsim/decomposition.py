@@ -28,8 +28,7 @@ from math import lcm
 
 import numpy as np
 
-from .channel import (ChangingPattern, UnknownSet, sample_channel,
-                      separated_uniform)
+from .channel import ChangingPattern, UnknownSet, separated_uniform
 from .rational import exact_solve
 
 __all__ = [
@@ -59,9 +58,11 @@ class BasisFamily:
 
 
 def build_power_basis(pattern: ChangingPattern, seed):
-    """Members Q^1..Q^(s+1) for a generator Q matching ``pattern``."""
+    """Members Q^1..Q^(s+1) for a generator Q matching ``pattern``, its
+    block values separated so that the anchor solve is nonsingular."""
     s = len(pattern.change_points)
-    gen = sample_channel(pattern, seed, distinct_blocks="all")
+    vals = separated_uniform(np.random.default_rng(seed), len(pattern.lengths))
+    gen = np.asarray(vals).repeat(pattern.lengths)
     members = np.array([gen ** j for j in range(1, s + 2)])
     members.setflags(write=False)
     anchors = (1,) + pattern.change_points

@@ -138,15 +138,10 @@ def _hidden_slot_setup(instance, omega, seed):
     union omega) of a scheme."""
     K, n = instance.K, instance.n
     cross = [(p, q) for p in range(K) for q in range(K) if p != q]
-    gains = [instance.channel(p, q) for p, q in cross]
-    # products of three gains beyond 2^256 or below 2^-257 may overflow or
-    # underflow, so such gains are scaled by a power of two ratios cancel
-    _, exp = np.frexp(np.abs(gains).max())
-    if abs(exp) > 256:
-        gains = [np.ldexp(h, -exp) for h in gains]
-    fams = {pq: build_indexed_basis(h, instance.unknown_set(*pq),
+    fams = {pq: build_indexed_basis(instance.channel(*pq),
+                                    instance.unknown_set(*pq),
                                     seed * 613 + idx + 1)
-            for idx, (pq, h) in enumerate(zip(cross, gains))}
+            for idx, pq in enumerate(cross)}
     rng = np.random.default_rng(seed)
     gam = np.ones(n)
     for slot, v in zip(omega, separated_uniform(rng, len(omega), avoid=(1.0,))):

@@ -1,8 +1,8 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
 library, one rank entry for every module, one network-sampling site and no
-rank-tolerance parameter, the same command output with and without
-``python -O``, and a suite that reports every test when a property test
-fails."""
+retired parameter (a rank tolerance, a gain range or a separation mode),
+the same command output with and without ``python -O``, and a suite that
+reports every test when a property test fails."""
 
 import ast
 import json
@@ -114,16 +114,20 @@ def test_harness_reads_no_verdict_by_key():
     assert found == []
 
 
-def test_no_function_takes_a_rank_tolerance():
-    # the rank threshold is the fixed linalg.RELATIVE_THRESHOLD; no
-    # signature may thread a per-call tolerance back in
+@pytest.mark.parametrize("name", ["tol", "h_min", "h_max",
+                                  "distinct_blocks"])
+def test_no_function_takes_a_retired_parameter(name):
+    # the rank threshold is the fixed linalg.RELATIVE_THRESHOLD, gains are
+    # drawn on the fixed [H_MIN_DEFAULT, H_MAX_DEFAULT), and a globally
+    # separated draw is separated_uniform: no signature may thread a
+    # per-call tolerance, gain range or separation mode back in
     found = [f"{path.relative_to(SRC)}:{node.lineno}"
              for path in sorted((SRC / "alignsim").rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.Lambda))
              for arg in ast.walk(node.args)
-             if isinstance(arg, ast.arg) and arg.arg == "tol"]
+             if isinstance(arg, ast.arg) and arg.arg == name]
     assert found == []
 
 
