@@ -9,17 +9,14 @@ Two family kinds:
   representative slot per block (slot 1 plus each change point).
 * ``indexed``: given a channel with a set U of hidden slots, build |U|+1
   members that copy the true values outside U and carry fresh randomness
-  inside U.  The true channel is a combination of the members; anchors are
-  the slots of U plus the first known slot with a nonzero value, if there
-  is one (coefficients then sum to one there).
+  inside U.  The true channel is a combination of the members whose
+  coefficients sum to one; the anchors are the slots of U, and the sum
+  row (1, ..., 1 | 1) makes the system square.
 
 ``decompose`` and ``reconstruct`` are the one decomposition path.  Every
-square anchor system (all power families, and indexed families with a
-nonzero known slot) is solved in exact rational arithmetic, and
+anchor system is square and solved in exact rational arithmetic, and
 reconstructing a channel the family represents gives back its float
-values bit for bit.  Only an indexed family anchored on its hidden slots
-alone, with more members than anchors, uses a float least-squares solve
-and a residual tolerance.
+values bit for bit.
 """
 
 from dataclasses import dataclass
@@ -50,7 +47,9 @@ _SINGULAR_RETRIES = 5
 @dataclass(frozen=True)
 class BasisFamily:
     members: np.ndarray       # read-only (members, n), one member per row
-    anchor_indices: tuple     # 1-based slots, one per coefficient (or |U| rows)
+    # 1-based slots: one per coefficient (power), or the hidden slots,
+    # one fewer than the coefficients, which sum to one (indexed)
+    anchor_indices: tuple
 
     @property
     def n(self):
@@ -72,13 +71,18 @@ def build_power_basis(pattern: ChangingPattern, seed):
 def build_indexed_basis(true_values, unknown: UnknownSet, seed):
     """|U|+1 members agreeing with the true channel on every known slot.
 
-    The anchors are the hidden slots, then the first known slot whose
-    true value is nonzero: at a zero, every member is zero and the anchor
-    system would be singular for every draw.  With no such slot (every
-    known value is zero, or none is known) the family anchors on its
-    hidden slots alone, and decompose solves it by least squares.
+    The anchors are the hidden slots.  Every member copies the true value
+    v at a known slot, so the true channel's coefficients sum to one,
+    which decompose adds as the row (1, ..., 1 | 1); a known slot is never
+    an anchor, since at a zero every member is zero.
+
+    Raises ValueError unless true_values is 1-D with unknown.n finite
+    entries.
     """
     vals = np.asarray(true_values, dtype=float)
+    if vals.shape != (unknown.n,) or not np.isfinite(vals).all():
+        raise ValueError(f"true_values must be 1-D with n = {unknown.n} "
+                         "finite entries")
     rng = np.random.default_rng(seed)
     hidden = unknown.hidden
     count = len(hidden) + 1
@@ -88,12 +92,7 @@ def build_indexed_basis(true_values, unknown: UnknownSet, seed):
     for slot in hidden:
         table[:, slot - 1] = separated_uniform(rng, count)
     table.setflags(write=False)
-    anchors = hidden
-    for slot in range(1, vals.size + 1):
-        if slot not in unknown.indices and vals[slot - 1] != 0:
-            anchors = hidden + (slot,)
-            break
-    return BasisFamily(table, anchors)
+    return BasisFamily(table, hidden)
 
 
 def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):
@@ -110,21 +109,20 @@ def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):
 def decompose(h, fam: BasisFamily):
     """Coefficients beta with sum_j beta_j * member_j == h.
 
-    Square anchor systems are solved exactly (floats are exact binary
+    The anchor system is solved exactly (floats are exact binary
     rationals), because power families of a dozen members are
-    Vandermonde-like and far too ill-conditioned for a float solve.  The
-    coefficients are then Fractions, and reconstruct() evaluates them
-    exactly and rounds once, so a representable h comes back bit for bit.
-    The one non-square system, an indexed family anchored on its hidden
-    slots alone (none known, or every known value zero), is
-    well-conditioned and uses a float least-squares solve.
+    Vandermonde-like and far too ill-conditioned for a float solve.  An
+    indexed family, with one member more than anchors, adds the sum row
+    (1, ..., 1 | 1), which exact_solve substitutes out.  The coefficients
+    are Fractions, and reconstruct() evaluates them exactly and rounds
+    once, so a representable h comes back bit for bit.
 
     The residual check evaluates exactly only the columns the solve does
     not already fix.  The exact solution meets every anchor's equation,
     so a slot whose member column equals an anchor's column rounds to h
     at that anchor: that covers every slot of a power family.  What is
-    left of a square indexed family are its known non-anchor slots, whose
-    columns are all equal and take one product each.
+    left of an indexed family are its known slots, whose columns are all
+    equal and take one product each.
 
     Raises ValueError unless h is 1-D with fam.n finite entries,
     numpy.linalg.LinAlgError when the anchor system is singular, and
@@ -145,17 +143,16 @@ def _decompose(h, fam):
         raise ValueError("h must be finite")
     rows = [a - 1 for a in fam.anchor_indices]
     mat, rhs = fam.members[:, rows].T, h[rows]
-    if mat.shape[0] == mat.shape[1]:
-        try:
-            betas = exact_solve(mat, rhs)
-        except ZeroDivisionError as exc:
-            raise np.linalg.LinAlgError("singular anchor system") from exc
-        # h at each anchor, with -0.0 as the +0.0 an exact zero rounds to
-        recon = _exact_columns(betas, fam.members,
-                               dict(zip(rows, (rhs + 0.0).tolist())))
-    else:
-        betas, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        recon = reconstruct(betas, fam)
+    # h at each anchor, with -0.0 as the +0.0 an exact zero rounds to
+    fixed = dict(zip(rows, (rhs + 0.0).tolist()))
+    if len(rows) + 1 == len(fam.members):     # indexed: the sum row
+        mat = np.vstack((mat, np.ones(len(fam.members))))
+        rhs = np.append(rhs, 1.0)
+    try:
+        betas = exact_solve(mat, rhs)
+    except ZeroDivisionError as exc:
+        raise np.linalg.LinAlgError("singular anchor system") from exc
+    recon = _exact_columns(betas, fam.members, fixed)
     scale = np.max(np.abs(h))
     if np.max(np.abs(recon - h)) > RESIDUAL_REL_TOL * scale:
         raise ValueError("channel is not representable by this family "
@@ -205,18 +202,15 @@ def _exact_columns(betas, stack, fixed):
 def reconstruct(betas, fam: BasisFamily):
     """Elementwise sum of beta_j * member_j.
 
-    Fraction coefficients (the square-solve output of decompose) are
-    combined exactly in integers over one common denominator and rounded
-    once per slot (see _exact_columns); a slot whose member values are
-    all equal takes one product instead of a sum.
+    The coefficients (Fractions from decompose, or any rationals such as
+    floats) are combined exactly in integers over one common denominator
+    and rounded once per slot (see _exact_columns); a slot whose member
+    values are all equal takes one product instead of a sum.
     """
-    betas = list(betas)
-    stack = fam.members
-    if len(betas) != len(stack):
+    betas = [Fraction(b) for b in betas]
+    if len(betas) != len(fam.members):
         raise ValueError("coefficient count does not match family size")
-    if any(isinstance(b, Fraction) for b in betas):
-        return _exact_columns([Fraction(b) for b in betas], stack, {})
-    return np.asarray(betas, dtype=float) @ stack
+    return _exact_columns(betas, fam.members, {})
 
 
 def build_and_decompose(h, kind, pattern_or_unknown, n, seed,

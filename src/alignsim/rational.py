@@ -1,20 +1,19 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra on float64 arrays.
 
 Rank and square solves over the rationals for matrices up to 64x64, by
 fraction-free (Bareiss) integer elimination: each row is scaled to
 integers once, which keeps both the rank and the solution, and every
 later update divides exactly, so no gcd is taken until the solution's
-Fractions are formed.  Floats are binary rationals, so float input is
-handled exactly, and a float64 array system is scaled in one np.frexp
+Fractions are formed.  Every input is a float64 array, and floats are
+binary rationals, so each row scales exactly to integers in one np.frexp
 pass.  A row (c, ..., c | t), c != 0, fixes the unknowns' sum at t/c, so
 the solve eliminates over one unknown fewer.  This is the exact solve of
-basis decompositions (every square indexed family holds such a row) and
-the oracle that anchors the floating-point rank threshold in the test
-suite.
+basis decompositions (every indexed family's system holds such a row)
+and the oracle that anchors the floating-point rank threshold in the
+test suite.
 """
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -23,45 +22,22 @@ __all__ = ["exact_rank", "exact_solve"]
 _MAX_SIDE = 64
 
 
-def _check(rows):
-    try:
-        m = rows if getattr(rows, "ndim", 0) == 2 else list(map(list, rows))
-    except TypeError:       # a row that is a number: a vector, not a matrix
-        raise ValueError("expected a 2-D matrix") from None
-    if m is not rows and any(np.ndim(x) for row in m for x in row):
-        raise ValueError("expected a 2-D matrix")   # an entry that is a row
-    if not len(m) or not len(m[0]):
+def _check(a):
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.ndim == 2):
+        raise ValueError("expected a 2-D float64 array")
+    if not a.size:
         raise ValueError("empty matrix")
-    ncols = len(m[0])
-    if any(len(r) != ncols for r in m):
-        raise ValueError("ragged matrix")
-    if len(m) > _MAX_SIDE or ncols > _MAX_SIDE:
+    if max(a.shape) > _MAX_SIDE:
         raise ValueError("exact path is limited to small matrices")
-    return m
-
-
-def _integer_rows(m):
-    """Each row times the lcm of its entries' denominators.
-
-    Entries are read by their own ``as_integer_ratio`` (int, float,
-    Fraction, Decimal); a row holding a type without it goes through
-    Fraction.
-    """
-    out = []
-    for row in m:
-        try:
-            ratios = [x.as_integer_ratio() for x in row]
-        except AttributeError:
-            ratios = [Fraction(x).as_integer_ratio() for x in row]
-        scale = lcm(*(d for _, d in ratios))
-        out.append([a * (scale // d) for a, d in ratios])
-    return out
+    return a
 
 
 def _float_rows(a):
-    """_integer_rows of a float64 array: an entry M * 2**k, M odd or 0,
-    has denominator 2**max(0, -k), so it scales to M << (k - min(0, K))
-    with K the least k in its row."""
+    """Each row of a float64 array times the least power of two that
+    makes it integral: an entry M * 2**k, M odd or 0, has denominator
+    2**max(0, -k), so it scales to M << (k - min(0, K)) with K the least
+    k in its row."""
     if not np.isfinite(a).all():
         raise ValueError("exact path needs finite entries")
     mant, exp = np.frexp(a)
@@ -108,26 +84,24 @@ def _eliminate(m, ncols):
 
 def exact_rank(rows):
     """Rank over the rationals via fraction-free integer elimination."""
-    m = _integer_rows(_check(rows))
+    m = _float_rows(_check(rows))
     return _eliminate(m, len(m[0]))
 
 
 def exact_solve(rows, rhs):
-    """Solve a square rational system exactly; raises on singular input.
+    """Solve a square float64 system over the rationals; raises
+    ZeroDivisionError on singular input.
 
     Given a row (c, ..., c | t), t/c = u/v, x_last is u/v minus the
     others' sum, and each other row becomes
     ((a_ij - a_i,last) * v | b_i * v - a_i,last * u) over one unknown fewer.
     """
     a = _check(rows)
-    b = rhs if isinstance(rhs, np.ndarray) else list(rhs)
     n = len(a)
-    if len(a[0]) != n or np.shape(b) != (n,):
-        raise ValueError("exact_solve expects a square system")
-    if getattr(a, "dtype", None) == getattr(b, "dtype", None) == np.float64:
-        m = _float_rows(np.column_stack((a, b)))
-    else:
-        m = _integer_rows([list(row) + [v] for row, v in zip(a, b)])
+    if (a.shape[1] != n or not isinstance(rhs, np.ndarray)
+            or rhs.dtype != np.float64 or rhs.shape != (n,)):
+        raise ValueError("exact_solve expects a square float64 system")
+    m = _float_rows(np.column_stack((a, rhs)))
     const = next((r for r in m if r[0] and r[:n].count(r[0]) == n), None)
     if const and n > 1:
         m.remove(const)

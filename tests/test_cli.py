@@ -386,12 +386,6 @@ def sim_configs(draw):
     if draw(st.booleans()):
         raw["direct_kind"] = draw(st.sampled_from(
             ("identity", "memory", "permutation", "wavelet")))
-    for key in ("h_min", "h_max"):
-        if draw(st.booleans()):
-            raw[key] = draw(st.sampled_from(
-                (float("inf"), -float("inf"), float("nan"), 1e308, -1e308,
-                 1e-320, 2e-320, 1e160, 2e160, 1e-300, 2e-300, 0.25, 0.5,
-                 1.0, 2.0, 3.0)))
     return draw(st.sampled_from(SIM_COMMANDS)), raw
 
 

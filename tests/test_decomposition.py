@@ -32,8 +32,7 @@ def test_indexed_basis_matches_member_loop(n, data, seed):
         for slot in order:
             want[slot - 1] = fresh[slot][m]
         assert member.tolist() == want.tolist()
-    known = [i for i in range(1, n + 1) if i not in hidden]
-    assert fam.anchor_indices == tuple(order + known[:1])
+    assert fam.anchor_indices == tuple(order)
 
 
 def random_pattern(rng, n, max_changes=None):
@@ -133,6 +132,19 @@ def _same_family(a, b):
             and a.anchor_indices == b.anchor_indices)
 
 
+@pytest.mark.parametrize("hidden, values", [
+    ({2}, [1.0] * 4),                 # short: a 4-slot family
+    ({6}, [1.0] * 4),                 # short, hidden beyond it: IndexError
+    ({2}, [1.0] * 7),
+    ({2}, [[1.0] * 6]),
+    ({2}, [1.0, 1.0, 1.0, np.nan, 1.0, 1.0]),
+    ({2}, [1.0, 1.0, 1.0, 1.0, 1.0, -np.inf]),
+], ids=["short", "short-hidden", "long", "2-D", "nan-known", "inf-known"])
+def test_indexed_basis_validates_true_values(hidden, values):
+    with pytest.raises(ValueError, match="n = 6 finite"):
+        build_basis("indexed", hidden, 6, seed=0, true_values=values)
+
+
 def test_build_basis_dispatch():
     fam = build_basis("power", (3,), 6, seed=0)
     assert _same_family(fam, build_power_basis(ChangingPattern(6, (3,)), 0))
@@ -200,7 +212,7 @@ def test_square_indexed_family_reconstructs_bit_for_bit(channel, data, seed):
     hidden = data.draw(st.sets(st.integers(1, pat.n), max_size=20)) - {known}
     fam, betas = build_and_decompose(h, "indexed", hidden, pat.n, seed=seed,
                                      true_values=h)
-    assert len(fam.anchor_indices) == len(fam.members)
+    assert len(fam.anchor_indices) + 1 == len(fam.members)
     assert all(isinstance(b, Fraction) for b in betas)
     assert np.array_equal(reconstruct(betas, fam), h)
 
@@ -213,9 +225,9 @@ def test_square_indexed_family_reconstructs_bit_for_bit(channel, data, seed):
 ])
 def test_anchor_solve_eliminates_over_the_unknowns_it_must(
         monkeypatch, kind, support, columns):
-    """A square indexed family's known anchor is a constant row, so its
-    solve substitutes one coefficient out and eliminates over |U|
-    columns; a power family's anchor rows are not, and it keeps s+1."""
+    """An indexed family's sum row is a constant row, so its solve
+    substitutes one coefficient out and eliminates over |U| columns; a
+    power family's anchor rows are not, and it keeps s+1."""
     seen = []
     eliminate = rational._eliminate
 
@@ -237,9 +249,9 @@ def test_anchor_solve_eliminates_over_the_unknowns_it_must(
        seed=st.integers(0, 2**32 - 1))
 def test_indexed_family_solves_channels_with_zero_known_slots(channel, data,
                                                              seed):
-    """A zero at a known slot is never an anchor (it would make the anchor
-    system singular for every draw): the family anchors on the first
-    nonzero known slot, or on its hidden slots alone when there is none."""
+    """Every known value zero, some of them, or none known: the family
+    anchors on its hidden slots and the sum row, so the solve is exact
+    and h comes back bit for bit."""
     pat, h = channel
     hidden = data.draw(st.sets(st.integers(1, pat.n), max_size=12))
     known = [i for i in range(1, pat.n + 1) if i not in hidden]
@@ -250,15 +262,9 @@ def test_indexed_family_solves_channels_with_zero_known_slots(channel, data,
     h[[i - 1 for i in zeros]] = 0.0
     fam, betas = build_and_decompose(h, "indexed", hidden, pat.n, seed=seed,
                                      true_values=h)
-    nonzero = [i for i in known if i not in zeros]
-    assert fam.anchor_indices == tuple(sorted(hidden)) + tuple(nonzero[:1])
-    if nonzero:
-        assert all(isinstance(b, Fraction) for b in betas)
-        assert np.array_equal(reconstruct(betas, fam), h)
-    else:
-        # h may be all zero, where the relative residual is 0 / 0
-        assert (np.max(np.abs(reconstruct(betas, fam) - h))
-                <= RESIDUAL_REL_TOL * np.max(np.abs(h)))
+    assert fam.anchor_indices == tuple(sorted(hidden))
+    assert all(isinstance(b, Fraction) for b in betas)
+    assert reconstruct(betas, fam).tobytes() == h.tobytes()
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -303,9 +309,13 @@ def zero_signed_channels(draw, max_changes):
 def residual_check_matches_reconstruct(h, fam):
     """Whether decompose rejects h, after checking that its verdict and
     its reconstruction's bits are those of the public reconstruct on the
-    exact anchor solution."""
+    exact anchor solution, with the sum row of an indexed family."""
     rows = [a - 1 for a in fam.anchor_indices]
-    betas = exact_solve(fam.members[:, rows].T.tolist(), h[rows].tolist())
+    mat, rhs = fam.members[:, rows].T, h[rows]
+    if len(rows) < len(fam.members):
+        mat = np.vstack((mat, np.ones(len(fam.members))))
+        rhs = np.append(rhs, 1.0)
+    betas = exact_solve(mat, rhs)
     recon = reconstruct(betas, fam)
     if np.max(np.abs(recon - h)) > RESIDUAL_REL_TOL * np.max(np.abs(h)):
         with pytest.raises(ValueError, match="not representable"):
@@ -346,13 +356,9 @@ def test_square_indexed_residual_check_matches_reconstruct(channel, data,
     known = data.draw(st.lists(st.integers(1, pat.n), min_size=2,
                                max_size=pat.n, unique=True))
     hidden = frozenset(range(1, pat.n + 1)) - set(known)
-    # the known anchor's row of the anchor system is its true value in
-    # every member, so a zero there makes every draw singular
-    if h[min(known) - 1] == 0:
-        h[min(known) - 1] = 1.0
     fam, _ = build_and_decompose(h, "indexed", hidden, pat.n, seed=seed,
                                  true_values=h)
-    assert len(fam.anchor_indices) == len(fam.members)
+    assert len(fam.anchor_indices) + 1 == len(fam.members)
     assert not residual_check_matches_reconstruct(h, fam)
     # a known slot off the anchors: every member copies its true value,
     # so an h that differs there is not a combination of the members

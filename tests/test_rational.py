@@ -8,15 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.rational import (_float_rows, _integer_rows, exact_rank,
-                               exact_solve)
+from alignsim.rational import _float_rows, exact_rank, exact_solve
+
+
+def arr(rows):
+    return np.array(rows, dtype=np.float64)
 
 
 def test_exact_rank_basics():
-    assert exact_rank([[1, 0], [0, 1]]) == 2
-    assert exact_rank([[0, 0], [0, 0]]) == 0
-    assert exact_rank([[1, 2], [2, 4]]) == 1
-    assert exact_rank([[Fraction(1, 3), Fraction(2, 3)]]) == 1
+    assert exact_rank(arr([[1, 0], [0, 1]])) == 2
+    assert exact_rank(arr([[0, 0], [0, 0]])) == 0
+    assert exact_rank(arr([[1, 2], [2, 4]])) == 1
+    # (1/3, 2/3) scaled by 3
+    assert exact_rank(arr([[1, 2]])) == 1
 
 
 def test_exact_rank_rectangular_and_product_structure():
@@ -28,7 +32,7 @@ def test_exact_rank_rectangular_and_product_structure():
         a = rng.integers(-4, 5, size=(rows, inner))
         b = rng.integers(-4, 5, size=(inner, cols))
         m = a @ b
-        assert exact_rank(m.tolist()) == np.linalg.matrix_rank(m)
+        assert exact_rank(m.astype(np.float64)) == np.linalg.matrix_rank(m)
 
 
 def test_exact_solve_round_trip():
@@ -43,47 +47,64 @@ def test_exact_solve_round_trip():
                   for v in rng.integers(-9, 10, size=n)]
         rhs = [sum(Fraction(int(a[i][j])) * x_true[j] for j in range(n))
                for i in range(n)]
-        assert exact_solve(a.tolist(), rhs) == x_true
+        # the rhs times the lcm of its denominators, a float64 integer,
+        # scales the solution by the same factor
+        scale = math.lcm(*(v.denominator for v in rhs))
+        x = exact_solve(a.astype(np.float64),
+                        arr([int(v * scale) for v in rhs]))
+        assert [v / scale for v in x] == x_true
 
 
 def test_exact_solve_singular_raises():
     with pytest.raises(ZeroDivisionError):
-        exact_solve([[1, 2], [2, 4]], [1, 1])
+        exact_solve(arr([[1, 2], [2, 4]]), arr([1, 1]))
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        exact_rank([])
+        exact_rank(np.empty((0, 2)))
     with pytest.raises(ValueError):
-        exact_rank([[1, 2], [3]])
+        exact_solve(arr([[1, 2, 3]]), arr([1]))
     with pytest.raises(ValueError):
-        exact_solve([[1, 2, 3]], [1])
-    with pytest.raises(ValueError):
-        exact_rank([[1] * 65])
-    # a vector is not a matrix, as an array or as a list
+        exact_rank(np.ones((1, 65)))
+    # a vector is not a matrix, nor is a stack of matrices
     with pytest.raises(ValueError, match="2-D"):
         exact_rank(np.ones(3))
     with pytest.raises(ValueError, match="2-D"):
-        exact_rank([1.0, 2.0])
-    # nor is a stack of matrices, as an array or as nested lists
-    with pytest.raises(ValueError, match="2-D"):
         exact_rank(np.ones((2, 2, 2)))
-    with pytest.raises(ValueError, match="2-D"):
-        exact_rank([[[1.0]]])
+    # only float64 arrays: no lists, int arrays or Fraction entries
+    for rows in ([[1.0, 2.0]], [[1, 2], [3]], np.ones((2, 2), dtype=int),
+                 np.array([[Fraction(1, 3)]], dtype=object)):
+        with pytest.raises(ValueError, match="float64"):
+            exact_rank(rows)
 
 
 # Every float is a binary (dyadic) rational; small integers, full 53-bit
 # floats and Fractions with mixed denominators all go through the integer
-# row scaling.
+# row scaling.  A Fraction system is scaled to a dyadic one before it
+# becomes a float64 array (see as_float64).
 SMALL_INTS = st.integers(-3, 3)
 DYADICS = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
 EIGHTHS = st.integers(-64, 64).map(lambda k: k / 8)
 FRACTIONS = st.fractions(-4, 4, max_denominator=12)
 
 
-def fraction_residual(rows, x, rhs):
+def as_float64(rows, rhs):
+    """The system times the odd part of its denominators' lcm, as float64
+    arrays: Fraction entries become dyadic, and a subnormal's power-of-two
+    denominator cannot overflow the scale.  A 53-bit float times that
+    factor may round; the checks read the system from the arrays."""
+    entries = [Fraction(v) for v in [*(v for row in rows for v in row), *rhs]]
+    scale = math.lcm(*(v.denominator for v in entries))
+    scale >>= (scale & -scale).bit_length() - 1
+    return (arr([[float(Fraction(v) * scale) for v in row] for row in rows]),
+            arr([float(Fraction(v) * scale) for v in rhs]))
+
+
+def _residuals(rows, x, rhs):
+    """Each equation's exact residual for a float64 system."""
     return [sum(Fraction(a) * xi for a, xi in zip(row, x)) - Fraction(v)
-            for row, v in zip(rows, rhs)]
+            for row, v in zip(rows.tolist(), rhs.tolist())]
 
 
 @st.composite
@@ -102,10 +123,10 @@ def nonsingular_systems(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(system=nonsingular_systems())
 def test_exact_solve_satisfies_the_system_exactly(system):
-    rows, rhs = system
+    rows, rhs = as_float64(*system)
     x = exact_solve(rows, rhs)
     assert all(isinstance(v, Fraction) for v in x)
-    assert fraction_residual(rows, x, rhs) == [0] * len(rows)
+    assert _residuals(rows, x, rhs) == [0] * len(rows)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -122,7 +143,7 @@ def test_exact_solve_raises_on_singular_systems(data, n):
     rows = data.draw(st.permutations(rows))
     rhs = data.draw(st.lists(entries, min_size=n, max_size=n))
     with pytest.raises(ZeroDivisionError, match="singular system"):
-        exact_solve(rows, rhs)
+        exact_solve(arr(rows), arr(rhs))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -142,7 +163,7 @@ def test_exact_rank_matches_numpy_on_integer_matrices(data, rows, cols,
     m = a @ b
     zeroed = data.draw(st.sets(st.integers(0, cols - 1)), label="zeroed")
     m[:, sorted(zeroed)] = 0
-    assert exact_rank(m.tolist()) == np.linalg.matrix_rank(m)
+    assert exact_rank(m.astype(np.float64)) == np.linalg.matrix_rank(m)
 
 
 def _with_constant_row(data, reduced, last, entries):
@@ -171,10 +192,10 @@ def test_exact_solve_with_a_constant_row_satisfies_the_system(data):
     entries = data.draw(st.sampled_from([SMALL_INTS, DYADICS, FRACTIONS]))
     last = data.draw(st.lists(entries, min_size=len(reduced),
                               max_size=len(reduced)))
-    rows, rhs = _with_constant_row(data, reduced, last, entries)
+    rows, rhs = as_float64(*_with_constant_row(data, reduced, last, entries))
     x = exact_solve(rows, rhs)
     assert all(isinstance(v, Fraction) for v in x)
-    assert fraction_residual(rows, x, rhs) == [0] * len(rows)
+    assert _residuals(rows, x, rhs) == [0] * len(rows)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -191,7 +212,7 @@ def test_exact_solve_with_a_constant_row_raises_on_singular_systems(data,
     reduced.append([sum((c * row[j] for c, row in zip(coeffs, reduced)), 0)
                     for j in range(n)])
     last = data.draw(st.lists(entries, min_size=n, max_size=n))
-    rows, rhs = _with_constant_row(data, reduced, last, entries)
+    rows, rhs = as_float64(*_with_constant_row(data, reduced, last, entries))
     with pytest.raises(ZeroDivisionError, match="singular system"):
         exact_solve(rows, rhs)
 
@@ -214,14 +235,21 @@ def test_float_array_rows_match_the_entry_path(data, n):
     rhs = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)),
                    dtype=np.float64)
     system = np.column_stack((rows, rhs))
-    assert _float_rows(system) == _integer_rows(system.tolist())
+    # each row's Fraction values times the least power of two that
+    # clears their denominators (every denominator is a power of two)
+    want = []
+    for row in system.tolist():
+        fracs = [Fraction(v) for v in row]
+        scale = max(v.denominator for v in fracs)
+        want.append([int(v * scale) for v in fracs])
+    assert _float_rows(system) == want
     try:
-        want = exact_solve(rows.tolist(), rhs.tolist())
+        x = exact_solve(rows, rhs)
     except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError, match="singular system"):
-            exact_solve(rows, rhs)
+        # singular: the exact rank of the float rows is below n
+        assert exact_rank(rows) < n
     else:
-        assert exact_solve(rows, rhs) == want
+        assert _residuals(rows, x, rhs) == [0] * n
 
 
 @pytest.mark.parametrize("rows, rhs", [
@@ -234,6 +262,13 @@ def test_float_array_rows_match_the_entry_path(data, n):
     (np.eye(2), np.ones((2, 1))),
     (np.empty((0, 0)), np.empty(0)),
     (np.ones(2), np.ones(2)),
+    ([[1.0, 0.0], [0.0, 1.0]], np.ones(2)),
+    (np.eye(2, dtype=int), np.ones(2)),
+    (np.array([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
+              dtype=object), np.ones(2)),
+    (np.eye(2), [1.0, 1.0]),
+    (np.eye(2), np.ones(2, dtype=int)),
+    (np.eye(2), np.array([Fraction(1), Fraction(1)], dtype=object)),
 ])
 def test_float_array_system_validation(rows, rhs):
     with pytest.raises(ValueError):

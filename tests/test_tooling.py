@@ -1,8 +1,9 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
-library, one rank entry for every module, one network-sampling site and no
-retired parameter (a rank tolerance, a gain range or a separation mode),
-the same command output with and without ``python -O``, and a suite that
-reports every test when a property test fails."""
+library, one rank entry for every module, one network-sampling site, no
+least-squares solve and no retired parameter (a rank tolerance, a gain
+range or a separation mode), the same command output with and without
+``python -O``, and a suite that reports every test when a property test
+fails."""
 
 import ast
 import json
@@ -100,6 +101,18 @@ def test_one_site_samples_the_network():
                   and "sample_network" in (getattr(node.func, "id", None),
                                            getattr(node.func, "attr", None))]
     assert found == ["harness.py:run_trials"]
+
+
+def test_library_solves_no_least_squares():
+    # every decomposition is an exact square solve: an indexed family adds
+    # the sum row instead of a float least-squares fit
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted((SRC / "alignsim").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if "lstsq" in (getattr(node, "attr", None),
+                            getattr(node, "id", None),
+                            getattr(node, "name", None))]
+    assert found == []
 
 
 def test_harness_reads_no_verdict_by_key():
