@@ -213,9 +213,11 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     transforms the result is reported but flagged as not guaranteed.
 
     One ``numeric_rank_by_shape`` call ranks every matrix, one stack per
-    distinct shape; the span sides and joints and the loop joints go in
-    as the stacks they are built as.  A containment holds when the rank of
-    the raw ``[base, candidate]`` joint equals the base's.
+    distinct shape; the span sides and joints go in as the stacks they are
+    built as.  A containment holds when the rank of the raw ``[base,
+    candidate]`` joint equals the base's.  The loop base and its loop vectors
+    go in as one ``(base, vecs)`` pair: the kernel factors the base once
+    and builds and factors only the joints its margin bounds leave open.
     ``rx1_span_equality`` ranks each side once per surrogate member and
     one ``[right, left]`` joint per substitution: column order does not
     change a rank, so the two sides span one space when both their ranks
@@ -251,9 +253,6 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     g = substituted(keys, combos)
     vecs = ((g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5])
             * gamma_powers[jps - 1])
-    loop_joints = np.concatenate(
-        [np.broadcast_to(base, (len(vecs),) + base.shape), vecs[:, :, None]],
-        axis=-1)
 
     r10 = instance.received_matrix(1, 0, v1)
     r20 = instance.received_matrix(2, 0, v1)
@@ -265,7 +264,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
          np.hstack([r20, instance.received_matrix(2, 1, v2)]),
          np.hstack([instance.received_matrix(0, 0, v1),
                     instance.received_matrix(0, 1, v2)]),
-         base, sides12, sides13, span_joints, loop_joints])
+         base, sides12, sides13, span_joints, (base, vecs)])
 
     checks = {
         "rank_tx1": rank_tx1 == L + eps + 1,

@@ -366,10 +366,10 @@ SIM_COMMANDS = ("blind-sim", "shared-sim", "ff3-sim", "ffk-sim")
 
 
 @st.composite
-def sim_configs(draw):
-    """Small configs, well- or ill-formed: any K and n, nests of small
-    integers (slots out of range included) that are sometimes the wrong
-    size, and random scheme parameters and transform kinds."""
+def malformed_configs(draw):
+    """Any K and n, nests of small integers (slots out of range included)
+    that are sometimes the wrong size, and random scheme parameters and
+    transform kinds."""
     K, n = draw(st.integers(0, 4)), draw(st.integers(0, 12))
     cell = st.lists(st.integers(-1, 14), max_size=5)
 
@@ -386,7 +386,65 @@ def sim_configs(draw):
     if draw(st.booleans()):
         raw["direct_kind"] = draw(st.sampled_from(
             ("identity", "memory", "permutation", "wavelet")))
-    return draw(st.sampled_from(SIM_COMMANDS)), raw
+    return raw
+
+
+@st.composite
+def sim_configs(draw):
+    """A sim command and its config.  One config in four is malformed;
+    the rest are K x K nests of sorted change points in [2, n] and hidden
+    cross-link slots in [1, n], with scheme parameters near their ranges.
+    Half of those take the n and the parameters of the command's slot
+    count (blind n = 2 rho (s + 1) with one cross pattern of s points, ff3
+    n = 2L + 2 eps + 1 and ffk n = 2L + 1 + 2^N with L hidden slots), the
+    other half any K and n, with one pattern per receiver on half the
+    draws, as the shared regime asks."""
+    command = draw(st.sampled_from(SIM_COMMANDS))
+    if draw(st.integers(0, 3)) == 0:
+        return command, draw(malformed_configs())
+
+    def points(lo, n, size=None):
+        """size (else any number of) distinct sorted slots in [lo, n]."""
+        if lo > n:
+            return []
+        span = n - lo + 1 if size is None else size
+        return sorted(draw(st.lists(st.integers(lo, n), unique=True,
+                                    min_size=size or 0, max_size=span)))
+
+    K, params, cross, hidden = draw(st.integers(1, 4)), {}, None, []
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        L = draw(st.integers(0, 3))
+        if command == "blind-sim":
+            s, rho = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+            n, params = 2 * rho * (s + 1), {"rho": rho}
+            cross = points(2, n, size=s)
+        elif command == "ff3-sim":
+            eps = draw(st.integers(1, 3))
+            K, n, params = 3, 2 * L + 2 * eps + 1, {"epsilon": eps}
+        elif command == "ffk-sim":
+            K = draw(st.integers(3, 4))
+            n, params = 2 * L + 1 + 2 ** ((K - 1) * (K - 2) - 1), {"n_star": 1}
+        hidden = points(1, n, size=min(L, n))
+    if cross is not None:
+        patterns = [[cross if p != q else points(2, n) for q in range(K)]
+                    for p in range(K)]
+    elif draw(st.booleans()):
+        patterns = [[points(2, n)] * K for _ in range(K)]
+    else:
+        patterns = [[points(2, n) for _ in range(K)] for _ in range(K)]
+    unknown = [[[] if p == q else hidden or points(1, n)[:2]
+                for q in range(K)] for p in range(K)]
+    raw = {"K": K, "n": n, "patterns": patterns, "unknown": unknown,
+           "trials": 1, **params}
+    for key, (lo, hi) in (("rho", (1, 3)), ("r", (1, 3)), ("epsilon", (1, 3)),
+                          ("n_star", (1, 2)),
+                          ("memory_distance", (1, max(1, n - 1)))):
+        if key not in raw and draw(st.booleans()):
+            raw[key] = draw(st.integers(lo, hi))
+    raw["direct_kind"] = draw(st.sampled_from(
+        ("identity", "memory", "permutation")))
+    return command, raw
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -257,6 +257,27 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
         assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3), (4, 3)])
+def test_loop_closure_joints_skip_the_svd_up_to_L4(monkeypatch, L, eps):
+    # the pair bounds decide every loop joint of the benchmark's classes:
+    # the loop base (n, L + 1) is factored once and no (B, n, L + 2)
+    # stack of joints reaches the SVD
+    svd, shapes = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    n = 2 * (L + eps) + 1
+    cfg = NetworkConfig(**_frontier_network(3, n, L, L + 2))
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    summary = run_trials(Scenario("fastfading3", cfg, {"epsilon": eps},
+                                  trials=20, base_seed=1000 * L + eps))
+    assert summary.all_passed
+    assert shapes.count((n, L + 1)) == 20
+    assert [s for s in shapes if s[1:] == (n, L + 2)] == []
+
+
 # ---------------------------------------------------------------------------
 # K-user generalization
 
