@@ -6,8 +6,11 @@ whose members agree with the true channel on known slots.  Ratios of
 first-family surrogates around the 3-user loop give a diagonal transfer
 map T; mixing its powers with powers of a diagonal G (identity outside
 the union of hidden slots, random inside) yields column sets whose spans
-are immune to the hidden gains: any surrogate-member substitution moves
-columns only inside the span.
+are immune to the hidden gains: the span of G's powers holds every e_s, s
+hidden, and a substitution of hidden values moves columns only along
+those.  ``verify_3user`` checks that claim for every hidden value at
+once, by ranking each span beside E_omega = [e_s : s hidden], not by
+sampling substitutions.
 
 Also implemented: the exact CSIT-fraction metric, the closed-form sum-DoF
 caps as a function of that fraction, and the K-user generalization built
@@ -46,7 +49,6 @@ __all__ = [
 ]
 
 KUSER_SIZE_GUARD = 100_000
-_COMBO_CAP = 64     # member substitutions checked per verification loop
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +189,6 @@ def draw_3user(instance: NetworkInstance, epsilon, omega, seed):
                              tx_columns=(v1, v2, v3), expected=expected)
 
 
-def _member_combos(fams, keys, rng):
-    """Member index per key for every substitution to check, one row each
-    in lexicographic order: all of them when there are at most
-    _COMBO_CAP, else the distinct rows among _COMBO_CAP random draws.
-
-    Rows are deduplicated as mixed-radix codes (first key most
-    significant), whose numeric order is the rows' lexicographic order.
-    """
-    sizes = [len(fams[k].members) for k in keys]
-    if np.prod(sizes) <= _COMBO_CAP:
-        return np.indices(sizes).reshape(len(sizes), -1).T
-    draw = rng.integers(0, sizes, size=(_COMBO_CAP, len(sizes)))
-    radix = np.cumprod([1, *sizes[:0:-1]])[::-1]
-    return np.column_stack(np.unravel_index(np.unique(draw @ radix), sizes))
-
-
 def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     """Rank-based verification on true (hidden values included) channels,
     as ``(checks, measured, total_dof)``: the total is the expected
@@ -212,47 +198,34 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     transform whose bandwidth exceeds the hidden-slot gaps; with other
     transforms the result is reported but flagged as not guaranteed.
 
-    One ``numeric_rank_by_shape`` call ranks every matrix, one stack per
-    distinct shape; the span sides and joints go in as the stacks they are
-    built as.  A containment holds when the rank of the raw ``[base,
-    candidate]`` joint equals the base's.  The loop base and its loop vectors
-    go in as one ``(base, vecs)`` pair: the kernel factors the base once
-    and builds and factors only the joints its margin bounds leave open.
-    ``rx1_span_equality`` ranks each side once per surrogate member and
-    one ``[right, left]`` joint per substitution: column order does not
-    change a rank, so the two sides span one space when both their ranks
-    equal the joint's.  The seeded draws come in a fixed order: the rx1
-    substitutions, the loop-map substitutions, then their gamma exponents.
+    ``rx1_span_equality`` and ``loop_closure`` claim that a span stays put
+    whatever values the hidden gains take.  Every surrogate member copies
+    the true gain off omega (checked exactly), so a substitution moves a
+    column only by a vector supported on omega, and a diagonal scaling
+    that is nonzero on omega maps span(E_omega), E_omega = [e_s : s in
+    omega], onto itself.  So the loop vectors t' gamma^j stay in the base
+    span for every hidden value iff rank([base, E_omega]) equals the
+    base's rank, and span(g12 v2) = span(g13 v3) for every pair of hidden
+    values iff rank([s13 v3, s12 v2, E_omega]) equals the rank of each
+    side, s12 and s13 the first members of links (0, 1) and (0, 2): that
+    one joint stands for E_omega inside both spans and for their equality.
+    A containment holds when the rank of a raw ``[base, candidate]`` joint
+    equals the base's.  One ``numeric_rank_by_shape`` call ranks every
+    matrix, one stack per distinct shape.
     """
     L, eps = scheme.L, scheme.epsilon
     v1, v2, v3 = scheme.tx_columns
     fams = scheme.surrogates
-    rng = np.random.default_rng(instance.seed + 17)
-
-    # a list of member substitutions is one (combos, n) array per link
-    def substituted(keys, combos):
-        return [fams[k].members[picks] for k, picks in zip(keys, combos.T)]
-
-    # interference from TX2 and TX3 collapses to one span at RX1, for every
-    # surrogate-member substitution of the two incoming links
-    sides12 = fams[(0, 1)].members[:, :, None] * v2
-    sides13 = fams[(0, 2)].members[:, :, None] * v3
-    keys = [(0, 1), (0, 2)]
-    span_combos = _member_combos(fams, keys, rng)
-    g12, g13 = substituted(keys, span_combos)
-    span_joints = np.concatenate(
-        [g13[:, :, None] * v3, g12[:, :, None] * v2], axis=-1)
-
-    # loop-map substitutions stay inside the base span; tx1's first two
-    # column blocks are t^0 gamma^j and t^1 gamma^j, j = 1..L+1
-    gamma_powers = v1[:, :L + 1].T
+    hidden = np.array(scheme.omega, dtype=int) - 1
+    off = np.ones(scheme.n, dtype=bool)
+    off[hidden] = False
+    agree = all((f.members[:, off] == f.members[0, off]).all()
+                for f in fams.values())
+    e_omega = np.eye(scheme.n)[:, hidden]
+    left = _surrogate(fams, 0, 1)[:, None] * v2
+    right = _surrogate(fams, 0, 2)[:, None] * v3
+    # tx1's second column block is t^1 gamma^j, j = 1..L+1
     base = v1[:, L + 1:2 * (L + 1)]
-    keys = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
-    combos = _member_combos(fams, keys, rng)
-    jps = rng.integers(1, L + 2, size=len(combos))
-    g = substituted(keys, combos)
-    vecs = ((g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5])
-            * gamma_powers[jps - 1])
 
     r10 = instance.received_matrix(1, 0, v1)
     r20 = instance.received_matrix(2, 0, v1)
@@ -264,15 +237,17 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
          np.hstack([r20, instance.received_matrix(2, 1, v2)]),
          np.hstack([instance.received_matrix(0, 0, v1),
                     instance.received_matrix(0, 1, v2)]),
-         base, sides12, sides13, span_joints, (base, vecs)])
+         base, left, right, np.hstack([right, left, e_omega]),
+         np.hstack([base, e_omega])])
 
     checks = {
         "rank_tx1": rank_tx1 == L + eps + 1,
         "rank_seeds": rank_seed_b == L + eps and rank_seed_c == L + eps,
-        "rx1_span_equality": bool(np.all(
-            (span == side12[span_combos[:, 0]])
-            & (span == side13[span_combos[:, 1]]))),
-        "loop_closure": bool(np.all(loop == rank_base)),
+        # interference from TX2 and TX3 collapses to one span at RX1, for
+        # every hidden value of the two incoming links
+        "rx1_span_equality": agree and span == side12 == side13,
+        # loop-map substitutions stay inside the base span
+        "loop_closure": agree and loop == rank_base,
         # true-channel containments at RX2 and RX3
         "rx2_containment": joint_rx2 == rank_r10,
         "rx3_containment": joint_rx3 == rank_r20,

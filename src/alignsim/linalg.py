@@ -17,18 +17,6 @@ candidate]`` before they are normalized, and ``numeric_rank_by_shape``
 ranks the list with one kernel call per matrix shape; with
 ``balance_rows`` it first scales every nonzero row to unit length.
 ``is_subspace`` is one such call on a base and its joint.
-
-A list item may also be a pair ``(base, candidates)``, an ``(n, k)``
-base and ``(B, n)`` candidates, ranked as the kernel's ranks of the raw
-joints ``[base, c]``.  The column-normalized base is factored once into
-singular values s_1 >= ... >= s_k and left singular vectors Q; each unit
-candidate c gets its residual d = |c - Q Q^T c|.  The unit-column joint J
-has s_1 <= sigma_1(J) <= sqrt(s_1^2 + 1), sigma_i(J) >= s_i for i <= k
-and d s_k / sigma_1(J) <= sigma_(k+1)(J) <= d, so when s_k >= M tau
-sqrt(s_1^2 + 1) (tau the threshold, M = ``_PAIR_MARGIN``) rank k follows
-from d <= tau s_1 / M and rank k + 1 from d s_k >= M tau (s_1^2 + 1).
-Other candidates, and every one of a base below that bound or ranked
-with ``balance_rows``, join the kernel's stack as raw joints.
 """
 
 import numpy as np
@@ -38,12 +26,6 @@ __all__ = ["numeric_rank_by_shape", "is_subspace"]
 
 RELATIVE_THRESHOLD = 1e-8
 
-# LAPACK's singular values and the residuals err by about n * eps * s_1,
-# six orders of magnitude below the threshold, so a factor 2 on either
-# side of the exact pair bounds keeps every decision the kernel's
-_PAIR_MARGIN = 2.0
-_SHAPES = ("expected non-empty 2-D matrices, 3-D stacks or (base, (batch, "
-           "rows) candidates) pairs")
 
 # a norm below this may have lost bits to squares that underflow
 _TINY_NORM = 2.0 ** -480
@@ -81,36 +63,12 @@ def _ranks(stack):
     return (s > RELATIVE_THRESHOLD * s[:, :1]).sum(axis=-1)
 
 
-def _pair_ranks(base, cands, balance_rows):
-    """The kernel's rank of every raw joint ``[base, c]`` that the pair
-    bounds decide, -1 for the rest, and the stack of the rest's joints."""
-    if (base.ndim != 2 or cands.ndim != 2 or 0 in base.shape + cands.shape
-            or cands.shape[1] != base.shape[0]):
-        raise ValueError(_SHAPES)
-    n, k = base.shape
-    ranks = np.full(len(cands), -1)
-    if not balance_rows and k <= n:
-        q, s, _ = np.linalg.svd(_normalized(base), full_matrices=False)
-        tau, m, top = RELATIVE_THRESHOLD, _PAIR_MARGIN, s[0] ** 2 + 1
-        if s[-1] >= m * tau * np.sqrt(top):
-            c = _normalized(cands, axis=-1)
-            r = c - (c @ q) @ q.T
-            d = np.sqrt((r * r).sum(axis=-1))
-            ranks[d <= tau * s[0] / m] = k
-            ranks[d * s[-1] >= m * tau * top] = k + 1
-    c = cands[ranks < 0]
-    return ranks, np.concatenate(
-        [np.broadcast_to(base, (len(c),) + base.shape), c[:, :, None]],
-        axis=-1)
-
-
 def numeric_rank_by_shape(ms, balance_rows=False):
-    """Numeric rank of every item of a list, an int for a 2-D matrix and
-    an int array for a 3-D stack or a ``(base, candidates)`` pair, from
-    one kernel call per distinct ``(rows, cols)`` on that shape's matrices
-    in list order, a pair's joints that its bounds leave open among them.
-    A lone C-contiguous float64 array is ranked as it is; the kernel sums
-    columns in memory order, so a stack built in place must be C-ordered.
+    """Numeric rank of every array of a list, an int for a 2-D matrix and
+    an int array for a 3-D stack, from one kernel call per distinct
+    ``(rows, cols)`` on that shape's matrices in list order.  A lone
+    C-contiguous float64 array is ranked as it is; the kernel sums columns
+    in memory order, so a stack built in place must be C-ordered.
 
     ``balance_rows`` first scales every nonzero row to unit length.  That
     keeps the rank exactly and lifts a true dimension that lives only in
@@ -119,26 +77,19 @@ def numeric_rank_by_shape(ms, balance_rows=False):
     """
     by_shape, ranks = {}, [None] * len(ms)
     for i, m in enumerate(ms):
-        if isinstance(m, tuple):
-            ranks[i], m = _pair_ranks(*m, balance_rows)
-            if not len(m):
-                continue
         if m.ndim not in (2, 3) or 0 in m.shape:
-            raise ValueError(_SHAPES)
-        by_shape.setdefault(m.shape[-2:], []).append((i, m))
-    for group in by_shape.values():
-        parts = [m if m.ndim == 3 else m[None] for _, m in group]
+            raise ValueError("expected non-empty 2-D matrices or 3-D stacks")
+        by_shape.setdefault(m.shape[-2:], []).append(i)
+    for idx in by_shape.values():
+        parts = [ms[i] if ms[i].ndim == 3 else ms[i][None] for i in idx]
         a = parts[0]
         lone = len(parts) == 1 and a.dtype == float and a.flags.c_contiguous
         a = a if lone else np.concatenate(parts, dtype=float)
         r = _ranks(_normalized(a, axis=-1) if balance_rows else a)
         start = 0
-        for (i, m), part in zip(group, parts):
-            got = r[start:start + len(part)]
-            if ranks[i] is not None:
-                ranks[i][ranks[i] < 0] = got
-            else:
-                ranks[i] = got if m.ndim == 3 else int(got[0])
+        for i, part in zip(idx, parts):
+            ranks[i] = (r[start:start + len(part)] if ms[i].ndim == 3
+                        else int(r[start]))
             start += len(part)
     return ranks
 

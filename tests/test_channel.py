@@ -3,8 +3,6 @@
 import dataclasses
 import json
 import random
-from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from alignsim.channel import (H_MAX_DEFAULT, H_MIN_DEFAULT, ChangingPattern,
                               sample_network, separated_uniform,
                               union_pattern)
 from alignsim.decomposition import build_indexed_basis, build_power_basis
-from alignsim.fastfading import _COMBO_CAP, _member_combos
 from alignsim.linalg import numeric_rank_by_shape
 
 
@@ -404,15 +401,6 @@ def scalar_direct_transform(kind, distance, n, seed):
     return mat
 
 
-def scalar_member_combos(sizes, rng):
-    total = int(np.prod(sizes))
-    if total <= _COMBO_CAP:
-        return list(product(*(range(s) for s in sizes)))
-    picks = {tuple(int(rng.integers(0, s)) for s in sizes)
-             for _ in range(_COMBO_CAP)}
-    return sorted(picks)
-
-
 @st.composite
 def patterns(draw, max_n=40):
     n = draw(st.integers(1, max_n))
@@ -482,36 +470,3 @@ def test_large_memory_transform_needs_no_float_rank():
     for seed in range(20):
         t = direct_transform_matrix("memory", 50, 101, seed)
         assert np.all(np.diagonal(t.matrix) >= H_MIN_DEFAULT)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
-       L=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
-def test_batched_member_combos_and_exponents_match_scalar_draws(sizes, L,
-                                                                seed):
-    fams = {k: SimpleNamespace(members=range(s)) for k, s in enumerate(sizes)}
-    batched, scalar = (np.random.default_rng(seed) for _ in range(2))
-    combos = _member_combos(fams, list(fams), batched)
-    ref = scalar_member_combos(sizes, scalar)
-    assert [tuple(c) for c in combos.tolist()] == ref
-    jps = batched.integers(1, L + 2, size=len(combos))
-    assert jps.tolist() == [int(scalar.integers(1, L + 2)) for _ in ref]
-    assert batched.uniform() == scalar.uniform()
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=7),
-       seed=st.integers(0, 2**32 - 1))
-def test_member_combos_dedupe_equals_unique_rows(sizes, seed):
-    # the mixed-radix dedupe gives np.unique(draw, axis=0) of the same draw
-    fams = {k: SimpleNamespace(members=range(s)) for k, s in enumerate(sizes)}
-    batched, ref = (np.random.default_rng(seed) for _ in range(2))
-    combos = _member_combos(fams, list(fams), batched)
-    if np.prod(sizes) <= _COMBO_CAP:
-        want = np.indices(sizes).reshape(len(sizes), -1).T
-    else:
-        want = np.unique(ref.integers(0, sizes, size=(_COMBO_CAP, len(sizes))),
-                         axis=0)
-    assert combos.shape == want.shape and combos.dtype == want.dtype
-    assert np.array_equal(combos, want)
-    assert batched.uniform() == ref.uniform()

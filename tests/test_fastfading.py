@@ -6,11 +6,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsim.channel import NetworkConfig, UnknownSet, sample_network
-from alignsim.fastfading import (_grid_columns, _member_combos,
-                                 dof_cap_given_upsilon, draw_3user,
-                                 draw_kuser, hidden_union,
+from alignsim.fastfading import (_grid_columns, dof_cap_given_upsilon,
+                                 draw_3user, draw_kuser, hidden_union,
                                  min_upsilon_for_max_dof, plan_3user,
                                  plan_kuser, upsilon_fraction, verify_3user,
                                  verify_kuser)
@@ -167,62 +168,63 @@ def test_3user_frontier_verdicts_are_pinned(L, eps, loop_passes):
 
 def _verify_3user_one_at_a_time(scheme, instance):
     """verify_3user's checks and measured numbers from one rank or
-    is_subspace call per decision, the draws taken in the same order; also
-    both joint ranks, [right, left] and [left, right], of every rx1
-    substitution."""
-    L, eps = scheme.L, scheme.epsilon
+    is_subspace call per matrix of its reduction, and the ranks of both
+    column orders, [right, left, E_omega] and [left, right, E_omega], of
+    the rx1 joint."""
+    L, eps, n = scheme.L, scheme.epsilon, scheme.n
     v1, v2, v3 = scheme.tx_columns
     fams = scheme.surrogates
-    rng = np.random.default_rng(instance.seed + 17)
     checks, measured = {}, {}
 
-    def member(key, index):
-        return fams[key].members[index]
+    def rank(m):
+        return numeric_rank_by_shape([m])[0]
 
     # tx3's and tx2's seeds are the tx1 columns t^i gamma^j with i >= 1
     # and with i < eps
-    measured["rank_tx1"] = numeric_rank_by_shape([v1])[0]
-    measured["rank_seed_b"] = numeric_rank_by_shape([v1[:, L + 1:]])[0]
-    measured["rank_seed_c"] = numeric_rank_by_shape([v1[:, :eps * (L + 1)]])[0]
+    measured["rank_tx1"] = rank(v1)
+    measured["rank_seed_b"] = rank(v1[:, L + 1:])
+    measured["rank_seed_c"] = rank(v1[:, :eps * (L + 1)])
     checks["rank_tx1"] = measured["rank_tx1"] == L + eps + 1
     checks["rank_seeds"] = (measured["rank_seed_b"] == L + eps
                             and measured["rank_seed_c"] == L + eps)
 
-    span, joint_orders = True, []
-    for i12, i13 in _member_combos(fams, [(0, 1), (0, 2)], rng):
-        left = member((0, 1), i12)[:, None] * v2
-        right = member((0, 2), i13)[:, None] * v3
-        span &= is_subspace(left, right) and is_subspace(right, left)
-        joint_orders.append(tuple(numeric_rank_by_shape(
-            [np.hstack([right, left]), np.hstack([left, right])])))
-    checks["rx1_span_equality"] = span
+    agree = all(member[k] == fam.members[0][k]
+                for fam in fams.values() for member in fam.members
+                for k in range(n) if k + 1 not in scheme.omega)
+    e_omega = np.eye(n)[:, [s - 1 for s in scheme.omega]]
+    left = fams[(0, 1)].members[0][:, None] * v2
+    right = fams[(0, 2)].members[0][:, None] * v3
+    orders = (rank(np.hstack([right, left, e_omega])),
+              rank(np.hstack([left, right, e_omega])))
+    checks["rx1_span_equality"] = agree and orders[0] == rank(left) == rank(
+        right)
 
     gamma_powers = np.array([scheme.gamma ** j for j in range(1, L + 2)])
     base = np.column_stack([scheme.loop_transfer * g for g in gamma_powers])
-    keys = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
-    combos = _member_combos(fams, keys, rng)
-    jps = rng.integers(1, L + 2, size=len(combos))
-    loop = True
-    for row, jp in zip(combos, jps):
-        g = [member(k, i) for k, i in zip(keys, row)]
-        vec = (g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5]) * gamma_powers[jp - 1]
-        loop &= is_subspace(vec[:, None], base)
-    checks["loop_closure"] = loop
+    checks["loop_closure"] = agree and is_subspace(e_omega, base)
 
     checks["rx2_containment"] = is_subspace(
         instance.received_matrix(1, 2, v3), instance.received_matrix(1, 0, v1))
     checks["rx3_containment"] = is_subspace(
         instance.received_matrix(2, 1, v2), instance.received_matrix(2, 0, v1))
-    measured["joint_rank"] = numeric_rank_by_shape([np.hstack(
+    measured["joint_rank"] = rank(np.hstack(
         [instance.received_matrix(0, 0, v1),
-         instance.received_matrix(0, 1, v2)])])[0]
+         instance.received_matrix(0, 1, v2)]))
     checks["rx1_separation"] = measured["joint_rank"] == 2 * (L + eps) + 1
 
     gaps_ok = all(b - a < max(1, instance.transforms[0].distance)
                   for a, b in zip(scheme.omega, scheme.omega[1:]))
     measured["separation_guaranteed"] = bool(
         instance.transforms[0].kind in ("memory", "permutation") and gaps_ok)
-    return checks, measured, joint_orders
+    return checks, measured, orders
+
+
+def _short_v3(scheme):
+    """The scheme with v3 cut to its first column: its right spans are a
+    strict part of the left ones, which only a test of both sides
+    rejects."""
+    v1, v2, v3 = scheme.tx_columns
+    return dataclasses.replace(scheme, tx_columns=(v1, v2, v3[:, :1]))
 
 
 @pytest.mark.parametrize("L,eps", [(1, 2), (3, 3), (4, 3), (5, 2), (6, 2),
@@ -236,46 +238,168 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
     for seed in range(1000 * L + eps, 1000 * L + eps + 8):
         inst = sample_network(cfg, seed=seed)
         scheme = draw_3user(inst, eps, omega, seed=seed)
-        v1, v2, v3 = scheme.tx_columns
-        # cut to its first column, v3 gives right spans that are a strict
-        # part of the left ones, which only a test of both sides rejects
-        short = dataclasses.replace(scheme, tx_columns=(v1, v2, v3[:, :1]))
-        for variant in (scheme, short):
+        for variant in (scheme, _short_v3(scheme)):
             out = verify_3user(variant, inst)
-            checks, measured, joint_orders = _verify_3user_one_at_a_time(
+            checks, measured, orders = _verify_3user_one_at_a_time(
                 variant, inst)
             assert out == (checks, measured, sum(variant.expected["dof"])
                            if checks["rx1_separation"] else 1), seed
             assert list(out[0]) == list(checks)     # the demo's print order
             assert all(type(v) is bool for v in out[0].values())
             assert all(type(v) in (int, bool) for v in out[1].values())
-            # one joint per substitution stands for both column orders
-            assert all(a == b for a, b in joint_orders), seed
+            # one joint stands for both column orders
+            assert orders[0] == orders[1], seed
         assert not checks["rx1_span_equality"], seed
         verdicts.add(verify_3user(scheme, inst)[0]["loop_closure"])
     if L >= 6:
         assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3), (4, 3)])
-def test_loop_closure_joints_skip_the_svd_up_to_L4(monkeypatch, L, eps):
-    # the pair bounds decide every loop joint of the benchmark's classes:
-    # the loop base (n, L + 1) is factored once and no (B, n, L + 2)
-    # stack of joints reaches the SVD
-    svd, shapes = np.linalg.svd, []
+# The sampled reference for verify_3user's reduction: each "for every
+# hidden value" claim is tried on up to _COMBO_CAP substitutions of
+# surrogate members, drawn from a generator seeded with the instance
+# seed + 17.
+_COMBO_CAP = 64
+
+
+def _member_combos(sizes, rng):
+    """Member index per family for every substitution to try, one row
+    each in lexicographic order: all of them when there are at most
+    _COMBO_CAP, else the distinct rows among _COMBO_CAP random draws."""
+    if np.prod(sizes) <= _COMBO_CAP:
+        return np.indices(sizes).reshape(len(sizes), -1).T
+    return np.unique(rng.integers(0, sizes, size=(_COMBO_CAP, len(sizes))),
+                     axis=0)
+
+
+def sampled_claims(scheme, instance):
+    """(rx1_span_equality, loop_closure) from sampled substitutions: each
+    substituted rx1 joint [g13 v3, g12 v2] has the rank of both its
+    sides, and each substituted loop vector t' gamma^j, j drawn from
+    1..L+1, leaves the loop base's rank unchanged."""
+    L = scheme.L
+    v1, v2, v3 = scheme.tx_columns
+    fams = scheme.surrogates
+    rng = np.random.default_rng(instance.seed + 17)
+
+    def substituted(keys):
+        combos = _member_combos([len(fams[k].members) for k in keys], rng)
+        return combos, [fams[k].members[picks]
+                        for k, picks in zip(keys, combos.T)]
+
+    span_combos, (g12, g13) = substituted([(0, 1), (0, 2)])
+    base = v1[:, L + 1:2 * (L + 1)]
+    combos, g = substituted([(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)])
+    jps = rng.integers(1, L + 2, size=len(combos))
+    vecs = (g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5]) * v1[:, jps - 1].T
+    side12, side13, span, rank_base, loop = numeric_rank_by_shape([
+        fams[(0, 1)].members[:, :, None] * v2,
+        fams[(0, 2)].members[:, :, None] * v3,
+        np.concatenate([g13[:, :, None] * v3, g12[:, :, None] * v2], axis=-1),
+        base,
+        np.concatenate([np.broadcast_to(base, (len(vecs),) + base.shape),
+                        vecs[:, :, None]], axis=-1)])
+    return (bool(np.all((span == side12[span_combos[:, 0]])
+                        & (span == side13[span_combos[:, 1]]))),
+            bool(np.all(loop == rank_base)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(L=st.integers(1, 4), eps=st.integers(1, 3),
+       kind=st.sampled_from(["memory", "permutation", "identity"]),
+       short=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_exact_claims_equal_the_sampled_claims(L, eps, kind, short, seed):
+    # where float rank is reliable (L <= 4), the reduction's verdict is
+    # the one every sampled substitution gives
+    n = 2 * (L + eps) + 1
+    cfg = fastfading_config(3, n, L, direct_kind=kind)
+    inst = sample_network(cfg, seed=seed)
+    scheme = draw_3user(inst, eps, plan_3user(cfg, eps), seed=seed)
+    if short:
+        scheme = _short_v3(scheme)
+    checks = verify_3user(scheme, inst)[0]
+    assert (checks["rx1_span_equality"], checks["loop_closure"]) == (
+        sampled_claims(scheme, inst)) == (not short, True)
+
+
+def _ff3_trial(L, eps, seed=0):
+    n = 2 * (L + eps) + 1
+    inst = sample_network(fastfading_config(3, n, L), seed=seed)
+    return draw_3user(inst, eps, plan_3user(inst, eps), seed=seed), inst
+
+
+def _with_members(scheme, edit):
+    """The scheme with edit(key, members) applied to a copy of every
+    surrogate family's members."""
+    fams = {}
+    for key, fam in scheme.surrogates.items():
+        members = fam.members.copy()
+        edit(key, members)
+        fams[key] = dataclasses.replace(fam, members=members)
+    return dataclasses.replace(scheme, surrogates=fams)
+
+
+@pytest.mark.parametrize("link", [(0, 1), (0, 2)])
+@pytest.mark.parametrize("L,eps", [(1, 2), (3, 3)])
+def test_member_moved_at_a_known_slot_fails_both_claims(L, eps, link):
+    # one ulp at the last slot, which is known, of the link's last member:
+    # no float rank sees it, so every sampled substitution passes, but the
+    # members no longer agree off the hidden slots, and a hidden value
+    # then moves the spans off the known slots too
+    scheme, inst = _ff3_trial(L, eps)
+
+    def nudge(key, members):
+        if key == link:
+            members[-1, -1] = np.nextafter(members[-1, -1], np.inf)
+
+    moved = _with_members(scheme, nudge)
+    assert sampled_claims(moved, inst) == (True, True)
+    assert verify_3user(moved, inst)[0] == {
+        **verify_3user(scheme, inst)[0],
+        "rx1_span_equality": False, "loop_closure": False}
+
+
+@pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3)])
+def test_base_without_one_hidden_direction_fails_loop_closure(L, eps):
+    # the mixer left at 1 on the last hidden slot s drops e_s from the
+    # loop base's span; with every surrogate member frozen at s, each
+    # sampled loop vector stays in that span, but a hidden value at s
+    # moves the loop vector off it
+    scheme, inst = _ff3_trial(L, eps)
+    s = scheme.omega[-1] - 1
+    gam = scheme.gamma.copy()
+    gam[s] = 1.0
+    t = scheme.loop_transfer
+    v1 = np.column_stack([(t ** i) * (gam ** j) for i in range(eps + 1)
+                          for j in range(1, L + 2)])
+
+    def freeze(key, members):
+        members[:, s] = members[0, s]
+
+    cut = dataclasses.replace(_with_members(scheme, freeze), gamma=gam,
+                              tx_columns=(v1, *scheme.tx_columns[1:]))
+    assert sampled_claims(cut, inst)[1]
+    assert not verify_3user(cut, inst)[0]["loop_closure"]
+    assert verify_3user(scheme, inst)[0]["loop_closure"]
+
+
+@pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3), (4, 3), (8, 1)])
+def test_no_substitution_stack_reaches_the_svd(monkeypatch, L, eps):
+    # a trial ranks 13 matrices, 3 of them for the claims for every hidden
+    # value, however many members the surrogate families have: no
+    # (B, n, .) stack of substitutions reaches the SVD
+    svd, batches = np.linalg.svd, []
 
     def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        batches.append(len(a))
         return svd(a, *args, **kwargs)
 
     n = 2 * (L + eps) + 1
     cfg = NetworkConfig(**_frontier_network(3, n, L, L + 2))
     monkeypatch.setattr(np.linalg, "svd", spy)
-    summary = run_trials(Scenario("fastfading3", cfg, {"epsilon": eps},
-                                  trials=20, base_seed=1000 * L + eps))
-    assert summary.all_passed
-    assert shapes.count((n, L + 1)) == 20
-    assert [s for s in shapes if s[1:] == (n, L + 2)] == []
+    run_trials(Scenario("fastfading3", cfg, {"epsilon": eps}, trials=5,
+                        base_seed=1000 * L + eps))
+    assert sum(batches) == 5 * 13
 
 
 # ---------------------------------------------------------------------------

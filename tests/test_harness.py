@@ -155,10 +155,9 @@ def ffk_scenario(trials=3):
     # (3, 2, 2, 2) take two stacks each way and the dense demo's one
     (shared_scenario, 2 + 1 + 2),
     (dense_scenario, 1 + 1 + 1),
-    # one factorization of the loop-closure base, whose pair bounds decide
-    # every loop joint at this size, then one call over five shapes: three
-    # of single ranks and joints, the rx1 span joints and the loop base
-    (ff3_scenario, 1 + 3 + 1 + 1),
+    # one call over six shapes: three of single ranks and joints, the loop
+    # base, and the rx1 and loop joints beside E_omega
+    (ff3_scenario, 3 + 1 + 2),
     # one balanced call over the seed and tx1 families, which differ in
     # shape
     (ffk_scenario, 2)], ids=["blind", "pair", "dense", "ff3", "ffk"])
@@ -183,8 +182,8 @@ def test_trial_svd_calls(monkeypatch, make, svds):
     (shared_scenario, 16 + 1), (dense_scenario, 16 + 1),
     # the seven links it reads (not (1,1) or (2,2)), the one direct
     # transform verify_3user reads (receiver 0's), six surrogate
-    # families, the mixer and the verifier's substitutions
-    (ff3_scenario, 7 + 1 + 6 + 1 + 1),
+    # families and the mixer
+    (ff3_scenario, 7 + 1 + 6 + 1),
     # the twelve cross links, their twelve surrogate families and the
     # mixer: no direct link and no direct transform
     (ffk_scenario, 12 + 12 + 1)],
@@ -454,8 +453,8 @@ GOLDEN_SVD_INPUT_SHA256 = {
     ("pair", 1000): "67b0a5405987dc6d2ce73882c2856998c95db9c7addc071a03dc5c3db78513fc",
     ("dense", 0): "7519fdc47e990ef2546d285f88dc4876c10da7193b4cbdc0ae44785cf26f36d2",
     ("dense", 1000): "66f6a361f7dd10589c82672a21783581b98f51fc73b1404da6f2b666fcf5b7fd",
-    ("ff3", 0): "2ea078a8d9211b284d003c70d2ba1d6e2d62020abc59d9395b2da50ec5da7833",
-    ("ff3", 1000): "29738e81adcc53957b5177d060fdc75ef937f1fd283787f0a22a3a3500a486aa",
+    ("ff3", 0): "f349cfafdb000b6ae81f157d4ca03b3b003c8df8e98fb8b0984a362e604c986f",
+    ("ff3", 1000): "19d2bbb1ecb395155a3a64cef9275992d16ab7fd2a367beed9bdc680419f4e86",
     ("ffk", 0): "3a042f6e234571af6942ed9c2b939740a084c288f63f6165b8da0d40ae0fde63",
     ("ffk", 1000): "98ac2a2d21c1db8393392858366497942d4717661b060202afeb3b349be6b8e8",
     ("blind-memory", 0): "ccdacffedb8096f7d81c1d9379eeec4f63d6ad83a5d25481e448527723562623",
