@@ -2,10 +2,11 @@
 
 All cross links into every receiver share one changing pattern.  The
 transmitters build their precoders from that pattern alone (no gains):
-columns are powers of a staircase diagonal anchored at the pattern's
-blocks, mixed with powers of a random diagonal.  Any diagonal channel
-with the shared pattern then maps the precoder into the same fixed
-interference subspace, so half the slots stay free for desired signal.
+columns are the indicators of the pattern's blocks, which span the powers
+of a staircase diagonal anchored at those blocks, mixed with powers of a
+random diagonal.  Any diagonal channel with the shared pattern then maps
+the precoder into the same fixed interference subspace, so half the
+slots stay free for desired signal.
 
 The receiver's own (direct) channel is drawn with a different pattern;
 every slot where it changes privately -- off the cross-link union --

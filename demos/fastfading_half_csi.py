@@ -5,10 +5,10 @@ hidden from everyone.  For each cross link the library builds a surrogate
 family: diagonals that agree with the true channel on known slots and
 carry fresh values on hidden ones.  Ratios of surrogates around the
 3-user loop give a transfer map T, and precoders are built from powers of
-T mixed with a random diagonal that is 1 outside the hidden slots.  The
-construction is immune to the hidden gains: substituting any surrogate
-member moves columns only inside their span, so alignment survives no
-matter what the hidden values turn out to be.
+T times the indicator of the known slots, beside one unit column per
+hidden slot.  The construction is immune to the hidden gains:
+substituting any surrogate member moves columns only inside their span,
+so alignment survives no matter what the hidden values turn out to be.
 
 Run:  python demos/fastfading_half_csi.py
 """

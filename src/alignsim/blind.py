@@ -1,11 +1,13 @@
 """Blind precoding from the union cross-channel pattern.
 
-All transmitters share one column set built from powers of a generator
-diagonal Q (matching the union of all cross patterns, s change points)
-mixed by powers of a fully random diagonal: columns Q^a G^j 1 with
-a in [1, s+1] and j in [1, rho], giving n = 2*rho*(s+1) slots and
-n/2 columns.  Every cross channel maps the set into its own span, so the
-interference at each receiver stays inside those n/2 dimensions; free
+All transmitters share one column set: the indicators 1_b of the union
+blocks (s change points, s+1 blocks) mixed by powers of a fully random
+diagonal G, columns 1_b G^j with j in [1, rho], giving n = 2*rho*(s+1)
+slots and n/2 columns.  It spans what the columns Q^a G^j, a in [1, s+1],
+span for a generator diagonal Q matching the union pattern with distinct
+nonzero block values, and is block-diagonal where those powers are
+ill-conditioned.  Every cross channel maps the set into its own span, so
+the interference at each receiver stays inside those n/2 dimensions; free
 dimensions appear wherever the direct channel changes at slots where no
 cross channel does.
 """
@@ -17,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChangingPattern, constant_intervals, separated_uniform
-from .decomposition import build_power_basis
 from .linalg import numeric_rank_by_shape
 
 __all__ = [
@@ -64,13 +65,19 @@ def plan_blind(cross_union: ChangingPattern, rho):
 
 
 def draw_blind(plan: BlindPlan, K, seed):
-    """The shared column set for K transmitters, drawn from seed: the
-    generator powers Q^1..Q^(s+1) are the union's power family."""
-    powers = build_power_basis(plan.union, seed).members
+    """The shared column set for K transmitters, drawn from seed: 1_b G^j,
+    b-major, for the union blocks b and the mixer G drawn from seed + 1.
+
+    Its span is that of Q^a G^j, a = 1..s+1, for any generator Q with
+    s+1 distinct nonzero block values: the Vandermonde matrix of Q's
+    powers on those values is invertible, so span{Q^a} = span{1_b}.
+    """
     rng = np.random.default_rng(seed + 1)
     gam = np.asarray(separated_uniform(rng, plan.n))
-    cols = [q * (gam ** j) for q in powers for j in range(1, plan.rho + 1)]
-    basis = np.column_stack(cols)
+    lengths = plan.union.lengths
+    blocks = np.eye(len(lengths)).repeat(lengths, axis=0)
+    powers = gam[:, None] ** np.arange(1, plan.rho + 1)
+    basis = (blocks[:, :, None] * powers[:, None, :]).reshape(plan.n, -1)
     basis.setflags(write=False)     # one basis for all K precoders
     return BlindScheme(n=plan.n, rho=plan.rho, union=plan.union,
                        precoders=(basis,) * K, interference_basis=basis)

@@ -65,17 +65,16 @@ def _value_gap(count):
                (H_MAX_DEFAULT - H_MIN_DEFAULT) / (2 * count + 2))
 
 
-def separated_uniform(rng, count, avoid=()):
+def separated_uniform(rng, count):
     """The first count uniform draws on [H_MIN_DEFAULT, H_MAX_DEFAULT)
-    that lie _value_gap(count + len(avoid)) or more from every value kept
-    before them and from ``avoid`` (e.g. a fixed gain of 1), consuming
-    exactly the draws of a one-at-a-time loop.  With m values to place, a
-    kept one rules out less than twice the gap, so over a 1 / (m + 1)
-    share of the range stays open and the loop terminates.  Only a draw's
-    two sorted neighbours are compared, as rounded subtraction is monotone.
+    that lie _value_gap(count) or more from every value kept before them,
+    consuming exactly the draws of a one-at-a-time loop.  A kept value
+    rules out less than twice the gap, so over a 1 / (count + 1) share of
+    the range stays open and the loop terminates.  Only a draw's two
+    sorted neighbours are compared, as rounded subtraction is monotone.
     """
-    gap = _value_gap(count + len(avoid))
-    vals, taken = [], sorted(avoid)
+    gap = _value_gap(count)
+    vals, taken = [], []
     while len(vals) < count:
         for v in rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
                              size=count - len(vals)).tolist():

@@ -4,13 +4,12 @@ Every cross link (p, q) has a set U of slots whose gain is hidden from
 everyone.  For each such link we build a surrogate family (indexed basis)
 whose members agree with the true channel on known slots.  Ratios of
 first-family surrogates around the 3-user loop give a diagonal transfer
-map T; mixing its powers with powers of a diagonal G (identity outside
-the union of hidden slots, random inside) yields column sets whose spans
-are immune to the hidden gains: the span of G's powers holds every e_s, s
-hidden, and a substitution of hidden values moves columns only along
-those.  ``verify_3user`` checks that claim for every hidden value at
-once, by ranking each span beside E_omega = [e_s : s hidden], not by
-sampling substitutions.
+map T; its powers times the indicator u of the slots off the hidden union
+omega, beside E_omega = [e_s : s in omega], yield column sets whose spans
+are immune to the hidden gains: a substitution of hidden values moves
+columns only along E_omega, which each span holds.  ``verify_3user``
+checks that claim for every hidden value at once, by ranking each span
+beside E_omega, not by sampling substitutions.
 
 Also implemented: the exact CSIT-fraction metric, the closed-form sum-DoF
 caps as a function of that fraction, and the K-user generalization built
@@ -27,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import NetworkInstance, UnknownSet, separated_uniform
+from .channel import NetworkInstance, UnknownSet
 from .decomposition import build_indexed_basis
 # is_subspace is bound here, unused, because perfbench's tracing test
 # checks that the tracer rebinds alignsim.fastfading.is_subspace
@@ -110,14 +109,10 @@ class FastFading3Scheme:
     epsilon: int
     omega: tuple                # sorted hidden slots
     loop_transfer: np.ndarray   # diagonal values of the loop map T
-    gamma: np.ndarray           # diagonal mixer, 1 outside omega
+    indicators: np.ndarray      # [u, E_omega], u the indicator off omega
     surrogates: dict            # (p, q) -> indexed BasisFamily
     tx_columns: tuple           # precoder matrix per transmitter (V1, V2, V3)
     expected: dict              # {"dof": per-user DoF fractions}
-
-
-def _surrogate(fams, p, q):
-    return fams[(p, q)].members[0]
 
 
 def _hidden_omega(network, fixed_slots):
@@ -136,19 +131,18 @@ def _hidden_omega(network, fixed_slots):
 
 
 def _hidden_slot_setup(instance, omega, seed):
-    """Surrogate families and the diagonal mixer (1 outside the hidden
-    union omega) of a scheme."""
+    """Surrogate families, their first members and the indicator basis
+    [u, E_omega] of a scheme, u the indicator of the slots off omega."""
     K, n = instance.K, instance.n
     cross = [(p, q) for p in range(K) for q in range(K) if p != q]
     fams = {pq: build_indexed_basis(instance.channel(*pq),
                                     instance.unknown_set(*pq),
                                     seed * 613 + idx + 1)
             for idx, pq in enumerate(cross)}
-    rng = np.random.default_rng(seed)
-    gam = np.ones(n)
-    for slot, v in zip(omega, separated_uniform(rng, len(omega), avoid=(1.0,))):
-        gam[slot - 1] = v
-    return fams, gam
+    basis = np.zeros((n, len(omega) + 1))
+    basis[:, 0] = 1.0
+    basis[np.array(omega, dtype=int) - 1] = np.eye(len(omega) + 1)[1:]
+    return fams, {pq: f.members[0] for pq, f in fams.items()}, basis
 
 
 def plan_3user(network, epsilon):
@@ -163,30 +157,30 @@ def plan_3user(network, epsilon):
 
 def draw_3user(instance: NetworkInstance, epsilon, omega, seed):
     """The three precoders of a planned 3-user scheme, from surrogate
-    families only.
+    families only, so hidden values never leak in (the indexed basis
+    copies the known slots and redraws the hidden ones).
 
-    The builder reads true gains solely on known slots (the indexed basis
-    copies those and redraws hidden ones), so hidden values never leak in.
+    tx1's columns are [u, t u, ..., t^epsilon u, E_omega], t the loop
+    map; tx3's seed drops u and tx2's drops t^epsilon u.  They span what
+    the products t^i gamma^j, j = 1..L+1, span for a mixer gamma that is 1
+    off omega and distinct, nonzero and not 1 on it: the Vandermonde
+    matrix on the nodes {1, gamma_s} is invertible, so span{gamma^j} =
+    span{u, E_omega}, and t, nonzero on omega, keeps span(E_omega).
     """
     n, L = instance.n, len(omega)
-    fams, gam = _hidden_slot_setup(instance, omega, seed)
-
-    t = (_surrogate(fams, 0, 1) * _surrogate(fams, 1, 2) * _surrogate(fams, 2, 0)
-         / (_surrogate(fams, 1, 0) * _surrogate(fams, 2, 1) * _surrogate(fams, 0, 2)))
-
-    # columns t^i * gamma^j, i-major; tx3's and tx2's seeds are those with
-    # i >= 1 and with i < epsilon
-    v1 = np.column_stack([(t ** i) * (gam ** j) for i in range(epsilon + 1)
-                          for j in range(1, L + 2)])
-    v3 = ((_surrogate(fams, 1, 0) / _surrogate(fams, 1, 2))[:, None]
-          * v1[:, L + 1:])
-    v2 = ((_surrogate(fams, 2, 0) / _surrogate(fams, 2, 1))[:, None]
-          * v1[:, :epsilon * (L + 1)])
+    fams, g, basis = _hidden_slot_setup(instance, omega, seed)
+    t = g[0, 1] * g[1, 2] * g[2, 0] / (g[1, 0] * g[2, 1] * g[0, 2])
+    v1 = np.column_stack([t ** i * basis[:, 0] for i in range(epsilon + 1)]
+                         + [basis[:, 1:]])
+    v3 = (g[1, 0] / g[1, 2])[:, None] * v1[:, 1:]
+    v2 = ((g[2, 0] / g[2, 1])[:, None]
+          * np.hstack([v1[:, :epsilon], v1[:, epsilon + 1:]]))
     expected = {"dof": (Fraction(L + epsilon + 1, n), Fraction(L + epsilon, n),
                         Fraction(L + epsilon, n))}
     return FastFading3Scheme(n=n, L=L, epsilon=epsilon, omega=omega,
-                             loop_transfer=t, gamma=gam, surrogates=fams,
-                             tx_columns=(v1, v2, v3), expected=expected)
+                             loop_transfer=t, indicators=basis,
+                             surrogates=fams, tx_columns=(v1, v2, v3),
+                             expected=expected)
 
 
 def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
@@ -203,12 +197,14 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     the true gain off omega (checked exactly), so a substitution moves a
     column only by a vector supported on omega, and a diagonal scaling
     that is nonzero on omega maps span(E_omega), E_omega = [e_s : s in
-    omega], onto itself.  So the loop vectors t' gamma^j stay in the base
-    span for every hidden value iff rank([base, E_omega]) equals the
-    base's rank, and span(g12 v2) = span(g13 v3) for every pair of hidden
-    values iff rank([s13 v3, s12 v2, E_omega]) equals the rank of each
-    side, s12 and s13 the first members of links (0, 1) and (0, 2): that
-    one joint stands for E_omega inside both spans and for their equality.
+    omega], onto itself.  So the loop vectors t' u = t u and t' e_s stay
+    in the span of the loop base, tx1's columns [t u, E_omega], for every
+    hidden value iff rank([base, E_omega]) equals the base's rank, E_omega
+    read from the scheme's indicator basis; and span(g12 v2) =
+    span(g13 v3) for every pair of hidden values iff rank([s13 v3, s12 v2,
+    E_omega]) equals the rank of each side, s12 and s13 the first members
+    of links (0, 1) and (0, 2): that one joint stands for E_omega inside
+    both spans and for their equality.
     A containment holds when the rank of a raw ``[base, candidate]`` joint
     equals the base's.  One ``numeric_rank_by_shape`` call ranks every
     matrix, one stack per distinct shape.
@@ -216,23 +212,21 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     L, eps = scheme.L, scheme.epsilon
     v1, v2, v3 = scheme.tx_columns
     fams = scheme.surrogates
-    hidden = np.array(scheme.omega, dtype=int) - 1
-    off = np.ones(scheme.n, dtype=bool)
-    off[hidden] = False
+    off = scheme.indicators[:, 0] == 1.0
     agree = all((f.members[:, off] == f.members[0, off]).all()
                 for f in fams.values())
-    e_omega = np.eye(scheme.n)[:, hidden]
-    left = _surrogate(fams, 0, 1)[:, None] * v2
-    right = _surrogate(fams, 0, 2)[:, None] * v3
-    # tx1's second column block is t^1 gamma^j, j = 1..L+1
-    base = v1[:, L + 1:2 * (L + 1)]
+    e_omega = scheme.indicators[:, 1:]
+    left = fams[(0, 1)].members[0][:, None] * v2
+    right = fams[(0, 2)].members[0][:, None] * v3
+    # tx1's columns are [u, t u, ..., t^eps u, E_omega]
+    base = np.hstack([v1[:, 1:2], v1[:, eps + 1:]])
 
     r10 = instance.received_matrix(1, 0, v1)
     r20 = instance.received_matrix(2, 0, v1)
     (rank_tx1, rank_r10, rank_r20, rank_seed_b, rank_seed_c, joint_rx2,
      joint_rx3, joint_rx1, rank_base, side12, side13, span,
      loop) = numeric_rank_by_shape(
-        [v1, r10, r20, v1[:, L + 1:], v1[:, :eps * (L + 1)],
+        [v1, r10, r20, v1[:, 1:], np.hstack([v1[:, :eps], v1[:, eps + 1:]]),
          np.hstack([r10, instance.received_matrix(1, 2, v3)]),
          np.hstack([r20, instance.received_matrix(2, 1, v2)]),
          np.hstack([instance.received_matrix(0, 0, v1),
@@ -277,16 +271,16 @@ class KUserScheme:
     expected: dict
 
 
-def _grid_columns(maps, gamma_powers, lo, hi):
+def _grid_columns(maps, basis, lo, hi):
     """One column per exponent tuple a in [lo, hi]^N, in itertools.product
-    order, times each gamma power in turn: 1 * maps[0]**a_0 * ... *
-    maps[N-1]**a_(N-1) * gamma_powers[j], multiplied in that order."""
-    n = gamma_powers.shape[1]
-    rows = np.ones((1, n))
+    order, u * maps[0]**a_0 * ... * maps[N-1]**a_(N-1) multiplied in that
+    order, then E_omega; ``basis`` is the indicator basis [u, E_omega]."""
+    n = basis.shape[0]
+    rows = basis[:, :1].T
     for t in maps:
         powers = np.array([t ** a for a in range(lo, hi + 1)])
         rows = (rows[:, None] * powers).reshape(-1, n)
-    return (rows[:, None] * gamma_powers).reshape(-1, n).T
+    return np.hstack([rows.T, basis[:, 1:]])
 
 
 def plan_kuser(network, n_star):
@@ -308,24 +302,22 @@ def draw_kuser(instance: NetworkInstance, n_star, omega, seed):
 
     Exponent grids over the N = (K-1)(K-2)-1 pairwise transfer maps give
     the seed set (exponents 1..n_star) and the first transmitter's set
-    (exponents 0..n_star); expected ranks are L + n_star^N and
-    L + (n_star+1)^N over n = 2L + n_star^N + (n_star+1)^N slots.
+    (exponents 0..n_star), each monomial times u, then E_omega; expected
+    ranks are L + n_star^N and L + (n_star+1)^N over n = 2L + n_star^N +
+    (n_star+1)^N slots.  Each set spans what the monomials times gamma^j,
+    j = 1..L+1, span, under ``draw_3user``'s conditions on the mixer
+    gamma, since the maps are nonzero on omega.
     """
     K, n, L = instance.K, instance.n, len(omega)
     N = (K - 1) * (K - 2) - 1
-    fams, gam = _hidden_slot_setup(instance, omega, seed)
-
-    def q1(p, q):
-        return _surrogate(fams, p, q)
-
-    relay = {q: q1(0, 2) * q1(1, 0) / (q1(0, q) * q1(1, 2))
+    _, q1, basis = _hidden_slot_setup(instance, omega, seed)
+    relay = {q: q1[0, 2] * q1[1, 0] / (q1[0, q] * q1[1, 2])
              for q in range(1, K)}
     pairs = [(p, q) for p in range(1, K) for q in range(1, K)
              if p != q and (p, q) != (1, 2)]
-    maps = [q1(*pq) / q1(pq[0], 0) * relay[pq[1]] for pq in pairs]
-    gamma_powers = np.array([gam ** j for j in range(1, L + 2)])
-    seed_cols = _grid_columns(maps, gamma_powers, 1, n_star)
-    tx1_cols = _grid_columns(maps, gamma_powers, 0, n_star)
+    maps = [q1[pq] / q1[pq[0], 0] * relay[pq[1]] for pq in pairs]
+    seed_cols = _grid_columns(maps, basis, 1, n_star)
+    tx1_cols = _grid_columns(maps, basis, 0, n_star)
     expected = {"dim_seed": L + n_star ** N,
                 "dim_tx1": L + (n_star + 1) ** N}
     return KUserScheme(n=n, tx1_columns=tx1_cols, seed_columns=seed_cols,

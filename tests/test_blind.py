@@ -4,10 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsim.blind import (blind_total_dof, draw_blind, generic_free_dims,
                             plan_blind, predicted_free_dims, verify_blind)
-from alignsim.channel import ChangingPattern, sample_network, union_pattern
+from alignsim.channel import (ChangingPattern, sample_network,
+                              separated_uniform, union_pattern)
+from alignsim.decomposition import build_power_basis
 from alignsim import linalg
 from alignsim.harness import Scenario, run_trials
 from alignsim.linalg import is_subspace, numeric_rank_by_shape
@@ -54,6 +58,26 @@ def test_scheme_dimensions_and_rank():
         assert numeric_rank_by_shape([scheme.interference_basis]) == [n // 2]
         for v in scheme.precoders:
             assert v.shape == (n, n // 2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sigma=st.integers(0, 3), rho=st.integers(1, 2), data=st.data(),
+       seed=st.integers(0, 2**31 - 1))
+def test_basis_spans_the_generator_power_columns(sigma, rho, data, seed):
+    # the generator-power construction, Q^a G^j with Q the union's power
+    # family from seed and G the mixer from seed + 1, is the same span as
+    # the block indicators 1_b G^j, rho <= 2
+    n = 2 * rho * (sigma + 1)
+    pts = data.draw(st.sets(st.integers(2, n), min_size=sigma,
+                            max_size=sigma))
+    union = ChangingPattern(n, tuple(pts))
+    new = draw_blind(plan_blind(union, rho), 2, seed).interference_basis
+    gam = np.asarray(separated_uniform(np.random.default_rng(seed + 1), n))
+    old = np.column_stack([q * gam ** j
+                           for q in build_power_basis(union, seed).members
+                           for j in range(1, rho + 1)])
+    ranks = numeric_rank_by_shape([np.hstack([old, new]), old, new])
+    assert len(set(ranks)) == 1
 
 
 def test_minimal_scheme_single_column():

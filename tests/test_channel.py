@@ -79,28 +79,24 @@ def test_sample_channel_range_and_determinism():
     assert np.all((a >= 0.5) & (a <= 2.0))
 
 
-def assert_separated(vals, count, avoid):
+def assert_separated(vals, count):
     vals = np.asarray(vals)
-    gap = _value_gap(count + len(avoid))
     assert vals.size == count
     assert np.all((vals >= 0.5) & (vals < 2.0))
-    assert np.all(np.diff(np.sort(vals)) >= gap)
-    for a in avoid:
-        assert np.all(np.abs(vals - a) >= gap)
+    assert np.all(np.diff(np.sort(vals)) >= _value_gap(count))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(count=st.integers(0, 300), avoid=st.sampled_from([(), (1.0,)]),
-       seed=st.integers(0, 2**32 - 1))
-def test_separated_uniform_keeps_the_derived_gap(count, avoid, seed):
-    vals = separated_uniform(np.random.default_rng(seed), count, avoid=avoid)
-    assert_separated(vals, count, avoid)
+@given(count=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_separated_uniform_keeps_the_derived_gap(count, seed):
+    vals = separated_uniform(np.random.default_rng(seed), count)
+    assert_separated(vals, count)
 
 
 def test_separated_uniform_returns_past_the_fixed_gap_jam():
     # a fixed 0.01 gap jams near 0.75 * 1.5 / 0.01 = 112 values
-    vals = separated_uniform(np.random.default_rng(0), 120, avoid=(1.0,))
-    assert_separated(vals, 120, (1.0,))
+    vals = separated_uniform(np.random.default_rng(0), 120)
+    assert_separated(vals, 120)
 
 
 def test_unknown_set_validation():
@@ -375,13 +371,12 @@ def scalar_sample_channel(p, seed):
     return tuple(out)
 
 
-def scalar_separated_uniform(rng, count, avoid):
-    gap = _value_gap(count + len(avoid))
+def scalar_separated_uniform(rng, count):
+    gap = _value_gap(count)
     vals = []
     while len(vals) < count:
         v = float(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT))
-        if all(abs(v - u) >= gap for u in vals) and \
-                all(abs(v - a) >= gap for a in avoid):
+        if all(abs(v - u) >= gap for u in vals):
             vals.append(v)
     return vals
 
@@ -431,12 +426,11 @@ def test_batched_sample_channel_matches_scalar_loop(p, seed):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(count=st.integers(0, 150), avoid=st.sampled_from([(), (1.0,)]),
-       seed=st.integers(0, 2**32 - 1))
-def test_batched_separated_uniform_matches_scalar_loop(count, avoid, seed):
+@given(count=st.integers(0, 150), seed=st.integers(0, 2**32 - 1))
+def test_batched_separated_uniform_matches_scalar_loop(count, seed):
     batched, scalar = (np.random.default_rng(seed) for _ in range(2))
-    vals = separated_uniform(batched, count, avoid=avoid)
-    assert vals == scalar_separated_uniform(scalar, count, avoid)
+    vals = separated_uniform(batched, count)
+    assert vals == scalar_separated_uniform(scalar, count)
     # the generator is shared with later draws: its next draw must agree
     assert batched.uniform() == scalar.uniform()
 
@@ -448,7 +442,7 @@ def test_power_basis_generator_is_the_separated_draw(p, seed):
     # bit, so they follow the one-draw-at-a-time loop over numpy's stream
     gen = build_power_basis(p, seed).members[0]
     vals = scalar_separated_uniform(np.random.default_rng(seed),
-                                    len(p.lengths), ())
+                                    len(p.lengths))
     assert gen.tobytes() == np.repeat(vals, p.lengths).tobytes()
     assert vals == separated_uniform(np.random.default_rng(seed),
                                      len(p.lengths))

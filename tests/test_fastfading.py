@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.channel import NetworkConfig, UnknownSet, sample_network
+from alignsim import fastfading
+from alignsim.channel import (NetworkConfig, UnknownSet, sample_network,
+                              separated_uniform)
 from alignsim.fastfading import (_grid_columns, dof_cap_given_upsilon,
                                  draw_3user, draw_kuser, hidden_union,
                                  min_upsilon_for_max_dof, plan_3user,
@@ -136,6 +138,43 @@ def test_3user_deterministic_per_seed():
     assert np.array_equal(a.loop_transfer, b.loop_transfer)
 
 
+def _mixer(rng, n, omega):
+    """A mixer gamma: 1 off omega and, on omega, distinct values none of
+    which is 0 or 1 (separated draws over one more separated draw)."""
+    g = np.asarray(separated_uniform(rng, len(omega) + 1))
+    gam = np.ones(n)
+    gam[np.array(omega) - 1] = g[1:] / g[0]
+    return gam
+
+
+def _same_span(old, new, balance_rows=False):
+    """rank([old, new]), rank(old) and rank(new) are one number."""
+    ranks = numeric_rank_by_shape([np.hstack([old, new]), old, new],
+                                  balance_rows=balance_rows)
+    return len(set(ranks)) == 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(L=st.integers(1, 4), eps=st.integers(1, 3),
+       seed=st.integers(0, 2**31 - 1))
+def test_3user_columns_span_the_mixer_power_columns(L, eps, seed):
+    # the mixer-power construction, tx1's columns t^i gamma^j (i-major),
+    # and its seed sets and loop base are the same spans as the indicator
+    # basis's, where float rank is reliable (L <= 4)
+    n = 2 * (L + eps) + 1
+    inst = sample_network(fastfading_config(3, n, L), seed=seed)
+    scheme = draw_3user(inst, eps, plan_3user(inst, eps), seed=seed)
+    t, v1 = scheme.loop_transfer, scheme.tx_columns[0]
+    gam = _mixer(np.random.default_rng(seed), n, scheme.omega)
+    old = np.column_stack([t ** i * gam ** j for i in range(eps + 1)
+                           for j in range(1, L + 2)])
+    assert _same_span(old, v1)
+    assert _same_span(old[:, L + 1:], v1[:, 1:])
+    assert _same_span(old[:, :eps * (L + 1)], np.delete(v1, eps, axis=1))
+    assert _same_span(old[:, L + 1:2 * (L + 1)],
+                      np.hstack([v1[:, 1:2], v1[:, eps + 1:]]))
+
+
 def _frontier_network(K, n, hidden, distance):
     """The benchmark's fast-fading network: every link changes every slot,
     slots 1..hidden are hidden on every cross link, and the direct links
@@ -150,20 +189,19 @@ def _frontier_network(K, n, hidden, distance):
     }
 
 
-@pytest.mark.parametrize("L,eps,loop_passes",
-                         [(5, 2, 56), (5, 3, 56), (6, 2, 44)])
-def test_3user_frontier_verdicts_are_pinned(L, eps, loop_passes):
-    # From L = 5 on, loop_closure meets the float verifier's frontier and
-    # fails on some trials.  These are the counts of the one-matrix-at-a-time
-    # rank tests; a batched rank kernel must flip no verdict.
+@pytest.mark.parametrize("L,eps", [(5, 2), (5, 3), (6, 2), (8, 3), (12, 2)])
+def test_3user_frontier_verdicts_are_pinned(L, eps):
+    # From L = 5 on, the float rank of a mixer-power basis of the same
+    # spans falls short and its checks fail on some trials; on the
+    # indicator basis every check passes on every trial, and a batched
+    # rank kernel must flip no verdict.
     n = 2 * (L + eps) + 1
     cfg = NetworkConfig(**_frontier_network(3, n, L, L + 2))
     summary = run_trials(Scenario("fastfading3", cfg, {"epsilon": eps},
                                   trials=60, base_seed=1000 * L + eps))
     passes = {name: sum(r.checks[name] for r in summary.results)
               for name in summary.results[0].checks}
-    assert passes == {name: loop_passes if name == "loop_closure" else 60
-                      for name in passes}
+    assert passes == dict.fromkeys(passes, 60)
 
 
 def _verify_3user_one_at_a_time(scheme, instance):
@@ -179,11 +217,11 @@ def _verify_3user_one_at_a_time(scheme, instance):
     def rank(m):
         return numeric_rank_by_shape([m])[0]
 
-    # tx3's and tx2's seeds are the tx1 columns t^i gamma^j with i >= 1
-    # and with i < eps
+    # tx1's columns are [u, t u, ..., t^eps u, E_omega]; tx3's seed drops
+    # u and tx2's drops t^eps u
     measured["rank_tx1"] = rank(v1)
-    measured["rank_seed_b"] = rank(v1[:, L + 1:])
-    measured["rank_seed_c"] = rank(v1[:, :eps * (L + 1)])
+    measured["rank_seed_b"] = rank(v1[:, 1:])
+    measured["rank_seed_c"] = rank(np.delete(v1, eps, axis=1))
     checks["rank_tx1"] = measured["rank_tx1"] == L + eps + 1
     checks["rank_seeds"] = (measured["rank_seed_b"] == L + eps
                             and measured["rank_seed_c"] == L + eps)
@@ -199,8 +237,9 @@ def _verify_3user_one_at_a_time(scheme, instance):
     checks["rx1_span_equality"] = agree and orders[0] == rank(left) == rank(
         right)
 
-    gamma_powers = np.array([scheme.gamma ** j for j in range(1, L + 2)])
-    base = np.column_stack([scheme.loop_transfer * g for g in gamma_powers])
+    u = np.ones(n)
+    u[[s - 1 for s in scheme.omega]] = 0.0
+    base = np.column_stack([scheme.loop_transfer * u, e_omega])
     checks["loop_closure"] = agree and is_subspace(e_omega, base)
 
     checks["rx2_containment"] = is_subspace(
@@ -230,9 +269,9 @@ def _short_v3(scheme):
 @pytest.mark.parametrize("L,eps", [(1, 2), (3, 3), (4, 3), (5, 2), (6, 2),
                                    (8, 1)])
 def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
-    # the frontier classes from L = 5 on include failing loop_closure trials
+    # the classes from L = 5 on are the float frontier of a mixer-power
+    # basis; on the indicator basis loop_closure passes there too
     n = 2 * (L + eps) + 1
-    verdicts = set()
     cfg = fastfading_config(3, n, L)
     omega = plan_3user(cfg, eps)
     for seed in range(1000 * L + eps, 1000 * L + eps + 8):
@@ -250,9 +289,7 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
             # one joint stands for both column orders
             assert orders[0] == orders[1], seed
         assert not checks["rx1_span_equality"], seed
-        verdicts.add(verify_3user(scheme, inst)[0]["loop_closure"])
-    if L >= 6:
-        assert verdicts == {True, False}
+        assert verify_3user(scheme, inst)[0]["loop_closure"], seed
 
 
 # The sampled reference for verify_3user's reduction: each "for every
@@ -275,9 +312,9 @@ def _member_combos(sizes, rng):
 def sampled_claims(scheme, instance):
     """(rx1_span_equality, loop_closure) from sampled substitutions: each
     substituted rx1 joint [g13 v3, g12 v2] has the rank of both its
-    sides, and each substituted loop vector t' gamma^j, j drawn from
-    1..L+1, leaves the loop base's rank unchanged."""
-    L = scheme.L
+    sides, and each substituted loop vector t' b, b drawn from tx1's
+    columns u and E_omega, leaves the loop base's rank unchanged."""
+    eps = scheme.epsilon
     v1, v2, v3 = scheme.tx_columns
     fams = scheme.surrogates
     rng = np.random.default_rng(instance.seed + 17)
@@ -288,10 +325,11 @@ def sampled_claims(scheme, instance):
                         for k, picks in zip(keys, combos.T)]
 
     span_combos, (g12, g13) = substituted([(0, 1), (0, 2)])
-    base = v1[:, L + 1:2 * (L + 1)]
+    base = np.hstack([v1[:, 1:2], v1[:, eps + 1:]])
     combos, g = substituted([(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)])
-    jps = rng.integers(1, L + 2, size=len(combos))
-    vecs = (g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5]) * v1[:, jps - 1].T
+    cols = np.r_[0, eps + 1:v1.shape[1]]
+    picks = cols[rng.integers(0, len(cols), size=len(combos))]
+    vecs = (g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5]) * v1[:, picks].T
     side12, side13, span, rank_base, loop = numeric_rank_by_shape([
         fams[(0, 1)].members[:, :, None] * v2,
         fams[(0, 2)].members[:, :, None] * v3,
@@ -361,22 +399,18 @@ def test_member_moved_at_a_known_slot_fails_both_claims(L, eps, link):
 
 @pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3)])
 def test_base_without_one_hidden_direction_fails_loop_closure(L, eps):
-    # the mixer left at 1 on the last hidden slot s drops e_s from the
+    # tx1's columns without e_s, s the last hidden slot, drop it from the
     # loop base's span; with every surrogate member frozen at s, each
     # sampled loop vector stays in that span, but a hidden value at s
     # moves the loop vector off it
     scheme, inst = _ff3_trial(L, eps)
     s = scheme.omega[-1] - 1
-    gam = scheme.gamma.copy()
-    gam[s] = 1.0
-    t = scheme.loop_transfer
-    v1 = np.column_stack([(t ** i) * (gam ** j) for i in range(eps + 1)
-                          for j in range(1, L + 2)])
+    v1 = scheme.tx_columns[0][:, :-1]
 
     def freeze(key, members):
         members[:, s] = members[0, s]
 
-    cut = dataclasses.replace(_with_members(scheme, freeze), gamma=gam,
+    cut = dataclasses.replace(_with_members(scheme, freeze),
                               tx_columns=(v1, *scheme.tx_columns[1:]))
     assert sampled_claims(cut, inst)[1]
     assert not verify_3user(cut, inst)[0]["loop_closure"]
@@ -432,24 +466,59 @@ def test_kuser_k3_matches_loop_construction_sizes():
                                                         L + n_star + 1]
 
 
+def _indicator_basis(n, omega):
+    """[u, E_omega] by its definition: u the indicator of the slots off
+    omega, then e_s for each hidden slot s in order."""
+    u = np.array([0.0 if k + 1 in omega else 1.0 for k in range(n)])
+    return np.column_stack([u] + [np.eye(n)[:, s - 1] for s in omega])
+
+
 @pytest.mark.parametrize("N, lo, hi, L", [
     (1, 0, 3, 0), (1, 1, 2, 3), (3, 0, 2, 1), (5, 1, 1, 2), (5, 0, 1, 2)])
 def test_grid_columns_match_product_loop(N, lo, hi, L):
     rng = np.random.default_rng([N, lo, hi, L])
     n = 9
     maps = [rng.uniform(0.5, 2.0, size=n) for _ in range(N)]
-    gam = rng.uniform(0.5, 2.0, size=n)
+    omega = tuple(sorted(rng.choice(range(1, n + 1), size=L, replace=False)))
+    basis = _indicator_basis(n, omega)
     # the one-column-at-a-time loop, bit for bit
     cols = []
     for alphas in product(range(lo, hi + 1), repeat=N):
-        vec = np.ones(n)
+        vec = basis[:, 0]
         for t, a in zip(maps, alphas):
             vec = vec * t ** a
-        for j in range(1, L + 2):
-            cols.append(vec * gam ** j)
-    got = _grid_columns(maps, np.array([gam ** j for j in range(1, L + 2)]),
-                        lo, hi)
+        cols.append(vec)
+    cols.extend(basis[:, 1:].T)
+    got = _grid_columns(maps, basis, lo, hi)
     assert got.tobytes() == np.column_stack(cols).tobytes()
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_kuser_columns_span_the_mixer_power_columns(monkeypatch, L):
+    # both grids, every monomial times each mixer power gamma^j, are the
+    # same spans as the indicator basis's, K = 4, n* = 1, L <= 4
+    maps = []
+
+    def spy(m, *args):
+        maps.append(m)
+        return _grid_columns(m, *args)
+
+    monkeypatch.setattr(fastfading, "_grid_columns", spy)
+    n = 2 * L + 1 + 2 ** 5
+    cfg = fastfading_config(4, n, L, memory_distance=4)
+    omega = plan_kuser(cfg, 1)
+    for seed in range(5):
+        maps.clear()
+        scheme = draw_kuser(sample_network(cfg, seed=seed), 1, omega, seed)
+        gam = _mixer(np.random.default_rng(seed), n, omega)
+        for lo, got in ((1, scheme.seed_columns), (0, scheme.tx1_columns)):
+            old = []
+            for alphas in product(range(lo, 2), repeat=len(maps[0])):
+                vec = np.ones(n)
+                for t, a in zip(maps[0], alphas):
+                    vec = vec * t ** a
+                old.extend(vec * gam ** j for j in range(1, L + 2))
+            assert _same_span(np.column_stack(old), got, balance_rows=True)
 
 
 def test_kuser_guard_and_validation():

@@ -175,18 +175,18 @@ def test_trial_svd_calls(monkeypatch, make, svds):
 
 
 @pytest.mark.parametrize("make, generators", [
-    # one per link and two for the basis (its generator diagonal and its
-    # mixer); an identity transform seeds none
-    (blind_scenario, 9 + 2),
+    # one per link and one for the basis's mixer; an identity transform
+    # seeds none
+    (blind_scenario, 9 + 1),
     # one per link and one for the precoders
     (shared_scenario, 16 + 1), (dense_scenario, 16 + 1),
     # the seven links it reads (not (1,1) or (2,2)), the one direct
-    # transform verify_3user reads (receiver 0's), six surrogate
-    # families and the mixer
-    (ff3_scenario, 7 + 1 + 6 + 1),
-    # the twelve cross links, their twelve surrogate families and the
-    # mixer: no direct link and no direct transform
-    (ffk_scenario, 12 + 12 + 1)],
+    # transform verify_3user reads (receiver 0's) and six surrogate
+    # families
+    (ff3_scenario, 7 + 1 + 6),
+    # the twelve cross links and their twelve surrogate families: no
+    # direct link and no direct transform
+    (ffk_scenario, 12 + 12)],
     ids=["blind", "pair", "dense", "ff3", "ffk"])
 def test_trial_generator_counts(monkeypatch, make, generators):
     default_rng, seeded = np.random.default_rng, []
@@ -447,20 +447,20 @@ def with_direct(make, kind):
 # every SVD input bit (the column normalization sums in memory order, so
 # a stack laid out in another order may round differently)
 GOLDEN_SVD_INPUT_SHA256 = {
-    ("blind", 0): "63a877d53b5fd97212ac5b8b7b133d0483b8699bf776a733f9e5888dac77d74a",
-    ("blind", 1000): "ca8d3a327f1f677d2ad8b1023a38060d0ca5228ea105cb875e2d5f01a9d98a65",
+    ("blind", 0): "b5da9bb6447a5cafa4c9144c34c002b8089ee1f355f09f355b66b68bfede018e",
+    ("blind", 1000): "11d27e21ffb3e84a1972cc59fb35a0003c1533c3f79f8f8c90fc548232544d78",
     ("pair", 0): "cdb51f1a24951523e3b25b4c30a680293869a9e925b7e0dcd085723d115dfe37",
     ("pair", 1000): "67b0a5405987dc6d2ce73882c2856998c95db9c7addc071a03dc5c3db78513fc",
     ("dense", 0): "7519fdc47e990ef2546d285f88dc4876c10da7193b4cbdc0ae44785cf26f36d2",
     ("dense", 1000): "66f6a361f7dd10589c82672a21783581b98f51fc73b1404da6f2b666fcf5b7fd",
-    ("ff3", 0): "f349cfafdb000b6ae81f157d4ca03b3b003c8df8e98fb8b0984a362e604c986f",
-    ("ff3", 1000): "19d2bbb1ecb395155a3a64cef9275992d16ab7fd2a367beed9bdc680419f4e86",
-    ("ffk", 0): "3a042f6e234571af6942ed9c2b939740a084c288f63f6165b8da0d40ae0fde63",
-    ("ffk", 1000): "98ac2a2d21c1db8393392858366497942d4717661b060202afeb3b349be6b8e8",
-    ("blind-memory", 0): "ccdacffedb8096f7d81c1d9379eeec4f63d6ad83a5d25481e448527723562623",
-    ("blind-memory", 1000): "9b3581bfb07bf0dd475a6d8ed62a4cc93175a919381c1899256cd28db78a49e1",
-    ("blind-permutation", 0): "5c5f7a7a6b0e1433c32a444c4bd45798ef4eee3065a129f5df305593fb046ede",
-    ("blind-permutation", 1000): "8794195bde25dd176ddaa6831f6c62e55b9ee0496a8cf8a0d93c4f8213e35c9c",
+    ("ff3", 0): "b2b62201aadc4b1d5db9cd34fd45f0a71fa1afc2b0829bda58300b70d62f90b7",
+    ("ff3", 1000): "8e75bae4065685e9b8b44719f12c4e1c988c6d35f7b5f98d3fd69094d1a4d6bf",
+    ("ffk", 0): "6bb381e55b2460d466cf7ac2e1870ebd31b4ba6658cdd983b58acc05e46e9a3a",
+    ("ffk", 1000): "2514c2f35b1e96da7f951427f12bd159d0da6db63faf90053ccfc230ec1d86fc",
+    ("blind-memory", 0): "4d163f261cb03aad726dacddc7b3d16fb4b8a53912c0e74cfee3323b6bd8d547",
+    ("blind-memory", 1000): "5682397600bd8dbc64af2f81842af2956db6d02b55e6a62af73a8f8b327c909f",
+    ("blind-permutation", 0): "4c8f92b86b5ace2f678edc909e0b4e383e481a264327cec023784dd83d3e5f69",
+    ("blind-permutation", 1000): "8e8ba67cb06892fcccd680b1ac61b1fed2e1c0a61864eb188bac485599dc8a2b",
     ("pair-memory", 0): "cde72704b64236b82de5588a3d71a69b96aae9662f3deb25b8e8510aa766fb07",
     ("pair-memory", 1000): "08cc41864701abe09db320a2f167ca70426e946f6728e2aaee6dff935f77086b",
 }

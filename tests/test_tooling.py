@@ -128,12 +128,13 @@ def test_harness_reads_no_verdict_by_key():
 
 
 @pytest.mark.parametrize("name", ["tol", "h_min", "h_max",
-                                  "distinct_blocks"])
+                                  "distinct_blocks", "avoid"])
 def test_no_function_takes_a_retired_parameter(name):
     # the rank threshold is the fixed linalg.RELATIVE_THRESHOLD, gains are
     # drawn on the fixed [H_MIN_DEFAULT, H_MAX_DEFAULT), and a globally
-    # separated draw is separated_uniform: no signature may thread a
-    # per-call tolerance, gain range or separation mode back in
+    # separated draw is separated_uniform, with no values to avoid: no
+    # signature may thread a per-call tolerance, gain range, separation
+    # mode or avoided value back in
     found = [f"{path.relative_to(SRC)}:{node.lineno}"
              for path in sorted((SRC / "alignsim").rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
