@@ -18,16 +18,17 @@ fails when the config is loaded), each pattern carries its
 block lengths and each hidden-slot set its sorted slots, and an identity
 config keeps its one read-only identity transform.  A diagonal channel is
 its length-n vector of gains, a read-only float64 array that every
-consumer uses as it is.  ``sample_network`` draws nothing itself: each
-link's gains and each non-identity direct transform are drawn on first
-read, from that link's or transform's own seed, so a trial seeds
-generators only for the links and transforms its scheme reads.
+consumer uses as it is.  ``sample_network`` draws every link's gains at
+once, from one generator, as rows of one read-only (K*K, n) array; a
+non-identity direct transform is drawn from its receiver's own seed on
+first read, so a big-n config allocates no n x n matrix it never reads.
 """
 
 import math
 import numbers
 from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -92,6 +93,8 @@ class ChangingPattern:
     change_points: tuple
     # slots in each constant block, in slot order
     lengths: tuple = field(init=False, repr=False, compare=False)
+    # each block's least distance to the block before it (0.0 for the first)
+    gaps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(sorted(set(int(c) for c in self.change_points)))
@@ -103,6 +106,8 @@ class ChangingPattern:
         bounds = (1, *pts, self.n + 1)
         object.__setattr__(self, "lengths", tuple(
             b - a for a, b in zip(bounds, bounds[1:])))
+        object.__setattr__(self, "gaps", (0.0,) + (_value_gap(
+            len(self.lengths)),) * len(pts))
 
 
 @dataclass(frozen=True)
@@ -146,25 +151,26 @@ def union_pattern(patterns):
 
 
 def sample_channel(p: ChangingPattern, seed):
-    """One read-only float64 gain per constant block, across its slots.
+    """One read-only float64 gain per constant block, across its slots,
+    drawn from seed (or from a Generator, which it advances)."""
+    return _draw_gains((p,), np.random.default_rng(seed))[0]
 
-    Each block is redrawn until it lies _value_gap from the block before
-    it, so the realized values change exactly at the declared points.
-    """
-    lengths = p.lengths
-    count = len(lengths)
-    gap = _value_gap(count)
-    rng = np.random.default_rng(seed)
-    # the batched loop of separated_uniform, comparing each draw with the
-    # last kept value only (none is kept yet at -inf)
-    vals, last = [], -math.inf
-    while len(vals) < count:
+
+def _draw_gains(patterns, rng):
+    """One read-only float64 row of gains per pattern (all of one n), each
+    block redrawn until it lies _value_gap from the block before it in its
+    row, so the values change exactly at the declared points.  The rows
+    take rng's values in order, as one-at-a-time loops over rows and
+    blocks would: each batch asks only for the values still missing."""
+    gaps = [g for p in patterns for g in p.gaps]
+    vals = [0.0]                # a sentinel before the first block
+    while len(vals) <= len(gaps):
         for v in rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
-                             size=count - len(vals)).tolist():
-            if abs(v - last) >= gap:
+                             size=len(gaps) + 1 - len(vals)).tolist():
+            if abs(v - vals[-1]) >= gaps[len(vals) - 1]:
                 vals.append(v)
-                last = v
-    h = np.asarray(vals).repeat(lengths)
+    h = np.array(vals[1:]).repeat([b for p in patterns for b in p.lengths])
+    h = h.reshape(len(patterns), -1)
     h.setflags(write=False)     # shared by every consumer, never copied
     return h
 
@@ -362,46 +368,32 @@ class NetworkConfig:
                                                 json_int, 1))
 
 
-class _DrawnOnRead(dict):
-    """key -> draw(config, seed, key), drawn the first time ``[key]`` is
-    read and then kept; a hit is a plain dict lookup.  draw raises
-    KeyError for a key outside the network."""
+class _Transforms(dict):
+    """receiver p -> its DirectTransform, drawn from p's own seed the first
+    time ``[p]`` is read and then kept (a hit is a plain dict lookup); an
+    identity config's is its stored one, drawn from nothing."""
 
-    def __init__(self, draw, config, seed):
-        self.draw, self.config, self.seed = draw, config, seed
+    def __init__(self, config, seed):
+        self.config, self.seed = config, seed
 
-    def __missing__(self, key):
-        value = self[key] = self.draw(self.config, self.seed, key)
+    def __missing__(self, p):
+        config = self.config
+        if p not in range(config.K):
+            raise KeyError(p)
+        value = self[p] = config._identity or direct_transform_matrix(
+            config.direct_kind, config.memory_distance, config.n,
+            self.seed * 1_000_033 + 7 * p + 1)
         return value
 
 
-def _draw_link(config, seed, key):
-    """The gains of link (p, q), from that link's own seed."""
-    p, q = key
-    K = config.K
-    if not (0 <= p < K and 0 <= q < K):
-        raise KeyError(key)
-    return sample_channel(config._pattern_table[p][q],
-                          seed * 1_000_003 + p * K + q + 1)
-
-
-def _draw_transform(config, seed, p):
-    """Receiver p's DirectTransform, from its own seed; an identity
-    config's is its stored one, drawn from nothing."""
-    if p not in range(config.K):
-        raise KeyError(p)
-    return config._identity or direct_transform_matrix(
-        config.direct_kind, config.memory_distance, config.n,
-        seed * 1_000_033 + 7 * p + 1)
-
-
-# compared by identity: a field-wise == would compare only the links and
-# transforms each side has drawn so far
+# compared by identity: transforms are drawn on first read, and a
+# field-wise == would compare arrays
 @dataclass(frozen=True, eq=False)
 class NetworkInstance:
     K: int
     n: int
-    channels: dict          # (p, q) -> read-only gains, drawn on first read
+    channels: dict          # (p, q) -> read-only gains, a row of link_gains
+    link_gains: np.ndarray  # read-only (K*K, n); row p*K + q is link (p, q)
     transforms: dict        # receiver -> DirectTransform, drawn on first read
     unknown: tuple          # the config's UnknownSet table
     seed: int
@@ -413,10 +405,9 @@ class NetworkInstance:
         return self.unknown[p][q]
 
     def gains(self):
-        """Every link's gains, drawn now, as one C-ordered (K*K, n) array
+        """Every link's gains, the read-only C-ordered (K*K, n) array
         whose row p*K + q is link (p, q)."""
-        return np.array([self.channels[divmod(i, self.K)]
-                         for i in range(self.K * self.K)])
+        return self.link_gains
 
     def mixed_direct(self, p, x):
         """Receiver p's direct link on float columns x, ``h * (T @ x)``, or
@@ -433,11 +424,18 @@ class NetworkInstance:
 
 
 def sample_network(config: NetworkConfig, seed) -> NetworkInstance:
-    """The network of (config, seed); each link's gains and each
-    receiver's direct transform are drawn, deterministically from their
-    own seeds, when first read."""
-    return NetworkInstance(K=config.K, n=config.n,
-                           channels=_DrawnOnRead(_draw_link, config, seed),
-                           transforms=_DrawnOnRead(_draw_transform, config,
-                                                   seed),
-                           unknown=config._unknown_table, seed=seed)
+    """The network of (config, seed): every link's gains, drawn now from
+    one generator over the links in row-major (p, q) order, and each
+    receiver's direct transform, drawn from its own seed when first read.
+    """
+    # The keys of a trial's streams: links [seed, 1], surrogate families
+    # (fastfading) [seed, 2], draw_shared seed and draw_blind seed + 1;
+    # SeedSequence pads entropy with zero words, so seed is [seed, 0].
+    K = config.K
+    gains = _draw_gains([p for row in config._pattern_table for p in row],
+                        np.random.default_rng([seed, 1]))
+    return NetworkInstance(
+        K=K, n=config.n, channels=dict(zip(product(range(K), repeat=2),
+                                           gains)),
+        link_gains=gains, transforms=_Transforms(config, seed),
+        unknown=config._unknown_table, seed=seed)

@@ -132,13 +132,14 @@ def _hidden_omega(network, fixed_slots):
 
 def _hidden_slot_setup(instance, omega, seed):
     """Surrogate families, their first members and the indicator basis
-    [u, E_omega] of a scheme, u the indicator of the slots off omega."""
+    [u, E_omega] of a scheme, u the indicator of the slots off omega.
+    The families draw from one generator, keyed [seed, 2] (see
+    ``sample_network``), one cross link after another in (p, q) order."""
     K, n = instance.K, instance.n
-    cross = [(p, q) for p in range(K) for q in range(K) if p != q]
-    fams = {pq: build_indexed_basis(instance.channel(*pq),
-                                    instance.unknown_set(*pq),
-                                    seed * 613 + idx + 1)
-            for idx, pq in enumerate(cross)}
+    rng = np.random.default_rng([seed, 2])
+    fams = {(p, q): build_indexed_basis(instance.channel(p, q),
+                                        instance.unknown_set(p, q), rng)
+            for p in range(K) for q in range(K) if p != q}
     basis = np.zeros((n, len(omega) + 1))
     basis[:, 0] = 1.0
     basis[np.array(omega, dtype=int) - 1] = np.eye(len(omega) + 1)[1:]

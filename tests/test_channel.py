@@ -218,17 +218,18 @@ def test_network_config_rejects_out_of_range_slots_at_construction(patterns,
 @pytest.mark.parametrize("K", [2, 3, 4])
 def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
                                                            per_receiver, K):
-    # sampling seeds no generator; a link, or a receiver's transform, seeds
-    # its own the first time it is read (an identity transform draws
-    # nothing and seeds none), and a second read seeds nothing
+    # sampling seeds one generator, for every link at once; reading a link
+    # seeds nothing, and a receiver's transform seeds its own the first
+    # time it is read (an identity transform draws nothing and seeds none)
     cfg = NetworkConfig(K=K, n=6, patterns=[
         [[[2, 4], [3]][(p + q) % 2] for q in range(K)] for p in range(K)],
         direct_kind=kind, memory_distance=2)
     links = [(p, q) for p in range(K) for q in range(K)]
-    # in any read order, what the eager draw gave at the same seeds
-    want = {("link", pq): sample_channel(
-        cfg.pattern(*pq), 3 * 1_000_003 + pq[0] * K + pq[1] + 1)
-        for pq in links}
+    # the links take one stream in row-major order, the transforms their
+    # own seeds, in any read order
+    rng = np.random.default_rng([3, 1])
+    want = {("link", pq): sample_channel(cfg.pattern(*pq), rng)
+            for pq in links}
     want.update({("transform", p): direct_transform_matrix(
         kind, 2, 6, 3 * 1_000_033 + 7 * p + 1) for p in range(K)})
     order = list(want)
@@ -242,10 +243,10 @@ def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
 
     monkeypatch.setattr(np.random, "default_rng", spy)
     inst = sample_network(cfg, seed=3)
-    assert seeded == []
+    assert seeded == [([3, 1],)]
     for source, key in order:
         read = inst.channels if source == "link" else inst.transforms
-        cost = 1 if source == "link" else per_receiver
+        cost = 0 if source == "link" else per_receiver
         before = len(seeded)
         first = read[key]
         assert len(seeded) == before + cost
@@ -255,13 +256,16 @@ def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
         if source == "link":
             assert first.tobytes() == expected.tobytes()
             assert inst.channel(*key) is first
+            row = inst.gains()[key[0] * K + key[1]]
+            assert first.tobytes() == row.tobytes()
         else:
             assert (first.kind, first.distance) == (expected.kind,
                                                     expected.distance)
             assert first.matrix.tobytes() == expected.matrix.tobytes()
             if kind == "identity":
                 assert np.array_equal(first.matrix, np.eye(6))
-    assert len(seeded) == K * K + K * per_receiver
+    assert len(seeded) == 1 + K * per_receiver
+    assert set(inst.channels) == set(links)
     for key in [(K, 0), (0, K), (-1, 0), (0, -1)]:
         with pytest.raises(KeyError):
             inst.channels[key]
@@ -423,6 +427,36 @@ def test_batched_sample_channel_matches_scalar_loop(p, seed):
     # a numpy whose uniform stream changes fails here
     h = sample_channel(p, seed)
     assert tuple(h.tolist()) == scalar_sample_channel(p, seed)
+
+
+@st.composite
+def crowded_configs(draw, max_n=100):
+    """A config of 1 to 3 users whose links draw their block counts as
+    crowded_patterns does, over one n."""
+    K, n = draw(st.integers(1, 3)), draw(st.integers(1, max_n))
+    rnd = draw(st.randoms(use_true_random=False))
+    return NetworkConfig(K=K, n=n, patterns=[
+        [rnd.sample(range(2, n + 1), draw(st.integers(0, n - 1)))
+         for _ in range(K)] for _ in range(K)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cfg=crowded_configs(), seed=st.integers(0, 2**32 - 1))
+def test_network_gains_match_scalar_loop_over_links(cfg, seed):
+    # one generator, keyed [seed, 1], gives every link in (p, q) order and
+    # each link's blocks in slot order, one draw at a time, each block
+    # redrawn until it clears the gap to the last value kept on its link
+    scalar = np.random.default_rng([seed, 1])
+    want = [scalar_sample_channel(cfg.pattern(p, q), scalar)
+            for p in range(cfg.K) for q in range(cfg.K)]
+    gains = sample_network(cfg, seed).gains()
+    assert gains.shape == (cfg.K ** 2, cfg.n) and not gains.flags.writeable
+    assert [tuple(row) for row in gains.tolist()] == want
+    # and leaves the stream where the scalar loop does
+    batched = np.random.default_rng([seed, 1])
+    channel._draw_gains([cfg.pattern(p, q) for p in range(cfg.K)
+                         for q in range(cfg.K)], batched)
+    assert batched.uniform() == scalar.uniform()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

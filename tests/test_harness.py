@@ -175,24 +175,25 @@ def test_trial_svd_calls(monkeypatch, make, svds):
 
 
 @pytest.mark.parametrize("make, generators", [
-    # one per link and one for the basis's mixer; an identity transform
-    # seeds none
-    (blind_scenario, 9 + 1),
-    # one per link and one for the precoders
-    (shared_scenario, 16 + 1), (dense_scenario, 16 + 1),
-    # the seven links it reads (not (1,1) or (2,2)), the one direct
-    # transform verify_3user reads (receiver 0's) and six surrogate
-    # families
-    (ff3_scenario, 7 + 1 + 6),
-    # the twelve cross links and their twelve surrogate families: no
-    # direct link and no direct transform
-    (ffk_scenario, 12 + 12)],
+    # one for the links and one for the basis's mixer; an identity
+    # transform seeds none
+    (blind_scenario, 2),
+    # one for the links and one for the precoders
+    (shared_scenario, 2), (dense_scenario, 2),
+    # one for the links, one for the six surrogate families and one for
+    # the one direct transform verify_3user reads (receiver 0's)
+    (ff3_scenario, 3),
+    # one for the links and one for the twelve surrogate families: no
+    # direct transform is read
+    (ffk_scenario, 2)],
     ids=["blind", "pair", "dense", "ff3", "ffk"])
 def test_trial_generator_counts(monkeypatch, make, generators):
     default_rng, seeded = np.random.default_rng, []
 
     def spy(*args, **kwargs):
-        seeded.append(1)
+        # default_rng hands back a Generator it is given, seeding nothing
+        if not isinstance(args[0], np.random.Generator):
+            seeded.append(1)
         return default_rng(*args, **kwargs)
 
     scenario = make(trials=3)
@@ -201,19 +202,56 @@ def test_trial_generator_counts(monkeypatch, make, generators):
     assert len(seeded) == 3 * generators
 
 
-def all_links(K):
-    return {(p, q) for p in range(K) for q in range(K)}
+class _Keyed(Exception):
+    """Carries the first draw of the stream a function has just keyed."""
 
 
-@pytest.mark.parametrize("make, links", [
-    (blind_scenario, all_links(3)),
-    (shared_scenario, all_links(4)), (dense_scenario, all_links(4)),
-    # the 3-user verifier never reads links (1,1) and (2,2)
-    (ff3_scenario, all_links(3) - {(1, 1), (2, 2)}),
-    # the K-user scheme reads only cross-link surrogates
-    (ffk_scenario, all_links(4) - {(p, p) for p in range(4)})],
+def test_trial_streams_differ_within_and_across_adjacent_seeds(monkeypatch):
+    # a trial draws its links, its surrogate families, its shared fills
+    # and its blind mixer from streams keyed by the trial seed: their first
+    # draws differ pairwise within a trial and from those of the next trial
+    blind_plan, shared_plan = blind_scenario().plan[0], shared_scenario().plan
+    ff3 = ff3_scenario()
+    instance = sample_network(ff3.config, 0)
+    streams = {
+        "links": lambda s: sample_network(ff3.config, s),
+        "surrogates": lambda s: fastfading._hidden_slot_setup(
+            instance, ff3.plan[1], s),
+        "shared fill": lambda s: draw_shared(shared_plan, s),
+        "blind mixer": lambda s: blind.draw_blind(blind_plan, 3, s)}
+    default_rng = np.random.default_rng
+
+    def first_draw(*args, **kwargs):
+        raise _Keyed(default_rng(*args, **kwargs).bit_generator.random_raw())
+
+    monkeypatch.setattr(np.random, "default_rng", first_draw)
+    first = []
+    for s in range(1001):
+        first.append({})
+        for name, start in streams.items():
+            with pytest.raises(_Keyed) as keyed:
+                start(s)
+            first[s][name] = keyed.value.args[0]
+    for s in range(1000):
+        here, there = first[s], first[s + 1]
+        assert len(set(here.values())) == len(streams), s
+        for a in streams:
+            for b in streams:
+                # draw_blind keys seed + 1 and draw_shared the bare seed, so
+                # trial s's blind mixer is trial s + 1's shared fill: no
+                # trial draws both
+                if (a, b) != ("blind mixer", "shared fill"):
+                    assert here[a] != there[b], (s, a, b)
+
+
+@pytest.mark.parametrize("make, K", [
+    (blind_scenario, 3), (shared_scenario, 4), (dense_scenario, 4),
+    (ff3_scenario, 3), (ffk_scenario, 4)],
     ids=["blind", "pair", "dense", "ff3", "ffk"])
-def test_trials_sample_only_the_links_they_read(monkeypatch, make, links):
+def test_trials_sample_every_link(monkeypatch, make, K):
+    # every link is drawn with the network, whether the scheme reads it
+    # or not (the 3-user verifier never reads links (1,1) and (2,2), the
+    # K-user scheme no direct link)
     instances = []
 
     def spy(config, seed):
@@ -224,7 +262,10 @@ def test_trials_sample_only_the_links_they_read(monkeypatch, make, links):
     monkeypatch.setattr(harness, "sample_network", spy)
     assert run_trials(scenario).all_passed
     assert len(instances) == 3
-    assert all(set(inst.channels) == links for inst in instances)
+    links = {(p, q) for p in range(K) for q in range(K)}
+    assert all(set(inst.channels) == links
+               and inst.gains().shape == (K * K, inst.n)
+               for inst in instances)
 
 
 # seed-free work that a scenario's plan does once, when it is built
@@ -447,22 +488,22 @@ def with_direct(make, kind):
 # every SVD input bit (the column normalization sums in memory order, so
 # a stack laid out in another order may round differently)
 GOLDEN_SVD_INPUT_SHA256 = {
-    ("blind", 0): "b5da9bb6447a5cafa4c9144c34c002b8089ee1f355f09f355b66b68bfede018e",
-    ("blind", 1000): "11d27e21ffb3e84a1972cc59fb35a0003c1533c3f79f8f8c90fc548232544d78",
-    ("pair", 0): "cdb51f1a24951523e3b25b4c30a680293869a9e925b7e0dcd085723d115dfe37",
-    ("pair", 1000): "67b0a5405987dc6d2ce73882c2856998c95db9c7addc071a03dc5c3db78513fc",
-    ("dense", 0): "7519fdc47e990ef2546d285f88dc4876c10da7193b4cbdc0ae44785cf26f36d2",
-    ("dense", 1000): "66f6a361f7dd10589c82672a21783581b98f51fc73b1404da6f2b666fcf5b7fd",
-    ("ff3", 0): "b2b62201aadc4b1d5db9cd34fd45f0a71fa1afc2b0829bda58300b70d62f90b7",
-    ("ff3", 1000): "8e75bae4065685e9b8b44719f12c4e1c988c6d35f7b5f98d3fd69094d1a4d6bf",
-    ("ffk", 0): "6bb381e55b2460d466cf7ac2e1870ebd31b4ba6658cdd983b58acc05e46e9a3a",
-    ("ffk", 1000): "2514c2f35b1e96da7f951427f12bd159d0da6db63faf90053ccfc230ec1d86fc",
-    ("blind-memory", 0): "4d163f261cb03aad726dacddc7b3d16fb4b8a53912c0e74cfee3323b6bd8d547",
-    ("blind-memory", 1000): "5682397600bd8dbc64af2f81842af2956db6d02b55e6a62af73a8f8b327c909f",
-    ("blind-permutation", 0): "4c8f92b86b5ace2f678edc909e0b4e383e481a264327cec023784dd83d3e5f69",
-    ("blind-permutation", 1000): "8e8ba67cb06892fcccd680b1ac61b1fed2e1c0a61864eb188bac485599dc8a2b",
-    ("pair-memory", 0): "cde72704b64236b82de5588a3d71a69b96aae9662f3deb25b8e8510aa766fb07",
-    ("pair-memory", 1000): "08cc41864701abe09db320a2f167ca70426e946f6728e2aaee6dff935f77086b",
+    ("blind", 0): "914ee95483cf0a0cd02ba0060c3489d5a33e93a525688fba6f2ae427a1005c2f",
+    ("blind", 1000): "0b4c3603e8452ffc22aac0f68b71f39e4eacaf0c3975ba5a2ad8a67dd81a5119",
+    ("pair", 0): "d0772c5af7b1fcd8b3a8e56e5d242df79d3fce6b20a66eafb7bf710f560e7be6",
+    ("pair", 1000): "4f38fb9cadd652805cf3969268a1aa878fa756034e3877f1b4d667312216fe8e",
+    ("dense", 0): "673f6d3e55aa8d7f1040b769a1993899f2fcf1c6909e156550cf7e198a10f97c",
+    ("dense", 1000): "6a61fb41860e7da344d65dcea6b1beedd4d6c3a85e44fc50f1076509f0540095",
+    ("ff3", 0): "55707c09d941ff11080e3458e422580c3cde2c8914fac9847c58e4ea3f2501a8",
+    ("ff3", 1000): "28e9e1c0801ffc5f6367093c52a93ebace16b398abd611c16e48fa29e1c16ac6",
+    ("ffk", 0): "af1cbdb8a1047343db459fea813365761a15047df77d043569e4efbb8b85c75f",
+    ("ffk", 1000): "ab8e9c108ffcb809c118b63ed2bd9f5b7138eb1045597cd2b903c3408b0d0d79",
+    ("blind-memory", 0): "d843efdbe7a3e6d5478cc3a0ad38882297f413d565860820faaf08dc99b29719",
+    ("blind-memory", 1000): "c095ee87444b61a1c810424a2de3ce11c09d2cd903db5989b0eaeb07485cf556",
+    ("blind-permutation", 0): "de465fbb1bfc34cbb7cb903da658e828165c9974bb540fdc0d717ea00a80e7ae",
+    ("blind-permutation", 1000): "fc0f5f048d2287d8c0d0727c1dfa863580e0fde70727b3f74e2d0da0334df12e",
+    ("pair-memory", 0): "bc54c3ab2dd3cfd9455697536bae2aac85767aaa521c0ecb9490030c534d617d",
+    ("pair-memory", 1000): "8a9cc03f9136eab53ccac95954763f28b3e7cebd22b4f92a574e4a76cec54f8e",
 }
 SVD_SCENARIOS = {**SCENARIOS,
                  "blind-memory": with_direct(blind_scenario, "memory"),

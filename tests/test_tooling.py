@@ -1,9 +1,9 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
-library, one rank entry for every module, one network-sampling site, no
-least-squares solve and no retired parameter (a rank tolerance, a gain
-range or a separation mode), the same command output with and without
-``python -O``, and a suite that reports every test when a property test
-fails."""
+library, one rank entry for every module, one network-sampling site, a
+fixed list of generator-seeding sites, no least-squares solve and no
+retired parameter (a rank tolerance, a gain range or a separation mode),
+the same command output with and without ``python -O``, and a suite that
+reports every test when a property test fails."""
 
 import ast
 import json
@@ -87,8 +87,9 @@ def test_regimes_rank_through_one_entry():
     assert found == []
 
 
-def test_one_site_samples_the_network():
-    # run_trials samples each trial's network and hands it to the regime
+def call_sites(name):
+    """file:function of every call to a function or method named name in
+    the library, files in path order and calls in ast.walk order."""
     found = []
     for path in sorted((SRC / "alignsim").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -98,9 +99,31 @@ def test_one_site_samples_the_network():
                  for node in ast.walk(func)}
         found += [f"{path.name}:{scope.get(id(node), '<module>')}"
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and "sample_network" in (getattr(node.func, "id", None),
-                                           getattr(node.func, "attr", None))]
-    assert found == ["harness.py:run_trials"]
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))]
+    return found
+
+
+def test_one_site_samples_the_network():
+    # run_trials samples each trial's network and hands it to the regime
+    assert call_sites("sample_network") == ["harness.py:run_trials"]
+
+
+def test_generators_are_seeded_at_fixed_sites():
+    # one generator per purpose: a network's links all come from the one
+    # sample_network seeds and a scheme's surrogate families from the one
+    # _hidden_slot_setup seeds; a generator seeded anywhere else shows up
+    # here as a new site (test_trial_generator_counts counts them per trial)
+    assert sorted(call_sites("default_rng")) == [
+        "blind.py:draw_blind",
+        "channel.py:direct_transform_matrix",
+        "channel.py:direct_transform_matrix",
+        "channel.py:sample_channel",
+        "channel.py:sample_network",
+        "decomposition.py:build_indexed_basis",
+        "decomposition.py:build_power_basis",
+        "fastfading.py:_hidden_slot_setup",
+        "shared.py:draw_shared"]
 
 
 def test_library_solves_no_least_squares():
