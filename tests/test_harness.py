@@ -248,10 +248,10 @@ def test_trial_streams_differ_within_and_across_adjacent_seeds(monkeypatch):
     (blind_scenario, 3), (shared_scenario, 4), (dense_scenario, 4),
     (ff3_scenario, 3), (ffk_scenario, 4)],
     ids=["blind", "pair", "dense", "ff3", "ffk"])
-def test_trials_sample_every_link(monkeypatch, make, K):
-    # every link is drawn with the network, whether the scheme reads it
-    # or not (the 3-user verifier never reads links (1,1) and (2,2), the
-    # K-user scheme no direct link)
+def test_trials_sample_only_the_links_they_read(monkeypatch, make, K):
+    # every trial samples all K*K links at once, those its scheme reads
+    # among them (the 3-user verifier never reads links (1,1) and (2,2),
+    # the K-user scheme no direct link)
     instances = []
 
     def spy(config, seed):
