@@ -66,13 +66,13 @@ def plan_blind(cross_union: ChangingPattern, rho):
 
 def draw_blind(plan: BlindPlan, K, seed):
     """The shared column set for K transmitters, drawn from seed: 1_b G^j,
-    b-major, for the union blocks b and the mixer G drawn from seed + 1.
+    b-major, for the union blocks b and the mixer G keyed [seed, 5].
 
     Its span is that of Q^a G^j, a = 1..s+1, for any generator Q with
     s+1 distinct nonzero block values: the Vandermonde matrix of Q's
     powers on those values is invertible, so span{Q^a} = span{1_b}.
     """
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng([seed, 5])
     gam = np.asarray(separated_uniform(rng, plan.n))
     lengths = plan.union.lengths
     blocks = np.eye(len(lengths)).repeat(lengths, axis=0)
@@ -142,24 +142,25 @@ def verify_blind(scheme: BlindScheme, instance, expected_free):
     (``generic_free_dims`` of its pattern), and the total is
     ``blind_total_dof`` of the measured free dimensions.
 
-    The raw ``[basis, received]`` joint of link (p, q) is row p*K + q of one
-    C-ordered stack, written in place by one broadcast product of the gains
-    (``mixed_direct`` rewrites non-identity direct links), and ranked with
-    the basis by one ``numeric_rank_by_shape`` call.  A cross link is
-    contained in the basis span when its joint rank equals the basis rank;
-    a direct link's excess is its receiver's expected free dimensions.
+    The scheme is stated for diagonal links: a direct transform that is
+    not the identity raises ValueError.  The raw ``[basis, received]``
+    joint of link (p, q) is row p*K + q of one C-ordered stack, written in
+    place by one broadcast product of the gains, and ranked with the basis
+    by one ``numeric_rank_by_shape`` call.  A cross link is contained in
+    the basis span when its joint rank equals the basis rank; a direct
+    link's excess is its receiver's expected free dimensions.
     """
     if instance.n != scheme.n:
         raise ValueError("instance slot count differs from scheme")
     K, basis = instance.K, scheme.interference_basis
+    kinds = {instance.transforms[k].kind for k in range(K)} - {"identity"}
+    if kinds:
+        raise ValueError("the blind scheme needs identity direct links, "
+                         f"not direct_kind {kinds.pop()!r}")
     w = basis.shape[1]
     joints = np.empty((K * K, scheme.n, 2 * w))
     joints[:, :, :w] = basis
-    np.multiply(instance.gains()[:, :, None], basis, out=joints[:, :, w:])
-    for k in range(K):
-        mixed = instance.mixed_direct(k, basis)
-        if mixed is not None:
-            joints[k * K + k, :, w:] = mixed
+    np.multiply(instance.gains[:, :, None], basis, out=joints[:, :, w:])
     base, joint = numeric_rank_by_shape([basis, joints])
     free = [min(w, int(joint[k * K + k]) - base) for k in range(K)]
     checks = {

@@ -19,16 +19,16 @@ block lengths and each hidden-slot set its sorted slots, and an identity
 config keeps its one read-only identity transform.  A diagonal channel is
 its length-n vector of gains, a read-only float64 array that every
 consumer uses as it is.  ``sample_network`` draws every link's gains at
-once, from one generator, as rows of one read-only (K*K, n) array; a
-non-identity direct transform is drawn from its receiver's own seed on
-first read, so a big-n config allocates no n x n matrix it never reads.
+once, from one generator, as the instance's read-only (K*K, n) ``gains``;
+a non-identity direct transform is drawn from its receiver's own stream
+on first read, so a big-n config allocates no n x n matrix it never
+reads, and ``received_matrix`` alone applies it.
 """
 
 import math
 import numbers
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -369,7 +369,7 @@ class NetworkConfig:
 
 
 class _Transforms(dict):
-    """receiver p -> its DirectTransform, drawn from p's own seed the first
+    """receiver p -> its DirectTransform, drawn from p's own stream the first
     time ``[p]`` is read and then kept (a hit is a plain dict lookup); an
     identity config's is its stored one, drawn from nothing."""
 
@@ -382,7 +382,7 @@ class _Transforms(dict):
             raise KeyError(p)
         value = self[p] = config._identity or direct_transform_matrix(
             config.direct_kind, config.memory_distance, config.n,
-            self.seed * 1_000_033 + 7 * p + 1)
+            [self.seed, 3, p])
         return value
 
 
@@ -392,50 +392,42 @@ class _Transforms(dict):
 class NetworkInstance:
     K: int
     n: int
-    channels: dict          # (p, q) -> read-only gains, a row of link_gains
-    link_gains: np.ndarray  # read-only (K*K, n); row p*K + q is link (p, q)
+    gains: np.ndarray       # read-only (K*K, n); row p*K + q is link (p, q)
     transforms: dict        # receiver -> DirectTransform, drawn on first read
     unknown: tuple          # the config's UnknownSet table
     seed: int
 
     def channel(self, p, q):
-        return self.channels[(p, q)]
+        if p not in range(self.K) or q not in range(self.K):
+            raise KeyError((p, q))
+        return self.gains[p * self.K + q]
 
     def unknown_set(self, p, q):
         return self.unknown[p][q]
 
-    def gains(self):
-        """Every link's gains, the read-only C-ordered (K*K, n) array
-        whose row p*K + q is link (p, q)."""
-        return self.link_gains
-
-    def mixed_direct(self, p, x):
-        """Receiver p's direct link on float columns x, ``h * (T @ x)``, or
-        None for an identity T: on finite x without -0.0, ``h * x`` is it."""
-        t = self.transforms[p]
-        if t.kind != "identity":
-            return self.channels[(p, p)][:, None] * (t.matrix @ x)
-
     def received_matrix(self, p, q, precoder):
-        """What receiver p sees of transmitter q's precoder columns."""
+        """What receiver p sees of transmitter q's precoder columns x:
+        ``h * (T @ x)`` on a direct link whose transform T is not the
+        identity, ``h * x`` on every other link."""
         x = np.asarray(precoder, dtype=float)
-        mixed = self.mixed_direct(p, x) if p == q else None
-        return self.channel(p, q)[:, None] * x if mixed is None else mixed
+        if p == q and self.transforms[p].kind != "identity":
+            x = self.transforms[p].matrix @ x
+        return self.channel(p, q)[:, None] * x
 
 
 def sample_network(config: NetworkConfig, seed) -> NetworkInstance:
     """The network of (config, seed): every link's gains, drawn now from
     one generator over the links in row-major (p, q) order, and each
-    receiver's direct transform, drawn from its own seed when first read.
+    receiver's direct transform, drawn from its own stream on first read.
     """
-    # The keys of a trial's streams: links [seed, 1], surrogate families
-    # (fastfading) [seed, 2], draw_shared seed and draw_blind seed + 1;
-    # SeedSequence pads entropy with zero words, so seed is [seed, 0].
-    K = config.K
+    # The key of every generator a trial seeds, and where it is seeded:
+    #   links                           [seed, 1]     sample_network
+    #   surrogate families              [seed, 2]     _hidden_slot_setup
+    #   receiver p's direct transform   [seed, 3, p]  _Transforms
+    #   shared fill columns             [seed, 4]     draw_shared
+    #   blind mixer                     [seed, 5]     draw_blind
     gains = _draw_gains([p for row in config._pattern_table for p in row],
                         np.random.default_rng([seed, 1]))
-    return NetworkInstance(
-        K=K, n=config.n, channels=dict(zip(product(range(K), repeat=2),
-                                           gains)),
-        link_gains=gains, transforms=_Transforms(config, seed),
-        unknown=config._unknown_table, seed=seed)
+    return NetworkInstance(K=config.K, n=config.n, gains=gains,
+                           transforms=_Transforms(config, seed),
+                           unknown=config._unknown_table, seed=seed)

@@ -8,8 +8,8 @@ map T; its powers times the indicator u of the slots off the hidden union
 omega, beside E_omega = [e_s : s in omega], yield column sets whose spans
 are immune to the hidden gains: a substitution of hidden values moves
 columns only along E_omega, which each span holds.  ``verify_3user``
-checks that claim for every hidden value at once, by ranking each span
-beside E_omega, not by sampling substitutions.
+checks that claim for every hidden value at once, from E_omega (a rank
+beside it, or an exact comparison), not by sampling substitutions.
 
 Also implemented: the exact CSIT-fraction metric, the closed-form sum-DoF
 caps as a function of that fraction, and the K-user generalization built
@@ -199,9 +199,9 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     column only by a vector supported on omega, and a diagonal scaling
     that is nonzero on omega maps span(E_omega), E_omega = [e_s : s in
     omega], onto itself.  So the loop vectors t' u = t u and t' e_s stay
-    in the span of the loop base, tx1's columns [t u, E_omega], for every
-    hidden value iff rank([base, E_omega]) equals the base's rank, E_omega
-    read from the scheme's indicator basis; and span(g12 v2) =
+    in span[t u, E_omega] for every hidden value when tx1's last L columns
+    equal E_omega, read from the scheme's indicator basis, which
+    ``loop_closure`` checks exactly, with no rank; and span(g12 v2) =
     span(g13 v3) for every pair of hidden values iff rank([s13 v3, s12 v2,
     E_omega]) equals the rank of each side, s12 and s13 the first members
     of links (0, 1) and (0, 2): that one joint stands for E_omega inside
@@ -219,21 +219,17 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     e_omega = scheme.indicators[:, 1:]
     left = fams[(0, 1)].members[0][:, None] * v2
     right = fams[(0, 2)].members[0][:, None] * v3
-    # tx1's columns are [u, t u, ..., t^eps u, E_omega]
-    base = np.hstack([v1[:, 1:2], v1[:, eps + 1:]])
 
     r10 = instance.received_matrix(1, 0, v1)
     r20 = instance.received_matrix(2, 0, v1)
     (rank_tx1, rank_r10, rank_r20, rank_seed_b, rank_seed_c, joint_rx2,
-     joint_rx3, joint_rx1, rank_base, side12, side13, span,
-     loop) = numeric_rank_by_shape(
+     joint_rx3, joint_rx1, side12, side13, span) = numeric_rank_by_shape(
         [v1, r10, r20, v1[:, 1:], np.hstack([v1[:, :eps], v1[:, eps + 1:]]),
          np.hstack([r10, instance.received_matrix(1, 2, v3)]),
          np.hstack([r20, instance.received_matrix(2, 1, v2)]),
          np.hstack([instance.received_matrix(0, 0, v1),
                     instance.received_matrix(0, 1, v2)]),
-         base, left, right, np.hstack([right, left, e_omega]),
-         np.hstack([base, e_omega])])
+         left, right, np.hstack([right, left, e_omega])])
 
     checks = {
         "rank_tx1": rank_tx1 == L + eps + 1,
@@ -241,8 +237,9 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
         # interference from TX2 and TX3 collapses to one span at RX1, for
         # every hidden value of the two incoming links
         "rx1_span_equality": agree and span == side12 == side13,
-        # loop-map substitutions stay inside the base span
-        "loop_closure": agree and loop == rank_base,
+        # loop-map substitutions stay inside span[t u, E_omega]: tx1's
+        # columns are [u, t u, ..., t^eps u, E_omega]
+        "loop_closure": agree and np.array_equal(v1[:, eps + 1:], e_omega),
         # true-channel containments at RX2 and RX3
         "rx2_containment": joint_rx2 == rank_r10,
         "rx3_containment": joint_rx3 == rank_r20,

@@ -8,13 +8,13 @@ byte-identical reports.
 
 The pipeline is plan at load -> sample -> draw -> verify.  A Scenario
 builds its regime's seed-free plan once, when it is constructed, so a
-config or parameter the regime cannot use fails there: the blind union
-pattern, layout checks and expected free dimensions, the shared window
-and carrier construction, or the fast-fading hidden union and slot-count
-checks.  ``run_trials`` samples each trial's network once and hands the
-instance to the regime's trial, which draws the seeded part of the scheme
-from the plan and returns its verifier's ``(checks, measured,
-total_dof)`` as they are.
+config or parameter the regime cannot use fails there: the blind
+identity-direct-link check, union pattern, layout checks and expected
+free dimensions, the shared window and carrier construction, or the
+fast-fading hidden union and slot-count checks.  ``run_trials`` samples
+each trial's network once and hands the instance to the regime's trial,
+which draws the seeded part of the scheme from the plan and returns its
+verifier's ``(checks, measured, total_dof)`` as they are.
 """
 
 import csv
@@ -91,6 +91,9 @@ def _receiver_patterns(config):
 
 
 def _blind_plan(cfg, params):
+    if cfg.direct_kind != "identity":
+        raise ValueError("the blind regime needs identity direct links, "
+                         f"not direct_kind {cfg.direct_kind!r}")
     cross = [cfg.pattern(p, q) for p in range(cfg.K) for q in range(cfg.K)
              if p != q]
     union = union_pattern(cross)

@@ -301,13 +301,13 @@ def plan_shared(K, r, patterns, n):
 
 
 def draw_shared(plan: SharedPlan, seed):
-    """The scheme of a plan with its fill columns drawn from seed.
+    """The scheme of a plan with its fill columns keyed [seed, 4].
 
     Fill i goes to transmitter i mod K, after its window vectors; every
     precoder must have full column rank.
     """
     K = plan.K
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, 4])
     fill = _read_only(rng.uniform(-1.0, 1.0, size=(plan.fill_count, plan.n)))
     precoders = tuple(np.hstack([plan.window_columns[t], fill[t::K].T])
                       for t in range(K))
@@ -327,21 +327,22 @@ def verify_shared(scheme: SharedPatternScheme, instance):
     time-sharing baseline 1.
 
     All that reaches receiver p is row p of one C-ordered stack, written in
-    place by one broadcast product of the gains (``mixed_direct`` rewrites
-    non-identity direct links); its interference joint drops p's columns
-    with ``compress``, which keeps C order.  One ``numeric_rank_by_shape``
-    call ranks both joints of every receiver, a joint without columns has
-    rank 0, and the desired dimensions are the excess of the first.
+    place by one broadcast product of the gains (``received_matrix``
+    rewrites direct links with memory or a permutation); its interference
+    joint drops p's columns with ``compress``, which keeps C order.  One
+    ``numeric_rank_by_shape`` call ranks both joints of every receiver, a
+    joint without columns has rank 0, and the desired dimensions are the
+    excess of the first.
     """
     K, n, precoders = instance.K, instance.n, scheme.precoders
     owner = np.repeat(np.arange(K), [x.shape[1] for x in precoders])
     arriving = np.empty((K, n, owner.size))
-    np.multiply(instance.gains().reshape(K, K, n)[:, owner].transpose(0, 2, 1),
+    np.multiply(instance.gains.reshape(K, K, n)[:, owner].transpose(0, 2, 1),
                 np.hstack(precoders), out=arriving)
     for p in range(K):
-        mixed = instance.mixed_direct(p, precoders[p])
-        if mixed is not None:
-            arriving[p][:, owner == p] = mixed
+        if instance.transforms[p].kind != "identity":
+            arriving[p][:, owner == p] = instance.received_matrix(
+                p, p, precoders[p])
     joints = [m for p in range(K)      # per receiver: arriving, interference
               for m in (arriving[p], arriving[p].compress(owner != p, axis=1))]
     found = iter(numeric_rank_by_shape([m for m in joints if m.size]))

@@ -65,14 +65,14 @@ def test_scheme_dimensions_and_rank():
        seed=st.integers(0, 2**31 - 1))
 def test_basis_spans_the_generator_power_columns(sigma, rho, data, seed):
     # the generator-power construction, Q^a G^j with Q the union's power
-    # family from seed and G the mixer from seed + 1, is the same span as
-    # the block indicators 1_b G^j, rho <= 2
+    # family from seed and G the mixer from the stream keyed [seed, 5], is
+    # the same span as the block indicators 1_b G^j, rho <= 2
     n = 2 * rho * (sigma + 1)
     pts = data.draw(st.sets(st.integers(2, n), min_size=sigma,
                             max_size=sigma))
     union = ChangingPattern(n, tuple(pts))
     new = draw_blind(plan_blind(union, rho), 2, seed).interference_basis
-    gam = np.asarray(separated_uniform(np.random.default_rng(seed + 1), n))
+    gam = np.asarray(separated_uniform(np.random.default_rng([seed, 5]), n))
     old = np.column_stack([q * gam ** j
                            for q in build_power_basis(union, seed).members
                            for j in range(1, rho + 1)])
@@ -190,10 +190,9 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
     for t in range(50):
         rng = np.random.default_rng([sigma, rho, t])
         pts = random_cross_pattern(rng, n, sigma)
+        # the blind scheme is stated for diagonal links: identity only
         cfg = blind_config(rng, n, K, pts, lambda k: rng.choice(
             range(2, n + 1), size=int(rng.integers(0, n)), replace=False))
-        cfg = dataclasses.replace(cfg, direct_kind=str(rng.choice(
-            ["identity", "memory", "permutation"])))
         # a coarse threshold fails about half the trials' containment
         monkeypatch.setattr(linalg, "RELATIVE_THRESHOLD",
                             1e-2 if t % 2 else default)
@@ -222,3 +221,19 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
         assert verify_blind(scheme, inst, [generic_free_dims(scheme, d)
                                            for d in direct]) == want
         assert (result.checks, result.measured, result.total_dof) == want
+
+
+@pytest.mark.parametrize("kind", ["memory", "permutation"])
+def test_verify_blind_rejects_non_identity_direct_links(kind):
+    # the pattern-only count assumes diagonal direct links, so a direct
+    # link with memory or a permutation is out of the regime, not a
+    # failed check (the blind plan rejects such a config first)
+    n, pts = 6, (3, 5)
+    cfg = dataclasses.replace(blind_config(
+        np.random.default_rng(0), n, 3, pts, lambda k: (2, 4)),
+        direct_kind=kind, memory_distance=2)
+    plan = plan_blind(ChangingPattern(n, pts), 1)
+    with pytest.raises(ValueError, match=f"direct_kind '{kind}'"):
+        verify_blind(draw_blind(plan, 3, 0), sample_network(cfg, 0),
+                     [generic_free_dims(plan, cfg.pattern(k, k))
+                      for k in range(3)])

@@ -226,12 +226,12 @@ def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
         direct_kind=kind, memory_distance=2)
     links = [(p, q) for p in range(K) for q in range(K)]
     # the links take one stream in row-major order, the transforms their
-    # own seeds, in any read order
+    # own streams keyed [seed, 3, p], in any read order
     rng = np.random.default_rng([3, 1])
     want = {("link", pq): sample_channel(cfg.pattern(*pq), rng)
             for pq in links}
     want.update({("transform", p): direct_transform_matrix(
-        kind, 2, 6, 3 * 1_000_033 + 7 * p + 1) for p in range(K)})
+        kind, 2, 6, [3, 3, p]) for p in range(K)})
     order = list(want)
     random.Random(K).shuffle(order)
     seeded = []
@@ -244,31 +244,31 @@ def test_sample_network_seeds_one_generator_per_draw_source(monkeypatch, kind,
     monkeypatch.setattr(np.random, "default_rng", spy)
     inst = sample_network(cfg, seed=3)
     assert seeded == [([3, 1],)]
+    assert inst.gains.shape == (K * K, 6) and not inst.gains.flags.writeable
     for source, key in order:
-        read = inst.channels if source == "link" else inst.transforms
-        cost = 0 if source == "link" else per_receiver
         before = len(seeded)
-        first = read[key]
-        assert len(seeded) == before + cost
-        assert read[key] is first
-        assert len(seeded) == before + cost
-        expected = want[source, key]
         if source == "link":
-            assert first.tobytes() == expected.tobytes()
-            assert inst.channel(*key) is first
-            row = inst.gains()[key[0] * K + key[1]]
-            assert first.tobytes() == row.tobytes()
-        else:
-            assert (first.kind, first.distance) == (expected.kind,
-                                                    expected.distance)
-            assert first.matrix.tobytes() == expected.matrix.tobytes()
-            if kind == "identity":
-                assert np.array_equal(first.matrix, np.eye(6))
+            first = inst.channel(*key)
+            # a row of the one gains array, never a copy
+            assert np.shares_memory(first, inst.gains)
+            assert first.tobytes() == want[source, key].tobytes()
+            assert first.tobytes() == inst.gains[key[0] * K + key[1]].tobytes()
+            assert len(seeded) == before
+            continue
+        first = inst.transforms[key]
+        assert len(seeded) == before + per_receiver
+        assert inst.transforms[key] is first
+        assert len(seeded) == before + per_receiver
+        expected = want[source, key]
+        assert (first.kind, first.distance) == (expected.kind,
+                                                expected.distance)
+        assert first.matrix.tobytes() == expected.matrix.tobytes()
+        if kind == "identity":
+            assert np.array_equal(first.matrix, np.eye(6))
     assert len(seeded) == 1 + K * per_receiver
-    assert set(inst.channels) == set(links)
     for key in [(K, 0), (0, K), (-1, 0), (0, -1)]:
         with pytest.raises(KeyError):
-            inst.channels[key]
+            inst.channel(*key)
     with pytest.raises(KeyError):
         inst.transforms[K]
     with pytest.raises(KeyError):
@@ -449,7 +449,7 @@ def test_network_gains_match_scalar_loop_over_links(cfg, seed):
     scalar = np.random.default_rng([seed, 1])
     want = [scalar_sample_channel(cfg.pattern(p, q), scalar)
             for p in range(cfg.K) for q in range(cfg.K)]
-    gains = sample_network(cfg, seed).gains()
+    gains = sample_network(cfg, seed).gains
     assert gains.shape == (cfg.K ** 2, cfg.n) and not gains.flags.writeable
     assert [tuple(row) for row in gains.tolist()] == want
     # and leaves the stream where the scalar loop does

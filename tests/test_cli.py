@@ -265,6 +265,11 @@ REGIME_ERRORS = [
     ("blind-sim", {**_BLIND, "rho": 2}, "n"),
     # the identity transform built at load is O(n) memory, not n x n
     ("blind-sim", {**_BLIND, "n": 200_000}, "n"),
+    # the pattern-only scheme is stated for diagonal direct links
+    ("blind-sim", {**_BLIND, "direct_kind": "memory", "memory_distance": 2},
+     "direct_kind"),
+    ("blind-sim", {**_BLIND, "direct_kind": "permutation",
+                   "memory_distance": 2}, "direct_kind"),
     ("shared-sim", {**_PAIR, "r": 4, "trials": 3}, "r"),
     ("shared-sim", {**_PAIR, "r": 0, "trials": 3}, "r"),
     # one link into receiver 2 changes where the others do not

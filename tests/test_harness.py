@@ -155,9 +155,9 @@ def ffk_scenario(trials=3):
     # (3, 2, 2, 2) take two stacks each way and the dense demo's one
     (shared_scenario, 2 + 1 + 2),
     (dense_scenario, 1 + 1 + 1),
-    # one call over six shapes: three of single ranks and joints, the loop
-    # base, and the rx1 and loop joints beside E_omega
-    (ff3_scenario, 3 + 1 + 2),
+    # one call over four shapes: three of single ranks and joints, and the
+    # rx1 joint beside E_omega (loop_closure is decided without a rank)
+    (ff3_scenario, 3 + 1),
     # one balanced call over the seed and tx1 families, which differ in
     # shape
     (ffk_scenario, 2)], ids=["blind", "pair", "dense", "ff3", "ffk"])
@@ -207,9 +207,10 @@ class _Keyed(Exception):
 
 
 def test_trial_streams_differ_within_and_across_adjacent_seeds(monkeypatch):
-    # a trial draws its links, its surrogate families, its shared fills
-    # and its blind mixer from streams keyed by the trial seed: their first
-    # draws differ pairwise within a trial and from those of the next trial
+    # a trial draws its links, its surrogate families, each receiver's
+    # direct transform, its shared fills and its blind mixer from streams
+    # keyed by the trial seed: their first draws differ pairwise within a
+    # trial and from those of the next trial
     blind_plan, shared_plan = blind_scenario().plan[0], shared_scenario().plan
     ff3 = ff3_scenario()
     instance = sample_network(ff3.config, 0)
@@ -217,6 +218,8 @@ def test_trial_streams_differ_within_and_across_adjacent_seeds(monkeypatch):
         "links": lambda s: sample_network(ff3.config, s),
         "surrogates": lambda s: fastfading._hidden_slot_setup(
             instance, ff3.plan[1], s),
+        **{f"transform rx{p + 1}": lambda s, p=p: channel._Transforms(
+            ff3.config, s)[p] for p in range(3)},
         "shared fill": lambda s: draw_shared(shared_plan, s),
         "blind mixer": lambda s: blind.draw_blind(blind_plan, 3, s)}
     default_rng = np.random.default_rng
@@ -237,11 +240,7 @@ def test_trial_streams_differ_within_and_across_adjacent_seeds(monkeypatch):
         assert len(set(here.values())) == len(streams), s
         for a in streams:
             for b in streams:
-                # draw_blind keys seed + 1 and draw_shared the bare seed, so
-                # trial s's blind mixer is trial s + 1's shared fill: no
-                # trial draws both
-                if (a, b) != ("blind mixer", "shared fill"):
-                    assert here[a] != there[b], (s, a, b)
+                assert here[a] != there[b], (s, a, b)
 
 
 @pytest.mark.parametrize("make, K", [
@@ -262,9 +261,9 @@ def test_trials_sample_only_the_links_they_read(monkeypatch, make, K):
     monkeypatch.setattr(harness, "sample_network", spy)
     assert run_trials(scenario).all_passed
     assert len(instances) == 3
-    links = {(p, q) for p in range(K) for q in range(K)}
-    assert all(set(inst.channels) == links
-               and inst.gains().shape == (K * K, inst.n)
+    assert all(inst.gains.shape == (K * K, inst.n)
+               and all(np.shares_memory(inst.channel(p, q), inst.gains)
+                       for p in range(K) for q in range(K))
                for inst in instances)
 
 
@@ -488,27 +487,20 @@ def with_direct(make, kind):
 # every SVD input bit (the column normalization sums in memory order, so
 # a stack laid out in another order may round differently)
 GOLDEN_SVD_INPUT_SHA256 = {
-    ("blind", 0): "914ee95483cf0a0cd02ba0060c3489d5a33e93a525688fba6f2ae427a1005c2f",
-    ("blind", 1000): "0b4c3603e8452ffc22aac0f68b71f39e4eacaf0c3975ba5a2ad8a67dd81a5119",
-    ("pair", 0): "d0772c5af7b1fcd8b3a8e56e5d242df79d3fce6b20a66eafb7bf710f560e7be6",
-    ("pair", 1000): "4f38fb9cadd652805cf3969268a1aa878fa756034e3877f1b4d667312216fe8e",
-    ("dense", 0): "673f6d3e55aa8d7f1040b769a1993899f2fcf1c6909e156550cf7e198a10f97c",
-    ("dense", 1000): "6a61fb41860e7da344d65dcea6b1beedd4d6c3a85e44fc50f1076509f0540095",
-    ("ff3", 0): "55707c09d941ff11080e3458e422580c3cde2c8914fac9847c58e4ea3f2501a8",
-    ("ff3", 1000): "28e9e1c0801ffc5f6367093c52a93ebace16b398abd611c16e48fa29e1c16ac6",
+    ("blind", 0): "ee21feea90abede155b5ce15f65571500f8d3f985e87d4152dbd3e5030a995be",
+    ("blind", 1000): "4e5f5405c7677e9513830d721e814c968ad1b272d718701ed550e29270e2134d",
+    ("pair", 0): "322196919018751109dce2bf0b1396d49f20ba96650d18968d07bc2a7e74b705",
+    ("pair", 1000): "0fb0530c6e68cdf1c6ec9c271cff22840de7cc1707fdd3b4b83e90bbeb5eaca9",
+    ("dense", 0): "55c51cfe2111e650065224467a96c88806898bcafa1e9d36196030c65fc37962",
+    ("dense", 1000): "ab40791ab63a910b3e6eeb90b396bed94738ef1680fa23c768d9fa41bf1c2d14",
+    ("ff3", 0): "b7a9454d2f789b71943ea58dad27e92baf2a02d70d70266733eac14be7ea140d",
+    ("ff3", 1000): "16e81aaceae19a19a93efef0a83b306d69b96d145a49d5a8b1923f1a38285cf5",
     ("ffk", 0): "af1cbdb8a1047343db459fea813365761a15047df77d043569e4efbb8b85c75f",
     ("ffk", 1000): "ab8e9c108ffcb809c118b63ed2bd9f5b7138eb1045597cd2b903c3408b0d0d79",
-    ("blind-memory", 0): "d843efdbe7a3e6d5478cc3a0ad38882297f413d565860820faaf08dc99b29719",
-    ("blind-memory", 1000): "c095ee87444b61a1c810424a2de3ce11c09d2cd903db5989b0eaeb07485cf556",
-    ("blind-permutation", 0): "de465fbb1bfc34cbb7cb903da658e828165c9974bb540fdc0d717ea00a80e7ae",
-    ("blind-permutation", 1000): "fc0f5f048d2287d8c0d0727c1dfa863580e0fde70727b3f74e2d0da0334df12e",
-    ("pair-memory", 0): "bc54c3ab2dd3cfd9455697536bae2aac85767aaa521c0ecb9490030c534d617d",
-    ("pair-memory", 1000): "8a9cc03f9136eab53ccac95954763f28b3e7cebd22b4f92a574e4a76cec54f8e",
+    ("pair-memory", 0): "fcf4d2a4fb1e0f940987a714662b466f1f8816fb997e40fbb97dbb9822275c27",
+    ("pair-memory", 1000): "08cdc91c50a08164d6128e241754122ffc5d14a4a6dbf97659c669c21c8d545a",
 }
 SVD_SCENARIOS = {**SCENARIOS,
-                 "blind-memory": with_direct(blind_scenario, "memory"),
-                 "blind-permutation": with_direct(blind_scenario,
-                                                  "permutation"),
                  "pair-memory": with_direct(shared_scenario, "memory")}
 
 

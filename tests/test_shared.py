@@ -156,8 +156,9 @@ def test_one_plan_drawn_per_seed_equals_a_fresh_plan_per_seed(factory):
         assert (_array_bytes([want.fill, *want.precoders])
                 == _array_bytes([got.fill, *got.precoders]))
         # fill row i goes to transmitter i mod K, after its window
-        # vectors, its values the generator's next n draws
-        rng = np.random.default_rng(seed)
+        # vectors, its values the next n draws of the stream keyed
+        # [seed, 4]
+        rng = np.random.default_rng([seed, 4])
         assert got.fill.shape == (plan.fill_count, n)
         for i, row in enumerate(got.fill):
             t, width = i % 4, plan.window_columns[i % 4].shape[1]

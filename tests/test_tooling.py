@@ -1,9 +1,10 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
 library, one rank entry for every module, one network-sampling site, a
-fixed list of generator-seeding sites, no least-squares solve and no
-retired parameter (a rank tolerance, a gain range or a separation mode),
-the same command output with and without ``python -O``, and a suite that
-reports every test when a property test fails."""
+fixed list of generator-seeding sites, trial streams keyed by seed and
+purpose, no least-squares solve and no retired parameter (a rank
+tolerance, a gain range or a separation mode), the same command output
+with and without ``python -O``, and a suite that reports every test when
+a property test fails."""
 
 import ast
 import json
@@ -124,6 +125,40 @@ def test_generators_are_seeded_at_fixed_sites():
         "decomposition.py:build_power_basis",
         "fastfading.py:_hidden_slot_setup",
         "shared.py:draw_shared"]
+
+
+# the functions that seed a trial's generators, with the call each
+# passes its key to
+TRIAL_KEY_SITES = {("channel.py", "sample_network"): "default_rng",
+                   ("fastfading.py", "_hidden_slot_setup"): "default_rng",
+                   ("channel.py", "__missing__"): "direct_transform_matrix",
+                   ("shared.py", "draw_shared"): "default_rng",
+                   ("blind.py", "draw_blind"): "default_rng"}
+
+
+def test_trial_streams_are_keyed_by_seed_and_purpose():
+    # every generator a trial seeds is keyed [seed, k] or [seed, k, p],
+    # one purpose k per site, so no two purposes of one trial, nor of two
+    # adjacent trials, share a stream
+    found = {}
+    for (file, func), callee in TRIAL_KEY_SITES.items():
+        tree = ast.parse((SRC / "alignsim" / file).read_text(
+            encoding="utf-8"))
+        body = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == func)
+        keys = [call.args[-1] for call in ast.walk(body)
+                if isinstance(call, ast.Call)
+                and callee in (getattr(call.func, "id", None),
+                               getattr(call.func, "attr", None))]
+        assert len(keys) == 1, (file, func)
+        key = keys[0]
+        assert isinstance(key, ast.List) and 2 <= len(key.elts) <= 3, func
+        seed, purpose = key.elts[:2]
+        assert "seed" in (getattr(seed, "id", None),
+                          getattr(seed, "attr", None)), func
+        assert isinstance(purpose, ast.Constant), func
+        found[func] = purpose.value
+    assert sorted(found.values()) == [1, 2, 3, 4, 5], found
 
 
 def test_library_solves_no_least_squares():
