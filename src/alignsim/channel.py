@@ -9,14 +9,15 @@ each direct link additionally passes through a full-rank transform
 Random values are drawn in batches that consume exactly the draws of
 one-at-a-time loops: on PCG64 a batched ``uniform`` or ``integers`` call
 gives the values and end state of as many scalar calls, and a rejection
-sampler asks each batch only for the values it still misses.
+sampler asks each batch only for the values it still misses, so one
+``separated_uniform`` read gives a trial every hidden slot's values.
 
 Everything that does not depend on the seed is built and validated
 once: a frozen ``NetworkConfig`` builds its K x K pattern and hidden-slot
-tables at construction (so a bad change point or direct transform
-fails when the config is loaded), each pattern carries its
-block lengths and each hidden-slot set its sorted slots, and an identity
-config keeps its one read-only identity transform.  A diagonal channel is
+tables and every link's block gaps and lengths at construction (so a
+bad change point or direct transform fails when the config is loaded),
+each hidden-slot set carries its sorted slots, and an identity config
+keeps its one read-only identity transform.  A diagonal channel is
 its length-n vector of gains, a read-only float64 array that every
 consumer uses as it is.  ``sample_network`` draws every link's gains at
 once, from one generator, as the instance's read-only (K*K, n) ``gains``;
@@ -66,24 +67,31 @@ def _value_gap(count):
                (H_MAX_DEFAULT - H_MIN_DEFAULT) / (2 * count + 2))
 
 
-def separated_uniform(rng, count):
-    """The first count uniform draws on [H_MIN_DEFAULT, H_MAX_DEFAULT)
-    that lie _value_gap(count) or more from every value kept before them,
-    consuming exactly the draws of a one-at-a-time loop.  A kept value
-    rules out less than twice the gap, so over a 1 / (count + 1) share of
-    the range stays open and the loop terminates.  Only a draw's two
-    sorted neighbours are compared, as rounded subtraction is monotone.
-    """
-    gap = _value_gap(count)
-    vals, taken = [], []
-    while len(vals) < count:
-        for v in rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
-                             size=count - len(vals)).tolist():
-            i = bisect(taken, v)
-            if ((not i or v - taken[i - 1] >= gap)
-                    and (i == len(taken) or taken[i] - v >= gap)):
-                taken.insert(i, v)
-                vals.append(v)
+def separated_uniform(rng, *counts):
+    """One row per count, as one list: the first count uniform draws on
+    [H_MIN_DEFAULT, H_MAX_DEFAULT) at least _value_gap(count) from every
+    value kept before them in the row.  A kept value rules out under twice
+    the gap, so every row ends; only a draw's two sorted neighbours are
+    compared, as rounded subtraction is monotone.  A row takes at least
+    its count of draws, so each batch asks only for the values missing."""
+    left = sum(counts)          # values still to keep, from this row on
+    vals, draws = [], iter(())
+    for count in counts:
+        gap, taken, need = _value_gap(count), [], count
+        while need:
+            for v in draws:
+                i = bisect(taken, v)
+                if ((not i or v - taken[i - 1] >= gap)
+                        and (i == len(taken) or taken[i] - v >= gap)):
+                    taken.insert(i, v)
+                    vals.append(v)
+                    need -= 1
+                    if not need:
+                        break
+            else:
+                draws = iter(rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
+                                         size=left - len(taken)).tolist())
+        left -= count
     return vals
 
 
@@ -153,24 +161,22 @@ def union_pattern(patterns):
 def sample_channel(p: ChangingPattern, seed):
     """One read-only float64 gain per constant block, across its slots,
     drawn from seed (or from a Generator, which it advances)."""
-    return _draw_gains((p,), np.random.default_rng(seed))[0]
+    return _draw_gains(p.gaps, p.lengths, p.n, np.random.default_rng(seed))[0]
 
 
-def _draw_gains(patterns, rng):
-    """One read-only float64 row of gains per pattern (all of one n), each
-    block redrawn until it lies _value_gap from the block before it in its
-    row, so the values change exactly at the declared points.  The rows
-    take rng's values in order, as one-at-a-time loops over rows and
-    blocks would: each batch asks only for the values still missing."""
-    gaps = [g for p in patterns for g in p.gaps]
-    vals = [0.0]                # a sentinel before the first block
-    while len(vals) <= len(gaps):
+def _draw_gains(gaps, lengths, n, rng):
+    """Read-only float64 rows of n gains from blocks laid end to end, block
+    b lasting lengths[b] slots and redrawn until it lies gaps[b] from the
+    block before it (0.0 opens a row), so the values change exactly at the
+    declared points; each batch asks only for the values still missing."""
+    vals, last = [], 0.0        # last: a sentinel before the first block
+    while len(vals) < len(gaps):
         for v in rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
-                             size=len(gaps) + 1 - len(vals)).tolist():
-            if abs(v - vals[-1]) >= gaps[len(vals) - 1]:
+                             size=len(gaps) - len(vals)).tolist():
+            if abs(v - last) >= gaps[len(vals)]:
                 vals.append(v)
-    h = np.array(vals[1:]).repeat([b for p in patterns for b in p.lengths])
-    h = h.reshape(len(patterns), -1)
+                last = v
+    h = np.array(vals).repeat(lengths).reshape(-1, n)
     h.setflags(write=False)     # shared by every consumer, never copied
     return h
 
@@ -324,6 +330,8 @@ class NetworkConfig:
     _unknown_table: tuple = field(init=False, repr=False, compare=False)
     # the shared identity transform, or None for a drawn kind
     _identity: DirectTransform = field(init=False, repr=False, compare=False)
+    # every link's block gaps and lengths, links in row-major (p, q) order
+    _blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.unknown is None:
@@ -342,6 +350,10 @@ class NetworkConfig:
         object.__setattr__(self, "_identity", direct_transform_matrix(
             "identity", 0, self.n, None)
             if self.direct_kind == "identity" else None)
+        links = [p for row in self._pattern_table for p in row]
+        object.__setattr__(self, "_blocks", (
+            [g for p in links for g in p.gaps],
+            np.array([b for p in links for b in p.lengths], dtype=int)))
 
     def pattern(self, p, q):
         return self._pattern_table[p][q]
@@ -426,7 +438,7 @@ def sample_network(config: NetworkConfig, seed) -> NetworkInstance:
     #   receiver p's direct transform   [seed, 3, p]  _Transforms
     #   shared fill columns             [seed, 4]     draw_shared
     #   blind mixer                     [seed, 5]     draw_blind
-    gains = _draw_gains([p for row in config._pattern_table for p in row],
+    gains = _draw_gains(*config._blocks, config.n,
                         np.random.default_rng([seed, 1]))
     return NetworkInstance(K=config.K, n=config.n, gains=gains,
                            transforms=_Transforms(config, seed),

@@ -11,7 +11,8 @@ Two family kinds:
   members that copy the true values outside U and carry fresh randomness
   inside U.  The true channel is a combination of the members whose
   coefficients sum to one; the anchors are the slots of U, and the sum
-  row (1, ..., 1 | 1) makes the system square.
+  row (1, ..., 1 | 1) makes the system square; many links' families are
+  views of one stack drawn in one read (``build_indexed_families``).
 
 ``decompose`` and ``reconstruct`` are the one decomposition path.  Every
 anchor system is square and solved in exact rational arithmetic, and
@@ -32,6 +33,7 @@ __all__ = [
     "BasisFamily",
     "build_power_basis",
     "build_indexed_basis",
+    "build_indexed_families",
     "build_basis",
     "decompose",
     "reconstruct",
@@ -69,30 +71,37 @@ def build_power_basis(pattern: ChangingPattern, seed):
 
 
 def build_indexed_basis(true_values, unknown: UnknownSet, seed):
-    """|U|+1 members agreeing with the true channel on every known slot.
+    """build_indexed_families' family for one link; raises ValueError
+    unless true_values is 1-D with unknown.n finite entries."""
+    return build_indexed_families(
+        np.asarray(true_values, dtype=float)[None], (unknown,), seed)[0]
 
-    The anchors are the hidden slots.  Every member copies the true value
-    v at a known slot, so the true channel's coefficients sum to one,
-    which decompose adds as the row (1, ..., 1 | 1); a known slot is never
-    an anchor, since at a zero every member is zero.
 
-    Raises ValueError unless true_values is 1-D with unknown.n finite
-    entries.
-    """
-    vals = np.asarray(true_values, dtype=float)
-    if vals.shape != (unknown.n,) or not np.isfinite(vals).all():
-        raise ValueError(f"true_values must be 1-D with n = {unknown.n} "
-                         "finite entries")
-    rng = np.random.default_rng(seed)
-    hidden = unknown.hidden
-    count = len(hidden) + 1
-    # row m is member m: the true values, with fresh draws at hidden slots
-    table = np.empty((count, vals.size))
-    table[:] = vals
-    for slot in hidden:
-        table[:, slot - 1] = separated_uniform(rng, count)
-    table.setflags(write=False)
-    return BasisFamily(table, hidden)
+def build_indexed_families(rows, unknowns, seed):
+    """|U|+1 members per row of true values and its UnknownSet (all of one
+    n), copying the row at every known slot, as the views stack[k, :|U|+1]
+    of one read-only (links, max|U|+1, n) stack.  The hidden values are one
+    separated_uniform read of a row of |U|+1 per hidden slot, link after
+    link, member m taking value m of each row.  The anchors are the hidden
+    slots: the true channel's coefficients sum to one, which decompose adds
+    as the row (1, ..., 1 | 1), and at a zero known value every member is
+    zero.  Raises ValueError unless rows has one row of n finite entries
+    per UnknownSet."""
+    vals = np.asarray(rows, dtype=float)
+    n = unknowns[0].n if unknowns else 0
+    if (vals.shape != (len(unknowns), n) or not np.isfinite(vals).all()
+            or any(u.n != n for u in unknowns)):
+        raise ValueError(f"true_values must have n = {n} finite entries")
+    hidden = [u.hidden for u in unknowns]
+    width = max(map(len, hidden), default=-1) + 1
+    stack = vals[:, None].repeat(width, axis=1)
+    # the flat stack index of each draw: link k, hidden slot s, member m
+    at = [(k * width + m) * n + s - 1 for k, h in enumerate(hidden)
+          for s in h for m in range(len(h) + 1)]
+    stack.reshape(-1)[at] = separated_uniform(np.random.default_rng(seed), *(
+        len(h) + 1 for h in hidden for _ in h))
+    stack.setflags(write=False)
+    return [BasisFamily(m[:len(h) + 1], h) for m, h in zip(stack, hidden)]
 
 
 def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):

@@ -2,7 +2,8 @@
 
 Every cross link (p, q) has a set U of slots whose gain is hidden from
 everyone.  For each such link we build a surrogate family (indexed basis)
-whose members agree with the true channel on known slots.  Ratios of
+whose members agree with the true channel on known slots, all of a
+scheme's as views of one stack drawn in one read.  Ratios of
 first-family surrogates around the 3-user loop give a diagonal transfer
 map T; its powers times the indicator u of the slots off the hidden union
 omega, beside E_omega = [e_s : s in omega], yield column sets whose spans
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import NetworkInstance, UnknownSet
-from .decomposition import build_indexed_basis
+from .decomposition import build_indexed_families
 # is_subspace is bound here, unused, because perfbench's tracing test
 # checks that the tracer rebinds alignsim.fastfading.is_subspace
 from .linalg import is_subspace, numeric_rank_by_shape
@@ -133,13 +134,17 @@ def _hidden_omega(network, fixed_slots):
 def _hidden_slot_setup(instance, omega, seed):
     """Surrogate families, their first members and the indicator basis
     [u, E_omega] of a scheme, u the indicator of the slots off omega.
-    The families draw from one generator, keyed [seed, 2] (see
-    ``sample_network``), one cross link after another in (p, q) order."""
+    The families are views of one stack, their hidden values one read of
+    the generator keyed [seed, 2] (see ``sample_network``), cross link
+    after cross link in (p, q) order: a slot takes at least its |U|+1
+    draws and a later batch only the values still missing, so the read
+    gives one separated_uniform call per slot's values and end state."""
     K, n = instance.K, instance.n
-    rng = np.random.default_rng([seed, 2])
-    fams = {(p, q): build_indexed_basis(instance.channel(p, q),
-                                        instance.unknown_set(p, q), rng)
-            for p in range(K) for q in range(K) if p != q}
+    links = [(p, q) for p in range(K) for q in range(K) if p != q]
+    fams = dict(zip(links, build_indexed_families(
+        instance.gains.take([p * K + q for p, q in links], axis=0),
+        [instance.unknown_set(p, q) for p, q in links],
+        np.random.default_rng([seed, 2]))))
     basis = np.zeros((n, len(omega) + 1))
     basis[:, 0] = 1.0
     basis[np.array(omega, dtype=int) - 1] = np.eye(len(omega) + 1)[1:]
@@ -213,9 +218,10 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     L, eps = scheme.L, scheme.epsilon
     v1, v2, v3 = scheme.tx_columns
     fams = scheme.surrogates
-    off = scheme.indicators[:, 0] == 1.0
-    agree = all((f.members[:, off] == f.members[0, off]).all()
-                for f in fams.values())
+    sizes = [len(f.members) for f in fams.values()]
+    members = np.concatenate([f.members for f in fams.values()])
+    firsts = members[np.repeat(np.cumsum(sizes) - sizes, sizes)]
+    agree = bool((members == firsts)[:, scheme.indicators[:, 0] == 1.0].all())
     e_omega = scheme.indicators[:, 1:]
     left = fams[(0, 1)].members[0][:, None] * v2
     right = fams[(0, 2)].members[0][:, None] * v3

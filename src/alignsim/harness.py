@@ -52,8 +52,9 @@ class Scenario:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
+        if not 0 <= self.base_seed <= 2**32 - self.trials:
+            raise ValueError("base_seed must lie in [0, 2**32 - trials]: "
+                             "every trial seed is below 2**32")
         object.__setattr__(self, "plan", _REGIMES[self.regime][0](
             self.config, self.params))
 

@@ -54,7 +54,8 @@ def _normalized(a, axis=-2):
         _, exp = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
         a = np.ldexp(a, np.where(out_of_range, -exp, 0))
         norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
-    return a / np.where(norms > 0, norms, 1.0)
+        norms[norms == 0] = 1.0     # in range, every norm is positive
+    return a / norms
 
 
 def _ranks(stack):

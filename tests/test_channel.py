@@ -17,7 +17,8 @@ from alignsim.channel import (H_MAX_DEFAULT, H_MIN_DEFAULT, ChangingPattern,
                               direct_transform_matrix, sample_channel,
                               sample_network, separated_uniform,
                               union_pattern)
-from alignsim.decomposition import build_indexed_basis, build_power_basis
+from alignsim.decomposition import (build_indexed_basis,
+                                    build_indexed_families, build_power_basis)
 from alignsim.linalg import numeric_rank_by_shape
 
 
@@ -454,8 +455,7 @@ def test_network_gains_match_scalar_loop_over_links(cfg, seed):
     assert [tuple(row) for row in gains.tolist()] == want
     # and leaves the stream where the scalar loop does
     batched = np.random.default_rng([seed, 1])
-    channel._draw_gains([cfg.pattern(p, q) for p in range(cfg.K)
-                         for q in range(cfg.K)], batched)
+    channel._draw_gains(*cfg._blocks, cfg.n, batched)
     assert batched.uniform() == scalar.uniform()
 
 
@@ -467,6 +467,41 @@ def test_batched_separated_uniform_matches_scalar_loop(count, seed):
     assert vals == scalar_separated_uniform(scalar, count)
     # the generator is shared with later draws: its next draw must agree
     assert batched.uniform() == scalar.uniform()
+
+
+@st.composite
+def ragged_hidden_sets(draw, max_n=45):
+    """One n and 1 to 6 hidden-slot sets over it, each of 0 to 20 slots,
+    so that links hide different numbers of slots and some hide none."""
+    n = draw(st.integers(1, max_n))
+    rnd = draw(st.randoms(use_true_random=False))
+    return n, [rnd.sample(range(1, n + 1), draw(st.integers(0, min(20, n))))
+               for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(layout=ragged_hidden_sets(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_families_match_per_slot_scalar_draws(layout, seed):
+    # one read of the stream gives each link's |U|+1 members the values of
+    # one scalar separated draw per hidden slot, link after link and slot
+    # after slot, and leaves the stream where those draws do
+    n, sets = layout
+    rows = np.random.default_rng(seed).uniform(0.5, 2.0, size=(len(sets), n))
+    unknowns = [UnknownSet(n, frozenset(s)) for s in sets]
+    batched, scalar = (np.random.default_rng([seed, 2]) for _ in range(2))
+    fams = build_indexed_families(rows, unknowns, batched)
+    for row, unknown, fam in zip(rows, unknowns, fams):
+        want = np.tile(row, (len(unknown.hidden) + 1, 1))
+        for slot in unknown.hidden:
+            want[:, slot - 1] = scalar_separated_uniform(
+                scalar, len(unknown.hidden) + 1)
+        assert fam.members.tobytes() == want.tobytes()
+        assert fam.anchor_indices == unknown.hidden
+        assert not fam.members.flags.writeable
+    # every family is a view of one stack
+    assert len({id(fam.members.base) for fam in fams}) == 1
+    assert batched.bit_generator.random_raw() == \
+        scalar.bit_generator.random_raw()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -125,6 +125,20 @@ def test_config_seed_is_rejected_and_base_seed_is_the_base_seed(tmp_path,
         assert err == "error: seed is a retired config key: use base_seed\n"
 
 
+def test_sim_seeds_stop_below_2_32(tmp_path, capsys):
+    cfg = shared_config_path(tmp_path, trials=2)
+    code, out, _ = run_cli(capsys, "--seed", str(2**32 - 2), "shared-sim",
+                           cfg)
+    assert code == 0
+    assert [r[1] for r in parse_csv(out) if r and r[0].isdigit()] == [
+        str(2**32 - 2), str(2**32 - 1)]
+    code, out, err = run_cli(capsys, "--seed", str(2**32 - 1), "shared-sim",
+                             cfg)
+    assert (code, out) == (1, "")
+    assert err == ("error: base_seed must lie in [0, 2**32 - trials]: every "
+                   "trial seed is below 2**32\n")
+
+
 def test_missing_config_is_input_error(capsys):
     code, _, err = run_cli(capsys, "shared-sim", "/nonexistent/cfg.json")
     assert code == 1

@@ -59,6 +59,22 @@ def test_scenario_validation():
         Scenario(regime="shared", config=cfg, base_seed=-5)
 
 
+@pytest.mark.parametrize("trials", [1, 3])
+def test_trial_seeds_stay_below_2_32(trials):
+    # at 2**32 a trial key [seed, k] would split into the words of
+    # another trial's transform key [seed', 3, p]
+    cfg = demo_network_config(*pair_demo_patterns())
+    last = 2**32 - trials
+    summary = run_trials(Scenario(regime="shared", config=cfg,
+                                  trials=trials, base_seed=last))
+    assert summary.all_passed
+    assert [r.seed for r in summary.results][-1] == 2**32 - 1
+    with pytest.raises(ValueError,
+                       match=r"base_seed must lie in \[0, 2\*\*32 - trials\]"):
+        Scenario(regime="shared", config=cfg, trials=trials,
+                 base_seed=last + 1)
+
+
 def test_verify_shared_accounting():
     pats, n = pair_demo_patterns()
     cfg = demo_network_config(pats, n)

@@ -1,10 +1,10 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
-library, one rank entry for every module, one network-sampling site, a
-fixed list of generator-seeding sites, trial streams keyed by seed and
-purpose, no least-squares solve and no retired parameter (a rank
-tolerance, a gain range or a separation mode), the same command output
-with and without ``python -O``, and a suite that reports every test when
-a property test fails."""
+library, one rank entry for every module, one network-sampling site, one
+acceptance loop for separated draws, a fixed list of generator-seeding
+sites, trial streams keyed by seed and purpose, no least-squares solve
+and no retired parameter (a rank tolerance, a gain range or a separation
+mode), the same command output with and without ``python -O``, and a
+suite that reports every test when a property test fails."""
 
 import ast
 import json
@@ -110,6 +110,12 @@ def test_one_site_samples_the_network():
     assert call_sites("sample_network") == ["harness.py:run_trials"]
 
 
+def test_one_site_bisects_separated_draws():
+    # every separated draw, a power generator's blocks or a hidden slot's
+    # surrogate values, goes through the one acceptance loop
+    assert call_sites("bisect") == ["channel.py:separated_uniform"]
+
+
 def test_generators_are_seeded_at_fixed_sites():
     # one generator per purpose: a network's links all come from the one
     # sample_network seeds and a scheme's surrogate families from the one
@@ -121,7 +127,7 @@ def test_generators_are_seeded_at_fixed_sites():
         "channel.py:direct_transform_matrix",
         "channel.py:sample_channel",
         "channel.py:sample_network",
-        "decomposition.py:build_indexed_basis",
+        "decomposition.py:build_indexed_families",
         "decomposition.py:build_power_basis",
         "fastfading.py:_hidden_slot_setup",
         "shared.py:draw_shared"]
