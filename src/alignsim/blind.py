@@ -145,10 +145,11 @@ def verify_blind(scheme: BlindScheme, instance, expected_free):
     The scheme is stated for diagonal links: a direct transform that is
     not the identity raises ValueError.  The raw ``[basis, received]``
     joint of link (p, q) is row p*K + q of one C-ordered stack, written in
-    place by one broadcast product of the gains, and ranked with the basis
-    by one ``numeric_rank_by_shape`` call.  A cross link is contained in
-    the basis span when its joint rank equals the basis rank; a direct
-    link's excess is its receiver's expected free dimensions.
+    place by one broadcast product of the gains.  One
+    ``numeric_rank_by_shape`` call ranks it as ``joint`` and the basis as
+    ``basis_rank``, its CSV column.  A cross link is contained in the basis
+    span when its joint rank equals the basis rank; a direct link's excess
+    is its receiver's free dimensions.
     """
     if instance.n != scheme.n:
         raise ValueError("instance slot count differs from scheme")
@@ -161,15 +162,15 @@ def verify_blind(scheme: BlindScheme, instance, expected_free):
     joints = np.empty((K * K, scheme.n, 2 * w))
     joints[:, :, :w] = basis
     np.multiply(instance.gains[:, :, None], basis, out=joints[:, :, w:])
-    base, joint = numeric_rank_by_shape([basis, joints])
-    free = [min(w, int(joint[k * K + k]) - base) for k in range(K)]
+    measured = numeric_rank_by_shape({"basis_rank": basis, "joint": joints})
+    joint, base = measured.pop("joint").reshape(K, K), measured["basis_rank"]
+    free = [min(w, int(joint[k, k]) - base) for k in range(K)]
     checks = {
         "basis_full_rank": base == w,
-        "cross_containment": all(joint[p * K + q] == base for p in range(K)
+        "cross_containment": all(joint[p, q] == base for p in range(K)
                                  for q in range(K) if p != q),
         "predicted_equals_measured": all(
             want == f for want, f in zip(expected_free, free, strict=True))}
-    measured = {"basis_rank": base}
     measured.update((f"free_dims_rx{k + 1}", f) for k, f in enumerate(free))
     return checks, measured, blind_total_dof(free, scheme.n)
 

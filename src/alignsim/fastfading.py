@@ -213,7 +213,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     both spans and for their equality.
     A containment holds when the rank of a raw ``[base, candidate]`` joint
     equals the base's.  One ``numeric_rank_by_shape`` call ranks every
-    matrix, one stack per distinct shape.
+    matrix by name, one stack per shape, a CSV column's rank under its name.
     """
     L, eps = scheme.L, scheme.epsilon
     v1, v2, v3 = scheme.tx_columns
@@ -228,37 +228,38 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
 
     r10 = instance.received_matrix(1, 0, v1)
     r20 = instance.received_matrix(2, 0, v1)
-    (rank_tx1, rank_r10, rank_r20, rank_seed_b, rank_seed_c, joint_rx2,
-     joint_rx3, joint_rx1, side12, side13, span) = numeric_rank_by_shape(
-        [v1, r10, r20, v1[:, 1:], np.hstack([v1[:, :eps], v1[:, eps + 1:]]),
-         np.hstack([r10, instance.received_matrix(1, 2, v3)]),
-         np.hstack([r20, instance.received_matrix(2, 1, v2)]),
-         np.hstack([instance.received_matrix(0, 0, v1),
-                    instance.received_matrix(0, 1, v2)]),
-         left, right, np.hstack([right, left, e_omega])])
+    rank = numeric_rank_by_shape({
+        "rank_tx1": v1, "rx2_base": r10, "rx3_base": r20,
+        "rank_seed_b": v1[:, 1:],
+        "rank_seed_c": np.hstack([v1[:, :eps], v1[:, eps + 1:]]),
+        "rx2_joint": np.hstack([r10, instance.received_matrix(1, 2, v3)]),
+        "rx3_joint": np.hstack([r20, instance.received_matrix(2, 1, v2)]),
+        "joint_rank": np.hstack([instance.received_matrix(0, 0, v1),
+                                 instance.received_matrix(0, 1, v2)]),
+        "side12": left, "side13": right,
+        "span": np.hstack([right, left, e_omega])})
 
     checks = {
-        "rank_tx1": rank_tx1 == L + eps + 1,
-        "rank_seeds": rank_seed_b == L + eps and rank_seed_c == L + eps,
+        "rank_tx1": rank["rank_tx1"] == L + eps + 1,
+        "rank_seeds": rank["rank_seed_b"] == rank["rank_seed_c"] == L + eps,
         # interference from TX2 and TX3 collapses to one span at RX1, for
         # every hidden value of the two incoming links
-        "rx1_span_equality": agree and span == side12 == side13,
+        "rx1_span_equality": agree and (rank["span"] == rank["side12"]
+                                        == rank["side13"]),
         # loop-map substitutions stay inside span[t u, E_omega]: tx1's
         # columns are [u, t u, ..., t^eps u, E_omega]
         "loop_closure": agree and np.array_equal(v1[:, eps + 1:], e_omega),
         # true-channel containments at RX2 and RX3
-        "rx2_containment": joint_rx2 == rank_r10,
-        "rx3_containment": joint_rx3 == rank_r20,
+        "rx2_containment": rank["rx2_joint"] == rank["rx2_base"],
+        "rx3_containment": rank["rx3_joint"] == rank["rx3_base"],
         # desired + interference fills all n dimensions at RX1
-        "rx1_separation": joint_rx1 == 2 * (L + eps) + 1}
+        "rx1_separation": rank["joint_rank"] == 2 * (L + eps) + 1}
     gaps_ok = all(b - a < max(1, instance.transforms[0].distance)
                   for a, b in zip(scheme.omega, scheme.omega[1:]))
-    measured = {
-        "rank_tx1": rank_tx1, "rank_seed_b": rank_seed_b,
-        "rank_seed_c": rank_seed_c, "joint_rank": joint_rx1,
-        "separation_guaranteed": bool(
-            instance.transforms[0].kind in ("memory", "permutation")
-            and gaps_ok)}
+    measured = {k: rank[k] for k in ("rank_tx1", "rank_seed_b",
+                                     "rank_seed_c", "joint_rank")}
+    measured["separation_guaranteed"] = bool(
+        instance.transforms[0].kind in ("memory", "permutation") and gaps_ok)
     return checks, measured, (sum(scheme.expected["dof"])
                               if checks["rx1_separation"] else Fraction(1))
 
@@ -338,10 +339,8 @@ def verify_kuser(scheme: KUserScheme):
     one ``numeric_rank_by_shape`` call with ``balance_rows``, which
     equalizes the rows first to keep the threshold fair.
     """
-    dim_seed, dim_tx1 = numeric_rank_by_shape(
-        [scheme.seed_columns, scheme.tx1_columns], balance_rows=True)
-    measured = {"dim_seed": dim_seed, "dim_tx1": dim_tx1}
-    checks = {"dims_match_formula": (
-        measured["dim_seed"] == scheme.expected["dim_seed"]
-        and measured["dim_tx1"] == scheme.expected["dim_tx1"])}
+    measured = numeric_rank_by_shape({"dim_seed": scheme.seed_columns,
+                                      "dim_tx1": scheme.tx1_columns},
+                                     balance_rows=True)
+    checks = {"dims_match_formula": measured == scheme.expected}
     return checks, measured, Fraction(scheme.expected["dim_tx1"], scheme.n)

@@ -9,8 +9,9 @@ byte-identical reports.
 The pipeline is plan at load -> sample -> draw -> verify.  A Scenario
 builds its regime's seed-free plan once, when it is constructed, so a
 config or parameter the regime cannot use fails there: the blind
-identity-direct-link check, union pattern, layout checks and expected
-free dimensions, the shared window and carrier construction, or the
+identity-direct-link check, union pattern, layout checks, union blocks no
+shorter than rho and expected free dimensions, the shared window and
+carrier construction with a plan that fits n and aligns, or the
 fast-fading hidden union and slot-count checks.  ``run_trials`` samples
 each trial's network once and hands the instance to the regime's trial,
 which draws the seeded part of the scheme from the plan and returns its
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blind import draw_blind, generic_free_dims, plan_blind, verify_blind
-from .channel import NetworkConfig, sample_network, union_pattern
+from .channel import (NetworkConfig, constant_intervals, sample_network,
+                      union_pattern)
 from .fastfading import (draw_3user, draw_kuser, plan_3user, plan_kuser,
                          verify_3user, verify_kuser)
 from .shared import draw_shared, plan_shared, verify_shared
@@ -97,8 +99,11 @@ def _blind_plan(cfg, params):
                          f"not direct_kind {cfg.direct_kind!r}")
     cross = [cfg.pattern(p, q) for p in range(cfg.K) for q in range(cfg.K)
              if p != q]
-    union = union_pattern(cross)
-    plan = plan_blind(union, int(params.get("rho", 1)))
+    plan = plan_blind(union_pattern(cross), int(params.get("rho", 1)))
+    for block in constant_intervals(plan.union):
+        if len(block) < plan.rho:
+            raise ValueError(f"union block of slots {block[0]}..{block[-1]} "
+                             f"is shorter than rho = {plan.rho}")
     return plan, [generic_free_dims(plan, cfg.pattern(k, k))
                   for k in range(cfg.K)]
 
@@ -109,8 +114,15 @@ def _blind_trial(plan, instance, seed):
 
 
 def _shared_plan(cfg, params):
-    pats = _receiver_patterns(cfg)
-    return plan_shared(cfg.K, int(params.get("r", 2)), pats, cfg.n)
+    K, n = cfg.K, cfg.n
+    plan = plan_shared(K, int(params.get("r", 2)), _receiver_patterns(cfg), n)
+    if max(plan.expected_used) > n:
+        raise ValueError(f"the plan occupies {max(plan.expected_used)} "
+                         f"dimensions at a receiver, more than n = {n}")
+    if sum(plan.expected_used) - sum(plan.expected_desired) >= (K - 1) * n:
+        raise ValueError("the plan predicts no alignment: its interference "
+                         "fills all (K-1)*n receiver dimensions")
+    return plan
 
 
 def _shared_trial(plan, instance, seed):

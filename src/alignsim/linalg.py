@@ -11,11 +11,11 @@ takes the singular values of every matrix from one ``np.linalg.svd``
 call; LAPACK factors each matrix of a stack on its own, so a matrix gets
 the same singular values, bit for bit, alone or inside a stack.  Shapes
 are validated at ``numeric_rank_by_shape``, finiteness by the kernel's norm
-range test.  The regime verifiers list every matrix they rank, as 2-D
+range test.  The regime verifiers name every matrix they rank, 2-D
 matrices or C-ordered 3-D stacks, joints built from the raw ``[base,
 candidate]`` before they are normalized, and ``numeric_rank_by_shape``
-ranks the list with one kernel call per matrix shape; with
-``balance_rows`` it first scales every nonzero row to unit length.
+returns each rank under its name from one kernel call per matrix shape;
+with ``balance_rows`` it first scales every nonzero row to unit length.
 ``is_subspace`` is one such call on a base and its joint.
 """
 
@@ -65,31 +65,31 @@ def _ranks(stack):
 
 
 def numeric_rank_by_shape(ms, balance_rows=False):
-    """Numeric rank of every array of a list, an int for a 2-D matrix and
-    an int array for a 3-D stack, from one kernel call per distinct
-    ``(rows, cols)`` on that shape's matrices in list order.  A lone
-    C-contiguous float64 array is ranked as it is; the kernel sums columns
-    in memory order, so a stack built in place must be C-ordered.
+    """Numeric ranks of a dict ``name -> array`` under the same names in the
+    same order, an int per 2-D matrix and an int array per 3-D stack, from
+    one kernel call per distinct ``(rows, cols)`` on that shape's matrices
+    in dict order.  A lone C-contiguous float64 array is ranked as it is;
+    the kernel sums columns in memory order, so build stacks C-ordered.
 
     ``balance_rows`` first scales every nonzero row to unit length.  That
     keeps the rank exactly and lifts a true dimension that lives only in
     tiny rows (columns that are products of many diagonal ratios) above
     the threshold; use it only when every row is signal, never noise.
     """
-    by_shape, ranks = {}, [None] * len(ms)
-    for i, m in enumerate(ms):
+    by_shape, ranks = {}, dict.fromkeys(ms)
+    for name, m in ms.items():
         if m.ndim not in (2, 3) or 0 in m.shape:
             raise ValueError("expected non-empty 2-D matrices or 3-D stacks")
-        by_shape.setdefault(m.shape[-2:], []).append(i)
-    for idx in by_shape.values():
-        parts = [ms[i] if ms[i].ndim == 3 else ms[i][None] for i in idx]
+        by_shape.setdefault(m.shape[-2:], []).append(name)
+    for names in by_shape.values():
+        parts = [ms[k] if ms[k].ndim == 3 else ms[k][None] for k in names]
         a = parts[0]
         lone = len(parts) == 1 and a.dtype == float and a.flags.c_contiguous
         a = a if lone else np.concatenate(parts, dtype=float)
         r = _ranks(_normalized(a, axis=-1) if balance_rows else a)
         start = 0
-        for i, part in zip(idx, parts):
-            ranks[i] = (r[start:start + len(part)] if ms[i].ndim == 3
+        for k, part in zip(names, parts):
+            ranks[k] = (r[start:start + len(part)] if ms[k].ndim == 3
                         else int(r[start]))
             start += len(part)
     return ranks
@@ -97,5 +97,5 @@ def numeric_rank_by_shape(ms, balance_rows=False):
 
 def is_subspace(a, b):
     """True iff the column span of matrix ``a`` lies inside that of ``b``."""
-    base, joint = numeric_rank_by_shape([b, np.hstack([b, a])])
-    return joint == base
+    ranks = numeric_rank_by_shape({"base": b, "joint": np.hstack([b, a])})
+    return ranks["joint"] == ranks["base"]

@@ -311,9 +311,9 @@ def draw_shared(plan: SharedPlan, seed):
     fill = _read_only(rng.uniform(-1.0, 1.0, size=(plan.fill_count, plan.n)))
     precoders = tuple(np.hstack([plan.window_columns[t], fill[t::K].T])
                       for t in range(K))
-    live = [t for t in range(K) if precoders[t].shape[1]]
-    ranks = numeric_rank_by_shape([precoders[t] for t in live])
-    for t, rank in zip(live, ranks):
+    ranks = numeric_rank_by_shape({t: m for t, m in enumerate(precoders)
+                                   if m.shape[1]})
+    for t, rank in ranks.items():
         if rank != precoders[t].shape[1]:
             raise ValueError(f"precoder of transmitter {t + 1} has rank {rank}, "
                              f"not full column rank {precoders[t].shape[1]}")
@@ -330,9 +330,9 @@ def verify_shared(scheme: SharedPatternScheme, instance):
     place by one broadcast product of the gains (``received_matrix``
     rewrites direct links with memory or a permutation); its interference
     joint drops p's columns with ``compress``, which keeps C order.  One
-    ``numeric_rank_by_shape`` call ranks both joints of every receiver, a
-    joint without columns has rank 0, and the desired dimensions are the
-    excess of the first.
+    ``numeric_rank_by_shape`` call ranks both joints of every receiver,
+    ``used_rx{p}`` and ``interference_rx{p}``, a joint without columns has
+    rank 0, and the desired dimensions are the excess of the first.
     """
     K, n, precoders = instance.K, instance.n, scheme.precoders
     owner = np.repeat(np.arange(K), [x.shape[1] for x in precoders])
@@ -343,11 +343,13 @@ def verify_shared(scheme: SharedPatternScheme, instance):
         if instance.transforms[p].kind != "identity":
             arriving[p][:, owner == p] = instance.received_matrix(
                 p, p, precoders[p])
-    joints = [m for p in range(K)      # per receiver: arriving, interference
-              for m in (arriving[p], arriving[p].compress(owner != p, axis=1))]
-    found = iter(numeric_rank_by_shape([m for m in joints if m.size]))
-    ranks = [next(found) if m.size else 0 for m in joints]
-    used, interference = ranks[::2], ranks[1::2]
+    ranks = numeric_rank_by_shape({
+        f"{kind}_rx{p + 1}": m for p in range(K) for kind, m in (
+            ("used", arriving[p]),
+            ("interference", arriving[p].compress(owner != p, axis=1)))
+        if m.size})
+    used, interference = ([ranks.get(f"{kind}_rx{p + 1}", 0) for p in
+                           range(K)] for kind in ("used", "interference"))
     desired = [u - i for u, i in zip(used, interference)]
     checks = {
         "imperfect_alignment": sum(interference) < (K - 1) * n,
@@ -356,10 +358,8 @@ def verify_shared(scheme: SharedPatternScheme, instance):
         "dims_match_construction": (
             tuple(desired) == scheme.plan.expected_desired
             and tuple(used) == scheme.plan.expected_used)}
-    measured = {}
-    for p in range(K):
-        measured[f"desired_rx{p + 1}"] = desired[p]
-        measured[f"used_rx{p + 1}"] = used[p]
+    measured = {f"{kind}_rx{p + 1}": dims[p] for p in range(K)
+                for kind, dims in (("desired", desired), ("used", used))}
     return checks, measured, max(Fraction(sum(desired), n), Fraction(1))
 
 

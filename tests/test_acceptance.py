@@ -258,8 +258,10 @@ def test_criterion_9_kuser_dimensions():
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
     scheme = draw_kuser(inst, 1, plan_kuser(inst, 1), seed=0)
-    dim_seed, dim_tx1 = numeric_rank_by_shape(
-        [scheme.seed_columns, scheme.tx1_columns], balance_rows=True)
+    dims = numeric_rank_by_shape(
+        {"dim_seed": scheme.seed_columns, "dim_tx1": scheme.tx1_columns},
+        balance_rows=True)
+    dim_seed, dim_tx1 = dims["dim_seed"], dims["dim_tx1"]
     elapsed = time.perf_counter() - start
     ok = (scheme.n == 37 and dim_seed == 3 == scheme.expected["dim_seed"]
           and dim_tx1 == 34 == scheme.expected["dim_tx1"]

@@ -55,7 +55,8 @@ def test_scheme_dimensions_and_rank():
                             seed=0)
         assert scheme.n == n
         assert scheme.interference_basis.shape == (n, n // 2)
-        assert numeric_rank_by_shape([scheme.interference_basis]) == [n // 2]
+        assert numeric_rank_by_shape(
+            {"basis": scheme.interference_basis}) == {"basis": n // 2}
         for v in scheme.precoders:
             assert v.shape == (n, n // 2)
 
@@ -76,8 +77,9 @@ def test_basis_spans_the_generator_power_columns(sigma, rho, data, seed):
     old = np.column_stack([q * gam ** j
                            for q in build_power_basis(union, seed).members
                            for j in range(1, rho + 1)])
-    ranks = numeric_rank_by_shape([np.hstack([old, new]), old, new])
-    assert len(set(ranks)) == 1
+    ranks = numeric_rank_by_shape(
+        {"joint": np.hstack([old, new]), "old": old, "new": new})
+    assert len(set(ranks.values())) == 1
 
 
 def test_minimal_scheme_single_column():
@@ -196,18 +198,17 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
         # a coarse threshold fails about half the trials' containment
         monkeypatch.setattr(linalg, "RELATIVE_THRESHOLD",
                             1e-2 if t % 2 else default)
-        result = run_trials(Scenario("blind", cfg, {"rho": rho}, trials=1,
-                                     base_seed=t)).results[0]
         # the trial's stacked verdicts, recomputed one link at a time
-        scheme = draw_blind(plan_blind(
-            union_pattern([cfg.pattern(p, q) for p, q in cross]), rho), K, t)
+        union = union_pattern([cfg.pattern(p, q) for p, q in cross])
+        scheme = draw_blind(plan_blind(union, rho), K, t)
         inst = sample_network(cfg, t)
         basis = scheme.interference_basis
         direct = [cfg.pattern(k, k) for k in range(K)]
-        base, *joints = numeric_rank_by_shape(
-            [basis] + [np.hstack([basis, inst.received_matrix(
-                k, k, scheme.precoders[k])]) for k in range(K)])
-        free = [min(n // 2, j - base) for j in joints]
+        ranks = numeric_rank_by_shape(
+            {"base": basis} | {k: np.hstack([basis, inst.received_matrix(
+                k, k, scheme.precoders[k])]) for k in range(K)})
+        base = ranks.pop("base")
+        free = [min(n // 2, j - base) for j in ranks.values()]
         want = ({"basis_full_rank": base == basis.shape[1],
                  "cross_containment": all(
                      is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
@@ -220,6 +221,13 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
                 blind_total_dof(free, n))
         assert verify_blind(scheme, inst, [generic_free_dims(scheme, d)
                                            for d in direct]) == want
+        # the blind Scenario runs only unions whose blocks hold rho slots
+        if min(union.lengths) < rho:
+            with pytest.raises(ValueError, match="shorter than rho"):
+                Scenario("blind", cfg, {"rho": rho})
+            continue
+        result = run_trials(Scenario("blind", cfg, {"rho": rho}, trials=1,
+                                     base_seed=t)).results[0]
         assert (result.checks, result.measured, result.total_dof) == want
 
 

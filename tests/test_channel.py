@@ -112,7 +112,7 @@ def test_unknown_set_validation():
 def test_direct_transform_full_rank(kind):
     for seed in range(10):
         t = direct_transform_matrix(kind, 3, 8, seed)
-        assert numeric_rank_by_shape([t.matrix]) == [8]
+        assert numeric_rank_by_shape({"t": t.matrix}) == {"t": 8}
         assert t.kind == kind
 
 

@@ -291,6 +291,22 @@ REGIME_ERRORS = [
     # one hidden slot at epsilon = 1 needs n = 5, not 7
     ("ff3-sim", {**_FF3, "epsilon": 1, "trials": 3}, "n"),
     ("ffk-sim", {**_FFK, "n_star": 0, "trials": 3}, "n_star"),
+    # union blocks of one slot at rho = 2: the basis would have rank
+    # sum_b min(|b|, rho) = 4, not n/2 = 6, on every draw
+    ("blind-sim", {"K": 3, "n": 12, "rho": 2, "trials": 1,
+                   "direct_kind": "identity", "patterns": [
+                       [[] if p == q else [2, 3] for q in range(3)]
+                       for p in range(3)]}, "block"),
+    # the same for the block before slot 2 at n = 8
+    ("blind-sim", {"K": 3, "n": 8, "rho": 2, "trials": 1,
+                   "patterns": [[[2]] * 3] * 3}, "block"),
+    # receivers 1 and 2 change once, 3 and 4 never: at r = 2 the plan
+    # occupies 5 of the n = 4 dimensions at every receiver, and at r = 1
+    # or 3 its interference fills all (K-1)*n receiver dimensions
+    *(("shared-sim", {"K": 4, "n": 4, "r": r, "trials": 1,
+                      "direct_kind": "identity",
+                      "patterns": [[pts] * 4 for pts in ([4], [3], [], [])]},
+       named) for r, named in ((2, "n"), (1, "alignment"), (3, "alignment"))),
 ]
 
 
@@ -319,20 +335,14 @@ def test_failed_verification_exit_code_2(tmp_path, capsys):
     # in the fast-fading scheme, so verification fails on every draw
     d = fastfading_config(3, 7, 1, direct_kind="identity").to_dict()
     d.update({"epsilon": 2, "trials": 3})
-    # the union block before slot 2 is shorter than rho = 2, so the blind
-    # basis loses rank on every draw; such a config is valid input
-    short = [[[2] for _ in range(3)] for _ in range(3)]
-    blind = {"K": 3, "n": 8, "rho": 2, "trials": 3, "patterns": short}
-    for command, raw, failing in (("ff3-sim", d, "rx1_separation"),
-                                  ("blind-sim", blind, "basis_full_rank")):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(raw))
-        code, out, err = run_cli(capsys, command, str(path))
-        assert code == 2
-        assert "first failing seed:" in err
-        assert [f"pass_fraction,{failing},0.0"] == [
-            line for line in out.splitlines()
-            if line.startswith(f"pass_fraction,{failing},")]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run_cli(capsys, "ff3-sim", str(path))
+    assert code == 2
+    assert "first failing seed:" in err
+    assert ["pass_fraction,rx1_separation,0.0"] == [
+        line for line in out.splitlines()
+        if line.startswith("pass_fraction,rx1_separation,")]
 
 
 def test_error_inside_a_trial_is_input_error(tmp_path, capsys, monkeypatch):

@@ -149,9 +149,10 @@ def _mixer(rng, n, omega):
 
 def _same_span(old, new, balance_rows=False):
     """rank([old, new]), rank(old) and rank(new) are one number."""
-    ranks = numeric_rank_by_shape([np.hstack([old, new]), old, new],
-                                  balance_rows=balance_rows)
-    return len(set(ranks)) == 1
+    ranks = numeric_rank_by_shape(
+        {"joint": np.hstack([old, new]), "old": old, "new": new},
+        balance_rows=balance_rows)
+    return len(set(ranks.values())) == 1
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -215,7 +216,7 @@ def _verify_3user_one_at_a_time(scheme, instance):
     checks, measured = {}, {}
 
     def rank(m):
-        return numeric_rank_by_shape([m])[0]
+        return numeric_rank_by_shape({"m": m})["m"]
 
     # tx1's columns are [u, t u, ..., t^eps u, E_omega]; tx3's seed drops
     # u and tx2's drops t^eps u
@@ -330,16 +331,17 @@ def sampled_claims(scheme, instance):
     cols = np.r_[0, eps + 1:v1.shape[1]]
     picks = cols[rng.integers(0, len(cols), size=len(combos))]
     vecs = (g[0] * g[1] * g[2]) / (g[3] * g[4] * g[5]) * v1[:, picks].T
-    side12, side13, span, rank_base, loop = numeric_rank_by_shape([
-        fams[(0, 1)].members[:, :, None] * v2,
-        fams[(0, 2)].members[:, :, None] * v3,
-        np.concatenate([g13[:, :, None] * v3, g12[:, :, None] * v2], axis=-1),
-        base,
-        np.concatenate([np.broadcast_to(base, (len(vecs),) + base.shape),
-                        vecs[:, :, None]], axis=-1)])
-    return (bool(np.all((span == side12[span_combos[:, 0]])
-                        & (span == side13[span_combos[:, 1]]))),
-            bool(np.all(loop == rank_base)))
+    tiled = np.broadcast_to(base, (len(vecs),) + base.shape)
+    r = numeric_rank_by_shape({
+        "side12": fams[(0, 1)].members[:, :, None] * v2,
+        "side13": fams[(0, 2)].members[:, :, None] * v3,
+        "span": np.concatenate([g13[:, :, None] * v3, g12[:, :, None] * v2],
+                               axis=-1),
+        "base": base,
+        "loop": np.concatenate([tiled, vecs[:, :, None]], axis=-1)})
+    return (bool(np.all((r["span"] == r["side12"][span_combos[:, 0]])
+                        & (r["span"] == r["side13"][span_combos[:, 1]]))),
+            bool(np.all(r["loop"] == r["base"])))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -449,8 +451,8 @@ def test_kuser_dims_k4():
     N = (4 - 1) * (4 - 2) - 1
     assert N == 5 and scheme.n == 2 * 2 + 1 ** N + 2 ** N
     assert numeric_rank_by_shape(
-        [scheme.seed_columns, scheme.tx1_columns], balance_rows=True) == [
-            scheme.expected["dim_seed"], scheme.expected["dim_tx1"]] == [3, 34]
+        {"dim_seed": scheme.seed_columns, "dim_tx1": scheme.tx1_columns},
+        balance_rows=True) == scheme.expected == {"dim_seed": 3, "dim_tx1": 34}
     assert verify_kuser(scheme) == ({"dims_match_formula": True},
                                     {"dim_seed": 3, "dim_tx1": 34},
                                     Fraction(34, 37))
@@ -462,9 +464,10 @@ def test_kuser_k3_matches_loop_construction_sizes():
     n = 2 * L + n_star + n_star + 1
     inst = sample_network(fastfading_config(3, n, L), seed=1)
     scheme = draw_kuser(inst, n_star, plan_kuser(inst, n_star), seed=1)
-    assert numeric_rank_by_shape([scheme.seed_columns, scheme.tx1_columns],
-                                 balance_rows=True) == [L + n_star,
-                                                        L + n_star + 1]
+    assert numeric_rank_by_shape(
+        {"dim_seed": scheme.seed_columns, "dim_tx1": scheme.tx1_columns},
+        balance_rows=True) == {"dim_seed": L + n_star,
+                               "dim_tx1": L + n_star + 1}
 
 
 def _indicator_basis(n, omega):

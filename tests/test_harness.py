@@ -132,8 +132,8 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(
             seen = {q: inst.received_matrix(p, q, precoders[q])
                     for q in range(K) if precoders[q].shape[1] > 0}
             interf = [m for q, m in seen.items() if q != p]
-            used, idim = [numeric_rank_by_shape([np.hstack(ms)])[0] if ms
-                          else 0 for ms in (list(seen.values()), interf)]
+            used, idim = [numeric_rank_by_shape({"m": np.hstack(ms)})["m"]
+                          if ms else 0 for ms in (list(seen.values()), interf)]
             want.append((used - idim, idim, used))
         assert measured == {
             f"{name}_rx{p + 1}": v for p, (d, _, used) in enumerate(want)

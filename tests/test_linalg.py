@@ -25,9 +25,9 @@ def _ratio_matrix(ratio):
 def test_rank_threshold_boundary():
     # 2e-8 sits above the fixed 1e-8 threshold and 5e-9 below it
     above, below = _ratio_matrix(2e-8), _ratio_matrix(5e-9)
-    two, one, stack = numeric_rank_by_shape(
-        [above, below, np.stack([above, below])])
-    assert (two, one, stack.tolist()) == (2, 1, [2, 1])
+    r = numeric_rank_by_shape(
+        {"above": above, "below": below, "stack": np.stack([above, below])})
+    assert (r["above"], r["below"], r["stack"].tolist()) == (2, 1, [2, 1])
 
 
 def test_normalized_unit_norms():
@@ -63,9 +63,11 @@ def test_normalized_rescales_large_and_tiny_columns(lo, hi):
         np.ldexp(m, -np.frexp(np.abs(m).max(axis=-1, keepdims=True))[1]),
         axis=-1).tobytes()
     near_one = a[1] / np.abs(a[1]).max()
-    assert numeric_rank_by_shape([a[1], near_one]) == [4, 4]
-    assert numeric_rank_by_shape([m], balance_rows=True) == [3]
-    assert numeric_rank_by_shape([a[0], a[1]]) == [3, 4]
+    assert numeric_rank_by_shape({"a1": a[1], "near_one": near_one}) == {
+        "a1": 4, "near_one": 4}
+    assert numeric_rank_by_shape({"m": m}, balance_rows=True) == {"m": 3}
+    assert numeric_rank_by_shape({"a0": a[0], "a1": a[1]}) == {"a0": 3,
+                                                              "a1": 4}
 
 
 def test_normalized_keeps_the_bits_of_representable_norms():
@@ -81,11 +83,13 @@ def test_normalized_keeps_the_bits_of_representable_norms():
 
 def test_rank_simple_cases():
     assert numeric_rank_by_shape(
-        [np.eye(5), np.zeros((4, 3)), np.ones((4, 3)),
-         np.array([[1.0], [2.0], [3.0]])]) == [5, 0, 1, 1]
+        {"eye": np.eye(5), "zeros": np.zeros((4, 3)), "ones": np.ones((4, 3)),
+         "column": np.array([[1.0], [2.0], [3.0]])}) == {
+            "eye": 5, "zeros": 0, "ones": 1, "column": 1}
     # integer input is ranked as float, in one stack with its shape
-    assert numeric_rank_by_shape([np.eye(3, dtype=int), np.ones((3, 3))]) == [
-        3, 1]
+    assert numeric_rank_by_shape(
+        {"int": np.eye(3, dtype=int), "float": np.ones((3, 3))}) == {
+            "int": 3, "float": 1}
 
 
 def test_rank_matches_exact_oracle_on_random_integer_matrices():
@@ -100,30 +104,32 @@ def test_rank_matches_exact_oracle_on_random_integer_matrices():
             a = rng.integers(-5, 6, size=(rows, inner))
             b = rng.integers(-5, 6, size=(inner, cols))
             m = (a @ b).astype(float)
-        assert numeric_rank_by_shape([m]) == [exact_rank(m)]
+        assert numeric_rank_by_shape({"m": m}) == {"m": exact_rank(m)}
 
 
 def test_rank_near_dependence_respects_threshold(monkeypatch):
     base = np.array([[1.0, 1.0], [0.0, 1e-12], [0.0, 0.0]])
-    assert numeric_rank_by_shape([base]) == [1]
+    assert numeric_rank_by_shape({"base": base}) == {"base": 1}
     monkeypatch.setattr(linalg, "RELATIVE_THRESHOLD", 1e-15)
-    assert numeric_rank_by_shape([base]) == [2]
+    assert numeric_rank_by_shape({"base": base}) == {"base": 2}
 
 
 def test_balance_rows_recovers_dimensions_on_tiny_rows():
     # two independent columns whose difference lives only in a row that is
     # ~1e-10 of the others: plain rank collapses it, balanced rank does not
     m = np.array([[1.0, 1.0], [2.0, 2.0], [1e-10, 2e-10]])
-    assert numeric_rank_by_shape([m]) == [1]
-    assert numeric_rank_by_shape([m], balance_rows=True) == [2]
+    assert numeric_rank_by_shape({"m": m}) == {"m": 1}
+    assert numeric_rank_by_shape({"m": m}, balance_rows=True) == {"m": 2}
     # rank never exceeds the true value: dependent columns stay dependent
     dep = np.column_stack([m[:, 0], 3.0 * m[:, 0]])
     # zero rows are left alone
     z = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    assert numeric_rank_by_shape([dep, z], balance_rows=True) == [1, 2]
+    assert numeric_rank_by_shape({"dep": dep, "z": z},
+                                 balance_rows=True) == {"dep": 1, "z": 2}
     # each matrix of a stack is balanced on its own
-    assert numeric_rank_by_shape([np.stack([m, dep, z])],
-                                 balance_rows=True)[0].tolist() == [2, 1, 2]
+    assert numeric_rank_by_shape({"stack": np.stack([m, dep, z])},
+                                 balance_rows=True)["stack"].tolist() == [
+                                     2, 1, 2]
 
 
 def test_is_subspace():
@@ -141,7 +147,7 @@ def test_is_subspace():
 
 def test_rank_rejects_nonfinite():
     with pytest.raises(ValueError):
-        numeric_rank_by_shape([np.array([[np.nan, 1.0]])])
+        numeric_rank_by_shape({"m": np.array([[np.nan, 1.0]])})
 
 
 def _svd_2d(m):
@@ -209,10 +215,13 @@ def containment_cases(draw):
 def test_stacked_containment_matches_one_at_a_time(case):
     base, stack = case
     joints = [np.hstack([base, c]) for c in stack]
-    ranks, seen = _factored(numeric_rank_by_shape, [base, *joints])
-    assert [r == ranks[0] for r in ranks[1:]] == [
+    ranks, seen = _factored(numeric_rank_by_shape,
+                            {"base": base} | dict(enumerate(joints)))
+    base_rank = ranks.pop("base")
+    assert [r == base_rank for r in ranks.values()] == [
         is_subspace(c, base) for c in stack]
-    assert ranks[1:] == [numeric_rank_by_shape([j])[0] for j in joints]
+    assert ranks == {i: numeric_rank_by_shape({"j": j})["j"]
+                     for i, j in enumerate(joints)}
     # every matrix the stack factored gets the singular values it gets
     # alone: the raw [base, c] is joined before normalizing
     want = [_svd_2d(np.hstack([base, c])) for c in stack] + [_svd_2d(base)]
@@ -229,25 +238,40 @@ def test_stacked_numeric_rank_matches_one_at_a_time(balance_rows, case):
     def svd_2d(m):
         return _svd_2d(_normalized(m, axis=-1) if balance_rows else m)
 
-    ranks, seen = _factored(rank, list(stack))
-    assert ranks == [rank([m])[0] for m in stack]
+    def alone(m):
+        return rank({"m": m})["m"]
+
+    def ranked_by_name(ms):
+        """The ranks of ms and the singular values factored, after checking
+        that the ranks carry ms's names in ms's order and that each name's
+        rank is its matrix's (or each of its stack's matrices') alone."""
+        ranks, seen = _factored(rank, ms)
+        assert list(ranks) == list(ms)
+        assert {k: np.atleast_1d(r).tolist() for k, r in ranks.items()} == {
+            k: [alone(x) for x in (m if m.ndim == 3 else [m])]
+            for k, m in ms.items()}
+        return ranks, seen
+
+    ranks, seen = ranked_by_name({f"c{i}": m for i, m in enumerate(stack)})
+    assert all(type(r) is int for r in ranks.values())
     assert len(seen) == len(stack)
     assert _same_arrays(seen, [svd_2d(m) for m in stack])
-    # a list of mixed shapes, ranked one stack per shape
-    mixed = [base.T, *stack, base]
-    ranks, seen = _factored(rank, mixed)
-    assert ranks == [rank([m])[0] for m in mixed]
-    assert _same_arrays(seen, [svd_2d(m) for m in mixed])
+    # a dict of mixed shapes, ranked one stack per shape; the names are out
+    # of sorted order, so the result's order is the input's, not a sort's
+    mixed = {"z": base.T, **{f"c{i}": m for i, m in enumerate(stack)},
+             "a": base}
+    _, seen = ranked_by_name(mixed)
+    assert _same_arrays(seen, [svd_2d(m) for m in mixed.values()])
     # 3-D stacks among 2-D matrices: an int array per stack, ranked with
     # the matrices of its shape
-    mixed = [stack, base.T, stack[:1], base, stack[::-1]]
-    ranks, seen = _factored(rank, mixed)
-    singles = [m for item in mixed
+    mixed = {"stack": stack, "base_t": base.T, "first": stack[:1],
+             "base": base, "reversed": stack[::-1]}
+    ranks, seen = ranked_by_name(mixed)
+    singles = [m for item in mixed.values()
                for m in (item if item.ndim == 3 else [item])]
-    flat = [r for item in ranks for r in np.atleast_1d(item).tolist()]
-    assert flat == [rank([m])[0] for m in singles]
-    assert [np.ndim(r) for r in ranks] == [1, 0, 1, 0, 1]
-    assert all(type(r) is int for r in ranks[1::2])
+    assert {k: np.ndim(r) for k, r in ranks.items()} == {
+        "stack": 1, "base_t": 0, "first": 1, "base": 0, "reversed": 1}
+    assert type(ranks["base_t"]) is int and type(ranks["base"]) is int
     assert _same_arrays(seen, [svd_2d(m) for m in singles])
 
 
@@ -256,13 +280,15 @@ def test_stacked_rank_validation():
     nan_inside[1, 2, 0] = np.nan
     inf_inside[3, 0, 1] = -np.inf
     for ms, message in (
-            ([np.ones(3)], "non-empty"),                    # not a matrix
-            ([np.ones((2, 3, 1, 1))], "non-empty"),         # not a stack
-            ([np.zeros((3, 0))], "non-empty"),              # no columns
-            ([np.eye(3), np.zeros((0, 3, 3))], "non-empty"),  # empty batch
-            ([np.eye(3), np.full((3, 3), np.nan)], "finite"),
-            ([np.eye(3), np.full((3, 1), np.inf)], "finite"),
-            ([np.eye(3), nan_inside], "finite"),            # nan in a stack
-            ([inf_inside, np.ones((3, 2))], "finite")):     # inf in a stack
+            ({"a": np.ones(3)}, "non-empty"),                  # not a matrix
+            ({"a": np.ones((2, 3, 1, 1))}, "non-empty"),       # not a stack
+            ({"a": np.zeros((3, 0))}, "non-empty"),            # no columns
+            # an empty batch
+            ({"a": np.eye(3), "b": np.zeros((0, 3, 3))}, "non-empty"),
+            ({"a": np.eye(3), "b": np.full((3, 3), np.nan)}, "finite"),
+            ({"a": np.eye(3), "b": np.full((3, 1), np.inf)}, "finite"),
+            ({"a": np.eye(3), "b": nan_inside}, "finite"),  # nan in a stack
+            # inf in a stack
+            ({"a": inf_inside, "b": np.ones((3, 2))}, "finite")):
         with pytest.raises(ValueError, match=message):
             numeric_rank_by_shape(ms)

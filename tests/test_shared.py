@@ -191,13 +191,13 @@ def test_precoders_have_independent_columns():
     pats, n = dense_demo_patterns()
     scheme = draw_shared(plan_shared(4, 2, pats, n), 1)
     from alignsim.linalg import numeric_rank_by_shape
-    assert numeric_rank_by_shape(scheme.precoders) == [
-        mat.shape[1] for mat in scheme.precoders]
+    assert numeric_rank_by_shape(dict(enumerate(scheme.precoders))) == {
+        t: mat.shape[1] for t, mat in enumerate(scheme.precoders)}
 
 
 def test_rank_deficient_precoder_names_its_transmitter(monkeypatch):
     def one_short_for_tx2(ms):
-        return [m.shape[1] - (i == 1) for i, m in enumerate(ms)]
+        return {t: m.shape[1] - (t == 1) for t, m in ms.items()}
 
     monkeypatch.setattr(shared, "numeric_rank_by_shape", one_short_for_tx2)
     pats, n = pair_demo_patterns()

@@ -1,10 +1,11 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
-library, one rank entry for every module, one network-sampling site, one
-acceptance loop for separated draws, a fixed list of generator-seeding
-sites, trial streams keyed by seed and purpose, no least-squares solve
-and no retired parameter (a rank tolerance, a gain range or a separation
-mode), the same command output with and without ``python -O``, and a
-suite that reports every test when a property test fails."""
+library, one rank entry for every module, called with named matrices, one
+network-sampling site, one acceptance loop for separated draws, a fixed
+list of generator-seeding sites, trial streams keyed by seed and purpose,
+no least-squares solve and no retired parameter (a rank tolerance, a gain
+range or a separation mode), the same command output with and without
+``python -O``, and a suite that reports every test when a property test
+fails."""
 
 import ast
 import json
@@ -86,6 +87,24 @@ def test_regimes_rank_through_one_entry():
                     or (not module.endswith("linalg")
                         and alias.name == "linalg")]
     assert found == []
+
+
+def test_every_rank_call_names_its_matrices():
+    # numeric_rank_by_shape returns each rank under its matrix's name, so a
+    # caller that builds the names where it calls reads no rank by position
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "alignsim").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and "numeric_rank_by_shape" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None))
+             and not (node.args
+                      and isinstance(node.args[0], (ast.Dict, ast.DictComp)))]
+    assert found == []
+    assert call_sites("numeric_rank_by_shape") == [
+        "blind.py:verify_blind", "fastfading.py:verify_3user",
+        "fastfading.py:verify_kuser", "linalg.py:is_subspace",
+        "shared.py:draw_shared", "shared.py:verify_shared"]
 
 
 def call_sites(name):
