@@ -41,7 +41,7 @@ def main():
           f"perfect-CSIT fraction upsilon = "
           f"{upsilon_fraction(cross_unknowns, n)}")
 
-    scheme = draw_3user(inst, eps, plan_3user(cfg, eps), seed=0)
+    scheme = draw_3user(inst, plan_3user(cfg, eps), seed=0)
     checks, m, total = verify_3user(scheme, inst)
     print("  checks on the true channels (hidden values included):")
     for name, ok in checks.items():
@@ -60,7 +60,7 @@ def main():
     n = 2 * L + n_star ** N + (n_star + 1) ** N
     cfg = per_slot_config(4, n, L)
     inst = sample_network(cfg, seed=0)
-    scheme = draw_kuser(inst, n_star, plan_kuser(cfg, n_star), seed=0)
+    scheme = draw_kuser(inst, plan_kuser(cfg, n_star), seed=0)
     # grid columns multiply up to 5 surrogate ratios, so row magnitudes
     # spread widely; the verifier measures rank after row equalization
     m = verify_kuser(scheme)[1]

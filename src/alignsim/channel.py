@@ -16,8 +16,9 @@ Everything that does not depend on the seed is built and validated
 once: a frozen ``NetworkConfig`` builds its K x K pattern and hidden-slot
 tables and every link's block gaps and lengths at construction (so a
 bad change point or direct transform fails when the config is loaded),
-each hidden-slot set carries its sorted slots, and an identity config
-keeps its one read-only identity transform.  A diagonal channel is
+each hidden-slot set carries its sorted slots, an identity config keeps
+its one read-only identity transform, and a memory band mask is built
+once per (n, distance).  A diagonal channel is
 its length-n vector of gains, a read-only float64 array that every
 consumer uses as it is.  ``sample_network`` draws every link's gains at
 once, from one generator, as the instance's read-only (K*K, n) ``gains``;
@@ -30,6 +31,7 @@ import math
 import numbers
 from bisect import bisect
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,6 +204,14 @@ def _check_transform(kind, distance, n):
                          f"{kind} transform")
 
 
+@lru_cache(maxsize=16)
+def _band(n, distance):
+    """The read-only band 0 <= row - col <= distance of n x n memories."""
+    band = np.tri(n, dtype=bool) & ~np.tri(n, k=-distance - 1, dtype=bool)
+    band.setflags(write=False)
+    return band
+
+
 def direct_transform_matrix(kind, distance, n, seed):
     """Full-rank direct-link transform of the requested kind, with a
     read-only matrix."""
@@ -217,8 +227,7 @@ def direct_transform_matrix(kind, distance, n, seed):
         distance = 0
     elif kind == "memory":
         rng = np.random.default_rng(seed)
-        # the band (0 <= row - col <= distance), filled in row-major order
-        band = np.tri(n, dtype=bool) & ~np.tri(n, k=-distance - 1, dtype=bool)
+        band = _band(n, distance)
         mat = np.zeros((n, n))
         mat[band] = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
                                 size=np.count_nonzero(band))

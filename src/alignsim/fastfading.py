@@ -17,23 +17,27 @@ caps as a function of that fraction, and the K-user generalization built
 from pairwise transfer maps.  ``verify_3user`` and ``verify_kuser`` check
 the two constructions by rank and return ``(checks, measured, total_dof)``.
 
-Each construction is a seed-free plan (``plan_3user``, ``plan_kuser``: the
-parameter and slot-count checks and the sorted hidden union) and a
-seeded draw of the scheme from it (``draw_3user``, ``draw_kuser``).
+Each construction is a seed-free ``HiddenSlotPlan`` (``plan_3user``,
+``plan_kuser``: after the parameter and slot-count checks, omega, the
+cross links and their gain rows, the families' draw layout, [u, E_omega],
+the known-slot mask and the 3-user rx1 matching) and a seeded draw from
+it (``draw_3user``, ``draw_kuser``), which only fills the layout.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .channel import NetworkInstance, UnknownSet
-from .decomposition import build_indexed_families
+from .decomposition import (IndexedLayout, build_indexed_families,
+                            indexed_layout)
 # is_subspace is bound here, unused, because perfbench's tracing test
 # checks that the tracer rebinds alignsim.fastfading.is_subspace
 from .linalg import is_subspace, numeric_rank_by_shape
 
 __all__ = [
+    "HiddenSlotPlan",
     "FastFading3Scheme",
     "KUserScheme",
     "plan_3user",
@@ -104,64 +108,80 @@ def min_upsilon_for_max_dof(K):
 
 
 @dataclass(frozen=True)
+class HiddenSlotPlan:
+    """What a fast-fading config's hidden slots fix before any seed."""
+    order: int                  # epsilon (3-user) or n_star (K-user)
+    omega: tuple                # sorted hidden union
+    links: tuple                # the cross links (p, q), row-major
+    rows: np.ndarray            # gain row p*K + q of each cross link
+    layout: IndexedLayout       # the surrogate families' draw layout
+    indicators: np.ndarray      # read-only [u, E_omega], u: 1 off omega
+    known: np.ndarray           # read-only mask of the slots off omega
+    separated: object = None    # 3-user rx1 matching; None: per permutation
+
+
+@dataclass(frozen=True)
 class FastFading3Scheme:
-    n: int
-    L: int                      # number of hidden slots (union over links)
-    epsilon: int
-    omega: tuple                # sorted hidden slots
+    plan: HiddenSlotPlan
     loop_transfer: np.ndarray   # diagonal values of the loop map T
-    indicators: np.ndarray      # [u, E_omega], u the indicator off omega
-    surrogates: dict            # (p, q) -> indexed BasisFamily
+    members: np.ndarray         # (links, max|U|+1, n) surrogate stack
+    surrogates: dict            # (p, q) -> indexed BasisFamily, its view
     tx_columns: tuple           # precoder matrix per transmitter (V1, V2, V3)
     expected: dict              # {"dof": per-user DoF fractions}
 
 
-def _hidden_omega(network, fixed_slots):
-    """The sorted hidden union of a config's or instance's cross links,
-    after checking that it has 2L + fixed_slots slots."""
+def _plan(network, fixed_slots, order):
+    """The hidden-slot plan of a config or instance, after checking that
+    it has n = 2L + fixed_slots slots, L the size of the hidden union."""
     K, n = network.K, network.n
-    omega = tuple(sorted(hidden_union(
-        [network.unknown_set(p, q) for p in range(K) for q in range(K)
-         if p != q])))
-    expect_n = 2 * len(omega) + fixed_slots
-    if n != expect_n:
+    links = tuple((p, q) for p in range(K) for q in range(K) if p != q)
+    unknowns = [network.unknown_set(p, q) for p, q in links]
+    omega = tuple(sorted(hidden_union(unknowns)))
+    if n != 2 * len(omega) + fixed_slots:
         raise ValueError(f"n = {n} must equal 2L + {fixed_slots} = "
-                         f"{expect_n}, where L = {len(omega)} is the number "
-                         "of hidden slots")
-    return omega
-
-
-def _hidden_slot_setup(instance, omega, seed):
-    """Surrogate families, their first members and the indicator basis
-    [u, E_omega] of a scheme, u the indicator of the slots off omega.
-    The families are views of one stack, their hidden values one read of
-    the generator keyed [seed, 2] (see ``sample_network``), cross link
-    after cross link in (p, q) order: a slot takes at least its |U|+1
-    draws and a later batch only the values still missing, so the read
-    gives one separated_uniform call per slot's values and end state."""
-    K, n = instance.K, instance.n
-    links = [(p, q) for p in range(K) for q in range(K) if p != q]
-    fams = dict(zip(links, build_indexed_families(
-        instance.gains.take([p * K + q for p, q in links], axis=0),
-        [instance.unknown_set(p, q) for p, q in links],
-        np.random.default_rng([seed, 2]))))
+                         f"{2 * len(omega) + fixed_slots}, where L = "
+                         f"{len(omega)} is the number of hidden slots")
     basis = np.zeros((n, len(omega) + 1))
     basis[:, 0] = 1.0
     basis[np.array(omega, dtype=int) - 1] = np.eye(len(omega) + 1)[1:]
-    return fams, {pq: f.members[0] for pq, f in fams.items()}, basis
+    rows, known = np.array([p * K + q for p, q in links]), basis[:, 0] == 1
+    for a in (basis, rows, known):
+        a.setflags(write=False)
+    return HiddenSlotPlan(order, omega, links, rows, indexed_layout(unknowns),
+                          basis, known)
 
 
-def plan_3user(network, epsilon):
-    """The sorted hidden union of a 3-user config or instance, after the
-    user-count, epsilon and slot-count (n = 2L + 2 epsilon + 1) checks."""
-    if network.K != 3:
+def _hidden_slot_setup(instance, plan, seed):
+    """The surrogate stack of a planned scheme, one fill of the plan's
+    layout from the generator keyed [seed, 2] (see ``sample_network``),
+    and its families by cross link, views of it."""
+    stack, fams = build_indexed_families(instance.gains[plan.rows],
+                                         plan.layout,
+                                         np.random.default_rng([seed, 2]))
+    return stack, dict(zip(plan.links, fams))
+
+
+def plan_3user(config, epsilon):
+    """The hidden-slot plan of a 3-user config, after the user-count,
+    epsilon and slot-count (n = 2L + 2 epsilon + 1) checks.  A band of
+    distance d (the identity's is 0) matches each hidden slot s to its own
+    r off omega in (s, s + d] if the greedy pass taking the least r does."""
+    if config.K != 3:
         raise ValueError("this constructor is for 3 users")
     if epsilon < 1:
         raise ValueError("epsilon must be >= 1")
-    return _hidden_omega(network, 2 * epsilon + 1)
+    plan = _plan(config, 2 * epsilon + 1, epsilon)
+    if config.direct_kind == "permutation":
+        return plan
+    d = config.memory_distance if config.direct_kind == "memory" else 0
+    taken = set(plan.omega)
+    for s in plan.omega:
+        taken.add(next((r for r in range(s + 1, min(s + d, config.n) + 1)
+                        if r not in taken), None))
+    return replace(plan, separated=None not in taken)
 
 
-def draw_3user(instance: NetworkInstance, epsilon, omega, seed):
+def draw_3user(instance: NetworkInstance, plan: HiddenSlotPlan, seed):
     """The three precoders of a planned 3-user scheme, from surrogate
     families only, so hidden values never leak in (the indexed basis
     copies the known slots and redraws the hidden ones).
@@ -173,18 +193,20 @@ def draw_3user(instance: NetworkInstance, epsilon, omega, seed):
     matrix on the nodes {1, gamma_s} is invertible, so span{gamma^j} =
     span{u, E_omega}, and t, nonzero on omega, keeps span(E_omega).
     """
-    n, L = instance.n, len(omega)
-    fams, g, basis = _hidden_slot_setup(instance, omega, seed)
+    n, L, eps, basis = instance.n, len(plan.omega), plan.order, plan.indicators
+    stack, fams = _hidden_slot_setup(instance, plan, seed)
+    g = dict(zip(plan.links, stack[:, 0]))
     t = g[0, 1] * g[1, 2] * g[2, 0] / (g[1, 0] * g[2, 1] * g[0, 2])
-    v1 = np.column_stack([t ** i * basis[:, 0] for i in range(epsilon + 1)]
-                         + [basis[:, 1:]])
+    v1 = np.empty((n, L + eps + 1))
+    for i in range(eps + 1):
+        np.multiply(t ** i, basis[:, 0], out=v1[:, i])
+    v1[:, eps + 1:] = basis[:, 1:]
     v3 = (g[1, 0] / g[1, 2])[:, None] * v1[:, 1:]
-    v2 = ((g[2, 0] / g[2, 1])[:, None]
-          * np.hstack([v1[:, :epsilon], v1[:, epsilon + 1:]]))
-    expected = {"dof": (Fraction(L + epsilon + 1, n), Fraction(L + epsilon, n),
-                        Fraction(L + epsilon, n))}
-    return FastFading3Scheme(n=n, L=L, epsilon=epsilon, omega=omega,
-                             loop_transfer=t, indicators=basis,
+    v2 = np.delete(v1, eps, axis=1)
+    v2 *= (g[2, 0] / g[2, 1])[:, None]
+    expected = {"dof": (Fraction(L + eps + 1, n), Fraction(L + eps, n),
+                        Fraction(L + eps, n))}
+    return FastFading3Scheme(plan=plan, loop_transfer=t, members=stack,
                              surrogates=fams, tx_columns=(v1, v2, v3),
                              expected=expected)
 
@@ -193,10 +215,8 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     """Rank-based verification on true (hidden values included) channels,
     as ``(checks, measured, total_dof)``: the total is the expected
     per-user DoF summed when ``rx1_separation`` holds, else 1.
-
-    The desired/interference separation check needs a non-diagonal direct
-    transform whose bandwidth exceeds the hidden-slot gaps; with other
-    transforms the result is reported but flagged as not guaranteed.
+    ``separation_guaranteed`` is the plan's rx1 matching, or for a drawn
+    permutation whether it maps no hidden slot onto a hidden slot.
 
     ``rx1_span_equality`` and ``loop_closure`` claim that a span stays put
     whatever values the hidden gains take.  Every surrogate member copies
@@ -205,61 +225,62 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     that is nonzero on omega maps span(E_omega), E_omega = [e_s : s in
     omega], onto itself.  So the loop vectors t' u = t u and t' e_s stay
     in span[t u, E_omega] for every hidden value when tx1's last L columns
-    equal E_omega, read from the scheme's indicator basis, which
+    equal E_omega, read from the plan's indicator basis, which
     ``loop_closure`` checks exactly, with no rank; and span(g12 v2) =
     span(g13 v3) for every pair of hidden values iff rank([s13 v3, s12 v2,
     E_omega]) equals the rank of each side, s12 and s13 the first members
     of links (0, 1) and (0, 2): that one joint stands for E_omega inside
     both spans and for their equality.
     A containment holds when the rank of a raw ``[base, candidate]`` joint
-    equals the base's.  One ``numeric_rank_by_shape`` call ranks every
-    matrix by name, one stack per shape, a CSV column's rank under its name.
+    equals the base's.  One ``numeric_rank_by_shape`` call ranks a C-ordered
+    stack per shape, each written in place: ``tx`` (tx1 and the rx2 and rx3
+    bases), ``seeds`` (both seed sets, s12 v2 and s13 v3), ``joints`` (at
+    rx2, rx3 and rx1) and the rx1 ``span``.
     """
-    L, eps = scheme.L, scheme.epsilon
+    plan, n, eps = scheme.plan, instance.n, scheme.plan.order
     v1, v2, v3 = scheme.tx_columns
-    fams = scheme.surrogates
-    sizes = [len(f.members) for f in fams.values()]
-    members = np.concatenate([f.members for f in fams.values()])
-    firsts = members[np.repeat(np.cumsum(sizes) - sizes, sizes)]
-    agree = bool((members == firsts)[:, scheme.indicators[:, 0] == 1.0].all())
-    e_omega = scheme.indicators[:, 1:]
-    left = fams[(0, 1)].members[0][:, None] * v2
-    right = fams[(0, 2)].members[0][:, None] * v3
-
-    r10 = instance.received_matrix(1, 0, v1)
-    r20 = instance.received_matrix(2, 0, v1)
-    rank = numeric_rank_by_shape({
-        "rank_tx1": v1, "rx2_base": r10, "rx3_base": r20,
-        "rank_seed_b": v1[:, 1:],
-        "rank_seed_c": np.hstack([v1[:, :eps], v1[:, eps + 1:]]),
-        "rx2_joint": np.hstack([r10, instance.received_matrix(1, 2, v3)]),
-        "rx3_joint": np.hstack([r20, instance.received_matrix(2, 1, v2)]),
-        "joint_rank": np.hstack([instance.received_matrix(0, 0, v1),
-                                 instance.received_matrix(0, 1, v2)]),
-        "side12": left, "side13": right,
-        "span": np.hstack([right, left, e_omega])})
+    L, e_omega = len(plan.omega), plan.indicators[:, 1:]
+    w = L + eps
+    known = scheme.members[:, :, plan.known]
+    agree = bool((known == known[:, :1]).all())
+    h = instance.gains.reshape(3, 3, n, 1)
+    tx = np.concatenate([np.ones((1, n, 1)), h[1:, 0]]) * v1
+    seeds = np.empty((4, n, w))
+    seeds[:2] = v1[:, 1:]
+    seeds[1, :, :eps] = v1[:, :eps]
+    # s12 v2 and s13 v3: links (0, 1) and (0, 2) lead the surrogate stack
+    np.multiply(scheme.members[:2, 0, :, None], (v2, v3), out=seeds[2:])
+    joints = np.empty((3, n, n))
+    joints[:, :, :w + 1] = tx[1], tx[2], instance.received_matrix(0, 0, v1)
+    np.multiply(h[(1, 2, 0), (2, 1, 1)], (v3, v2, v2),
+                out=joints[:, :, w + 1:])
+    span = np.hstack([seeds[3], seeds[2], e_omega])
+    rank = numeric_rank_by_shape({"tx": tx, "seeds": seeds, "joints": joints,
+                                  "span": span})
+    rank_tx1, rx2_base, rx3_base = rank["tx"].tolist()
+    rank_seed_b, rank_seed_c, side12, side13 = rank["seeds"].tolist()
+    rx2_joint, rx3_joint, joint_rank = rank["joints"].tolist()
 
     checks = {
-        "rank_tx1": rank["rank_tx1"] == L + eps + 1,
-        "rank_seeds": rank["rank_seed_b"] == rank["rank_seed_c"] == L + eps,
+        "rank_tx1": rank_tx1 == L + eps + 1,
+        "rank_seeds": rank_seed_b == rank_seed_c == L + eps,
         # interference from TX2 and TX3 collapses to one span at RX1, for
         # every hidden value of the two incoming links
-        "rx1_span_equality": agree and (rank["span"] == rank["side12"]
-                                        == rank["side13"]),
+        "rx1_span_equality": agree and rank["span"] == side12 == side13,
         # loop-map substitutions stay inside span[t u, E_omega]: tx1's
         # columns are [u, t u, ..., t^eps u, E_omega]
         "loop_closure": agree and np.array_equal(v1[:, eps + 1:], e_omega),
         # true-channel containments at RX2 and RX3
-        "rx2_containment": rank["rx2_joint"] == rank["rx2_base"],
-        "rx3_containment": rank["rx3_joint"] == rank["rx3_base"],
+        "rx2_containment": rx2_joint == rx2_base,
+        "rx3_containment": rx3_joint == rx3_base,
         # desired + interference fills all n dimensions at RX1
-        "rx1_separation": rank["joint_rank"] == 2 * (L + eps) + 1}
-    gaps_ok = all(b - a < max(1, instance.transforms[0].distance)
-                  for a, b in zip(scheme.omega, scheme.omega[1:]))
-    measured = {k: rank[k] for k in ("rank_tx1", "rank_seed_b",
-                                     "rank_seed_c", "joint_rank")}
-    measured["separation_guaranteed"] = bool(
-        instance.transforms[0].kind in ("memory", "permutation") and gaps_ok)
+        "rx1_separation": joint_rank == 2 * (L + eps) + 1}
+    separated, hidden = plan.separated, ~plan.known
+    if separated is None:
+        separated = not instance.transforms[0].matrix[hidden][:, hidden].any()
+    measured = {"rank_tx1": rank_tx1, "rank_seed_b": rank_seed_b,
+                "rank_seed_c": rank_seed_c, "joint_rank": joint_rank,
+                "separation_guaranteed": separated}
     return checks, measured, (sum(scheme.expected["dof"])
                               if checks["rx1_separation"] else Fraction(1))
 
@@ -289,7 +310,7 @@ def _grid_columns(maps, basis, lo, hi):
 
 
 def plan_kuser(network, n_star):
-    """The sorted hidden union of a K-user config or instance, after the
+    """The hidden-slot plan of a K-user config or instance, after the
     user-count, n_star, grid-size and slot-count checks."""
     K = network.K
     if K < 3:
@@ -299,10 +320,10 @@ def plan_kuser(network, n_star):
     N = (K - 1) * (K - 2) - 1
     if (n_star + 1) ** N > KUSER_SIZE_GUARD:
         raise ValueError("exponent grid too large for direct construction")
-    return _hidden_omega(network, n_star ** N + (n_star + 1) ** N)
+    return _plan(network, n_star ** N + (n_star + 1) ** N, n_star)
 
 
-def draw_kuser(instance: NetworkInstance, n_star, omega, seed):
+def draw_kuser(instance: NetworkInstance, plan: HiddenSlotPlan, seed):
     """Pairwise-transfer column families of a planned K-user scheme.
 
     Exponent grids over the N = (K-1)(K-2)-1 pairwise transfer maps give
@@ -313,16 +334,17 @@ def draw_kuser(instance: NetworkInstance, n_star, omega, seed):
     j = 1..L+1, span, under ``draw_3user``'s conditions on the mixer
     gamma, since the maps are nonzero on omega.
     """
-    K, n, L = instance.K, instance.n, len(omega)
+    K, n, L, n_star = instance.K, instance.n, len(plan.omega), plan.order
     N = (K - 1) * (K - 2) - 1
-    _, q1, basis = _hidden_slot_setup(instance, omega, seed)
+    stack, _ = _hidden_slot_setup(instance, plan, seed)
+    q1 = dict(zip(plan.links, stack[:, 0]))
     relay = {q: q1[0, 2] * q1[1, 0] / (q1[0, q] * q1[1, 2])
              for q in range(1, K)}
     pairs = [(p, q) for p in range(1, K) for q in range(1, K)
              if p != q and (p, q) != (1, 2)]
     maps = [q1[pq] / q1[pq[0], 0] * relay[pq[1]] for pq in pairs]
-    seed_cols = _grid_columns(maps, basis, 1, n_star)
-    tx1_cols = _grid_columns(maps, basis, 0, n_star)
+    seed_cols = _grid_columns(maps, plan.indicators, 1, n_star)
+    tx1_cols = _grid_columns(maps, plan.indicators, 0, n_star)
     expected = {"dim_seed": L + n_star ** N,
                 "dim_tx1": L + (n_star + 1) ** N}
     return KUserScheme(n=n, tx1_columns=tx1_cols, seed_columns=seed_cols,

@@ -12,7 +12,8 @@ config or parameter the regime cannot use fails there: the blind
 identity-direct-link check, union pattern, layout checks, union blocks no
 shorter than rho and expected free dimensions, the shared window and
 carrier construction with a plan that fits n and aligns, or the
-fast-fading hidden union and slot-count checks.  ``run_trials`` samples
+fast-fading slot-count checks and hidden-slot plan (omega, the families'
+draw layout, [u, E_omega] and the rx1 matching).  ``run_trials`` samples
 each trial's network once and hands the instance to the regime's trial,
 which draws the seeded part of the scheme from the plan and returns its
 verifier's ``(checks, measured, total_dof)`` as they are.
@@ -130,21 +131,19 @@ def _shared_trial(plan, instance, seed):
 
 
 def _ff3_plan(cfg, params):
-    eps = int(params.get("epsilon", 1))
-    return eps, plan_3user(cfg, eps)
+    return plan_3user(cfg, int(params.get("epsilon", 1)))
 
 
 def _ff3_trial(plan, instance, seed):
-    return verify_3user(draw_3user(instance, *plan, seed), instance)
+    return verify_3user(draw_3user(instance, plan, seed), instance)
 
 
 def _ffk_plan(cfg, params):
-    n_star = int(params.get("n_star", 1))
-    return n_star, plan_kuser(cfg, n_star)
+    return plan_kuser(cfg, int(params.get("n_star", 1)))
 
 
 def _ffk_trial(plan, instance, seed):
-    return verify_kuser(draw_kuser(instance, *plan, seed))
+    return verify_kuser(draw_kuser(instance, plan, seed))
 
 
 # regime -> (plan from config and params, trial from plan, sampled

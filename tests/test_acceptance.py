@@ -226,11 +226,11 @@ def test_criterion_8_fastfading_3user():
     for L, eps in ((1, 2), (2, 2), (3, 3)):
         n = 2 * (L + eps) + 1
         cfg = fastfading_config(3, n, L)
-        omega = plan_3user(cfg, eps)
+        plan = plan_3user(cfg, eps)
         passed = 0
         for t in range(200):
             inst = sample_network(cfg, seed=t)
-            scheme = draw_3user(inst, eps, omega, seed=t)
+            scheme = draw_3user(inst, plan, seed=t)
             checks, measured, _ = verify_3user(scheme, inst)
             ranks_ok = (measured["rank_tx1"] == L + eps + 1
                         and measured["rank_seed_b"] == L + eps
@@ -241,10 +241,10 @@ def test_criterion_8_fastfading_3user():
         all_good &= passed == 200
     neg_fail = 0
     cfg = fastfading_config(3, 7, 1, direct_kind="identity")
-    omega = plan_3user(cfg, 2)
+    plan = plan_3user(cfg, 2)
     for t in range(100):
         inst = sample_network(cfg, seed=t)
-        scheme = draw_3user(inst, 2, omega, seed=t)
+        scheme = draw_3user(inst, plan, seed=t)
         neg_fail += not verify_3user(scheme, inst)[0]["rx1_separation"]
     neg_ok = neg_fail > 95
     ok = all_good and neg_ok
@@ -257,7 +257,7 @@ def test_criterion_9_kuser_dimensions():
     n = 2 * 2 + 1 ** 5 + 2 ** 5      # L=2, n*=1, N=5 -> 37
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
-    scheme = draw_kuser(inst, 1, plan_kuser(inst, 1), seed=0)
+    scheme = draw_kuser(inst, plan_kuser(inst, 1), seed=0)
     dims = numeric_rank_by_shape(
         {"dim_seed": scheme.seed_columns, "dim_tx1": scheme.tx1_columns},
         balance_rows=True)

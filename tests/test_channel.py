@@ -18,7 +18,8 @@ from alignsim.channel import (H_MAX_DEFAULT, H_MIN_DEFAULT, ChangingPattern,
                               sample_network, separated_uniform,
                               union_pattern)
 from alignsim.decomposition import (build_indexed_basis,
-                                    build_indexed_families, build_power_basis)
+                                    build_indexed_families, build_power_basis,
+                                    indexed_layout)
 from alignsim.linalg import numeric_rank_by_shape
 
 
@@ -489,7 +490,8 @@ def test_stacked_families_match_per_slot_scalar_draws(layout, seed):
     rows = np.random.default_rng(seed).uniform(0.5, 2.0, size=(len(sets), n))
     unknowns = [UnknownSet(n, frozenset(s)) for s in sets]
     batched, scalar = (np.random.default_rng([seed, 2]) for _ in range(2))
-    fams = build_indexed_families(rows, unknowns, batched)
+    stack, fams = build_indexed_families(rows, indexed_layout(unknowns),
+                                         batched)
     for row, unknown, fam in zip(rows, unknowns, fams):
         want = np.tile(row, (len(unknown.hidden) + 1, 1))
         for slot in unknown.hidden:
@@ -498,8 +500,12 @@ def test_stacked_families_match_per_slot_scalar_draws(layout, seed):
         assert fam.members.tobytes() == want.tobytes()
         assert fam.anchor_indices == unknown.hidden
         assert not fam.members.flags.writeable
-    # every family is a view of one stack
-    assert len({id(fam.members.base) for fam in fams}) == 1
+    # every family is a view of the one stack, whose padding rows copy
+    # the true row
+    assert all(fam.members.base is stack for fam in fams)
+    assert all(np.array_equal(pad, row)
+               for row, k, fam in zip(rows, stack, fams)
+               for pad in k[len(fam.members):])
     assert batched.bit_generator.random_raw() == \
         scalar.bit_generator.random_raw()
 

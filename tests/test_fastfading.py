@@ -17,6 +17,8 @@ from alignsim.fastfading import (_grid_columns, dof_cap_given_upsilon,
                                  min_upsilon_for_max_dof, plan_3user,
                                  plan_kuser, upsilon_fraction, verify_3user,
                                  verify_kuser)
+from alignsim.decomposition import (build_indexed_basis,
+                                    build_indexed_families, indexed_layout)
 from alignsim.harness import Scenario, run_trials
 from alignsim.linalg import is_subspace, numeric_rank_by_shape
 from conftest import fastfading_config
@@ -70,10 +72,10 @@ def test_min_upsilon():
 def test_3user_ranks_and_containments(L, eps):
     n = 2 * (L + eps) + 1
     cfg = fastfading_config(3, n, L)
-    omega = plan_3user(cfg, eps)
+    plan = plan_3user(cfg, eps)
     for t in range(25):
         inst = sample_network(cfg, seed=t)
-        scheme = draw_3user(inst, eps, omega, seed=t)
+        scheme = draw_3user(inst, plan, seed=t)
         checks, measured, total = verify_3user(scheme, inst)
         assert checks["rank_tx1"], (L, eps, t)
         assert checks["rank_seeds"], (L, eps, t)
@@ -92,8 +94,9 @@ def test_3user_ranks_and_containments(L, eps):
 def test_3user_small_depth_seed_rank_is_L_plus_eps():
     L, eps = 2, 1
     n = 2 * (L + eps) + 1
-    inst = sample_network(fastfading_config(3, n, L), seed=0)
-    scheme = draw_3user(inst, eps, plan_3user(inst, eps), seed=0)
+    cfg = fastfading_config(3, n, L)
+    inst = sample_network(cfg, seed=0)
+    scheme = draw_3user(inst, plan_3user(cfg, eps), seed=0)
     checks, measured, _ = verify_3user(scheme, inst)
     # at depth 1 the seed sets still have rank L + eps, not L
     assert checks["rank_seeds"]
@@ -106,10 +109,10 @@ def test_3user_identity_transform_negative_control():
     n = 2 * (L + eps) + 1
     failures = 0
     cfg = fastfading_config(3, n, L, direct_kind="identity")
-    omega = plan_3user(cfg, eps)
+    plan = plan_3user(cfg, eps)
     for t in range(25):
         inst = sample_network(cfg, seed=t)
-        scheme = draw_3user(inst, eps, omega, seed=t)
+        scheme = draw_3user(inst, plan, seed=t)
         checks, measured, total = verify_3user(scheme, inst)
         failures += not checks["rx1_separation"]
         assert not measured["separation_guaranteed"]
@@ -119,21 +122,21 @@ def test_3user_identity_transform_negative_control():
 
 
 def test_3user_validates_inputs():
-    inst = sample_network(fastfading_config(3, 7, 1), seed=0)
+    cfg = fastfading_config(3, 7, 1)
     with pytest.raises(ValueError):
-        plan_3user(inst, 0)
+        plan_3user(cfg, 0)
     with pytest.raises(ValueError):
-        plan_3user(inst, 3)   # n != 2L + 2*eps + 1
-    inst4 = sample_network(fastfading_config(4, 7, 1), seed=0)
+        plan_3user(cfg, 3)   # n != 2L + 2*eps + 1
     with pytest.raises(ValueError):
-        plan_3user(inst4, 2)
+        plan_3user(fastfading_config(4, 7, 1), 2)
 
 
 def test_3user_deterministic_per_seed():
-    inst = sample_network(fastfading_config(3, 7, 1), seed=3)
-    omega = plan_3user(inst, 2)
-    a = draw_3user(inst, 2, omega, seed=5)
-    b = draw_3user(inst, 2, omega, seed=5)
+    cfg = fastfading_config(3, 7, 1)
+    inst = sample_network(cfg, seed=3)
+    plan = plan_3user(cfg, 2)
+    a = draw_3user(inst, plan, seed=5)
+    b = draw_3user(inst, plan, seed=5)
     assert np.array_equal(a.tx_columns[0], b.tx_columns[0])
     assert np.array_equal(a.loop_transfer, b.loop_transfer)
 
@@ -163,10 +166,11 @@ def test_3user_columns_span_the_mixer_power_columns(L, eps, seed):
     # and its seed sets and loop base are the same spans as the indicator
     # basis's, where float rank is reliable (L <= 4)
     n = 2 * (L + eps) + 1
-    inst = sample_network(fastfading_config(3, n, L), seed=seed)
-    scheme = draw_3user(inst, eps, plan_3user(inst, eps), seed=seed)
+    cfg = fastfading_config(3, n, L)
+    inst = sample_network(cfg, seed=seed)
+    scheme = draw_3user(inst, plan_3user(cfg, eps), seed=seed)
     t, v1 = scheme.loop_transfer, scheme.tx_columns[0]
-    gam = _mixer(np.random.default_rng(seed), n, scheme.omega)
+    gam = _mixer(np.random.default_rng(seed), n, scheme.plan.omega)
     old = np.column_stack([t ** i * gam ** j for i in range(eps + 1)
                            for j in range(1, L + 2)])
     assert _same_span(old, v1)
@@ -205,12 +209,32 @@ def test_3user_frontier_verdicts_are_pinned(L, eps):
     assert passes == dict.fromkeys(passes, 60)
 
 
+def _matching_exists(T, omega):
+    """Whether T's sparsity graph matches every hidden slot s to its own
+    slot r off omega with T[r, s] != 0 (1-based slots), by augmenting
+    paths over the whole matrix, whatever its kind."""
+    rows = [r for r in range(len(T)) if r + 1 not in omega]
+    owner = {}                          # row r -> the hidden column it takes
+
+    def augment(s, seen):
+        for r in rows:
+            if T[r, s] != 0 and r not in seen:
+                seen.add(r)
+                if r not in owner or augment(owner[r], seen):
+                    owner[r] = s
+                    return True
+        return False
+
+    return all(augment(s - 1, set()) for s in omega)
+
+
 def _verify_3user_one_at_a_time(scheme, instance):
     """verify_3user's checks and measured numbers from one rank or
     is_subspace call per matrix of its reduction, and the ranks of both
     column orders, [right, left, E_omega] and [left, right, E_omega], of
     the rx1 joint."""
-    L, eps, n = scheme.L, scheme.epsilon, scheme.n
+    eps, omega, n = scheme.plan.order, scheme.plan.omega, instance.n
+    L = len(omega)
     v1, v2, v3 = scheme.tx_columns
     fams = scheme.surrogates
     checks, measured = {}, {}
@@ -229,8 +253,8 @@ def _verify_3user_one_at_a_time(scheme, instance):
 
     agree = all(member[k] == fam.members[0][k]
                 for fam in fams.values() for member in fam.members
-                for k in range(n) if k + 1 not in scheme.omega)
-    e_omega = np.eye(n)[:, [s - 1 for s in scheme.omega]]
+                for k in range(n) if k + 1 not in omega)
+    e_omega = np.eye(n)[:, [s - 1 for s in omega]]
     left = fams[(0, 1)].members[0][:, None] * v2
     right = fams[(0, 2)].members[0][:, None] * v3
     orders = (rank(np.hstack([right, left, e_omega])),
@@ -239,7 +263,7 @@ def _verify_3user_one_at_a_time(scheme, instance):
         right)
 
     u = np.ones(n)
-    u[[s - 1 for s in scheme.omega]] = 0.0
+    u[[s - 1 for s in omega]] = 0.0
     base = np.column_stack([scheme.loop_transfer * u, e_omega])
     checks["loop_closure"] = agree and is_subspace(e_omega, base)
 
@@ -252,19 +276,20 @@ def _verify_3user_one_at_a_time(scheme, instance):
          instance.received_matrix(0, 1, v2)]))
     checks["rx1_separation"] = measured["joint_rank"] == 2 * (L + eps) + 1
 
-    gaps_ok = all(b - a < max(1, instance.transforms[0].distance)
-                  for a, b in zip(scheme.omega, scheme.omega[1:]))
-    measured["separation_guaranteed"] = bool(
-        instance.transforms[0].kind in ("memory", "permutation") and gaps_ok)
+    measured["separation_guaranteed"] = _matching_exists(
+        instance.transforms[0].matrix, omega)
     return checks, measured, orders
 
 
 def _short_v3(scheme):
-    """The scheme with v3 cut to its first column: its right spans are a
-    strict part of the left ones, which only a test of both sides
-    rejects."""
+    """The scheme with v3's columns after its first zeroed: its right
+    spans are a strict part of the left ones, which only a test of both
+    sides rejects.  A zero column adds nothing to a span and keeps the
+    shapes of verify_3user's stacks."""
     v1, v2, v3 = scheme.tx_columns
-    return dataclasses.replace(scheme, tx_columns=(v1, v2, v3[:, :1]))
+    short = v3.copy()
+    short[:, 1:] = 0.0
+    return dataclasses.replace(scheme, tx_columns=(v1, v2, short))
 
 
 @pytest.mark.parametrize("L,eps", [(1, 2), (3, 3), (4, 3), (5, 2), (6, 2),
@@ -274,10 +299,10 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
     # basis; on the indicator basis loop_closure passes there too
     n = 2 * (L + eps) + 1
     cfg = fastfading_config(3, n, L)
-    omega = plan_3user(cfg, eps)
+    plan = plan_3user(cfg, eps)
     for seed in range(1000 * L + eps, 1000 * L + eps + 8):
         inst = sample_network(cfg, seed=seed)
-        scheme = draw_3user(inst, eps, omega, seed=seed)
+        scheme = draw_3user(inst, plan, seed=seed)
         for variant in (scheme, _short_v3(scheme)):
             out = verify_3user(variant, inst)
             checks, measured, orders = _verify_3user_one_at_a_time(
@@ -291,6 +316,135 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
             assert orders[0] == orders[1], seed
         assert not checks["rx1_span_equality"], seed
         assert verify_3user(scheme, inst)[0]["loop_closure"], seed
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(L=st.integers(1, 5), eps=st.integers(1, 3),
+       kind=st.sampled_from(["memory", "permutation"]), data=st.data())
+def test_separation_flag_is_the_separation_verdict(L, eps, kind, data):
+    # the matching rule decides rx1_separation: a random hidden set and
+    # distance, the set hidden on every cross link, and three trials each
+    n = 2 * (L + eps) + 1
+    omega = data.draw(st.lists(st.integers(1, n), min_size=L, max_size=L,
+                               unique=True))
+    every = list(range(2, n + 1))
+    cfg = NetworkConfig(
+        K=3, n=n, patterns=[[every] * 3 for _ in range(3)],
+        unknown=[[[] if p == q else omega for q in range(3)]
+                 for p in range(3)],
+        direct_kind=kind, memory_distance=data.draw(st.integers(1, n - 1)))
+    plan = plan_3user(cfg, eps)
+    assert (plan.separated is None) == (kind == "permutation")
+    for seed in data.draw(st.lists(st.integers(0, 2**31 - 1), min_size=3,
+                                   max_size=3)):
+        inst = sample_network(cfg, seed)
+        checks, measured, _ = verify_3user(draw_3user(inst, plan, seed),
+                                           inst)
+        assert measured["separation_guaranteed"] == _matching_exists(
+            inst.transforms[0].matrix, plan.omega)
+        assert measured["separation_guaranteed"] == checks["rx1_separation"]
+
+
+@pytest.mark.parametrize("kind", ["memory", "permutation", "identity"])
+@pytest.mark.parametrize("L", [1, 3, 5, 8])
+def test_verify_3user_stacks_hold_each_matrix_bit_for_bit(monkeypatch, L,
+                                                          kind):
+    # every slice of the stacks verify_3user writes in place is, byte for
+    # byte, the matrix that received_matrix and hstack build, memory
+    # products T @ v1 included, and each stack is C-ordered float64; at
+    # L = 1 the span has the joints' shape and joins their SVD call
+    eps = 2
+    n = 2 * (L + eps) + 1
+    cfg = fastfading_config(3, n, L, direct_kind=kind)
+    plan = plan_3user(cfg, eps)
+    ranked, rank, svd, svds = [], fastfading.numeric_rank_by_shape, \
+        np.linalg.svd, []
+
+    def spy_rank(ms, **kwargs):
+        ranked.append(ms)
+        return rank(ms, **kwargs)
+
+    def spy_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(fastfading, "numeric_rank_by_shape", spy_rank)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    e_omega = np.eye(n)[:, [s - 1 for s in plan.omega]]
+    for seed in range(4):
+        inst = sample_network(cfg, seed)
+        scheme = draw_3user(inst, plan, seed)
+        svds.clear()
+        verify_3user(scheme, inst)
+        assert len(svds) == (3 if L == 1 else 4)
+        v1, v2, v3 = scheme.tx_columns
+        rm = inst.received_matrix
+        left = scheme.surrogates[(0, 1)].members[0][:, None] * v2
+        right = scheme.surrogates[(0, 2)].members[0][:, None] * v3
+        want = {
+            "tx": [v1, rm(1, 0, v1), rm(2, 0, v1)],
+            "seeds": [v1[:, 1:], np.hstack([v1[:, :eps], v1[:, eps + 1:]]),
+                      left, right],
+            "joints": [np.hstack([rm(1, 0, v1), rm(1, 2, v3)]),
+                       np.hstack([rm(2, 0, v1), rm(2, 1, v2)]),
+                       np.hstack([rm(0, 0, v1), rm(0, 1, v2)])],
+            "span": [np.hstack([right, left, e_omega])]}
+        got = ranked.pop()
+        assert list(got) == list(want)
+        for name, mats in want.items():
+            stack = got[name]
+            assert stack.dtype == np.float64 and stack.flags.c_contiguous
+            assert [m.tobytes() for m in stack.reshape(
+                -1, *mats[0].shape)] == [m.tobytes() for m in mats], name
+
+
+def _random_hidden_config(draw, L, eps):
+    """A fast-fading 3-user config whose six cross links hide random
+    subsets of L random slots, one link hiding all of them."""
+    n = 2 * (L + eps) + 1
+    omega = draw(st.lists(st.integers(1, n), min_size=L, max_size=L,
+                          unique=True))
+    sets = [draw(st.lists(st.sampled_from(omega), unique=True)) if omega
+            else [] for _ in range(6)]
+    sets[draw(st.integers(0, 5))] = omega
+    cells = iter(sets)
+    every = list(range(2, n + 1))
+    return NetworkConfig(
+        K=3, n=n, patterns=[[every] * 3 for _ in range(3)],
+        unknown=[[[] if p == q else next(cells) for q in range(3)]
+                 for p in range(3)],
+        direct_kind="memory", memory_distance=L + 2)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(L=st.integers(0, 6), eps=st.integers(1, 3), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_plan_layout_fills_the_families_a_fresh_layout_does(L, eps, data,
+                                                            seed):
+    # the plan-held layout is the one indexed_layout builds from the
+    # config's hidden sets, so a trial's families are, byte for byte,
+    # build_indexed_families' on a fresh layout, and the first link's is
+    # decompose's one-link build_indexed_basis on the same stream
+    cfg = _random_hidden_config(data.draw, L, eps)
+    plan = plan_3user(cfg, eps)
+    inst = sample_network(cfg, seed)
+    stack, fams = fastfading._hidden_slot_setup(inst, plan, seed)
+    unknowns = [cfg.unknown_set(p, q) for p, q in plan.links]
+    fresh = indexed_layout(unknowns)
+    assert plan.layout[:3] == fresh[:3] and plan.layout.counts == fresh.counts
+    assert plan.layout.at.tobytes() == fresh.at.tobytes()
+    assert not plan.layout.at.flags.writeable
+    want_stack, want = build_indexed_families(
+        np.array([inst.channel(p, q) for p, q in plan.links]), fresh,
+        np.random.default_rng([seed, 2]))
+    assert stack.tobytes() == want_stack.tobytes()
+    assert list(fams) == list(plan.links)
+    for fam, ref in zip(fams.values(), want):
+        assert fam.members.tobytes() == ref.members.tobytes()
+        assert fam.anchor_indices == ref.anchor_indices
+    one = build_indexed_basis(inst.channel(0, 1), unknowns[0],
+                              np.random.default_rng([seed, 2]))
+    assert one.members.tobytes() == fams[(0, 1)].members.tobytes()
 
 
 # The sampled reference for verify_3user's reduction: each "for every
@@ -315,7 +469,7 @@ def sampled_claims(scheme, instance):
     substituted rx1 joint [g13 v3, g12 v2] has the rank of both its
     sides, and each substituted loop vector t' b, b drawn from tx1's
     columns u and E_omega, leaves the loop base's rank unchanged."""
-    eps = scheme.epsilon
+    eps = scheme.plan.order
     v1, v2, v3 = scheme.tx_columns
     fams = scheme.surrogates
     rng = np.random.default_rng(instance.seed + 17)
@@ -354,7 +508,7 @@ def test_exact_claims_equal_the_sampled_claims(L, eps, kind, short, seed):
     n = 2 * (L + eps) + 1
     cfg = fastfading_config(3, n, L, direct_kind=kind)
     inst = sample_network(cfg, seed=seed)
-    scheme = draw_3user(inst, eps, plan_3user(cfg, eps), seed=seed)
+    scheme = draw_3user(inst, plan_3user(cfg, eps), seed=seed)
     if short:
         scheme = _short_v3(scheme)
     checks = verify_3user(scheme, inst)[0]
@@ -364,19 +518,21 @@ def test_exact_claims_equal_the_sampled_claims(L, eps, kind, short, seed):
 
 def _ff3_trial(L, eps, seed=0):
     n = 2 * (L + eps) + 1
-    inst = sample_network(fastfading_config(3, n, L), seed=seed)
-    return draw_3user(inst, eps, plan_3user(inst, eps), seed=seed), inst
+    cfg = fastfading_config(3, n, L)
+    inst = sample_network(cfg, seed=seed)
+    return draw_3user(inst, plan_3user(cfg, eps), seed=seed), inst
 
 
 def _with_members(scheme, edit):
-    """The scheme with edit(key, members) applied to a copy of every
-    surrogate family's members."""
-    fams = {}
-    for key, fam in scheme.surrogates.items():
-        members = fam.members.copy()
+    """The scheme with edit(key, members) applied to every surrogate
+    family's members in a copy of the scheme's stack, each family a view
+    of the copy."""
+    stack, fams = scheme.members.copy(), {}
+    for row, (key, fam) in zip(stack, scheme.surrogates.items()):
+        members = row[:len(fam.members)]
         edit(key, members)
         fams[key] = dataclasses.replace(fam, members=members)
-    return dataclasses.replace(scheme, surrogates=fams)
+    return dataclasses.replace(scheme, members=stack, surrogates=fams)
 
 
 @pytest.mark.parametrize("link", [(0, 1), (0, 2)])
@@ -401,13 +557,14 @@ def test_member_moved_at_a_known_slot_fails_both_claims(L, eps, link):
 
 @pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3)])
 def test_base_without_one_hidden_direction_fails_loop_closure(L, eps):
-    # tx1's columns without e_s, s the last hidden slot, drop it from the
-    # loop base's span; with every surrogate member frozen at s, each
+    # tx1's columns with e_s zeroed, s the last hidden slot, drop it from
+    # the loop base's span; with every surrogate member frozen at s, each
     # sampled loop vector stays in that span, but a hidden value at s
     # moves the loop vector off it
     scheme, inst = _ff3_trial(L, eps)
-    s = scheme.omega[-1] - 1
-    v1 = scheme.tx_columns[0][:, :-1]
+    s = scheme.plan.omega[-1] - 1
+    v1 = scheme.tx_columns[0].copy()
+    v1[:, -1] = 0.0
 
     def freeze(key, members):
         members[:, s] = members[0, s]
@@ -447,7 +604,7 @@ def test_kuser_dims_k4():
     n = 2 * 2 + 1 + 2 ** 5            # L=2, n*=1, N=5 -> 37
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
-    scheme = draw_kuser(inst, 1, plan_kuser(inst, 1), seed=0)
+    scheme = draw_kuser(inst, plan_kuser(inst, 1), seed=0)
     N = (4 - 1) * (4 - 2) - 1
     assert N == 5 and scheme.n == 2 * 2 + 1 ** N + 2 ** N
     assert numeric_rank_by_shape(
@@ -463,7 +620,7 @@ def test_kuser_k3_matches_loop_construction_sizes():
     L, n_star = 1, 2
     n = 2 * L + n_star + n_star + 1
     inst = sample_network(fastfading_config(3, n, L), seed=1)
-    scheme = draw_kuser(inst, n_star, plan_kuser(inst, n_star), seed=1)
+    scheme = draw_kuser(inst, plan_kuser(inst, n_star), seed=1)
     assert numeric_rank_by_shape(
         {"dim_seed": scheme.seed_columns, "dim_tx1": scheme.tx1_columns},
         balance_rows=True) == {"dim_seed": L + n_star,
@@ -510,11 +667,11 @@ def test_kuser_columns_span_the_mixer_power_columns(monkeypatch, L):
     monkeypatch.setattr(fastfading, "_grid_columns", spy)
     n = 2 * L + 1 + 2 ** 5
     cfg = fastfading_config(4, n, L, memory_distance=4)
-    omega = plan_kuser(cfg, 1)
+    plan = plan_kuser(cfg, 1)
     for seed in range(5):
         maps.clear()
-        scheme = draw_kuser(sample_network(cfg, seed=seed), 1, omega, seed)
-        gam = _mixer(np.random.default_rng(seed), n, omega)
+        scheme = draw_kuser(sample_network(cfg, seed=seed), plan, seed)
+        gam = _mixer(np.random.default_rng(seed), n, plan.omega)
         for lo, got in ((1, scheme.seed_columns), (0, scheme.tx1_columns)):
             old = []
             for alphas in product(range(lo, 2), repeat=len(maps[0])):

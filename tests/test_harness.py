@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim import blind, channel, fastfading, harness, linalg, shared
+from alignsim import (blind, channel, decomposition, fastfading, harness,
+                      linalg, shared)
 from alignsim.channel import ChangingPattern, NetworkConfig, sample_network
 from alignsim.decomposition import build_and_decompose, reconstruct
 from alignsim.harness import RunSummary, Scenario, run_trials, summary_csv
@@ -233,7 +234,7 @@ def test_trial_streams_differ_within_and_across_adjacent_seeds(monkeypatch):
     streams = {
         "links": lambda s: sample_network(ff3.config, s),
         "surrogates": lambda s: fastfading._hidden_slot_setup(
-            instance, ff3.plan[1], s),
+            instance, ff3.plan, s),
         **{f"transform rx{p + 1}": lambda s, p=p: channel._Transforms(
             ff3.config, s)[p] for p in range(3)},
         "shared fill": lambda s: draw_shared(shared_plan, s),
@@ -289,6 +290,7 @@ PLAN_ONLY = {"union_pattern": channel.union_pattern,
              "_pick_window": shared._pick_window,
              "_receiver_patterns": harness._receiver_patterns,
              "hidden_union": fastfading.hidden_union,
+             "indexed_layout": decomposition.indexed_layout,
              "direct_transform_matrix": channel.direct_transform_matrix}
 
 
@@ -317,9 +319,11 @@ def spy_everywhere(monkeypatch, fns):
                        "direct_transform_matrix"}, {}),
     (dense_scenario, {"_receiver_patterns", "_pick_window", "union_pattern",
                       "direct_transform_matrix"}, {}),
-    # receiver 0's banded memory transform is seeded, so each trial draws it
-    (ff3_scenario, {"hidden_union"}, {"direct_transform_matrix": 5}),
-    (ffk_scenario, {"hidden_union"}, {})],
+    # receiver 0's banded memory transform is seeded, so each trial draws
+    # it; the surrogate layout is the plan's
+    (ff3_scenario, {"hidden_union", "indexed_layout"},
+     {"direct_transform_matrix": 5}),
+    (ffk_scenario, {"hidden_union", "indexed_layout"}, {})],
     ids=["blind", "pair", "dense", "ff3", "ffk"])
 def test_seed_free_work_stays_out_of_the_trials(monkeypatch, make, at_load,
                                                 in_trials):
@@ -329,6 +333,29 @@ def test_seed_free_work_stays_out_of_the_trials(monkeypatch, make, at_load,
     counts.clear()
     assert run_trials(scenario).all_passed
     assert counts == in_trials
+
+
+@pytest.mark.parametrize("make, bands", [(ff3_scenario, 1),
+                                         (ffk_scenario, 0)],
+                         ids=["ff3", "ffk"])
+def test_memory_band_is_built_once_per_shape(monkeypatch, make, bands):
+    # the band mask of a memory transform (two np.tri calls) is built on
+    # the first draw of its (n, distance) and read by every later draw;
+    # the K-user trial reads no direct transform
+    tri, calls = np.tri, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return tri(*args, **kwargs)
+
+    scenario = make(trials=5)
+    channel._band.cache_clear()
+    monkeypatch.setattr(np, "tri", spy)
+    assert run_trials(scenario).all_passed
+    assert len(calls) == 2 * bands
+    calls.clear()
+    assert run_trials(scenario).all_passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["blind", "pair", "dense", "ff3", "ffk"])
@@ -362,15 +389,15 @@ def shared_verdict(cfg, params):
 
 
 def ff3_verdict(cfg, params):
-    omega = fastfading.plan_3user(cfg, params["epsilon"])
+    plan = fastfading.plan_3user(cfg, params["epsilon"])
     return lambda inst, seed: fastfading.verify_3user(
-        fastfading.draw_3user(inst, params["epsilon"], omega, seed), inst)
+        fastfading.draw_3user(inst, plan, seed), inst)
 
 
 def ffk_verdict(cfg, params):
-    omega = fastfading.plan_kuser(cfg, params["n_star"])
+    plan = fastfading.plan_kuser(cfg, params["n_star"])
     return lambda inst, seed: fastfading.verify_kuser(
-        fastfading.draw_kuser(inst, params["n_star"], omega, seed))
+        fastfading.draw_kuser(inst, plan, seed))
 
 
 @pytest.mark.parametrize("name, verdict", [
