@@ -1,14 +1,13 @@
 """Fast fading with hidden slots: alignment that never reads hidden gains.
 
 Every cross channel changes in every slot, and a few slots' gains are
-hidden from everyone.  For each cross link the library builds a surrogate
-family: diagonals that agree with the true channel on known slots and
-carry fresh values on hidden ones.  Ratios of surrogates around the
-3-user loop give a transfer map T, and precoders are built from powers of
-T times the indicator of the known slots, beside one unit column per
-hidden slot.  The construction is immune to the hidden gains:
-substituting any surrogate member moves columns only inside their span,
-so alignment survives no matter what the hidden values turn out to be.
+hidden from everyone.  The precoders read each cross link's gains on the
+known slots only.  Ratios of those gains around the 3-user loop give a
+transfer map T, and precoders are built from powers of T times the
+indicator of the known slots, beside one unit column per hidden slot.
+The construction is immune to the hidden gains: any value a hidden slot
+takes moves columns only inside their span, so alignment survives no
+matter what the hidden values turn out to be.
 
 Run:  python demos/fastfading_half_csi.py
 """
@@ -41,15 +40,15 @@ def main():
           f"perfect-CSIT fraction upsilon = "
           f"{upsilon_fraction(cross_unknowns, n)}")
 
-    scheme = draw_3user(inst, plan_3user(cfg, eps), seed=0)
-    checks, m, total = verify_3user(scheme, inst)
+    plan = plan_3user(cfg, eps)
+    checks, m, total = verify_3user(draw_3user(inst, plan), inst)
     print("  checks on the true channels (hidden values included):")
     for name, ok in checks.items():
         print(f"    {name}: {ok}")
     print(f"  measured ranks: tx1 {m['rank_tx1']} (= L+eps+1), "
           f"seeds {m['rank_seed_b']}/{m['rank_seed_c']} (= L+eps), "
           f"desired+interference at rx1 {m['joint_rank']} (= 2(L+eps)+1 = n)")
-    dof = scheme.expected["dof"]
+    dof = plan.expected["dof"]
     print(f"  per-user DoF {dof[0]}, {dof[1]}, {dof[2]} -> total {total}")
 
     print()
@@ -60,14 +59,14 @@ def main():
     n = 2 * L + n_star ** N + (n_star + 1) ** N
     cfg = per_slot_config(4, n, L)
     inst = sample_network(cfg, seed=0)
-    scheme = draw_kuser(inst, plan_kuser(cfg, n_star), seed=0)
-    # grid columns multiply up to 5 surrogate ratios, so row magnitudes
-    # spread widely; the verifier measures rank after row equalization
-    m = verify_kuser(scheme)[1]
+    plan = plan_kuser(cfg, n_star)
+    # grid columns multiply up to 5 gain ratios, so row magnitudes spread
+    # widely; the verifier measures rank after row equalization
+    m = verify_kuser(draw_kuser(inst, plan))[1]
     dim_seed, dim_tx1 = m["dim_seed"], m["dim_tx1"]
     print(f"  {n} slots; seed set spans {dim_seed} dims "
-          f"(expected {scheme.expected['dim_seed']}), first transmitter "
-          f"spans {dim_tx1} dims (expected {scheme.expected['dim_tx1']})")
+          f"(expected {plan.expected['dim_seed']}), first transmitter "
+          f"spans {dim_tx1} dims (expected {plan.expected['dim_tx1']})")
     print(f"  -> {dim_tx1}/{n} DoF for the favored user while all "
           f"interference shares the seed span")
 

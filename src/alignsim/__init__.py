@@ -11,7 +11,7 @@ Library layout:
 * ``decomposition`` — power / indexed diagonal basis families and solves;
 * ``blind`` — pattern-only precoding and free-dimension counting;
 * ``shared`` — same-destination-pattern sharing schemes and DoF bounds;
-* ``fastfading`` — half-CSI surrogate-family schemes and CSIT-fraction caps;
+* ``fastfading`` — half-CSI known-gain schemes and CSIT-fraction caps;
 * ``harness`` — per-regime plans built once, seeded Monte Carlo verification;
 * ``cli`` — the ``alignsim`` command.
 """

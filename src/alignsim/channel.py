@@ -441,9 +441,8 @@ def sample_network(config: NetworkConfig, seed) -> NetworkInstance:
     one generator over the links in row-major (p, q) order, and each
     receiver's direct transform, drawn from its own stream on first read.
     """
-    # The key of every generator a trial seeds, and where it is seeded:
+    # The key of every generator a trial seeds, and where (2 is retired):
     #   links                           [seed, 1]     sample_network
-    #   surrogate families              [seed, 2]     _hidden_slot_setup
     #   receiver p's direct transform   [seed, 3, p]  _Transforms
     #   shared fill columns             [seed, 4]     draw_shared
     #   blind mixer                     [seed, 5]     draw_blind

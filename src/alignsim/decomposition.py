@@ -11,9 +11,7 @@ Two family kinds:
   members that copy the true values outside U and carry fresh randomness
   inside U.  The true channel is a combination of the members whose
   coefficients sum to one; the anchors are the slots of U, and the sum
-  row (1, ..., 1 | 1) makes the system square; many links' families are
-  views of one stack drawn in one read (``build_indexed_families``) at
-  the places that the seed-free ``indexed_layout`` fixes.
+  row (1, ..., 1 | 1) makes the system square.
 
 ``decompose`` and ``reconstruct`` are the one decomposition path.  Every
 anchor system is square and solved in exact rational arithmetic, and
@@ -21,7 +19,6 @@ reconstructing a channel the family represents gives back its float
 values bit for bit.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -35,9 +32,6 @@ __all__ = [
     "BasisFamily",
     "build_power_basis",
     "build_indexed_basis",
-    "build_indexed_families",
-    "IndexedLayout",
-    "indexed_layout",
     "build_basis",
     "decompose",
     "reconstruct",
@@ -75,55 +69,24 @@ def build_power_basis(pattern: ChangingPattern, seed):
 
 
 def build_indexed_basis(true_values, unknown: UnknownSet, seed):
-    """build_indexed_families' family for one link; raises ValueError
-    unless true_values is 1-D with unknown.n finite entries."""
-    return build_indexed_families(np.asarray(true_values, dtype=float)[None],
-                                  indexed_layout((unknown,)), seed)[1][0]
-
-
-# the seed-free part of some links' indexed families: n, each link's hidden
-# slots, the width max|U|+1, every draw's flat index, each slot's count
-IndexedLayout = namedtuple("IndexedLayout", "n hidden width at counts")
-
-
-def indexed_layout(unknowns):
-    """Where each hidden draw of the links' UnknownSets (all of one n)
-    goes in the (links, max|U|+1, n) stack: link after link, hidden slot
-    after slot, member m taking value m of the slot's row of |U|+1."""
-    n = unknowns[0].n if unknowns else 0
-    if any(u.n != n for u in unknowns):
-        raise ValueError(f"every UnknownSet must have n = {n}")
-    hidden = tuple(u.hidden for u in unknowns)
-    width = max(map(len, hidden), default=-1) + 1
-    at = np.array([(k * width + m) * n + s - 1 for k, h in enumerate(hidden)
-                   for s in h for m in range(len(h) + 1)], dtype=np.intp)
-    at.setflags(write=False)
-    return IndexedLayout(n, hidden, width, at,
-                         tuple(len(h) + 1 for h in hidden for _ in h))
-
-
-def build_indexed_families(rows, layout: IndexedLayout, seed):
-    """One read-only (links, max|U|+1, n) stack and the families of its
-    links: |U|+1 members per row of true values and hidden set of the
-    layout, copying the row at every known slot, as the views stack[k,
-    :|U|+1].  The padding rows are the true row.  The hidden values are one
-    separated_uniform read of a row of |U|+1 per hidden slot, link after
-    link, member m taking value m of each row.  The anchors are the hidden
-    slots: the true channel's coefficients sum to one, which decompose adds
-    as the row (1, ..., 1 | 1), and at a zero known value every member is
-    zero.  Raises ValueError unless rows has one row of n finite entries
-    per link."""
-    vals = np.asarray(rows, dtype=float)
-    if (vals.shape != (len(layout.hidden), layout.n)
-            or not np.isfinite(vals).all()):
-        raise ValueError(f"true_values must have n = {layout.n} finite "
+    """|U|+1 read-only members copying true_values at every known slot.
+    The hidden values are one separated_uniform read of a row of |U|+1
+    per hidden slot, slot after slot, member m taking value m of each row.
+    The anchors are the hidden slots: the true channel's coefficients sum
+    to one, which decompose adds as the row (1, ..., 1 | 1), and at a zero
+    known value every member is zero.  Raises ValueError unless
+    true_values is 1-D with unknown.n finite entries."""
+    vals = np.asarray(true_values, dtype=float)
+    if vals.shape != (unknown.n,) or not np.isfinite(vals).all():
+        raise ValueError(f"true_values must have n = {unknown.n} finite "
                          "entries")
-    stack = vals[:, None].repeat(layout.width, axis=1)
-    stack.reshape(-1)[layout.at] = separated_uniform(
-        np.random.default_rng(seed), *layout.counts)
-    stack.setflags(write=False)
-    return stack, [BasisFamily(m[:len(h) + 1], h)
-                   for m, h in zip(stack, layout.hidden)]
+    hidden, size = unknown.hidden, len(unknown.hidden) + 1
+    members = np.tile(vals, (size, 1))
+    members[:, np.array(hidden, dtype=int) - 1] = np.reshape(
+        separated_uniform(np.random.default_rng(seed),
+                          *[size] * len(hidden)), (len(hidden), size)).T
+    members.setflags(write=False)
+    return BasisFamily(members, hidden)
 
 
 def build_basis(kind, pattern_or_unknown, n, seed, true_values=None):

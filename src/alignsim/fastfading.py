@@ -1,16 +1,15 @@
 """Half-CSI fast-fading alignment and the CSIT-fraction bound calculators.
 
 Every cross link (p, q) has a set U of slots whose gain is hidden from
-everyone.  For each such link we build a surrogate family (indexed basis)
-whose members agree with the true channel on known slots, all of a
-scheme's as views of one stack drawn in one read.  Ratios of
-first-family surrogates around the 3-user loop give a diagonal transfer
-map T; its powers times the indicator u of the slots off the hidden union
-omega, beside E_omega = [e_s : s in omega], yield column sets whose spans
-are immune to the hidden gains: a substitution of hidden values moves
-columns only along E_omega, which each span holds.  ``verify_3user``
-checks that claim for every hidden value at once, from E_omega (a rank
-beside it, or an exact comparison), not by sampling substitutions.
+everyone, and omega is their union.  The precoders read each cross
+link's gains off omega only, with 1 on omega: ratios of those around the
+3-user loop give a diagonal transfer map T; its powers times the
+indicator u of the slots off omega, beside E_omega = [e_s : s in omega],
+yield column sets whose spans are immune to the hidden gains: a
+substitution of hidden values moves columns only along E_omega, which
+each span holds.  ``verify_3user`` checks that claim for every hidden
+value at once, from E_omega (a rank beside it, or an exact comparison),
+not by sampling substitutions.
 
 Also implemented: the exact CSIT-fraction metric, the closed-form sum-DoF
 caps as a function of that fraction, and the K-user generalization built
@@ -19,9 +18,10 @@ the two constructions by rank and return ``(checks, measured, total_dof)``.
 
 Each construction is a seed-free ``HiddenSlotPlan`` (``plan_3user``,
 ``plan_kuser``: after the parameter and slot-count checks, omega, the
-cross links and their gain rows, the families' draw layout, [u, E_omega],
-the known-slot mask and the 3-user rx1 matching) and a seeded draw from
-it (``draw_3user``, ``draw_kuser``), which only fills the layout.
+cross links and their gain rows, [u, E_omega], the known-slot mask, the
+expected DoF or dimensions and the 3-user rx1 matching) and a draw from
+it and an instance's known gains (``draw_3user``, ``draw_kuser``), which
+seeds nothing.
 """
 
 from dataclasses import dataclass, replace
@@ -30,8 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import NetworkInstance, UnknownSet
-from .decomposition import (IndexedLayout, build_indexed_families,
-                            indexed_layout)
 # is_subspace is bound here, unused, because perfbench's tracing test
 # checks that the tracer rebinds alignsim.fastfading.is_subspace
 from .linalg import is_subspace, numeric_rank_by_shape
@@ -114,9 +112,10 @@ class HiddenSlotPlan:
     omega: tuple                # sorted hidden union
     links: tuple                # the cross links (p, q), row-major
     rows: np.ndarray            # gain row p*K + q of each cross link
-    layout: IndexedLayout       # the surrogate families' draw layout
     indicators: np.ndarray      # read-only [u, E_omega], u: 1 off omega
     known: np.ndarray           # read-only mask of the slots off omega
+    expected: dict = None       # {"dof": per-user DoF} or the K-user ranks
+    total_dof: Fraction = None  # the total DoF (3-user: if rx1 separates)
     separated: object = None    # 3-user rx1 matching; None: per permutation
 
 
@@ -124,10 +123,8 @@ class HiddenSlotPlan:
 class FastFading3Scheme:
     plan: HiddenSlotPlan
     loop_transfer: np.ndarray   # diagonal values of the loop map T
-    members: np.ndarray         # (links, max|U|+1, n) surrogate stack
-    surrogates: dict            # (p, q) -> indexed BasisFamily, its view
+    known_gains: np.ndarray     # (links, n): gains off omega, 1 on it
     tx_columns: tuple           # precoder matrix per transmitter (V1, V2, V3)
-    expected: dict              # {"dof": per-user DoF fractions}
 
 
 def _plan(network, fixed_slots, order):
@@ -135,8 +132,8 @@ def _plan(network, fixed_slots, order):
     it has n = 2L + fixed_slots slots, L the size of the hidden union."""
     K, n = network.K, network.n
     links = tuple((p, q) for p in range(K) for q in range(K) if p != q)
-    unknowns = [network.unknown_set(p, q) for p, q in links]
-    omega = tuple(sorted(hidden_union(unknowns)))
+    omega = tuple(sorted(hidden_union(network.unknown_set(p, q)
+                                      for p, q in links)))
     if n != 2 * len(omega) + fixed_slots:
         raise ValueError(f"n = {n} must equal 2L + {fixed_slots} = "
                          f"{2 * len(omega) + fixed_slots}, where L = "
@@ -147,44 +144,44 @@ def _plan(network, fixed_slots, order):
     rows, known = np.array([p * K + q for p, q in links]), basis[:, 0] == 1
     for a in (basis, rows, known):
         a.setflags(write=False)
-    return HiddenSlotPlan(order, omega, links, rows, indexed_layout(unknowns),
-                          basis, known)
+    return HiddenSlotPlan(order, omega, links, rows, basis, known)
 
 
-def _hidden_slot_setup(instance, plan, seed):
-    """The surrogate stack of a planned scheme, one fill of the plan's
-    layout from the generator keyed [seed, 2] (see ``sample_network``),
-    and its families by cross link, views of it."""
-    stack, fams = build_indexed_families(instance.gains[plan.rows],
-                                         plan.layout,
-                                         np.random.default_rng([seed, 2]))
-    return stack, dict(zip(plan.links, fams))
+def _known_gains(instance, plan):
+    """Each cross link's gains, row by row in the plan's link order, off
+    omega and 1 on it: all of the channel that a precoder may read."""
+    return np.where(plan.known, instance.gains[plan.rows], 1.0)
 
 
 def plan_3user(config, epsilon):
     """The hidden-slot plan of a 3-user config, after the user-count,
-    epsilon and slot-count (n = 2L + 2 epsilon + 1) checks.  A band of
-    distance d (the identity's is 0) matches each hidden slot s to its own
-    r off omega in (s, s + d] if the greedy pass taking the least r does."""
+    epsilon and slot-count (n = 2L + 2 epsilon + 1) checks, with the
+    per-user DoF (L + epsilon + 1, L + epsilon, L + epsilon) / n.  A band
+    of distance d (the identity's is 0) matches each hidden slot s to its
+    own r off omega in (s, s + d] if the greedy pass taking the least r
+    does."""
     if config.K != 3:
         raise ValueError("this constructor is for 3 users")
     if epsilon < 1:
         raise ValueError("epsilon must be >= 1")
     plan = _plan(config, 2 * epsilon + 1, epsilon)
-    if config.direct_kind == "permutation":
-        return plan
-    d = config.memory_distance if config.direct_kind == "memory" else 0
-    taken = set(plan.omega)
-    for s in plan.omega:
-        taken.add(next((r for r in range(s + 1, min(s + d, config.n) + 1)
-                        if r not in taken), None))
-    return replace(plan, separated=None not in taken)
+    w, n = len(plan.omega) + epsilon, config.n
+    dof = (Fraction(w + 1, n), Fraction(w, n), Fraction(w, n))
+    separated = None
+    if config.direct_kind != "permutation":
+        d = config.memory_distance if config.direct_kind == "memory" else 0
+        taken = set(plan.omega)
+        for s in plan.omega:
+            taken.add(next((r for r in range(s + 1, min(s + d, n) + 1)
+                            if r not in taken), None))
+        separated = None not in taken
+    return replace(plan, expected={"dof": dof}, total_dof=sum(dof),
+                   separated=separated)
 
 
-def draw_3user(instance: NetworkInstance, plan: HiddenSlotPlan, seed):
-    """The three precoders of a planned 3-user scheme, from surrogate
-    families only, so hidden values never leak in (the indexed basis
-    copies the known slots and redraws the hidden ones).
+def draw_3user(instance: NetworkInstance, plan: HiddenSlotPlan):
+    """The three precoders of a planned 3-user scheme, from the known
+    gains only (1 on omega), so hidden values never leak in.
 
     tx1's columns are [u, t u, ..., t^epsilon u, E_omega], t the loop
     map; tx3's seed drops u and tx2's drops t^epsilon u.  They span what
@@ -194,8 +191,8 @@ def draw_3user(instance: NetworkInstance, plan: HiddenSlotPlan, seed):
     span{u, E_omega}, and t, nonzero on omega, keeps span(E_omega).
     """
     n, L, eps, basis = instance.n, len(plan.omega), plan.order, plan.indicators
-    stack, fams = _hidden_slot_setup(instance, plan, seed)
-    g = dict(zip(plan.links, stack[:, 0]))
+    known = _known_gains(instance, plan)
+    g = dict(zip(plan.links, known))
     t = g[0, 1] * g[1, 2] * g[2, 0] / (g[1, 0] * g[2, 1] * g[0, 2])
     v1 = np.empty((n, L + eps + 1))
     for i in range(eps + 1):
@@ -204,31 +201,28 @@ def draw_3user(instance: NetworkInstance, plan: HiddenSlotPlan, seed):
     v3 = (g[1, 0] / g[1, 2])[:, None] * v1[:, 1:]
     v2 = np.delete(v1, eps, axis=1)
     v2 *= (g[2, 0] / g[2, 1])[:, None]
-    expected = {"dof": (Fraction(L + eps + 1, n), Fraction(L + eps, n),
-                        Fraction(L + eps, n))}
-    return FastFading3Scheme(plan=plan, loop_transfer=t, members=stack,
-                             surrogates=fams, tx_columns=(v1, v2, v3),
-                             expected=expected)
+    return FastFading3Scheme(plan=plan, loop_transfer=t, known_gains=known,
+                             tx_columns=(v1, v2, v3))
 
 
 def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     """Rank-based verification on true (hidden values included) channels,
-    as ``(checks, measured, total_dof)``: the total is the expected
-    per-user DoF summed when ``rx1_separation`` holds, else 1.
+    as ``(checks, measured, total_dof)``: the total is the plan's sum of
+    the per-user DoF when ``rx1_separation`` holds, else 1.
     ``separation_guaranteed`` is the plan's rx1 matching, or for a drawn
     permutation whether it maps no hidden slot onto a hidden slot.
 
     ``rx1_span_equality`` and ``loop_closure`` claim that a span stays put
-    whatever values the hidden gains take.  Every surrogate member copies
-    the true gain off omega (checked exactly), so a substitution moves a
-    column only by a vector supported on omega, and a diagonal scaling
-    that is nonzero on omega maps span(E_omega), E_omega = [e_s : s in
-    omega], onto itself.  So the loop vectors t' u = t u and t' e_s stay
-    in span[t u, E_omega] for every hidden value when tx1's last L columns
-    equal E_omega, read from the plan's indicator basis, which
+    whatever values the hidden gains take.  The scheme read each cross
+    link's gains off omega only, so a substitution of values on omega
+    moves a column only by a vector supported on omega, and a diagonal
+    scaling that is nonzero on omega maps span(E_omega), E_omega = [e_s :
+    s in omega], onto itself.  So the loop vectors t' u = t u and t' e_s
+    stay in span[t u, E_omega] for every hidden value when tx1's last L
+    columns equal E_omega, read from the plan's indicator basis, which
     ``loop_closure`` checks exactly, with no rank; and span(g12 v2) =
     span(g13 v3) for every pair of hidden values iff rank([s13 v3, s12 v2,
-    E_omega]) equals the rank of each side, s12 and s13 the first members
+    E_omega]) equals the rank of each side, s12 and s13 the known gains
     of links (0, 1) and (0, 2): that one joint stands for E_omega inside
     both spans and for their equality.
     A containment holds when the rank of a raw ``[base, candidate]`` joint
@@ -241,15 +235,13 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     v1, v2, v3 = scheme.tx_columns
     L, e_omega = len(plan.omega), plan.indicators[:, 1:]
     w = L + eps
-    known = scheme.members[:, :, plan.known]
-    agree = bool((known == known[:, :1]).all())
     h = instance.gains.reshape(3, 3, n, 1)
     tx = np.concatenate([np.ones((1, n, 1)), h[1:, 0]]) * v1
     seeds = np.empty((4, n, w))
     seeds[:2] = v1[:, 1:]
     seeds[1, :, :eps] = v1[:, :eps]
-    # s12 v2 and s13 v3: links (0, 1) and (0, 2) lead the surrogate stack
-    np.multiply(scheme.members[:2, 0, :, None], (v2, v3), out=seeds[2:])
+    # s12 v2 and s13 v3: links (0, 1) and (0, 2) lead the known gains
+    np.multiply(scheme.known_gains[:2, :, None], (v2, v3), out=seeds[2:])
     joints = np.empty((3, n, n))
     joints[:, :, :w + 1] = tx[1], tx[2], instance.received_matrix(0, 0, v1)
     np.multiply(h[(1, 2, 0), (2, 1, 1)], (v3, v2, v2),
@@ -266,10 +258,10 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
         "rank_seeds": rank_seed_b == rank_seed_c == L + eps,
         # interference from TX2 and TX3 collapses to one span at RX1, for
         # every hidden value of the two incoming links
-        "rx1_span_equality": agree and rank["span"] == side12 == side13,
+        "rx1_span_equality": rank["span"] == side12 == side13,
         # loop-map substitutions stay inside span[t u, E_omega]: tx1's
         # columns are [u, t u, ..., t^eps u, E_omega]
-        "loop_closure": agree and np.array_equal(v1[:, eps + 1:], e_omega),
+        "loop_closure": np.array_equal(v1[:, eps + 1:], e_omega),
         # true-channel containments at RX2 and RX3
         "rx2_containment": rx2_joint == rx2_base,
         "rx3_containment": rx3_joint == rx3_base,
@@ -281,8 +273,8 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     measured = {"rank_tx1": rank_tx1, "rank_seed_b": rank_seed_b,
                 "rank_seed_c": rank_seed_c, "joint_rank": joint_rank,
                 "separation_guaranteed": separated}
-    return checks, measured, (sum(scheme.expected["dof"])
-                              if checks["rx1_separation"] else Fraction(1))
+    return checks, measured, (plan.total_dof if checks["rx1_separation"]
+                              else Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +283,9 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
 
 @dataclass(frozen=True)
 class KUserScheme:
-    n: int
+    plan: HiddenSlotPlan
     tx1_columns: np.ndarray
     seed_columns: np.ndarray
-    expected: dict
 
 
 def _grid_columns(maps, basis, lo, hi):
@@ -311,7 +302,9 @@ def _grid_columns(maps, basis, lo, hi):
 
 def plan_kuser(network, n_star):
     """The hidden-slot plan of a K-user config or instance, after the
-    user-count, n_star, grid-size and slot-count checks."""
+    user-count, n_star, grid-size and slot-count checks, with the expected
+    ranks L + n_star^N and L + (n_star+1)^N of the seed set and the first
+    transmitter's set, N = (K-1)(K-2)-1."""
     K = network.K
     if K < 3:
         raise ValueError("need K >= 3")
@@ -320,24 +313,26 @@ def plan_kuser(network, n_star):
     N = (K - 1) * (K - 2) - 1
     if (n_star + 1) ** N > KUSER_SIZE_GUARD:
         raise ValueError("exponent grid too large for direct construction")
-    return _plan(network, n_star ** N + (n_star + 1) ** N, n_star)
+    plan = _plan(network, n_star ** N + (n_star + 1) ** N, n_star)
+    L = len(plan.omega)
+    return replace(plan, expected={"dim_seed": L + n_star ** N,
+                                   "dim_tx1": L + (n_star + 1) ** N},
+                   total_dof=Fraction(L + (n_star + 1) ** N, network.n))
 
 
-def draw_kuser(instance: NetworkInstance, plan: HiddenSlotPlan, seed):
+def draw_kuser(instance: NetworkInstance, plan: HiddenSlotPlan):
     """Pairwise-transfer column families of a planned K-user scheme.
 
     Exponent grids over the N = (K-1)(K-2)-1 pairwise transfer maps give
     the seed set (exponents 1..n_star) and the first transmitter's set
-    (exponents 0..n_star), each monomial times u, then E_omega; expected
-    ranks are L + n_star^N and L + (n_star+1)^N over n = 2L + n_star^N +
-    (n_star+1)^N slots.  Each set spans what the monomials times gamma^j,
-    j = 1..L+1, span, under ``draw_3user``'s conditions on the mixer
-    gamma, since the maps are nonzero on omega.
+    (exponents 0..n_star), each monomial times u, then E_omega; the maps
+    are ratios of the known gains (1 on omega), so their grid columns,
+    zero on omega, never read a hidden gain.  Each set spans what the
+    monomials times gamma^j, j = 1..L+1, span, under ``draw_3user``'s
+    conditions on the mixer gamma, since the maps are nonzero on omega.
     """
-    K, n, L, n_star = instance.K, instance.n, len(plan.omega), plan.order
-    N = (K - 1) * (K - 2) - 1
-    stack, _ = _hidden_slot_setup(instance, plan, seed)
-    q1 = dict(zip(plan.links, stack[:, 0]))
+    K, n_star = instance.K, plan.order
+    q1 = dict(zip(plan.links, _known_gains(instance, plan)))
     relay = {q: q1[0, 2] * q1[1, 0] / (q1[0, q] * q1[1, 2])
              for q in range(1, K)}
     pairs = [(p, q) for p in range(1, K) for q in range(1, K)
@@ -345,16 +340,15 @@ def draw_kuser(instance: NetworkInstance, plan: HiddenSlotPlan, seed):
     maps = [q1[pq] / q1[pq[0], 0] * relay[pq[1]] for pq in pairs]
     seed_cols = _grid_columns(maps, plan.indicators, 1, n_star)
     tx1_cols = _grid_columns(maps, plan.indicators, 0, n_star)
-    expected = {"dim_seed": L + n_star ** N,
-                "dim_tx1": L + (n_star + 1) ** N}
-    return KUserScheme(n=n, tx1_columns=tx1_cols, seed_columns=seed_cols,
-                       expected=expected)
+    return KUserScheme(plan=plan, tx1_columns=tx1_cols,
+                       seed_columns=seed_cols)
 
 
 def verify_kuser(scheme: KUserScheme):
     """Dimensions of transmitter 1's seed and column families against the
-    formula, as ``(checks, measured, total_dof)``; no channel is read.  The
-    total is transmitter 1's formula dimension over n, whatever the checks.
+    plan's formula, as ``(checks, measured, total_dof)``; no channel is
+    read.  The total is the plan's: transmitter 1's formula dimension over
+    n, whatever the checks.
 
     The columns are products of many transfer-map ratios, so row
     magnitudes vary by orders of magnitude; both families are ranked in
@@ -364,5 +358,5 @@ def verify_kuser(scheme: KUserScheme):
     measured = numeric_rank_by_shape({"dim_seed": scheme.seed_columns,
                                       "dim_tx1": scheme.tx1_columns},
                                      balance_rows=True)
-    checks = {"dims_match_formula": measured == scheme.expected}
-    return checks, measured, Fraction(scheme.expected["dim_tx1"], scheme.n)
+    checks = {"dims_match_formula": measured == scheme.plan.expected}
+    return checks, measured, scheme.plan.total_dof

@@ -12,11 +12,11 @@ config or parameter the regime cannot use fails there: the blind
 identity-direct-link check, union pattern, layout checks, union blocks no
 shorter than rho and expected free dimensions, the shared window and
 carrier construction with a plan that fits n and aligns, or the
-fast-fading slot-count checks and hidden-slot plan (omega, the families'
-draw layout, [u, E_omega] and the rx1 matching).  ``run_trials`` samples
+fast-fading slot-count checks and hidden-slot plan (omega, [u, E_omega],
+the expected DoF or ranks and the rx1 matching).  ``run_trials`` samples
 each trial's network once and hands the instance to the regime's trial,
-which draws the seeded part of the scheme from the plan and returns its
-verifier's ``(checks, measured, total_dof)`` as they are.
+which builds the rest of the scheme from the plan and the instance and
+returns its verifier's ``(checks, measured, total_dof)`` as they are.
 """
 
 import csv
@@ -135,7 +135,7 @@ def _ff3_plan(cfg, params):
 
 
 def _ff3_trial(plan, instance, seed):
-    return verify_3user(draw_3user(instance, plan, seed), instance)
+    return verify_3user(draw_3user(instance, plan), instance)
 
 
 def _ffk_plan(cfg, params):
@@ -143,7 +143,7 @@ def _ffk_plan(cfg, params):
 
 
 def _ffk_trial(plan, instance, seed):
-    return verify_kuser(draw_kuser(instance, plan, seed))
+    return verify_kuser(draw_kuser(instance, plan))
 
 
 # regime -> (plan from config and params, trial from plan, sampled

@@ -230,7 +230,7 @@ def test_criterion_8_fastfading_3user():
         passed = 0
         for t in range(200):
             inst = sample_network(cfg, seed=t)
-            scheme = draw_3user(inst, plan, seed=t)
+            scheme = draw_3user(inst, plan)
             checks, measured, _ = verify_3user(scheme, inst)
             ranks_ok = (measured["rank_tx1"] == L + eps + 1
                         and measured["rank_seed_b"] == L + eps
@@ -244,7 +244,7 @@ def test_criterion_8_fastfading_3user():
     plan = plan_3user(cfg, 2)
     for t in range(100):
         inst = sample_network(cfg, seed=t)
-        scheme = draw_3user(inst, plan, seed=t)
+        scheme = draw_3user(inst, plan)
         neg_fail += not verify_3user(scheme, inst)[0]["rx1_separation"]
     neg_ok = neg_fail > 95
     ok = all_good and neg_ok
@@ -257,16 +257,17 @@ def test_criterion_9_kuser_dimensions():
     n = 2 * 2 + 1 ** 5 + 2 ** 5      # L=2, n*=1, N=5 -> 37
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
-    scheme = draw_kuser(inst, plan_kuser(inst, 1), seed=0)
+    plan = plan_kuser(inst, 1)
+    scheme = draw_kuser(inst, plan)
     dims = numeric_rank_by_shape(
         {"dim_seed": scheme.seed_columns, "dim_tx1": scheme.tx1_columns},
         balance_rows=True)
     dim_seed, dim_tx1 = dims["dim_seed"], dims["dim_tx1"]
     elapsed = time.perf_counter() - start
-    ok = (scheme.n == 37 and dim_seed == 3 == scheme.expected["dim_seed"]
-          and dim_tx1 == 34 == scheme.expected["dim_tx1"]
+    ok = (inst.n == 37 and dim_seed == 3 == plan.expected["dim_seed"]
+          and dim_tx1 == 34 == plan.expected["dim_tx1"]
           and elapsed < 30.0)
-    report(9, ok, f"K=4, n*=1, L=2: n={scheme.n}, dim(seed)={dim_seed}, "
+    report(9, ok, f"K=4, n*=1, L=2: n={inst.n}, dim(seed)={dim_seed}, "
                   f"dim(tx1)={dim_tx1} in {elapsed:.2f}s")
 
 

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim import (blind, channel, decomposition, fastfading, harness,
-                      linalg, shared)
+from alignsim import blind, channel, fastfading, harness, linalg, shared
 from alignsim.channel import ChangingPattern, NetworkConfig, sample_network
 from alignsim.decomposition import build_and_decompose, reconstruct
 from alignsim.harness import RunSummary, Scenario, run_trials, summary_csv
@@ -197,12 +196,11 @@ def test_trial_svd_calls(monkeypatch, make, svds):
     (blind_scenario, 2),
     # one for the links and one for the precoders
     (shared_scenario, 2), (dense_scenario, 2),
-    # one for the links, one for the six surrogate families and one for
-    # the one direct transform verify_3user reads (receiver 0's)
-    (ff3_scenario, 3),
-    # one for the links and one for the twelve surrogate families: no
-    # direct transform is read
-    (ffk_scenario, 2)],
+    # one for the links and one for the one direct transform verify_3user
+    # reads (receiver 0's); the precoders read the known gains
+    (ff3_scenario, 2),
+    # one for the links: no direct transform is read
+    (ffk_scenario, 1)],
     ids=["blind", "pair", "dense", "ff3", "ffk"])
 def test_trial_generator_counts(monkeypatch, make, generators):
     default_rng, seeded = np.random.default_rng, []
@@ -224,17 +222,14 @@ class _Keyed(Exception):
 
 
 def test_trial_streams_differ_within_and_across_adjacent_seeds(monkeypatch):
-    # a trial draws its links, its surrogate families, each receiver's
-    # direct transform, its shared fills and its blind mixer from streams
-    # keyed by the trial seed: their first draws differ pairwise within a
-    # trial and from those of the next trial
+    # a trial draws its links, each receiver's direct transform, its
+    # shared fills and its blind mixer from streams keyed by the trial
+    # seed: their first draws differ pairwise within a trial and from
+    # those of the next trial
     blind_plan, shared_plan = blind_scenario().plan[0], shared_scenario().plan
     ff3 = ff3_scenario()
-    instance = sample_network(ff3.config, 0)
     streams = {
         "links": lambda s: sample_network(ff3.config, s),
-        "surrogates": lambda s: fastfading._hidden_slot_setup(
-            instance, ff3.plan, s),
         **{f"transform rx{p + 1}": lambda s, p=p: channel._Transforms(
             ff3.config, s)[p] for p in range(3)},
         "shared fill": lambda s: draw_shared(shared_plan, s),
@@ -290,7 +285,6 @@ PLAN_ONLY = {"union_pattern": channel.union_pattern,
              "_pick_window": shared._pick_window,
              "_receiver_patterns": harness._receiver_patterns,
              "hidden_union": fastfading.hidden_union,
-             "indexed_layout": decomposition.indexed_layout,
              "direct_transform_matrix": channel.direct_transform_matrix}
 
 
@@ -320,10 +314,9 @@ def spy_everywhere(monkeypatch, fns):
     (dense_scenario, {"_receiver_patterns", "_pick_window", "union_pattern",
                       "direct_transform_matrix"}, {}),
     # receiver 0's banded memory transform is seeded, so each trial draws
-    # it; the surrogate layout is the plan's
-    (ff3_scenario, {"hidden_union", "indexed_layout"},
-     {"direct_transform_matrix": 5}),
-    (ffk_scenario, {"hidden_union", "indexed_layout"}, {})],
+    # it
+    (ff3_scenario, {"hidden_union"}, {"direct_transform_matrix": 5}),
+    (ffk_scenario, {"hidden_union"}, {})],
     ids=["blind", "pair", "dense", "ff3", "ffk"])
 def test_seed_free_work_stays_out_of_the_trials(monkeypatch, make, at_load,
                                                 in_trials):
@@ -391,13 +384,13 @@ def shared_verdict(cfg, params):
 def ff3_verdict(cfg, params):
     plan = fastfading.plan_3user(cfg, params["epsilon"])
     return lambda inst, seed: fastfading.verify_3user(
-        fastfading.draw_3user(inst, plan, seed), inst)
+        fastfading.draw_3user(inst, plan), inst)
 
 
 def ffk_verdict(cfg, params):
     plan = fastfading.plan_kuser(cfg, params["n_star"])
     return lambda inst, seed: fastfading.verify_kuser(
-        fastfading.draw_kuser(inst, plan, seed))
+        fastfading.draw_kuser(inst, plan))
 
 
 @pytest.mark.parametrize("name, verdict", [

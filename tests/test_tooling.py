@@ -137,25 +137,22 @@ def test_one_site_bisects_separated_draws():
 
 def test_generators_are_seeded_at_fixed_sites():
     # one generator per purpose: a network's links all come from the one
-    # sample_network seeds and a scheme's surrogate families from the one
-    # _hidden_slot_setup seeds; a generator seeded anywhere else shows up
-    # here as a new site (test_trial_generator_counts counts them per trial)
+    # sample_network seeds; a generator seeded anywhere else shows up here
+    # as a new site (test_trial_generator_counts counts them per trial)
     assert sorted(call_sites("default_rng")) == [
         "blind.py:draw_blind",
         "channel.py:direct_transform_matrix",
         "channel.py:direct_transform_matrix",
         "channel.py:sample_channel",
         "channel.py:sample_network",
-        "decomposition.py:build_indexed_families",
+        "decomposition.py:build_indexed_basis",
         "decomposition.py:build_power_basis",
-        "fastfading.py:_hidden_slot_setup",
         "shared.py:draw_shared"]
 
 
 # the functions that seed a trial's generators, with the call each
 # passes its key to
 TRIAL_KEY_SITES = {("channel.py", "sample_network"): "default_rng",
-                   ("fastfading.py", "_hidden_slot_setup"): "default_rng",
                    ("channel.py", "__missing__"): "direct_transform_matrix",
                    ("shared.py", "draw_shared"): "default_rng",
                    ("blind.py", "draw_blind"): "default_rng"}
@@ -164,7 +161,7 @@ TRIAL_KEY_SITES = {("channel.py", "sample_network"): "default_rng",
 def test_trial_streams_are_keyed_by_seed_and_purpose():
     # every generator a trial seeds is keyed [seed, k] or [seed, k, p],
     # one purpose k per site, so no two purposes of one trial, nor of two
-    # adjacent trials, share a stream
+    # adjacent trials, share a stream; purpose 2 is retired
     found = {}
     for (file, func), callee in TRIAL_KEY_SITES.items():
         tree = ast.parse((SRC / "alignsim" / file).read_text(
@@ -183,7 +180,7 @@ def test_trial_streams_are_keyed_by_seed_and_purpose():
                           getattr(seed, "attr", None)), func
         assert isinstance(purpose, ast.Constant), func
         found[func] = purpose.value
-    assert sorted(found.values()) == [1, 2, 3, 4, 5], found
+    assert sorted(found.values()) == [1, 3, 4, 5], found
 
 
 def test_library_solves_no_least_squares():
