@@ -483,6 +483,29 @@ def test_exact_claims_equal_the_sampled_claims(L, eps, kind, short, seed):
         sampled_claims(scheme, inst)) == (not short, True)
 
 
+@pytest.mark.parametrize("link", [(0, 1), (0, 2)])
+@pytest.mark.parametrize("L,eps", [(1, 2), (3, 3)])
+def test_member_moved_at_a_known_slot_fails_both_claims(L, eps, link):
+    # a surrogate member doubled at the last slot, which is known, is no
+    # substitution of hidden values: it moves the rx1 span and the loop
+    # vector off their bases, so the sampled reference, which agrees with
+    # verify_3user on the true families, fails both claims on the moved
+    # ones
+    n = 2 * (L + eps) + 1
+    cfg = fastfading_config(3, n, L)
+    inst = sample_network(cfg, seed=0)
+    scheme = draw_3user(inst, plan_3user(cfg, eps))
+    assert n not in scheme.plan.omega
+    fams = surrogate_families(inst)
+    members = fams[link].members.copy()
+    members[-1, -1] *= 2.0
+    moved = {**fams, link: dataclasses.replace(fams[link], members=members)}
+    checks = verify_3user(scheme, inst)[0]
+    assert (checks["rx1_span_equality"], checks["loop_closure"]) == (
+        sampled_claims(scheme, inst, fams)) == (True, True)
+    assert sampled_claims(scheme, inst, moved) == (False, False)
+
+
 @pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3)])
 def test_base_without_one_hidden_direction_fails_loop_closure(L, eps):
     # tx1's columns with e_s zeroed, s the last hidden slot, drop it from
