@@ -171,13 +171,14 @@ def _draw_gains(gaps, lengths, n, rng):
     b lasting lengths[b] slots and redrawn until it lies gaps[b] from the
     block before it (0.0 opens a row), so the values change exactly at the
     declared points; each batch asks only for the values still missing."""
-    vals, last = [], 0.0        # last: a sentinel before the first block
-    while len(vals) < len(gaps):
+    vals, last, kept = [], 0.0, 0   # last: a sentinel before the first block
+    while kept < len(gaps):
         for v in rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
-                             size=len(gaps) - len(vals)).tolist():
-            if abs(v - last) >= gaps[len(vals)]:
+                             size=len(gaps) - kept).tolist():
+            if abs(v - last) >= gaps[kept]:
                 vals.append(v)
                 last = v
+                kept += 1
     h = np.array(vals).repeat(lengths).reshape(-1, n)
     h.setflags(write=False)     # shared by every consumer, never copied
     return h
@@ -242,7 +243,7 @@ def direct_transform_matrix(kind, distance, n, seed):
     if kind == "permutation":
         if not all(np.all(np.count_nonzero(mat, axis=a) == 1) for a in (0, 1)):
             raise ValueError("permutation transform is not a scaled permutation")
-    elif not np.all(np.diagonal(mat) != 0):
+    elif not mat.diagonal().all():
         raise ValueError(f"{kind} transform has a zero on its diagonal")
     mat.setflags(write=False)
     return DirectTransform(kind, distance, mat)

@@ -123,7 +123,6 @@ class HiddenSlotPlan:
 class FastFading3Scheme:
     plan: HiddenSlotPlan
     loop_transfer: np.ndarray   # diagonal values of the loop map T
-    known_gains: np.ndarray     # (links, n): gains off omega, 1 on it
     tx_columns: tuple           # precoder matrix per transmitter (V1, V2, V3)
 
 
@@ -191,17 +190,16 @@ def draw_3user(instance: NetworkInstance, plan: HiddenSlotPlan):
     span{u, E_omega}, and t, nonzero on omega, keeps span(E_omega).
     """
     n, L, eps, basis = instance.n, len(plan.omega), plan.order, plan.indicators
-    known = _known_gains(instance, plan)
-    g = dict(zip(plan.links, known))
+    g = dict(zip(plan.links, _known_gains(instance, plan)))
     t = g[0, 1] * g[1, 2] * g[2, 0] / (g[1, 0] * g[2, 1] * g[0, 2])
     v1 = np.empty((n, L + eps + 1))
     for i in range(eps + 1):
         np.multiply(t ** i, basis[:, 0], out=v1[:, i])
     v1[:, eps + 1:] = basis[:, 1:]
     v3 = (g[1, 0] / g[1, 2])[:, None] * v1[:, 1:]
-    v2 = np.delete(v1, eps, axis=1)
+    v2 = np.concatenate([v1[:, :eps], v1[:, eps + 1:]], axis=1)
     v2 *= (g[2, 0] / g[2, 1])[:, None]
-    return FastFading3Scheme(plan=plan, loop_transfer=t, known_gains=known,
+    return FastFading3Scheme(plan=plan, loop_transfer=t,
                              tx_columns=(v1, v2, v3))
 
 
@@ -222,9 +220,9 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     columns equal E_omega, read from the plan's indicator basis, which
     ``loop_closure`` checks exactly, with no rank; and span(g12 v2) =
     span(g13 v3) for every pair of hidden values iff rank([s13 v3, s12 v2,
-    E_omega]) equals the rank of each side, s12 and s13 the known gains
-    of links (0, 1) and (0, 2): that one joint stands for E_omega inside
-    both spans and for their equality.
+    E_omega]) equals the rank of each side, s12 and s13 the verified
+    instance's gains of links (0, 1) and (0, 2) off omega, 1 on it: that
+    one joint stands for E_omega inside both spans and for their equality.
     A containment holds when the rank of a raw ``[base, candidate]`` joint
     equals the base's.  One ``numeric_rank_by_shape`` call ranks a C-ordered
     stack per shape, each written in place: ``tx`` (tx1 and the rx2 and rx3
@@ -233,20 +231,25 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     """
     plan, n, eps = scheme.plan, instance.n, scheme.plan.order
     v1, v2, v3 = scheme.tx_columns
-    L, e_omega = len(plan.omega), plan.indicators[:, 1:]
-    w = L + eps
+    w, e_omega = len(plan.omega) + eps, plan.indicators[:, 1:]
     h = instance.gains.reshape(3, 3, n, 1)
-    tx = np.concatenate([np.ones((1, n, 1)), h[1:, 0]]) * v1
+    tx = np.empty((3, n, w + 1))
+    tx[0] = v1
+    np.multiply(h[1:, 0], v1, out=tx[1:])
     seeds = np.empty((4, n, w))
     seeds[:2] = v1[:, 1:]
     seeds[1, :, :eps] = v1[:, :eps]
-    # s12 v2 and s13 v3: links (0, 1) and (0, 2) lead the known gains
-    np.multiply(scheme.known_gains[:2, :, None], (v2, v3), out=seeds[2:])
+    # s12 v2, s13 v3: links (0, 1), (0, 2) lead this instance's known gains
+    s12, s13 = _known_gains(instance, plan)[:2]
+    np.multiply(s12[:, None], v2, out=seeds[2])
+    np.multiply(s13[:, None], v3, out=seeds[3])
     joints = np.empty((3, n, n))
-    joints[:, :, :w + 1] = tx[1], tx[2], instance.received_matrix(0, 0, v1)
-    np.multiply(h[(1, 2, 0), (2, 1, 1)], (v3, v2, v2),
-                out=joints[:, :, w + 1:])
-    span = np.hstack([seeds[3], seeds[2], e_omega])
+    joints[:2, :, :w + 1] = tx[1:]
+    joints[2, :, :w + 1] = instance.received_matrix(0, 0, v1)
+    np.multiply(h[1, 2], v3, out=joints[0, :, w + 1:])
+    np.multiply(h[2, 1], v2, out=joints[1, :, w + 1:])
+    np.multiply(h[0, 1], v2, out=joints[2, :, w + 1:])
+    span = np.concatenate([seeds[3], seeds[2], e_omega], axis=1)
     rank = numeric_rank_by_shape({"tx": tx, "seeds": seeds, "joints": joints,
                                   "span": span})
     rank_tx1, rx2_base, rx3_base = rank["tx"].tolist()
@@ -254,8 +257,8 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     rx2_joint, rx3_joint, joint_rank = rank["joints"].tolist()
 
     checks = {
-        "rank_tx1": rank_tx1 == L + eps + 1,
-        "rank_seeds": rank_seed_b == rank_seed_c == L + eps,
+        "rank_tx1": rank_tx1 == w + 1,
+        "rank_seeds": rank_seed_b == rank_seed_c == w,
         # interference from TX2 and TX3 collapses to one span at RX1, for
         # every hidden value of the two incoming links
         "rx1_span_equality": rank["span"] == side12 == side13,
@@ -266,7 +269,7 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
         "rx2_containment": rx2_joint == rx2_base,
         "rx3_containment": rx3_joint == rx3_base,
         # desired + interference fills all n dimensions at RX1
-        "rx1_separation": joint_rank == 2 * (L + eps) + 1}
+        "rx1_separation": joint_rank == 2 * w + 1}
     separated, hidden = plan.separated, ~plan.known
     if separated is None:
         separated = not instance.transforms[0].matrix[hidden][:, hidden].any()

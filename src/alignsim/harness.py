@@ -12,11 +12,12 @@ config or parameter the regime cannot use fails there: the blind
 identity-direct-link check, union pattern, layout checks, union blocks no
 shorter than rho and expected free dimensions, the shared window and
 carrier construction with a plan that fits n and aligns, or the
-fast-fading slot-count checks and hidden-slot plan (omega, [u, E_omega],
-the expected DoF or ranks and the rx1 matching).  ``run_trials`` samples
-each trial's network once and hands the instance to the regime's trial,
-which builds the rest of the scheme from the plan and the instance and
-returns its verifier's ``(checks, measured, total_dof)`` as they are.
+fast-fading checks (every link changes at every slot, the slot count and
+ff3's rx1 matching, unless drawn) and hidden-slot plan (omega, [u,
+E_omega], the expected DoF or ranks).  ``run_trials`` samples each
+trial's network once and hands the instance to the regime's trial, which
+builds the rest of the scheme from the plan and the instance and returns
+its verifier's ``(checks, measured, total_dof)`` as they are.
 """
 
 import csv
@@ -130,8 +131,19 @@ def _shared_trial(plan, instance, seed):
     return verify_shared(draw_shared(plan, seed), instance)
 
 
+def _fast_fading(cfg, plan):
+    if any(len(cfg.pattern(p, q).change_points) < cfg.n - 1
+           for p in range(cfg.K) for q in range(cfg.K)):
+        raise ValueError("fast fading: every link must change at every slot")
+    return plan
+
+
 def _ff3_plan(cfg, params):
-    return plan_3user(cfg, int(params.get("epsilon", 1)))
+    plan = _fast_fading(cfg, plan_3user(cfg, int(params.get("epsilon", 1))))
+    if plan.separated is False:
+        raise ValueError(f"rx1 cannot separate: the {cfg.direct_kind} direct "
+                         "transform leaves a hidden slot unmatched off omega")
+    return plan
 
 
 def _ff3_trial(plan, instance, seed):
@@ -139,7 +151,7 @@ def _ff3_trial(plan, instance, seed):
 
 
 def _ffk_plan(cfg, params):
-    return plan_kuser(cfg, int(params.get("n_star", 1)))
+    return _fast_fading(cfg, plan_kuser(cfg, int(params.get("n_star", 1))))
 
 
 def _ffk_trial(plan, instance, seed):

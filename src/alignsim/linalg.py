@@ -10,7 +10,8 @@ cols)`` stack, scales each column to unit length along the row axis and
 takes the singular values of every matrix from one ``np.linalg.svd``
 call; LAPACK factors each matrix of a stack on its own, so a matrix gets
 the same singular values, bit for bit, alone or inside a stack.  Shapes
-are validated at ``numeric_rank_by_shape``, finiteness by the kernel's norm
+are validated at ``numeric_rank_by_shape``, which enters the one
+np.errstate(over="ignore") of its call, finiteness by the kernel's norm
 range test.  The regime verifiers name every matrix they rank, 2-D
 matrices or C-ordered 3-D stacks, joints built from the raw ``[base,
 candidate]`` before they are normalized, and ``numeric_rank_by_shape``
@@ -31,9 +32,16 @@ RELATIVE_THRESHOLD = 1e-8
 _TINY_NORM = 2.0 ** -480
 
 
+@np.errstate(over="ignore")
 def _normalized(a, axis=-2):
-    """Vectors along ``axis`` (columns by default) scaled to unit length,
-    zero vectors untouched, for a matrix or a stack of them.
+    """``_unit_vectors`` in its own np.errstate, for direct callers."""
+    return _unit_vectors(a, axis)
+
+
+def _unit_vectors(a, axis):
+    """Vectors along ``axis`` (-2: columns) scaled to unit length, zero
+    vectors untouched, for a matrix or a stack of them, inside the caller's
+    np.errstate(over="ignore").
 
     A vector whose plain norm overflows or underflows is first scaled by
     the power of two that brings its largest entry into [0.5, 1).  Such a
@@ -41,35 +49,38 @@ def _normalized(a, axis=-2):
     same bits either way.  Only then are the entries checked: a nan or
     inf entry gives a nan or inf norm and raises ValueError.
     """
-    # np.linalg.norm's own formula, without its per-call overhead; squares
-    # that overflow are rescaled below
-    with np.errstate(over="ignore"):
-        norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+    # np.linalg.norm's own formula, without its per-call overhead
+    norms = np.sqrt(np.add.reduce(a * a, axis=axis, keepdims=True))
     # entries below about 1e-162 square to zero, so a zero norm qualifies
     # too; a true zero vector has exponent 0 and keeps its entries
-    if not (norms.min() >= _TINY_NORM and norms.max() < np.inf):
+    if not (np.minimum.reduce(norms, axis=None) >= _TINY_NORM
+            and np.maximum.reduce(norms, axis=None) < np.inf):
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         out_of_range = (norms == np.inf) | (norms < _TINY_NORM)
         _, exp = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
         a = np.ldexp(a, np.where(out_of_range, -exp, 0))
-        norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+        norms = np.sqrt(np.add.reduce(a * a, axis=axis, keepdims=True))
         norms[norms == 0] = 1.0     # in range, every norm is positive
     return a / norms
 
 
-def _ranks(stack):
-    """Numeric rank of every matrix of a non-empty (batch, rows, cols) stack."""
-    s = np.linalg.svd(_normalized(stack), compute_uv=False)
-    return (s > RELATIVE_THRESHOLD * s[:, :1]).sum(axis=-1)
+def _ranks(stack, balance_rows):
+    """Numeric rank of every matrix of a C-ordered float64 3-D stack."""
+    if balance_rows:
+        stack = _unit_vectors(stack, -1)
+    s = np.linalg.svd(_unit_vectors(stack, -2), compute_uv=False)
+    return np.add.reduce(s > RELATIVE_THRESHOLD * s[:, :1], axis=-1)
 
 
+@np.errstate(over="ignore")
 def numeric_rank_by_shape(ms, balance_rows=False):
     """Numeric ranks of a dict ``name -> array`` under the same names in the
     same order, an int per 2-D matrix and an int array per 3-D stack, from
     one kernel call per distinct ``(rows, cols)`` on that shape's matrices
     in dict order.  A lone C-contiguous float64 array is ranked as it is;
     the kernel sums columns in memory order, so build stacks C-ordered.
+    The call runs in one np.errstate(over="ignore") for all its shapes.
 
     ``balance_rows`` first scales every nonzero row to unit length.  That
     keeps the rank exactly and lifts a true dimension that lives only in
@@ -82,11 +93,14 @@ def numeric_rank_by_shape(ms, balance_rows=False):
             raise ValueError("expected non-empty 2-D matrices or 3-D stacks")
         by_shape.setdefault(m.shape[-2:], []).append(name)
     for names in by_shape.values():
+        if len(names) == 1:
+            m = ms[names[0]]
+            r = _ranks(np.ascontiguousarray(m if m.ndim == 3 else m[None],
+                                            dtype=float), balance_rows)
+            ranks[names[0]] = r if m.ndim == 3 else int(r[0])
+            continue
         parts = [ms[k] if ms[k].ndim == 3 else ms[k][None] for k in names]
-        a = parts[0]
-        lone = len(parts) == 1 and a.dtype == float and a.flags.c_contiguous
-        a = a if lone else np.concatenate(parts, dtype=float)
-        r = _ranks(_normalized(a, axis=-1) if balance_rows else a)
+        r = _ranks(np.concatenate(parts, dtype=float), balance_rows)
         start = 0
         for k, part in zip(names, parts):
             ranks[k] = (r[start:start + len(part)] if ms[k].ndim == 3

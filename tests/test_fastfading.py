@@ -506,6 +506,28 @@ def test_member_moved_at_a_known_slot_fails_both_claims(L, eps, link):
     assert sampled_claims(scheme, inst, moved) == (False, False)
 
 
+@pytest.mark.parametrize("link", [(0, 1), (0, 2)])
+@pytest.mark.parametrize("L,eps", [(1, 2), (3, 3)])
+def test_scheme_drawn_from_other_known_gains_fails_the_span_claim(L, eps,
+                                                                  link):
+    # s12 and s13 come from the verified instance, not from the scheme: a
+    # scheme drawn with link (0, 1)'s or (0, 2)'s gain doubled at the last
+    # slot, which is known, fails the rx1 span claim on the true instance,
+    # as the sampled reference on the true families does
+    n = 2 * (L + eps) + 1
+    cfg = fastfading_config(3, n, L)
+    plan = plan_3user(cfg, eps)
+    inst = sample_network(cfg, seed=0)
+    assert n not in plan.omega
+    gains = inst.gains.copy()
+    gains[3 * link[0] + link[1], -1] *= 2.0
+    gains.setflags(write=False)
+    moved = draw_3user(dataclasses.replace(inst, gains=gains), plan)
+    assert verify_3user(moved, inst)[0]["rx1_span_equality"] is False
+    assert sampled_claims(moved, inst)[0] is False
+    assert verify_3user(draw_3user(inst, plan), inst)[0]["rx1_span_equality"]
+
+
 @pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3)])
 def test_base_without_one_hidden_direction_fails_loop_closure(L, eps):
     # tx1's columns with e_s zeroed, s the last hidden slot, drop it from
@@ -635,6 +657,40 @@ def test_kuser_columns_span_the_mixer_power_columns(monkeypatch, L):
                     vec = vec * t ** a
                 old.extend(vec * gam ** j for j in range(1, L + 2))
             assert _same_span(np.column_stack(old), got, balance_rows=True)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(L=st.integers(0, 4), eps=st.integers(1, 3),
+       kind=st.sampled_from(["memory", "permutation", "identity"]),
+       data=st.data())
+def test_accepted_ff3_scenarios_pass_every_check(L, eps, kind, data):
+    # on a fast-fading config the ff3 Scenario accepts, every check passes
+    # on 4 seeds; a drawn permutation may still leave rx1 unseparated,
+    # which its separation_guaranteed reports
+    n = 2 * (L + eps) + 1
+    omega = data.draw(st.lists(st.integers(1, n), min_size=L, max_size=L,
+                               unique=True))
+    links = [(p, q) for p in range(3) for q in range(3) if p != q]
+    sets = {link: data.draw(st.lists(st.sampled_from(omega), unique=True))
+            if omega else [] for link in links}
+    sets[data.draw(st.sampled_from(links))] = omega
+    every = list(range(2, n + 1))
+    cfg = NetworkConfig(
+        K=3, n=n, patterns=[[every] * 3 for _ in range(3)],
+        unknown=[[sets.get((p, q), []) for q in range(3)] for p in range(3)],
+        direct_kind=kind, memory_distance=data.draw(st.integers(1, n - 1)))
+    try:
+        scenario = Scenario("fastfading3", cfg, {"epsilon": eps}, trials=4,
+                            base_seed=data.draw(st.integers(0, 2**31)))
+    except ValueError as exc:
+        assert kind != "permutation" and "rx1" in str(exc)
+        assert plan_3user(cfg, eps).separated is False
+        return
+    for r in run_trials(scenario).results:
+        separated = r.measured["separation_guaranteed"]
+        assert separated or kind == "permutation"
+        assert r.checks == dict.fromkeys(r.checks, True) | {
+            "rx1_separation": separated}, (r.seed, r.checks)
 
 
 def test_kuser_guard_and_validation():

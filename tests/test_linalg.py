@@ -1,6 +1,7 @@
 """Numeric rank policy, cross-checked against the exact rational oracle."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,42 @@ def test_is_subspace():
     assert is_subspace(a, a) and not is_subspace(a, c)
     with pytest.raises(ValueError):
         is_subspace(np.eye(3), np.eye(4))
+
+
+def _rescaled(m):
+    """m with each column brought near 1 by an exact power of two."""
+    return np.ldexp(m, -np.frexp(np.abs(m).max(axis=-2, keepdims=True))[1])
+
+
+def test_one_overflow_context_covers_every_shape():
+    # numeric_rank_by_shape enters np.errstate(over="ignore") once for all
+    # its shapes, and the kernel enters none of its own: columns near
+    # 1e160, whose squares overflow, and near 1e-300, whose squares
+    # underflow, in three shapes, a stack and a balance_rows call raise no
+    # warning and get the ranks of their rescaled copies
+    rng = np.random.default_rng(11)
+    ms = {}
+    for rows, cols in ((5, 3), (6, 4), (7, 2)):
+        m = rng.uniform(0.5, 2.0, size=(rows, cols))
+        m[:, 0] *= 1e160
+        m[:, 1] *= 1e-300
+        if cols > 2:
+            m[:, -1] = m[:, 0]      # a dependent column: rank cols - 1
+        ms[f"{rows}x{cols}"] = m
+    ms["stack"] = np.stack([ms["6x4"], ms["6x4"][::-1]])
+    big = {"big": rng.uniform(1e160, 2e160, size=(4, 3)),
+           "tiny": rng.uniform(1e-300, 2e-300, size=(4, 5))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = numeric_rank_by_shape(ms)
+        got_balanced = numeric_rank_by_shape(big, balance_rows=True)
+    want = numeric_rank_by_shape({k: _rescaled(m) for k, m in ms.items()})
+    assert {k: np.asarray(v).tolist() for k, v in got.items()} == {
+        k: np.asarray(v).tolist() for k, v in want.items()} == {
+        "5x3": 2, "6x4": 3, "7x2": 2, "stack": [3, 3]}
+    assert got_balanced == numeric_rank_by_shape(
+        {k: _rescaled(m) for k, m in big.items()}, balance_rows=True) == {
+        "big": 3, "tiny": 4}
 
 
 def test_rank_rejects_nonfinite():

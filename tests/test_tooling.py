@@ -124,6 +124,16 @@ def call_sites(name):
     return found
 
 
+def test_overflow_contexts_are_entered_at_fixed_sites():
+    # the curve command's decorator and the rank kernel's two entries: one
+    # np.errstate per numeric_rank_by_shape call, whatever its shapes, and
+    # _normalized's own for its direct callers; a per-shape context inside
+    # the kernel would show up here as a new site
+    assert call_sites("errstate") == ["cli.py:_cmd_curve",
+                                      "linalg.py:_normalized",
+                                      "linalg.py:numeric_rank_by_shape"]
+
+
 def test_one_site_samples_the_network():
     # run_trials samples each trial's network and hands it to the regime
     assert call_sites("sample_network") == ["harness.py:run_trials"]
