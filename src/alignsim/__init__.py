@@ -4,8 +4,8 @@ Library layout:
 
 * ``linalg`` — the one numeric rank entry, ``numeric_rank_by_shape``, and
   ``is_subspace`` (one fixed rank threshold);
-* ``rational`` — exact rank and solve of float64 arrays by fraction-free
-  integer elimination;
+* ``rational`` — exact rank and solve of float64 arrays by two-step
+  fraction-free (Bareiss) integer elimination;
 * ``channel`` — changing patterns, block-fading diagonal channels, direct
   transforms, network configs and sampling;
 * ``decomposition`` — power / indexed diagonal basis families and solves;

@@ -207,8 +207,10 @@ def _check_transform(kind, distance, n):
 
 @lru_cache(maxsize=16)
 def _band(n, distance):
-    """The read-only band 0 <= row - col <= distance of n x n memories."""
-    band = np.tri(n, dtype=bool) & ~np.tri(n, k=-distance - 1, dtype=bool)
+    """The read-only flat indices, in row-major order, of the band
+    0 <= row - col <= distance of n x n memories."""
+    band = np.flatnonzero(np.tri(n, dtype=bool)
+                          & ~np.tri(n, k=-distance - 1, dtype=bool))
     band.setflags(write=False)
     return band
 
@@ -230,8 +232,9 @@ def direct_transform_matrix(kind, distance, n, seed):
         rng = np.random.default_rng(seed)
         band = _band(n, distance)
         mat = np.zeros((n, n))
-        mat[band] = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
-                                size=np.count_nonzero(band))
+        # a fresh array ravels to a view, so this fills mat in place
+        mat.ravel()[band] = rng.uniform(H_MIN_DEFAULT, H_MAX_DEFAULT,
+                                        size=len(band))
     else:
         rng = np.random.default_rng(seed)
         perm = _bounded_permutation(n, distance, rng)

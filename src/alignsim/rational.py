@@ -1,16 +1,21 @@
 """Exact rational linear algebra on float64 arrays.
 
 Rank and square solves over the rationals for matrices up to 64x64, by
-fraction-free (Bareiss) integer elimination: each row is scaled to
-integers once, which keeps both the rank and the solution, and every
+two-step fraction-free (Bareiss) integer elimination: each row is scaled
+to integers once, which keeps both the rank and the solution, and every
 later update divides exactly, so no gcd is taken until the solution's
-Fractions are formed.  Every input is a float64 array, and floats are
-binary rationals, so each row scales exactly to integers in one np.frexp
-pass.  A row (c, ..., c | t), c != 0, fixes the unknowns' sum at t/c, so
-the solve eliminates over one unknown fewer.  This is the exact solve of
-basis decompositions (every indexed family's system holds such a row)
-and the oracle that anchors the floating-point rank threshold in the
-test suite.
+Fractions are formed.  A pass eliminates two pivot columns: each entry
+below both pivots becomes (c0*a[i][j] - c1*a[k+1][j] + c2*a[k][j]) //
+prev, with prev the previous pivot and c0, c1, c2 2x2 minors over prev,
+in 3 products and 1 division where two one-column passes take 4 and 2.
+By Sylvester's identity every coefficient and every result is a minor
+of the input, so each division is exact.  Every input is a float64
+array, and floats are binary rationals, so each row scales exactly to
+integers in one np.frexp pass.  A row (c, ..., c | t), c != 0, fixes
+the unknowns' sum at t/c, so the solve eliminates over one unknown
+fewer.  This is the exact solve of basis decompositions (every indexed
+family's system holds such a row) and the oracle that anchors the
+floating-point rank threshold in the test suite.
 """
 
 from fractions import Fraction
@@ -53,32 +58,62 @@ def _eliminate(m, ncols):
     """Bareiss-eliminate the integer rows m in place over their first
     ncols columns and return the number of pivots found there.
 
-    Row r below the k-th pivot p becomes (p*row - row[col]*top) // prev,
-    where prev is the previous pivot (1 at the start); the division is
-    exact because every entry stays a minor of the input.  A column
-    without a pivot is skipped, which keeps that property.  Only the
-    columns right of the pivot are updated: at and left of it, every row
-    below the pivot row is zero.
+    A pass takes pivot columns c, c+1.  With prev the previous pivot (1
+    at the start), k the first pivot row and D(r, i) the 2x2 minor of
+    rows r, i on columns c, c+1, row i's one-step entry at c+1 is
+    c1 = D(k, i) // prev.  The first row with c1 != 0 moves to k+1 and
+    takes its one-step value; each row i below it becomes
+    (c0*a[i][j] - c1*a[k+1][j] + c2*a[k][j]) // prev, with the second
+    pivot c0 = D(k, k+1) // prev and c2 = D(k+1, i) // prev: the 3x3
+    minor of rows k, k+1, i on columns c, c+1, j over prev**2.  Every
+    entry is a minor of the input, so by Sylvester's identity every
+    coefficient and every result is again one, and each // is exact.
+    The last column, and a pivot column whose next column has no pivot
+    (every c1 is 0), take the one-step update
+    (p*a[i][j] - a[i][c]*a[k][j]) // prev with p = a[k][c]; a column
+    without a pivot is skipped.  The pivot rows are those of a
+    one-column pass, so every row ends with the same integers.  Only the
+    columns right of the pivots are updated: at and left of them, every
+    row below the pivot rows is zero.
     """
-    nrows, width = len(m), len(m[0])
-    rank, prev = 0, 1
-    for col in range(ncols):
+    nrows = len(m)
+    rank, prev, col = 0, 1, 0
+    while col < ncols and rank < nrows:
         pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
         if pivot is None:
+            col += 1
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         top = m[rank]
-        p = top[col]
-        for r in range(rank + 1, nrows):
-            cur = m[r]
-            c = cur[col]
-            cur[col] = 0
-            for j in range(col + 1, width):
-                cur[j] = (p * cur[j] - c * top[j]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
+        p, nxt = top[col], col + 1
+        if nxt < ncols:
+            q = top[nxt]
+            c1s = [(p * row[nxt] - row[col] * q) // prev
+                   for row in m[rank + 1:]]
+            second = next((i for i, c1 in enumerate(c1s) if c1), None)
+            if second is not None:
+                k = rank + 1
+                m[k], m[k + second] = m[k + second], m[k]
+                c1s[0], c1s[second] = c1s[second], c1s[0]
+                mid, c0, s = m[k], c1s[0], nxt + 1
+                a, b = mid[col], mid[nxt]
+                t0, t1 = top[s:], mid[s:]
+                mid[s:] = [(p * y - a * x) // prev for x, y in zip(t0, t1)]
+                mid[col], mid[nxt] = 0, c0
+                for row, c1 in zip(m[k + 1:], c1s[1:]):
+                    c2 = (a * row[nxt] - row[col] * b) // prev
+                    row[s:] = [(c0 * z - c1 * y + c2 * x) // prev
+                               for x, y, z in zip(t0, t1, row[s:])]
+                    row[col] = row[nxt] = 0
+                prev, rank, col = c0, rank + 2, s
+                continue
+        t0 = top[nxt:]
+        for row in m[rank + 1:]:
+            c = row[col]
+            row[nxt:] = [(p * y - c * x) // prev
+                         for x, y in zip(t0, row[nxt:])]
+            row[col] = 0
+        prev, rank, col = p, rank + 1, nxt
     return rank
 
 

@@ -332,9 +332,9 @@ def test_seed_free_work_stays_out_of_the_trials(monkeypatch, make, at_load,
                                          (ffk_scenario, 0)],
                          ids=["ff3", "ffk"])
 def test_memory_band_is_built_once_per_shape(monkeypatch, make, bands):
-    # the band mask of a memory transform (two np.tri calls) is built on
-    # the first draw of its (n, distance) and read by every later draw;
-    # the K-user trial reads no direct transform
+    # the band indices of a memory transform (from two np.tri calls) are
+    # built on the first draw of its (n, distance) and read by every later
+    # draw; the K-user trial reads no direct transform
     tri, calls = np.tri, []
 
     def spy(*args, **kwargs):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.rational import _float_rows, exact_rank, exact_solve
+from alignsim.rational import (_eliminate, _float_rows, exact_rank,
+                               exact_solve)
 
 
 def arr(rows):
@@ -273,3 +274,71 @@ def test_float_array_rows_match_the_entry_path(data, n):
 def test_float_array_system_validation(rows, rhs):
     with pytest.raises(ValueError):
         exact_solve(rows, rhs)
+
+
+def one_column_eliminate(m, ncols):
+    """The one-column Bareiss pass, kept as the reference for _eliminate:
+    row r below the k-th pivot p becomes (p*row - row[col]*top) // prev,
+    prev the previous pivot (1 at the start), and a column without a
+    pivot is skipped."""
+    nrows, width = len(m), len(m[0])
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, nrows):
+            cur = m[r]
+            c = cur[col]
+            cur[col] = 0
+            for j in range(col + 1, width):
+                cur[j] = (p * cur[j] - c * top[j]) // prev
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+# few distinct values and many zeros, so that pivots are missing, 2x2
+# minors vanish and rows have to be swapped
+SPARSE_INTS = st.sampled_from([0, 0, 0, 1, -1, 2])
+BIG_INTS = st.integers(-2**60, 2**60)
+
+
+@st.composite
+def integer_rows(draw):
+    """Tall, wide and square integer rows, drawn entry by entry or as a
+    product of lower inner dimension, with some columns zeroed, and the
+    number of leading columns to eliminate over (odd or even, up to the
+    width)."""
+    rows, width = draw(st.integers(1, 9)), draw(st.integers(1, 10))
+    entries = draw(st.sampled_from([SMALL_INTS, SPARSE_INTS, BIG_INTS]))
+    inner = draw(st.integers(0, min(rows, width) + 1))
+    if inner > min(rows, width):
+        m = [draw(st.lists(entries, min_size=width, max_size=width))
+             for _ in range(rows)]
+    else:
+        a = [draw(st.lists(SMALL_INTS, min_size=inner, max_size=inner))
+             for _ in range(rows)]
+        b = [draw(st.lists(entries, min_size=width, max_size=width))
+             for _ in range(inner)]
+        m = [[sum(x * y[j] for x, y in zip(row, b)) for j in range(width)]
+             for row in a]
+    for j in draw(st.sets(st.integers(0, width - 1)), label="zeroed"):
+        for row in m:
+            row[j] = 0
+    return m, draw(st.integers(1, width), label="ncols")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(system=integer_rows())
+def test_two_step_pass_leaves_the_one_column_rows(system):
+    m, ncols = system
+    got, want = [row[:] for row in m], [row[:] for row in m]
+    assert _eliminate(got, ncols) == one_column_eliminate(want, ncols)
+    assert got == want
+    assert all(type(v) is int for row in got for v in row)

@@ -1,11 +1,11 @@
 """Source-level guarantees: no ``assert`` and no unused import in the
 library, one rank entry for every module, called with named matrices, one
-network-sampling site, one acceptance loop for separated draws, a fixed
-list of generator-seeding sites, trial streams keyed by seed and purpose,
-no least-squares solve and no retired parameter (a rank tolerance, a gain
-range or a separation mode), the same command output with and without
-``python -O``, and a suite that reports every test when a property test
-fails."""
+exact-solve entry, one network-sampling site, one acceptance loop for
+separated draws, a fixed list of generator-seeding sites, trial streams
+keyed by seed and purpose, no least-squares solve and no retired
+parameter (a rank tolerance, a gain range or a separation mode), the same
+command output with and without ``python -O``, and a suite that reports
+every test when a property test fails."""
 
 import ast
 import json
@@ -87,6 +87,23 @@ def test_regimes_rank_through_one_entry():
                     or (not module.endswith("linalg")
                         and alias.name == "linalg")]
     assert found == []
+
+
+def test_library_solves_exactly_through_one_entry():
+    # the one exact-arithmetic entry of the library is rational.exact_solve,
+    # called by decomposition; exact_rank is the test suite's oracle
+    found = []
+    for path in sorted((SRC / "alignsim").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{alias.name}" for alias in node.names
+                          if "rational" in alias.name]
+            elif isinstance(node, ast.ImportFrom):
+                from_rational = (node.module or "").endswith("rational")
+                found += [f"{path.name}:{alias.name}" for alias in node.names
+                          if from_rational or alias.name == "rational"]
+    assert found == ["decomposition.py:exact_solve"]
 
 
 def test_every_rank_call_names_its_matrices():
