@@ -10,7 +10,8 @@ sharing_dof(K, r) = K*r / (r^2 - r + K) together with its integer optimizer.
 A construction is a seed-free plan (``plan_shared``: windows, capacity
 drops, carrier repair, expected dimensions and the fill count) and a
 seeded draw of its random fill columns (``draw_shared``); one plan serves
-any number of draws.
+any number of draws.  Plan and verifier count dimensions alike, by
+``_ranks``: the plan on one fixed generic draw, the verifier on a trial's.
 """
 
 import math
@@ -21,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .channel import (ChangingPattern, NetworkConfig, constant_intervals,
-                      union_pattern)
+                      sample_channel, union_pattern)
 from .linalg import numeric_rank_by_shape
 
 __all__ = [
@@ -152,8 +153,8 @@ class SharedPlan:
     window_columns: tuple          # per transmitter, its read-only n x d
                                    # block of window vectors
     fill_count: int                # fill columns, dealt round-robin
-    expected_desired: tuple        # per-receiver desired dims
-    expected_used: tuple           # per-receiver occupied dims
+    expected_desired: tuple        # per-receiver desired and occupied
+    expected_used: tuple           # dims, as ranked on a generic draw
     total_dof: Fraction
 
 
@@ -221,9 +222,10 @@ def plan_shared(K, r, patterns, n):
     receiver p.  One candidate vector per r-subset of transmitters; a
     vector survives only if it has a size-r support window constant at all
     non-member receivers; over-full windows and collapsing member copies
-    are repaired by dropping vectors/members; the leftover dimensions are
-    counted for the full-support random fill columns that ``draw_shared``
-    adds.
+    are repaired by dropping vectors/members; each receiver's dimensions
+    are ranked as ``verify_shared`` ranks them, on one fixed generic draw
+    of identity-link gains, and the leftover ones are counted for the
+    full-support random fill columns that ``draw_shared`` adds.
     """
     if not 1 <= r <= K - 1:
         raise ValueError("r must lie in [1, K-1]")
@@ -266,32 +268,24 @@ def plan_shared(K, r, patterns, n):
         if kept:
             vectors.append(SharedVector(vid, subset, kept, window, values))
 
-    # expected occupied/desired dimensions per receiver
-    used = [0] * K
-    desired = [0] * K
-    for v in vectors:
-        live = len(v.kept)
-        for p in range(K):
-            if p not in v.subset:
-                used[p] += 1
-            elif p in v.kept:
-                used[p] += live
-                desired[p] += 1
-            else:
-                used[p] += min(live, _runs_in_window(patterns[p], v.support))
-
-    # random fill: spend leftover dimensions on unshared full-support columns,
-    # handed out round-robin so no transmitter hoards the leftover space
-    fills = max(0, n - max(used))
-    for i in range(fills):
-        desired[i % K] += 1
-    used = [u + fills for u in used]
-
     columns = []
     for t in range(K):
         cols = [v.values for v in vectors if t in v.kept]
         columns.append(_read_only(np.column_stack(cols) if cols
                                   else np.zeros((n, 0))))
+
+    # what each receiver sees of the window vectors, on one generic draw
+    rng = np.random.default_rng(6)     # the seed-free plan key
+    used, interference = _ranks(columns, np.vstack([
+        sample_channel(patterns[p], rng) for p in range(K) for _ in range(K)]))
+    desired = [u - i for u, i in zip(used, interference)]
+
+    # random fill: spend leftover dimensions on unshared full-support columns,
+    # handed out round-robin so no transmitter hoards the leftover space
+    fills = n - max(used)
+    for i in range(fills):
+        desired[i % K] += 1
+    used = [u + fills for u in used]
     return SharedPlan(K=K, r=r, n=n, vectors=tuple(vectors),
                       dropped=tuple(sorted(dropped)),
                       window_columns=tuple(columns), fill_count=fills,
@@ -320,36 +314,43 @@ def draw_shared(plan: SharedPlan, seed):
     return SharedPatternScheme(plan, fill, precoders)
 
 
-def verify_shared(scheme: SharedPatternScheme, instance):
-    """Desired and interference dimensions at every receiver, measured by
-    rank on a sampled network, as ``(checks, measured, total_dof)``; the
-    total is the desired dimensions' share of the n slots, floored at the
-    time-sharing baseline 1.
-
-    All that reaches receiver p is row p of one C-ordered stack, written in
-    place by one broadcast product of the gains (``received_matrix``
-    rewrites direct links with memory or a permutation); its interference
-    joint drops p's columns with ``compress``, which keeps C order.  One
-    ``numeric_rank_by_shape`` call ranks both joints of every receiver,
-    ``used_rx{p}`` and ``interference_rx{p}``, a joint without columns has
-    rank 0, and the desired dimensions are the excess of the first.
-    """
-    K, n, precoders = instance.K, instance.n, scheme.precoders
+def _ranks(precoders, gains, direct=()):
+    """Every receiver's used and interference ranks, as two lists, of what
+    arrives from the precoders over (K*K, n) gains: all that reaches
+    receiver p is row p of one C-ordered stack, written in place by one
+    broadcast product of the gains, and ``direct``'s (p, columns) pairs
+    replace what p receives of its own precoder on a direct link with
+    memory or a permutation.  p's interference joint drops its own columns
+    with ``compress``, which keeps C order.  One ``numeric_rank_by_shape`` call
+    ranks both joints of every receiver, ``used_rx{p}`` and
+    ``interference_rx{p}``; a joint without columns has rank 0."""
+    K, n = len(precoders), gains.shape[1]
     owner = np.repeat(np.arange(K), [x.shape[1] for x in precoders])
     arriving = np.empty((K, n, owner.size))
-    np.multiply(instance.gains.reshape(K, K, n)[:, owner].transpose(0, 2, 1),
+    np.multiply(gains.reshape(K, K, n)[:, owner].transpose(0, 2, 1),
                 np.hstack(precoders), out=arriving)
-    for p in range(K):
-        if instance.transforms[p].kind != "identity":
-            arriving[p][:, owner == p] = instance.received_matrix(
-                p, p, precoders[p])
+    for p, received in direct:
+        arriving[p][:, owner == p] = received
     ranks = numeric_rank_by_shape({
         f"{kind}_rx{p + 1}": m for p in range(K) for kind, m in (
             ("used", arriving[p]),
             ("interference", arriving[p].compress(owner != p, axis=1)))
         if m.size})
-    used, interference = ([ranks.get(f"{kind}_rx{p + 1}", 0) for p in
-                           range(K)] for kind in ("used", "interference"))
+    return ([ranks.get(f"{kind}_rx{p + 1}", 0) for p in range(K)]
+            for kind in ("used", "interference"))
+
+
+def verify_shared(scheme: SharedPatternScheme, instance):
+    """Desired and interference dimensions at every receiver, measured by
+    rank on a sampled network, as ``(checks, measured, total_dof)``; the
+    total is the desired dimensions' share of the n slots, floored at the
+    time-sharing baseline 1.  The desired dimensions are the excess of the
+    used ones over the interference, both ranked by ``_ranks``.
+    """
+    K, n, precoders = instance.K, instance.n, scheme.precoders
+    used, interference = _ranks(precoders, instance.gains, [
+        (p, instance.received_matrix(p, p, precoders[p])) for p in range(K)
+        if instance.transforms[p].kind != "identity"])
     desired = [u - i for u, i in zip(used, interference)]
     checks = {
         "imperfect_alignment": sum(interference) < (K - 1) * n,

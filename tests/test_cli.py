@@ -306,13 +306,12 @@ REGIME_ERRORS = [
     # the same for the block before slot 2 at n = 8
     ("blind-sim", {"K": 3, "n": 8, "rho": 2, "trials": 1,
                    "patterns": [[[2]] * 3] * 3}, "block"),
-    # receivers 1 and 2 change once, 3 and 4 never: at r = 2 the plan
-    # occupies 5 of the n = 4 dimensions at every receiver, and at r = 1
-    # or 3 its interference fills all (K-1)*n receiver dimensions
+    # receivers 1 and 2 change once, 3 and 4 never: at r = 1, 2 and 3 the
+    # plan's interference fills all (K-1)*n receiver dimensions
     *(("shared-sim", {"K": 4, "n": 4, "r": r, "trials": 1,
                       "direct_kind": "identity",
                       "patterns": [[pts] * 4 for pts in ([4], [3], [], [])]},
-       named) for r, named in ((2, "n"), (1, "alignment"), (3, "alignment"))),
+       "alignment") for r in (2, 1, 3)),
     # fast fading: one cross link, or one direct link, keeps a gain across
     # slots
     ("ff3-sim", {**_FF3, "epsilon": 2, "patterns": _with_cell(
@@ -443,9 +442,10 @@ def sim_configs(draw):
     cross-link slots in [1, n], with scheme parameters near their ranges.
     Half of those take the n and the parameters of the command's slot
     count (blind n = 2 rho (s + 1) with one cross pattern of s points, ff3
-    n = 2L + 2 eps + 1 and ffk n = 2L + 1 + 2^N with L hidden slots), the
-    other half any K and n, with one pattern per receiver on half the
-    draws, as the shared regime asks."""
+    n = 2L + 2 eps + 1 and ffk n = 2L + 1 + 2^N with L hidden slots, and
+    shared K in [3, 4] and n in [K, 3K + 3] with one pattern per receiver,
+    as the shared regime asks), the other half any K and n, with one
+    pattern per receiver on half the draws."""
     command = draw(st.sampled_from(SIM_COMMANDS))
     if draw(st.integers(0, 3)) == 0:
         return command, draw(malformed_configs())
@@ -459,7 +459,7 @@ def sim_configs(draw):
                                     min_size=size or 0, max_size=span)))
 
     K, params, cross, hidden = draw(st.integers(1, 4)), {}, None, []
-    n = draw(st.integers(1, 12))
+    n, per_receiver = draw(st.integers(1, 12)), False
     if draw(st.booleans()):
         L = draw(st.integers(0, 3))
         if command == "blind-sim":
@@ -472,11 +472,14 @@ def sim_configs(draw):
         elif command == "ffk-sim":
             K = draw(st.integers(3, 4))
             n, params = 2 * L + 1 + 2 ** ((K - 1) * (K - 2) - 1), {"n_star": 1}
+        else:
+            K = draw(st.integers(3, 4))
+            n, per_receiver = draw(st.integers(K, 3 * K + 3)), True
         hidden = points(1, n, size=min(L, n))
     if cross is not None:
         patterns = [[cross if p != q else points(2, n) for q in range(K)]
                     for p in range(K)]
-    elif draw(st.booleans()):
+    elif per_receiver or draw(st.booleans()):
         patterns = [[points(2, n)] * K for _ in range(K)]
     else:
         patterns = [[points(2, n) for _ in range(K)] for _ in range(K)]
@@ -507,6 +510,10 @@ def test_sim_commands_never_raise(case):
                 contextlib.redirect_stderr(err):
             code = main([command, path])
     assert code in (0, 1, 2), err.getvalue()
+    # a shared plan's counts are what an identity-link trial measures
+    if command == "shared-sim" and raw.get("direct_kind",
+                                           "identity") == "identity":
+        assert code != 2, err.getvalue()
 
 
 @st.composite

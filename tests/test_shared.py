@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsim import shared
-from alignsim.channel import sample_network
+from alignsim.channel import ChangingPattern, sample_network
 from alignsim.harness import Scenario, run_trials
 from alignsim.shared import (best_sharing_degree, curve_f,
                              dense_demo_patterns, demo_network_config,
@@ -174,7 +176,6 @@ def test_one_plan_drawn_per_seed_equals_a_fresh_plan_per_seed(factory):
 
 
 def test_constant_patterns_collapse_to_time_sharing():
-    from alignsim.channel import ChangingPattern
     pats = [ChangingPattern(8, ()) for _ in range(4)]
     assert plan_shared(4, 2, pats, 8).total_dof == 1
 
@@ -203,3 +204,76 @@ def test_rank_deficient_precoder_names_its_transmitter(monkeypatch):
     pats, n = pair_demo_patterns()
     with pytest.raises(ValueError, match="precoder of transmitter 2 has rank"):
         draw_shared(plan_shared(4, 2, pats, n), 0)
+
+
+# ---------------------------------------------------------------------------
+# the counts of random same-destination plans
+
+
+@st.composite
+def same_destination_configs(draw):
+    """K in [3, 5], n in [K, 3K + 3], r in [1, K - 1] and one pattern per
+    receiver, each slot 2..n a change point at a density of its own."""
+    K = draw(st.integers(3, 5))
+    n = draw(st.integers(K, 3 * K + 3))
+    r = draw(st.integers(1, K - 1))
+    patterns = []
+    for _ in range(K):
+        density = draw(st.integers(1, 9))
+        patterns.append(ChangingPattern(n, tuple(
+            c for c in range(2, n + 1) if draw(st.integers(0, 9)) < density)))
+    return K, n, r, patterns
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=same_destination_configs())
+def test_accepted_shared_scenarios_pass_every_check(case):
+    # on identity links, a plan the shared Scenario accepts delivers the
+    # dimensions it counts on every draw
+    K, n, r, patterns = case
+    try:
+        scenario = Scenario("shared", demo_network_config(patterns, n),
+                            {"r": r}, trials=4)
+    except ValueError as exc:
+        assert "alignment" in str(exc)
+        return
+    for res in run_trials(scenario).results:
+        assert all(res.checks.values()), (res.seed, res.checks)
+
+
+def run_rule_counts(plan, patterns):
+    """Desired and used dimensions per receiver by the run-counting rule:
+    a vector is one dimension at a receiver outside its subset, one per
+    carrier at a carrier, and at a dropped member one per carrier up to the
+    member's value-runs in the window; fills top the fullest receiver up
+    to n.  Sound when no two window vectors share a slot."""
+    K, n = plan.K, plan.n
+    used, desired = [0] * K, [0] * K
+    for v in plan.vectors:
+        live = len(v.kept)
+        for p in range(K):
+            if p not in v.subset:
+                used[p] += 1
+            elif p in v.kept:
+                used[p] += live
+                desired[p] += 1
+            else:
+                used[p] += min(live,
+                               shared._runs_in_window(patterns[p], v.support))
+    fills = max(0, n - max(used))
+    for i in range(fills):
+        desired[i % K] += 1
+    return tuple(desired), tuple(u + fills for u in used)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=same_destination_configs())
+def test_plan_counts_follow_the_run_rule_on_disjoint_windows(case):
+    # where the window vectors occupy pairwise disjoint slots the ranks the
+    # plan counts are the construction's closed-form dimensions
+    K, n, r, patterns = case
+    plan = plan_shared(K, r, patterns, n)
+    slots = [s for v in plan.vectors for s in v.support]
+    if len(slots) == len(set(slots)):
+        assert (plan.expected_desired, plan.expected_used) == \
+            run_rule_counts(plan, patterns)

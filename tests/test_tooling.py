@@ -121,7 +121,7 @@ def test_every_rank_call_names_its_matrices():
     assert call_sites("numeric_rank_by_shape") == [
         "blind.py:verify_blind", "fastfading.py:verify_3user",
         "fastfading.py:verify_kuser", "linalg.py:is_subspace",
-        "shared.py:draw_shared", "shared.py:verify_shared"]
+        "shared.py:draw_shared", "shared.py:_ranks"]
 
 
 def call_sites(name):
@@ -174,7 +174,8 @@ def test_generators_are_seeded_at_fixed_sites():
         "channel.py:sample_network",
         "decomposition.py:build_indexed_basis",
         "decomposition.py:build_power_basis",
-        "shared.py:draw_shared"]
+        "shared.py:draw_shared",
+        "shared.py:plan_shared"]
 
 
 # the functions that seed a trial's generators, with the call each
