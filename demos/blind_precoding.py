@@ -18,18 +18,18 @@ Run:  python demos/blind_precoding.py
 
 import warnings
 
-from alignsim import (ChangingPattern, NetworkConfig, draw_blind,
-                      generic_free_dims, is_subspace, plan_blind,
-                      predicted_free_dims, sample_network, verify_blind)
+from alignsim import (ChangingPattern, NetworkConfig, generic_free_dims,
+                      is_subspace, plan_blind, predicted_free_dims,
+                      sample_network, verify_blind)
 
 
 def main():
     # one cross-union change point at slot 4 and 7; rho = 2 repetitions
     n, rho, K = 12, 2, 3
     union = ChangingPattern(n, (4, 7))
-    scheme = draw_blind(plan_blind(union, rho), K, seed=0)
+    plan = plan_blind(union, rho)
     print(f"{K} users, {n} slots, union change points {union.change_points}")
-    print(f"interference basis: {scheme.interference_basis.shape[1]} columns "
+    print(f"interference basis: {plan.basis.shape[1]} columns "
           f"(= n/2) spanning the common crosstalk subspace")
 
     # per-receiver direct patterns: same as the union (nothing private),
@@ -47,8 +47,8 @@ def main():
         for q in range(K):
             if p == q:
                 continue
-            seen = inst.received_matrix(p, q, scheme.precoders[q])
-            inside = is_subspace(seen, scheme.interference_basis)
+            seen = inst.received_matrix(p, q, plan.basis)
+            inside = is_subspace(seen, plan.basis)
             print(f"  rx{p+1} <- tx{q+1}: contained = {inside}")
             assert inside
 
@@ -57,15 +57,15 @@ def main():
     print("(the coarse block formula warns when a direct block outlasts the")
     print(" column budget and can over-count short value-runs; the refined")
     print(" count always matches the measured rank):")
-    _, measured, total = verify_blind(scheme, inst, [
-        generic_free_dims(scheme, cfg.pattern(k, k)) for k in range(K)])
+    _, measured, total = verify_blind(plan, inst, [
+        generic_free_dims(plan, cfg.pattern(k, k)) for k in range(K)])
     dims = [measured[f"free_dims_rx{k + 1}"] for k in range(K)]
     for k in range(K):
         pat = ChangingPattern(n, direct[k])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            coarse = predicted_free_dims(scheme, pat)
-        fine = generic_free_dims(scheme, pat)
+            coarse = predicted_free_dims(plan, pat)
+        fine = generic_free_dims(plan, pat)
         measured = dims[k]
         print(f"  rx{k+1}: direct changes {direct[k]} -> "
               f"block formula {coarse}, refined {fine}, measured {measured}")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from alignsim import (Scenario, run_trials, sample_network, scheme_counts,
                       verify_shared)
 from alignsim.shared import (demo_network_config, dense_demo_patterns,
-                             draw_shared, pair_demo_patterns, plan_shared)
+                             pair_demo_patterns, plan_shared)
 
 
 def show_family(name, patterns, n, expect_dof):
@@ -28,7 +28,6 @@ def show_family(name, patterns, n, expect_dof):
         print(f"  rx{p+1} pattern changes at {pat.change_points}")
 
     plan = plan_shared(len(patterns), 2, patterns, n)
-    scheme = draw_shared(plan, seed=0)
     print("  shared vectors (pair -> support window):")
     for v in plan.vectors:
         subset = tuple(t + 1 for t in v.subset)
@@ -36,7 +35,7 @@ def show_family(name, patterns, n, expect_dof):
         note = "" if kept == subset else f" (kept tx{kept} after repair)"
         print(f"    pair tx{subset}: slots {v.support[0]}..{v.support[-1]}"
               f"{note}")
-    for i in range(len(scheme.fill)):
+    for i in range(len(plan.fill)):
         print(f"    fill tx{(i % plan.K + 1,)}: slots 1..{n}")
     print(f"  desired dims per receiver: {plan.expected_desired}, "
           f"total DoF {plan.total_dof}")
@@ -44,7 +43,7 @@ def show_family(name, patterns, n, expect_dof):
 
     cfg = demo_network_config(patterns, n)
     inst = sample_network(cfg, seed=3)
-    checks, measured, _ = verify_shared(scheme, inst)
+    checks, measured, _ = verify_shared(plan, inst)
     per_receiver = []
     for p in range(1, len(patterns) + 1):
         desired, used = measured[f"desired_rx{p}"], measured[f"used_rx{p}"]

@@ -10,6 +10,10 @@ ill-conditioned.  Every cross channel maps the set into its own span, so
 the interference at each receiver stays inside those n/2 dimensions; free
 dimensions appear wherever the direct channel changes at slots where no
 cross channel does.
+
+The transmitters know the patterns but no gains, so the whole scheme is
+its plan: ``plan_blind`` draws G once, from a seed-free key, and every
+trial sends the same read-only basis.
 """
 
 import warnings
@@ -23,9 +27,7 @@ from .linalg import numeric_rank_by_shape
 
 __all__ = [
     "BlindPlan",
-    "BlindScheme",
     "plan_blind",
-    "draw_blind",
     "build_blind_scheme",
     "predicted_free_dims",
     "generic_free_dims",
@@ -36,23 +38,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlindPlan:
-    """The seed-free part of a blind scheme: its checked layout."""
+    """A blind scheme, fixed by its pattern: the checked layout and the
+    one read-only n x (n/2) basis every transmitter sends."""
     n: int
     rho: int
     union: ChangingPattern
-
-
-@dataclass(frozen=True)
-class BlindScheme:
-    n: int
-    rho: int
-    union: ChangingPattern
-    precoders: tuple             # the shared basis, once per transmitter
-    interference_basis: np.ndarray   # read-only n x (n/2)
+    basis: np.ndarray
 
 
 def plan_blind(cross_union: ChangingPattern, rho):
-    """Check that the union pattern has n = 2*rho*(s+1) slots."""
+    """Check that the union pattern has n = 2*rho*(s+1) slots and build the
+    shared column set: 1_b G^j, b-major, for the union blocks b and the
+    mixer G drawn from the seed-free plan key 7.
+
+    Its span is that of Q^a G^j, a = 1..s+1, for any generator Q with
+    s+1 distinct nonzero block values: the Vandermonde matrix of Q's
+    powers on those values is invertible, so span{Q^a} = span{1_b}.
+    """
     if rho < 1:
         raise ValueError("rho must be >= 1")
     s = len(cross_union.change_points)
@@ -61,34 +63,20 @@ def plan_blind(cross_union: ChangingPattern, rho):
         raise ValueError(f"n = {cross_union.n} must equal 2*rho*(s+1) = {n}, "
                          f"where s = {s} is the number of cross change "
                          "points")
-    return BlindPlan(n=n, rho=rho, union=cross_union)
-
-
-def draw_blind(plan: BlindPlan, K, seed):
-    """The shared column set for K transmitters, drawn from seed: 1_b G^j,
-    b-major, for the union blocks b and the mixer G keyed [seed, 5].
-
-    Its span is that of Q^a G^j, a = 1..s+1, for any generator Q with
-    s+1 distinct nonzero block values: the Vandermonde matrix of Q's
-    powers on those values is invertible, so span{Q^a} = span{1_b}.
-    """
-    rng = np.random.default_rng([seed, 5])
-    gam = np.asarray(separated_uniform(rng, plan.n))
-    lengths = plan.union.lengths
-    blocks = np.eye(len(lengths)).repeat(lengths, axis=0)
-    powers = gam[:, None] ** np.arange(1, plan.rho + 1)
-    basis = (blocks[:, :, None] * powers[:, None, :]).reshape(plan.n, -1)
-    basis.setflags(write=False)     # one basis for all K precoders
-    return BlindScheme(n=plan.n, rho=plan.rho, union=plan.union,
-                       precoders=(basis,) * K, interference_basis=basis)
+    gam = np.asarray(separated_uniform(np.random.default_rng(7), n))
+    blocks = np.eye(s + 1).repeat(cross_union.lengths, axis=0)
+    powers = gam[:, None] ** np.arange(1, rho + 1)
+    basis = (blocks[:, :, None] * powers[:, None, :]).reshape(n, -1)
+    basis.setflags(write=False)
+    return BlindPlan(n=n, rho=rho, union=cross_union, basis=basis)
 
 
 def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
-    """``draw_blind`` of ``plan_blind``; perfbench's tests import it."""
-    return draw_blind(plan_blind(cross_union, rho), K, seed)
+    """``plan_blind``; K and seed are unused.  perfbench's tests import it."""
+    return plan_blind(cross_union, rho)
 
 
-def predicted_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):
+def predicted_free_dims(plan: BlindPlan, direct_pattern: ChangingPattern):
     """Interference-free dimensions implied by the patterns alone.
 
     Counts the union-pattern blocks in which the direct channel has a
@@ -96,22 +84,21 @@ def predicted_free_dims(scheme: BlindScheme, direct_pattern: ChangingPattern):
     such block frees rho dimensions, capped at the n/2 precoder width.
     A change point coinciding with a cross change point is not private.
     """
-    if direct_pattern.n != scheme.n:
+    if direct_pattern.n != plan.n:
         raise ValueError("patterns must share n")
     longest_direct_block = max(
         len(b) for b in constant_intervals(direct_pattern))
-    if scheme.n // 2 < longest_direct_block:
+    if plan.n // 2 < longest_direct_block:
         warnings.warn("column budget is smaller than the longest direct-"
                       "channel block; the free-dimension count may be loose")
-    private = set(direct_pattern.change_points) - set(scheme.union.change_points)
-    blocks = constant_intervals(scheme.union)
+    private = set(direct_pattern.change_points) - set(plan.union.change_points)
+    blocks = constant_intervals(plan.union)
     hits = sum(1 for b in blocks if any(c in private for c in b))
-    return min(scheme.n // 2, scheme.rho * hits)
+    return min(plan.n // 2, plan.rho * hits)
 
 
-def generic_free_dims(scheme, direct_pattern: ChangingPattern):
-    """Exact generic free-dimension count, valid for arbitrarily short runs;
-    ``scheme`` is a BlindScheme or its BlindPlan.
+def generic_free_dims(plan: BlindPlan, direct_pattern: ChangingPattern):
+    """Exact generic free-dimension count, valid for arbitrarily short runs.
 
     Within a union block b the shared columns span the first rho mixing
     powers restricted to b, and the direct channel multiplies them by a
@@ -120,27 +107,28 @@ def generic_free_dims(scheme, direct_pattern: ChangingPattern):
     This refines the block-indicator count of predicted_free_dims, and the
     two agree whenever every direct value-run is at least rho slots long.
     """
-    if direct_pattern.n != scheme.n:
+    if direct_pattern.n != plan.n:
         raise ValueError("patterns must share n")
-    rho = scheme.rho
+    rho = plan.rho
     direct_runs = constant_intervals(direct_pattern)
     total = 0
-    for block in constant_intervals(scheme.union):
+    for block in constant_intervals(plan.union):
         lo, hi = block[0], block[-1]
         runs = [[s for s in run if lo <= s <= hi] for run in direct_runs]
         runs = [r for r in runs if r]
         base = min(rho, len(block))
         joint = min(2 * rho, sum(min(rho, len(r)) for r in runs), len(block))
         total += max(0, joint - base)
-    return min(scheme.n // 2, total)
+    return min(plan.n // 2, total)
 
 
-def verify_blind(scheme: BlindScheme, instance, expected_free):
-    """Rank checks of a blind scheme on a sampled network, as
+def verify_blind(plan: BlindPlan, instance, expected_free):
+    """Rank checks of a blind plan on a sampled network, as
     ``(checks, measured, total_dof)``; ``expected_free[k]`` is the generic
     free-dimension count of the direct link into receiver k
     (``generic_free_dims`` of its pattern), and the total is
-    ``blind_total_dof`` of the measured free dimensions.
+    ``blind_total_dof`` of the measured free dimensions.  Every
+    transmitter sends the plan's basis, so a trial draws nothing.
 
     The scheme is stated for diagonal links: a direct transform that is
     not the identity raises ValueError.  The raw ``[basis, received]``
@@ -151,15 +139,15 @@ def verify_blind(scheme: BlindScheme, instance, expected_free):
     span when its joint rank equals the basis rank; a direct link's excess
     is its receiver's free dimensions.
     """
-    if instance.n != scheme.n:
-        raise ValueError("instance slot count differs from scheme")
-    K, basis = instance.K, scheme.interference_basis
+    if instance.n != plan.n:
+        raise ValueError("instance slot count differs from plan")
+    K, basis = instance.K, plan.basis
     kinds = {instance.transforms[k].kind for k in range(K)} - {"identity"}
     if kinds:
         raise ValueError("the blind scheme needs identity direct links, "
                          f"not direct_kind {kinds.pop()!r}")
     w = basis.shape[1]
-    joints = np.empty((K * K, scheme.n, 2 * w))
+    joints = np.empty((K * K, plan.n, 2 * w))
     joints[:, :, :w] = basis
     np.multiply(instance.gains[:, :, None], basis, out=joints[:, :, w:])
     measured = numeric_rank_by_shape({"basis_rank": basis, "joint": joints})
@@ -172,7 +160,7 @@ def verify_blind(scheme: BlindScheme, instance, expected_free):
         "predicted_equals_measured": all(
             want == f for want, f in zip(expected_free, free, strict=True))}
     measured.update((f"free_dims_rx{k + 1}", f) for k, f in enumerate(free))
-    return checks, measured, blind_total_dof(free, scheme.n)
+    return checks, measured, blind_total_dof(free, plan.n)
 
 
 def blind_total_dof(free_dims, n):

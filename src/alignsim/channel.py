@@ -445,12 +445,12 @@ def sample_network(config: NetworkConfig, seed) -> NetworkInstance:
     one generator over the links in row-major (p, q) order, and each
     receiver's direct transform, drawn from its own stream on first read.
     """
-    # Keys of the generators a trial or a plan seeds, and where (2 is retired):
+    # Keys of the generators a trial or a plan seeds, and where (2, 4 and 5
+    # are retired):
     #   links                           [seed, 1]     sample_network
     #   receiver p's direct transform   [seed, 3, p]  _Transforms
-    #   shared fill columns             [seed, 4]     draw_shared
-    #   blind mixer                     [seed, 5]     draw_blind
-    #   a shared plan's gains, no seed  6             plan_shared
+    #   a shared plan's gains and fill  6             plan_shared
+    #   a blind plan's mixer            7             plan_blind
     gains = _draw_gains(*config._blocks, config.n,
                         np.random.default_rng([seed, 1]))
     return NetworkInstance(K=config.K, n=config.n, gains=gains,

@@ -6,18 +6,22 @@ count.  Trial i uses seed base_seed + i; trials are independent, results
 are aggregated in trial order, and two runs of the same scenario produce
 byte-identical reports.
 
-The pipeline is plan at load -> sample -> draw -> verify.  A Scenario
-builds its regime's seed-free plan once, when it is constructed, so a
-config or parameter the regime cannot use fails there: the blind
-identity-direct-link check, union pattern, layout checks, union blocks no
-shorter than rho and expected free dimensions, the shared window and
-carrier construction with a plan that leaves room for alignment, or the
-fast-fading checks (every link changes at every slot, the slot count and
-ff3's rx1 matching, unless drawn) and hidden-slot plan (omega, [u,
-E_omega], the expected DoF or ranks).  ``run_trials`` samples each
-trial's network once and hands the instance to the regime's trial, which
-builds the rest of the scheme from the plan and the instance and returns
-its verifier's ``(checks, measured, total_dof)`` as they are.
+The pipeline is plan at load -> sample -> draw -> verify, where only the
+fast-fading regimes draw: their precoders read the known gains.  A
+Scenario builds its regime's seed-free plan once, when it is
+constructed, so a config or parameter the regime cannot use fails there:
+the blind identity-direct-link check, union pattern, layout checks,
+union blocks no shorter than rho, expected free dimensions and the basis
+every transmitter sends; the shared window and carrier construction with
+a plan that leaves room for alignment, and its fill columns and
+full-rank precoders; or the fast-fading checks (every link changes at
+every slot, the slot count and ff3's rx1 matching, unless drawn) and
+hidden-slot plan (omega, [u, E_omega], the expected DoF or ranks).
+``run_trials`` samples each trial's network once and hands the instance
+to the regime's trial.  A blind or shared trial verifies the plan's
+precoders on it; a fast-fading trial first builds its scheme from the
+plan and the instance.  Each returns its verifier's ``(checks, measured,
+total_dof)`` as they are.
 """
 
 import csv
@@ -25,12 +29,12 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blind import draw_blind, generic_free_dims, plan_blind, verify_blind
+from .blind import generic_free_dims, plan_blind, verify_blind
 from .channel import (NetworkConfig, constant_intervals, sample_network,
                       union_pattern)
 from .fastfading import (draw_3user, draw_kuser, plan_3user, plan_kuser,
                          verify_3user, verify_kuser)
-from .shared import draw_shared, plan_shared, verify_shared
+from .shared import plan_shared, verify_shared
 
 __all__ = [
     "Scenario",
@@ -111,8 +115,7 @@ def _blind_plan(cfg, params):
 
 
 def _blind_trial(plan, instance, seed):
-    return verify_blind(draw_blind(plan[0], instance.K, seed), instance,
-                        plan[1])
+    return verify_blind(plan[0], instance, plan[1])
 
 
 def _shared_plan(cfg, params):
@@ -125,7 +128,7 @@ def _shared_plan(cfg, params):
 
 
 def _shared_trial(plan, instance, seed):
-    return verify_shared(draw_shared(plan, seed), instance)
+    return verify_shared(plan, instance)
 
 
 def _fast_fading(cfg, plan):

@@ -32,12 +32,6 @@ RELATIVE_THRESHOLD = 1e-8
 _TINY_NORM = 2.0 ** -480
 
 
-@np.errstate(over="ignore")
-def _normalized(a, axis=-2):
-    """``_unit_vectors`` in its own np.errstate, for direct callers."""
-    return _unit_vectors(a, axis)
-
-
 def _unit_vectors(a, axis):
     """Vectors along ``axis`` (-2: columns) scaled to unit length, zero
     vectors untouched, for a matrix or a stack of them, inside the caller's

@@ -7,11 +7,12 @@ slot window where all those receivers are constant.  This module builds
 such schemes greedily and evaluates the closed-form total-DoF curve
 sharing_dof(K, r) = K*r / (r^2 - r + K) together with its integer optimizer.
 
-A construction is a seed-free plan (``plan_shared``: windows, capacity
-drops, carrier repair, expected dimensions and the fill count) and a
-seeded draw of its random fill columns (``draw_shared``); one plan serves
-any number of draws.  Plan and verifier count dimensions alike, by
-``_ranks``: the plan on one fixed generic draw, the verifier on a trial's.
+The transmitters know the patterns but no gains, so a construction is
+its seed-free plan (``plan_shared``: windows, capacity drops, carrier
+repair, expected dimensions, and the random fill columns with the
+precoders they complete, drawn once); every trial sends the same
+precoders.  Plan and verifier count dimensions alike, by ``_ranks``: the
+plan on one fixed generic draw, the verifier on a trial's.
 """
 
 import math
@@ -29,7 +30,6 @@ __all__ = [
     "BoundResult",
     "SharedVector",
     "SharedPlan",
-    "SharedPatternScheme",
     "best_sharing_degree",
     "sharing_dof",
     "dof_upper_bound",
@@ -37,7 +37,6 @@ __all__ = [
     "curve_f",
     "dof_table",
     "plan_shared",
-    "draw_shared",
     "verify_shared",
     "pair_demo_patterns",
     "dense_demo_patterns",
@@ -144,27 +143,19 @@ class SharedVector:
 
 @dataclass(frozen=True)
 class SharedPlan:
-    """Everything of an r-sharing scheme but its random fill columns."""
+    """An r-sharing scheme, fixed by its patterns."""
     K: int
     r: int
     n: int
     vectors: tuple                 # kept window vectors
     dropped: tuple                 # vector ids dropped, sorted
-    window_columns: tuple          # per transmitter, its read-only n x d
-                                   # block of window vectors
-    fill_count: int                # fill columns, dealt round-robin
+    fill: np.ndarray               # read-only (fills, n); row i is a
+                                   # full-support column of tx i mod K
+    precoders: tuple               # per transmitter, its read-only n x d
+                                   # window vectors, then its fill columns
     expected_desired: tuple        # per-receiver desired and occupied
     expected_used: tuple           # dims, as ranked on a generic draw
     total_dof: Fraction
-
-
-@dataclass(frozen=True)
-class SharedPatternScheme:
-    """A plan with its fill columns drawn."""
-    plan: SharedPlan
-    fill: np.ndarray               # read-only (fill_count, n); row i is a
-                                   # full-support column of tx i mod K
-    precoders: tuple               # per-transmitter n x d arrays
 
 
 def _runs_in_window(pattern: ChangingPattern, window):
@@ -215,8 +206,8 @@ def _read_only(a):
 
 
 def plan_shared(K, r, patterns, n):
-    """The seed-free part of the greedy r-sharing construction over given
-    per-receiver patterns.
+    """The greedy r-sharing construction over given per-receiver patterns,
+    drawn once from the seed-free plan key 6.
 
     patterns[p] is the changing pattern shared by every channel into
     receiver p.  One candidate vector per r-subset of transmitters; a
@@ -224,8 +215,10 @@ def plan_shared(K, r, patterns, n):
     non-member receivers; over-full windows and collapsing member copies
     are repaired by dropping vectors/members; each receiver's dimensions
     are ranked as ``verify_shared`` ranks them, on one fixed generic draw
-    of identity-link gains, and the leftover ones are counted for the
-    full-support random fill columns that ``draw_shared`` adds.
+    of identity-link gains, and the leftover ones go to full-support
+    random fill columns, drawn next from the same generator.  Fill i goes
+    to transmitter i mod K, after its window vectors; every precoder must
+    have full column rank.
     """
     if not 1 <= r <= K - 1:
         raise ValueError("r must lie in [1, K-1]")
@@ -271,8 +264,7 @@ def plan_shared(K, r, patterns, n):
     columns = []
     for t in range(K):
         cols = [v.values for v in vectors if t in v.kept]
-        columns.append(_read_only(np.column_stack(cols) if cols
-                                  else np.zeros((n, 0))))
+        columns.append(np.column_stack(cols) if cols else np.zeros((n, 0)))
 
     # what each receiver sees of the window vectors, on one generic draw
     rng = np.random.default_rng(6)     # the seed-free plan key
@@ -286,24 +278,8 @@ def plan_shared(K, r, patterns, n):
     for i in range(fills):
         desired[i % K] += 1
     used = [u + fills for u in used]
-    return SharedPlan(K=K, r=r, n=n, vectors=tuple(vectors),
-                      dropped=tuple(sorted(dropped)),
-                      window_columns=tuple(columns), fill_count=fills,
-                      expected_desired=tuple(desired),
-                      expected_used=tuple(used),
-                      total_dof=max(Fraction(sum(desired), n), Fraction(1)))
-
-
-def draw_shared(plan: SharedPlan, seed):
-    """The scheme of a plan with its fill columns keyed [seed, 4].
-
-    Fill i goes to transmitter i mod K, after its window vectors; every
-    precoder must have full column rank.
-    """
-    K = plan.K
-    rng = np.random.default_rng([seed, 4])
-    fill = _read_only(rng.uniform(-1.0, 1.0, size=(plan.fill_count, plan.n)))
-    precoders = tuple(np.hstack([plan.window_columns[t], fill[t::K].T])
+    fill = _read_only(rng.uniform(-1.0, 1.0, size=(fills, n)))
+    precoders = tuple(_read_only(np.hstack([columns[t], fill[t::K].T]))
                       for t in range(K))
     ranks = numeric_rank_by_shape({t: m for t, m in enumerate(precoders)
                                    if m.shape[1]})
@@ -311,7 +287,11 @@ def draw_shared(plan: SharedPlan, seed):
         if rank != precoders[t].shape[1]:
             raise ValueError(f"precoder of transmitter {t + 1} has rank {rank}, "
                              f"not full column rank {precoders[t].shape[1]}")
-    return SharedPatternScheme(plan, fill, precoders)
+    return SharedPlan(K=K, r=r, n=n, vectors=tuple(vectors),
+                      dropped=tuple(sorted(dropped)), fill=fill,
+                      precoders=precoders, expected_desired=tuple(desired),
+                      expected_used=tuple(used),
+                      total_dof=max(Fraction(sum(desired), n), Fraction(1)))
 
 
 def _ranks(precoders, gains, direct=()):
@@ -340,14 +320,14 @@ def _ranks(precoders, gains, direct=()):
             for kind in ("used", "interference"))
 
 
-def verify_shared(scheme: SharedPatternScheme, instance):
+def verify_shared(plan: SharedPlan, instance):
     """Desired and interference dimensions at every receiver, measured by
     rank on a sampled network, as ``(checks, measured, total_dof)``; the
     total is the desired dimensions' share of the n slots, floored at the
     time-sharing baseline 1.  The desired dimensions are the excess of the
     used ones over the interference, both ranked by ``_ranks``.
     """
-    K, n, precoders = instance.K, instance.n, scheme.precoders
+    K, n, precoders = instance.K, instance.n, plan.precoders
     used, interference = _ranks(precoders, instance.gains, [
         (p, instance.received_matrix(p, p, precoders[p])) for p in range(K)
         if instance.transforms[p].kind != "identity"])
@@ -357,8 +337,8 @@ def verify_shared(scheme: SharedPatternScheme, instance):
         "no_pollution": all(0 <= d <= precoders[p].shape[1]
                             for p, d in enumerate(desired)),
         "dims_match_construction": (
-            tuple(desired) == scheme.plan.expected_desired
-            and tuple(used) == scheme.plan.expected_used)}
+            tuple(desired) == plan.expected_desired
+            and tuple(used) == plan.expected_used)}
     measured = {f"{kind}_rx{p + 1}": dims[p] for p in range(K)
                 for kind, dims in (("desired", desired), ("used", used))}
     return checks, measured, max(Fraction(sum(desired), n), Fraction(1))

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alignsim.blind import (draw_blind, generic_free_dims, plan_blind,
+from alignsim.blind import (generic_free_dims, plan_blind,
                             predicted_free_dims, verify_blind)
 from alignsim.channel import (ChangingPattern, constant_intervals,
                               sample_channel, sample_network)
@@ -156,7 +156,7 @@ def _blind_instances(base, count, restrict_direct):
         if pts is None or len(pts) != sigma:
             continue
         union = ChangingPattern(n, pts)
-        scheme = draw_blind(plan_blind(union, rho), K, seed=t)
+        plan = plan_blind(union, rho)
 
         def sampler(k):
             if restrict_direct:
@@ -167,18 +167,18 @@ def _blind_instances(base, count, restrict_direct):
 
         cfg = blind_config(rng, n, K, pts, sampler)
         inst = sample_network(cfg, seed=50_000 + t)
-        made.append((scheme, cfg, inst))
+        made.append((plan, cfg, inst))
     return made
 
 
 def test_criterion_6_free_dim_prediction():
     agree = 0
     instances = _blind_instances(0, 100, restrict_direct=True)
-    for scheme, cfg, inst in instances:
+    for plan, cfg, inst in instances:
         direct = [cfg.pattern(k, k) for k in range(cfg.K)]
         measured = verify_blind(
-            scheme, inst, [generic_free_dims(scheme, p) for p in direct])[1]
-        agree += [predicted_free_dims(scheme, p) for p in direct] == [
+            plan, inst, [generic_free_dims(plan, p) for p in direct])[1]
+        agree += [predicted_free_dims(plan, p) for p in direct] == [
             measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
     ok = agree == 100
     report(6, ok, f"predicted == measured free dims on {agree}/100 "
@@ -201,7 +201,7 @@ def test_criterion_7_blind_alignment_containment():
                     continue
                 K = int(rng.integers(2, 5))
                 union = ChangingPattern(n, pts)
-                scheme = draw_blind(plan_blind(union, rho), K, seed=t)
+                basis = plan_blind(union, rho).basis
                 cfg = blind_config(
                     rng, n, K, pts,
                     lambda k: tuple(rng.choice(
@@ -209,8 +209,7 @@ def test_criterion_7_blind_alignment_containment():
                         size=int(rng.integers(0, n)), replace=False)))
                 inst = sample_network(cfg, seed=60_000 + t)
                 contained = all(
-                    is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
-                                scheme.interference_basis)
+                    is_subspace(inst.received_matrix(p, q, basis), basis)
                     for p in range(K) for q in range(K) if p != q)
                 draws += 1
                 good += contained

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.blind import (blind_total_dof, draw_blind, generic_free_dims,
-                            plan_blind, predicted_free_dims, verify_blind)
-from alignsim.channel import (ChangingPattern, sample_network,
+from alignsim.blind import (blind_total_dof, generic_free_dims, plan_blind,
+                            predicted_free_dims, verify_blind)
+from alignsim.channel import (ChangingPattern, NetworkConfig, sample_network,
                               separated_uniform, union_pattern)
 from alignsim.decomposition import build_power_basis
 from alignsim import linalg
@@ -19,7 +19,7 @@ from conftest import blind_config, random_cross_pattern, spaced_direct_pattern
 from fractions import Fraction
 
 
-def make_scheme_and_instance(t, restrict_direct):
+def make_plan_and_instance(t, restrict_direct):
     rng = np.random.default_rng(t)
     rho = int(rng.integers(1, 3))
     sigma = int(rng.integers(0, 3))
@@ -31,7 +31,7 @@ def make_scheme_and_instance(t, restrict_direct):
     if pts is None or len(pts) != sigma:
         return None
     union = ChangingPattern(n, pts)
-    scheme = draw_blind(plan_blind(union, rho), K, seed=t)
+    plan = plan_blind(union, rho)
 
     def sampler(k):
         if restrict_direct:
@@ -42,7 +42,7 @@ def make_scheme_and_instance(t, restrict_direct):
 
     cfg = blind_config(rng, n, K, pts, sampler)
     inst = sample_network(cfg, seed=10_000 + t)
-    return scheme, cfg, inst
+    return plan, cfg, inst
 
 
 def test_scheme_dimensions_and_rank():
@@ -51,14 +51,12 @@ def test_scheme_dimensions_and_rank():
         # evenly spaced change points keep every union block >= rho slots,
         # which the full-rank identity needs
         pts = tuple(1 + (i + 1) * n // (sigma + 1) for i in range(sigma))
-        scheme = draw_blind(plan_blind(ChangingPattern(n, pts), rho), 3,
-                            seed=0)
-        assert scheme.n == n
-        assert scheme.interference_basis.shape == (n, n // 2)
-        assert numeric_rank_by_shape(
-            {"basis": scheme.interference_basis}) == {"basis": n // 2}
-        for v in scheme.precoders:
-            assert v.shape == (n, n // 2)
+        plan = plan_blind(ChangingPattern(n, pts), rho)
+        assert plan.n == n
+        assert plan.basis.shape == (n, n // 2)
+        assert not plan.basis.flags.writeable
+        assert numeric_rank_by_shape({"basis": plan.basis}) == {
+            "basis": n // 2}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -66,14 +64,14 @@ def test_scheme_dimensions_and_rank():
        seed=st.integers(0, 2**31 - 1))
 def test_basis_spans_the_generator_power_columns(sigma, rho, data, seed):
     # the generator-power construction, Q^a G^j with Q the union's power
-    # family from seed and G the mixer from the stream keyed [seed, 5], is
-    # the same span as the block indicators 1_b G^j, rho <= 2
+    # family from seed and G the mixer from the plan key 7, is the same
+    # span as the block indicators 1_b G^j, rho <= 2
     n = 2 * rho * (sigma + 1)
     pts = data.draw(st.sets(st.integers(2, n), min_size=sigma,
                             max_size=sigma))
     union = ChangingPattern(n, tuple(pts))
-    new = draw_blind(plan_blind(union, rho), 2, seed).interference_basis
-    gam = np.asarray(separated_uniform(np.random.default_rng([seed, 5]), n))
+    new = plan_blind(union, rho).basis
+    gam = np.asarray(separated_uniform(np.random.default_rng(7), n))
     old = np.column_stack([q * gam ** j
                            for q in build_power_basis(union, seed).members
                            for j in range(1, rho + 1)])
@@ -83,8 +81,7 @@ def test_basis_spans_the_generator_power_columns(sigma, rho, data, seed):
 
 
 def test_minimal_scheme_single_column():
-    scheme = draw_blind(plan_blind(ChangingPattern(2, ()), 1), 3, seed=0)
-    assert scheme.interference_basis.shape == (2, 1)
+    assert plan_blind(ChangingPattern(2, ()), 1).basis.shape == (2, 1)
 
 
 def test_build_validates_slot_count():
@@ -98,23 +95,23 @@ def test_cross_interference_containment():
     done = 0
     t = 0
     while done < 60:
-        made = make_scheme_and_instance(t, restrict_direct=False)
+        made = make_plan_and_instance(t, restrict_direct=False)
         t += 1
         if made is None:
             continue
-        scheme, cfg, inst = made
+        plan, cfg, inst = made
         for p in range(cfg.K):
             for q in range(cfg.K):
                 if p != q:
-                    seen = inst.received_matrix(p, q, scheme.precoders[q])
-                    assert is_subspace(seen, scheme.interference_basis)
+                    seen = inst.received_matrix(p, q, plan.basis)
+                    assert is_subspace(seen, plan.basis)
         done += 1
 
 
-def measured_free_dims(scheme, cfg, inst):
+def measured_free_dims(plan, cfg, inst):
     measured = verify_blind(
-        scheme, inst, [generic_free_dims(scheme, cfg.pattern(k, k))
-                       for k in range(cfg.K)])[1]
+        plan, inst, [generic_free_dims(plan, cfg.pattern(k, k))
+                     for k in range(cfg.K)])[1]
     return [measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
 
 
@@ -122,14 +119,14 @@ def test_generic_count_equals_measured_unrestricted():
     done = 0
     t = 0
     while done < 100:
-        made = make_scheme_and_instance(t, restrict_direct=False)
+        made = make_plan_and_instance(t, restrict_direct=False)
         t += 1
         if made is None:
             continue
-        scheme, cfg, inst = made
-        measured = measured_free_dims(scheme, cfg, inst)
+        plan, cfg, inst = made
+        measured = measured_free_dims(plan, cfg, inst)
         for k in range(cfg.K):
-            pred = generic_free_dims(scheme, cfg.pattern(k, k))
+            pred = generic_free_dims(plan, cfg.pattern(k, k))
             assert pred == measured[k]
         done += 1
 
@@ -138,15 +135,15 @@ def test_block_count_formula_equals_measured_in_regime():
     done = 0
     t = 0
     while done < 100:
-        made = make_scheme_and_instance(t, restrict_direct=True)
+        made = make_plan_and_instance(t, restrict_direct=True)
         t += 1
         if made is None:
             continue
-        scheme, cfg, inst = made
-        measured = measured_free_dims(scheme, cfg, inst)
+        plan, cfg, inst = made
+        measured = measured_free_dims(plan, cfg, inst)
         for k in range(cfg.K):
-            coarse = predicted_free_dims(scheme, cfg.pattern(k, k))
-            fine = generic_free_dims(scheme, cfg.pattern(k, k))
+            coarse = predicted_free_dims(plan, cfg.pattern(k, k))
+            fine = generic_free_dims(plan, cfg.pattern(k, k))
             assert coarse == fine == measured[k]
         done += 1
 
@@ -154,26 +151,26 @@ def test_block_count_formula_equals_measured_in_regime():
 def test_direct_equal_to_cross_union_frees_nothing():
     pts = (3, 5)
     n = 2 * 1 * 3
-    scheme = draw_blind(plan_blind(ChangingPattern(n, pts), 1), 3, seed=1)
-    assert predicted_free_dims(scheme, ChangingPattern(n, pts)) == 0
-    assert generic_free_dims(scheme, ChangingPattern(n, pts)) == 0
+    plan = plan_blind(ChangingPattern(n, pts), 1)
+    assert predicted_free_dims(plan, ChangingPattern(n, pts)) == 0
+    assert generic_free_dims(plan, ChangingPattern(n, pts)) == 0
 
 
 def test_coinciding_change_points_are_not_private():
     pts = (4,)
     n = 8
-    scheme = draw_blind(plan_blind(ChangingPattern(n, pts), 2), 3, seed=1)
+    plan = plan_blind(ChangingPattern(n, pts), 2)
     # direct changes only where the cross union changes: nothing is freed
-    assert predicted_free_dims(scheme, ChangingPattern(n, (4,))) == 0
+    assert predicted_free_dims(plan, ChangingPattern(n, (4,))) == 0
     # one extra private point in the second block frees rho dims
-    assert predicted_free_dims(scheme, ChangingPattern(n, (4, 6))) == 2
+    assert predicted_free_dims(plan, ChangingPattern(n, (4, 6))) == 2
 
 
 def test_prediction_warns_when_budget_below_longest_block():
     # n=2, one column: budget 1 is below the constant direct channel's block
-    scheme = draw_blind(plan_blind(ChangingPattern(2, ()), 1), 2, seed=0)
+    plan = plan_blind(ChangingPattern(2, ()), 1)
     with pytest.warns(UserWarning):
-        predicted_free_dims(scheme, ChangingPattern(2, ()))
+        predicted_free_dims(plan, ChangingPattern(2, ()))
 
 
 def test_total_dof_floor_and_sum():
@@ -200,27 +197,27 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
                             1e-2 if t % 2 else default)
         # the trial's stacked verdicts, recomputed one link at a time
         union = union_pattern([cfg.pattern(p, q) for p, q in cross])
-        scheme = draw_blind(plan_blind(union, rho), K, t)
+        plan = plan_blind(union, rho)
         inst = sample_network(cfg, t)
-        basis = scheme.interference_basis
+        basis = plan.basis
         direct = [cfg.pattern(k, k) for k in range(K)]
         ranks = numeric_rank_by_shape(
             {"base": basis} | {k: np.hstack([basis, inst.received_matrix(
-                k, k, scheme.precoders[k])]) for k in range(K)})
+                k, k, basis)]) for k in range(K)})
         base = ranks.pop("base")
         free = [min(n // 2, j - base) for j in ranks.values()]
         want = ({"basis_full_rank": base == basis.shape[1],
                  "cross_containment": all(
-                     is_subspace(inst.received_matrix(p, q, scheme.precoders[q]),
-                                 basis) for p, q in cross),
+                     is_subspace(inst.received_matrix(p, q, basis), basis)
+                     for p, q in cross),
                  "predicted_equals_measured": all(
-                     generic_free_dims(scheme, d) == f
+                     generic_free_dims(plan, d) == f
                      for d, f in zip(direct, free))},
                 {"basis_rank": base, **{f"free_dims_rx{k + 1}": f
                                         for k, f in enumerate(free)}},
                 blind_total_dof(free, n))
-        assert verify_blind(scheme, inst, [generic_free_dims(scheme, d)
-                                           for d in direct]) == want
+        assert verify_blind(plan, inst, [generic_free_dims(plan, d)
+                                         for d in direct]) == want
         # the blind Scenario runs only unions whose blocks hold rho slots
         if min(union.lengths) < rho:
             with pytest.raises(ValueError, match="shorter than rho"):
@@ -242,6 +239,40 @@ def test_verify_blind_rejects_non_identity_direct_links(kind):
         direct_kind=kind, memory_distance=2)
     plan = plan_blind(ChangingPattern(n, pts), 1)
     with pytest.raises(ValueError, match=f"direct_kind '{kind}'"):
-        verify_blind(draw_blind(plan, 3, 0), sample_network(cfg, 0),
+        verify_blind(plan, sample_network(cfg, 0),
                      [generic_free_dims(plan, cfg.pattern(k, k))
                       for k in range(3)])
+
+
+@st.composite
+def blind_configs(draw):
+    """K in [2, 4], rho in [1, 3], sigma in [0, 3] and n = 2 rho (sigma + 1):
+    one cross pattern of sigma change points on every cross link, and per
+    receiver a direct pattern with each slot 2..n a change point at a
+    density of its own, so some of its points are private."""
+    K, rho, sigma = (draw(st.integers(2, 4)), draw(st.integers(1, 3)),
+                     draw(st.integers(0, 3)))
+    n = 2 * rho * (sigma + 1)
+    cross = sorted(draw(st.sets(st.integers(2, n), min_size=sigma,
+                                max_size=sigma)))
+    nest = [[list(cross) for _ in range(K)] for _ in range(K)]
+    for k in range(K):
+        density = draw(st.integers(0, 9))
+        nest[k][k] = [c for c in range(2, n + 1)
+                      if draw(st.integers(0, 9)) < density]
+    return NetworkConfig(K=K, n=n, patterns=nest, direct_kind="identity"), rho
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=blind_configs())
+def test_accepted_blind_scenarios_pass_every_check(case):
+    # a config the blind Scenario accepts delivers the free dimensions its
+    # plan counts, with every cross link inside the basis, on every draw
+    cfg, rho = case
+    try:
+        scenario = Scenario("blind", cfg, {"rho": rho}, trials=4)
+    except ValueError as exc:
+        assert "shorter than rho" in str(exc)
+        return
+    for res in run_trials(scenario).results:
+        assert all(res.checks.values()), (res.seed, res.checks)

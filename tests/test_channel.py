@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim import channel
-from alignsim.blind import draw_blind, plan_blind
+from alignsim.blind import plan_blind
 from alignsim.channel import (H_MAX_DEFAULT, H_MIN_DEFAULT, ChangingPattern,
                               NetworkConfig, UnknownSet, _bounded_permutation,
                               _value_gap, constant_intervals,
@@ -314,9 +314,7 @@ def test_channel_array_is_read_only_and_equals_values():
     assert np.array_equal(power.members[2], gen ** 3)
     indexed = build_indexed_basis(h, UnknownSet(6, frozenset({2})), seed=2)
     assert indexed.members.shape == (2, 6)
-    scheme = draw_blind(plan_blind(ChangingPattern(4, (3,)), 1), 3, seed=0)
-    basis = scheme.interference_basis
-    assert all(v is basis for v in scheme.precoders)
+    basis = plan_blind(ChangingPattern(4, (3,)), 1).basis
     inst = sample_network(
         NetworkConfig(K=2, n=6, patterns=[[[3]] * 2] * 2), 0)
     for arr in (h, power.members, indexed.members, basis,

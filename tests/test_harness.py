@@ -17,8 +17,7 @@ from alignsim.decomposition import build_and_decompose, reconstruct
 from alignsim.harness import RunSummary, Scenario, run_trials, summary_csv
 from alignsim.linalg import numeric_rank_by_shape
 from alignsim.shared import (demo_network_config, dense_demo_patterns,
-                             draw_shared, pair_demo_patterns, plan_shared,
-                             verify_shared)
+                             pair_demo_patterns, plan_shared, verify_shared)
 from conftest import fastfading_config
 
 
@@ -79,8 +78,7 @@ def test_verify_shared_accounting():
     pats, n = pair_demo_patterns()
     cfg = demo_network_config(pats, n)
     inst = sample_network(cfg, seed=4)
-    scheme = draw_shared(plan_shared(4, 2, pats, n), 4)
-    checks, measured, total = verify_shared(scheme, inst)
+    checks, measured, total = verify_shared(plan_shared(4, 2, pats, n), inst)
     assert [measured[f"desired_rx{p}"] for p in (1, 2, 3, 4)] == [3, 2, 2, 2]
     assert checks == {"imperfect_alignment": True, "no_pollution": True,
                       "dims_match_construction": True}
@@ -122,10 +120,10 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(
         # a coarse threshold merges dimensions on some receivers
         monkeypatch.setattr(linalg, "RELATIVE_THRESHOLD",
                             1e-2 if t % 2 else default)
-        scheme = draw_shared(plan_shared(K, r, pats, n), t)
-        precoders = scheme.precoders
+        plan = plan_shared(K, r, pats, n)
+        precoders = plan.precoders
         inst = sample_network(cfg, t)
-        checks, measured, total = verify_shared(scheme, inst)
+        checks, measured, total = verify_shared(plan, inst)
         # the stacked accounting, recomputed one joint at a time
         want = []
         for p in range(K):
@@ -143,9 +141,8 @@ def test_stacked_alignment_report_matches_one_receiver_at_a_time(
             "no_pollution": all(0 <= d <= precoders[p].shape[1]
                                 for p, (d, _, _) in enumerate(want)),
             "dims_match_construction": (
-                tuple(d for d, _, _ in want) == scheme.plan.expected_desired
-                and tuple(u for _, _, u in want)
-                == scheme.plan.expected_used)}
+                tuple(d for d, _, _ in want) == plan.expected_desired
+                and tuple(u for _, _, u in want) == plan.expected_used)}
         assert total == max(Fraction(sum(d for d, _, _ in want), n), 1)
 
 
@@ -166,11 +163,12 @@ def ffk_scenario(trials=3):
 @pytest.mark.parametrize("make, svds", [
     # the basis once, then every [basis, received] joint in one stack
     (blind_scenario, 2),
-    # one stack per precoder width in draw_shared, then one stack per
-    # joint shape: every arriving joint shares one, the pair demo's widths
-    # (3, 2, 2, 2) take two stacks each way and the dense demo's one
-    (shared_scenario, 2 + 1 + 2),
-    (dense_scenario, 1 + 1 + 1),
+    # one stack per joint shape: the plan checked its precoders once, every
+    # arriving joint shares one shape, and the pair demo's widths
+    # (3, 2, 2, 2) give its interference joints two shapes and the dense
+    # demo's one
+    (shared_scenario, 1 + 2),
+    (dense_scenario, 1 + 1),
     # one call over four shapes: three of single ranks and joints, and the
     # rx1 joint beside E_omega (loop_closure is decided without a rank)
     (ff3_scenario, 3 + 1),
@@ -191,11 +189,9 @@ def test_trial_svd_calls(monkeypatch, make, svds):
 
 
 @pytest.mark.parametrize("make, generators", [
-    # one for the links and one for the basis's mixer; an identity
-    # transform seeds none
-    (blind_scenario, 2),
-    # one for the links and one for the precoders
-    (shared_scenario, 2), (dense_scenario, 2),
+    # one for the links: the plan drew the basis's mixer or the shared
+    # fill once, and an identity transform seeds none
+    (blind_scenario, 1), (shared_scenario, 1), (dense_scenario, 1),
     # one for the links and one for the one direct transform verify_3user
     # reads (receiver 0's); the precoders read the known gains
     (ff3_scenario, 2),
@@ -222,37 +218,45 @@ class _Keyed(Exception):
 
 
 def test_trial_streams_differ_within_and_across_adjacent_seeds(monkeypatch):
-    # a trial draws its links, each receiver's direct transform, its
-    # shared fills and its blind mixer from streams keyed by the trial
-    # seed: their first draws differ pairwise within a trial and from
-    # those of the next trial
-    blind_plan, shared_plan = blind_scenario().plan[0], shared_scenario().plan
+    # a trial draws its links and each receiver's direct transform from
+    # streams keyed by the trial seed: their first draws differ pairwise
+    # within a trial and from those of the next trial.  The pattern-only
+    # schemes draw once, from the seed-free plan keys 6 (shared) and 7
+    # (blind); numpy pads a key with zeros and no trial purpose is 0, so
+    # their first draws differ from each other and from every trial
+    # stream's
     ff3 = ff3_scenario()
+    pats, n = pair_demo_patterns()
     streams = {
         "links": lambda s: sample_network(ff3.config, s),
         **{f"transform rx{p + 1}": lambda s, p=p: channel._Transforms(
-            ff3.config, s)[p] for p in range(3)},
-        "shared fill": lambda s: draw_shared(shared_plan, s),
-        "blind mixer": lambda s: blind.draw_blind(blind_plan, 3, s)}
+            ff3.config, s)[p] for p in range(3)}}
+    plans = {"shared plan": lambda: plan_shared(4, 2, pats, n),
+             "blind plan": lambda: blind.plan_blind(
+                 ChangingPattern(6, (3, 5)), 1)}
     default_rng = np.random.default_rng
 
     def first_draw(*args, **kwargs):
         raise _Keyed(default_rng(*args, **kwargs).bit_generator.random_raw())
 
+    def keyed_draw(start, *args):
+        with pytest.raises(_Keyed) as keyed:
+            start(*args)
+        return keyed.value.args[0]
+
     monkeypatch.setattr(np.random, "default_rng", first_draw)
-    first = []
-    for s in range(1001):
-        first.append({})
-        for name, start in streams.items():
-            with pytest.raises(_Keyed) as keyed:
-                start(s)
-            first[s][name] = keyed.value.args[0]
+    first = [{name: keyed_draw(start, s) for name, start in streams.items()}
+             for s in range(1001)]
     for s in range(1000):
         here, there = first[s], first[s + 1]
         assert len(set(here.values())) == len(streams), s
         for a in streams:
             for b in streams:
                 assert here[a] != there[b], (s, a, b)
+    plan_first = {name: keyed_draw(start) for name, start in plans.items()}
+    assert len(set(plan_first.values())) == len(plans)
+    assert {v for here in first for v in here.values()}.isdisjoint(
+        plan_first.values())
 
 
 @pytest.mark.parametrize("make, K", [
@@ -371,14 +375,13 @@ def blind_verdict(cfg, params):
         params["rho"])
     free = [blind.generic_free_dims(plan, cfg.pattern(k, k))
             for k in range(K)]
-    return lambda inst, seed: blind.verify_blind(
-        blind.draw_blind(plan, K, seed), inst, free)
+    return lambda inst, seed: blind.verify_blind(plan, inst, free)
 
 
 def shared_verdict(cfg, params):
     plan = plan_shared(cfg.K, params["r"],
                        [cfg.pattern(p, 0) for p in range(cfg.K)], cfg.n)
-    return lambda inst, seed: verify_shared(draw_shared(plan, seed), inst)
+    return lambda inst, seed: verify_shared(plan, inst)
 
 
 def ff3_verdict(cfg, params):
@@ -418,12 +421,9 @@ def test_trial_total_is_the_verifiers_third_value(name, verdict, base_seed):
 def test_identity_received_matrix_is_the_product_bit_for_bit(make):
     scenario = make(trials=1)
     cfg = scenario.config
+    precoders = ((scenario.plan[0].basis,) * cfg.K
+                 if scenario.regime == "blind" else scenario.plan.precoders)
     for seed in range(5):
-        if scenario.regime == "blind":
-            precoders = blind.draw_blind(scenario.plan[0], cfg.K,
-                                         seed).precoders
-        else:
-            precoders = shared.draw_shared(scenario.plan, seed).precoders
         inst = sample_network(cfg, seed)
         for p in range(cfg.K):
             x = precoders[p]
@@ -523,18 +523,18 @@ def with_direct(make, kind):
 # every SVD input bit (the column normalization sums in memory order, so
 # a stack laid out in another order may round differently)
 GOLDEN_SVD_INPUT_SHA256 = {
-    ("blind", 0): "ee21feea90abede155b5ce15f65571500f8d3f985e87d4152dbd3e5030a995be",
-    ("blind", 1000): "4e5f5405c7677e9513830d721e814c968ad1b272d718701ed550e29270e2134d",
-    ("pair", 0): "322196919018751109dce2bf0b1396d49f20ba96650d18968d07bc2a7e74b705",
-    ("pair", 1000): "0fb0530c6e68cdf1c6ec9c271cff22840de7cc1707fdd3b4b83e90bbeb5eaca9",
-    ("dense", 0): "55c51cfe2111e650065224467a96c88806898bcafa1e9d36196030c65fc37962",
-    ("dense", 1000): "ab40791ab63a910b3e6eeb90b396bed94738ef1680fa23c768d9fa41bf1c2d14",
+    ("blind", 0): "d35a75840e18026a8b40536dec636ce40c022c2a54005df292ab2a41177eed5d",
+    ("blind", 1000): "5d9d06b769cc6952de87d418d866c62f9457210cf867c1e760f17be8ea5f69f4",
+    ("pair", 0): "51a7106c5af6771af172dd12b863c1a2b4ca560d839a6480632c4e71bfa13ebb",
+    ("pair", 1000): "450daf8283e5ca49afddcdb059bea5a3a2d9ca337cc54e118ea10aae6cae1a0b",
+    ("dense", 0): "db933eb15f1f61f762fd8741512460f396ead205d6d509c500aee6fdfb215b84",
+    ("dense", 1000): "8706813b0e1178818c22ee5011e04cc5fb72d3dbeec38937b8193e6fdc81c856",
     ("ff3", 0): "b7a9454d2f789b71943ea58dad27e92baf2a02d70d70266733eac14be7ea140d",
     ("ff3", 1000): "16e81aaceae19a19a93efef0a83b306d69b96d145a49d5a8b1923f1a38285cf5",
     ("ffk", 0): "af1cbdb8a1047343db459fea813365761a15047df77d043569e4efbb8b85c75f",
     ("ffk", 1000): "ab8e9c108ffcb809c118b63ed2bd9f5b7138eb1045597cd2b903c3408b0d0d79",
-    ("pair-memory", 0): "fcf4d2a4fb1e0f940987a714662b466f1f8816fb997e40fbb97dbb9822275c27",
-    ("pair-memory", 1000): "08cdc91c50a08164d6128e241754122ffc5d14a4a6dbf97659c669c21c8d545a",
+    ("pair-memory", 0): "c8fe62151569e0f0c8fea54bb830eb0a7d1a82437b7fa71e89251c2c7c31ed69",
+    ("pair-memory", 1000): "f2173fdd8cd65f7a48d7218bb99142639f2e4b4cfc5f02bcd198b1bce0cff9da",
 }
 SVD_SCENARIOS = {**SCENARIOS,
                  "pair-memory": with_direct(shared_scenario, "memory")}

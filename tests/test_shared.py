@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim import shared
-from alignsim.channel import ChangingPattern, sample_network
+from alignsim.channel import ChangingPattern, sample_channel, sample_network
 from alignsim.harness import Scenario, run_trials
 from alignsim.shared import (best_sharing_degree, curve_f,
                              dense_demo_patterns, demo_network_config,
-                             dof_table, dof_upper_bound, draw_shared,
-                             pair_demo_patterns, plan_shared, scheme_counts,
+                             dof_table, dof_upper_bound, pair_demo_patterns, plan_shared, scheme_counts,
                              sharing_dof, verify_shared)
 
 
@@ -97,7 +96,6 @@ def test_pair_demo_expected_shape():
 def test_dense_demo_expected_shape():
     pats, n = dense_demo_patterns()
     plan = plan_shared(4, 2, pats, n)
-    scheme = draw_shared(plan, 0)
     assert plan.expected_desired == (3, 3, 3, 3)
     assert plan.expected_used == (10, 10, 10, 10)
     assert plan.total_dof == Fraction(12, 10)
@@ -106,10 +104,10 @@ def test_dense_demo_expected_shape():
                     (1, 3): (7, 8), (2, 3): (3, 4)}
     assert plan.dropped == (2, 3)       # pairs (0,3) and (1,2) have no window
     # one fill row per transmitter, after its two window vectors
-    assert scheme.fill.shape == (4, n)
-    assert [m.shape for m in scheme.precoders] == [(n, 3)] * 4
-    for t, m in enumerate(scheme.precoders):
-        assert m[:, 2].tobytes() == scheme.fill[t].tobytes()
+    assert plan.fill.shape == (4, n)
+    assert [m.shape for m in plan.precoders] == [(n, 3)] * 4
+    for t, m in enumerate(plan.precoders):
+        assert m[:, 2].tobytes() == plan.fill[t].tobytes()
 
 
 @pytest.mark.parametrize("factory", [pair_demo_patterns, dense_demo_patterns])
@@ -118,9 +116,8 @@ def test_demo_schemes_measure_as_constructed(factory):
     cfg = demo_network_config(pats, n)
     plan = plan_shared(4, 2, pats, n)
     for seed in range(25):
-        scheme = draw_shared(plan, seed)
         inst = sample_network(cfg, seed=seed)
-        measured = verify_shared(scheme, inst)[1]
+        measured = verify_shared(plan, inst)[1]
         desired = tuple(measured[f"desired_rx{p}"] for p in (1, 2, 3, 4))
         used = tuple(measured[f"used_rx{p}"] for p in (1, 2, 3, 4))
         assert desired == plan.expected_desired
@@ -139,39 +136,39 @@ def _array_bytes(arrays):
 
 
 @pytest.mark.parametrize("factory", [pair_demo_patterns, dense_demo_patterns])
-def test_one_plan_drawn_per_seed_equals_a_fresh_plan_per_seed(factory):
+def test_equal_plans_are_byte_identical_and_read_only(factory):
     pats, n = factory()
-    plan = plan_shared(4, 2, pats, n)
-    for seed in range(10):
-        want = draw_shared(plan_shared(4, 2, pats, n), seed)
-        got = draw_shared(plan, seed)
-        assert got.plan is plan
-        for f in dataclasses.fields(plan):
-            a, b = getattr(want.plan, f.name), getattr(plan, f.name)
-            if f.name == "vectors":
-                assert len(a) == len(b)
-                assert all(_same_vector(u, v) for u, v in zip(a, b))
-            elif f.name == "window_columns":
-                assert _array_bytes(a) == _array_bytes(b)
-            else:
-                assert a == b, f.name
-        assert (_array_bytes([want.fill, *want.precoders])
-                == _array_bytes([got.fill, *got.precoders]))
-        # fill row i goes to transmitter i mod K, after its window
-        # vectors, its values the next n draws of the stream keyed
-        # [seed, 4]
-        rng = np.random.default_rng([seed, 4])
-        assert got.fill.shape == (plan.fill_count, n)
-        for i, row in enumerate(got.fill):
-            t, width = i % 4, plan.window_columns[i % 4].shape[1]
-            assert row.tobytes() == rng.uniform(-1.0, 1.0, size=n).tobytes()
-            assert got.precoders[t][:, width + i // 4].tobytes() == \
-                row.tobytes()
-        assert not got.fill.flags.writeable
-    # every draw shares the plan, which nothing can change
+    plan, again = plan_shared(4, 2, pats, n), plan_shared(4, 2, pats, n)
+    for f in dataclasses.fields(plan):
+        a, b = getattr(plan, f.name), getattr(again, f.name)
+        if f.name == "vectors":
+            assert len(a) == len(b)
+            assert all(_same_vector(u, v) for u, v in zip(a, b))
+        elif f.name == "fill":
+            assert _array_bytes([a]) == _array_bytes([b])
+        elif f.name == "precoders":
+            assert _array_bytes(a) == _array_bytes(b)
+        else:
+            assert a == b, f.name
+    # fill row i goes to transmitter i mod K, after its window vectors,
+    # its values the next n draws of the plan key 6's generator once the
+    # generic gains of every link are drawn
+    rng = np.random.default_rng(6)
+    for p in range(4):
+        for _ in range(4):
+            sample_channel(pats[p], rng)
+    assert plan.fill.shape[1] == n
+    for i, row in enumerate(plan.fill):
+        t = i % 4
+        width = sum(1 for v in plan.vectors if t in v.kept)
+        assert row.tobytes() == rng.uniform(-1.0, 1.0, size=n).tobytes()
+        assert plan.precoders[t][:, width + i // 4].tobytes() == \
+            row.tobytes()
+    # every trial shares the plan, which nothing can change
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.vectors[0].kept = ()
-    for arr in [v.values for v in plan.vectors] + list(plan.window_columns):
+    for arr in ([v.values for v in plan.vectors] + [plan.fill]
+                + list(plan.precoders)):
         assert not arr.flags.writeable
 
 
@@ -190,10 +187,10 @@ def test_construct_validates_inputs():
 
 def test_precoders_have_independent_columns():
     pats, n = dense_demo_patterns()
-    scheme = draw_shared(plan_shared(4, 2, pats, n), 1)
+    plan = plan_shared(4, 2, pats, n)
     from alignsim.linalg import numeric_rank_by_shape
-    assert numeric_rank_by_shape(dict(enumerate(scheme.precoders))) == {
-        t: mat.shape[1] for t, mat in enumerate(scheme.precoders)}
+    assert numeric_rank_by_shape(dict(enumerate(plan.precoders))) == {
+        t: mat.shape[1] for t, mat in enumerate(plan.precoders)}
 
 
 def test_rank_deficient_precoder_names_its_transmitter(monkeypatch):
@@ -203,7 +200,7 @@ def test_rank_deficient_precoder_names_its_transmitter(monkeypatch):
     monkeypatch.setattr(shared, "numeric_rank_by_shape", one_short_for_tx2)
     pats, n = pair_demo_patterns()
     with pytest.raises(ValueError, match="precoder of transmitter 2 has rank"):
-        draw_shared(plan_shared(4, 2, pats, n), 0)
+        plan_shared(4, 2, pats, n)
 
 
 # ---------------------------------------------------------------------------

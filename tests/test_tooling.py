@@ -121,7 +121,7 @@ def test_every_rank_call_names_its_matrices():
     assert call_sites("numeric_rank_by_shape") == [
         "blind.py:verify_blind", "fastfading.py:verify_3user",
         "fastfading.py:verify_kuser", "linalg.py:is_subspace",
-        "shared.py:draw_shared", "shared.py:_ranks"]
+        "shared.py:plan_shared", "shared.py:_ranks"]
 
 
 def call_sites(name):
@@ -142,12 +142,10 @@ def call_sites(name):
 
 
 def test_overflow_contexts_are_entered_at_fixed_sites():
-    # the curve command's decorator and the rank kernel's two entries: one
-    # np.errstate per numeric_rank_by_shape call, whatever its shapes, and
-    # _normalized's own for its direct callers; a per-shape context inside
-    # the kernel would show up here as a new site
+    # the curve command's decorator and the rank kernel's entry: one
+    # np.errstate per numeric_rank_by_shape call, whatever its shapes; a
+    # per-shape context inside the kernel would show up here as a new site
     assert call_sites("errstate") == ["cli.py:_cmd_curve",
-                                      "linalg.py:_normalized",
                                       "linalg.py:numeric_rank_by_shape"]
 
 
@@ -167,29 +165,27 @@ def test_generators_are_seeded_at_fixed_sites():
     # sample_network seeds; a generator seeded anywhere else shows up here
     # as a new site (test_trial_generator_counts counts them per trial)
     assert sorted(call_sites("default_rng")) == [
-        "blind.py:draw_blind",
+        "blind.py:plan_blind",
         "channel.py:direct_transform_matrix",
         "channel.py:direct_transform_matrix",
         "channel.py:sample_channel",
         "channel.py:sample_network",
         "decomposition.py:build_indexed_basis",
         "decomposition.py:build_power_basis",
-        "shared.py:draw_shared",
         "shared.py:plan_shared"]
 
 
 # the functions that seed a trial's generators, with the call each
 # passes its key to
 TRIAL_KEY_SITES = {("channel.py", "sample_network"): "default_rng",
-                   ("channel.py", "__missing__"): "direct_transform_matrix",
-                   ("shared.py", "draw_shared"): "default_rng",
-                   ("blind.py", "draw_blind"): "default_rng"}
+                   ("channel.py", "__missing__"): "direct_transform_matrix"}
 
 
 def test_trial_streams_are_keyed_by_seed_and_purpose():
     # every generator a trial seeds is keyed [seed, k] or [seed, k, p],
     # one purpose k per site, so no two purposes of one trial, nor of two
-    # adjacent trials, share a stream; purpose 2 is retired
+    # adjacent trials, share a stream; purposes 2, 4 and 5 are retired, and
+    # the pattern-only schemes draw from seed-free plan keys
     found = {}
     for (file, func), callee in TRIAL_KEY_SITES.items():
         tree = ast.parse((SRC / "alignsim" / file).read_text(
@@ -208,7 +204,7 @@ def test_trial_streams_are_keyed_by_seed_and_purpose():
                           getattr(seed, "attr", None)), func
         assert isinstance(purpose, ast.Constant), func
         found[func] = purpose.value
-    assert sorted(found.values()) == [1, 3, 4, 5], found
+    assert sorted(found.values()) == [1, 3], found
 
 
 def test_library_solves_no_least_squares():
