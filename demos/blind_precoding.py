@@ -27,14 +27,14 @@ def main():
     # one cross-union change point at slot 4 and 7; rho = 2 repetitions
     n, rho, K = 12, 2, 3
     union = ChangingPattern(n, (4, 7))
-    plan = plan_blind(union, rho)
+    # per-receiver direct patterns: same as the union (nothing private),
+    # one private point, two private points
+    direct = [(4, 7), (9,), (2, 9)]
+    plan = plan_blind(union, rho, [ChangingPattern(n, d) for d in direct])
     print(f"{K} users, {n} slots, union change points {union.change_points}")
     print(f"interference basis: {plan.basis.shape[1]} columns "
           f"(= n/2) spanning the common crosstalk subspace")
 
-    # per-receiver direct patterns: same as the union (nothing private),
-    # one private point, two private points
-    direct = [(4, 7), (9,), (2, 9)]
     nest = [[list(union.change_points) for _ in range(K)] for _ in range(K)]
     for k in range(K):
         nest[k][k] = list(direct[k])
@@ -57,8 +57,7 @@ def main():
     print("(the coarse block formula warns when a direct block outlasts the")
     print(" column budget and can over-count short value-runs; the refined")
     print(" count always matches the measured rank):")
-    _, measured, total = verify_blind(plan, inst, [
-        generic_free_dims(plan, cfg.pattern(k, k)) for k in range(K)])
+    _, measured, total = verify_blind(plan, inst)
     dims = [measured[f"free_dims_rx{k + 1}"] for k in range(K)]
     for k in range(K):
         pat = ChangingPattern(n, direct[k])

@@ -12,12 +12,13 @@ dimensions appear wherever the direct channel changes at slots where no
 cross channel does.
 
 The transmitters know the patterns but no gains, so the whole scheme is
-its plan: ``plan_blind`` draws G once, from a seed-free key, and every
-trial sends the same read-only basis.
+its plan: ``plan_blind`` draws G once, from a seed-free key, and counts
+each receiver's expected free dimensions.  A trial samples a network and
+``verify_blind(plan, instance)`` checks the same read-only basis on it.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,15 +39,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlindPlan:
-    """A blind scheme, fixed by its pattern: the checked layout and the
-    one read-only n x (n/2) basis every transmitter sends."""
+    """A blind scheme, fixed by its patterns: the checked layout, the one
+    read-only n x (n/2) basis every transmitter sends and each receiver's
+    expected free dimensions."""
     n: int
     rho: int
     union: ChangingPattern
     basis: np.ndarray
+    expected_free: tuple
 
 
-def plan_blind(cross_union: ChangingPattern, rho):
+def plan_blind(cross_union: ChangingPattern, rho, direct_patterns):
     """Check that the union pattern has n = 2*rho*(s+1) slots and build the
     shared column set: 1_b G^j, b-major, for the union blocks b and the
     mixer G drawn from the seed-free plan key 7.
@@ -54,6 +57,8 @@ def plan_blind(cross_union: ChangingPattern, rho):
     Its span is that of Q^a G^j, a = 1..s+1, for any generator Q with
     s+1 distinct nonzero block values: the Vandermonde matrix of Q's
     powers on those values is invertible, so span{Q^a} = span{1_b}.
+    ``expected_free[k]`` is ``generic_free_dims`` of
+    ``direct_patterns[k]``, the pattern of receiver k's direct link.
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
@@ -68,12 +73,16 @@ def plan_blind(cross_union: ChangingPattern, rho):
     powers = gam[:, None] ** np.arange(1, rho + 1)
     basis = (blocks[:, :, None] * powers[:, None, :]).reshape(n, -1)
     basis.setflags(write=False)
-    return BlindPlan(n=n, rho=rho, union=cross_union, basis=basis)
+    plan = BlindPlan(n=n, rho=rho, union=cross_union, basis=basis,
+                     expected_free=())
+    return replace(plan, expected_free=tuple(
+        generic_free_dims(plan, d) for d in direct_patterns))
 
 
 def build_blind_scheme(cross_union: ChangingPattern, rho, K, seed):
-    """``plan_blind``; K and seed are unused.  perfbench's tests import it."""
-    return plan_blind(cross_union, rho)
+    """``plan_blind`` with no direct links; K and seed are unused.
+    perfbench's tests import it."""
+    return plan_blind(cross_union, rho, ())
 
 
 def predicted_free_dims(plan: BlindPlan, direct_pattern: ChangingPattern):
@@ -118,17 +127,16 @@ def generic_free_dims(plan: BlindPlan, direct_pattern: ChangingPattern):
         runs = [r for r in runs if r]
         base = min(rho, len(block))
         joint = min(2 * rho, sum(min(rho, len(r)) for r in runs), len(block))
-        total += max(0, joint - base)
+        total += joint - base
     return min(plan.n // 2, total)
 
 
-def verify_blind(plan: BlindPlan, instance, expected_free):
+def verify_blind(plan: BlindPlan, instance):
     """Rank checks of a blind plan on a sampled network, as
-    ``(checks, measured, total_dof)``; ``expected_free[k]`` is the generic
-    free-dimension count of the direct link into receiver k
-    (``generic_free_dims`` of its pattern), and the total is
-    ``blind_total_dof`` of the measured free dimensions.  Every
-    transmitter sends the plan's basis, so a trial draws nothing.
+    ``(checks, measured, total_dof)``: the measured free dimensions
+    against the plan's ``expected_free``, one per receiver, and the total
+    is ``blind_total_dof`` of the measured ones.  Every transmitter sends
+    the plan's basis, so a trial draws nothing.
 
     The scheme is stated for diagonal links: a direct transform that is
     not the identity raises ValueError.  The raw ``[basis, received]``
@@ -158,7 +166,8 @@ def verify_blind(plan: BlindPlan, instance, expected_free):
         "cross_containment": all(joint[p, q] == base for p in range(K)
                                  for q in range(K) if p != q),
         "predicted_equals_measured": all(
-            want == f for want, f in zip(expected_free, free, strict=True))}
+            want == f for want, f in zip(plan.expected_free, free,
+                                         strict=True))}
     measured.update((f"free_dims_rx{k + 1}", f) for k, f in enumerate(free))
     return checks, measured, blind_total_dof(free, plan.n)
 

@@ -21,7 +21,9 @@ Each construction is a seed-free ``HiddenSlotPlan`` (``plan_3user``,
 cross links and their gain rows, [u, E_omega], the known-slot mask, the
 expected DoF or dimensions and the 3-user rx1 matching) and a draw from
 it and an instance's known gains (``draw_3user``, ``draw_kuser``), which
-seeds nothing.
+seeds nothing and returns plain arrays.  A verifier takes the plan and a
+sampled instance, ``verify_*(plan, instance)``, and draws its precoders
+itself, so the precoders never see more than the known gains.
 """
 
 from dataclasses import dataclass, replace
@@ -36,8 +38,6 @@ from .linalg import is_subspace, numeric_rank_by_shape
 
 __all__ = [
     "HiddenSlotPlan",
-    "FastFading3Scheme",
-    "KUserScheme",
     "plan_3user",
     "draw_3user",
     "verify_3user",
@@ -119,13 +119,6 @@ class HiddenSlotPlan:
     separated: object = None    # 3-user rx1 matching; None: per permutation
 
 
-@dataclass(frozen=True)
-class FastFading3Scheme:
-    plan: HiddenSlotPlan
-    loop_transfer: np.ndarray   # diagonal values of the loop map T
-    tx_columns: tuple           # precoder matrix per transmitter (V1, V2, V3)
-
-
 def _plan(network, fixed_slots, order):
     """The hidden-slot plan of a config or instance, after checking that
     it has n = 2L + fixed_slots slots, L the size of the hidden union."""
@@ -179,8 +172,8 @@ def plan_3user(config, epsilon):
 
 
 def draw_3user(instance: NetworkInstance, plan: HiddenSlotPlan):
-    """The three precoders of a planned 3-user scheme, from the known
-    gains only (1 on omega), so hidden values never leak in.
+    """The precoders ``(v1, v2, v3)`` of a planned 3-user scheme, from the
+    known gains only (1 on omega), so hidden values never leak in.
 
     tx1's columns are [u, t u, ..., t^epsilon u, E_omega], t the loop
     map; tx3's seed drops u and tx2's drops t^epsilon u.  They span what
@@ -199,19 +192,19 @@ def draw_3user(instance: NetworkInstance, plan: HiddenSlotPlan):
     v3 = (g[1, 0] / g[1, 2])[:, None] * v1[:, 1:]
     v2 = np.concatenate([v1[:, :eps], v1[:, eps + 1:]], axis=1)
     v2 *= (g[2, 0] / g[2, 1])[:, None]
-    return FastFading3Scheme(plan=plan, loop_transfer=t,
-                             tx_columns=(v1, v2, v3))
+    return v1, v2, v3
 
 
-def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
-    """Rank-based verification on true (hidden values included) channels,
-    as ``(checks, measured, total_dof)``: the total is the plan's sum of
-    the per-user DoF when ``rx1_separation`` holds, else 1.
-    ``separation_guaranteed`` is the plan's rx1 matching, or for a drawn
-    permutation whether it maps no hidden slot onto a hidden slot.
+def verify_3user(plan: HiddenSlotPlan, instance: NetworkInstance):
+    """Rank-based verification of the precoders ``draw_3user`` draws from
+    the plan and the instance's known gains, on its true (hidden values
+    included) channels, as ``(checks, measured, total_dof)``: the total is
+    the plan's sum of the per-user DoF when ``rx1_separation`` holds,
+    else 1.  ``separation_guaranteed`` is the plan's rx1 matching, or for
+    a drawn permutation whether it maps no hidden slot onto a hidden slot.
 
     ``rx1_span_equality`` and ``loop_closure`` claim that a span stays put
-    whatever values the hidden gains take.  The scheme read each cross
+    whatever values the hidden gains take.  The draw reads each cross
     link's gains off omega only, so a substitution of values on omega
     moves a column only by a vector supported on omega, and a diagonal
     scaling that is nonzero on omega maps span(E_omega), E_omega = [e_s :
@@ -229,8 +222,8 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
     bases), ``seeds`` (both seed sets, s12 v2 and s13 v3), ``joints`` (at
     rx2, rx3 and rx1) and the rx1 ``span``.
     """
-    plan, n, eps = scheme.plan, instance.n, scheme.plan.order
-    v1, v2, v3 = scheme.tx_columns
+    n, eps = instance.n, plan.order
+    v1, v2, v3 = draw_3user(instance, plan)
     w, e_omega = len(plan.omega) + eps, plan.indicators[:, 1:]
     h = instance.gains.reshape(3, 3, n, 1)
     tx = np.empty((3, n, w + 1))
@@ -284,13 +277,6 @@ def verify_3user(scheme: FastFading3Scheme, instance: NetworkInstance):
 # K-user generalization
 
 
-@dataclass(frozen=True)
-class KUserScheme:
-    plan: HiddenSlotPlan
-    tx1_columns: np.ndarray
-    seed_columns: np.ndarray
-
-
 def _grid_columns(maps, basis, lo, hi):
     """One column per exponent tuple a in [lo, hi]^N, in itertools.product
     order, u * maps[0]**a_0 * ... * maps[N-1]**a_(N-1) multiplied in that
@@ -324,7 +310,8 @@ def plan_kuser(network, n_star):
 
 
 def draw_kuser(instance: NetworkInstance, plan: HiddenSlotPlan):
-    """Pairwise-transfer column families of a planned K-user scheme.
+    """Pairwise-transfer column families ``(seed_cols, tx1_cols)`` of a
+    planned K-user scheme.
 
     Exponent grids over the N = (K-1)(K-2)-1 pairwise transfer maps give
     the seed set (exponents 1..n_star) and the first transmitter's set
@@ -341,25 +328,25 @@ def draw_kuser(instance: NetworkInstance, plan: HiddenSlotPlan):
     pairs = [(p, q) for p in range(1, K) for q in range(1, K)
              if p != q and (p, q) != (1, 2)]
     maps = [q1[pq] / q1[pq[0], 0] * relay[pq[1]] for pq in pairs]
-    seed_cols = _grid_columns(maps, plan.indicators, 1, n_star)
-    tx1_cols = _grid_columns(maps, plan.indicators, 0, n_star)
-    return KUserScheme(plan=plan, tx1_columns=tx1_cols,
-                       seed_columns=seed_cols)
+    return (_grid_columns(maps, plan.indicators, 1, n_star),
+            _grid_columns(maps, plan.indicators, 0, n_star))
 
 
-def verify_kuser(scheme: KUserScheme):
-    """Dimensions of transmitter 1's seed and column families against the
-    plan's formula, as ``(checks, measured, total_dof)``; no channel is
-    read.  The total is the plan's: transmitter 1's formula dimension over
-    n, whatever the checks.
+def verify_kuser(plan: HiddenSlotPlan, instance: NetworkInstance):
+    """Dimensions of transmitter 1's seed and column families, as
+    ``draw_kuser`` draws them from the plan and the instance's known
+    gains, against the plan's formula, as ``(checks, measured,
+    total_dof)``; of the instance only those gains are read.  The total
+    is the plan's: transmitter 1's formula dimension over n, whatever the
+    checks.
 
     The columns are products of many transfer-map ratios, so row
     magnitudes vary by orders of magnitude; both families are ranked in
     one ``numeric_rank_by_shape`` call with ``balance_rows``, which
     equalizes the rows first to keep the threshold fair.
     """
-    measured = numeric_rank_by_shape({"dim_seed": scheme.seed_columns,
-                                      "dim_tx1": scheme.tx1_columns},
-                                     balance_rows=True)
-    checks = {"dims_match_formula": measured == scheme.plan.expected}
-    return checks, measured, scheme.plan.total_dof
+    seed_cols, tx1_cols = draw_kuser(instance, plan)
+    measured = numeric_rank_by_shape({"dim_seed": seed_cols,
+                                      "dim_tx1": tx1_cols}, balance_rows=True)
+    checks = {"dims_match_formula": measured == plan.expected}
+    return checks, measured, plan.total_dof

@@ -6,22 +6,21 @@ count.  Trial i uses seed base_seed + i; trials are independent, results
 are aggregated in trial order, and two runs of the same scenario produce
 byte-identical reports.
 
-The pipeline is plan at load -> sample -> draw -> verify, where only the
-fast-fading regimes draw: their precoders read the known gains.  A
-Scenario builds its regime's seed-free plan once, when it is
-constructed, so a config or parameter the regime cannot use fails there:
-the blind identity-direct-link check, union pattern, layout checks,
-union blocks no shorter than rho, expected free dimensions and the basis
-every transmitter sends; the shared window and carrier construction with
-a plan that leaves room for alignment, and its fill columns and
-full-rank precoders; or the fast-fading checks (every link changes at
-every slot, the slot count and ff3's rx1 matching, unless drawn) and
-hidden-slot plan (omega, [u, E_omega], the expected DoF or ranks).
-``run_trials`` samples each trial's network once and hands the instance
-to the regime's trial.  A blind or shared trial verifies the plan's
-precoders on it; a fast-fading trial first builds its scheme from the
-plan and the instance.  Each returns its verifier's ``(checks, measured,
-total_dof)`` as they are.
+The pipeline is plan at load -> sample -> verify.  A Scenario builds its
+regime's seed-free plan once, when it is constructed, so a config or
+parameter the regime cannot use fails there: the blind
+identity-direct-link check, union pattern, layout checks, union blocks
+no shorter than rho, expected free dimensions and the basis every
+transmitter sends; the shared window and carrier construction with a
+plan that leaves room for alignment, and its fill columns and full-rank
+precoders; or the fast-fading checks (every link changes at every slot,
+the slot count and ff3's rx1 matching, unless drawn) and hidden-slot
+plan (omega, [u, E_omega], the expected DoF or ranks).  ``run_trials``
+samples each trial's network once and reports the regime's verifier on
+it, ``verify(plan, instance)``, as it is: ``(checks, measured,
+total_dof)``.  A blind or shared verifier checks the plan's precoders; a
+fast-fading one first draws its precoders from the plan and the
+instance's known gains.
 """
 
 import csv
@@ -29,11 +28,10 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blind import generic_free_dims, plan_blind, verify_blind
+from .blind import plan_blind, verify_blind
 from .channel import (NetworkConfig, constant_intervals, sample_network,
                       union_pattern)
-from .fastfading import (draw_3user, draw_kuser, plan_3user, plan_kuser,
-                         verify_3user, verify_kuser)
+from .fastfading import plan_3user, plan_kuser, verify_3user, verify_kuser
 from .shared import plan_shared, verify_shared
 
 __all__ = [
@@ -105,17 +103,13 @@ def _blind_plan(cfg, params):
                          f"not direct_kind {cfg.direct_kind!r}")
     cross = [cfg.pattern(p, q) for p in range(cfg.K) for q in range(cfg.K)
              if p != q]
-    plan = plan_blind(union_pattern(cross), int(params.get("rho", 1)))
+    plan = plan_blind(union_pattern(cross), int(params.get("rho", 1)),
+                      [cfg.pattern(k, k) for k in range(cfg.K)])
     for block in constant_intervals(plan.union):
         if len(block) < plan.rho:
             raise ValueError(f"union block of slots {block[0]}..{block[-1]} "
                              f"is shorter than rho = {plan.rho}")
-    return plan, [generic_free_dims(plan, cfg.pattern(k, k))
-                  for k in range(cfg.K)]
-
-
-def _blind_trial(plan, instance, seed):
-    return verify_blind(plan[0], instance, plan[1])
+    return plan
 
 
 def _shared_plan(cfg, params):
@@ -125,10 +119,6 @@ def _shared_plan(cfg, params):
         raise ValueError("the plan predicts no alignment: its interference "
                          "fills all (K-1)*n receiver dimensions")
     return plan
-
-
-def _shared_trial(plan, instance, seed):
-    return verify_shared(plan, instance)
 
 
 def _fast_fading(cfg, plan):
@@ -146,24 +136,16 @@ def _ff3_plan(cfg, params):
     return plan
 
 
-def _ff3_trial(plan, instance, seed):
-    return verify_3user(draw_3user(instance, plan), instance)
-
-
 def _ffk_plan(cfg, params):
     return _fast_fading(cfg, plan_kuser(cfg, int(params.get("n_star", 1))))
 
 
-def _ffk_trial(plan, instance, seed):
-    return verify_kuser(draw_kuser(instance, plan))
-
-
-# regime -> (plan from config and params, trial from plan, sampled
-# instance and seed)
-_REGIMES = {"blind": (_blind_plan, _blind_trial),
-            "shared": (_shared_plan, _shared_trial),
-            "fastfading3": (_ff3_plan, _ff3_trial),
-            "fastfadingK": (_ffk_plan, _ffk_trial)}
+# regime -> (plan from config and params, verifier of a plan on a sampled
+# instance)
+_REGIMES = {"blind": (_blind_plan, verify_blind),
+            "shared": (_shared_plan, verify_shared),
+            "fastfading3": (_ff3_plan, verify_3user),
+            "fastfadingK": (_ffk_plan, verify_kuser)}
 
 
 def run_trials(scenario: Scenario) -> RunSummary:
@@ -171,13 +153,13 @@ def run_trials(scenario: Scenario) -> RunSummary:
     in one pass; a trial's error reaches the caller as a ValueError naming
     its seed.  A missing check fails, and a mode is ``Counter.most_common``'s.
     """
-    fn = _REGIMES[scenario.regime][1]
+    verify = _REGIMES[scenario.regime][1]
     results, passes, stats = [], {}, {}
     for i in range(scenario.trials):
         seed = scenario.base_seed + i
         try:
-            checks, measured, total = fn(
-                scenario.plan, sample_network(scenario.config, seed), seed)
+            checks, measured, total = verify(
+                scenario.plan, sample_network(scenario.config, seed))
         except Exception as exc:
             kind = "" if isinstance(exc, ValueError) else \
                 f"{type(exc).__name__}: "

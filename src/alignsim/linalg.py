@@ -87,14 +87,9 @@ def numeric_rank_by_shape(ms, balance_rows=False):
             raise ValueError("expected non-empty 2-D matrices or 3-D stacks")
         by_shape.setdefault(m.shape[-2:], []).append(name)
     for names in by_shape.values():
-        if len(names) == 1:
-            m = ms[names[0]]
-            r = _ranks(np.ascontiguousarray(m if m.ndim == 3 else m[None],
-                                            dtype=float), balance_rows)
-            ranks[names[0]] = r if m.ndim == 3 else int(r[0])
-            continue
         parts = [ms[k] if ms[k].ndim == 3 else ms[k][None] for k in names]
-        r = _ranks(np.concatenate(parts, dtype=float), balance_rows)
+        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        r = _ranks(np.ascontiguousarray(stack, dtype=float), balance_rows)
         start = 0
         for k, part in zip(names, parts):
             ranks[k] = (r[start:start + len(part)] if ms[k].ndim == 3

@@ -63,8 +63,6 @@ def best_sharing_degree(K):
     r = (math.isqrt(1 + 4 * K) - 1) // 2
     while r * (r + 1) < K:
         r += 1
-    while r > 1 and (r - 1) * r >= K:
-        r -= 1
     return r
 
 
@@ -164,19 +162,13 @@ def _runs_in_window(pattern: ChangingPattern, window):
     return 1 + sum(1 for c in pattern.change_points if lo < c <= hi)
 
 
-def _feasible_runs(nonmember_patterns, n):
-    if not nonmember_patterns:
-        return [list(range(1, n + 1))]
-    merged = union_pattern(nonmember_patterns)
-    return constant_intervals(merged)
-
-
-def _pick_window(subset, patterns, n, r):
-    """Best size-r window constant at all non-members; None when impossible."""
+def _pick_window(subset, patterns, r):
+    """Best size-r window constant at all non-members, of which there is at
+    least one (r <= K-1); None when impossible."""
     K = len(patterns)
     nonmembers = [patterns[p] for p in range(K) if p not in subset]
     best = None
-    for run in _feasible_runs(nonmembers, n):
+    for run in constant_intervals(union_pattern(nonmembers)):
         if len(run) < r:
             continue
         for start in range(len(run) - r + 1):
@@ -192,9 +184,8 @@ def _window_values(rank_in_group, window, n):
     """Orthogonal in-window profiles; the first vector is all ones."""
     w = len(window)
     col = np.zeros(n)
+    # cos(0) is exactly 1, so the first profile is all ones
     profile = np.cos(np.pi * rank_in_group * (np.arange(w) + 0.5) / w)
-    if rank_in_group == 0:
-        profile = np.ones(w)
     for slot, v in zip(window, profile):
         col[slot - 1] = v
     return col
@@ -233,7 +224,7 @@ def plan_shared(K, r, patterns, n):
     dropped = []
     in_window = {}
     for vid, subset in enumerate(combinations(range(K), r)):
-        window = _pick_window(subset, patterns, n, r)
+        window = _pick_window(subset, patterns, r)
         if window is None:
             dropped.append(vid)
             continue

@@ -15,15 +15,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alignsim.blind import (generic_free_dims, plan_blind,
-                            predicted_free_dims, verify_blind)
+from alignsim.blind import plan_blind, predicted_free_dims, verify_blind
 from alignsim.channel import (ChangingPattern, constant_intervals,
                               sample_channel, sample_network)
 from alignsim.decomposition import (RESIDUAL_REL_TOL, build_and_decompose,
                                     build_power_basis, decompose, reconstruct)
-from alignsim.fastfading import (dof_cap_given_upsilon, draw_3user,
-                                 draw_kuser, min_upsilon_for_max_dof,
-                                 plan_3user, plan_kuser, verify_3user)
+from alignsim.fastfading import (dof_cap_given_upsilon, draw_kuser,
+                                 min_upsilon_for_max_dof, plan_3user,
+                                 plan_kuser, verify_3user)
 from alignsim.harness import Scenario, run_trials
 from alignsim.linalg import is_subspace, numeric_rank_by_shape
 from alignsim.shared import (demo_network_config, dense_demo_patterns,
@@ -156,7 +155,6 @@ def _blind_instances(base, count, restrict_direct):
         if pts is None or len(pts) != sigma:
             continue
         union = ChangingPattern(n, pts)
-        plan = plan_blind(union, rho)
 
         def sampler(k):
             if restrict_direct:
@@ -166,6 +164,7 @@ def _blind_instances(base, count, restrict_direct):
             return tuple(rng.choice(range(2, n + 1), size=size, replace=False))
 
         cfg = blind_config(rng, n, K, pts, sampler)
+        plan = plan_blind(union, rho, [cfg.pattern(k, k) for k in range(K)])
         inst = sample_network(cfg, seed=50_000 + t)
         made.append((plan, cfg, inst))
     return made
@@ -176,8 +175,7 @@ def test_criterion_6_free_dim_prediction():
     instances = _blind_instances(0, 100, restrict_direct=True)
     for plan, cfg, inst in instances:
         direct = [cfg.pattern(k, k) for k in range(cfg.K)]
-        measured = verify_blind(
-            plan, inst, [generic_free_dims(plan, p) for p in direct])[1]
+        measured = verify_blind(plan, inst)[1]
         agree += [predicted_free_dims(plan, p) for p in direct] == [
             measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
     ok = agree == 100
@@ -201,7 +199,7 @@ def test_criterion_7_blind_alignment_containment():
                     continue
                 K = int(rng.integers(2, 5))
                 union = ChangingPattern(n, pts)
-                basis = plan_blind(union, rho).basis
+                basis = plan_blind(union, rho, ()).basis
                 cfg = blind_config(
                     rng, n, K, pts,
                     lambda k: tuple(rng.choice(
@@ -229,8 +227,7 @@ def test_criterion_8_fastfading_3user():
         passed = 0
         for t in range(200):
             inst = sample_network(cfg, seed=t)
-            scheme = draw_3user(inst, plan)
-            checks, measured, _ = verify_3user(scheme, inst)
+            checks, measured, _ = verify_3user(plan, inst)
             ranks_ok = (measured["rank_tx1"] == L + eps + 1
                         and measured["rank_seed_b"] == L + eps
                         and measured["rank_seed_c"] == L + eps)
@@ -243,8 +240,7 @@ def test_criterion_8_fastfading_3user():
     plan = plan_3user(cfg, 2)
     for t in range(100):
         inst = sample_network(cfg, seed=t)
-        scheme = draw_3user(inst, plan)
-        neg_fail += not verify_3user(scheme, inst)[0]["rx1_separation"]
+        neg_fail += not verify_3user(plan, inst)[0]["rx1_separation"]
     neg_ok = neg_fail > 95
     ok = all_good and neg_ok
     report(8, ok, "; ".join(details)
@@ -257,10 +253,9 @@ def test_criterion_9_kuser_dimensions():
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
     plan = plan_kuser(inst, 1)
-    scheme = draw_kuser(inst, plan)
+    seed_cols, tx1_cols = draw_kuser(inst, plan)
     dims = numeric_rank_by_shape(
-        {"dim_seed": scheme.seed_columns, "dim_tx1": scheme.tx1_columns},
-        balance_rows=True)
+        {"dim_seed": seed_cols, "dim_tx1": tx1_cols}, balance_rows=True)
     dim_seed, dim_tx1 = dims["dim_seed"], dims["dim_tx1"]
     elapsed = time.perf_counter() - start
     ok = (inst.n == 37 and dim_seed == 3 == plan.expected["dim_seed"]

@@ -31,7 +31,6 @@ def make_plan_and_instance(t, restrict_direct):
     if pts is None or len(pts) != sigma:
         return None
     union = ChangingPattern(n, pts)
-    plan = plan_blind(union, rho)
 
     def sampler(k):
         if restrict_direct:
@@ -41,6 +40,7 @@ def make_plan_and_instance(t, restrict_direct):
         return tuple(rng.choice(range(2, n + 1), size=size, replace=False))
 
     cfg = blind_config(rng, n, K, pts, sampler)
+    plan = plan_blind(union, rho, [cfg.pattern(k, k) for k in range(K)])
     inst = sample_network(cfg, seed=10_000 + t)
     return plan, cfg, inst
 
@@ -51,7 +51,7 @@ def test_scheme_dimensions_and_rank():
         # evenly spaced change points keep every union block >= rho slots,
         # which the full-rank identity needs
         pts = tuple(1 + (i + 1) * n // (sigma + 1) for i in range(sigma))
-        plan = plan_blind(ChangingPattern(n, pts), rho)
+        plan = plan_blind(ChangingPattern(n, pts), rho, ())
         assert plan.n == n
         assert plan.basis.shape == (n, n // 2)
         assert not plan.basis.flags.writeable
@@ -70,7 +70,7 @@ def test_basis_spans_the_generator_power_columns(sigma, rho, data, seed):
     pts = data.draw(st.sets(st.integers(2, n), min_size=sigma,
                             max_size=sigma))
     union = ChangingPattern(n, tuple(pts))
-    new = plan_blind(union, rho).basis
+    new = plan_blind(union, rho, ()).basis
     gam = np.asarray(separated_uniform(np.random.default_rng(7), n))
     old = np.column_stack([q * gam ** j
                            for q in build_power_basis(union, seed).members
@@ -81,14 +81,14 @@ def test_basis_spans_the_generator_power_columns(sigma, rho, data, seed):
 
 
 def test_minimal_scheme_single_column():
-    assert plan_blind(ChangingPattern(2, ()), 1).basis.shape == (2, 1)
+    assert plan_blind(ChangingPattern(2, ()), 1, ()).basis.shape == (2, 1)
 
 
 def test_build_validates_slot_count():
     with pytest.raises(ValueError):
-        plan_blind(ChangingPattern(5, (2,)), 1)
+        plan_blind(ChangingPattern(5, (2,)), 1, ())
     with pytest.raises(ValueError):
-        plan_blind(ChangingPattern(4, ()), 0)
+        plan_blind(ChangingPattern(4, ()), 0, ())
 
 
 def test_cross_interference_containment():
@@ -109,9 +109,7 @@ def test_cross_interference_containment():
 
 
 def measured_free_dims(plan, cfg, inst):
-    measured = verify_blind(
-        plan, inst, [generic_free_dims(plan, cfg.pattern(k, k))
-                     for k in range(cfg.K)])[1]
+    measured = verify_blind(plan, inst)[1]
     return [measured[f"free_dims_rx{k + 1}"] for k in range(cfg.K)]
 
 
@@ -127,7 +125,7 @@ def test_generic_count_equals_measured_unrestricted():
         measured = measured_free_dims(plan, cfg, inst)
         for k in range(cfg.K):
             pred = generic_free_dims(plan, cfg.pattern(k, k))
-            assert pred == measured[k]
+            assert pred == plan.expected_free[k] == measured[k]
         done += 1
 
 
@@ -151,7 +149,7 @@ def test_block_count_formula_equals_measured_in_regime():
 def test_direct_equal_to_cross_union_frees_nothing():
     pts = (3, 5)
     n = 2 * 1 * 3
-    plan = plan_blind(ChangingPattern(n, pts), 1)
+    plan = plan_blind(ChangingPattern(n, pts), 1, ())
     assert predicted_free_dims(plan, ChangingPattern(n, pts)) == 0
     assert generic_free_dims(plan, ChangingPattern(n, pts)) == 0
 
@@ -159,7 +157,7 @@ def test_direct_equal_to_cross_union_frees_nothing():
 def test_coinciding_change_points_are_not_private():
     pts = (4,)
     n = 8
-    plan = plan_blind(ChangingPattern(n, pts), 2)
+    plan = plan_blind(ChangingPattern(n, pts), 2, ())
     # direct changes only where the cross union changes: nothing is freed
     assert predicted_free_dims(plan, ChangingPattern(n, (4,))) == 0
     # one extra private point in the second block frees rho dims
@@ -168,7 +166,7 @@ def test_coinciding_change_points_are_not_private():
 
 def test_prediction_warns_when_budget_below_longest_block():
     # n=2, one column: budget 1 is below the constant direct channel's block
-    plan = plan_blind(ChangingPattern(2, ()), 1)
+    plan = plan_blind(ChangingPattern(2, ()), 1, ())
     with pytest.warns(UserWarning):
         predicted_free_dims(plan, ChangingPattern(2, ()))
 
@@ -197,10 +195,10 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
                             1e-2 if t % 2 else default)
         # the trial's stacked verdicts, recomputed one link at a time
         union = union_pattern([cfg.pattern(p, q) for p, q in cross])
-        plan = plan_blind(union, rho)
+        direct = [cfg.pattern(k, k) for k in range(K)]
+        plan = plan_blind(union, rho, direct)
         inst = sample_network(cfg, t)
         basis = plan.basis
-        direct = [cfg.pattern(k, k) for k in range(K)]
         ranks = numeric_rank_by_shape(
             {"base": basis} | {k: np.hstack([basis, inst.received_matrix(
                 k, k, basis)]) for k in range(K)})
@@ -216,8 +214,7 @@ def test_stacked_blind_checks_match_one_link_at_a_time(sigma, rho,
                 {"basis_rank": base, **{f"free_dims_rx{k + 1}": f
                                         for k, f in enumerate(free)}},
                 blind_total_dof(free, n))
-        assert verify_blind(plan, inst, [generic_free_dims(plan, d)
-                                         for d in direct]) == want
+        assert verify_blind(plan, inst) == want
         # the blind Scenario runs only unions whose blocks hold rho slots
         if min(union.lengths) < rho:
             with pytest.raises(ValueError, match="shorter than rho"):
@@ -237,11 +234,10 @@ def test_verify_blind_rejects_non_identity_direct_links(kind):
     cfg = dataclasses.replace(blind_config(
         np.random.default_rng(0), n, 3, pts, lambda k: (2, 4)),
         direct_kind=kind, memory_distance=2)
-    plan = plan_blind(ChangingPattern(n, pts), 1)
+    plan = plan_blind(ChangingPattern(n, pts), 1,
+                      [cfg.pattern(k, k) for k in range(3)])
     with pytest.raises(ValueError, match=f"direct_kind '{kind}'"):
-        verify_blind(plan, sample_network(cfg, 0),
-                     [generic_free_dims(plan, cfg.pattern(k, k))
-                      for k in range(3)])
+        verify_blind(plan, sample_network(cfg, 0))
 
 
 @st.composite

@@ -314,7 +314,7 @@ def test_channel_array_is_read_only_and_equals_values():
     assert np.array_equal(power.members[2], gen ** 3)
     indexed = build_indexed_basis(h, UnknownSet(6, frozenset({2})), seed=2)
     assert indexed.members.shape == (2, 6)
-    basis = plan_blind(ChangingPattern(4, (3,)), 1).basis
+    basis = plan_blind(ChangingPattern(4, (3,)), 1, ()).basis
     inst = sample_network(
         NetworkConfig(K=2, n=6, patterns=[[[3]] * 2] * 2), 0)
     for arr in (h, power.members, indexed.members, basis,

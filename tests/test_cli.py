@@ -367,12 +367,12 @@ def test_failed_verification_exit_code_2(tmp_path, capsys):
 
 
 def test_error_inside_a_trial_is_input_error(tmp_path, capsys, monkeypatch):
-    plan, _ = harness._REGIMES["blind"]
+    build, _ = harness._REGIMES["blind"]
 
-    def trial(plan, instance, seed):
+    def verify(plan, instance):
         raise ZeroDivisionError("no free slot")
 
-    monkeypatch.setitem(harness._REGIMES, "blind", (plan, trial))
+    monkeypatch.setitem(harness._REGIMES, "blind", (build, verify))
     path = tmp_path / "blind.json"
     path.write_text(json.dumps({**_BLIND, "base_seed": 7}))
     code, out, err = run_cli(capsys, "blind-sim", str(path))

@@ -74,8 +74,7 @@ def test_3user_ranks_and_containments(L, eps):
     plan = plan_3user(cfg, eps)
     for t in range(25):
         inst = sample_network(cfg, seed=t)
-        scheme = draw_3user(inst, plan)
-        checks, measured, total = verify_3user(scheme, inst)
+        checks, measured, total = verify_3user(plan, inst)
         assert checks["rank_tx1"], (L, eps, t)
         assert checks["rank_seeds"], (L, eps, t)
         assert checks["rx1_span_equality"], (L, eps, t)
@@ -95,8 +94,7 @@ def test_3user_small_depth_seed_rank_is_L_plus_eps():
     n = 2 * (L + eps) + 1
     cfg = fastfading_config(3, n, L)
     inst = sample_network(cfg, seed=0)
-    scheme = draw_3user(inst, plan_3user(cfg, eps))
-    checks, measured, _ = verify_3user(scheme, inst)
+    checks, measured, _ = verify_3user(plan_3user(cfg, eps), inst)
     # at depth 1 the seed sets still have rank L + eps, not L
     assert checks["rank_seeds"]
     assert measured["rank_seed_b"] == L + eps
@@ -111,8 +109,7 @@ def test_3user_identity_transform_negative_control():
     plan = plan_3user(cfg, eps)
     for t in range(25):
         inst = sample_network(cfg, seed=t)
-        scheme = draw_3user(inst, plan)
-        checks, measured, total = verify_3user(scheme, inst)
+        checks, measured, total = verify_3user(plan, inst)
         failures += not checks["rx1_separation"]
         assert not measured["separation_guaranteed"]
         # no trial here separates, so each falls back to time sharing
@@ -136,8 +133,8 @@ def test_3user_draw_is_deterministic():
     plan = plan_3user(cfg, 2)
     a = draw_3user(inst, plan)
     b = draw_3user(inst, plan)
-    assert np.array_equal(a.tx_columns[0], b.tx_columns[0])
-    assert np.array_equal(a.loop_transfer, b.loop_transfer)
+    assert len(a) == 3
+    assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
 def _mixer(rng, n, omega):
@@ -167,9 +164,12 @@ def test_3user_columns_span_the_mixer_power_columns(L, eps, seed):
     n = 2 * (L + eps) + 1
     cfg = fastfading_config(3, n, L)
     inst = sample_network(cfg, seed=seed)
-    scheme = draw_3user(inst, plan_3user(cfg, eps))
-    t, v1 = scheme.loop_transfer, scheme.tx_columns[0]
-    gam = _mixer(np.random.default_rng(seed), n, scheme.plan.omega)
+    plan = plan_3user(cfg, eps)
+    v1 = draw_3user(inst, plan)[0]
+    # the loop map t is tx1's column t u off omega and 1 on it, where every
+    # known gain is 1
+    t = np.where(plan.known, v1[:, 1], 1.0)
+    gam = _mixer(np.random.default_rng(seed), n, plan.omega)
     old = np.column_stack([t ** i * gam ** j for i in range(eps + 1)
                            for j in range(1, L + 2)])
     assert _same_span(old, v1)
@@ -236,14 +236,14 @@ def _known(instance, p, q):
     return g
 
 
-def _verify_3user_one_at_a_time(scheme, instance):
-    """verify_3user's checks and measured numbers from one rank or
-    is_subspace call per matrix of its reduction, and the ranks of both
-    column orders, [right, left, E_omega] and [left, right, E_omega], of
-    the rx1 joint."""
-    eps, omega, n = scheme.plan.order, scheme.plan.omega, instance.n
+def _verify_3user_one_at_a_time(plan, columns, instance):
+    """verify_3user's checks and measured numbers on the precoders
+    ``columns`` from one rank or is_subspace call per matrix of its
+    reduction, and the ranks of both column orders, [right, left, E_omega]
+    and [left, right, E_omega], of the rx1 joint."""
+    eps, omega, n = plan.order, plan.omega, instance.n
     L = len(omega)
-    v1, v2, v3 = scheme.tx_columns
+    v1, v2, v3 = columns
     checks, measured = {}, {}
 
     def rank(m):
@@ -265,9 +265,8 @@ def _verify_3user_one_at_a_time(scheme, instance):
               rank(np.hstack([left, right, e_omega])))
     checks["rx1_span_equality"] = orders[0] == rank(left) == rank(right)
 
-    u = np.ones(n)
-    u[[s - 1 for s in omega]] = 0.0
-    base = np.column_stack([scheme.loop_transfer * u, e_omega])
+    # the loop base [t u, E_omega]; tx1's second column is t u
+    base = np.column_stack([v1[:, 1], e_omega])
     checks["loop_closure"] = is_subspace(e_omega, base)
 
     checks["rx2_containment"] = is_subspace(
@@ -284,15 +283,23 @@ def _verify_3user_one_at_a_time(scheme, instance):
     return checks, measured, orders
 
 
-def _short_v3(scheme):
-    """The scheme with v3's columns after its first zeroed: its right
+def _short_v3(columns):
+    """The precoders with v3's columns after its first zeroed: its right
     spans are a strict part of the left ones, which only a test of both
     sides rejects.  A zero column adds nothing to a span and keeps the
     shapes of verify_3user's stacks."""
-    v1, v2, v3 = scheme.tx_columns
+    v1, v2, v3 = columns
     short = v3.copy()
     short[:, 1:] = 0.0
-    return dataclasses.replace(scheme, tx_columns=(v1, v2, short))
+    return v1, v2, short
+
+
+def _verify_drawn(plan, columns, instance):
+    """verify_3user on the precoders ``columns`` in place of those it
+    draws, so that a negative control can verify an altered scheme."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastfading, "draw_3user", lambda *args: columns)
+        return verify_3user(plan, instance)
 
 
 @pytest.mark.parametrize("L,eps", [(1, 2), (3, 3), (4, 3), (5, 2), (6, 2),
@@ -305,13 +312,14 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
     plan = plan_3user(cfg, eps)
     for seed in range(1000 * L + eps, 1000 * L + eps + 8):
         inst = sample_network(cfg, seed=seed)
-        scheme = draw_3user(inst, plan)
-        for variant in (scheme, _short_v3(scheme)):
-            out = verify_3user(variant, inst)
+        columns = draw_3user(inst, plan)
+        short = _short_v3(columns)
+        for variant, out in ((columns, verify_3user(plan, inst)),
+                             (short, _verify_drawn(plan, short, inst))):
             checks, measured, orders = _verify_3user_one_at_a_time(
-                variant, inst)
+                plan, variant, inst)
             assert out == (checks, measured,
-                           sum(variant.plan.expected["dof"])
+                           sum(plan.expected["dof"])
                            if checks["rx1_separation"] else 1), seed
             assert list(out[0]) == list(checks)     # the demo's print order
             assert all(type(v) is bool for v in out[0].values())
@@ -319,7 +327,7 @@ def test_verify_3user_stacked_matches_one_at_a_time(L, eps):
             # one joint stands for both column orders
             assert orders[0] == orders[1], seed
         assert not checks["rx1_span_equality"], seed
-        assert verify_3user(scheme, inst)[0]["loop_closure"], seed
+        assert verify_3user(plan, inst)[0]["loop_closure"], seed
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -342,8 +350,7 @@ def test_separation_flag_is_the_separation_verdict(L, eps, kind, data):
     for seed in data.draw(st.lists(st.integers(0, 2**31 - 1), min_size=3,
                                    max_size=3)):
         inst = sample_network(cfg, seed)
-        checks, measured, _ = verify_3user(draw_3user(inst, plan),
-                                           inst)
+        checks, measured, _ = verify_3user(plan, inst)
         assert measured["separation_guaranteed"] == _matching_exists(
             inst.transforms[0].matrix, plan.omega)
         assert measured["separation_guaranteed"] == checks["rx1_separation"]
@@ -377,11 +384,10 @@ def test_verify_3user_stacks_hold_each_matrix_bit_for_bit(monkeypatch, L,
     e_omega = np.eye(n)[:, [s - 1 for s in plan.omega]]
     for seed in range(4):
         inst = sample_network(cfg, seed)
-        scheme = draw_3user(inst, plan)
+        v1, v2, v3 = draw_3user(inst, plan)
         svds.clear()
-        verify_3user(scheme, inst)
+        verify_3user(plan, inst)
         assert len(svds) == (3 if L == 1 else 4)
-        v1, v2, v3 = scheme.tx_columns
         rm = inst.received_matrix
         left = _known(inst, 0, 1)[:, None] * v2
         right = _known(inst, 0, 2)[:, None] * v3
@@ -430,14 +436,15 @@ def _member_combos(sizes, rng):
                      axis=0)
 
 
-def sampled_claims(scheme, instance, fams=None):
-    """(rx1_span_equality, loop_closure) from sampled substitutions of the
-    surrogate families ``fams`` (by default ``surrogate_families``): each
-    substituted rx1 joint [g13 v3, g12 v2] has the rank of both its
-    sides, and each substituted loop vector t' b, b drawn from tx1's
-    columns u and E_omega, leaves the loop base's rank unchanged."""
-    eps = scheme.plan.order
-    v1, v2, v3 = scheme.tx_columns
+def sampled_claims(plan, columns, instance, fams=None):
+    """(rx1_span_equality, loop_closure) of the precoders ``columns`` from
+    sampled substitutions of the surrogate families ``fams`` (by default
+    ``surrogate_families``): each substituted rx1 joint [g13 v3, g12 v2]
+    has the rank of both its sides, and each substituted loop vector t' b,
+    b drawn from tx1's columns u and E_omega, leaves the loop base's rank
+    unchanged."""
+    eps = plan.order
+    v1, v2, v3 = columns
     fams = fams or surrogate_families(instance)
     rng = np.random.default_rng(instance.seed + 17)
 
@@ -475,12 +482,13 @@ def test_exact_claims_equal_the_sampled_claims(L, eps, kind, short, seed):
     n = 2 * (L + eps) + 1
     cfg = fastfading_config(3, n, L, direct_kind=kind)
     inst = sample_network(cfg, seed=seed)
-    scheme = draw_3user(inst, plan_3user(cfg, eps))
+    plan = plan_3user(cfg, eps)
+    columns = draw_3user(inst, plan)
     if short:
-        scheme = _short_v3(scheme)
-    checks = verify_3user(scheme, inst)[0]
+        columns = _short_v3(columns)
+    checks = _verify_drawn(plan, columns, inst)[0]
     assert (checks["rx1_span_equality"], checks["loop_closure"]) == (
-        sampled_claims(scheme, inst)) == (not short, True)
+        sampled_claims(plan, columns, inst)) == (not short, True)
 
 
 @pytest.mark.parametrize("link", [(0, 1), (0, 2)])
@@ -494,16 +502,17 @@ def test_member_moved_at_a_known_slot_fails_both_claims(L, eps, link):
     n = 2 * (L + eps) + 1
     cfg = fastfading_config(3, n, L)
     inst = sample_network(cfg, seed=0)
-    scheme = draw_3user(inst, plan_3user(cfg, eps))
-    assert n not in scheme.plan.omega
+    plan = plan_3user(cfg, eps)
+    columns = draw_3user(inst, plan)
+    assert n not in plan.omega
     fams = surrogate_families(inst)
     members = fams[link].members.copy()
     members[-1, -1] *= 2.0
     moved = {**fams, link: dataclasses.replace(fams[link], members=members)}
-    checks = verify_3user(scheme, inst)[0]
+    checks = verify_3user(plan, inst)[0]
     assert (checks["rx1_span_equality"], checks["loop_closure"]) == (
-        sampled_claims(scheme, inst, fams)) == (True, True)
-    assert sampled_claims(scheme, inst, moved) == (False, False)
+        sampled_claims(plan, columns, inst, fams)) == (True, True)
+    assert sampled_claims(plan, columns, inst, moved) == (False, False)
 
 
 @pytest.mark.parametrize("link", [(0, 1), (0, 2)])
@@ -523,9 +532,9 @@ def test_scheme_drawn_from_other_known_gains_fails_the_span_claim(L, eps,
     gains[3 * link[0] + link[1], -1] *= 2.0
     gains.setflags(write=False)
     moved = draw_3user(dataclasses.replace(inst, gains=gains), plan)
-    assert verify_3user(moved, inst)[0]["rx1_span_equality"] is False
-    assert sampled_claims(moved, inst)[0] is False
-    assert verify_3user(draw_3user(inst, plan), inst)[0]["rx1_span_equality"]
+    assert _verify_drawn(plan, moved, inst)[0]["rx1_span_equality"] is False
+    assert sampled_claims(plan, moved, inst)[0] is False
+    assert verify_3user(plan, inst)[0]["rx1_span_equality"]
 
 
 @pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3)])
@@ -537,19 +546,20 @@ def test_base_without_one_hidden_direction_fails_loop_closure(L, eps):
     n = 2 * (L + eps) + 1
     cfg = fastfading_config(3, n, L)
     inst = sample_network(cfg, seed=0)
-    scheme = draw_3user(inst, plan_3user(cfg, eps))
-    s = scheme.plan.omega[-1] - 1
-    v1 = scheme.tx_columns[0].copy()
+    plan = plan_3user(cfg, eps)
+    columns = draw_3user(inst, plan)
+    s = plan.omega[-1] - 1
+    v1 = columns[0].copy()
     v1[:, -1] = 0.0
     frozen = {}
     for key, fam in surrogate_families(inst).items():
         members = fam.members.copy()
         members[:, s] = members[0, s]
         frozen[key] = dataclasses.replace(fam, members=members)
-    cut = dataclasses.replace(scheme, tx_columns=(v1, *scheme.tx_columns[1:]))
-    assert sampled_claims(cut, inst, frozen)[1]
-    assert not verify_3user(cut, inst)[0]["loop_closure"]
-    assert verify_3user(scheme, inst)[0]["loop_closure"]
+    cut = (v1, *columns[1:])
+    assert sampled_claims(plan, cut, inst, frozen)[1]
+    assert not _verify_drawn(plan, cut, inst)[0]["loop_closure"]
+    assert verify_3user(plan, inst)[0]["loop_closure"]
 
 
 @pytest.mark.parametrize("L,eps", [(1, 2), (2, 2), (3, 3), (4, 3), (8, 1)])
@@ -580,16 +590,16 @@ def test_kuser_dims_k4():
     n = 2 * 2 + 1 + 2 ** 5            # L=2, n*=1, N=5 -> 37
     inst = sample_network(fastfading_config(4, n, 2, memory_distance=4),
                           seed=0)
-    scheme = draw_kuser(inst, plan_kuser(inst, 1))
+    plan = plan_kuser(inst, 1)
+    seed_cols, tx1_cols = draw_kuser(inst, plan)
     N = (4 - 1) * (4 - 2) - 1
     assert N == 5 and inst.n == 2 * 2 + 1 ** N + 2 ** N
     assert numeric_rank_by_shape(
-        {"dim_seed": scheme.seed_columns, "dim_tx1": scheme.tx1_columns},
-        balance_rows=True) == scheme.plan.expected == {"dim_seed": 3,
-                                                       "dim_tx1": 34}
-    assert verify_kuser(scheme) == ({"dims_match_formula": True},
-                                    {"dim_seed": 3, "dim_tx1": 34},
-                                    Fraction(34, 37))
+        {"dim_seed": seed_cols, "dim_tx1": tx1_cols},
+        balance_rows=True) == plan.expected == {"dim_seed": 3, "dim_tx1": 34}
+    assert verify_kuser(plan, inst) == ({"dims_match_formula": True},
+                                        {"dim_seed": 3, "dim_tx1": 34},
+                                        Fraction(34, 37))
 
 
 def test_kuser_k3_matches_loop_construction_sizes():
@@ -597,9 +607,9 @@ def test_kuser_k3_matches_loop_construction_sizes():
     L, n_star = 1, 2
     n = 2 * L + n_star + n_star + 1
     inst = sample_network(fastfading_config(3, n, L), seed=1)
-    scheme = draw_kuser(inst, plan_kuser(inst, n_star))
+    seed_cols, tx1_cols = draw_kuser(inst, plan_kuser(inst, n_star))
     assert numeric_rank_by_shape(
-        {"dim_seed": scheme.seed_columns, "dim_tx1": scheme.tx1_columns},
+        {"dim_seed": seed_cols, "dim_tx1": tx1_cols},
         balance_rows=True) == {"dim_seed": L + n_star,
                                "dim_tx1": L + n_star + 1}
 
@@ -647,9 +657,9 @@ def test_kuser_columns_span_the_mixer_power_columns(monkeypatch, L):
     plan = plan_kuser(cfg, 1)
     for seed in range(5):
         maps.clear()
-        scheme = draw_kuser(sample_network(cfg, seed=seed), plan)
+        seed_cols, tx1_cols = draw_kuser(sample_network(cfg, seed=seed), plan)
         gam = _mixer(np.random.default_rng(seed), n, plan.omega)
-        for lo, got in ((1, scheme.seed_columns), (0, scheme.tx1_columns)):
+        for lo, got in ((1, seed_cols), (0, tx1_cols)):
             old = []
             for alphas in product(range(lo, 2), repeat=len(maps[0])):
                 vec = np.ones(n)
@@ -743,7 +753,7 @@ def hidden_slot_networks(draw):
 @given(network=hidden_slot_networks(), seed=st.integers(0, 2**32 - 1),
        values=st.randoms(use_true_random=False))
 def test_schemes_read_no_hidden_gain(network, seed, values):
-    # every array of a drawn scheme is the same, byte for byte, when every
+    # every array a draw returns is the same, byte for byte, when every
     # cross link's hidden gains take other values, zero and negative ones
     # included
     cfg, plan, draw = network
@@ -757,9 +767,6 @@ def test_schemes_read_no_hidden_gain(network, seed, values):
     moved = dataclasses.replace(inst, gains=gains)
     assert not np.array_equal(gains, inst.gains) or not plan.omega
     a, b = draw(inst, plan), draw(moved, plan)
-    for field in dataclasses.fields(a):
-        if field.name != "plan":
-            x, y = getattr(a, field.name), getattr(b, field.name)
-            for u, v in zip(*((x, y) if isinstance(x, tuple) else
-                              ((x,), (y,)))):
-                assert u.tobytes() == v.tobytes(), field.name
+    assert len(a) == (3 if draw is draw_3user else 2)
+    for i, (u, v) in enumerate(zip(a, b, strict=True)):
+        assert u.tobytes() == v.tobytes(), i

@@ -233,7 +233,7 @@ def test_trial_streams_differ_within_and_across_adjacent_seeds(monkeypatch):
             ff3.config, s)[p] for p in range(3)}}
     plans = {"shared plan": lambda: plan_shared(4, 2, pats, n),
              "blind plan": lambda: blind.plan_blind(
-                 ChangingPattern(6, (3, 5)), 1)}
+                 ChangingPattern(6, (3, 5)), 1, ())}
     default_rng = np.random.default_rng
 
     def first_draw(*args, **kwargs):
@@ -372,28 +372,24 @@ def blind_verdict(cfg, params):
     K = cfg.K
     plan = blind.plan_blind(channel.union_pattern(
         [cfg.pattern(p, q) for p in range(K) for q in range(K) if p != q]),
-        params["rho"])
-    free = [blind.generic_free_dims(plan, cfg.pattern(k, k))
-            for k in range(K)]
-    return lambda inst, seed: blind.verify_blind(plan, inst, free)
+        params["rho"], [cfg.pattern(k, k) for k in range(K)])
+    return lambda inst: blind.verify_blind(plan, inst)
 
 
 def shared_verdict(cfg, params):
     plan = plan_shared(cfg.K, params["r"],
                        [cfg.pattern(p, 0) for p in range(cfg.K)], cfg.n)
-    return lambda inst, seed: verify_shared(plan, inst)
+    return lambda inst: verify_shared(plan, inst)
 
 
 def ff3_verdict(cfg, params):
     plan = fastfading.plan_3user(cfg, params["epsilon"])
-    return lambda inst, seed: fastfading.verify_3user(
-        fastfading.draw_3user(inst, plan), inst)
+    return lambda inst: fastfading.verify_3user(plan, inst)
 
 
 def ffk_verdict(cfg, params):
     plan = fastfading.plan_kuser(cfg, params["n_star"])
-    return lambda inst, seed: fastfading.verify_kuser(
-        fastfading.draw_kuser(inst, plan))
+    return lambda inst: fastfading.verify_kuser(plan, inst)
 
 
 @pytest.mark.parametrize("name, verdict", [
@@ -403,13 +399,13 @@ def ffk_verdict(cfg, params):
 @pytest.mark.parametrize("base_seed", [0, 1000])
 def test_trial_total_is_the_verifiers_third_value(name, verdict, base_seed):
     # run_trials reports each verifier's (checks, measured, total_dof) as
-    # it is; the plan and draw are rebuilt here from the regime modules
+    # it is; the plan is rebuilt here from the regime modules
     scenario = dataclasses.replace(SCENARIOS[name](trials=3),
                                    base_seed=base_seed)
     verify = verdict(scenario.config, scenario.params)
     for r in run_trials(scenario).results:
         checks, measured, total = verify(
-            sample_network(scenario.config, r.seed), r.seed)
+            sample_network(scenario.config, r.seed))
         assert isinstance(total, Fraction)
         assert (r.checks, r.measured, r.total_dof) == \
             (checks, measured, total)
@@ -421,7 +417,7 @@ def test_trial_total_is_the_verifiers_third_value(name, verdict, base_seed):
 def test_identity_received_matrix_is_the_product_bit_for_bit(make):
     scenario = make(trials=1)
     cfg = scenario.config
-    precoders = ((scenario.plan[0].basis,) * cfg.K
+    precoders = ((scenario.plan.basis,) * cfg.K
                  if scenario.regime == "blind" else scenario.plan.precoders)
     for seed in range(5):
         inst = sample_network(cfg, seed)
@@ -607,14 +603,14 @@ def test_decomposition_golden_bits(kind, s):
     (ZeroDivisionError("singular system"),
      "trial seed 3: ZeroDivisionError: singular system")])
 def test_trial_errors_name_the_seed(monkeypatch, exc, message):
-    plan, blind_trial = harness._REGIMES["blind"]
+    build, verify_blind = harness._REGIMES["blind"]
 
-    def trial(plan, instance, seed):
-        if seed == 3:
+    def verify(plan, instance):
+        if instance.seed == 3:
             raise exc
-        return blind_trial(plan, instance, seed)
+        return verify_blind(plan, instance)
 
-    monkeypatch.setitem(harness._REGIMES, "blind", (plan, trial))
+    monkeypatch.setitem(harness._REGIMES, "blind", (build, verify))
     scenario = dataclasses.replace(blind_scenario(trials=3), base_seed=1)
     with pytest.raises(ValueError) as info:
         run_trials(scenario)
@@ -654,13 +650,13 @@ TRIAL_OUTCOMES = st.lists(st.tuples(
 def test_one_pass_summary_matches_counter_reference(outcomes):
     saved = harness._REGIMES["blind"]
 
-    def trial(plan, instance, seed):
-        checks, measured = outcomes[seed]
+    def verify(plan, instance):
+        checks, measured = outcomes[instance.seed]
         return checks, measured, Fraction(1)
 
     # hypothesis runs every example inside one call, so the patch is
     # undone by hand rather than by a function-scoped fixture
-    harness._REGIMES["blind"] = (saved[0], trial)
+    harness._REGIMES["blind"] = (saved[0], verify)
     try:
         summary = run_trials(blind_scenario(trials=len(outcomes)))
     finally:

@@ -2,12 +2,14 @@
 library, one rank entry for every module, called with named matrices, one
 exact-solve entry, one network-sampling site, one acceptance loop for
 separated draws, a fixed list of generator-seeding sites, trial streams
-keyed by seed and purpose, no least-squares solve and no retired
+keyed by seed and purpose, one verifier contract ``verify_*(plan,
+instance)`` for every regime, no least-squares solve and no retired
 parameter (a rank tolerance, a gain range or a separation mode), the same
 command output with and without ``python -O``, and a suite that reports
 every test when a property test fails."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from alignsim import blind, fastfading, harness, shared
 from alignsim.shared import demo_network_config, pair_demo_patterns
 from conftest import fastfading_config
 
@@ -216,6 +219,34 @@ def test_library_solves_no_least_squares():
              if "lstsq" in (getattr(node, "attr", None),
                             getattr(node, "id", None),
                             getattr(node, "name", None))]
+    assert found == []
+
+
+REGIME_MODULES = {"blind": blind, "shared": shared, "fastfading3": fastfading,
+                  "fastfadingK": fastfading}
+
+
+def test_every_regime_verifies_its_plan_on_the_instance():
+    # one trial pipeline: run_trials hands each regime's own library
+    # verifier the Scenario's plan and the sampled instance, nothing else,
+    # and every public verifier takes exactly those two
+    verifiers = {getattr(module, name) for module in REGIME_MODULES.values()
+                 for name in module.__all__ if name.startswith("verify_")}
+    assert {verify for _, verify in harness._REGIMES.values()} == verifiers
+    for regime, (_, verify) in harness._REGIMES.items():
+        module = REGIME_MODULES[regime]
+        assert getattr(module, verify.__name__) is verify, regime
+    for verify in verifiers:
+        assert list(inspect.signature(verify).parameters) == [
+            "plan", "instance"], verify.__name__
+    # the trial seed reaches a verifier only inside the instance
+    tree = ast.parse((SRC / "alignsim" / "harness.py").read_text(
+        encoding="utf-8"))
+    found = [f"harness.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+             for arg in ast.walk(node.args)
+             if isinstance(arg, ast.arg) and arg.arg == "seed"]
     assert found == []
 
 
